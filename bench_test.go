@@ -222,12 +222,13 @@ func BenchmarkEngineInstancing(b *testing.B) {
 	b.Run("engine-pooled", func(b *testing.B) {
 		eng := NewEngine(cfg)
 		defer eng.Close()
-		if _, err := eng.Invoke(mod, "run", n); err != nil { // warm the pool
+		ctx, args := context.Background(), []uint64{n}
+		if _, err := eng.Call(ctx, mod, "run", args); err != nil { // warm the pool
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Invoke(mod, "run", n); err != nil {
+			if _, err := eng.Call(ctx, mod, "run", args); err != nil {
 				b.Fatal(err)
 			}
 		}

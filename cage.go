@@ -26,8 +26,8 @@
 // cancellation ctx itself carries), WithStackDepth bounds recursion at
 // an exact frame count, WithValueStack bounds the execution arena in
 // words (both trap with TrapStackOverflow), and WithMemoryLimit caps
-// memory.grow. Invoke and InvokeF64 remain as deprecated wrappers over
-// Call with a background context.
+// memory.grow. Instance.Invoke and Instance.InvokeF64 remain as
+// deprecated wrappers over Instance.Call with a background context.
 //
 // # Host modules
 //

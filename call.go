@@ -184,8 +184,7 @@ func (r Result) F64(fn string) (float64, error) {
 }
 
 // Call invokes an exported function on a pooled instance of m under ctx
-// and per-call bounds. It is the context-first replacement for Invoke
-// and is safe to call from many goroutines.
+// and per-call bounds. It is safe to call from many goroutines.
 //
 // ctx (tightened by WithTimeout/WithDeadline) governs the whole call:
 // a checkout queued on the live cap or the §7.4 sandbox-tag budget is
@@ -216,12 +215,10 @@ func (e *Engine) CallWith(ctx context.Context, m *Module, fn string, args []uint
 func (e *Engine) callSettings(ctx context.Context, m *Module, fn string, args []uint64, s callSettings) (Result, error) {
 	ctx, cancel := s.context(ctx)
 	defer cancel()
-	p := e.pool(m)
-	r, err := p.GetContext(ctx)
+	pi, err := e.checkout(ctx, m)
 	if err != nil {
 		return Result{}, err
 	}
-	pi := r.(*pooledInstance)
 	defer pi.checkin()
 	return pi.i.callResolved(ctx, fn, args, s)
 }

@@ -13,8 +13,8 @@
 // adversary verdict table — every scenario of internal/adversary under
 // every preset. CI archives the document as BENCH_mitigation.json.
 //
-// With -dispatch it emits only the dispatch-tier record: legacy vs
-// lowered vs profile-guided fused wall time per kernel and config
+// With -dispatch it emits only the dispatch-tier record: lowered vs
+// profile-guided fused wall time per kernel and config
 // (guard32 and full-cage), with the fusion profile recorded in-run. On
 // cageguard builds the guard32 rows run on the vmem guard backend. CI
 // archives the document as BENCH_dispatch.json.
@@ -49,7 +49,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit per-kernel JSON (ns/op, event counts, fuel) instead of the report tables")
 	snapshotOut := flag.Bool("snapshot", false, "emit only the snapshot (fresh vs restore) JSON record")
 	mitigationOut := flag.Bool("mitigation", false, "emit only the Spectre-mitigation (hardened vs full) JSON record")
-	dispatchOut := flag.Bool("dispatch", false, "emit only the dispatch-tier (legacy vs lowered vs fused) JSON record")
+	dispatchOut := flag.Bool("dispatch", false, "emit only the dispatch-tier (lowered vs fused) JSON record")
 	recordProfile := flag.Bool("record-profile", false, "record the polybench hot-sequence corpus and emit it as a profile JSON document")
 	flag.Parse()
 

@@ -12,17 +12,9 @@
 // With -addr it sweeps an already-running daemon instead, uploading
 // -source (or using -module) and labeling the points with -label.
 //
-// With -scaling it emits the "scaling" record instead: a same-binary
-// A/B of the serve hot path — the pre-scale-out configuration (mutexed
-// engine caches, condvar-only pool checkout, allocating handler)
-// against the sharded/lock-free/zero-alloc path — across GOMAXPROCS ×
-// concurrency, driven in-process so the serve path rather than loopback
-// TCP is what gets priced.
-//
 // Usage:
 //
 //	cage-loadgen [-quick] [-o out.json]
-//	cage-loadgen -scaling [-quick] [-o out.json]
 //	cage-loadgen -addr http://host:8080 [-label full] [-tenant name]
 //	             [-source file.c | -module sha256:…] [-fn run] [-arg n]
 //	             [-concurrency 1,2,4,8,16,32] [-requests 50]
@@ -51,26 +43,15 @@ func main() {
 	levels := flag.String("concurrency", "1,2,4,8,16,32", "comma-separated concurrency levels")
 	requests := flag.Int("requests", 50, "requests per client at each level")
 	quick := flag.Bool("quick", false, "CI smoke shape: small workload, few levels, few requests")
-	scaling := flag.Bool("scaling", false, "emit the multicore scale-out A/B (locked vs fast serve path) instead of the saturation sweep")
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	doc := bench.JSONReport{Schema: bench.JSONSchema, Quick: *quick}
-	if *scaling {
-		rec, err := serve.MeasureScaling(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cage-loadgen: %v\n", err)
-			os.Exit(1)
-		}
-		doc.Scaling = rec
-	} else {
-		rec, err := measure(*addr, *label, *tenant, *source, *module, *fn, *arg, *levels, *requests, *quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cage-loadgen: %v\n", err)
-			os.Exit(1)
-		}
-		doc.Saturation = rec
+	rec, err := measure(*addr, *label, *tenant, *source, *module, *fn, *arg, *levels, *requests, *quick)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cage-loadgen: %v\n", err)
+		os.Exit(1)
 	}
+	doc := bench.JSONReport{Schema: bench.JSONSchema, Quick: *quick, Saturation: rec}
 
 	w := os.Stdout
 	if *out != "" {

@@ -15,7 +15,6 @@
 //	           [-max-tenants n] [-max-upload-bytes n]
 //	           [-extended-sandboxes]
 //	           [-hardened-tenants a,b,c]
-//	           [-legacy-hot-path]
 //	           [-pprof addr] [-mutex-profile-fraction n] [-block-profile-rate n]
 //
 // The quota flags define the default tenant policy, applied to every
@@ -27,26 +26,35 @@
 // -pprof starts a side HTTP server (never the serving address) exposing
 // net/http/pprof; -mutex-profile-fraction and -block-profile-rate feed
 // the contention profiles that the multicore scale-out work is tuned
-// against. -legacy-hot-path routes invocations through the pre-scale-out
-// locked dispatch path — the same-binary A/B switch the scaling
-// benchmark uses — so a regression can be bisected in production without
-// rebuilding.
+// against.
+//
+// SIGINT/SIGTERM stop the listener, give in-flight requests
+// shutdownGrace to finish, then retire every pooled instance.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"os/signal"
 	"runtime"
 	"strings"
+	"syscall"
 	"time"
 
 	"cage"
 	"cage/internal/serve"
 )
+
+// shutdownGrace bounds how long a SIGINT/SIGTERM shutdown waits for
+// in-flight requests before closing the engine under them (which is
+// safe: a call that outlives Close still returns, and its instance is
+// closed at checkin).
+const shutdownGrace = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -64,7 +72,6 @@ func main() {
 	maxUploadBytes := flag.Int64("max-upload-bytes", 0, "server-wide upload body cap in bytes (0 = default 64 MiB, negative = unlimited)")
 	extended := flag.Bool("extended-sandboxes", false, "lift the 15-sandbox budget via §6.4 tag reuse")
 	hardenedTenants := flag.String("hardened-tenants", "", "comma-separated tenants whose calls run on the Spectre-hardened engine")
-	legacyHotPath := flag.Bool("legacy-hot-path", false, "route invocations through the pre-scale-out locked dispatch path (A/B bisection aid)")
 	pprofAddr := flag.String("pprof", "", "listen address for a net/http/pprof side server (empty = disabled)")
 	mutexFraction := flag.Int("mutex-profile-fraction", 0, "sample 1/n of mutex contention events for /debug/pprof/mutex (0 = off)")
 	blockRate := flag.Int("block-profile-rate", 0, "sample blocking events >= n ns for /debug/pprof/block (0 = off)")
@@ -107,13 +114,11 @@ func main() {
 		MaxTenants:        *maxTenants,
 		MaxUploadBytes:    *maxUploadBytes,
 		ExtendedSandboxes: *extended,
-		LegacyHotPath:     *legacyHotPath,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cage-serve: %v\n", err)
 		os.Exit(1)
 	}
-	defer srv.Close()
 
 	// Contention profiling knobs and the pprof side server. The profile
 	// rates are process-global, so they take effect whether or not the
@@ -140,8 +145,22 @@ func main() {
 
 	log.Printf("cage-serve: config %s, listening on %s", *cfgName, *addr)
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	if err := hs.ListenAndServe(); err != nil {
+	sig, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	served := make(chan error, 1)
+	go func() { served <- hs.ListenAndServe() }()
+	select {
+	case err := <-served:
+		srv.Close()
 		fmt.Fprintf(os.Stderr, "cage-serve: %v\n", err)
 		os.Exit(1)
+	case <-sig.Done():
 	}
+	stop() // a second signal kills the process the default way
+	log.Printf("cage-serve: shutting down")
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := hs.Shutdown(ctx); err != nil {
+		log.Printf("cage-serve: requests still in flight after %v: %v", shutdownGrace, err)
+	}
+	srv.Close()
 }

@@ -26,7 +26,7 @@ import (
 // modules compete for the budget spawning reclaims idle sibling
 // instances, and when every tag is held by an in-flight invocation of
 // another module the checkout queues until a tag is released or an
-// instance is checked in — Invoke never surfaces
+// instance is checked in — Call never surfaces
 // core.ErrSandboxesExhausted under a plain budget.
 // EnableExtendedSandboxes lifts the budget entirely.
 //
@@ -98,7 +98,7 @@ func (e *Engine) Runtime() *Runtime { return e.rt }
 // extern declarations resolve.
 //
 // Like the other configuration methods, it must be called before the
-// engine's first Call/Invoke of any module; afterwards it fails with
+// engine's first Call of any module; afterwards it fails with
 // ErrEngineStarted (the host surface is frozen so resolved import
 // tables can be shared by pooled instances).
 func (e *Engine) NewHostModule(name string) (*HostModule, error) {
@@ -115,8 +115,7 @@ var ErrEngineStarted = errors.New("cage: engine already served an invocation; co
 
 // EnableExtendedSandboxes lifts the 15-sandbox limit via §6.4 tag reuse
 // and removes the pool cap it implies. It must be called before the
-// first Call/Invoke of any module; afterwards it fails with
-// ErrEngineStarted.
+// first Call of any module; afterwards it fails with ErrEngineStarted.
 func (e *Engine) EnableExtendedSandboxes() error {
 	if err := e.pools.SetLimit(0); err != nil {
 		return ErrEngineStarted
@@ -126,9 +125,9 @@ func (e *Engine) EnableExtendedSandboxes() error {
 }
 
 // SetPoolLimit overrides the per-module live-instance cap (0 =
-// unlimited). It must be called before the first Call/Invoke of any
-// module; afterwards it fails with ErrEngineStarted (a pool built under
-// the old cap would never observe the new one).
+// unlimited). It must be called before the first Call of any module;
+// afterwards it fails with ErrEngineStarted (a pool built under the old
+// cap would never observe the new one).
 func (e *Engine) SetPoolLimit(n int) error {
 	if err := e.pools.SetLimit(n); err != nil {
 		return ErrEngineStarted
@@ -167,22 +166,21 @@ func (e *Engine) DecodeModule(bin []byte) (*Module, error) {
 // engine and module so a reset can fork from the module's currently
 // registered snapshot — including one registered after this instance
 // spawned (an Engine.Snapshot with an init function upgrades in-flight
-// instances at their next checkin).
+// instances at their next checkin). pool is the pool it was last
+// checked out of (set by Engine.checkout): checkin goes straight back
+// to it, so an Engine.Close that unpublishes the pool table mid-call
+// still gets the instance closed and its tag released by Pool.Put.
 type pooledInstance struct {
-	i   *Instance
-	eng *Engine
-	mod *Module
+	i    *Instance
+	eng  *Engine
+	mod  *Module
+	pool *engine.Pool
 }
 
 func (p *pooledInstance) Reset(seed uint64) error {
 	// Fast path: fork from the registered snapshot — one restore helper
 	// (Instance.restoreFrom) shared with snapshot-based spawning, so
 	// the copy/COW image is the only initialization story.
-	if !engine.FastPaths() {
-		// Locked A/B mode prices the pre-elision restore: every checkin
-		// pays the full clear+copy even if the call wrote nothing.
-		p.i.inst.MarkMemoryDirty()
-	}
 	if s := p.eng.activeSnapshot(p.mod); s != nil {
 		if err := p.i.restoreFrom(s, seed); err == nil {
 			p.eng.snapshots.NoteRestore()
@@ -206,13 +204,11 @@ func (p *pooledInstance) Reset(seed uint64) error {
 
 func (p *pooledInstance) Close() error { return p.i.inst.Close() }
 
-// checkin returns the instance to its module's pool and signals spawns
-// queued on the tag budget. It allocates nothing: the pool lookup is a
-// snapshot-map read and the no-waiter notify is one atomic load.
+// checkin returns the instance to the pool it was checked out of and
+// signals spawns queued on the tag budget. It allocates nothing: the
+// no-waiter notify is one atomic load.
 func (p *pooledInstance) checkin() {
-	// The pool always exists here — this instance was checked out of it.
-	pool, _ := p.eng.pools.Lookup(p.mod)
-	pool.Put(p)
+	p.pool.Put(p)
 	p.eng.notifyIdle()
 }
 
@@ -299,29 +295,18 @@ func (e *Engine) pool(m *Module) *engine.Pool {
 	})
 }
 
-// Invoke calls an exported function on a pooled instance of m with no
-// cancellation and no per-call bounds.
-//
-// Deprecated: use Call, which adds context cancellation, deadlines, and
-// per-call fuel/stack/memory bounds. Invoke delegates to Call with a
-// background context.
-func (e *Engine) Invoke(m *Module, fn string, args ...uint64) ([]uint64, error) {
-	res, err := e.Call(context.Background(), m, fn, args)
+// checkout takes an instance of m out of its pool (spawning or queueing
+// under ctx as the pool dictates) and records the pool on it for
+// checkin.
+func (e *Engine) checkout(ctx context.Context, m *Module) (*pooledInstance, error) {
+	p := e.pool(m)
+	r, err := p.GetContext(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return res.Values, nil
-}
-
-// InvokeF64 is Invoke for functions returning a double.
-//
-// Deprecated: use Call and Result.F64.
-func (e *Engine) InvokeF64(m *Module, fn string, args ...uint64) (float64, error) {
-	res, err := e.Call(context.Background(), m, fn, args)
-	if err != nil {
-		return 0, err
-	}
-	return res.F64(fn)
+	pi := r.(*pooledInstance)
+	pi.pool = p
+	return pi, nil
 }
 
 // WithInstance checks an instance of m out of the pool, runs f, and
@@ -339,12 +324,10 @@ func (e *Engine) WithInstance(m *Module, f func(inst *Instance) error) error {
 // context only governs the checkout — pass it to Instance.Call as well
 // to bound the invocation itself.
 func (e *Engine) WithInstanceContext(ctx context.Context, m *Module, f func(inst *Instance) error) error {
-	p := e.pool(m)
-	r, err := p.GetContext(ctx)
+	pi, err := e.checkout(ctx, m)
 	if err != nil {
 		return err
 	}
-	pi := r.(*pooledInstance)
 	defer pi.checkin()
 	return f(pi.i)
 }

@@ -1,6 +1,7 @@
 package cage
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -43,9 +44,9 @@ func TestEngineQueuesAcrossModulesOnTagExhaustion(t *testing.T) {
 
 	bDone := make(chan error, 1)
 	go func() {
-		res, err := eng.Invoke(modB, "fb", 1)
-		if err == nil && (len(res) != 1 || res[0] != 3) {
-			err = fmt.Errorf("fb returned %v", res)
+		res, err := eng.Call(context.Background(), modB, "fb", []uint64{1})
+		if err == nil && (len(res.Values) != 1 || res.Values[0] != 3) {
+			err = fmt.Errorf("fb returned %v", res.Values)
 		}
 		bDone <- err
 	}()
@@ -134,13 +135,13 @@ func TestEngineContendedModules(t *testing.T) {
 				mod, fn, mul = modB, "fb", 3
 			}
 			for i := 0; i < 10; i++ {
-				res, err := eng.Invoke(mod, fn, uint64(i))
+				res, err := eng.Call(context.Background(), mod, fn, []uint64{uint64(i)})
 				if err != nil {
 					errs <- fmt.Errorf("worker %d: %w", w, err)
 					return
 				}
-				if res[0] != uint64(i)*mul {
-					errs <- fmt.Errorf("worker %d: %s(%d) = %d", w, fn, i, res[0])
+				if res.Values[0] != uint64(i)*mul {
+					errs <- fmt.Errorf("worker %d: %s(%d) = %d", w, fn, i, res.Values[0])
 					return
 				}
 			}

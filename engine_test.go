@@ -1,6 +1,7 @@
 package cage
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -88,13 +89,13 @@ func TestEngineInvokeConcurrent(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < iters; i++ {
-						res, err := eng.Invoke(mod, "sum", 100)
+						res, err := eng.Call(context.Background(), mod, "sum", []uint64{100})
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						if res[0] != 4950 {
-							t.Errorf("sum = %d, want 4950", res[0])
+						if res.Values[0] != 4950 {
+							t.Errorf("sum = %d, want 4950", res.Values[0])
 						}
 					}
 				}()
@@ -122,16 +123,16 @@ func TestEngineTrapDoesNotPoisonNextInvoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Invoke(mod, "uaf"); !IsMemorySafetyViolation(err) {
+	if _, err := eng.Call(context.Background(), mod, "uaf", nil); !IsMemorySafetyViolation(err) {
 		t.Fatalf("uaf: got %v, want memory-safety violation", err)
 	}
 	for i := 0; i < 3; i++ {
-		res, err := eng.Invoke(mod, "sum", 100)
+		res, err := eng.Call(context.Background(), mod, "sum", []uint64{100})
 		if err != nil {
 			t.Fatalf("invoke %d after trap: %v", i, err)
 		}
-		if res[0] != 4950 {
-			t.Fatalf("invoke %d after trap: sum = %d, want 4950", i, res[0])
+		if res.Values[0] != 4950 {
+			t.Fatalf("invoke %d after trap: sum = %d, want 4950", i, res.Values[0])
 		}
 	}
 	if s := eng.Stats(); s.Pools.Spawned != 1 {

@@ -18,13 +18,13 @@ import (
 	"cage/internal/wasm"
 )
 
-// Dispatch benchmark: prices the three dispatch tiers against each
-// other — the legacy re-scanning interpreter, the lowered flat-dispatch
-// stream, and the profile-guided superinstruction tier (internal/fuse)
-// — per kernel and per configuration. The profile driving the fusion is
-// recorded in-run from the same kernel, so each record is
-// self-contained: what you see is what the profile-guided tier earns on
-// exactly the sequences the kernel executes. On guard-capable builds
+// Dispatch benchmark: prices the two dispatch tiers against each other
+// — the lowered flat-dispatch stream and the profile-guided
+// superinstruction tier (internal/fuse) — per kernel and per
+// configuration. The profile driving the fusion is recorded in-run from
+// the same kernel, so each record is self-contained: what you see is
+// what the profile-guided tier earns on exactly the sequences the
+// kernel executes. On guard-capable builds
 // (cageguard tag, Linux) the guard32 rows also use the vmem guard
 // backend, which removes the explicit bounds check from every access.
 
@@ -39,11 +39,9 @@ type DispatchKernelRecord struct {
 	// ProfileID identifies the recorded profile the fusion ran under.
 	ProfileID string `json:"profile_id"`
 	// Per-tier wall time for one run(n) invocation.
-	LegacyNs  int64 `json:"legacy_ns_per_op"`
 	UnfusedNs int64 `json:"unfused_ns_per_op"`
 	FusedNs   int64 `json:"fused_ns_per_op"`
-	// Derived speedups (legacy/fused and unfused/fused).
-	FusedVsLegacy  float64 `json:"fused_speedup_vs_legacy"`
+	// Derived speedup (unfused/fused).
 	FusedVsUnfused float64 `json:"fused_speedup_vs_unfused"`
 }
 
@@ -150,24 +148,6 @@ func MeasureDispatch(quick bool) (*DispatchRecord, error) {
 				Kernel: name, Config: cfg.name, N: n, ProfileID: prof.ID(),
 			}
 
-			// Legacy tier.
-			leg, err := newDispatchInstance(m, cfg.feats, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			lr, err := exec.NewLegacyRunner(leg)
-			if err != nil {
-				return nil, err
-			}
-			row.LegacyNs, err = timeInvoke(func() error {
-				_, err := lr.Invoke("run", uint64(n))
-				return err
-			}, iters)
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s/%s legacy: %w", name, cfg.name, err)
-			}
-			leg.Close()
-
 			// Unfused lowered tier.
 			plain, err := newDispatchInstance(m, cfg.feats, nil, nil)
 			if err != nil {
@@ -209,7 +189,6 @@ func MeasureDispatch(quick bool) (*DispatchRecord, error) {
 			fused.Close()
 
 			if row.FusedNs > 0 {
-				row.FusedVsLegacy = float64(row.LegacyNs) / float64(row.FusedNs)
 				row.FusedVsUnfused = float64(row.UnfusedNs) / float64(row.FusedNs)
 			}
 			rec.Kernels = append(rec.Kernels, row)

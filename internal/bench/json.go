@@ -71,14 +71,10 @@ type JSONReport struct {
 	// per-kernel fuel/cycle tax plus the adversary verdict table; a
 	// compatible addition emitted by cage-bench -mitigation.
 	Mitigation *MitigationRecord `json:"mitigation,omitempty"`
-	// Dispatch prices the three dispatch tiers (legacy, lowered,
-	// profile-guided fused) per kernel and config; a compatible
-	// addition emitted by cage-bench -dispatch.
+	// Dispatch prices the two dispatch tiers (lowered, profile-guided
+	// fused) per kernel and config; a compatible addition emitted by
+	// cage-bench -dispatch.
 	Dispatch *DispatchRecord `json:"dispatch,omitempty"`
-	// Scaling is the multicore scale-out A/B (locked vs fast serve path
-	// across GOMAXPROCS × concurrency), emitted by cage-loadgen
-	// -scaling; a compatible addition.
-	Scaling *ScalingRecord `json:"scaling,omitempty"`
 }
 
 // runKernelRecord instantiates kernel k under variant v and measures

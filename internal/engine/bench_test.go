@@ -6,7 +6,7 @@ import (
 )
 
 // The fast-path benchmarks double as regression gates for the two
-// properties the scaling work promises: a cache hit and a pool
+// properties the serve layer depends on: a cache hit and a pool
 // checkout/checkin pair take no locks and allocate nothing.
 
 type benchInst struct{}
@@ -42,12 +42,6 @@ func benchCache(b *testing.B, parallel bool) {
 
 func BenchmarkCacheHit(b *testing.B)         { benchCache(b, false) }
 func BenchmarkCacheHitParallel(b *testing.B) { benchCache(b, true) }
-
-func BenchmarkCacheHitLegacy(b *testing.B) {
-	SetFastPaths(false)
-	defer SetFastPaths(true)
-	benchCache(b, false)
-}
 
 func benchPool(b *testing.B, parallel bool) {
 	p := NewPool(64, func(ctx context.Context) (Resetter, error) {
@@ -90,12 +84,6 @@ func benchPool(b *testing.B, parallel bool) {
 
 func BenchmarkPoolGetPut(b *testing.B)         { benchPool(b, false) }
 func BenchmarkPoolGetPutParallel(b *testing.B) { benchPool(b, true) }
-
-func BenchmarkPoolGetPutLegacy(b *testing.B) {
-	SetFastPaths(false)
-	defer SetFastPaths(true)
-	benchPool(b, false)
-}
 
 // TestFastPathsZeroAlloc pins the lock-free fast paths at zero
 // allocations per operation (the benchmarks report it; this gates it).

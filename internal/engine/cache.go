@@ -39,11 +39,11 @@ type cacheEntry[V any] struct {
 	err  error
 }
 
-// cacheShards is the shard count for the fast-path layout. Keys are
-// content hashes, so the first hash byte is uniformly distributed and a
-// mask suffices; 16 shards keeps clone-on-write misses cheap while
-// spreading writer contention far past any realistic core count for
-// the handful of distinct variants a server compiles.
+// cacheShards is the shard count. Keys are content hashes, so the first
+// hash byte is uniformly distributed and a mask suffices; 16 shards
+// keeps clone-on-write misses cheap while spreading writer contention
+// far past any realistic core count for the handful of distinct
+// variants a server compiles.
 const cacheShards = 16
 
 // cacheShard is one hash-sharded segment. Lookups are lock-free: the
@@ -98,41 +98,12 @@ func (sh *cacheShard[V]) publishLocked(key Key, e *cacheEntry[V]) {
 // keys never serialize. See the package documentation for the full
 // concurrency model. The zero value is ready to use.
 type Cache[V any] struct {
-	// mode latches the concurrency layout (fast sharded vs. legacy
-	// single-mutex) on first use, per SetFastPaths.
-	mode   atomic.Int32
 	shards [cacheShards]cacheShard[V]
-
-	// legacy is the pre-sharding entry table, used only when the cache
-	// latched the single-mutex layout; guarded by shards[0].mu, with
-	// counters kept in shards[0] so Stats is uniform.
-	legacy map[Key]*cacheEntry[V]
-}
-
-const (
-	cacheModeUnset int32 = iota
-	cacheModeFast
-	cacheModeLegacy
-)
-
-func (c *Cache[V]) latchMode() int32 {
-	if m := c.mode.Load(); m != cacheModeUnset {
-		return m
-	}
-	want := cacheModeFast
-	if !FastPaths() {
-		want = cacheModeLegacy
-	}
-	c.mode.CompareAndSwap(cacheModeUnset, want)
-	return c.mode.Load()
 }
 
 // GetOrBuild returns the cached value for key, building it with build on
 // first use. Concurrent callers of the same key share one build.
 func (c *Cache[V]) GetOrBuild(key Key, build func() (V, error)) (V, error) {
-	if c.latchMode() == cacheModeLegacy {
-		return c.getOrBuildLegacy(key, build)
-	}
 	sh := &c.shards[key.Hash[0]&(cacheShards-1)]
 	if e, ok := sh.lookup(key); ok {
 		sh.hits.Add(1)
@@ -172,56 +143,15 @@ func (sh *cacheShard[V]) getOrBuildSlow(key Key, build func() (V, error)) (V, er
 	return e.val, e.err
 }
 
-// getOrBuildLegacy is the pre-sharding single-mutex implementation,
-// kept callable (via SetFastPaths(false)) as the baseline arm of the
-// same-binary scaling A/B.
-func (c *Cache[V]) getOrBuildLegacy(key Key, build func() (V, error)) (V, error) {
-	sh := &c.shards[0]
-	sh.mu.Lock()
-	if c.legacy == nil {
-		c.legacy = make(map[Key]*cacheEntry[V])
-	}
-	if e, ok := c.legacy[key]; ok {
-		sh.hits.Add(1)
-		sh.mu.Unlock()
-		<-e.done
-		return e.val, e.err
-	}
-	e := &cacheEntry[V]{done: make(chan struct{})}
-	c.legacy[key] = e
-	sh.misses.Add(1)
-	sh.mu.Unlock()
-
-	e.val, e.err = build()
-	close(e.done)
-	if e.err != nil {
-		sh.mu.Lock()
-		if c.legacy[key] == e {
-			delete(c.legacy, key)
-		}
-		sh.mu.Unlock()
-	}
-	return e.val, e.err
-}
-
-// Stats returns a snapshot of the cache counters. It takes no locks on
-// the fast-path layout, so metrics scrapes never stall lookups.
+// Stats returns a snapshot of the cache counters. It takes no locks, so
+// metrics scrapes never stall lookups.
 func (c *Cache[V]) Stats() CacheStats {
 	var s CacheStats
 	for i := range c.shards {
 		sh := &c.shards[i]
 		s.Hits += sh.hits.Load()
 		s.Misses += sh.misses.Load()
-	}
-	if c.mode.Load() == cacheModeLegacy {
-		sh := &c.shards[0]
-		sh.mu.Lock()
-		s.Entries = countDone(c.legacy)
-		sh.mu.Unlock()
-		return s
-	}
-	for i := range c.shards {
-		if m := c.shards[i].snap.Load(); m != nil {
+		if m := sh.snap.Load(); m != nil {
 			s.Entries += countDone(*m)
 		}
 	}

@@ -51,12 +51,12 @@
 // each, no locks, and no allocation — slots are preallocated and
 // recycled through an internal free list, with ABA ruled out by a
 // 32-bit version tag packed beside the slot index in each list head.
-// The mutex-and-condvar path from earlier PRs survives underneath as
-// the slow path and keeps its exact semantics: spawns (which may block
-// on the shared §7.4 sandbox-tag budget) reserve cap slots under the
-// pool mutex, exhausted checkouts queue on a broadcast channel and
-// abandon cleanly when their context ends, and Close/Reclaim drain
-// both the fast stack and the slow idle list. The lock-free checkin
+// Everything that can block takes the pool mutex instead: spawns (which
+// may wait on the shared §7.4 sandbox-tag budget) reserve cap slots
+// under it, exhausted checkouts queue on a broadcast channel and
+// abandon cleanly when their context ends, a checkin that finds the
+// stack full spills to a mutex-guarded idle list, and Close/Reclaim
+// drain both the stack and that list. The lock-free checkin
 // and the queued checkout rendezvous through an atomic waiter count:
 // a waiter registers, re-polls the fast stack once, then sleeps; a
 // checkin pushes, then broadcasts only if it observes a registered
@@ -67,9 +67,4 @@
 // Counters (hits, misses, spawns, recycles, discards, live, idle) are
 // plain atomics throughout, so Stats and StatsFor never touch a
 // hot-path mutex — a metrics scraper cannot stall a checkout.
-//
-// SetFastPaths(false) pins newly created caches and pools to the
-// pre-sharding single-mutex layout. That exists for one purpose:
-// same-binary A/B measurement of the fast paths (BENCH_scaling.json);
-// production embedders should never call it.
 package engine

@@ -52,8 +52,7 @@ type Pool struct {
 	// is only safe for a process with a single pool.
 	NextSeed func() uint64
 
-	// fast is the lock-free idle stack; nil when the pool latched the
-	// legacy single-mutex layout (SetFastPaths(false)).
+	// fast is the lock-free idle stack.
 	fast *lifo
 
 	// waiters counts checkouts registered on the condvar and not yet
@@ -78,7 +77,7 @@ type Pool struct {
 	seed atomic.Uint64 // pool-private seed counter (NextSeed == nil)
 
 	mu       sync.Mutex
-	idle     []Resetter // slow-path idle list: legacy mode and fast-stack overflow
+	idle     []Resetter // slow-path idle list: fast-stack overflow
 	spawning int        // spawn attempts in flight (reserve cap slots)
 	max      int
 	closed   bool
@@ -105,15 +104,12 @@ const lifoDefaultCap = 256
 // running under a sandbox-tag budget (§7.4) should pass the budget as
 // max so checkouts queue instead of failing with ErrSandboxesExhausted.
 func NewPool(max int, spawn func(ctx context.Context) (Resetter, error)) *Pool {
-	p := &Pool{spawn: spawn, max: max}
-	p.seed.Store(0x6361_6765) // "cage"
-	if FastPaths() {
-		c := max
-		if c <= 0 || c > 4096 {
-			c = lifoDefaultCap
-		}
-		p.fast = newLifo(c)
+	c := max
+	if c <= 0 || c > 4096 {
+		c = lifoDefaultCap
 	}
+	p := &Pool{spawn: spawn, max: max, fast: newLifo(c)}
+	p.seed.Store(0x6361_6765) // "cage"
 	return p
 }
 
@@ -160,7 +156,7 @@ func (p *Pool) Get() (Resetter, error) {
 // The hit path (an idle instance is available) is lock-free and
 // allocation-free: one pop off the Treiber stack, at most two CAS ops.
 func (p *Pool) GetContext(ctx context.Context) (Resetter, error) {
-	if p.fast != nil && !p.closedHint.Load() && ctx.Err() == nil {
+	if !p.closedHint.Load() && ctx.Err() == nil {
 		if inst, ok := p.fast.pop(); ok {
 			return inst, nil
 		}
@@ -169,10 +165,9 @@ func (p *Pool) GetContext(ctx context.Context) (Resetter, error) {
 }
 
 // getSlow is the spawn/queue path, entered when the fast stack is
-// empty. It preserves the pre-fast-path semantics exactly: cap slots
-// are reserved across spawns, spawn failures with live instances wait
-// for a checkin instead of failing, and queued checkouts abandon on
-// ctx. The fast stack is re-polled at every turn of the loop (and once
+// empty: cap slots are reserved across spawns, spawn failures with live
+// instances wait for a checkin instead of failing, and queued checkouts
+// abandon on ctx. The fast stack is re-polled at every turn of the loop (and once
 // after each condvar registration — see sleepLocked) so a lock-free
 // checkin cannot strand a queued waiter.
 func (p *Pool) getSlow(ctx context.Context) (Resetter, error) {
@@ -186,11 +181,9 @@ func (p *Pool) getSlow(ctx context.Context) (Resetter, error) {
 			p.mu.Unlock()
 			return nil, err
 		}
-		if p.fast != nil {
-			if inst, ok := p.fast.pop(); ok {
-				p.mu.Unlock()
-				return inst, nil
-			}
+		if inst, ok := p.fast.pop(); ok {
+			p.mu.Unlock()
+			return inst, nil
 		}
 		if n := len(p.idle); n > 0 {
 			inst := p.idle[n-1]
@@ -222,11 +215,9 @@ func (p *Pool) getSlow(ctx context.Context) (Resetter, error) {
 					// checked in eventually; wait for one instead of
 					// failing the request — unless one arrived while we
 					// were spawning.
-					if p.fast != nil {
-						if inst, ok := p.fast.pop(); ok {
-							p.mu.Unlock()
-							return inst, nil
-						}
+					if inst, ok := p.fast.pop(); ok {
+						p.mu.Unlock()
+						return inst, nil
 					}
 					if len(p.idle) == 0 {
 						if inst, ok := p.sleepLocked(ctx); ok {
@@ -264,11 +255,9 @@ func (p *Pool) sleepLocked(ctx context.Context) (Resetter, bool) {
 	ch := p.waitLocked()
 	p.waiters.Add(1)
 	p.mu.Unlock()
-	if p.fast != nil {
-		if inst, ok := p.fast.pop(); ok {
-			p.waiters.Add(-1)
-			return inst, true
-		}
+	if inst, ok := p.fast.pop(); ok {
+		p.waiters.Add(-1)
+		return inst, true
 	}
 	select {
 	case <-ch:
@@ -285,27 +274,25 @@ func (p *Pool) sleepLocked(ctx context.Context) (Resetter, bool) {
 // one push onto the Treiber stack, at most two CAS ops, no allocation.
 func (p *Pool) Put(inst Resetter) {
 	err := inst.Reset(p.nextSeed())
-	if err == nil && p.fast != nil && !p.closedHint.Load() {
-		if p.fast.push(inst) {
-			p.recycled.Add(1)
-			if p.closedHint.Load() {
-				// Close raced our push; drain so nothing lingers live
-				// in a closed pool.
-				p.drainFast()
-			}
-			if p.waiters.Load() > 0 {
-				p.mu.Lock()
-				p.wakeLocked()
-				p.mu.Unlock()
-			}
-			return
+	if err == nil && !p.closedHint.Load() && p.fast.push(inst) {
+		p.recycled.Add(1)
+		if p.closedHint.Load() {
+			// Close raced our push; drain so nothing lingers live in a
+			// closed pool.
+			p.drainFast()
 		}
+		if p.waiters.Load() > 0 {
+			p.mu.Lock()
+			p.wakeLocked()
+			p.mu.Unlock()
+		}
+		return
 	}
 	p.putSlow(inst, err)
 }
 
-// putSlow handles reset failures, closed pools, legacy mode, and
-// fast-stack overflow under the pool mutex.
+// putSlow handles reset failures, closed pools, and fast-stack overflow
+// under the pool mutex.
 func (p *Pool) putSlow(inst Resetter, err error) {
 	p.mu.Lock()
 	if err != nil || p.closed {
@@ -356,14 +343,12 @@ func (p *Pool) ReclaimIdle(n int) int {
 	evicted = append(evicted, p.idle[len(p.idle)-k:]...)
 	p.idle = p.idle[:len(p.idle)-k]
 	p.idleSlowN.Store(int64(len(p.idle)))
-	if p.fast != nil {
-		for len(evicted) < n {
-			inst, ok := p.fast.pop()
-			if !ok {
-				break
-			}
-			evicted = append(evicted, inst)
+	for len(evicted) < n {
+		inst, ok := p.fast.pop()
+		if !ok {
+			break
 		}
+		evicted = append(evicted, inst)
 	}
 	p.liveN.Add(-int64(len(evicted)))
 	if len(evicted) > 0 {
@@ -397,14 +382,12 @@ func (p *Pool) Close() {
 	idle := p.idle
 	p.idle = nil
 	p.idleSlowN.Store(0)
-	if p.fast != nil {
-		for {
-			inst, ok := p.fast.pop()
-			if !ok {
-				break
-			}
-			idle = append(idle, inst)
+	for {
+		inst, ok := p.fast.pop()
+		if !ok {
+			break
 		}
+		idle = append(idle, inst)
 	}
 	p.liveN.Add(-int64(len(idle)))
 	p.wakeLocked()
@@ -417,10 +400,7 @@ func (p *Pool) Close() {
 // Stats returns a snapshot of the pool counters. It reads only atomics
 // — never the pool mutex — so scraping cannot stall checkouts.
 func (p *Pool) Stats() PoolStats {
-	idle := p.idleSlowN.Load()
-	if p.fast != nil {
-		idle += int64(p.fast.size.Load())
-	}
+	idle := p.idleSlowN.Load() + int64(p.fast.size.Load())
 	return PoolStats{
 		Spawned:   p.spawned.Load(),
 		Recycled:  p.recycled.Load(),

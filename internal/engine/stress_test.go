@@ -333,45 +333,3 @@ func TestStressPoolQueueFIFOIsh(t *testing.T) {
 		t.Fatalf("Recycled=%d, want %d", s.Recycled, stressWorkers+1)
 	}
 }
-
-// TestStressLegacyParity runs the churn workload against the legacy
-// single-mutex layout so the A/B baseline stays correct, not just slow.
-func TestStressLegacyParity(t *testing.T) {
-	SetFastPaths(false)
-	defer SetFastPaths(true)
-
-	p := NewPool(4, func(ctx context.Context) (Resetter, error) {
-		return &stressInst{}, nil
-	})
-	if p.fast != nil {
-		t.Fatal("legacy pool latched the fast stack")
-	}
-	var c Cache[int]
-	k := KeyOfString("legacy", "stress")
-
-	var wg sync.WaitGroup
-	for w := 0; w < stressWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if _, err := c.GetOrBuild(k, func() (int, error) { return 1, nil }); err != nil {
-					panic(err)
-				}
-				inst, err := p.Get()
-				if err != nil {
-					panic(err)
-				}
-				p.Put(inst)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if s := p.Stats(); s.Live != s.Idle || s.Live > 4 {
-		t.Fatalf("legacy churn: Live=%d Idle=%d", s.Live, s.Idle)
-	}
-	if s := c.Stats(); s.Misses != 1 || s.Entries != 1 {
-		t.Fatalf("legacy cache: %+v", s)
-	}
-}

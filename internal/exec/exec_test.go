@@ -230,7 +230,7 @@ func TestRecursionFactorialAndDepthLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inst2.Invoke("f", 1000); !IsTrap(err, TrapCallDepth) {
+	if _, err := inst2.Invoke("f", 1000); !IsTrap(err, TrapStackOverflow) {
 		t.Errorf("deep recursion: got %v", err)
 	}
 }

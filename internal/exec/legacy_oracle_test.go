@@ -4,15 +4,15 @@ package exec
 // wasm.Instr form, control flow is resolved into matchEnd/matchElse
 // side tables re-consulted at every block, if, and branch, and calls
 // recurse through Go with freshly allocated locals, args, and results
-// per activation. It serves as the oracle for the frame machine — the
+// per activation. It is the oracle for the frame machine — the
 // differential tests require identical results, identical traps, and
-// identical timing-model event counts — and as the legacy tier of the
-// dispatch benchmarks (BenchmarkLoweredVsLegacy, BenchmarkCallOverhead,
-// and internal/bench's dispatch record), which is why it lives in the
-// package proper rather than a _test file. It shares the instance's
-// state and the un-specialized effectiveAddr path, so any semantic
-// drift between the two executors is a real bug, not a harness
-// artifact.
+// identical timing-model event counts — and the reference tier of
+// BenchmarkLoweredVsLegacy and BenchmarkCallOverhead. It lives in a
+// _test file of the package proper (not of exec_test) so it shares the
+// instance's state and the un-specialized effectiveAddr path — any
+// semantic drift between the two executors is a real bug, not a
+// harness artifact — while no production binary links a second
+// interpreter.
 
 import (
 	"errors"

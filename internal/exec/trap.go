@@ -46,11 +46,6 @@ const (
 	TrapInterrupted
 )
 
-// TrapCallDepth is the pre-frame-machine name for TrapStackOverflow.
-//
-// Deprecated: use TrapStackOverflow.
-const TrapCallDepth = TrapStackOverflow
-
 var trapNames = map[TrapCode]string{
 	TrapUnreachable:   "unreachable",
 	TrapOutOfBounds:   "out of bounds memory access",

@@ -85,4 +85,12 @@
 // decoder and validator run before registration, request bodies are
 // size-capped, and malformed requests are answered with structured
 // JSON errors, never a panic (FuzzServeRequest pins this).
+//
+// # Shutdown
+//
+// Server.Close retires the pooled instances and is safe under load: an
+// invocation still in flight completes (or fails cleanly) against the
+// closed engine, and its instance is closed — its sandbox tag released
+// — when it is checked in. cage-serve stops the listener first
+// (http.Server.Shutdown, bounded grace period), then closes.
 package serve

@@ -17,18 +17,17 @@ import (
 	"cage/internal/exec"
 )
 
-// The invoke hot path. The legacy handler (serve.go) allocates roughly
-// a dozen objects per request: the stdlib JSON decoder and its token
-// buffers, the InvokeRequest, the argument slice, one CallOption
-// closure per quota axis, the context watcher, the EventCounts map,
-// and the indenting encoder. Under multicore load those allocations
-// dominate the serve layer — the guest call itself is heap-free — so
-// this file replaces them with one pooled scratch per request:
+// The invoke hot path. A stdlib-only handler would allocate roughly a
+// dozen objects per request: the JSON decoder and its token buffers,
+// the InvokeRequest, the argument slice, one CallOption closure per
+// quota axis, the context watcher, an events map, and the encoder.
+// Under multicore load those allocations dominate the serve layer — the
+// guest call itself is heap-free — so one pooled scratch per request
+// replaces them:
 //
 //   - the body is read into a pooled buffer and parsed in place by a
 //     hand-rolled strict parser (anything it does not fully recognize
-//     falls back to the stdlib decoder, keeping error semantics
-//     bit-identical);
+//     falls back to the stdlib decoder, which owns every error message);
 //   - module and function stay []byte views resolved against snapshot
 //     maps with no-copy map indexes;
 //   - the per-call bounds travel as a cage.CallSpec value (no option
@@ -41,7 +40,7 @@ import (
 
 // invokeScratch is the pooled per-request state.
 type invokeScratch struct {
-	buf     []byte   // request body (≤ maxInvokeBody, truncated like the legacy LimitReader)
+	buf     []byte   // request body, truncated at maxInvokeBody
 	out     []byte   // 200 response body under construction
 	args    []uint64 // parsed argument bits
 	results []uint64 // backing array handed to CallSpec.Results
@@ -74,8 +73,8 @@ func getScratch() *invokeScratch   { return scratchPool.Get().(*invokeScratch) }
 func putScratch(sc *invokeScratch) { scratchPool.Put(sc) }
 
 // readBody drains r into the scratch buffer, truncating at
-// maxInvokeBody exactly like the legacy path's io.LimitReader: the
-// parser sees at most the first megabyte either way.
+// maxInvokeBody like decodeInvokeRequest's io.LimitReader: either
+// parser sees at most the first megabyte.
 func (sc *invokeScratch) readBody(r io.Reader) error {
 	sc.buf = sc.buf[:0]
 	for len(sc.buf) < maxInvokeBody {
@@ -203,9 +202,9 @@ func (p *invokeParser) lit(s string) bool {
 // handles exactly what the API documents — an object of the five known
 // fields in any order, plain strings, bare integers — and reports
 // false on anything else (escapes, floats, negatives, unknown fields,
-// malformed JSON, trailing data), so the stdlib fallback keeps error
-// semantics identical to the legacy decoder. FuzzServeRequest
-// cross-checks the two parsers on every fuzz input.
+// malformed JSON, trailing data), so every rejection is worded by the
+// strict stdlib decoder. FuzzServeRequest cross-checks the two parsers
+// on every fuzz input.
 func (sc *invokeScratch) parseInvokeFast() bool {
 	p := invokeParser{b: sc.buf}
 	sc.module, sc.function = nil, nil
@@ -319,10 +318,10 @@ func (sc *invokeScratch) setFromRequest(req *InvokeRequest) {
 	sc.timeoutMs = req.TimeoutMs
 }
 
-// appendInvokeResponse renders the 200 body — the compact form of the
-// legacy InvokeResponse encoding, same fields in the same order, with
-// the events object built by walking the arch event table (non-zero
-// entries only) instead of allocating a map.
+// appendInvokeResponse renders the 200 body: the compact encoding/json
+// form of InvokeResponse (TestInvokeWireContract holds it to that),
+// with the events object built by walking the arch event table
+// (non-zero entries only) instead of allocating a map.
 func appendInvokeResponse(dst []byte, values []uint64, fuel uint64, ev *arch.Counter) []byte {
 	dst = append(dst, `{"values":`...)
 	if values == nil {
@@ -364,12 +363,8 @@ func appendInvokeResponse(dst []byte, values []uint64, fuel uint64, ev *arch.Cou
 }
 
 // handleInvoke answers POST /v1/invoke: HTTP glue around the pooled
-// invoke core, or the legacy handler when the A/B knob asks for it.
+// invoke core.
 func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	if s.opts.LegacyHotPath {
-		s.handleInvokeLegacy(w, r)
-		return
-	}
 	tn := s.tenantFor(r)
 	tn.m.stripe().requests.Add(1)
 	sc := getScratch()
@@ -396,8 +391,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 
 // invokePooled runs one invoke body (already in sc.buf) through
 // parse → lookup → admission → snapshot → call, leaving the outcome in
-// sc. Accounting matches handleInvokeLegacy decision for decision; the
-// admitted 200 path performs zero heap allocations.
+// sc. The admitted 200 path performs zero heap allocations.
 func (s *Server) invokePooled(ctx context.Context, tn *tenant, sc *invokeScratch) {
 	sc.status = 0
 	sc.apiErr = apiError{}
@@ -444,6 +438,9 @@ func (s *Server) invokePooled(ctx context.Context, tn *tenant, sc *invokeScratch
 		return
 	}
 
+	// Admission: the tenant's own concurrency gate, before any engine
+	// resource is touched. The wait rides the request context, so a
+	// disconnected client leaves the queue immediately.
 	err := tn.admit(ctx)
 	switch {
 	case errors.Is(err, errQueueFull):
@@ -464,6 +461,9 @@ func (s *Server) invokePooled(ctx context.Context, tn *tenant, sc *invokeScratch
 	tn.active.Add(1)
 	defer tn.active.Add(-1)
 
+	// Pre-initialization: the first admitted invocation of an ?init=
+	// module builds the post-init snapshot (charging the one-time init
+	// fuel to this tenant); everyone after forks the frozen image free.
 	eng := s.engineFor(tn)
 	if err := s.ensureSnapshot(ctx, tn, entry, eng); err != nil {
 		var trap *exec.Trap

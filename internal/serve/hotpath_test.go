@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"cage"
+	"cage/internal/arch"
 )
 
 // TestServeRequestZeroAlloc is the serve-layer CI gate: one admitted
@@ -115,76 +118,125 @@ func BenchmarkServeRequest(b *testing.B) {
 	}
 }
 
-// TestHotPathMatchesLegacy runs the same request corpus against a hot
-// server and a LegacyHotPath server and requires identical status
-// codes and semantically identical JSON bodies — the A/B knob must be
-// a pure performance switch, never a behavior switch.
-func TestHotPathMatchesLegacy(t *testing.T) {
-	mk := func(legacy bool) (*httptest.Server, string) {
-		opts := Options{
-			Config:        cage.SandboxingOnly(),
-			ConfigName:    "sandbox",
-			DefaultQuota:  QuotaPolicy{Fuel: 1_000_000, MaxConcurrent: 4, MaxQueue: 4},
-			LegacyHotPath: legacy,
-		}
-		ts, _ := newTestServer(t, opts)
-		up := uploadSource(t, ts, "", guestSource)
-		return ts, up.Module
-	}
-	hot, hotMod := mk(false)
-	leg, legMod := mk(true)
-	if hotMod != legMod {
-		t.Fatalf("content addressing diverged: %q vs %q", hotMod, legMod)
+// TestInvokeWireContract pins what POST /v1/invoke answers to a corpus
+// of well-formed, trapping, and malformed bodies: status, error code,
+// trap name, and return values are literals recorded from the stdlib
+// handler this path replaced, so the pooled parser/encoder cannot drift
+// from the published contract. The encoder's reference is encoding/json
+// itself (the stdlib subtest).
+func TestInvokeWireContract(t *testing.T) {
+	ts, _ := newTestServer(t, Options{
+		Config:       cage.SandboxingOnly(),
+		ConfigName:   "sandbox",
+		DefaultQuota: QuotaPolicy{Fuel: 1_000_000, MaxConcurrent: 4, MaxQueue: 4},
+	})
+	mod := uploadSource(t, ts, "", guestSource).Module
+
+	cases := []struct {
+		body   string
+		status int
+		code   string
+		trap   string
+		values []uint64
+	}{
+		{fmt.Sprintf(`{"module":%q,"function":"add","args":[3,4]}`, mod), 200, "", "", []uint64{7}},
+		{fmt.Sprintf(`{"module":%q,"function":"add","args":[3,4],"fuel":100000}`, mod), 200, "", "", []uint64{7}},
+		{fmt.Sprintf(`  {  "function" : "add" , "module" : %q , "args" : [ 1 , 2 ] }  `, mod), 200, "", "", []uint64{3}},
+		{fmt.Sprintf(`{"module":%q,"function":"crash","args":[5]}`, mod), 422, "guest_trap", "integer divide by zero", nil},
+		{fmt.Sprintf(`{"module":%q,"function":"spin","args":[0],"fuel":10000}`, mod), 422, "guest_trap", "fuel exhausted", nil},
+		{fmt.Sprintf(`{"module":%q,"function":"add","args":[3]}`, mod), 422, "bad_arity", "", nil},          // bad arity
+		{fmt.Sprintf(`{"module":%q,"function":"nope","args":[]}`, mod), 404, "function_not_found", "", nil}, // unknown function
+		{fmt.Sprintf(`{"module":%q,"function":"add","args":null}`, mod), 422, "bad_arity", "", nil},         // null args
+		{fmt.Sprintf(`{"module":%q,"function":"add","argz":[1,2]}`, mod), 400, "bad_request", "", nil},      // unknown field
+		{fmt.Sprintf(`{"module":%q,"function":"add","args":[1.5,2]}`, mod), 400, "bad_request", "", nil},    // float arg
+		{fmt.Sprintf(`{"module":%q,"function":"add","args":[-1,2]}`, mod), 400, "bad_request", "", nil},     // negative arg
+		{fmt.Sprintf(`{"module":%q,"function":"add","args":[01,2]}`, mod), 400, "bad_request", "", nil},     // leading zero
+		{fmt.Sprintf(`{"module":%q,"function":"add"}{"x":1}`, mod), 400, "bad_request", "", nil},            // trailing data
+		{fmt.Sprintf(`{"module":%q,"function":"add","timeout_ms":-5}`, mod), 400, "bad_request", "", nil},   // negative timeout
+		{`{"module":"sha256:x","function":"add","args":[]}`, 404, "module_not_found", "", nil},              // malformed id
+		{`{"module":"sha256:feed","function":"add","args":[1,2]}`, 404, "module_not_found", "", nil},        // unknown module
+		{`{"module":"","function":""}`, 400, "bad_request", "", nil},
+		{`{"function":"add"}`, 400, "bad_request", "", nil},
+		{`{}`, 400, "bad_request", "", nil},
+		{`{`, 400, "bad_request", "", nil},
+		{``, 400, "bad_request", "", nil},
+		{`[]`, 400, "bad_request", "", nil},
+		{`{"module":"m","function":"f","args":[18446744073709551615]}`, 404, "module_not_found", "", nil},
+		{`{"module":"m","function":"f","args":[18446744073709551616]}`, 400, "bad_request", "", nil}, // uint64 overflow
 	}
 
-	bodies := []string{
-		fmt.Sprintf(`{"module":%q,"function":"add","args":[3,4]}`, hotMod),
-		fmt.Sprintf(`{"module":%q,"function":"add","args":[3,4],"fuel":100000}`, hotMod),
-		fmt.Sprintf(`  {  "function" : "add" , "module" : %q , "args" : [ 1 , 2 ] }  `, hotMod),
-		fmt.Sprintf(`{"module":%q,"function":"crash","args":[5]}`, hotMod),
-		fmt.Sprintf(`{"module":%q,"function":"spin","args":[0],"fuel":10000}`, hotMod),
-		fmt.Sprintf(`{"module":%q,"function":"add","args":[3]}`, hotMod),      // bad arity
-		fmt.Sprintf(`{"module":%q,"function":"nope","args":[]}`, hotMod),      // unknown function
-		fmt.Sprintf(`{"module":%q,"function":"add","args":null}`, hotMod),     // null args
-		fmt.Sprintf(`{"module":%q,"function":"add","argz":[1,2]}`, hotMod),    // unknown field
-		fmt.Sprintf(`{"module":%q,"function":"add","args":[1.5,2]}`, hotMod),  // float arg
-		fmt.Sprintf(`{"module":%q,"function":"add","args":[-1,2]}`, hotMod),   // negative arg
-		fmt.Sprintf(`{"module":%q,"function":"add","args":[01,2]}`, hotMod),   // leading zero
-		fmt.Sprintf(`{"module":%q,"function":"add"}{"x":1}`, hotMod),          // trailing data
-		fmt.Sprintf(`{"module":%q,"function":"add","timeout_ms":-5}`, hotMod), // negative timeout
-		`{"module":"sha256:x","function":"add","args":[]}`,                    // escaped string
-		`{"module":"sha256:feed","function":"add","args":[1,2]}`,              // unknown module
-		`{"module":"","function":""}`,
-		`{"function":"add"}`,
-		`{}`,
-		`{`,
-		``,
-		`[]`,
-		`{"module":"m","function":"f","args":[18446744073709551615]}`,
-		`{"module":"m","function":"f","args":[18446744073709551616]}`, // uint64 overflow
+	for i, tc := range cases {
+		var raw json.RawMessage
+		resp := postJSON(t, ts, "/v1/invoke", "ab", []byte(tc.body), &raw)
+		if resp.StatusCode != tc.status {
+			t.Errorf("body %d %q: status %d, want %d (%s)", i, tc.body, resp.StatusCode, tc.status, raw)
+			continue
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if tc.status == http.StatusOK {
+			var ok InvokeResponse
+			if err := dec.Decode(&ok); err != nil {
+				t.Errorf("body %d: 200 body %s: %v", i, raw, err)
+				continue
+			}
+			if fmt.Sprint(ok.Values) != fmt.Sprint(tc.values) {
+				t.Errorf("body %d %q: values %v, want %v", i, tc.body, ok.Values, tc.values)
+			}
+			var sum uint64
+			for _, n := range ok.Events {
+				sum += n
+			}
+			if ok.Fuel == 0 || sum != ok.Fuel {
+				t.Errorf("body %d: fuel %d, events %v sum to %d", i, ok.Fuel, ok.Events, sum)
+			}
+			continue
+		}
+		var eb errorBody
+		if err := dec.Decode(&eb); err != nil {
+			t.Errorf("body %d: error body %s: %v", i, raw, err)
+			continue
+		}
+		if eb.Error.Code != tc.code || eb.Error.Trap != tc.trap || eb.Error.Message == "" {
+			t.Errorf("body %d %q: got %+v, want code %q trap %q and a message", i, tc.body, eb.Error, tc.code, tc.trap)
+		}
 	}
 
-	for i, body := range bodies {
-		var hotRaw, legRaw json.RawMessage
-		hotResp := postJSON(t, hot, "/v1/invoke", "ab", []byte(body), &hotRaw)
-		legResp := postJSON(t, leg, "/v1/invoke", "ab", []byte(body), &legRaw)
-		if hotResp.StatusCode != legResp.StatusCode {
-			t.Errorf("body %d %q: hot status %d, legacy %d", i, body, hotResp.StatusCode, legResp.StatusCode)
-			continue
+	t.Run("stdlib", func(t *testing.T) {
+		var some arch.Counter
+		some.Add(arch.EvALU, 1)
+		some.Add(arch.EvLocal, 4)
+		some.Add(arch.EvBranch, math.MaxUint64)
+		for _, tc := range []struct {
+			values []uint64
+			fuel   uint64
+			events arch.Counter
+		}{
+			{nil, 0, arch.Counter{}},
+			{[]uint64{}, 1, arch.Counter{}},
+			{[]uint64{7}, 6, some},
+			{[]uint64{0, math.MaxUint64, 1 << 53}, math.MaxUint64, some},
+		} {
+			got := appendInvokeResponse(nil, tc.values, tc.fuel, &tc.events)
+			want, err := json.Marshal(InvokeResponse{Values: tc.values, Fuel: tc.fuel, Events: tc.events.EventCounts()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Compare as generic documents with exact numbers: field
+			// order and whitespace may differ, nothing else.
+			doc := func(raw []byte) (v any) {
+				dec := json.NewDecoder(bytes.NewReader(raw))
+				dec.UseNumber()
+				if err := dec.Decode(&v); err != nil {
+					t.Fatalf("%s: %v", raw, err)
+				}
+				return v
+			}
+			if !reflect.DeepEqual(doc(got), doc(want)) {
+				t.Errorf("appendInvokeResponse = %s, encoding/json = %s", got, want)
+			}
 		}
-		var hv, lv any
-		if err := json.Unmarshal(hotRaw, &hv); err != nil {
-			t.Errorf("body %d: hot response not JSON: %v", i, err)
-			continue
-		}
-		if err := json.Unmarshal(legRaw, &lv); err != nil {
-			t.Errorf("body %d: legacy response not JSON: %v", i, err)
-			continue
-		}
-		if fmt.Sprintf("%v", hv) != fmt.Sprintf("%v", lv) {
-			t.Errorf("body %d %q: hot %s, legacy %s", i, body, hotRaw, legRaw)
-		}
-	}
+	})
 }
 
 // TestParseInvokeFastDifferential pins the fast parser against the

@@ -54,37 +54,10 @@ type QuotaPolicy struct {
 	SpectreHardened bool
 }
 
-// callOptions folds the policy's per-call ceilings with the request's
-// asks: the effective bound on each axis is the smaller of the two
-// (an ask of 0 inherits the ceiling).
-func (q QuotaPolicy) callOptions(askFuel uint64, askTimeout time.Duration) []cage.CallOption {
-	var opts []cage.CallOption
-	fuel := askFuel
-	if q.Fuel > 0 && (fuel == 0 || fuel > q.Fuel) {
-		fuel = q.Fuel
-	}
-	if fuel > 0 {
-		opts = append(opts, cage.WithFuel(fuel))
-	}
-	if timeout := q.effectiveTimeout(askTimeout); timeout > 0 {
-		opts = append(opts, cage.WithTimeout(timeout))
-	}
-	if q.MemoryPages > 0 {
-		opts = append(opts, cage.WithMemoryLimit(q.MemoryPages))
-	}
-	if q.StackDepth > 0 {
-		opts = append(opts, cage.WithStackDepth(q.StackDepth))
-	}
-	if q.StackWords > 0 {
-		opts = append(opts, cage.WithValueStack(q.StackWords))
-	}
-	return opts
-}
-
 // effectiveTimeout folds the request's wall-clock ask with the
 // policy's ceiling: the smaller of the two wins, and an ask of 0
-// inherits the ceiling. This is the bound callOptions enforces, and
-// the one a 408 must report.
+// inherits the ceiling. This is the bound callSpec enforces, and the
+// one a 408 must report.
 func (q QuotaPolicy) effectiveTimeout(ask time.Duration) time.Duration {
 	timeout := ask
 	if q.Timeout > 0 && (timeout <= 0 || timeout > q.Timeout) {
@@ -117,8 +90,7 @@ type tenant struct {
 
 	// spec carries the policy's per-call ceilings as a precomputed
 	// cage.CallSpec; callSpec folds a request's asks into a copy without
-	// touching the heap, which is why the hot path can skip the
-	// CallOption closures entirely.
+	// touching the heap.
 	spec cage.CallSpec
 
 	// sem is the admission semaphore (nil when MaxConcurrent == 0);
@@ -150,9 +122,10 @@ func newTenant(name string, policy QuotaPolicy) *tenant {
 	return t
 }
 
-// callSpec folds the policy's precomputed spec with one request's asks
-// — the same smaller-wins rule callOptions applies, without the option
-// closures. The returned value is heap-free; the caller sets Results.
+// callSpec folds the policy's precomputed spec with one request's asks:
+// the effective bound on each axis is the smaller of the two (an ask of
+// 0 inherits the ceiling). The returned value is heap-free; the caller
+// sets Results.
 func (t *tenant) callSpec(askFuel uint64, askTimeout time.Duration) cage.CallSpec {
 	s := t.spec
 	if askFuel > 0 && (s.Fuel == 0 || askFuel < s.Fuel) {
@@ -160,6 +133,21 @@ func (t *tenant) callSpec(askFuel uint64, askTimeout time.Duration) cage.CallSpe
 	}
 	s.Timeout = t.policy.effectiveTimeout(askTimeout)
 	return s
+}
+
+// initOptions projects the tenant's ceilings (spec, i.e. callSpec with
+// no asks) onto the CallOption list cage.WithInitOptions takes. A zero
+// option is the same "no bound" as an absent one, so nothing is
+// re-derived here.
+func (t *tenant) initOptions() []cage.CallOption {
+	s := t.spec
+	return []cage.CallOption{
+		cage.WithFuel(s.Fuel),
+		cage.WithTimeout(s.Timeout),
+		cage.WithMemoryLimit(s.MemoryPages),
+		cage.WithStackDepth(s.StackDepth),
+		cage.WithValueStack(s.StackWords),
+	}
 }
 
 // admit acquires an admission slot, queueing up to the policy's bound.

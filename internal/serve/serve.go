@@ -7,13 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cage"
-	"cage/internal/exec"
 )
 
 // TenantHeader names the request header carrying the tenant identity;
@@ -72,12 +69,6 @@ type Options struct {
 	PoolLimit int
 	// ExtendedSandboxes lifts the 15-sandbox budget via §6.4 tag reuse.
 	ExtendedSandboxes bool
-	// LegacyHotPath routes POST /v1/invoke through the original
-	// allocate-per-request handler (stdlib JSON decode/encode, CallOption
-	// closures) instead of the pooled zero-allocation path. Semantics
-	// are identical; the knob exists so the scaling benchmark can A/B
-	// the two paths inside one binary. Leave it off in production.
-	LegacyHotPath bool
 }
 
 // Server is the multi-tenant execution daemon: one engine (plus a
@@ -159,8 +150,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Engine exposes the underlying engine (tests and embedders).
 func (s *Server) Engine() *cage.Engine { return s.eng }
 
-// Close retires every pooled instance. In-flight requests must have
-// drained (the HTTP server shut down) first.
+// Close retires every pooled instance. Shut the HTTP server down first
+// so requests drain; one still in flight completes (or fails cleanly)
+// and its instance is closed, and its sandbox tag released, at checkin.
 func (s *Server) Close() {
 	s.eng.Close()
 	if s.hardEng != nil {
@@ -495,153 +487,6 @@ func decodeInvokeRequest(body io.Reader) (*InvokeRequest, error) {
 	return &req, nil
 }
 
-// handleInvokeLegacy is the original allocate-per-request invoke
-// handler: stdlib JSON decode and (indented) encode, CallOption
-// closures, an EventCounts map per response. It answers bit-for-bit
-// like the hot path in hotpath.go and is kept callable behind
-// Options.LegacyHotPath so the scaling benchmark can measure the two
-// inside one binary.
-func (s *Server) handleInvokeLegacy(w http.ResponseWriter, r *http.Request) {
-	tn := s.tenantFor(r)
-	tn.m.stripe().requests.Add(1)
-
-	req, err := decodeInvokeRequest(r.Body)
-	if err != nil {
-		tn.m.stripe().badRequest.Add(1)
-		writeError(w, http.StatusBadRequest, apiError{Code: "bad_request", Message: err.Error()})
-		return
-	}
-	entry, ok := s.reg.lookup(req.Module)
-	if !ok {
-		tn.m.stripe().badRequest.Add(1)
-		writeError(w, http.StatusNotFound, apiError{
-			Code: "module_not_found", Message: fmt.Sprintf("no module %q is registered", req.Module),
-		})
-		return
-	}
-	entry.m.stripe().requests.Add(1)
-	sig, ok := entry.funcs[req.Function]
-	if !ok {
-		tn.m.stripe().badRequest.Add(1)
-		entry.m.stripe().badRequest.Add(1)
-		writeError(w, http.StatusNotFound, apiError{
-			Code:    "function_not_found",
-			Message: fmt.Sprintf("module %q exports no function %q", req.Module, req.Function),
-		})
-		return
-	}
-	if len(req.Args) != sig.params {
-		tn.m.stripe().badRequest.Add(1)
-		entry.m.stripe().badRequest.Add(1)
-		writeError(w, http.StatusUnprocessableEntity, apiError{
-			Code:    "bad_arity",
-			Message: fmt.Sprintf("%s takes %d arguments, got %d", req.Function, sig.params, len(req.Args)),
-		})
-		return
-	}
-
-	// Admission: the tenant's own concurrency gate, before any engine
-	// resource is touched. The wait rides the request context, so a
-	// disconnected client leaves the queue immediately.
-	err = tn.admit(r.Context())
-	switch {
-	case errors.Is(err, errQueueFull):
-		tn.m.stripe().rejected.Add(1)
-		entry.m.stripe().rejected.Add(1)
-		retry := tn.policy.retryAfter()
-		w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
-		writeError(w, http.StatusTooManyRequests, apiError{
-			Code:         "queue_full",
-			Message:      fmt.Sprintf("tenant %q has %d invocations in flight and a full queue", tn.name, tn.policy.MaxConcurrent),
-			RetryAfterMs: retry.Milliseconds(),
-		})
-		return
-	case err != nil: // client disconnected while queued
-		tn.m.stripe().canceled.Add(1)
-		entry.m.stripe().canceled.Add(1)
-		return
-	}
-	defer tn.release()
-
-	tn.active.Add(1)
-	defer tn.active.Add(-1)
-
-	eng := s.engineFor(tn)
-
-	// Pre-initialization: the first admitted invocation of an ?init=
-	// module builds the post-init snapshot (charging the one-time init
-	// fuel to this tenant); everyone after forks the frozen image free.
-	if err := s.ensureSnapshot(r.Context(), tn, entry, eng); err != nil {
-		var trap *exec.Trap
-		switch {
-		case errors.As(err, &trap):
-			tn.m.stripe().traps.Add(1)
-			entry.m.stripe().traps.Add(1)
-			writeError(w, http.StatusUnprocessableEntity, apiError{
-				Code:    "init_trap",
-				Message: fmt.Sprintf("pre-initialization %q trapped: %v", entry.initFn, err),
-				Trap:    trap.Code.String(),
-			})
-		case r.Context().Err() != nil:
-			tn.m.stripe().canceled.Add(1)
-			entry.m.stripe().canceled.Add(1)
-		default:
-			tn.m.stripe().failures.Add(1)
-			entry.m.stripe().failures.Add(1)
-			writeError(w, http.StatusInternalServerError, apiError{Code: "internal", Message: err.Error()})
-		}
-		return
-	}
-
-	opts := tn.policy.callOptions(req.Fuel, time.Duration(req.TimeoutMs)*time.Millisecond)
-	res, err := eng.Call(r.Context(), entry.mod, req.Function, req.Args, opts...)
-
-	// Fuel is charged win or lose: a trapped call consumed real events.
-	tn.m.stripe().fuel.Add(res.Fuel)
-	entry.m.stripe().fuel.Add(res.Fuel)
-
-	switch {
-	case err == nil:
-		tn.m.stripe().ok.Add(1)
-		entry.m.stripe().ok.Add(1)
-		writeJSON(w, http.StatusOK, InvokeResponse{
-			Values: res.Values,
-			Fuel:   res.Fuel,
-			Events: res.Events.EventCounts(),
-		})
-	case cage.IsInterrupted(err):
-		if r.Context().Err() != nil {
-			// The client is gone; there is no one to answer. The guest
-			// was interrupted at the next checkpoint and its instance
-			// reset — nothing leaks — so just account for it.
-			tn.m.stripe().canceled.Add(1)
-			entry.m.stripe().canceled.Add(1)
-			return
-		}
-		tn.m.stripe().interrupted.Add(1)
-		entry.m.stripe().interrupted.Add(1)
-		writeError(w, http.StatusRequestTimeout, apiError{
-			Code: "timeout",
-			Message: fmt.Sprintf("call exceeded its %v budget",
-				tn.policy.effectiveTimeout(time.Duration(req.TimeoutMs)*time.Millisecond)),
-			Trap: exec.TrapInterrupted.String(),
-		})
-	default:
-		var trap *exec.Trap
-		if errors.As(err, &trap) {
-			tn.m.stripe().traps.Add(1)
-			entry.m.stripe().traps.Add(1)
-			writeError(w, http.StatusUnprocessableEntity, apiError{
-				Code: "guest_trap", Message: err.Error(), Trap: trap.Code.String(),
-			})
-			return
-		}
-		tn.m.stripe().failures.Add(1)
-		entry.m.stripe().failures.Add(1)
-		writeError(w, http.StatusInternalServerError, apiError{Code: "internal", Message: err.Error()})
-	}
-}
-
 // ensureSnapshot makes sure a module registered with an init function
 // has its post-init snapshot built on eng, running the init at most
 // once per engine for the module's lifetime (the base and hardened
@@ -663,7 +508,7 @@ func (s *Server) ensureSnapshot(ctx context.Context, tn *tenant, entry *moduleEn
 	}
 	snap, err := eng.Snapshot(ctx, entry.mod,
 		cage.WithInit(entry.initFn),
-		cage.WithInitOptions(tn.policy.callOptions(0, 0)...))
+		cage.WithInitOptions(tn.initOptions()...))
 	if err != nil {
 		return err
 	}

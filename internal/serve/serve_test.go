@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cage"
 )
@@ -396,4 +397,66 @@ func TestStatsAndMetrics(t *testing.T) {
 	if len(list.Modules) != 1 || list.Modules[0].Module != up.Module {
 		t.Errorf("module list = %+v, want the one registered module", list.Modules)
 	}
+}
+
+// TestServerCloseDuringInvoke closes the server under an in-flight
+// POST /v1/invoke. The request must still be answered — here with the
+// clean fuel-exhaustion trap its budget guarantees — and the instance
+// it held must be closed at checkin, returning full's single §7.4 tag.
+func TestServerCloseDuringInvoke(t *testing.T) {
+	ts, srv := newTestServer(t, Options{Config: cage.FullHardening(), ConfigName: "full"})
+	up := uploadSource(t, ts, "", guestSource)
+
+	type answer struct {
+		status int
+		body   errorBody
+		err    error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		var a answer
+		body := fmt.Sprintf(`{"module":%q,"function":"spin","args":[0],"fuel":3000000}`, up.Module)
+		resp, err := http.Post(ts.URL+"/v1/invoke", "application/json", strings.NewReader(body))
+		if err != nil {
+			done <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		a.status = resp.StatusCode
+		a.err = json.NewDecoder(resp.Body).Decode(&a.body)
+		done <- a
+	}()
+
+	// Wait for the checkout: one live instance, none idle.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if s := srv.Engine().Stats().Pools; s.Live == 1 && s.Idle == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the invoke never checked an instance out")
+		}
+	}
+	srv.Close()
+
+	a := <-done
+	if a.err != nil {
+		t.Fatalf("invoke across Close: %v", a.err)
+	}
+	if a.status != http.StatusUnprocessableEntity || a.body.Error.Code != "guest_trap" || a.body.Error.Trap != "fuel exhausted" {
+		t.Errorf("invoke across Close = %d %+v, want the 422 fuel-exhausted trap", a.status, a.body.Error)
+	}
+	// A closed engine publishes no pools, so this only says nothing was
+	// re-pooled; the tag check below is what catches a leaked instance.
+	if s := srv.Engine().Stats().Pools; s.Live != 0 || s.Idle != 0 {
+		t.Errorf("after Close: Live=%d Idle=%d, want 0/0", s.Live, s.Idle)
+	}
+	mod, err := srv.Engine().CompileSource(guestSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := srv.Engine().Runtime().Instantiate(mod)
+	if err != nil {
+		t.Fatalf("the in-flight instance's sandbox tag was not released: %v", err)
+	}
+	inst.Close()
 }
