@@ -1,35 +1,29 @@
-// Command cage-bench regenerates the paper's tables and figures.
+// Command cage-bench regenerates the paper's tables and figures, and
+// the two deterministic records the repo checks in. Performance claims
+// are made by benchmark/ (see BENCHMARK.json), not here.
 //
-// With -json it instead emits one machine-readable document (schema
-// cage-bench/v2) with per-kernel wall time, timing-model event counts,
-// and fuel consumed for every Table 3 variant, plus host-call and
-// guest-call microbenchmark records — the format CI archives as a
-// perf-trajectory artifact. v2 is a superset of v1; see
-// internal/bench.JSONSchema for the compatibility note.
-//
-// With -mitigation it emits only the Spectre-mitigation record: the
+// With -mitigation it emits the Spectre-mitigation record: the
 // per-kernel fuel/cycle tax the hardened preset pays over full (whose
 // results it must reproduce bit-identically) together with the
 // adversary verdict table — every scenario of internal/adversary under
-// every preset. CI archives the document as BENCH_mitigation.json.
-//
-// With -dispatch it emits only the dispatch-tier record: lowered vs
-// profile-guided fused wall time per kernel and config
-// (guard32 and full-cage), with the fusion profile recorded in-run. On
-// cageguard builds the guard32 rows run on the vmem guard backend. CI
-// archives the document as BENCH_dispatch.json.
+// every preset. The non-quick document is checked in as
+// BENCH_mitigation.json.
 //
 // With -record-profile it runs the polybench kernels with the
 // hot-sequence recorder armed and emits the merged profile — the
 // document checked in as internal/profile/corpus/polybench.json, the
 // runtime's default fusion profile.
 //
+// Both documents depend on the source tree alone; CI regenerates each
+// and fails unless it is byte-identical to the checked-in file.
+//
+// -mitigation, -record-profile and a non-default -exp select different
+// outputs; giving two of them is a usage error.
+//
 // Usage:
 //
 //	cage-bench [-quick] [-exp all|table1|table2|fig4|fig14|fig15|fig16|startup|mem|security]
-//	cage-bench [-quick] -json
 //	cage-bench [-quick] -mitigation
-//	cage-bench [-quick] -dispatch
 //	cage-bench [-quick] -record-profile
 package main
 
@@ -38,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"cage/internal/adversary"
 	"cage/internal/bench"
@@ -46,31 +41,30 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "use small problem sizes")
 	exp := flag.String("exp", "all", "which experiment to run")
-	jsonOut := flag.Bool("json", false, "emit per-kernel JSON (ns/op, event counts, fuel) instead of the report tables")
-	snapshotOut := flag.Bool("snapshot", false, "emit only the snapshot (fresh vs restore) JSON record")
-	mitigationOut := flag.Bool("mitigation", false, "emit only the Spectre-mitigation (hardened vs full) JSON record")
-	dispatchOut := flag.Bool("dispatch", false, "emit only the dispatch-tier (lowered vs fused) JSON record")
+	mitigationOut := flag.Bool("mitigation", false, "emit the Spectre-mitigation (hardened vs full) JSON record")
 	recordProfile := flag.Bool("record-profile", false, "record the polybench hot-sequence corpus and emit it as a profile JSON document")
 	flag.Parse()
+
+	var modes []string
+	if *mitigationOut {
+		modes = append(modes, "-mitigation")
+	}
+	if *recordProfile {
+		modes = append(modes, "-record-profile")
+	}
+	if *exp != "all" {
+		modes = append(modes, "-exp "+*exp)
+	}
+	if len(modes) > 1 {
+		fmt.Fprintf(os.Stderr, "cage-bench: %s do not combine: each selects a different output\n",
+			strings.Join(modes, " and "))
+		os.Exit(2)
+	}
 
 	w := os.Stdout
 	var err error
 	if *recordProfile {
 		if err := bench.WriteProfileJSON(w, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "cage-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *dispatchOut {
-		if err := bench.WriteDispatchJSON(w, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "cage-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *snapshotOut {
-		if err := bench.WriteSnapshotJSON(w, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "cage-bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -91,20 +85,6 @@ func main() {
 			os.Exit(1)
 		}
 		if err := bench.WriteMitigationJSON(w, *quick, buf.Bytes()); err != nil {
-			fmt.Fprintf(os.Stderr, "cage-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonOut {
-		if *exp != "all" {
-			// -json is its own sweep (every kernel × every Table 3
-			// variant); silently dropping an explicit -exp selection
-			// would mislead.
-			fmt.Fprintln(os.Stderr, "cage-bench: -json does not combine with -exp")
-			os.Exit(2)
-		}
-		if err := bench.WriteJSON(w, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "cage-bench: %v\n", err)
 			os.Exit(1)
 		}

@@ -6,9 +6,9 @@ import (
 )
 
 // TestConfigByName pins the preset-name mapping every CLI shares
-// (cage-run, cage-bench, cage-objdump, cage-serve, cage-loadgen): each
-// name resolves to exactly its Config, and an unknown name is an error
-// naming the offender.
+// (cage-run, cage-bench, cage-objdump, cage-serve): each name resolves
+// to exactly its Config, and an unknown name is an error naming the
+// offender.
 func TestConfigByName(t *testing.T) {
 	cases := []struct {
 		name string

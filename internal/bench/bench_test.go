@@ -219,23 +219,3 @@ func TestRunAllProducesFullReport(t *testing.T) {
 		}
 	}
 }
-
-func TestMeasureCallOverheadBothSizes(t *testing.T) {
-	// Regression: the non-quick mutual kernel recurses 100k+ frames —
-	// far past the default 1024-frame bound — and must size its
-	// instance's MaxCallDepth accordingly instead of trapping with
-	// TrapStackOverflow (the frame machine keeps those frames in the
-	// value arena, not the Go stack).
-	for _, quick := range []bool{true, false} {
-		rec, err := MeasureCallOverhead(quick)
-		if err != nil {
-			t.Fatalf("MeasureCallOverhead(quick=%t): %v", quick, err)
-		}
-		if rec.FibNsPerCall <= 0 || rec.MutualNsPerCall <= 0 {
-			t.Fatalf("quick=%t: non-positive per-call times: %+v", quick, rec)
-		}
-		if rec.FibCalls <= 0 || rec.MutualCalls != int64(rec.MutualN)+1 {
-			t.Fatalf("quick=%t: bad call counts: %+v", quick, rec)
-		}
-	}
-}

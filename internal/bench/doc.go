@@ -5,7 +5,13 @@
 // Table 4 / Fig. 16 (tagged-memory initialization), the §7.2 startup
 // cost, the §7.3 memory overhead, and the §7.4 security analysis.
 //
+// Beside the paper it produces the two deterministic documents the repo
+// checks in: the Spectre-mitigation record (mitigation.go,
+// BENCH_mitigation.json) and the default fusion profile (corpus.go,
+// internal/profile/corpus/polybench.json).
+//
 // Executions are deterministic: kernels run once per configuration on
 // the event-counting engine, and the per-core timing models price the
-// same event stream for all three Tensor G3 cores.
+// same event stream for all three Tensor G3 cores. Wall-time claims
+// belong to benchmark/ (BENCHMARK.json), not to this package.
 package bench

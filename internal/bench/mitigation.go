@@ -129,9 +129,23 @@ func MeasureMitigation(quick bool) (*MitigationRecord, error) {
 	return rec, nil
 }
 
-// WriteMitigationJSON emits a document carrying only the mitigation
-// record — the fast path for regenerating BENCH_mitigation.json.
-// scenarios, if non-nil, is the pre-encoded adversary verdict table.
+// JSONSchema identifies the layout of the -mitigation document; bump it
+// when fields change incompatibly.
+const JSONSchema = "cage-bench/v2"
+
+// JSONReport is the -mitigation document, checked in as
+// BENCH_mitigation.json. Every field is a function of the source tree
+// alone (fuel, modeled cycles, verdicts — never wall time), so CI
+// regenerates the document and compares it byte for byte.
+type JSONReport struct {
+	Schema     string            `json:"schema"`
+	Quick      bool              `json:"quick"`
+	Mitigation *MitigationRecord `json:"mitigation,omitempty"`
+}
+
+// WriteMitigationJSON measures the mitigation record and writes its
+// JSONReport to w. scenarios, if non-nil, is the pre-encoded adversary
+// verdict table.
 func WriteMitigationJSON(w io.Writer, quick bool, scenarios json.RawMessage) error {
 	rec, err := MeasureMitigation(quick)
 	if err != nil {

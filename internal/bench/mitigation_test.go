@@ -57,7 +57,7 @@ func TestMeasureMitigationQuick(t *testing.T) {
 			}
 		}
 	}
-	// The record must embed into the -json document shape.
+	// The record must round-trip through the -mitigation document shape.
 	var buf []byte
 	rep := JSONReport{Schema: JSONSchema, Quick: true, Mitigation: rec}
 	buf, err = json.Marshal(rep)

@@ -93,7 +93,7 @@ func BenchmarkLoweredVsLegacy(b *testing.B) {
 // recursive interpreter — which pays Go's call stack and a fresh
 // locals/args/results allocation per call — and under the frame
 // machine's contiguous-arena, zero-allocation call path. The
-// call_overhead record of cage-bench -json reports the same kernels.
+// benchmark's tiny-call workload prices the same path end to end.
 func BenchmarkCallOverhead(b *testing.B) {
 	// The kernels are the differential suite's call kernels
 	// (callKernelSources, differential_test.go) minus "deep" — fib and

@@ -84,26 +84,28 @@ func TestGuestCallZeroAlloc(t *testing.T) {
 // TestStackOverflowExactDepth pins the frame-count bound to an exact
 // activation count: f(n) needs n+1 frames, so under MaxCallDepth d the
 // deepest success is f(d-1) and f(d) traps — deterministically, with
-// TrapStackOverflow.
+// TrapStackOverflow. The 100 001-frame case is the deep-recursion
+// regression: guest frames live in the value arena, not the Go stack,
+// so a bound far past the default 1024 is honoured exactly.
 func TestStackOverflowExactDepth(t *testing.T) {
-	inst, err := NewInstance(recModule(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const depth = 10
-	res, err := inst.InvokeWith(context.Background(), "f", []uint64{depth - 1},
-		CallOptions{MaxCallDepth: depth})
-	if err != nil {
-		t.Fatalf("f(%d) under %d frames should fit exactly: %v", depth-1, depth, err)
-	}
-	if res.Values[0] != depth-1 {
-		t.Fatalf("f(%d) = %d", depth-1, res.Values[0])
-	}
-	for i := 0; i < 2; i++ { // the boundary is deterministic
-		_, err = inst.InvokeWith(context.Background(), "f", []uint64{depth},
-			CallOptions{MaxCallDepth: depth})
-		if !IsTrap(err, TrapStackOverflow) {
-			t.Fatalf("f(%d) under %d frames = %v, want TrapStackOverflow", depth, depth, err)
+	for _, depth := range []uint64{10, 100_001} {
+		inst, err := NewInstance(recModule(), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := CallOptions{MaxCallDepth: int(depth)}
+		res, err := inst.InvokeWith(context.Background(), "f", []uint64{depth - 1}, opts)
+		if err != nil {
+			t.Fatalf("f(%d) under %d frames should fit exactly: %v", depth-1, depth, err)
+		}
+		if res.Values[0] != depth-1 {
+			t.Fatalf("f(%d) = %d", depth-1, res.Values[0])
+		}
+		for i := 0; i < 2; i++ { // the boundary is deterministic
+			_, err = inst.InvokeWith(context.Background(), "f", []uint64{depth}, opts)
+			if !IsTrap(err, TrapStackOverflow) {
+				t.Fatalf("f(%d) under %d frames = %v, want TrapStackOverflow", depth, depth, err)
+			}
 		}
 	}
 }

@@ -124,17 +124,6 @@ func (s *Snapshot) Close() {
 	}
 }
 
-// WithoutCOW returns a view of the snapshot that restores by bulk copy
-// even when a copy-on-write image exists. It shares the underlying
-// (immutable) state with s; Close on either affects the one shared COW
-// image. Benchmarks use it to price the two restore paths against each
-// other within one build.
-func (s *Snapshot) WithoutCOW() *Snapshot {
-	c := *s
-	c.cow = nil
-	return &c
-}
-
 // Snapshot captures the instance's current mutable state. The instance
 // must be quiescent: not closed and with no invocation in flight
 // (snapshots are taken between calls, never during one). The instance
@@ -360,9 +349,9 @@ func (inst *Instance) RestoreFromSnapshot(s *Snapshot, seed uint64) error {
 }
 
 // MarkMemoryDirty discards the clean-memory witness, forcing the next
-// RestoreFromSnapshot to take the full clear+copy path. The scale-out
-// benchmark's locked mode uses it to price the pre-elision restore;
-// it is never needed for correctness.
+// RestoreFromSnapshot to take the full clear+copy path. Its one caller
+// is the benchmark's restore probe (benchmark/layers.go), which prices
+// the un-elided restore; it is never needed for correctness.
 func (inst *Instance) MarkMemoryDirty() { inst.memDirty = true }
 
 // restoreTags restores the MTE tag state from s. cowTags, when non-nil,

@@ -214,12 +214,14 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 	return enc.Encode(p)
 }
 
-// ReadJSON parses a serialized profile.
+// ReadJSON parses a serialized profile. Rows are put in canonical
+// order, so ID is a hash of the content, not of the file's row order.
 func ReadJSON(r io.Reader) (*Profile, error) {
 	var p Profile
 	if err := json.NewDecoder(r).Decode(&p); err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
+	p.sortCanonical()
 	return &p, nil
 }
 

@@ -6,15 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// Client is a minimal cage-serve API client, shared by cage-loadgen and
-// the saturation benchmark.
+// Client is a minimal cage-serve API client.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
@@ -88,75 +83,4 @@ func (c *Client) Stats() (*Stats, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// LoadResult is one load-generation run at a fixed concurrency.
-type LoadResult struct {
-	Concurrency int
-	Requests    int // attempted
-	Errors      int // non-200 responses and transport failures
-	Elapsed     time.Duration
-	P50, P99    time.Duration
-	// Throughput is successful requests per second of wall clock.
-	Throughput float64
-}
-
-// RunLoad fires total invocations of one function at the given
-// concurrency and reports latency percentiles and throughput.
-// Individual request failures are counted, not fatal — saturation runs
-// deliberately drive servers into 429/timeout territory.
-func RunLoad(c *Client, req InvokeRequest, concurrency, total int) LoadResult {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	var (
-		next      atomic.Int64
-		errs      atomic.Int64
-		mu        sync.Mutex
-		latencies = make([]time.Duration, 0, total)
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]time.Duration, 0, total/concurrency+1)
-			for next.Add(1) <= int64(total) {
-				t0 := time.Now()
-				_, err := c.Invoke(req)
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				local = append(local, time.Since(t0))
-			}
-			mu.Lock()
-			latencies = append(latencies, local...)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := LoadResult{
-		Concurrency: concurrency,
-		Requests:    total,
-		Errors:      int(errs.Load()),
-		Elapsed:     elapsed,
-	}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		res.P50 = percentile(latencies, 0.50)
-		res.P99 = percentile(latencies, 0.99)
-		res.Throughput = float64(len(latencies)) / elapsed.Seconds()
-	}
-	return res
-}
-
-// percentile reads the p'th percentile from sorted latencies
-// (nearest-rank on the inclusive index).
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
 }
