@@ -556,7 +556,9 @@ func (i *Instance) InvokeF64(name string, args ...uint64) (float64, error) {
 	return res.F64(name)
 }
 
-// Memory exposes the guest linear memory.
+// Memory exposes the guest linear memory. The view can be written at
+// any time, so a pooled instance that hands it out pays a whole-memory
+// restore at every later checkin (see exec.Instance.Memory).
 func (i *Instance) Memory() []byte { return i.inst.Memory() }
 
 // Counter exposes the lowered-code event counter for timing analysis.

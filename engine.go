@@ -183,7 +183,7 @@ func (p *pooledInstance) Reset(seed uint64) error {
 	// the copy/COW image is the only initialization story.
 	if s := p.eng.activeSnapshot(p.mod); s != nil {
 		if err := p.i.restoreFrom(s, seed); err == nil {
-			p.eng.snapshots.NoteRestore()
+			p.eng.snapshots.NoteRestore(p.i.inst.RestoredPages())
 			return nil
 		}
 		// An image that cannot restore (e.g. its COW backing vanished)
@@ -265,7 +265,7 @@ func (e *Engine) pool(m *Module) *engine.Pool {
 				// tagging, no start/init execution.
 				inst, err = e.rt.instantiate(m, snap)
 				if err == nil {
-					e.snapshots.NoteRestore()
+					e.snapshots.NoteRestore(inst.inst.RestoredPages())
 				}
 			} else {
 				inst, err = e.rt.Instantiate(m)

@@ -197,3 +197,40 @@ func TestAutoSnapshotBaseline(t *testing.T) {
 	t.Run("on", func(t *testing.T) { run(t, true) })
 	t.Run("off", func(t *testing.T) { run(t, false) })
 }
+
+// TestSnapshotStatsReportRestoreCost pins what makes restore elision
+// visible to an operator: a spawn from the image is one full install,
+// a checkin after a read-only call rewrites no page, and a checkin after
+// a store rewrites the page or two the call touched — not the memory.
+func TestSnapshotStatsReportRestoreCost(t *testing.T) {
+	eng := NewEngine(FullHardening())
+	defer eng.Close()
+	mod, err := eng.CompileSource(forkGuest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := eng.Snapshot(ctx, mod, WithInit("setup")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := eng.Call(ctx, mod, "peek", []uint64{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := eng.SnapshotStats()
+	if st.Restores != 6 || st.FullInstalls != 1 || st.RestoredPages != 0 {
+		t.Fatalf("after a spawn and 5 read-only calls: %d restores, %d full installs, %d pages; want 6, 1, 0",
+			st.Restores, st.FullInstalls, st.RestoredPages)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := eng.Call(ctx, mod, "poke", []uint64{uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st = eng.SnapshotStats()
+	if st.Restores != 9 || st.FullInstalls != 1 || st.RestoredPages < 3 || st.RestoredPages > 6 {
+		t.Fatalf("after 3 storing calls: %d restores, %d full installs, %d pages; want 9, 1, 3–6",
+			st.Restores, st.FullInstalls, st.RestoredPages)
+	}
+}

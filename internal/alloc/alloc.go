@@ -186,10 +186,8 @@ func (a *Allocator) Calloc(n, itemSize uint64) (uint64, error) {
 		return 0, err
 	}
 	if !a.hardened { // hardened path zeroes via segment.new already
-		addr := ptrlayout.Address(p)
-		buf := a.inst.Memory()
-		for i := addr; i < addr+align16(size); i++ {
-			buf[i] = 0
+		if err := a.inst.ZeroBytes(ptrlayout.Address(p), align16(size)); err != nil {
+			return 0, err
 		}
 	}
 	return p, nil
@@ -257,10 +255,9 @@ func (a *Allocator) Realloc(ptr uint64, newSize uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	src := addr
-	dst := ptrlayout.Address(np)
-	buf := a.inst.Memory()
-	copy(buf[dst:dst+oldPayload], buf[src:src+oldPayload])
+	if err := a.inst.CopyBytes(ptrlayout.Address(np), addr, oldPayload); err != nil {
+		return 0, err
+	}
 	if err := a.Free(ptr); err != nil {
 		return 0, err
 	}

@@ -344,3 +344,59 @@ func TestTagStorageOverheadConstant(t *testing.T) {
 		t.Errorf("tag storage overhead = %f, want 1/32", got)
 	}
 }
+
+// TestReallocGuestRestoresByPageCount: the allocator's own zeroing
+// (calloc, unhardened) and moving (realloc) go through the instance's
+// tracked accessors, never its raw memory view, so a guest that uses
+// them still gets a restore sized by the pages it touched, not by the
+// whole memory.
+func TestReallocGuestRestoresByPageCount(t *testing.T) {
+	for _, hardened := range []bool{false, true} {
+		m := &wasm.Module{}
+		m.Mems = []wasm.MemoryType{{Limits: wasm.Limits{Min: 2, Max: 64, HasMax: true}, Memory64: true}}
+		i64x2 := []wasm.ValType{wasm.I64, wasm.I64}
+		two := m.AddType(wasm.FuncType{Params: i64x2, Results: []wasm.ValType{wasm.I64}})
+		none := m.AddType(wasm.FuncType{Results: []wasm.ValType{wasm.I64}})
+		m.Imports = []wasm.Import{
+			{Module: HostModule, Name: "calloc", TypeIdx: two},
+			{Module: HostModule, Name: "realloc", TypeIdx: two},
+		}
+		// f(): return realloc(calloc(4, 8), 4096)
+		m.Funcs = []wasm.Function{{TypeIdx: none, Body: []wasm.Instr{
+			wasm.I64Const(4), wasm.I64Const(8), wasm.Call(0),
+			wasm.I64Const(4096), wasm.Call(1), wasm.End()}}}
+		m.Exports = []wasm.Export{{Name: "f", Kind: wasm.ExportFunc, Idx: 2}}
+
+		host := &Host{}
+		cfg := exec.Config{Seed: 42, HostModules: HostModules(), HostData: host}
+		if hardened {
+			cfg.Features = core.Features{MemSafety: true, MTEMode: mte.ModeSync}
+		}
+		inst, err := exec.NewInstance(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if host.A, err = New(inst, 1024); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := inst.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap := host.A.Snapshot()
+		for round := 0; round < 3; round++ {
+			res, err := inst.Invoke("f")
+			if err != nil || res[0] == 0 {
+				t.Fatalf("hardened=%v: f() = %v, %v", hardened, res, err)
+			}
+			if err := inst.RestoreFromSnapshot(snap, uint64(round+1)); err != nil {
+				t.Fatal(err)
+			}
+			host.A.Restore(heap)
+			// 32 + 16 + 4096 + 16 bytes from 1024 up: two pages, of 33.
+			if got := inst.RestoredPages(); got < 1 || got > 2 {
+				t.Fatalf("hardened=%v round %d: restore rewrote %d pages, want 1–2", hardened, round, got)
+			}
+		}
+	}
+}

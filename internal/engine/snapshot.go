@@ -13,10 +13,14 @@ import "sync/atomic"
 //
 // On top of Cache's hit/miss/singleflight accounting it counts
 // restores — forks served from a cached image — which is the number
-// that makes the cache worth having. The zero value is ready to use.
+// that makes the cache worth having, and what they cost: whole-image
+// installs versus pages rewritten in place. The zero value is ready to
+// use.
 type SnapshotCache[V any] struct {
-	cache    Cache[V]
-	restores atomic.Uint64
+	cache         Cache[V]
+	restores      atomic.Uint64
+	restoredPages atomic.Uint64
+	fullInstalls  atomic.Uint64
 }
 
 // SnapshotCacheStats extends the cache counters with restore
@@ -26,6 +30,15 @@ type SnapshotCacheStats struct {
 	// Restores counts instance forks served from a cached snapshot
 	// (pool spawns, resets, and explicit NewFromSnapshot calls).
 	Restores uint64
+	// RestoredPages sums the 4 KiB pages that in-place restores rewrote
+	// (a reset of an instance already holding the image rewrites only
+	// the pages its call dirtied; none, when it wrote nothing).
+	RestoredPages uint64
+	// FullInstalls counts the restores that installed the whole image
+	// instead: spawns from the snapshot, an instance's first reset onto
+	// an image, a reset after memory.grow. Restores − FullInstalls is
+	// the number of in-place restores RestoredPages is spread over.
+	FullInstalls uint64
 }
 
 // GetOrBuild returns the cached snapshot for key, building (capturing)
@@ -35,10 +48,25 @@ func (c *SnapshotCache[V]) GetOrBuild(key Key, build func() (V, error)) (V, erro
 	return c.cache.GetOrBuild(key, build)
 }
 
-// NoteRestore records one fork served from a cached snapshot.
-func (c *SnapshotCache[V]) NoteRestore() { c.restores.Add(1) }
+// NoteRestore records one fork served from a cached snapshot: pages is
+// the number of pages an in-place restore rewrote, or negative for a
+// whole-image install.
+func (c *SnapshotCache[V]) NoteRestore(pages int) {
+	c.restores.Add(1)
+	switch {
+	case pages < 0:
+		c.fullInstalls.Add(1)
+	case pages > 0:
+		c.restoredPages.Add(uint64(pages))
+	}
+}
 
 // Stats returns a snapshot of the cache and restore counters.
 func (c *SnapshotCache[V]) Stats() SnapshotCacheStats {
-	return SnapshotCacheStats{CacheStats: c.cache.Stats(), Restores: c.restores.Load()}
+	return SnapshotCacheStats{
+		CacheStats:    c.cache.Stats(),
+		Restores:      c.restores.Load(),
+		RestoredPages: c.restoredPages.Load(),
+		FullInstalls:  c.fullInstalls.Load(),
+	}
 }

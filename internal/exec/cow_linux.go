@@ -34,18 +34,24 @@ type cowImage struct {
 	tagLen int
 }
 
-// newCOWImage materializes the image, or returns nil when the kernel
+// newCOWImage materializes s's image, or returns nil when the kernel
 // refuses anything (the caller then falls back to copy restores — a
-// snapshot never fails just because COW is unavailable).
-func newCOWImage(mem, tags []byte) *cowImage {
+// snapshot never fails just because COW is unavailable). Only the spans
+// are written: the rest of the file is a hole, which reads as the zeros
+// the image has there.
+func newCOWImage(s *Snapshot) *cowImage {
 	name := []byte("cage-snapshot\x00")
 	fd, _, errno := syscall.Syscall(sysMemfdCreate,
 		uintptr(unsafe.Pointer(&name[0])), mfdCloexec|mfdAllowSealing, 0)
 	if errno != 0 {
 		return nil
 	}
-	img := &cowImage{fd: int(fd), memLen: len(mem), tagLen: len(tags)}
-	if !img.writeAll(mem, 0) || !img.writeAll(tags, int64(len(mem))) {
+	img := &cowImage{fd: int(fd), memLen: s.memLen, tagLen: len(s.tags)}
+	ok := syscall.Ftruncate(img.fd, int64(img.memLen+img.tagLen)) == nil && img.writeAll(s.tags, int64(s.memLen))
+	for _, sp := range s.spans {
+		ok = ok && img.writeAll(s.mem[sp.at:sp.at+sp.end-sp.off], int64(sp.off))
+	}
+	if !ok {
 		img.close()
 		return nil
 	}

@@ -2,19 +2,21 @@
 
 package exec
 
+import "errors"
+
 // snapshotRestoreMode: without the cagecow build tag (or off Linux)
-// snapshots restore by bulk copy into retained capacity.
+// snapshots install by copying their spans into a fresh buffer.
 const snapshotRestoreMode = "copy"
 
 // cowImage is the stub image: never materialized, never mappable. The
-// restore path checks for a nil image and falls back to copying, so
+// install path checks for a nil image and falls back to copying, so
 // this build compiles out the mmap machinery entirely.
 type cowImage struct{}
 
-func newCOWImage(mem, tags []byte) *cowImage { return nil }
+func newCOWImage(s *Snapshot) *cowImage { return nil }
 
 func (c *cowImage) mapView() (mem, tags []byte, unmap func(), err error) {
-	return nil, nil, nil, errCOWUnavailable
+	return nil, nil, nil, errors.ErrUnsupported
 }
 
 func (c *cowImage) close() {}

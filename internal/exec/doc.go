@@ -123,19 +123,47 @@
 // once, snapshot, and fork every subsequent instance from the frozen
 // image. Restores are safe concurrently against one shared snapshot.
 //
-// Restore cost by build (SnapshotRestoreMode reports which is active):
+// # The dirty page set and the two restore legs
 //
-//   - default ("copy"): one bulk copy into retained capacity — or,
-//     when the image is mostly zeros (the usual post-init shape, found
-//     by a capture-time non-zero-span scan), a zero-fill plus span
-//     copy, which runs at memclr speed and beats legacy Reset.
+// Every instance keeps one dirty page set (dirty.go): one bit per 4 KiB
+// of linear memory, host reserve included, set when the page's bytes or
+// its 256 tag granules may differ from the instance's base image — the
+// snapshot it last restored from or captured. The set is marked where an
+// address is resolved for writing: in addrG32/addrB64/addrMTE (so every
+// lowered and fused store, memory.fill and memory.copy), at the two
+// guard-region stores, in the host accessors (Instance.WriteU64,
+// WriteBytes, ZeroBytes, CopyBytes, the HostContext Memory view), in
+// data-segment replay, and in segment.new/set_tag/free, which change
+// bytes and tags without a store. memory.grow and MarkMemoryDirty mark
+// every page; Memory() and HostRegion() also pin them, because a raw
+// view can be written through after any later restore.
+//
+// RestoreFromSnapshot of the same image at the same size is one loop
+// over the dirty page runs, rewriting bytes and (with MTE) tag runs from
+// the image, on every build: zero iterations after a call that wrote
+// nothing, every page for a pinned instance, in place over the private
+// mapping under cagecow. Anything else — a spawn, a new image, a grown
+// memory — installs the whole image; SnapshotRestoreMode reports how:
+//
+//   - default ("copy"): a zeroed buffer plus a copy of the image's
+//     spans, the page runs that can be non-zero (few, post-init). The
+//     buffer is a closed instance's when one of that size is at hand
+//     (memPool), cleared; instantiation without an image looks there
+//     too.
 //   - cagecow && linux && (amd64 || arm64) ("cow"): capture also seals
-//     the image into a memfd, and each restore maps it MAP_PRIVATE —
+//     the image into a memfd, and each install maps it MAP_PRIVATE —
 //     O(1)-ish in heap size; pages are copied by the kernel only when
-//     written. If the mapping fails at runtime the restore falls back
-//     to the copy path; other platforms compile the stub and always
-//     copy. GOOS=darwin (and every non-Linux target) builds cleanly
-//     with or without the tag.
+//     written. If the mapping fails at runtime the install falls back to
+//     copy; other platforms compile the stub and always copy.
+//     GOOS=darwin (and every non-Linux target) builds cleanly with or
+//     without the tag.
+//
+// A guard-region instance (cageguard) keeps its reservation: install is
+// recommit, clear, copy spans. Snapshot reads the same set — only dirty
+// pages (and the base image's spans) can be non-zero, so the image
+// stores just those, back to back, and nothing for the zeros between
+// them (under cagecow they are holes in the memfd) — and arms the
+// witness: the instance equals its image.
 //
 // Reset-semantics migration note: Reset always rotates the PAC
 // modifier, so pointers signed in a previous lifetime fail
@@ -164,7 +192,8 @@
 //     machine's arena
 //   - Instance.Snapshot / RestoreFromSnapshot — Wizer-style
 //     pre-initialization: freeze the post-init state once, fork every
-//     later instance from the image (copy or MAP_PRIVATE COW)
+//     later instance from the image (copy or MAP_PRIVATE COW install,
+//     dirty-page restores thereafter)
 //   - Instance.Close   — teardown returning the sandbox tag to the
 //     §6.4/§7.4 budget
 //   - Trap             — the trap taxonomy embedders classify violations

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"testing"
 
 	"cage/internal/core"
@@ -8,12 +9,22 @@ import (
 	"cage/internal/wasm"
 )
 
-// Clean-memory restore elision tests. RestoreFromSnapshot may skip the
-// memory clear+copy only when it can prove nothing wrote guest memory
-// since the last restore of the same image. These tests attack that
-// proof: every write channel — guest stores, host writes, raw Memory()
-// views, memory.grow — must break the witness, or a pooled instance
-// would leak one tenant's writes into the next tenant's checkout.
+// Restore-witness tests. RestoreFromSnapshot of the image an instance
+// already holds copies back only the pages in the dirty set, so a write
+// the set missed survives the restore. These tests attack the set
+// channel by channel: guest stores, host writes, raw Memory() views,
+// memory.grow and segment.new must each dirty what they touch, or a
+// pooled instance would leak one tenant's writes into the next tenant's
+// checkout. restore_fuzz_test.go attacks it with random sequences.
+
+// dirtyPages counts the pages in the instance's dirty set.
+func dirtyPages(inst *Instance) int {
+	n := 0
+	for lo, hi := inst.dirty.nextRun(0); lo < hi; lo, hi = inst.dirty.nextRun(hi) {
+		n += hi - lo
+	}
+	return n
+}
 
 // elisionModule builds a module exporting peek(addr) and poke(addr,
 // val) plus a pure add(a, b) that never touches memory.
@@ -78,9 +89,9 @@ func TestRestoreElisionGuestStores(t *testing.T) {
 				// The peek dirtied nothing; the next restore must elide
 				// (white-box: the witness is armed) — and a pure call
 				// after it must still see clean memory.
-				if inst.lastImage != snap || inst.memDirty || inst.memExposed {
-					t.Fatalf("round %d: witness not armed (lastImage=%v dirty=%v exposed=%v)",
-						round, inst.lastImage == snap, inst.memDirty, inst.memExposed)
+				if inst.lastImage != snap || dirtyPages(inst) != 0 || inst.dirty.pinned {
+					t.Fatalf("round %d: witness not armed (lastImage=%v dirty=%d pinned=%v)",
+						round, inst.lastImage == snap, dirtyPages(inst), inst.dirty.pinned)
 				}
 				if err := inst.RestoreFromSnapshot(snap, uint64(round+100)); err != nil {
 					t.Fatalf("round %d elided restore: %v", round, err)
@@ -186,5 +197,179 @@ func TestRestoreElisionAfterGrow(t *testing.T) {
 	}
 	if res, err := inst.Invoke("peek", 128); err != nil || res[0] != 0 {
 		t.Fatalf("post-grow restore: %v, %v", res, err)
+	}
+}
+
+// TestRestoreAfterSegmentNewOnly: segment.new zeroes the bytes it covers
+// and retags them, with no store instruction involved. A call that only
+// executes segment.new over initialised data must still dirty those
+// pages, or the zeros (and the fresh tag) reach the next tenant. Both
+// the guest opcode and the runtime's HostSegmentNew go through it.
+func TestRestoreAfterSegmentNewOnly(t *testing.T) {
+	m := &wasm.Module{}
+	seg := m.AddType(wasm.FuncType{Params: []wasm.ValType{wasm.I64, wasm.I64}, Results: []wasm.ValType{wasm.I64}})
+	m.Mems = []wasm.MemoryType{{Limits: wasm.Limits{Min: 1}, Memory64: true}}
+	m.Datas = []wasm.DataSegment{{Offset: 256, Bytes: []byte{1, 2, 3, 4, 5, 6, 7, 8}}}
+	m.Funcs = []wasm.Function{{TypeIdx: seg, Body: []wasm.Instr{
+		wasm.LocalGet(0), wasm.LocalGet(1), wasm.SegmentNew(0), wasm.End()}}}
+	m.Exports = []wasm.Export{{Name: "seg", Kind: wasm.ExportFunc, Idx: 0}}
+
+	inst, err := NewInstance(m, Config{Features: core.Features{MemSafety: true, MTEMode: mte.ModeSync}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	snap, err := inst.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		segNew func() error
+	}{
+		{"guest", func() error { _, err := inst.Invoke("seg", 256, 16); return err }},
+		{"host", func() error { _, err := inst.HostSegmentNew(256, 16); return err }},
+	} {
+		name := tc.name
+		if err := tc.segNew(); err != nil {
+			t.Fatalf("%s segment.new: %v", name, err)
+		}
+		if err := inst.RestoreFromSnapshot(snap, 1); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := inst.ReadBytes(256, 8); err != nil || !bytes.Equal(got, m.Datas[0].Bytes) {
+			t.Fatalf("%s segment.new: bytes after restore = %v, %v; want the data segment", name, got, err)
+		}
+		if !bytes.Equal(inst.tags.CloneTags(), snap.tags) {
+			t.Fatalf("%s segment.new: tags after restore differ from the image", name)
+		}
+	}
+}
+
+// TestDirtyRestoreZeroAlloc is the allocation gate for the pooled
+// checkin: restoring the image an instance already holds — dirty pages,
+// their tag runs, the small state, the scrub — allocates nothing. CI
+// runs it without -race beside the call and serve gates.
+func TestDirtyRestoreZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations; the gate runs in the non-race suite")
+	}
+	for _, tc := range elisionFeatures {
+		inst, err := NewInstance(elisionModule(), Config{Features: tc.feats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close()
+		snap, err := inst.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var restoreErr error
+		avg := testing.AllocsPerRun(100, func() {
+			// Two separate pages and a straddling write: three runs.
+			_ = inst.WriteU64(128, 1)
+			_ = inst.WriteU64(5*dirtyPageSize-4, 2)
+			_ = inst.WriteU64(9*dirtyPageSize, 3)
+			if err := inst.RestoreFromSnapshot(snap, 7); err != nil {
+				restoreErr = err
+			}
+		})
+		if restoreErr != nil {
+			t.Fatal(restoreErr)
+		}
+		if got := inst.RestoredPages(); got != 4 {
+			t.Errorf("%s: restore rewrote %d pages, want 4", tc.name, got)
+		}
+		if avg != 0 {
+			t.Errorf("%s: steady-state dirty restore allocates %.1f objects, want 0", tc.name, avg)
+		}
+	}
+}
+
+// TestSnapshotStoresWrittenPagesOnly: an image keeps the bytes of its
+// spans and nothing for the zero pages between them, and still restores
+// and forks every byte — the stored ones and the zeros.
+func TestSnapshotStoresWrittenPagesOnly(t *testing.T) {
+	m := elisionModule()
+	m.Mems[0].Limits.Min = 4 // 64 pages of 4 KiB, plus the host reserve
+	inst, err := NewInstance(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	_ = inst.WriteU64(3*dirtyPageSize-4, 0x1122334455667788) // straddles pages 2 and 3
+	_ = inst.WriteU64(40*dirtyPageSize, 7)
+	want := bytes.Clone(inst.mem)
+	snap, err := inst.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if len(snap.spans) != 3 || len(snap.mem) != 4*dirtyPageSize || snap.memLen != len(want) {
+		t.Fatalf("image stores %d bytes in %d spans for a %d-byte memory; want 4 pages in 3 spans (2 pages, 1 page, the host reserve)",
+			len(snap.mem), len(snap.spans), snap.memLen)
+	}
+	// Dirty the far half of a span, a whole span and two pages the image
+	// holds nothing for; the restore must bring back bytes and zeros.
+	for _, addr := range []uint64{3*dirtyPageSize + 8, 40 * dirtyPageSize, 17 * dirtyPageSize, 63 * dirtyPageSize} {
+		_ = inst.WriteU64(addr, ^uint64(0))
+	}
+	if err := inst.RestoreFromSnapshot(snap, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(inst.mem, want) {
+		t.Fatal("memory after a dirty-page restore differs from the captured memory")
+	}
+	fork, err := NewInstance(m, Config{Snapshot: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fork.Close()
+	if !bytes.Equal(fork.mem, want) {
+		t.Fatal("memory of a fork differs from the captured memory")
+	}
+}
+
+// TestRecycledMemoryIsZero: a closed instance's heap buffer backs the
+// next instance of that size, which must see none of the bytes left in
+// it; a buffer a Memory() view escaped from is never handed on, because
+// its holder may still write through the view.
+func TestRecycledMemoryIsZero(t *testing.T) {
+	for len(memPool) > 0 { // earlier tests' buffers, of other sizes
+		<-memPool
+	}
+	m := elisionModule()
+	first, err := NewInstance(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := bytes.Clone(first.mem)
+	for addr := uint64(0); addr < first.memSize; addr += dirtyPageSize / 2 {
+		_ = first.WriteU64(addr, 0x5EC2E7)
+	}
+	buf := &first.mem[0]
+	first.Close()
+
+	second, err := NewInstance(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &second.mem[0] != buf {
+		t.Fatal("the closed instance's buffer was not recycled")
+	}
+	if !bytes.Equal(second.mem, fresh) {
+		t.Fatal("a recycled memory differs from a fresh instance's")
+	}
+	view := second.Memory()
+	second.Close()
+
+	third, err := NewInstance(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer third.Close()
+	view[64] = 0xFF
+	if &third.mem[0] == &view[0] || third.mem[64] != 0 {
+		t.Fatal("a buffer with an escaped view was handed to the next instance")
 	}
 }

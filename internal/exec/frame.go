@@ -72,6 +72,9 @@ func (inst *Instance) pushGuestFrame(callee *ir.Func, newBase int) error {
 	if need > len(inst.vals) {
 		inst.growArena(need)
 	}
+	if need > inst.valsHigh {
+		inst.valsHigh = need
+	}
 	lb := newBase + callee.NumParams
 	clear(inst.vals[lb : lb+callee.NumLocals])
 	inst.depth++
@@ -472,7 +475,7 @@ func (inst *Instance) run(barrier int) error {
 		case ir.OpLoadG32:
 			ctr.Add(arch.EvLoad, 1)
 			sz := ir.MemSize(in.B)
-			addr, err := inst.addrG32(stack[len(stack)-1], in.A, sz, inst.memSize)
+			addr, err := inst.addrG32(stack[len(stack)-1], in.A, sz, inst.memSize, false)
 			if err != nil {
 				return err
 			}
@@ -480,7 +483,7 @@ func (inst *Instance) run(barrier int) error {
 		case ir.OpLoadG32NC:
 			ctr.Add(arch.EvLoad, 1)
 			sz := ir.MemSize(in.B)
-			addr, err := inst.addrG32(stack[len(stack)-1], in.A, sz, uint64(len(inst.mem)))
+			addr, err := inst.addrG32(stack[len(stack)-1], in.A, sz, uint64(len(inst.mem)), false)
 			if err != nil {
 				return err
 			}
@@ -548,9 +551,8 @@ func (inst *Instance) run(barrier int) error {
 		// Stores, same specialization.
 		case ir.OpStoreG32:
 			ctr.Add(arch.EvStore, 1)
-			inst.memDirty = true
 			sz := ir.MemSize(in.B)
-			addr, err := inst.addrG32(stack[len(stack)-2], in.A, sz, inst.memSize)
+			addr, err := inst.addrG32(stack[len(stack)-2], in.A, sz, inst.memSize, true)
 			if err != nil {
 				return err
 			}
@@ -558,9 +560,8 @@ func (inst *Instance) run(barrier int) error {
 			stack = stack[:len(stack)-2]
 		case ir.OpStoreG32NC:
 			ctr.Add(arch.EvStore, 1)
-			inst.memDirty = true
 			sz := ir.MemSize(in.B)
-			addr, err := inst.addrG32(stack[len(stack)-2], in.A, sz, uint64(len(inst.mem)))
+			addr, err := inst.addrG32(stack[len(stack)-2], in.A, sz, uint64(len(inst.mem)), true)
 			if err != nil {
 				return err
 			}
@@ -625,13 +626,13 @@ func (inst *Instance) run(barrier int) error {
 			// access's last byte makes the store all-or-nothing: if any
 			// byte falls past the committed prefix the probe faults before
 			// the write starts, so a trapped store is never partially
-			// visible.
+			// visible, and the dirty mark only ever indexes committed pages.
 			ctr.Add(arch.EvStore, 1)
-			inst.memDirty = true
 			sz := ir.MemSize(in.B)
 			addr := uint64(uint32(stack[len(stack)-2])) + in.A
 			gm := inst.gmem
 			guardProbeSink = gm[addr+sz-1]
+			inst.dirty.mark(addr, sz)
 			writeScalarFast(gm, addr, sz, stack[len(stack)-1])
 			stack = stack[:len(stack)-2]
 
@@ -1096,7 +1097,6 @@ func (inst *Instance) run(barrier int) error {
 			}
 		case ir.OpFusedALUStore:
 			ctr.Add(arch.EvStore, 1)
-			inst.memDirty = true
 			if ir.FusedMemVariant(in.B) == ir.OpStoreG32G {
 				// Guard-region store with the all-or-nothing probe; see
 				// OpStoreG32G.
@@ -1104,6 +1104,7 @@ func (inst *Instance) run(barrier int) error {
 				addr := uint64(uint32(stack[len(stack)-2])) + in.A
 				gm := inst.gmem
 				guardProbeSink = gm[addr+sz-1]
+				inst.dirty.mark(addr, sz)
 				writeScalarFast(gm, addr, sz, stack[len(stack)-1])
 			} else if err := inst.fusedMemStore(in, stack[len(stack)-2], stack[len(stack)-1]); err != nil {
 				return err
@@ -1254,13 +1255,14 @@ func (inst *Instance) run(barrier int) error {
 			// operand-stack values, in place: no argument copy.
 			newBase := sbTop + len(stack) - callN
 			top.pc = pc + 1
-			// Inline push fast path: bounds hold and the arena is already
-			// big enough — the steady state for every call after the first
-			// at a given depth. pushGuestFrame handles growth and traps.
+			// Inline push fast path: bounds hold and the frame ends below
+			// the arena's high-water mark — the steady state for every call
+			// after the first at a given depth. pushGuestFrame handles
+			// growth, the mark and traps.
 			nsb := newBase + callee.StackBase()
 			need := newBase + callee.FrameSize
 			if inst.depth < inst.maxCallDepth &&
-				need <= len(inst.vals) && uint64(need) <= inst.maxStackWords {
+				need <= inst.valsHigh && uint64(need) <= inst.maxStackWords {
 				lb := newBase + callee.NumParams
 				clear(inst.vals[lb : lb+callee.NumLocals])
 				inst.depth++

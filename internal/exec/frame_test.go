@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -78,6 +79,54 @@ func TestGuestCallZeroAlloc(t *testing.T) {
 	}
 	if avg != 0 {
 		t.Errorf("steady-state guest→guest call workload allocates %.1f objects per invocation, want 0", avg)
+	}
+}
+
+// TestArenaScrubbedAfterTrappedRecursion: the scrub clears the arena up
+// to its high-water mark, not its capacity, so the mark must cover every
+// slot a call wrote — including the frames a trapped deep recursion
+// abandoned. No value it left may survive a restore or a reset.
+func TestArenaScrubbedAfterTrappedRecursion(t *testing.T) {
+	inst, err := NewInstance(recModule(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := inst.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Twice each: from the second round on the arena is already grown, so
+	// the deep call stays on the dispatch loop's inline push path.
+	for round, scrub := range []func() error{
+		func() error { return inst.RestoreFromSnapshot(snap, 1) },
+		func() error { return inst.ResetState(1) },
+		func() error { return inst.RestoreFromSnapshot(snap, 2) },
+		func() error { return inst.ResetState(2) },
+	} {
+		name := fmt.Sprintf("round %d", round)
+		// A shallow call first, so the deep one runs past a mark that is
+		// already set.
+		if _, err := inst.Invoke("f", 3); err != nil {
+			t.Fatal(err)
+		}
+		_, err := inst.InvokeWith(context.Background(), "f", []uint64{0xABCDEF}, CallOptions{MaxCallDepth: 500})
+		if !IsTrap(err, TrapStackOverflow) {
+			t.Fatalf("deep recursion = %v, want TrapStackOverflow", err)
+		}
+		if inst.valsHigh < 500 {
+			t.Fatalf("high-water mark %d after 500 frames", inst.valsHigh)
+		}
+		if err := scrub(); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range inst.vals[:cap(inst.vals)] {
+			if v != 0 {
+				t.Fatalf("%s: arena slot %d = %#x left by the trapped recursion", name, i, v)
+			}
+		}
+		if inst.valsHigh != 0 {
+			t.Fatalf("%s: high-water mark %d, want 0", name, inst.valsHigh)
+		}
 	}
 }
 

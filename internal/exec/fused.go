@@ -202,9 +202,9 @@ func (inst *Instance) fusedALUSlow(op wasm.Opcode, stack []uint64) ([]uint64, er
 func (inst *Instance) fusedMemAddr(variant ir.Op, idx, offset, sz uint64) (uint64, error) {
 	switch variant {
 	case ir.OpLoadG32, ir.OpStoreG32:
-		return inst.addrG32(idx, offset, sz, inst.memSize)
+		return inst.addrG32(idx, offset, sz, inst.memSize, variant == ir.OpStoreG32)
 	case ir.OpLoadG32NC, ir.OpStoreG32NC:
-		return inst.addrG32(idx, offset, sz, uint64(len(inst.mem)))
+		return inst.addrG32(idx, offset, sz, uint64(len(inst.mem)), variant == ir.OpStoreG32NC)
 	case ir.OpLoadB64:
 		return inst.addrB64(idx, offset, sz, false, true, false)
 	case ir.OpLoadB64NC:
@@ -252,7 +252,6 @@ func (inst *Instance) fusedMemLoad(in *ir.Instr, offset, idx uint64) (uint64, er
 // in the dispatch loop): per-variant address translation, write. The
 // EvStore charge happens at the call site, before translation.
 func (inst *Instance) fusedMemStore(in *ir.Instr, idx, val uint64) error {
-	inst.memDirty = true
 	sz := ir.FusedMemSize(in.B)
 	addr, err := inst.fusedMemAddr(ir.FusedMemVariant(in.B), idx, in.A, sz)
 	if err != nil {

@@ -64,7 +64,7 @@ func (inst *Instance) WriteU64(addr, v uint64) error {
 	if err := inst.hostRange(addr, 8); err != nil {
 		return err
 	}
-	inst.memDirty = true
+	inst.dirty.mark(addr, 8)
 	binary.LittleEndian.PutUint64(inst.mem[addr:], v)
 	return nil
 }
@@ -84,7 +84,28 @@ func (inst *Instance) WriteBytes(addr uint64, b []byte) error {
 	if err := inst.hostRange(addr, uint64(len(b))); err != nil {
 		return err
 	}
-	inst.memDirty = true
+	inst.dirty.mark(addr, uint64(len(b)))
 	copy(inst.mem[addr:], b)
+	return nil
+}
+
+// ZeroBytes zeroes n guest bytes starting at addr.
+func (inst *Instance) ZeroBytes(addr, n uint64) error {
+	if err := inst.hostRange(addr, n); err != nil {
+		return err
+	}
+	inst.dirty.mark(addr, n)
+	clear(inst.mem[addr : addr+n])
+	return nil
+}
+
+// CopyBytes copies n guest bytes from src to dst within guest memory
+// (the ranges may overlap).
+func (inst *Instance) CopyBytes(dst, src, n uint64) error {
+	if err := inst.hostRange(max(dst, src), n); err != nil {
+		return err
+	}
+	inst.dirty.mark(dst, n)
+	copy(inst.mem[dst:dst+n], inst.mem[src:src+n])
 	return nil
 }

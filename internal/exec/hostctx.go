@@ -160,7 +160,7 @@ func (m Memory) WriteBytes(p uint64, b []byte) error {
 	if err != nil {
 		return err
 	}
-	m.inst.memDirty = true
+	m.inst.dirty.mark(addr, uint64(len(b)))
 	copy(m.inst.mem[addr:], b)
 	return nil
 }
@@ -189,7 +189,7 @@ func (m Memory) WriteU64(p, v uint64) error {
 	if err != nil {
 		return err
 	}
-	m.inst.memDirty = true
+	m.inst.dirty.mark(addr, 8)
 	binary.LittleEndian.PutUint64(m.inst.mem[addr:], v)
 	return nil
 }
@@ -209,7 +209,7 @@ func (m Memory) WriteU32(p uint64, v uint32) error {
 	if err != nil {
 		return err
 	}
-	m.inst.memDirty = true
+	m.inst.dirty.mark(addr, 4)
 	binary.LittleEndian.PutUint32(m.inst.mem[addr:], v)
 	return nil
 }

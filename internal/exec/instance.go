@@ -208,7 +208,10 @@ type Instance struct {
 	// allocate nothing. arenaTop is the first free arena slot outside
 	// any running dispatch loop — the base a re-entrant invocation (the
 	// embedder, or a host function via HostContext.Call) builds on.
+	// valsHigh is the arena's high-water mark: no slot at or above it has
+	// been written since the last scrub, so the scrub clears only below it.
 	vals          []uint64
+	valsHigh      int
 	frames        []frameRec
 	arenaTop      int
 	maxStackWords uint64
@@ -230,27 +233,14 @@ type Instance struct {
 
 	// Snapshot/restore state (snapshot.go). memUnmap releases the
 	// copy-on-write view backing mem (nil when mem is heap-allocated).
-	// tagsStatic arms the O(1) tag restore fast path: it records that
-	// the last restore left the static no-segments tag layout in place,
-	// and tagRestoreMark is the segment counter value that restore
-	// observed (any segment activity since invalidates the layout).
-	memUnmap       func()
-	tagsStatic     bool
-	tagRestoreMark uint64
-
-	// Memory-clean witness (snapshot.go): lastImage is the snapshot the
-	// last restore left memory equal to, and memDirty records whether
-	// any potentially-writing access happened since — every guest store
-	// path, host write, grow, and fill/copy sets it. While the witness
-	// holds (same image, no writes), a restore can skip the memory
-	// clear+copy entirely, making pooled recycling of a read-mostly
-	// guest O(1) in heap size. memExposed latches permanently once a
-	// raw view escapes via Memory/HostRegion: the caller may retain the
-	// slice and write through it at any time, so such an instance can
-	// never prove its memory clean again.
-	lastImage  *Snapshot
-	memDirty   bool
-	memExposed bool
+	// lastImage is the base image — the snapshot the last restore or
+	// capture left memory and tags equal to, nil before either — and
+	// dirty the pages that may have diverged from it since (dirty.go):
+	// together the restore witness. restoredPages: see RestoredPages.
+	memUnmap      func()
+	lastImage     *Snapshot
+	dirty         dirtySet
+	restoredPages int
 
 	// StartupGranulesTagged records how many granules were tagged at
 	// instantiation (the §7.2 startup-cost experiment).
@@ -260,6 +250,42 @@ type Instance struct {
 // defaultHostReserve is the size of the host-owned region used by
 // sandbox-escape demonstrations.
 const defaultHostReserve = 4096
+
+// memPool recycles heap-backed linear memories between instances,
+// process-wide: at most four buffers of at most memPoolMax bytes each.
+// A pool that spawns right after reclaiming or closing an instance
+// would otherwise turn a multi-MiB memory into garbage per birth: with
+// little else live that is a collection every other spawn, and a fresh
+// buffer whose cost depends on what the scavenger last did with the
+// freed pages. newMemory clears a recycled buffer, whoever held it.
+var memPool = make(chan []byte, 4)
+
+const memPoolMax = 16 << 20
+
+// newMemory returns a zeroed heap buffer of n bytes: the oldest
+// recycled one when it has that size (one of another size is dropped).
+func newMemory(n int) []byte {
+	select {
+	case b := <-memPool:
+		if len(b) == n {
+			clear(b)
+			return b
+		}
+	default:
+	}
+	return make([]byte, n)
+}
+
+// recycleMemory offers b, which nothing may reference anymore, to a
+// later newMemory.
+func recycleMemory(b []byte) {
+	if len(b) <= memPoolMax {
+		select {
+		case memPool <- b:
+		default:
+		}
+	}
+}
 
 // NewInstance validates, links, and instantiates a module.
 func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
@@ -362,6 +388,23 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 		inst.prog = prog
 	}
 
+	// Sandbox tag assignment (Fig. 12b), before anything is allocated: on
+	// an exhausted budget a pool reclaims an idle instance and retries,
+	// and the first attempt should not have built a memory to fail with.
+	if cfg.Features.Sandbox {
+		alloc := cfg.Sandboxes
+		if alloc == nil {
+			alloc = core.NewSandboxAllocator(inst.policy)
+		}
+		tag, err := alloc.Acquire()
+		if err != nil {
+			return nil, err
+		}
+		inst.sandboxes = alloc
+		inst.sandbox = tag
+		inst.heapBase = ptrlayout.WithTag(0, tag)
+	}
+
 	// Memory. Guard programs get the vmem reservation (no host-reserve
 	// region: every byte past the guest prefix is PROT_NONE, which is
 	// the point); everything else gets the heap buffer with the
@@ -396,9 +439,10 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 			inst.memSize = commit
 		case cfg.Snapshot == nil:
 			inst.memSize = initSize
-			inst.mem = make([]byte, inst.memSize+hostReserve)
-			inst.fillHostReserve()
+			inst.mem = newMemory(int(inst.memSize + hostReserve))
 		}
+		inst.dirty.resize(len(inst.mem))
+		inst.fillHostReserve()
 	}
 
 	// MTE state.
@@ -418,27 +462,13 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 		inst.segs.SetLimit(func() uint64 { return inst.memSize })
 	}
 
-	// Sandbox tag assignment (Fig. 12b).
-	if cfg.Features.Sandbox {
-		alloc := cfg.Sandboxes
-		if alloc == nil {
-			alloc = core.NewSandboxAllocator(inst.policy)
-		}
-		tag, err := alloc.Acquire()
-		if err != nil {
+	// Tag the guest linear memory with the sandbox tag (Fig. 12b); the
+	// host reserve stays runtime-tagged (zero).
+	if cfg.Features.Sandbox && inst.memSize > 0 {
+		if err := inst.tags.SetTagRange(0, inst.memSize, inst.sandbox); err != nil {
 			return nil, err
 		}
-		inst.sandboxes = alloc
-		inst.sandbox = tag
-		inst.heapBase = ptrlayout.WithTag(0, tag)
-		// Tag the guest linear memory with the sandbox tag; the host
-		// reserve stays runtime-tagged (zero).
-		if inst.memSize > 0 {
-			if err := inst.tags.SetTagRange(0, inst.memSize, tag); err != nil {
-				return nil, err
-			}
-			inst.StartupGranulesTagged += inst.memSize / mte.GranuleSize
-		}
+		inst.StartupGranulesTagged += inst.memSize / mte.GranuleSize
 	}
 
 	// PAC state.
@@ -485,6 +515,7 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 // region after guest memory, standing in for runtime data a sandbox
 // escape would leak.
 func (inst *Instance) fillHostReserve() {
+	inst.dirty.mark(inst.memSize, uint64(len(inst.mem))-inst.memSize)
 	for i := inst.memSize; i < uint64(len(inst.mem)); i++ {
 		inst.mem[i] = 0x5A
 	}
@@ -529,6 +560,7 @@ func (inst *Instance) initData() error {
 			return fmt.Errorf("exec: data segment [%d, +%d) exceeds memory size %d",
 				d.Offset, len(d.Bytes), inst.memSize)
 		}
+		inst.dirty.mark(d.Offset, uint64(len(d.Bytes)))
 		copy(inst.mem[d.Offset:], d.Bytes)
 	}
 	return nil
@@ -552,10 +584,11 @@ func (inst *Instance) Program() *ir.Program { return inst.prog }
 
 // Memory returns the guest-visible linear memory. The returned slice
 // aliases live instance state and may be retained and written at any
-// time, so calling this permanently disables the clean-memory restore
-// elision for the instance.
+// time — after any later restore too — so calling this marks every
+// page dirty and pins the set: each later restore rewrites the whole
+// memory. Runtime code uses the tracked accessors in host.go instead.
 func (inst *Instance) Memory() []byte {
-	inst.memExposed = true
+	inst.dirty.pinned = true
 	return inst.mem[:inst.memSize]
 }
 
@@ -564,17 +597,14 @@ func (inst *Instance) MemorySize() uint64 { return inst.memSize }
 
 // HostRegion returns the host-owned bytes after the guest memory (used
 // by sandbox-escape demonstrations). Like Memory, the view aliases live
-// state, so it permanently disables the clean-memory restore elision.
+// state, so it marks every page dirty and pins the set.
 func (inst *Instance) HostRegion() []byte {
-	inst.memExposed = true
+	inst.dirty.pinned = true
 	return inst.mem[inst.memSize:]
 }
 
 // Counter returns the instruction-event counter.
 func (inst *Instance) Counter() *arch.Counter { return inst.counter }
-
-// Segments returns the Cage segment manager (nil without MTE features).
-func (inst *Instance) Segments() *core.Segments { return inst.segs }
 
 // Tags returns the MTE tag memory (nil without MTE features).
 func (inst *Instance) Tags() *mte.Memory { return inst.tags }

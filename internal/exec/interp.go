@@ -24,11 +24,15 @@ import (
 // addrG32 is the wasm32 guard-page strategy: 4 GiB reservation + guard
 // pages; no per-access cost. The Go-level check stands in for the MMU.
 // limit is the guest size normally, the whole host mapping when the
-// bounds lowering is (deliberately) buggy.
-func (inst *Instance) addrG32(idx, offset, size, limit uint64) (uint64, error) {
+// bounds lowering is (deliberately) buggy. Like every address function
+// below, a write marks the pages it resolves to in the dirty set.
+func (inst *Instance) addrG32(idx, offset, size, limit uint64, write bool) (uint64, error) {
 	addr := uint64(uint32(idx)) + offset
 	if addr+size > limit || addr+size < addr {
 		return 0, newTrap(TrapOutOfBounds, "address 0x%x+%d (guard page)", addr, size)
+	}
+	if write {
+		inst.dirty.mark(addr, size)
 	}
 	return addr, nil
 }
@@ -38,9 +42,6 @@ func (inst *Instance) addrG32(idx, offset, size, limit uint64) (uint64, error) {
 // host mapping), plus the MTE memory-safety tag check when enabled.
 func (inst *Instance) addrB64(idx, offset, size uint64, write, check, tagCheck bool) (uint64, error) {
 	ctr := inst.counter
-	if write {
-		inst.memDirty = true
-	}
 	full := idx + offset
 	tag := ptrlayout.Tag(full)
 	addr := ptrlayout.Address(ptrlayout.StripTag(full))
@@ -62,6 +63,9 @@ func (inst *Instance) addrB64(idx, offset, size uint64, write, check, tagCheck b
 			return 0, newTrap(TrapTagMismatch, "%v", err)
 		}
 	}
+	if write {
+		inst.dirty.mark(addr, size)
+	}
 	return addr, nil
 }
 
@@ -70,9 +74,6 @@ func (inst *Instance) addrB64(idx, offset, size uint64, write, check, tagCheck b
 // base, and let the tag check catch any escape.
 func (inst *Instance) addrMTE(idx, offset, size uint64, write, mask bool) (uint64, error) {
 	ctr := inst.counter
-	if write {
-		inst.memDirty = true
-	}
 	masked := idx
 	if mask {
 		ctr.Add(arch.EvMask, 1)
@@ -95,6 +96,9 @@ func (inst *Instance) addrMTE(idx, offset, size uint64, write, mask bool) (uint6
 	if err := inst.tags.CheckAccess(addr, size, tag, write); err != nil {
 		return 0, newTrap(TrapTagMismatch, "%v", err)
 	}
+	if write {
+		inst.dirty.mark(addr, size)
+	}
 	return addr, nil
 }
 
@@ -105,16 +109,13 @@ func (inst *Instance) addrMTE(idx, offset, size uint64, write, mask bool) (uint6
 // specialized lowered opcodes instead, which call the same per-mode
 // helpers, so the semantics cannot drift apart.
 func (inst *Instance) effectiveAddr(idx, offset, size uint64, write bool) (uint64, error) {
-	if write {
-		inst.memDirty = true
-	}
 	switch inst.strategy {
 	case stratGuard32:
 		limit := inst.memSize
 		if inst.skipBounds {
 			limit = uint64(len(inst.mem)) // buggy lowering reaches host data
 		}
-		return inst.addrG32(idx, offset, size, limit)
+		return inst.addrG32(idx, offset, size, limit, write)
 	case stratBounds64:
 		return inst.addrB64(idx, offset, size, write, !inst.skipBounds, inst.features.MemSafety)
 	default: // stratMTE64, Fig. 12b / Fig. 13
@@ -206,11 +207,14 @@ func (inst *Instance) memoryGrow(deltaPages uint64) uint64 {
 	if inst.memType.Limits.HasMax && newPages > inst.memType.Limits.Max {
 		return ^uint64(0)
 	}
-	if deltaPages != 0 && inst.memLimitPages != 0 && newPages > inst.memLimitPages {
+	if deltaPages == 0 {
+		// The size-query idiom always succeeds, per wasm semantics, even
+		// under a per-call cap below the current size, and changes nothing.
+		return oldPages
+	}
+	if inst.memLimitPages != 0 && newPages > inst.memLimitPages {
 		// Per-call cap (CallOptions.MemoryLimitPages): fail the grow the
-		// same way an exceeded declared maximum does. A zero-delta grow
-		// (the size-query idiom) always succeeds, per wasm semantics,
-		// even under a cap below the current size.
+		// same way an exceeded declared maximum does.
 		return ^uint64(0)
 	}
 	if newPages > 1<<32 { // 256 TiB cap to keep the simulation sane
@@ -230,7 +234,8 @@ func (inst *Instance) memoryGrow(deltaPages uint64) uint64 {
 		}
 		inst.mem = inst.gmem[:newSize]
 		inst.memSize = newSize
-		inst.memDirty = true
+		inst.dirty.resize(len(inst.mem))
+		inst.dirty.setAll()
 		return oldPages
 	}
 	hostLen := uint64(len(inst.mem)) - inst.memSize
@@ -239,7 +244,8 @@ func (inst *Instance) memoryGrow(deltaPages uint64) uint64 {
 	copy(grown, inst.mem[:inst.memSize])
 	copy(grown[newSize:], inst.mem[inst.memSize:])
 	inst.mem = grown
-	inst.memDirty = true
+	inst.dirty.resize(len(inst.mem))
+	inst.dirty.setAll()
 	oldSize := inst.memSize
 	inst.memSize = newSize
 	if inst.tags != nil {
@@ -331,6 +337,8 @@ func (inst *Instance) segmentNew(ptr, length, offset uint64) (uint64, error) {
 	if err != nil {
 		return 0, newTrap(TrapSegment, "%v", err)
 	}
+	// segment.new zeroes the bytes and retags them.
+	inst.dirty.mark(ptrlayout.Address(tagged), length)
 	return tagged, nil
 }
 
@@ -344,6 +352,7 @@ func (inst *Instance) segmentSetTag(ptr, tagged, length, offset uint64) error {
 	if err != nil {
 		return newTrap(TrapSegment, "%v", err)
 	}
+	inst.dirty.mark(ptrlayout.Address(ptrlayout.StripTag(ptr))+offset, length)
 	return nil
 }
 
@@ -358,6 +367,7 @@ func (inst *Instance) segmentFree(tagged, length, offset uint64) error {
 	if err != nil {
 		return newTrap(TrapSegment, "%v", err)
 	}
+	inst.dirty.mark(ptrlayout.Address(tagged)+offset, length)
 	return nil
 }
 

@@ -56,8 +56,8 @@ func (inst *Instance) ResetState(seed uint64) error {
 	if inst.closed {
 		return fmt.Errorf("exec: reset of closed instance")
 	}
-	// Reset leaves memory at the initial (pre-init) image, not a
-	// snapshot's, so the clean-memory restore witness no longer holds.
+	// Reset leaves memory at the pre-init state, not a snapshot's: the
+	// base image is gone, and the set restarts from the writes below.
 	inst.lastImage = nil
 	// Memory: shrink back to the initial page count if memory.grow ran,
 	// otherwise zero in place (the common, cheap path).
@@ -91,9 +91,7 @@ func (inst *Instance) ResetState(seed uint64) error {
 		// pages, which the next snapshot restore throws away wholesale.
 		clear(inst.mem)
 	}
-	// A full reset rebuilds the tag layout below; the snapshot fast path
-	// must not trust a layout it did not itself establish.
-	inst.tagsStatic = false
+	inst.dirty.resize(len(inst.mem))
 	// Refill the host-reserve pattern in both paths: a previous lifetime
 	// may have corrupted it (async-mode or bounds-check-disabled escape
 	// demos write past memSize), and a recycled instance must be
@@ -133,22 +131,28 @@ func (inst *Instance) ResetState(seed uint64) error {
 		inst.keys = core.NewInstanceKeys(inst.keys.Key, deriveModifier(seed))
 	}
 
-	// Frame-machine state: the arena and frame stack keep their capacity
-	// — that retention is what makes a pooled checkout→call→checkin
-	// cycle steady-state allocation-free — but their contents are
-	// scrubbed so no value from a previous lifetime (dead locals, an
-	// aborted operand stack) is observable in the next one.
+	inst.scrubCallState()
+	return nil
+}
+
+// scrubCallState is the one scrub tail of ResetState and
+// RestoreFromSnapshot. The arena and frame stack keep their capacity —
+// that retention is what makes a pooled checkout→call→checkin cycle
+// steady-state allocation-free — but their contents are scrubbed, up to
+// the arena's high-water mark, so no value from a previous lifetime
+// (dead locals, an aborted operand stack) is observable in the next
+// one. Per-call interruption state never outlives InvokeWith, but a
+// recycled instance must be indistinguishable from a fresh one even if
+// an embedder drove the instance in unexpected ways.
+func (inst *Instance) scrubCallState() {
 	inst.depth = 0
 	inst.arenaTop = 0
 	inst.frames = inst.frames[:0]
-	clear(inst.vals)
-	// Per-call interruption state never outlives InvokeWith, but a reset
-	// instance must be indistinguishable from a fresh one even if an
-	// embedder drove the instance in unexpected ways.
+	clear(inst.vals[:inst.valsHigh])
+	inst.valsHigh = 0
 	inst.meter = nil
 	inst.callCtx = nil
 	inst.memLimitPages = 0
-	return nil
 }
 
 // RunStart runs the module's start function, if any. It is the second
@@ -169,7 +173,8 @@ func (inst *Instance) RunStart() error {
 // Close retires the instance, returning its sandbox tag to the shared
 // allocator so a future instantiation can claim it (the teardown half of
 // the §6.4 tag budget). Close is idempotent; a closed instance must not
-// be invoked or reset again.
+// be invoked or reset again, and must not be closed with a call in
+// flight: its memory may back another instance from here on.
 func (inst *Instance) Close() error {
 	if inst.closed {
 		return nil
@@ -183,6 +188,11 @@ func (inst *Instance) Close() error {
 	// touched again.
 	if inst.tags != nil {
 		inst.tags.AdoptTags(nil, 0)
+	}
+	// A heap buffer goes to the next instance (newMemory) — unless a view
+	// of it escaped, whose holder may still write through it.
+	if inst.gmap == nil && inst.memUnmap == nil && !inst.dirty.pinned {
+		recycleMemory(inst.mem)
 	}
 	inst.mem = nil
 	inst.releaseMapping()

@@ -361,16 +361,30 @@ func (m *Memory) RestoreTags(src []uint8, size uint64, from, to uint8) {
 		m.tags = make([]uint8, len(src))
 		m.adopted = false
 	}
-	copy(m.tags, src)
+	m.size = size
+	m.pending = nil
+	// All of src, not just size bytes' worth: an image captured after a
+	// shrinking reset carries (zero) granules past its size.
+	m.RestoreTagRange(src, 0, uint64(len(src))*GranuleSize, from, to)
+}
+
+// RestoreTagRange is the ranged RestoreTags: it overwrites, in place,
+// the tags of the granules covering data bytes [addr, addr+length) from
+// the same granules of src — a tag image of this memory's size — with
+// the same from→to remap. It is what a page-granular restore calls per
+// dirty page, so it writes through adopted storage too (the view is the
+// instance's live tag array).
+func (m *Memory) RestoreTagRange(src []uint8, addr, length uint64, from, to uint8) {
+	lo, hi := addr/GranuleSize, min(granules(addr+length), uint64(len(m.tags)))
+	dst := m.tags[lo:hi]
+	copy(dst, src[lo:hi])
 	if from != to {
-		for i, t := range m.tags {
+		for i, t := range dst {
 			if t == from {
-				m.tags[i] = to
+				dst[i] = to
 			}
 		}
 	}
-	m.size = size
-	m.pending = nil
 }
 
 // AdoptTags replaces the tag storage with tags (covering size data

@@ -264,3 +264,45 @@ func TestTagStoreOpApply(t *testing.T) {
 		t.Error("st2g must not zero data")
 	}
 }
+
+// TestRestoreTagRange: the ranged restore rewrites exactly the granules
+// covering the byte range, remaps from→to like RestoreTags, clips at the
+// end of the tag array, and writes through adopted storage in place.
+func TestRestoreTagRange(t *testing.T) {
+	const size = 4 * 4096
+	img := NewMemory(size, ModeSync)
+	if err := img.SetTagRange(0, size, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := img.SetTagRange(4096+32, 64, 9); err != nil {
+		t.Fatal(err)
+	}
+	src := img.CloneTags()
+
+	view := make([]uint8, len(src))
+	for i := range view {
+		view[i] = 0xF
+	}
+	m := NewMemory(0, ModeSync)
+	m.AdoptTags(view, size)
+	m.RestoreTagRange(src, 4096, 4096, 3, 5) // page 1 only
+	for a := uint64(0); a < size; a += GranuleSize {
+		want := uint8(0xF)
+		switch {
+		case a >= 4096+32 && a < 4096+96:
+			want = 9
+		case a >= 4096 && a < 8192:
+			want = 5 // remapped 3→5
+		}
+		if got := m.TagAt(a); got != want {
+			t.Fatalf("granule %#x: tag %#x, want %#x", a, got, want)
+		}
+	}
+	if view[4096/GranuleSize] != 5 {
+		t.Error("ranged restore did not write through the adopted storage")
+	}
+	m.RestoreTagRange(src, 3*4096, 2*4096, 3, 3) // runs past the end: clipped
+	if got := m.TagAt(size - GranuleSize); got != 3 {
+		t.Errorf("last granule: tag %#x, want 3", got)
+	}
+}

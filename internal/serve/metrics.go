@@ -127,14 +127,24 @@ func cacheSnapshot(s engine.CacheStats) CacheSnapshot {
 
 // SnapshotCacheSnapshot mirrors engine.SnapshotCacheStats with JSON
 // tags: the snapshot cache's hit/miss/entry counters plus how many
-// instance checkouts were served by forking a cached image.
+// instance checkouts were served by forking a cached image, how many of
+// those installed the whole image, and how many pages the others
+// rewrote in place (zero for a call that wrote nothing: the elided
+// restore).
 type SnapshotCacheSnapshot struct {
 	CacheSnapshot
-	Restores uint64 `json:"restores"`
+	Restores      uint64 `json:"restores"`
+	RestoredPages uint64 `json:"restored_pages"`
+	FullInstalls  uint64 `json:"full_installs"`
 }
 
 func snapshotCacheSnapshot(s engine.SnapshotCacheStats) SnapshotCacheSnapshot {
-	return SnapshotCacheSnapshot{CacheSnapshot: cacheSnapshot(s.CacheStats), Restores: s.Restores}
+	return SnapshotCacheSnapshot{
+		CacheSnapshot: cacheSnapshot(s.CacheStats),
+		Restores:      s.Restores,
+		RestoredPages: s.RestoredPages,
+		FullInstalls:  s.FullInstalls,
+	}
 }
 
 // ModuleStats is one module's /v1/stats entry.
@@ -250,6 +260,10 @@ func (s *Stats) writeProm(w io.Writer) {
 
 	fmt.Fprintf(w, "# TYPE cage_snapshot_restores_total counter\n")
 	fmt.Fprintf(w, "cage_snapshot_restores_total %d\n", s.Snapshots.Restores)
+	fmt.Fprintf(w, "# TYPE cage_snapshot_restored_pages_total counter\n")
+	fmt.Fprintf(w, "cage_snapshot_restored_pages_total %d\n", s.Snapshots.RestoredPages)
+	fmt.Fprintf(w, "# TYPE cage_snapshot_full_installs_total counter\n")
+	fmt.Fprintf(w, "cage_snapshot_full_installs_total %d\n", s.Snapshots.FullInstalls)
 	fmt.Fprintf(w, "# TYPE cage_snapshot_restore_mode gauge\n")
 	fmt.Fprintf(w, "cage_snapshot_restore_mode{mode=%q} 1\n", s.RestoreMode)
 	fmt.Fprintf(w, "# TYPE cage_dispatch_mode gauge\n")

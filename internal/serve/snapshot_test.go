@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -100,6 +101,11 @@ func TestInitSnapshotChargedOnce(t *testing.T) {
 	if stats.Snapshots.Restores == 0 {
 		t.Error("no checkout was served by forking the snapshot")
 	}
+	// ... and what the forks cost: at least the first spawn installed the
+	// whole image, and every other restore is accounted in pages.
+	if fi := stats.Snapshots.FullInstalls; fi == 0 || fi > stats.Snapshots.Restores {
+		t.Errorf("full_installs = %d of %d restores, want 1..restores", fi, stats.Snapshots.Restores)
+	}
 	if stats.RestoreMode != "copy" && stats.RestoreMode != "cow" {
 		t.Errorf("restore_mode = %q, want copy or cow", stats.RestoreMode)
 	}
@@ -116,6 +122,8 @@ func TestInitSnapshotChargedOnce(t *testing.T) {
 	for _, w := range []string{
 		`cage_cache_misses_total{cache="snapshot"}`,
 		`# TYPE cage_snapshot_restores_total counter`,
+		fmt.Sprintf("cage_snapshot_restored_pages_total %d\n", stats.Snapshots.RestoredPages),
+		fmt.Sprintf("cage_snapshot_full_installs_total %d\n", stats.Snapshots.FullInstalls),
 		`cage_snapshot_restore_mode{mode="` + stats.RestoreMode + `"} 1`,
 	} {
 		if !strings.Contains(prom, w) {

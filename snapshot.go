@@ -176,7 +176,7 @@ func (e *Engine) NewFromSnapshot(s *Snapshot) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.snapshots.NoteRestore()
+	e.snapshots.NoteRestore(inst.inst.RestoredPages())
 	return inst, nil
 }
 
@@ -264,12 +264,16 @@ func (e *Engine) captureBaseline(m *Module, inst *Instance) {
 
 // SnapshotStats snapshots the engine's snapshot-cache counters: cache
 // hits/misses/entries plus the number of forks served from cached
-// images.
+// images, how many of them installed a whole image, and how many pages
+// the others rewrote in place.
 func (e *Engine) SnapshotStats() engine.SnapshotCacheStats { return e.snapshots.Stats() }
 
-// RestoreMode names the restore fast path this build uses: "cow" under
-// the cagecow build tag on Linux (forks map a copy-on-write view of the
-// frozen image), "copy" otherwise (forks bulk-copy it).
+// RestoreMode names how this build installs an image into an instance
+// that does not hold it yet: "cow" under the cagecow build tag on Linux
+// (forks map a copy-on-write view of the frozen image), "copy" otherwise
+// (forks copy its written pages into a fresh buffer). A pooled reset of
+// an instance that already holds the image rewrites only the pages its
+// call dirtied, on either build.
 func (e *Engine) RestoreMode() string { return exec.SnapshotRestoreMode() }
 
 // SetAutoSnapshot enables or disables the automatic post-start baseline
