@@ -2,8 +2,11 @@ package cage
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+
+	"cage/internal/exec"
 )
 
 const quickProgram = `
@@ -231,5 +234,41 @@ long f(long x) { return x * 2; }`)
 		if _, err := inst.Invoke("poke", 1<<30); err == nil {
 			t.Fatalf("instance %d escaped its sandbox", i)
 		}
+	}
+}
+
+// TestLoweredProgramCacheHitAllocs: every instance birth asks for the
+// module's lowered program, and on a hit that must cost what spelling
+// the cache key costs — the variant string — never a hash over the
+// fusion profile (Profile.ID is computed once per profile).
+func TestLoweredProgramCacheHitAllocs(t *testing.T) {
+	if raceTestEnabled {
+		t.Skip("race detector instruments allocations; the gate runs in the non-race suite")
+	}
+	cfg := FullHardening()
+	mod, err := NewToolchain(cfg).CompileSource("long add(long a, long b) { return a + b; }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime(cfg)
+	ecfg := exec.Config{Features: cfg.features()}
+	first, err := rt.loweredProgram(mod, ecfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hits = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < hits; i++ {
+		if p, err := rt.loweredProgram(mod, ecfg); err != nil || p != first {
+			t.Fatalf("hit %d: program %p, %v; want the cached %p", i, p, err, first)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / hits; per >= 512 {
+		t.Errorf("a program-cache hit allocates %d bytes, want < 512", per)
+	}
+	if st := rt.ProgramCacheStats(); st.Misses != 1 || st.Hits < hits {
+		t.Errorf("program cache: %d misses, %d hits; want 1 and at least %d", st.Misses, st.Hits, hits)
 	}
 }

@@ -346,7 +346,7 @@ func (e *Engine) Stats() EngineStats {
 	return EngineStats{
 		Cache:     e.modules.Stats(),
 		Programs:  e.rt.ProgramCacheStats(),
-		Snapshots: e.snapshots.Stats(),
+		Snapshots: e.SnapshotStats(),
 		Pools:     e.pools.Stats(),
 	}
 }

@@ -234,3 +234,38 @@ func TestSnapshotStatsReportRestoreCost(t *testing.T) {
 			st.Restores, st.FullInstalls, st.RestoredPages)
 	}
 }
+
+// TestSnapshotStatsReportBirths pins what makes storage recycling visible
+// to an operator. Under full there is one sandbox tag, so alternating
+// two modules makes every call reclaim the sibling and give birth to an
+// instance, and from the second call on each birth runs on the storage
+// the sibling just retired. (Under cagecow forks map views of the image,
+// which count as neither recycled nor fresh.)
+func TestSnapshotStatsReportBirths(t *testing.T) {
+	eng := NewEngine(FullHardening())
+	defer eng.Close()
+	ctx := context.Background()
+	var mods []*Module
+	for _, k := range []int{2, 3} {
+		mod, err := eng.CompileSource(fmt.Sprintf("long add(long a, long b) { return a + b + %d - %d; }", k, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mods = append(mods, mod)
+	}
+	before := eng.SnapshotStats()
+	const calls = 12
+	for i := 0; i < calls; i++ {
+		if res, err := eng.Call(ctx, mods[i%2], "add", []uint64{3, 4}); err != nil || res.Values[0] != 7 {
+			t.Fatalf("call %d: %v, %v", i, res, err)
+		}
+	}
+	st := eng.Stats()
+	if st.Pools.Spawned != calls {
+		t.Fatalf("%d calls spawned %d instances, want one each", calls, st.Pools.Spawned)
+	}
+	recycled, fresh := st.Snapshots.BirthsRecycled-before.BirthsRecycled, st.Snapshots.BirthsFresh-before.BirthsFresh
+	if eng.RestoreMode() == "copy" && (recycled < calls-1 || recycled+fresh != calls) {
+		t.Errorf("%d births: %d on recycled storage, %d on fresh; want all but the first recycled", calls, recycled, fresh)
+	}
+}

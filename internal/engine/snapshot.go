@@ -39,6 +39,13 @@ type SnapshotCacheStats struct {
 	// an image, a reset after memory.grow. Restores − FullInstalls is
 	// the number of in-place restores RestoredPages is spread over.
 	FullInstalls uint64
+	// BirthsRecycled and BirthsFresh count the instance births that ran
+	// on a retired instance's storage (memory and tag array scrubbed by
+	// the pages it wrote) and on newly made storage. The cache does not
+	// see births: the embedder fills these in from its instance layer,
+	// where they are process-wide.
+	BirthsRecycled uint64
+	BirthsFresh    uint64
 }
 
 // GetOrBuild returns the cached snapshot for key, building (capturing)

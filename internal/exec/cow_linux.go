@@ -36,18 +36,21 @@ type cowImage struct {
 
 // newCOWImage materializes s's image, or returns nil when the kernel
 // refuses anything (the caller then falls back to copy restores — a
-// snapshot never fails just because COW is unavailable). Only the spans
-// are written: the rest of the file is a hole, which reads as the zeros
-// the image has there.
-func newCOWImage(s *Snapshot) *cowImage {
+// snapshot never fails just because COW is unavailable). Of the memory
+// only the spans are written: the rest of the file is a hole, which
+// reads as the zeros the image has there. The tag region has no such
+// default — its pristine value is the sandbox tag, not zero — so it is
+// written whole from tags, the capturing instance's live tag array:
+// the one part of a capture still O(memory) on this build.
+func newCOWImage(s *Snapshot, tags []uint8) *cowImage {
 	name := []byte("cage-snapshot\x00")
 	fd, _, errno := syscall.Syscall(sysMemfdCreate,
 		uintptr(unsafe.Pointer(&name[0])), mfdCloexec|mfdAllowSealing, 0)
 	if errno != 0 {
 		return nil
 	}
-	img := &cowImage{fd: int(fd), memLen: s.memLen, tagLen: len(s.tags)}
-	ok := syscall.Ftruncate(img.fd, int64(img.memLen+img.tagLen)) == nil && img.writeAll(s.tags, int64(s.memLen))
+	img := &cowImage{fd: int(fd), memLen: s.memLen, tagLen: len(tags)}
+	ok := syscall.Ftruncate(img.fd, int64(img.memLen+img.tagLen)) == nil && img.writeAll(tags, int64(s.memLen))
 	for _, sp := range s.spans {
 		ok = ok && img.writeAll(s.mem[sp.at:sp.at+sp.end-sp.off], int64(sp.off))
 	}

@@ -5,7 +5,7 @@ package exec
 import "errors"
 
 // snapshotRestoreMode: without the cagecow build tag (or off Linux)
-// snapshots install by copying their spans into a fresh buffer.
+// snapshots install by copying their spans onto pristine storage.
 const snapshotRestoreMode = "copy"
 
 // cowImage is the stub image: never materialized, never mappable. The
@@ -13,7 +13,7 @@ const snapshotRestoreMode = "copy"
 // this build compiles out the mmap machinery entirely.
 type cowImage struct{}
 
-func newCOWImage(s *Snapshot) *cowImage { return nil }
+func newCOWImage(s *Snapshot, tags []uint8) *cowImage { return nil }
 
 func (c *cowImage) mapView() (mem, tags []byte, unmap func(), err error) {
 	return nil, nil, nil, errors.ErrUnsupported

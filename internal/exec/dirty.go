@@ -10,14 +10,17 @@ const (
 // dirtySet is the instance's restore witness: one bit per page of
 // inst.mem, host reserve included. A set bit means the page's bytes or
 // its tag granules may differ from the base image — Instance.lastImage,
-// or the pre-init state (zero bytes, the instantiation tag layout) while
-// that is nil. Every path that resolves an address for writing marks
-// the set, so RestoreFromSnapshot rewrites exactly the pages a call
-// touched and Snapshot captures exactly the pages initialisation wrote.
-// Two coarser states are states of the set, not extra flags: setAll
-// (memory.grow, MarkMemoryDirty) dirties every page until the next
-// clear, and pinned keeps every page dirty for good — a raw memory view
-// escaped and can be written behind the runtime's back at any time.
+// or the pristine layout (zero bytes, the instantiation tag layout;
+// storage.go) while that is nil. Every path that resolves an address for
+// writing marks the set, so RestoreFromSnapshot rewrites exactly the
+// pages a call touched, Snapshot captures exactly the pages
+// initialisation wrote, and the next holder of the instance's storage
+// scrubs exactly the pages this one wrote. Two coarser states are states
+// of the set, not extra flags: setAll (memory.grow, MarkMemoryDirty)
+// dirties every page until the next clear, and pinned keeps every page
+// dirty for good, and the storage out of the recycling pool — a raw
+// memory view escaped and can be written behind the runtime's back at
+// any time.
 type dirtySet struct {
 	bits   []uint64
 	pages  int

@@ -139,17 +139,18 @@
 // view can be written through after any later restore.
 //
 // RestoreFromSnapshot of the same image at the same size is one loop
-// over the dirty page runs, rewriting bytes and (with MTE) tag runs from
-// the image, on every build: zero iterations after a call that wrote
-// nothing, every page for a pinned instance, in place over the private
-// mapping under cagecow. Anything else — a spawn, a new image, a grown
-// memory — installs the whole image; SnapshotRestoreMode reports how:
+// over the dirty page runs, on every build: each run gets the pristine
+// layout (below) and then the image's spans inside it, bytes and — with
+// MTE — tags. Zero iterations after a call that wrote nothing, every
+// page for a pinned instance, in place over the private mapping under
+// cagecow. Anything else — a spawn, a new image, a grown memory —
+// installs the whole image; SnapshotRestoreMode reports how:
 //
-//   - default ("copy"): a zeroed buffer plus a copy of the image's
-//     spans, the page runs that can be non-zero (few, post-init). The
-//     buffer is a closed instance's when one of that size is at hand
-//     (memPool), cleared; instantiation without an image looks there
-//     too.
+//   - default ("copy"): pristine storage plus a copy of the image's
+//     spans, the page runs that can differ from the layout (few,
+//     post-init). The storage is the instance's own when it is
+//     heap-backed and has the image's size, else a retired instance's
+//     or a new one; see the next section.
 //   - cagecow && linux && (amd64 || arm64) ("cow"): capture also seals
 //     the image into a memfd, and each install maps it MAP_PRIVATE —
 //     O(1)-ish in heap size; pages are copied by the kernel only when
@@ -160,10 +161,62 @@
 //
 // A guard-region instance (cageguard) keeps its reservation: install is
 // recommit, clear, copy spans. Snapshot reads the same set — only dirty
-// pages (and the base image's spans) can be non-zero, so the image
-// stores just those, back to back, and nothing for the zeros between
-// them (under cagecow they are holes in the memfd) — and arms the
-// witness: the instance equals its image.
+// pages (and the base image's spans) can differ from the layout, so the
+// image stores just those, back to back, and nothing for the pages
+// between them (under cagecow they are holes in the memfd) — and arms
+// the witness: the instance equals its image.
+//
+// # Storage, the pristine layout and the written set
+//
+// One rule: birth never loops over memory. What a heap-backed instance
+// owns besides its small state is its storage (storage.go): the linear
+// memory, the tag array (one byte per granule, handed to mte.Memory with
+// AdoptTags), and the written set — the pages whose bytes or tags may
+// differ from the pristine layout: zero bytes; tags equal to the
+// holder's sandbox tag over [0, memSize) and 0 over the host reserve
+// (all 0 without sandboxing). For a live instance the written set is its
+// dirty set plus its base image's spans: every page after memory.grow or
+// MarkMemoryDirty, and every page for good once Memory() or HostRegion()
+// let a raw view escape.
+//
+// Storage outlives the instance. Close hands it to memPool — at most
+// four, process-wide — unless the instance is pinned (the view's holder
+// may still write), a copy-on-write view or a guard mapping. A birth
+// that needs storage of that size (and tag array) takes the oldest and
+// scrubs it: it clears the bytes and re-lays the tags of the written
+// page runs, and refills the whole tag array — with mte.FillTags, at
+// memmove speed — only when the layout itself changes hands, that is
+// when the taker's sandbox tag or guest size differs from the retiree's.
+// Storage of another shape is dropped and the birth makes its own, laid
+// out by the same fill. NewInstance (which therefore charges
+// StartupGranulesTagged for the §7.2 stg loop without running it on the
+// host), ResetState and the copy install all start from pristine storage
+// and then write what they would have written anyway: the host-reserve
+// pattern, data segments, an image's spans. An instance that needs
+// pristine storage of its own size — a reset without growth, a pooled
+// checkin onto a newly registered image — scrubs the storage it already
+// has instead of dropping it. BirthStats counts births on recycled and
+// on newly made storage.
+//
+// The scrub is as sound as the dirty set: a page a write path failed to
+// mark would reach the next tenant. FuzzRestoreSoundness therefore ends
+// every random sequence by retiring the instances and comparing a fresh
+// birth and a fork of a foreign image on the recycled storage, whole
+// memory and whole tag array, with the same births on never-used
+// storage.
+//
+// Snapshot.tags is stored by span for the same reason Snapshot.mem is:
+// outside the spans an image is the pristine layout, so a capture copies
+// the tags of the pages initialisation wrote — not 1/16 of the memory —
+// an install overlays them on pristine storage (remapping the capturing
+// instance's sandbox tag to the taker's), and an image retains kilobytes,
+// not the 0.4 MB per 6.6 MB memory a whole tag image took. What is still
+// O(memory): under cagecow the memfd's tag region has no zero default
+// (the layout's tag is not 0), so capture writes it whole from the live
+// tag array, and a fork under another sandbox tag remaps its whole view;
+// on every build memory.grow copies the old memory and MarkMemoryDirty
+// or a pinned instance restores every page. Kernel-provided dirty bits
+// and the backend merge (ROADMAP item 1) are what remove those.
 //
 // Reset-semantics migration note: Reset always rotates the PAC
 // modifier, so pointers signed in a previous lifetime fail
@@ -181,7 +234,7 @@
 //
 //   - NewInstance      — instantiation: linking, lowering, sandbox-tag
 //     assignment and whole-memory tagging (Fig. 12b, the §7.2 startup
-//     cost)
+//     cost: charged to the model, laid by the storage's tag layout)
 //   - Instance.Invoke  — execution with the Fig. 7/10/11 instruction
 //     extension (segment.*, i64.pointer_sign / i64.pointer_auth);
 //     InvokeWith adds context interruption and per-call fuel, stack,
@@ -192,10 +245,10 @@
 //     machine's arena
 //   - Instance.Snapshot / RestoreFromSnapshot — Wizer-style
 //     pre-initialization: freeze the post-init state once, fork every
-//     later instance from the image (copy or MAP_PRIVATE COW install,
-//     dirty-page restores thereafter)
+//     later instance from the image (span copy onto pristine storage or
+//     MAP_PRIVATE COW install, dirty-page restores thereafter)
 //   - Instance.Close   — teardown returning the sandbox tag to the
-//     §6.4/§7.4 budget
+//     §6.4/§7.4 budget and the storage to the next birth
 //   - Trap             — the trap taxonomy embedders classify violations
 //     with (tag mismatch, auth failure, bounds, segment misuse,
 //     stack overflow)

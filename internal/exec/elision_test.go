@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"cage/internal/core"
@@ -223,6 +224,7 @@ func TestRestoreAfterSegmentNewOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	imgTags := bytes.Clone(inst.tags.Tags())
 	for _, tc := range []struct {
 		name   string
 		segNew func() error
@@ -240,7 +242,7 @@ func TestRestoreAfterSegmentNewOnly(t *testing.T) {
 		if got, err := inst.ReadBytes(256, 8); err != nil || !bytes.Equal(got, m.Datas[0].Bytes) {
 			t.Fatalf("%s segment.new: bytes after restore = %v, %v; want the data segment", name, got, err)
 		}
-		if !bytes.Equal(inst.tags.CloneTags(), snap.tags) {
+		if !bytes.Equal(inst.tags.Tags(), imgTags) {
 			t.Fatalf("%s segment.new: tags after restore differ from the image", name)
 		}
 	}
@@ -286,58 +288,181 @@ func TestDirtyRestoreZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSnapshotStoresWrittenPagesOnly: an image keeps the bytes of its
-// spans and nothing for the zero pages between them, and still restores
-// and forks every byte — the stored ones and the zeros.
+// TestSnapshotStoresWrittenPagesOnly: an image keeps the bytes — and with
+// MTE the tags — of its spans and nothing for the pristine pages between
+// them, and still restores and forks every byte and every granule: the
+// stored ones, the zeros and the layout.
 func TestSnapshotStoresWrittenPagesOnly(t *testing.T) {
+	for _, tc := range elisionFeatures {
+		t.Run(tc.name, func(t *testing.T) {
+			m := elisionModule()
+			m.Mems[0].Limits.Min = 4 // 64 pages of 4 KiB, plus the host reserve
+			cfg := Config{Features: tc.feats, Sandboxes: core.NewSandboxAllocator(core.NewPolicy(tc.feats))}
+			inst, err := NewInstance(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer inst.Close()
+			_ = inst.WriteU64(3*dirtyPageSize-4, 0x1122334455667788) // straddles pages 2 and 3
+			_ = inst.WriteU64(40*dirtyPageSize, 7)
+			wantGranules := 0
+			if inst.tags != nil {
+				wantGranules = 4 * dirtyPageSize / mte.GranuleSize
+				if _, err := inst.HostSegmentNew(40*dirtyPageSize+64, 48); err != nil && tc.feats.MemSafety {
+					t.Fatal(err)
+				}
+			}
+			want, wantTags := bytes.Clone(inst.mem), bytes.Clone(inst.tagArray())
+			snap, err := inst.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Close()
+			if len(snap.spans) != 3 || len(snap.mem) != 4*dirtyPageSize || snap.memLen != len(want) || len(snap.tags) != wantGranules {
+				t.Fatalf("image stores %d bytes and %d tags in %d spans for a %d-byte memory; want 4 pages and %d tags in 3 spans (2 pages, 1 page, the host reserve)",
+					len(snap.mem), len(snap.tags), len(snap.spans), snap.memLen, wantGranules)
+			}
+			// Dirty the far half of a span, a whole span and two pages the image
+			// holds nothing for; the restore must bring back bytes and zeros.
+			for _, addr := range []uint64{3*dirtyPageSize + 8, 40 * dirtyPageSize, 17 * dirtyPageSize, 63 * dirtyPageSize} {
+				_ = inst.WriteU64(addr, ^uint64(0))
+			}
+			if inst.tags != nil {
+				_, _ = inst.HostSegmentNew(17*dirtyPageSize, 4*dirtyPageSize) // a span-less run, retagged
+				_, _ = inst.HostSegmentNew(40*dirtyPageSize, 256)             // over the image's segment
+			}
+			if err := inst.RestoreFromSnapshot(snap, 1); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(inst.mem, want) || !bytes.Equal(inst.tagArray(), wantTags) {
+				t.Fatal("memory or tags after a dirty-page restore differ from the captured instance's")
+			}
+			cfg.Snapshot = snap
+			fork, err := NewInstance(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fork.Close()
+			if !bytes.Equal(fork.mem, want) ||
+				!bytes.Equal(fork.tagArray(), remapTags(wantTags, inst.sandbox, fork.sandbox)) {
+				t.Fatal("memory or tags of a fork differ from the captured instance's")
+			}
+		})
+	}
+}
+
+// TestInstallNewImageReusesStorage: an instance that meets a new image of
+// its own size — a pooled checkin after Engine.Snapshot(..., WithInit…)
+// registered one — scrubs its own storage by the pages it wrote and
+// copies the image's spans onto it. It used to leave its multi-MiB
+// buffer to the collector and take another.
+func TestInstallNewImageReusesStorage(t *testing.T) {
+	cfg := Config{Features: core.Features{MemSafety: true, MTEMode: mte.ModeSync}}
 	m := elisionModule()
-	m.Mems[0].Limits.Min = 4 // 64 pages of 4 KiB, plus the host reserve
-	inst, err := NewInstance(m, Config{})
+	inst, err := NewInstance(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer inst.Close()
-	_ = inst.WriteU64(3*dirtyPageSize-4, 0x1122334455667788) // straddles pages 2 and 3
-	_ = inst.WriteU64(40*dirtyPageSize, 7)
-	want := bytes.Clone(inst.mem)
+	if _, err := inst.Snapshot(); err != nil { // the image it holds: the post-start state
+		t.Fatal(err)
+	}
+	other, err := NewInstance(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	_ = other.WriteU64(3*dirtyPageSize, 0xB)
+	if _, err := other.HostSegmentNew(5*dirtyPageSize, 64); err != nil {
+		t.Fatal(err)
+	}
+	image, err := other.Snapshot() // a different image of the same size
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer image.Close()
+
+	_ = inst.WriteU64(7*dirtyPageSize, 0xA)
+	if _, err := inst.HostSegmentNew(9*dirtyPageSize, 4096); err != nil {
+		t.Fatal(err)
+	}
+	buf := &inst.mem[0]
+	if err := inst.RestoreFromSnapshot(image, 1); err != nil {
+		t.Fatal(err)
+	}
+	if inst.RestoredPages() != -1 {
+		t.Errorf("a restore to a new image rewrote %d pages in place, want a whole-image install", inst.RestoredPages())
+	}
+	if SnapshotRestoreMode() == "copy" && &inst.mem[0] != buf {
+		t.Error("the install replaced the instance's memory instead of reusing it")
+	}
+	if !bytes.Equal(inst.mem, other.mem) {
+		t.Error("memory after the install differs from the new image")
+	}
+	for a := uint64(0); a < other.Tags().Size(); a += mte.GranuleSize {
+		if got, want := inst.Tags().TagAt(a), other.Tags().TagAt(a); got != want {
+			t.Fatalf("granule at %#x has tag %#x after the install, the new image %#x", a, got, want)
+		}
+	}
+}
+
+// TestBirthFromRecycledStorageAllocBytes is the gate that keeps O(memory)
+// off the spawn path: under full there is one sandbox tag, so every
+// module switch closes an instance and forks the next, and with the
+// retiree's storage at hand that birth allocates the instance and its
+// small state — not a memory, a tag array or a page set. CI runs it
+// without -race beside the other allocation gates.
+func TestBirthFromRecycledStorageAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations; the gate runs in the non-race suite")
+	}
+	m := elisionModule()
+	m.Mems[0].Limits = wasm.Limits{Min: 101, Max: 128, HasMax: true} // the benchmark modules' 6.6 MB
+	cfg := Config{Features: core.CageAll(), Sandboxes: core.NewSandboxAllocator(core.NewPolicy(core.CageAll()))}
+	prog, err := LowerModule(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Program = prog
+	inst, err := NewInstance(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap, err := inst.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	if len(snap.spans) != 3 || len(snap.mem) != 4*dirtyPageSize || snap.memLen != len(want) {
-		t.Fatalf("image stores %d bytes in %d spans for a %d-byte memory; want 4 pages in 3 spans (2 pages, 1 page, the host reserve)",
-			len(snap.mem), len(snap.spans), snap.memLen)
+	cfg.Snapshot = snap
+	const cycles = 100
+	var before, after runtime.MemStats
+	var recycled uint64
+	for i := -3; i < cycles; i++ { // three cycles of warm-up
+		if i == 0 {
+			runtime.ReadMemStats(&before)
+			recycled, _ = BirthStats()
+		}
+		inst.Close()
+		if inst, err = NewInstance(m, cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Dirty the far half of a span, a whole span and two pages the image
-	// holds nothing for; the restore must bring back bytes and zeros.
-	for _, addr := range []uint64{3*dirtyPageSize + 8, 40 * dirtyPageSize, 17 * dirtyPageSize, 63 * dirtyPageSize} {
-		_ = inst.WriteU64(addr, ^uint64(0))
+	runtime.ReadMemStats(&after)
+	defer inst.Close()
+	if perBirth := (after.TotalAlloc - before.TotalAlloc) / cycles; perBirth >= 64<<10 {
+		t.Errorf("a close + fork cycle of a %d-byte memory allocates %d bytes, want < 64 KiB", len(inst.mem), perBirth)
 	}
-	if err := inst.RestoreFromSnapshot(snap, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(inst.mem, want) {
-		t.Fatal("memory after a dirty-page restore differs from the captured memory")
-	}
-	fork, err := NewInstance(m, Config{Snapshot: snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fork.Close()
-	if !bytes.Equal(fork.mem, want) {
-		t.Fatal("memory of a fork differs from the captured memory")
+	if now, _ := BirthStats(); SnapshotRestoreMode() == "copy" && now-recycled != cycles {
+		t.Errorf("%d of %d births ran on recycled storage, want all", now-recycled, cycles)
 	}
 }
 
-// TestRecycledMemoryIsZero: a closed instance's heap buffer backs the
-// next instance of that size, which must see none of the bytes left in
-// it; a buffer a Memory() view escaped from is never handed on, because
-// its holder may still write through the view.
+// TestRecycledMemoryIsZero: a closed instance's storage backs the next
+// instance of that size, which must see none of the bytes left in it; a
+// buffer a Memory() view escaped from is never handed on, because its
+// holder may still write through the view.
 func TestRecycledMemoryIsZero(t *testing.T) {
-	for len(memPool) > 0 { // earlier tests' buffers, of other sizes
-		<-memPool
-	}
+	drainMemPool() // earlier tests' buffers, of other sizes
 	m := elisionModule()
 	first, err := NewInstance(m, Config{})
 	if err != nil {

@@ -251,42 +251,6 @@ type Instance struct {
 // sandbox-escape demonstrations.
 const defaultHostReserve = 4096
 
-// memPool recycles heap-backed linear memories between instances,
-// process-wide: at most four buffers of at most memPoolMax bytes each.
-// A pool that spawns right after reclaiming or closing an instance
-// would otherwise turn a multi-MiB memory into garbage per birth: with
-// little else live that is a collection every other spawn, and a fresh
-// buffer whose cost depends on what the scavenger last did with the
-// freed pages. newMemory clears a recycled buffer, whoever held it.
-var memPool = make(chan []byte, 4)
-
-const memPoolMax = 16 << 20
-
-// newMemory returns a zeroed heap buffer of n bytes: the oldest
-// recycled one when it has that size (one of another size is dropped).
-func newMemory(n int) []byte {
-	select {
-	case b := <-memPool:
-		if len(b) == n {
-			clear(b)
-			return b
-		}
-	default:
-	}
-	return make([]byte, n)
-}
-
-// recycleMemory offers b, which nothing may reference anymore, to a
-// later newMemory.
-func recycleMemory(b []byte) {
-	if len(b) <= memPoolMax {
-		select {
-		case memPool <- b:
-		default:
-		}
-	}
-}
-
 // NewInstance validates, links, and instantiates a module.
 func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 	if err := wasm.Validate(m); err != nil {
@@ -405,9 +369,27 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 		inst.heapBase = ptrlayout.WithTag(0, tag)
 	}
 
+	// MTE state, before the memory: the tag array is part of the
+	// instance's storage and arrives with it.
+	if cfg.Features.MemSafety || cfg.Features.Sandbox {
+		mode := cfg.Features.MTEMode
+		if mode == mte.ModeDisabled {
+			mode = mte.ModeSync
+		}
+		inst.tags = mte.NewMemory(0, mode)
+		if cfg.Seed != 0 {
+			inst.tags.Seed(cfg.Seed)
+		}
+		if err := inst.tags.SetExcludeMask(inst.policy.IRGExclude); err != nil {
+			return nil, err
+		}
+		inst.segs = core.NewSegments(inst.tags, inst.policy, func() []byte { return inst.mem })
+		inst.segs.SetLimit(func() uint64 { return inst.memSize })
+	}
+
 	// Memory. Guard programs get the vmem reservation (no host-reserve
 	// region: every byte past the guest prefix is PROT_NONE, which is
-	// the point); everything else gets the heap buffer with the
+	// the point); everything else gets heap storage with the
 	// host-reserve tail.
 	hostReserve := cfg.HostReserve
 	if hostReserve == 0 {
@@ -419,9 +401,9 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 	inst.hostReserve = hostReserve
 	if len(m.Mems) > 0 {
 		// When restoring from a snapshot the image supplies the memory
-		// (and its tag layout) wholesale; allocating and tagging here
-		// would be thrown away — but a guard instance still needs its
-		// reservation (RestoreFromSnapshot commits into it).
+		// (and its tag layout) wholesale; taking storage here would be
+		// thrown away — but a guard instance still needs its reservation
+		// (RestoreFromSnapshot commits into it).
 		initSize := inst.memType.Limits.Min * wasm.PageSize
 		switch {
 		case inst.prog.Cfg.Guard:
@@ -437,38 +419,17 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 			inst.gmem = gm.Bytes()
 			inst.mem = inst.gmem[:commit]
 			inst.memSize = commit
+			inst.dirty.resize(len(inst.mem))
 		case cfg.Snapshot == nil:
-			inst.memSize = initSize
-			inst.mem = newMemory(int(inst.memSize + hostReserve))
+			// Pristine storage already carries the sandbox tag over the
+			// guest memory (Fig. 12b; the host reserve stays
+			// runtime-tagged, zero): the stg loop is charged, not run.
+			inst.setPristine(int(initSize+hostReserve), initSize)
+			if cfg.Features.Sandbox {
+				inst.StartupGranulesTagged += initSize / mte.GranuleSize
+			}
 		}
-		inst.dirty.resize(len(inst.mem))
 		inst.fillHostReserve()
-	}
-
-	// MTE state.
-	if cfg.Features.MemSafety || cfg.Features.Sandbox {
-		mode := cfg.Features.MTEMode
-		if mode == mte.ModeDisabled {
-			mode = mte.ModeSync
-		}
-		inst.tags = mte.NewMemory(uint64(len(inst.mem)), mode)
-		if cfg.Seed != 0 {
-			inst.tags.Seed(cfg.Seed)
-		}
-		if err := inst.tags.SetExcludeMask(inst.policy.IRGExclude); err != nil {
-			return nil, err
-		}
-		inst.segs = core.NewSegments(inst.tags, inst.policy, func() []byte { return inst.mem })
-		inst.segs.SetLimit(func() uint64 { return inst.memSize })
-	}
-
-	// Tag the guest linear memory with the sandbox tag (Fig. 12b); the
-	// host reserve stays runtime-tagged (zero).
-	if cfg.Features.Sandbox && inst.memSize > 0 {
-		if err := inst.tags.SetTagRange(0, inst.memSize, inst.sandbox); err != nil {
-			return nil, err
-		}
-		inst.StartupGranulesTagged += inst.memSize / mte.GranuleSize
 	}
 
 	// PAC state.
@@ -586,7 +547,8 @@ func (inst *Instance) Program() *ir.Program { return inst.prog }
 // aliases live instance state and may be retained and written at any
 // time — after any later restore too — so calling this marks every
 // page dirty and pins the set: each later restore rewrites the whole
-// memory. Runtime code uses the tracked accessors in host.go instead.
+// memory, and Close does not hand the storage to another instance.
+// Runtime code uses the tracked accessors in host.go instead.
 func (inst *Instance) Memory() []byte {
 	inst.dirty.pinned = true
 	return inst.mem[:inst.memSize]

@@ -19,13 +19,15 @@ func deriveModifier(seed uint64) uint64 {
 // can recycle it instead of paying full re-instantiation (validation,
 // import resolution, function precompilation, memory allocation). It
 //
-//   - restores the linear memory to its initial size, zeroes it, and
-//     replays the module's data segments,
+//   - restores the linear memory to its initial size, zeroes what the
+//     previous lifetime wrote, and replays the module's data segments,
 //   - restores globals and the indirect-call table from their
 //     initializers,
-//   - re-zeroes all MTE tags, reseeds the deterministic tag generator
-//     from seed, clears any latched asynchronous fault, and re-tags the
-//     guest memory with the instance's sandbox tag (Fig. 12b),
+//   - returns the MTE tags to the instantiation layout — the guest
+//     memory under the instance's sandbox tag (Fig. 12b), the tag
+//     storage following the memory back to its initial size — reseeds
+//     the deterministic tag generator from seed, and clears any latched
+//     asynchronous fault,
 //   - re-derives the PAC modifier from seed (unless the embedder pinned
 //     one at instantiation), invalidating pointers signed in the
 //     previous lifetime (§6.3),
@@ -56,11 +58,7 @@ func (inst *Instance) ResetState(seed uint64) error {
 	if inst.closed {
 		return fmt.Errorf("exec: reset of closed instance")
 	}
-	// Reset leaves memory at the pre-init state, not a snapshot's: the
-	// base image is gone, and the set restarts from the writes below.
-	inst.lastImage = nil
-	// Memory: shrink back to the initial page count if memory.grow ran,
-	// otherwise zero in place (the common, cheap path).
+	// Memory and tags: back to the pristine layout at the initial size.
 	var initSize uint64
 	if len(inst.module.Mems) > 0 {
 		initSize = inst.memType.Limits.Min * wasm.PageSize
@@ -76,26 +74,22 @@ func (inst *Instance) ResetState(seed uint64) error {
 		inst.mem = inst.gmem[:initSize]
 		inst.memSize = initSize
 		clear(inst.mem)
-	case inst.memSize != initSize:
-		// Replacing the buffer abandons any copy-on-write view backing
-		// it; detach the tag array from the view first (the tag scrub
-		// below still writes through it), then unmap.
-		if inst.tags != nil {
-			inst.tags.EnsurePrivate()
-		}
-		inst.mem = make([]byte, initSize+inst.hostReserve)
-		inst.memSize = initSize
-		inst.releaseMapping()
-	default:
-		// In place — if mem is a copy-on-write view this dirties private
-		// pages, which the next snapshot restore throws away wholesale.
-		clear(inst.mem)
+		inst.dirty.resize(len(inst.mem))
+	case len(inst.module.Mems) > 0:
+		// The instance's own storage when it is heap-backed and still has
+		// the initial size, scrubbed by the pages it wrote; after a
+		// memory.grow, or on a copy-on-write view, another one — memory
+		// and tag array together.
+		inst.setPristine(int(initSize+inst.hostReserve), initSize)
 	}
-	inst.dirty.resize(len(inst.mem))
-	// Refill the host-reserve pattern in both paths: a previous lifetime
-	// may have corrupted it (async-mode or bounds-check-disabled escape
-	// demos write past memSize), and a recycled instance must be
-	// indistinguishable from a fresh one.
+	// Reset leaves memory at the pre-init state, not a snapshot's: the
+	// base image (whose spans the scrub above still needed) is gone, and
+	// the set restarts from the writes below.
+	inst.lastImage = nil
+	// Refill the host-reserve pattern: a previous lifetime may have
+	// corrupted it (async-mode or bounds-check-disabled escape demos write
+	// past memSize), and a recycled instance must be indistinguishable
+	// from a fresh one.
 	inst.fillHostReserve()
 
 	// Globals, table + element segments, data segments — the same
@@ -108,19 +102,16 @@ func (inst *Instance) ResetState(seed uint64) error {
 		return err
 	}
 
-	// MTE state: fresh tags, fresh randomness, no latched faults.
+	// MTE state: fresh randomness, no latched faults. The guest memory
+	// carries the sandbox tag again (Fig. 12b) — pristine storage does —
+	// and re-tagging is the same cost center as the §7.2 startup
+	// experiment: charge it to the timing model.
 	if inst.tags != nil {
-		inst.tags.ZeroAllTags()
 		if seed != 0 {
 			inst.tags.Seed(seed)
 		}
 		inst.tags.PendingFault()
 		if inst.features.Sandbox && inst.memSize > 0 {
-			if err := inst.tags.SetTagRange(0, inst.memSize, inst.sandbox); err != nil {
-				return err
-			}
-			// Re-tagging is the same cost center as the §7.2 startup
-			// experiment; charge it to the timing model.
 			inst.counter.Add(arch.EvSTGGranule, inst.memSize/mte.GranuleSize)
 		}
 	}
@@ -172,9 +163,11 @@ func (inst *Instance) RunStart() error {
 
 // Close retires the instance, returning its sandbox tag to the shared
 // allocator so a future instantiation can claim it (the teardown half of
-// the §6.4 tag budget). Close is idempotent; a closed instance must not
-// be invoked or reset again, and must not be closed with a call in
-// flight: its memory may back another instance from here on.
+// the §6.4 tag budget) and its storage — memory, tag array, written page
+// set — to the next birth of its size. Close is idempotent; a closed
+// instance must not be invoked or reset again, and must not be closed
+// with a call in flight: its memory and tags may back another instance
+// from here on.
 func (inst *Instance) Close() error {
 	if inst.closed {
 		return nil
@@ -183,18 +176,17 @@ func (inst *Instance) Close() error {
 	if inst.sandboxes != nil && inst.sandbox != core.RuntimeTag {
 		inst.sandboxes.Release(inst.sandbox)
 	}
-	// Release the copy-on-write view, if any. The memory and any adopted
-	// tag array become unreferencable; a closed instance must not be
-	// touched again.
+	// Heap storage — memory, tag array and the set of pages this instance
+	// wrote — goes to the next instance of its size (newStorage), unless a
+	// view of the memory escaped; a copy-on-write view is released.
+	// Either way the memory and the tag array become unreferencable here:
+	// a closed instance must not be touched again.
+	st := inst.heapStorage()
 	if inst.tags != nil {
 		inst.tags.AdoptTags(nil, 0)
 	}
-	// A heap buffer goes to the next instance (newMemory) — unless a view
-	// of it escaped, whose holder may still write through it.
-	if inst.gmap == nil && inst.memUnmap == nil && !inst.dirty.pinned {
-		recycleMemory(inst.mem)
-	}
 	inst.mem = nil
+	st.recycle()
 	inst.releaseMapping()
 	if inst.gmap != nil {
 		inst.gmem = nil

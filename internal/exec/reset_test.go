@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"testing"
 
 	"cage/internal/core"
@@ -95,6 +96,62 @@ func TestResetClearsTagsAndLatchedFaults(t *testing.T) {
 		t.Errorf("latched fault survived reset: %v", f)
 	}
 	_ = tagged
+}
+
+// TestResetAfterGrowShrinksTagStorage: a reset after a grown lifetime
+// takes the memory back to its initial size, and the tag storage must
+// follow it — memory and tag array travel together — or Tags().Size()
+// stays at the grown size and a capture taken afterwards carries
+// granules (the grown lifetime's segment tags among them) past the end
+// of its image. A fork of such a capture must be a fresh instance, byte
+// for byte and granule for granule.
+func TestResetAfterGrowShrinksTagStorage(t *testing.T) {
+	cfg := Config{Features: core.Features{MemSafety: true, MTEMode: mte.ModeSync}, Seed: 1}
+	m := resetTestModule()
+	inst, err := NewInstance(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	if old := inst.GrowMemory(2); old == ^uint64(0) {
+		t.Fatal("grow failed")
+	}
+	if _, err := inst.HostSegmentNew(2*wasm.PageSize+64, 32); err != nil { // in the grown part
+		t.Fatal(err)
+	}
+	if err := inst.ResetState(2); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := inst.Tags().Size(), inst.MemorySize()+inst.hostReserve; got != want {
+		t.Fatalf("after a shrinking reset the tag storage covers %d bytes, the memory has %d", got, want)
+	}
+	snap, err := inst.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	fresh, err := NewInstance(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	cfg.Snapshot = snap
+	fork, err := NewInstance(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fork.Close()
+	if !bytes.Equal(fork.mem, fresh.mem) {
+		t.Error("memory of a fork of the post-reset capture differs from a fresh instance's")
+	}
+	if got, want := fork.Tags().Size(), fresh.Tags().Size(); got != want {
+		t.Fatalf("fork's tag storage covers %d bytes, a fresh instance's %d", got, want)
+	}
+	for a := uint64(0); a < fresh.Tags().Size(); a += mte.GranuleSize {
+		if got, want := fork.Tags().TagAt(a), fresh.Tags().TagAt(a); got != want {
+			t.Fatalf("granule at %#x: fork has tag %#x, a fresh instance %#x", a, got, want)
+		}
+	}
 }
 
 // TestCloseReleasesTagAndRejectsReset checks teardown: Close returns

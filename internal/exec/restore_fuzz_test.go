@@ -2,8 +2,11 @@ package exec
 
 // Restore soundness as a property (ROADMAP item 3): after any sequence
 // of writes through any channel, the dirty set covers every page whose
-// bytes or tags differ from the base image, and a restore leaves memory
-// and tags equal to the image. elision_test.go attacks the set one
+// bytes or tags differ from the base image, a restore leaves memory and
+// tags equal to the image, a reset leaves them equal to a fresh
+// instance's, and — the sequence over, the instance retired — a birth on
+// its recycled storage is byte for byte and granule for granule the
+// birth on never-used storage. elision_test.go attacks the set one
 // channel at a time; this file attacks it with seeded random sequences
 // over every channel, feature set and dispatch tier, and is the fuzz
 // target CI runs under each build-tag set.
@@ -131,10 +134,17 @@ type restoreRig struct {
 	rng  *rand.Rand
 	inst *Instance
 	snap *Snapshot
-	// img is a copy of the memory snap was captured from: what every
-	// restore and fork of snap must reproduce, held apart from however
-	// the snapshot stores it.
-	img []byte
+	// img and imgTags are copies of the memory and the tag array snap was
+	// captured from: what every restore and fork of snap must reproduce,
+	// held apart from however the snapshot stores them.
+	img     []byte
+	imgTags []uint8
+	// fresh and freshTags are the memory and tag array of a just-born
+	// instance on never-used storage, under sandbox tag freshTag: what
+	// ResetState must bring back.
+	fresh     []byte
+	freshTags []uint8
+	freshTag  uint8
 	// segs are the tagged pointers segment.new handed out (16..8192
 	// bytes each); stores through them hit retagged memory.
 	segs []uint64
@@ -290,7 +300,7 @@ func (r *restoreRig) step() {
 			r.fail("snapshot: %v", err)
 		}
 		r.t.Cleanup(snap.Close)
-		r.snap, r.img = snap, bytes.Clone(inst.mem)
+		r.setImage(snap)
 		r.checkEqualsImage("after capture")
 	case 25:
 		if rng.Intn(4) == 0 {
@@ -299,6 +309,7 @@ func (r *restoreRig) step() {
 				r.fail("reset: %v", err)
 			}
 			r.segs = r.segs[:0]
+			r.checkEquals("after ResetState", r.fresh, remapTags(r.freshTags, r.freshTag, inst.sandbox))
 		}
 	default:
 		if r.snap != nil {
@@ -314,16 +325,30 @@ func (r *restoreRig) step() {
 	}
 }
 
+// setImage makes snap, just captured from r.inst, the rig's base image.
+func (r *restoreRig) setImage(snap *Snapshot) {
+	r.snap, r.img, r.imgTags = snap, bytes.Clone(r.inst.mem), nil
+	if r.inst.tags != nil {
+		r.imgTags = bytes.Clone(r.inst.tags.Tags())
+	}
+}
+
+// remapTags returns a copy of tags with every granule tagged from
+// retagged to: a tag array as an instance of another sandbox holds it.
+func remapTags(tags []uint8, from, to uint8) []uint8 {
+	out := bytes.Clone(tags)
+	for i, tg := range out {
+		if tg == from {
+			out[i] = to
+		}
+	}
+	return out
+}
+
 // expectedTags is the image's tag array as this instance must hold it:
 // the capturing instance's sandbox tag remapped to its own.
 func (r *restoreRig) expectedTags() []uint8 {
-	want := bytes.Clone(r.snap.tags)
-	for i, tg := range want {
-		if tg == r.snap.sandbox {
-			want[i] = r.inst.sandbox
-		}
-	}
-	return want
+	return remapTags(r.imgTags, r.snap.sandbox, r.inst.sandbox)
 }
 
 // restore checks the witness — when the restore will take the dirty-page
@@ -335,7 +360,7 @@ func (r *restoreRig) restore() {
 	if inst.lastImage == s && inst.memSize == s.memSize {
 		var tags, want []uint8
 		if inst.tags != nil {
-			tags, want = inst.tags.CloneTags(), r.expectedTags()
+			tags, want = inst.tags.Tags(), r.expectedTags()
 		}
 		for p := 0; p < inst.dirty.pages; p++ {
 			off, end := p<<dirtyPageShift, min((p+1)<<dirtyPageShift, len(inst.mem))
@@ -355,30 +380,172 @@ func (r *restoreRig) restore() {
 }
 
 func (r *restoreRig) checkEqualsImage(when string) {
-	inst, s := r.inst, r.snap
-	if inst.memSize != s.memSize {
-		r.fail("%s: memory size %d, image %d", when, inst.memSize, s.memSize)
+	if r.inst.memSize != r.snap.memSize {
+		r.fail("%s: memory size %d, image %d", when, r.inst.memSize, r.snap.memSize)
 	}
-	// A guard-region instance has no host reserve; the image may.
-	if !bytes.Equal(inst.mem, r.img[:len(inst.mem)]) {
-		for p := 0; p<<dirtyPageShift < len(inst.mem); p++ {
-			off, end := p<<dirtyPageShift, min((p+1)<<dirtyPageShift, len(inst.mem))
-			if !bytes.Equal(inst.mem[off:end], r.img[off:end]) {
-				r.fail("%s: bytes of page %d differ from the image", when, p)
+	r.checkEquals(when, r.img, r.expectedTags())
+}
+
+// checkEquals compares the instance's whole memory and whole tag array
+// with mem and tags.
+func (r *restoreRig) checkEquals(when string, mem []byte, tags []uint8) {
+	r.t.Helper()
+	r.compare(when, r.inst.mem, mem, r.inst.tagArray(), tags)
+}
+
+// compare fails on the first page whose bytes, or granule whose tag,
+// differs. A guard-region instance has no host reserve; what it is
+// compared with may.
+func (r *restoreRig) compare(when string, mem, wantMem []byte, tags, wantTags []uint8) {
+	r.t.Helper()
+	if len(mem) > len(wantMem) {
+		r.fail("%s: memory of %d bytes, want %d", when, len(mem), len(wantMem))
+	}
+	if !bytes.Equal(mem, wantMem[:len(mem)]) {
+		for p := 0; p<<dirtyPageShift < len(mem); p++ {
+			off, end := p<<dirtyPageShift, min((p+1)<<dirtyPageShift, len(mem))
+			if !bytes.Equal(mem[off:end], wantMem[off:end]) {
+				r.fail("%s: bytes of page %d differ", when, p)
 			}
 		}
 	}
-	if inst.tags != nil {
-		got, want := inst.tags.CloneTags(), r.expectedTags()
-		if len(got) != len(want) {
-			r.fail("%s: %d tag granules, image has %d", when, len(got), len(want))
-		}
-		for g := range got {
-			if got[g] != want[g] {
-				r.fail("%s: granule %d (page %d) has tag %#x, image %#x", when, g, g/256, got[g], want[g])
-			}
+	if len(tags) != len(wantTags) {
+		r.fail("%s: %d tag granules, want %d", when, len(tags), len(wantTags))
+	}
+	for g := range tags {
+		if tags[g] != wantTags[g] {
+			r.fail("%s: granule %d (page %d) has tag %#x, want %#x", when, g, g/256, tags[g], wantTags[g])
 		}
 	}
+}
+
+// drainMemPool empties the recycling list, so the next birth runs on
+// never-used storage.
+func drainMemPool() {
+	for len(memPool) > 0 {
+		<-memPool
+	}
+}
+
+// rebirth is the retire → rebirth step that ends a sequence: whatever the
+// instances under test went through, closing them hands their storage to
+// the next birth of that size, scrubbed by the pages they wrote and not
+// whole, and nothing of theirs may reach it. Each retiree is closed in
+// front of one of two births — a fresh instantiation, and a fork of an
+// image neither retiree ever held — whose whole memory and whole tag
+// array must equal those of the same birth on never-used storage. Under
+// per-instance sandbox tags the retiree's tag is kept busy, so the taker
+// draws another and the tag layout itself has to change hands.
+func (r *restoreRig) rebirth(m *wasm.Module, cfg Config, builder *Instance) {
+	rng := r.rng
+	cfg.Snapshot = nil
+	other := r.otherImage(m, cfg)
+	kinds := []*Snapshot{nil, other} // fresh instantiation, fork of other
+	retirees := []*Instance{r.inst}
+	if builder != r.inst {
+		retirees = append(retirees, builder)
+	}
+	if rng.Intn(2) == 0 {
+		slices.Reverse(kinds)
+	}
+	if rng.Intn(2) == 0 {
+		slices.Reverse(retirees)
+	}
+	// born instantiates, notes what it holds, and retires again.
+	born := func() held {
+		inst, err := NewInstance(m, cfg)
+		if err != nil {
+			r.fail("rebirth: %v", err)
+		}
+		defer inst.Close()
+		return holdings(inst)
+	}
+	perInstanceTags := core.NewPolicy(cfg.Features).MaxSandboxes > 1 && cfg.Features.Sandbox
+	for i, kind := range kinds {
+		cfg.Snapshot = kind
+		when := "fresh birth"
+		if kind != nil {
+			when = "fork of another image"
+		}
+		// Past the last retiree the pool holds the previous reference
+		// birth's storage: a retiree too, if a dull one.
+		var retired held
+		if i < len(retirees) {
+			retired = holdings(retirees[i])
+			r.log = append(r.log, fmt.Sprintf("retire (%d bytes, pinned=%v), %s", len(retired.mem), retired.pinned, when))
+			drainMemPool()
+			retirees[i].Close()
+			if perInstanceTags {
+				if _, err := cfg.Sandboxes.Acquire(); err != nil { // the lowest free tag: the retiree's
+					r.fail("rebirth: %v", err)
+				}
+			}
+		}
+		got := born()
+		drainMemPool()
+		want := born()
+		if got.tag != want.tag {
+			r.fail("%s: the two births drew sandbox tags %d and %d", when, got.tag, want.tag)
+		}
+		r.compare(when+" on recycled storage", got.mem, want.mem, got.tags, want.tags)
+		if !retired.heap {
+			continue // no retiree, or an unmapped view, whose address may be mapped again
+		}
+		if perInstanceTags && got.tag == retired.tag {
+			r.fail("%s: the taker drew the retiree's sandbox tag %d", when, got.tag)
+		}
+		// Handed on exactly when nothing can still write through it and
+		// the taker wants that size on the heap.
+		if handOn := !retired.pinned && got.heap && len(got.mem) == len(retired.mem); (got.buf == retired.buf) != handOn {
+			r.fail("%s: retiree's storage (%d bytes, pinned=%v) handed to the taker (%d bytes, heap=%v): %v, want %v",
+				when, len(retired.mem), retired.pinned, len(got.mem), got.heap, got.buf == retired.buf, handOn)
+		}
+	}
+}
+
+// held is what an instance holds at one moment: where its memory is and
+// on what backend, whether a view of it escaped, its sandbox tag, and
+// copies of the whole memory and tag array.
+type held struct {
+	buf          *byte
+	heap, pinned bool
+	tag          uint8
+	mem          []byte
+	tags         []uint8
+}
+
+func holdings(inst *Instance) held {
+	return held{&inst.mem[0], inst.gmap == nil && inst.memUnmap == nil, inst.dirty.pinned, inst.sandbox,
+		bytes.Clone(inst.mem), bytes.Clone(inst.tagArray())}
+}
+
+// otherImage captures an image no instance of the sequence ever held,
+// from a private instance that wrote a few pages of its own. When the
+// instance under test has grown, so has this one: the image's forks are
+// then the takers a grown memory can be handed to.
+func (r *restoreRig) otherImage(m *wasm.Module, cfg Config) *Snapshot {
+	cfg.Sandboxes = core.NewSandboxAllocator(core.NewPolicy(cfg.Features))
+	inst, err := NewInstance(m, cfg)
+	if err != nil {
+		r.fail("other image: %v", err)
+	}
+	defer inst.Close()
+	if r.inst.memSize > inst.memSize {
+		inst.GrowMemory((r.inst.memSize - inst.memSize) / wasm.PageSize)
+	}
+	pages := int(inst.memSize / dirtyPageSize)
+	for i := 0; i < 3; i++ {
+		_ = inst.WriteU64(uint64(r.rng.Intn(pages))*dirtyPageSize+dirtyPageSize-4, r.rng.Uint64()|1) // straddles
+		if inst.tags != nil {
+			_, _ = inst.HostSegmentNew(uint64(r.rng.Intn(pages))*dirtyPageSize+uint64(r.rng.Intn(200))*16, uint64(1+r.rng.Intn(300))*16)
+		}
+	}
+	other, err := inst.Snapshot()
+	if err != nil {
+		r.fail("other image: %v", err)
+	}
+	r.t.Cleanup(other.Close)
+	return other
 }
 
 // runRestoreSequence drives one seeded sequence on one configuration.
@@ -401,12 +568,14 @@ func runRestoreSequence(t *testing.T, name string, seed uint64, mem64 bool, feat
 		}
 		cfg.Program = fuse.Fuse(prog, nil)
 	}
+	drainMemPool()
 	builder, err := NewInstance(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { builder.Close() })
 	r := &restoreRig{t: t, name: name, rng: rng, inst: builder, expose: seed&12 == 0}
+	r.fresh, r.freshTags, r.freshTag = bytes.Clone(builder.mem), bytes.Clone(builder.tagArray()), builder.sandbox
 	// Initialise a little, capture, and drive either the capturing
 	// instance (the capture armed its witness) or a fork of the image
 	// (installed; under sandboxing with a different sandbox tag, so tag
@@ -414,11 +583,12 @@ func runRestoreSequence(t *testing.T, name string, seed uint64, mem64 bool, feat
 	for i := 0; i < 4; i++ {
 		r.step()
 	}
-	if r.snap, err = builder.Snapshot(); err != nil {
+	snap, err := builder.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.snap.Close)
-	r.img = bytes.Clone(builder.mem)
+	t.Cleanup(snap.Close)
+	r.setImage(snap)
 	r.checkEqualsImage("after first capture")
 	if seed&2 != 0 && feats != core.CageAll() { // the combined mode has one sandbox tag
 		cfg.Snapshot = r.snap
@@ -433,6 +603,12 @@ func runRestoreSequence(t *testing.T, name string, seed uint64, mem64 bool, feat
 		r.step()
 	}
 	r.restore()
+	// A few more steps, so that the retirees below are not always just
+	// restored ones.
+	for i := 0; i < 8; i++ {
+		r.step()
+	}
+	r.rebirth(m, cfg, builder)
 }
 
 // TestRestoreToolboxFusesStore keeps the fused tier of the sequences

@@ -13,7 +13,10 @@ import (
 // memory (plus the host reserve), memory size, globals, the indirect
 // call table, the MTE tag image and generator state, the PAC instance
 // keys, and the §7.2/§7.4 accounting needed to make a restored instance
-// indistinguishable from the one captured. Snapshots are immutable once
+// indistinguishable from the one captured. Memory and tags are stored
+// by span: the page runs the captured instance's storage had written.
+// Outside them the image is the pristine layout (storage.go) and stores
+// nothing. Snapshots are immutable once
 // taken and safe to restore from concurrently — that is what lets one
 // post-initialization image fan out to a whole pool (Wizer-style
 // pre-initialization: run the expensive start/init once, fork the
@@ -48,23 +51,26 @@ type Snapshot struct {
 	// authenticating.
 	signedPtrs bool
 
-	// MTE state (zero without MTE features). tags is the whole tag image,
-	// one byte per granule of mem (256 per page).
+	// MTE state (zero without MTE features). tags holds the tags of spans,
+	// back to back like mem, one byte per granule (256 per page): the
+	// tags of mem[at:] start at tags[at/GranuleSize]. Outside the spans the
+	// image's tags are sandbox over [0, memSize) and 0 over the host
+	// reserve, and are not stored.
 	tags            []uint8
 	tagRng          uint64
 	granulesTagged  uint64
 	tagsGenerated   uint64
 	startupGranules uint64
 
-	// spans are the page runs of the image that may be non-zero: what the
-	// captured instance had written since its own base image, plus that
-	// image's spans. A post-init image is mostly zeros, so an install
-	// into a zeroed buffer copies only these.
+	// spans are the page runs of the image that may differ from the
+	// pristine layout: what the captured instance had written since its
+	// own base image, plus that image's spans. A post-init image is mostly
+	// pristine, so an install onto pristine storage copies only these.
 	spans []memSpan
 
-	// cow is the mmap-backed copy-on-write image ([mem | tags] in one
-	// sealed memfd); nil when the build or kernel cannot provide one,
-	// in which case installs copy the spans.
+	// cow is the mmap-backed copy-on-write image (the whole memory and
+	// the whole tag array in one sealed memfd); nil when the build or
+	// kernel cannot provide one, in which case installs copy the spans.
 	cow *cowImage
 }
 
@@ -75,8 +81,8 @@ type memSpan struct{ off, end, at int }
 // SnapshotRestoreMode names how this build installs an image: "cow"
 // when the cagecow build tag is active on Linux (installs map a
 // MAP_PRIVATE view of the frozen image), "copy" otherwise (installs
-// copy the image's spans into a fresh buffer). Restores of the image an
-// instance already holds rewrite its dirty pages on every build.
+// copy the image's spans onto pristine storage). Restores of the image
+// an instance already holds rewrite its dirty pages on every build.
 func SnapshotRestoreMode() string { return snapshotRestoreMode }
 
 // MemorySize returns the guest-visible memory size of the image.
@@ -98,10 +104,11 @@ func (s *Snapshot) Close() {
 // (snapshots are taken between calls, never during one). The instance
 // remains fully usable afterwards; the snapshot shares nothing with it.
 //
-// Only the pages in the dirty set (and the base image's spans) can be
-// non-zero, so only those are stored: capture costs, and the image
-// retains, what initialisation wrote. The instance then equals the
-// image, so the capture arms its restore witness (lastImage, empty set).
+// Only the pages in the dirty set (and the base image's spans) can
+// differ from the pristine layout, so only their bytes and tags are
+// stored: capture costs, and the image retains, what initialisation
+// wrote. The instance then equals the image, so the capture arms its
+// restore witness (lastImage, empty set).
 func (inst *Instance) Snapshot() (*Snapshot, error) {
 	if inst.closed {
 		return nil, fmt.Errorf("exec: snapshot of closed instance")
@@ -123,27 +130,23 @@ func (inst *Instance) Snapshot() (*Snapshot, error) {
 
 		startupGranules: inst.StartupGranulesTagged,
 	}
-	// The base image's spans join the set (which is cleared below).
-	if base := inst.lastImage; base != nil {
-		for _, sp := range base.spans {
-			if end := min(sp.end, memLen); sp.off < end {
-				inst.dirty.mark(uint64(sp.off), uint64(end-sp.off))
-			}
-		}
-	}
-	for lo, hi := inst.dirty.nextRun(0); lo < hi; lo, hi = inst.dirty.nextRun(hi) {
-		sp := memSpan{lo << dirtyPageShift, min(hi<<dirtyPageShift, memLen), len(s.mem)}
-		s.mem = append(s.mem, inst.mem[sp.off:sp.end]...)
-		s.spans = append(s.spans, sp)
-	}
+	tags := inst.tagArray()
 	if inst.tags != nil {
-		s.tags = inst.tags.CloneTags()
 		s.tagRng = inst.tags.RandState()
 		s.granulesTagged = inst.segs.GranulesTagged
 		s.tagsGenerated = inst.segs.TagsGenerated
 	}
+	inst.markBaseSpans() // the set is cleared below
+	for lo, hi := inst.dirty.nextRun(0); lo < hi; lo, hi = inst.dirty.nextRun(hi) {
+		sp := memSpan{lo << dirtyPageShift, min(hi<<dirtyPageShift, memLen), len(s.mem)}
+		s.mem = append(s.mem, inst.mem[sp.off:sp.end]...)
+		s.spans = append(s.spans, sp)
+		if tags != nil {
+			s.tags = append(s.tags, tags[sp.off/mte.GranuleSize:granules(sp.end)]...)
+		}
+	}
 	if memLen > 0 {
-		s.cow = newCOWImage(s)
+		s.cow = newCOWImage(s, tags)
 	}
 	inst.lastImage = s
 	inst.dirty.clear()
@@ -226,17 +229,16 @@ func (inst *Instance) RestoreFromSnapshot(s *Snapshot, seed uint64) error {
 }
 
 // restoreDirty is the in-place leg of RestoreFromSnapshot: it makes the
-// bytes (and with MTE the tag run) of every dirty page run equal to the
-// image again, empties the set, and returns how many pages it rewrote.
+// bytes (and with MTE the tags) of every dirty page run equal to the
+// image again — the pristine layout, then the image's spans inside the
+// run — empties the set, and returns how many pages it rewrote.
 func (inst *Instance) restoreDirty(s *Snapshot) int {
-	pages, memLen := 0, len(inst.mem)
+	pages, memLen, tags := 0, len(inst.mem), inst.tagArray()
 	for lo, hi := inst.dirty.nextRun(0); lo < hi; lo, hi = inst.dirty.nextRun(hi) {
 		off, end := lo<<dirtyPageShift, min(hi<<dirtyPageShift, memLen)
 		clear(inst.mem[off:end])
-		s.copySpans(inst.mem, off, end)
-		if inst.tags != nil {
-			inst.tags.RestoreTagRange(s.tags, uint64(off), uint64(end-off), s.sandbox, inst.sandbox)
-		}
+		layTags(tags, off, end, inst.sandbox, inst.memSize)
+		s.copySpans(inst, off, end)
 		pages += hi - lo
 	}
 	inst.dirty.clear()
@@ -246,11 +248,6 @@ func (inst *Instance) restoreDirty(s *Snapshot) int {
 // installImage is the whole-image leg of RestoreFromSnapshot: it gives
 // the instance a memory and tag array equal to s, sized for it.
 func (inst *Instance) installImage(s *Snapshot) error {
-	// The previous mapping (if any) must outlive every read from state
-	// that may still alias it; it is released at the end.
-	oldUnmap := inst.memUnmap
-	inst.memUnmap = nil
-	var cowTags []uint8
 	if inst.gmap != nil {
 		// Guard-region backend: the reservation must never be replaced by
 		// a COW view or a heap buffer — the guard handlers index gmem
@@ -260,51 +257,57 @@ func (inst *Instance) installImage(s *Snapshot) error {
 		if err := inst.gmap.SetCommitted(s.memSize); err != nil {
 			return err
 		}
-		inst.mem = inst.gmem[:s.memSize]
+		inst.mem, inst.memSize = inst.gmem[:s.memSize], s.memSize
+		inst.dirty.resize(len(inst.mem))
 		clear(inst.mem)
-	} else {
-		if s.cow != nil {
-			if mem, tagView, unmap, err := s.cow.mapView(); err == nil {
-				inst.mem, cowTags, inst.memUnmap = mem, tagView, unmap
+		s.copySpans(inst, 0, len(inst.mem))
+		return nil
+	}
+	inst.hostReserve = uint64(s.memLen) - s.memSize
+	if s.cow != nil {
+		if mem, tagView, unmap, err := s.cow.mapView(); err == nil {
+			// The private view holds the whole image; its tag region — the
+			// capturing instance's tag array — is adopted without copying
+			// and, where the sandbox identities differ, remapped in place.
+			inst.heapStorage().recycle()
+			oldUnmap := inst.memUnmap
+			inst.mem, inst.memSize, inst.memUnmap = mem, s.memSize, unmap
+			inst.dirty.resize(len(mem))
+			if inst.tags != nil {
+				inst.tags.AdoptTags(tagView, uint64(s.memLen))
+				if s.sandbox != inst.sandbox {
+					inst.tags.RestoreTagRange(tagView, 0, uint64(s.memLen), s.sandbox, inst.sandbox)
+				}
 			}
+			if oldUnmap != nil {
+				oldUnmap() // nothing references the previous view anymore
+			}
+			return nil
 		}
-		if inst.memUnmap == nil {
-			inst.mem = newMemory(s.memLen) // zeroed: only the spans need copying
-		}
-		inst.hostReserve = uint64(s.memLen) - s.memSize
 	}
-	if inst.memUnmap == nil {
-		s.copySpans(inst.mem, 0, len(inst.mem))
-	}
-	inst.memSize = s.memSize
-	inst.dirty.resize(len(inst.mem))
-	switch size := uint64(s.memLen); {
-	case inst.tags == nil:
-	case cowTags != nil:
-		// The private view's tag region is adopted without copying.
-		inst.tags.AdoptTags(cowTags, size)
-		if s.sandbox != inst.sandbox {
-			inst.tags.RestoreTagRange(s.tags, 0, uint64(len(s.tags))*mte.GranuleSize, s.sandbox, inst.sandbox)
-		}
-	default:
-		inst.tags.RestoreTags(s.tags, size, s.sandbox, inst.sandbox)
-	}
-	if oldUnmap != nil {
-		oldUnmap()
-	}
+	inst.setPristine(s.memLen, s.memSize)
+	s.copySpans(inst, 0, s.memLen)
 	return nil
 }
 
-// copySpans copies the parts of the image's spans inside [off, end)
-// into dst, which must already be zero there: zero-fill (write-only)
-// plus span copy beats copying a mostly-zero range whole.
-func (s *Snapshot) copySpans(dst []byte, off, end int) {
+// copySpans copies the parts of the image's spans inside [off, end) —
+// bytes and, with MTE, tags, the capturing instance's sandbox tag
+// remapped to inst's — into inst, which must already be pristine there:
+// laying the layout (write-only) plus span copy beats copying a
+// mostly-pristine range whole.
+func (s *Snapshot) copySpans(inst *Instance, off, end int) {
 	for _, sp := range s.spans {
 		if sp.off >= end {
 			break
 		}
-		if a, b := max(sp.off, off), min(sp.end, end); a < b {
-			copy(dst[a:b], s.mem[sp.at+a-sp.off:])
+		a, b := max(sp.off, off), min(sp.end, end)
+		if a >= b {
+			continue
+		}
+		at := sp.at + a - sp.off
+		copy(inst.mem[a:b], s.mem[at:])
+		if inst.tags != nil {
+			inst.tags.RestoreTagRange(s.tags[at/mte.GranuleSize:], uint64(a), uint64(b-a), s.sandbox, inst.sandbox)
 		}
 	}
 }

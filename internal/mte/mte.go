@@ -91,10 +91,6 @@ type Memory struct {
 	pending *TagFault
 	exclude uint16 // bit i set => tag i never produced by RandomTag
 	rng     uint64 // xorshift64 state, deterministic and seedable
-	// adopted marks tag storage borrowed from a caller-owned mapping
-	// (AdoptTags); such storage must never be reused as a private
-	// array, since the mapping can be unmapped underneath it.
-	adopted bool
 }
 
 // NewMemory creates tag storage covering size bytes (rounded up to a whole
@@ -143,18 +139,16 @@ func (m *Memory) SetExcludeMask(mask uint16) error {
 func (m *Memory) ExcludeMask() uint16 { return m.exclude }
 
 // Grow extends the covered region to newSize bytes; new granules are
-// tagged zero. Shrinking is not supported and is ignored.
+// tagged zero. The grown tags live in a new array, so storage handed in
+// through AdoptTags is left behind, not written past. Shrinking is not
+// supported and is ignored.
 func (m *Memory) Grow(newSize uint64) {
 	if newSize <= m.size {
 		return
 	}
-	need := granules(newSize)
-	if uint64(len(m.tags)) < need || m.adopted {
-		grown := make([]uint8, need)
-		copy(grown, m.tags)
-		m.tags = grown
-		m.adopted = false
-	}
+	grown := make([]uint8, granules(newSize))
+	copy(grown, m.tags)
+	m.tags = grown
 	m.size = newSize
 }
 
@@ -242,11 +236,30 @@ func (m *Memory) SetTagRange(addr, length uint64, tag uint8) error {
 		return fmt.Errorf("mte: tag range [%#x, +%#x) out of bounds (size %#x)", addr, length, m.size)
 	}
 	first := addr / GranuleSize
-	for g := first; g < first+length/GranuleSize; g++ {
-		m.tags[g] = tag & (NumTags - 1)
-	}
+	FillTags(m.tags[first:first+length/GranuleSize], tag)
 	return nil
 }
+
+// FillTags sets every granule of tags to tag by copying from a row of
+// 256 granules (one 4 KiB page of data) that carry it, so a fill of any
+// size — one dirty page's tags at a checkin, a whole memory's at a birth
+// on new storage — runs at memmove speed. It is the one fill behind
+// SetTagRange and the tag layout of an instance's storage.
+func FillTags(tags []uint8, tag uint8) {
+	for row := tagRows[tag&(NumTags-1)][:]; len(tags) > 0; {
+		tags = tags[copy(tags, row):]
+	}
+}
+
+// tagRows[t] is a page's worth of granules tagged t.
+var tagRows = func() (rows [NumTags][256]uint8) {
+	for t := range rows {
+		for g := range rows[t] {
+			rows[t][g] = uint8(t)
+		}
+	}
+	return rows
+}()
 
 // RangeTag returns the common tag of all granules in [addr, addr+length),
 // or ok=false when the range spans granules with differing tags or is out
@@ -315,25 +328,16 @@ func (m *Memory) PendingFault() *TagFault {
 	return f
 }
 
-// ZeroAllTags resets every granule to tag zero.
-func (m *Memory) ZeroAllTags() {
-	for i := range m.tags {
-		m.tags[i] = 0
-	}
-}
-
 // Snapshot/restore accessors: an instance snapshot captures the tag
-// state as three values — the per-granule tag image, the deterministic
-// RNG state, and the covered size — and restore puts them back without
-// re-running the stg loops that created them (the §7.2 cost the
-// snapshot exists to avoid).
+// state as the tags of its written pages plus the deterministic RNG
+// state, and restore puts them back without re-running the stg loops
+// that created them (the §7.2 cost the snapshot exists to avoid).
 
-// CloneTags returns a copy of the per-granule tag image.
-func (m *Memory) CloneTags() []uint8 {
-	out := make([]uint8, len(m.tags))
-	copy(out, m.tags)
-	return out
-}
+// Tags returns the live tag array, one byte per granule. The instance
+// layer owns the array (see AdoptTags): it captures written pages' tags
+// from it, refills page runs of it with FillTags, and hands it on when
+// the instance retires.
+func (m *Memory) Tags() []uint8 { return m.tags }
 
 // RandState returns the deterministic tag generator's state, so a
 // restored instance draws the same tag sequence the snapshotted one
@@ -348,36 +352,19 @@ func (m *Memory) SetRandState(s uint64) {
 	m.rng = s
 }
 
-// RestoreTags overwrites the tag image from src (covering size data
-// bytes), remapping granules tagged from to the tag to — the sandbox
-// identity of the restoring instance differs from the snapshotted one's
-// under per-instance tagging — and clears any latched fault. A from ==
-// to remap is a plain bulk copy. The destination is always a private
-// array: storage borrowed via AdoptTags is abandoned, never written
-// through, so the caller may unmap its old view after RestoreTags
-// returns.
-func (m *Memory) RestoreTags(src []uint8, size uint64, from, to uint8) {
-	if len(m.tags) != len(src) || m.adopted {
-		m.tags = make([]uint8, len(src))
-		m.adopted = false
-	}
-	m.size = size
-	m.pending = nil
-	// All of src, not just size bytes' worth: an image captured after a
-	// shrinking reset carries (zero) granules past its size.
-	m.RestoreTagRange(src, 0, uint64(len(src))*GranuleSize, from, to)
-}
-
-// RestoreTagRange is the ranged RestoreTags: it overwrites, in place,
-// the tags of the granules covering data bytes [addr, addr+length) from
-// the same granules of src — a tag image of this memory's size — with
-// the same from→to remap. It is what a page-granular restore calls per
-// dirty page, so it writes through adopted storage too (the view is the
-// instance's live tag array).
+// RestoreTagRange overwrites, in place, the tags of the granules
+// covering data bytes [addr, addr+length) with the leading tags of src —
+// the tags a snapshot stored for exactly that range — remapping granules
+// tagged from to the tag to: under per-instance tagging the sandbox
+// identity of the restoring instance differs from the snapshotted one's.
+// A from == to remap is a plain copy. A snapshot stores tags for its
+// written page runs only, so this is what an install and a dirty-page
+// restore call per run; it writes through adopted storage (the view is
+// the instance's live tag array).
 func (m *Memory) RestoreTagRange(src []uint8, addr, length uint64, from, to uint8) {
 	lo, hi := addr/GranuleSize, min(granules(addr+length), uint64(len(m.tags)))
 	dst := m.tags[lo:hi]
-	copy(dst, src[lo:hi])
+	copy(dst, src)
 	if from != to {
 		for i, t := range dst {
 			if t == from {
@@ -388,25 +375,13 @@ func (m *Memory) RestoreTagRange(src []uint8, addr, length uint64, from, to uint
 }
 
 // AdoptTags replaces the tag storage with tags (covering size data
-// bytes) without copying — the copy-on-write restore path hands the
-// mmap'd snapshot view straight in, so tag restore is O(1) regardless
-// of heap size. The caller guarantees tags stays valid until the next
-// AdoptTags/RestoreTags/Grow replaces it.
+// bytes) without copying, and clears any latched fault: the instance
+// layer owns tag arrays — a retired instance's array, a new one, or the
+// tag region of a copy-on-write snapshot view — and hands the current
+// one in. The caller guarantees tags stays valid until the next
+// AdoptTags or Grow replaces it.
 func (m *Memory) AdoptTags(tags []uint8, size uint64) {
 	m.tags = tags
 	m.size = size
 	m.pending = nil
-	m.adopted = true
-}
-
-// EnsurePrivate replaces adopted tag storage with a private copy, so
-// the borrowed mapping can be unmapped. No-op for owned storage.
-func (m *Memory) EnsurePrivate() {
-	if !m.adopted {
-		return
-	}
-	private := make([]uint8, len(m.tags))
-	copy(private, m.tags)
-	m.tags = private
-	m.adopted = false
 }

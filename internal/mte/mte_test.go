@@ -1,6 +1,7 @@
 package mte
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -53,6 +54,16 @@ func TestSetTagRangeAlignment(t *testing.T) {
 	}
 	if err := m.SetTagRange(240, 32, 1); err == nil {
 		t.Error("out-of-bounds range accepted")
+	}
+	if err := m.SetTagRange(^uint64(0)&^15, 32, 1); err == nil {
+		t.Error("wrapping range accepted")
+	}
+	// The fill behind SetTagRange is unchecked: a rejected range must not
+	// have reached it.
+	for g, tag := range m.Tags() {
+		if tag != 0 {
+			t.Fatalf("a rejected SetTagRange wrote granule %d", g)
+		}
 	}
 }
 
@@ -266,10 +277,13 @@ func TestTagStoreOpApply(t *testing.T) {
 }
 
 // TestRestoreTagRange: the ranged restore rewrites exactly the granules
-// covering the byte range, remaps from→to like RestoreTags, clips at the
-// end of the tag array, and writes through adopted storage in place.
+// covering the byte range from the leading tags of src (a snapshot keeps
+// the tags of its written runs only, so src starts at the range, not at
+// granule 0), remaps from→to, clips at the end of the tag array, and
+// writes through adopted storage in place.
 func TestRestoreTagRange(t *testing.T) {
 	const size = 4 * 4096
+	const page = 4096 / GranuleSize
 	img := NewMemory(size, ModeSync)
 	if err := img.SetTagRange(0, size, 3); err != nil {
 		t.Fatal(err)
@@ -277,15 +291,13 @@ func TestRestoreTagRange(t *testing.T) {
 	if err := img.SetTagRange(4096+32, 64, 9); err != nil {
 		t.Fatal(err)
 	}
-	src := img.CloneTags()
+	src := bytes.Clone(img.Tags())
 
 	view := make([]uint8, len(src))
-	for i := range view {
-		view[i] = 0xF
-	}
+	FillTags(view, 0xF)
 	m := NewMemory(0, ModeSync)
 	m.AdoptTags(view, size)
-	m.RestoreTagRange(src, 4096, 4096, 3, 5) // page 1 only
+	m.RestoreTagRange(src[page:], 4096, 4096, 3, 5) // page 1 only, from page 1's tags
 	for a := uint64(0); a < size; a += GranuleSize {
 		want := uint8(0xF)
 		switch {
@@ -298,11 +310,32 @@ func TestRestoreTagRange(t *testing.T) {
 			t.Fatalf("granule %#x: tag %#x, want %#x", a, got, want)
 		}
 	}
-	if view[4096/GranuleSize] != 5 {
+	if view[page] != 5 {
 		t.Error("ranged restore did not write through the adopted storage")
 	}
-	m.RestoreTagRange(src, 3*4096, 2*4096, 3, 3) // runs past the end: clipped
+	m.RestoreTagRange(src[3*page:], 3*4096, 2*4096, 3, 3) // runs past the end: clipped
 	if got := m.TagAt(size - GranuleSize); got != 3 {
 		t.Errorf("last granule: tag %#x, want 3", got)
+	}
+}
+
+// TestFillTagsEqualsByteLoop: the row-copy fill writes what a granule
+// loop would — every granule of the range, none outside it, the tag cut
+// to its four bits — for every (offset, length) over three rows of tags.
+func TestFillTagsEqualsByteLoop(t *testing.T) {
+	const n = 3 * 4096 / GranuleSize
+	got, want := make([]uint8, n), make([]uint8, n)
+	for off := 0; off <= n; off++ {
+		for length := 0; off+length <= n; length++ {
+			clear(got)
+			clear(want)
+			FillTags(got[off:off+length], 0x1B)
+			for g := off; g < off+length; g++ {
+				want[g] = 0xB
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("FillTags over [%d, +%d) differs from the granule loop", off, length)
+			}
+		}
 	}
 }

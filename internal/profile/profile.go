@@ -122,6 +122,8 @@ type Profile struct {
 
 	lookupOnce sync.Once
 	lookup     map[seqKey]uint64
+	idOnce     sync.Once
+	id         string
 }
 
 // sortCanonical orders sequences hottest-first with a deterministic
@@ -191,20 +193,28 @@ func (p *Profile) Merge(other *Profile) {
 	p.sortCanonical()
 	p.lookupOnce = sync.Once{}
 	p.lookup = nil
+	p.idOnce = sync.Once{}
 }
 
 // ID returns a short content hash of the profile — the fusion
 // component of the program-cache key, so two profiles that would fuse
-// differently never share a cached program.
+// differently never share a cached program. It is computed once per
+// profile (Merge invalidates it): every instance birth spells the cache
+// key, and hashing the corpus costs more than the birth.
 func (p *Profile) ID() string {
 	if p == nil {
 		return "none"
 	}
+	p.idOnce.Do(p.hashID)
+	return p.id
+}
+
+func (p *Profile) hashID() {
 	h := sha256.New()
 	for _, s := range p.Seqs {
 		fmt.Fprintf(h, "%v=%d\n", s.Ops, s.Count)
 	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	p.id = hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // WriteJSON serializes the profile.

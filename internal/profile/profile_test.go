@@ -152,3 +152,29 @@ func TestDefaultCorpus(t *testing.T) {
 		t.Errorf("ReadJSON(corpus).ID() = %s, want %s", viaRead.ID(), defaultID)
 	}
 }
+
+// TestIDIsComputedOnce: every instance birth asks for the ID to spell
+// its program-cache key, so after the first call it must hash — and
+// allocate — nothing; Merge changes the content, and the ID with it.
+func TestIDIsComputedOnce(t *testing.T) {
+	def := Default()
+	if first, second := def.ID(), def.ID(); first != defaultID || second != defaultID {
+		t.Fatalf("Default().ID() twice = %s, %s; want %s both times", first, second, defaultID)
+	}
+	var id string
+	if n := testing.AllocsPerRun(100, func() { id = def.ID() }); n != 0 || id != defaultID {
+		t.Errorf("a repeated ID() allocates %.0f objects and returns %s, want 0 and %s", n, id, defaultID)
+	}
+	// A private copy of the corpus: Default() is shared by the process.
+	p, err := ReadJSON(bytes.NewReader(corpusJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.ID() != defaultID {
+		t.Fatalf("copy of the corpus has ID %s, want %s", p.ID(), defaultID)
+	}
+	p.Merge(&Profile{Seqs: []Seq{{Ops: []string{"const", "i64.add"}, Count: 1}}})
+	if p.ID() == defaultID {
+		t.Error("ID unchanged after Merge: the merged profile would alias the corpus's cached programs")
+	}
+}

@@ -128,22 +128,27 @@ func cacheSnapshot(s engine.CacheStats) CacheSnapshot {
 // SnapshotCacheSnapshot mirrors engine.SnapshotCacheStats with JSON
 // tags: the snapshot cache's hit/miss/entry counters plus how many
 // instance checkouts were served by forking a cached image, how many of
-// those installed the whole image, and how many pages the others
-// rewrote in place (zero for a call that wrote nothing: the elided
-// restore).
+// those installed the whole image, how many pages the others rewrote in
+// place (zero for a call that wrote nothing: the elided restore), and
+// how many instance births in this process ran on a retired instance's
+// storage or on newly made storage.
 type SnapshotCacheSnapshot struct {
 	CacheSnapshot
-	Restores      uint64 `json:"restores"`
-	RestoredPages uint64 `json:"restored_pages"`
-	FullInstalls  uint64 `json:"full_installs"`
+	Restores       uint64 `json:"restores"`
+	RestoredPages  uint64 `json:"restored_pages"`
+	FullInstalls   uint64 `json:"full_installs"`
+	BirthsRecycled uint64 `json:"births_recycled"`
+	BirthsFresh    uint64 `json:"births_fresh"`
 }
 
 func snapshotCacheSnapshot(s engine.SnapshotCacheStats) SnapshotCacheSnapshot {
 	return SnapshotCacheSnapshot{
-		CacheSnapshot: cacheSnapshot(s.CacheStats),
-		Restores:      s.Restores,
-		RestoredPages: s.RestoredPages,
-		FullInstalls:  s.FullInstalls,
+		CacheSnapshot:  cacheSnapshot(s.CacheStats),
+		Restores:       s.Restores,
+		RestoredPages:  s.RestoredPages,
+		FullInstalls:   s.FullInstalls,
+		BirthsRecycled: s.BirthsRecycled,
+		BirthsFresh:    s.BirthsFresh,
 	}
 }
 
@@ -264,6 +269,10 @@ func (s *Stats) writeProm(w io.Writer) {
 	fmt.Fprintf(w, "cage_snapshot_restored_pages_total %d\n", s.Snapshots.RestoredPages)
 	fmt.Fprintf(w, "# TYPE cage_snapshot_full_installs_total counter\n")
 	fmt.Fprintf(w, "cage_snapshot_full_installs_total %d\n", s.Snapshots.FullInstalls)
+	fmt.Fprintf(w, "# TYPE cage_instance_births_recycled_total counter\n")
+	fmt.Fprintf(w, "cage_instance_births_recycled_total %d\n", s.Snapshots.BirthsRecycled)
+	fmt.Fprintf(w, "# TYPE cage_instance_births_fresh_total counter\n")
+	fmt.Fprintf(w, "cage_instance_births_fresh_total %d\n", s.Snapshots.BirthsFresh)
 	fmt.Fprintf(w, "# TYPE cage_snapshot_restore_mode gauge\n")
 	fmt.Fprintf(w, "cage_snapshot_restore_mode{mode=%q} 1\n", s.RestoreMode)
 	fmt.Fprintf(w, "# TYPE cage_dispatch_mode gauge\n")

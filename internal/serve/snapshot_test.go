@@ -109,6 +109,12 @@ func TestInitSnapshotChargedOnce(t *testing.T) {
 	if stats.RestoreMode != "copy" && stats.RestoreMode != "cow" {
 		t.Errorf("restore_mode = %q, want copy or cow", stats.RestoreMode)
 	}
+	// ... and what the births ran on: the snapshot builder's was made (or
+	// recycled from an earlier test's instance); under cow later forks map
+	// views, which count as neither.
+	if stats.Snapshots.BirthsRecycled+stats.Snapshots.BirthsFresh == 0 {
+		t.Error("births_recycled + births_fresh = 0 after an instance was built")
+	}
 
 	// The Prometheus rendering carries the same counters.
 	mresp, err := http.Get(ts.URL + "/metrics")
@@ -124,6 +130,8 @@ func TestInitSnapshotChargedOnce(t *testing.T) {
 		`# TYPE cage_snapshot_restores_total counter`,
 		fmt.Sprintf("cage_snapshot_restored_pages_total %d\n", stats.Snapshots.RestoredPages),
 		fmt.Sprintf("cage_snapshot_full_installs_total %d\n", stats.Snapshots.FullInstalls),
+		fmt.Sprintf("cage_instance_births_recycled_total %d\n", stats.Snapshots.BirthsRecycled),
+		fmt.Sprintf("cage_instance_births_fresh_total %d\n", stats.Snapshots.BirthsFresh),
 		`cage_snapshot_restore_mode{mode="` + stats.RestoreMode + `"} 1`,
 	} {
 		if !strings.Contains(prom, w) {

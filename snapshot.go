@@ -264,9 +264,15 @@ func (e *Engine) captureBaseline(m *Module, inst *Instance) {
 
 // SnapshotStats snapshots the engine's snapshot-cache counters: cache
 // hits/misses/entries plus the number of forks served from cached
-// images, how many of them installed a whole image, and how many pages
-// the others rewrote in place.
-func (e *Engine) SnapshotStats() engine.SnapshotCacheStats { return e.snapshots.Stats() }
+// images, how many of them installed a whole image, how many pages the
+// others rewrote in place, and — process-wide, not per engine — how many
+// instance births ran on a retired instance's storage and how many on
+// newly made storage.
+func (e *Engine) SnapshotStats() engine.SnapshotCacheStats {
+	st := e.snapshots.Stats()
+	st.BirthsRecycled, st.BirthsFresh = exec.BirthStats()
+	return st
+}
 
 // RestoreMode names how this build installs an image into an instance
 // that does not hold it yet: "cow" under the cagecow build tag on Linux
