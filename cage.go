@@ -357,8 +357,9 @@ func NewRuntime(cfg Config) *Runtime {
 func (rt *Runtime) SetDispatchProfile(p *profile.Profile) { rt.dispatch.Store(p) }
 
 // DispatchMode reports the execution tier this runtime builds programs
-// for: the linear-memory backend ("guard" when the cageguard build
-// backs guard32 memories with a vmem reservation, "bounds" otherwise)
+// for: the linear-memory backend ("guard" when a guard reservation is
+// available — 64-bit Linux whose kernel grants one — and backs guard32
+// memories, "bounds" otherwise)
 // and the identity of the fusion profile driving the superinstruction
 // pass ("none" when fusion is disabled).
 func (rt *Runtime) DispatchMode() (memory, fusion string) {

@@ -92,8 +92,8 @@ func main() {
 			os.Exit(1)
 		}
 		if *stats {
-			fmt.Fprintf(os.Stderr, "cage-run: preinit %q consumed %d fuel once; forking via %s restore\n",
-				*preinit, snap.InitFuel(), eng.RestoreMode())
+			fmt.Fprintf(os.Stderr, "cage-run: preinit %q consumed %d fuel once\n",
+				*preinit, snap.InitFuel())
 		}
 	}
 	var res cage.Result

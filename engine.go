@@ -180,15 +180,15 @@ type pooledInstance struct {
 func (p *pooledInstance) Reset(seed uint64) error {
 	// Fast path: fork from the registered snapshot — one restore helper
 	// (Instance.restoreFrom) shared with snapshot-based spawning, so
-	// the copy/COW image is the only initialization story.
+	// the image is the only initialization story.
 	if s := p.eng.activeSnapshot(p.mod); s != nil {
 		if err := p.i.restoreFrom(s, seed); err == nil {
 			p.eng.snapshots.NoteRestore(p.i.inst.RestoredPages())
 			return nil
 		}
-		// An image that cannot restore (e.g. its COW backing vanished)
-		// falls through to the full replay below rather than poisoning
-		// the pool.
+		// An image that cannot restore (e.g. the kernel refused to
+		// recommit a guard reservation) falls through to the full replay
+		// below rather than poisoning the pool.
 	}
 	// Full replay, same order as a fresh instantiation: restore state,
 	// rewind the allocator, then run the start function — which may
@@ -256,6 +256,9 @@ func (e *Engine) pool(m *Module) *engine.Pool {
 		return p
 	}
 	return e.pools.For(m, func(ctx context.Context) (engine.Resetter, error) {
+		// released and idle are the wake-ups of a queued spawn, nil until
+		// it has registered for them.
+		var released, idle <-chan struct{}
 		for {
 			var inst *Instance
 			var err error
@@ -285,12 +288,21 @@ func (e *Engine) pool(m *Module) *engine.Pool {
 			if e.pools.ReclaimIdle(1) > 0 {
 				continue
 			}
+			if released == nil {
+				// Register, then look once more: a checkin or a release
+				// that lands between the failed look above and the wait
+				// below would otherwise wake nobody — with every other
+				// caller done, for good.
+				released, idle = e.rt.sandboxes.Released(), e.idleWait()
+				continue
+			}
 			select {
-			case <-e.rt.sandboxes.Released():
-			case <-e.idleWait():
+			case <-released:
+			case <-idle:
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
+			released, idle = nil, nil
 		}
 	})
 }

@@ -154,3 +154,55 @@ func TestEngineContendedModules(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineQueuedSpawnSeesLastCheckin: a spawn queued on the tag budget
+// must not miss the checkin that lands between its failed look for an
+// idle sibling and its wait — the last one, once every other caller is
+// done, or it sleeps for good. Short bursts of callers over two modules
+// make that checkin the last one often enough to hang the old loop
+// within a few thousand rounds.
+func TestEngineQueuedSpawnSeesLastCheckin(t *testing.T) {
+	eng := NewEngine(FullHardening())
+	defer eng.Close()
+	modA, err := eng.CompileSource(`long fa(long n) { return n * 2; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modB, err := eng.CompileSource(`long fb(long n) { return n * 3; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := 20000
+	if raceTestEnabled {
+		rounds = 4000
+	}
+	const workers = 6
+	for round := 0; round < rounds; round++ {
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				mod, fn := modA, "fa"
+				if w%2 == 1 {
+					mod, fn = modB, "fb"
+				}
+				for i := 0; i < 3; i++ {
+					if _, err := eng.Call(context.Background(), mod, fn, []uint64{1}); err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}(w)
+		}
+		for w := 0; w < workers; w++ {
+			select {
+			case err := <-errs:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d: a call is stuck with every other caller done", round)
+			}
+		}
+	}
+}

@@ -239,8 +239,7 @@ func TestSnapshotStatsReportRestoreCost(t *testing.T) {
 // to an operator. Under full there is one sandbox tag, so alternating
 // two modules makes every call reclaim the sibling and give birth to an
 // instance, and from the second call on each birth runs on the storage
-// the sibling just retired. (Under cagecow forks map views of the image,
-// which count as neither recycled nor fresh.)
+// the sibling just retired.
 func TestSnapshotStatsReportBirths(t *testing.T) {
 	eng := NewEngine(FullHardening())
 	defer eng.Close()
@@ -265,7 +264,7 @@ func TestSnapshotStatsReportBirths(t *testing.T) {
 		t.Fatalf("%d calls spawned %d instances, want one each", calls, st.Pools.Spawned)
 	}
 	recycled, fresh := st.Snapshots.BirthsRecycled-before.BirthsRecycled, st.Snapshots.BirthsFresh-before.BirthsFresh
-	if eng.RestoreMode() == "copy" && (recycled < calls-1 || recycled+fresh != calls) {
+	if recycled < calls-1 || recycled+fresh != calls {
 		t.Errorf("%d births: %d on recycled storage, %d on fresh; want all but the first recycled", calls, recycled, fresh)
 	}
 }

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"fmt"
 	"testing"
 
 	"cage/internal/arch"
@@ -11,6 +12,7 @@ import (
 	"cage/internal/minicc"
 	"cage/internal/polybench"
 	"cage/internal/profile"
+	"cage/internal/wasm"
 )
 
 // BenchmarkLoweredVsLegacy is the before/after of the dispatch tiers:
@@ -19,7 +21,8 @@ import (
 // legacy.go), through the lowered flat-dispatch loop, and through the
 // fused superinstruction tier driven by the checked-in polybench
 // corpus (the runtime's default profile). The guard32 rows run wasm32
-// kernels — on cageguard builds they use the vmem guard-region backend,
+// kernels — where a guard reservation is available they use the vmem
+// guard-region backend,
 // so guard32/fused is the full tentpole configuration the ≥2.5×-over-
 // legacy target is measured on. Kernels free their allocations, so one
 // instance serves every iteration and the delta is pure dispatch.
@@ -152,5 +155,57 @@ func BenchmarkCallOverhead(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkForkByImageSize re-runs the measurement behind having one
+// install leg: close + NewInstance(Config{Snapshot}) of a 101-page
+// (6.6 MB) memory under full — the pool's module switch on the one
+// sandbox tag — by how many pages the image had written, the fork then
+// writing to 1 or 64 pages. At e7064fc (2-vCPU Xeon, -benchtime=2000x)
+// the span copy that remains took 1.8 / 4.6 / 102 / 738 µs for images of
+// 0 / 16 / 256 / 1616 written pages at 1 touched page (+ 6 µs at 64),
+// and the copy-on-write leg deleted there (the image in a sealed file,
+// mapped MAP_PRIVATE per fork) 10–19 µs at 1 touched page and 89–97 µs
+// at 64, whatever the image (≈ 10 µs + 1.2 µs per page the fork touches,
+// a fault each): the crossover is ≈ 25 written image pages, and every
+// module in the repo and the benchmark captures 1. The rule this
+// supports: a second install leg needs a benchmark workload whose image
+// is past the crossover first, and is then selected from the image's
+// size — never by a build tag or an option.
+func BenchmarkForkByImageSize(b *testing.B) {
+	m := &wasm.Module{Mems: []wasm.MemoryType{{Limits: wasm.Limits{Min: 101, Max: 128, HasMax: true}, Memory64: true}}}
+	for _, written := range []uint64{0, 16, 256, 1616} {
+		for _, touched := range []uint64{1, 64} {
+			b.Run(fmt.Sprintf("image=%dp/touch=%dp", written, touched), func(b *testing.B) {
+				cfg := exec.Config{Features: core.CageAll(), Sandboxes: core.NewSandboxAllocator(core.NewPolicy(core.CageAll()))}
+				inst, err := exec.NewInstance(m, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for p := uint64(0); p < written; p++ {
+					if err := inst.WriteU64(p*4096, p+1); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if cfg.Snapshot, err = inst.Snapshot(); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					inst.Close()
+					if inst, err = exec.NewInstance(m, cfg); err != nil {
+						b.Fatal(err)
+					}
+					for p := uint64(0); p < touched; p++ {
+						if err := inst.WriteU64(p*25*4096, 7); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.StopTimer()
+				inst.Close()
+			})
+		}
 	}
 }

@@ -139,37 +139,34 @@
 // view can be written through after any later restore.
 //
 // RestoreFromSnapshot of the same image at the same size is one loop
-// over the dirty page runs, on every build: each run gets the pristine
-// layout (below) and then the image's spans inside it, bytes and — with
-// MTE — tags. Zero iterations after a call that wrote nothing, every
-// page for a pinned instance, in place over the private mapping under
-// cagecow. Anything else — a spawn, a new image, a grown memory —
-// installs the whole image; SnapshotRestoreMode reports how:
+// over the dirty page runs: each run gets the pristine layout (below)
+// and then the image's spans inside it, bytes and — with MTE — tags.
+// Zero iterations after a call that wrote nothing, every page for a
+// pinned instance. Anything else — a spawn, a new image, a grown memory
+// — installs the whole image, one way on every platform: pristine
+// storage (next section) plus a copy of the image's spans, the page runs
+// that can differ from the layout (few, post-init).
+// BenchmarkForkByImageSize holds the measurement that retired the
+// copy-on-write (MAP_PRIVATE) install and the rule for ever adding a
+// second one.
 //
-//   - default ("copy"): pristine storage plus a copy of the image's
-//     spans, the page runs that can differ from the layout (few,
-//     post-init). The storage is the instance's own when it is
-//     heap-backed and has the image's size, else a retired instance's
-//     or a new one; see the next section.
-//   - cagecow && linux && (amd64 || arm64) ("cow"): capture also seals
-//     the image into a memfd, and each install maps it MAP_PRIVATE —
-//     O(1)-ish in heap size; pages are copied by the kernel only when
-//     written. If the mapping fails at runtime the install falls back to
-//     copy; other platforms compile the stub and always copy.
-//     GOOS=darwin (and every non-Linux target) builds cleanly with or
-//     without the tag.
-//
-// A guard-region instance (cageguard) keeps its reservation: install is
-// recommit, clear, copy spans. Snapshot reads the same set — only dirty
-// pages (and the base image's spans) can differ from the layout, so the
-// image stores just those, back to back, and nothing for the pages
-// between them (under cagecow they are holes in the memfd) — and arms
-// the witness: the instance equals its image.
+// Snapshot reads the same set — only dirty pages (and the base image's
+// spans) can differ from the layout, so the image stores just those,
+// back to back, and nothing for the pages between them — and arms the
+// witness: the instance equals its image.
 //
 // # Storage, the pristine layout and the written set
 //
-// One rule: birth never loops over memory. What a heap-backed instance
-// owns besides its small state is its storage (storage.go): the linear
+// One rule: birth never loops over memory. An instance's memory has one
+// of two backings, and storage.go is the only file that knows which
+// (setPristine, growStorage, release). A program lowered with guard
+// opcodes — a 32-bit memory where vmem.Supported() found the kernel
+// willing, probed once per process, no build tag — lives in a vmem
+// reservation: see the end of this section. Everything else is
+// heap-backed.
+//
+// What a heap-backed instance owns besides its small state is its
+// storage: the linear
 // memory, the tag array (one byte per granule, handed to mte.Memory with
 // AdoptTags), and the written set — the pages whose bytes or tags may
 // differ from the pristine layout: zero bytes; tags equal to the
@@ -181,7 +178,8 @@
 //
 // Storage outlives the instance. Close hands it to memPool — at most
 // four, process-wide — unless the instance is pinned (the view's holder
-// may still write), a copy-on-write view or a guard mapping. A birth
+// may still write) — and so does a NewInstance that fails after taking
+// it (a trapping start function, a bad data segment). A birth
 // that needs storage of that size (and tag array) takes the oldest and
 // scrubs it: it clears the bytes and re-lays the tags of the written
 // page runs, and refills the whole tag array — with mte.FillTags, at
@@ -190,13 +188,21 @@
 // Storage of another shape is dropped and the birth makes its own, laid
 // out by the same fill. NewInstance (which therefore charges
 // StartupGranulesTagged for the §7.2 stg loop without running it on the
-// host), ResetState and the copy install all start from pristine storage
+// host), ResetState and installImage all start from pristine storage
 // and then write what they would have written anyway: the host-reserve
 // pattern, data segments, an image's spans. An instance that needs
 // pristine storage of its own size — a reset without growth, a pooled
 // checkin onto a newly registered image — scrubs the storage it already
 // has instead of dropping it. BirthStats counts births on recycled and
 // on newly made storage.
+//
+// Guard storage follows the same rule by other means. The reservation is
+// mapped at the instance's first setPristine, kept until release — the
+// guard handlers index it directly, so it is never replaced — and never
+// pooled: Close unmaps it. It has no host reserve and no tags. Resizing
+// is SetCommitted: pages a shrink drops come back zero from the kernel,
+// pages a grow adds are new, and the prefix that stays committed is
+// cleared by its written page runs, not whole.
 //
 // The scrub is as sound as the dirty set: a page a write path failed to
 // mark would reach the next tenant. FuzzRestoreSoundness therefore ends
@@ -211,12 +217,10 @@
 // an install overlays them on pristine storage (remapping the capturing
 // instance's sandbox tag to the taker's), and an image retains kilobytes,
 // not the 0.4 MB per 6.6 MB memory a whole tag image took. What is still
-// O(memory): under cagecow the memfd's tag region has no zero default
-// (the layout's tag is not 0), so capture writes it whole from the live
-// tag array, and a fork under another sandbox tag remaps its whole view;
-// on every build memory.grow copies the old memory and MarkMemoryDirty
-// or a pinned instance restores every page. Kernel-provided dirty bits
-// and the backend merge (ROADMAP item 1) are what remove those.
+// O(memory): memory.grow on heap storage copies the old memory, and
+// MarkMemoryDirty or a pinned instance restores every page.
+// Kernel-provided dirty bits on guard mappings (ROADMAP item 1) would
+// take the marking out of the opcodes' hands.
 //
 // Reset-semantics migration note: Reset always rotates the PAC
 // modifier, so pointers signed in a previous lifetime fail
@@ -245,8 +249,8 @@
 //     machine's arena
 //   - Instance.Snapshot / RestoreFromSnapshot — Wizer-style
 //     pre-initialization: freeze the post-init state once, fork every
-//     later instance from the image (span copy onto pristine storage or
-//     MAP_PRIVATE COW install, dirty-page restores thereafter)
+//     later instance from the image (span copy onto pristine storage,
+//     dirty-page restores thereafter)
 //   - Instance.Close   — teardown returning the sandbox tag to the
 //     §6.4/§7.4 budget and the storage to the next birth
 //   - Trap             — the trap taxonomy embedders classify violations

@@ -150,9 +150,7 @@ func TestRestoreElisionRawMemoryView(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Once a raw view has escaped, every later restore must pay the
-	// full copy — the holder can write between any two restores. (The
-	// view itself must be re-acquired per round: under cagecow a
-	// restore remaps the backing, invalidating old slices.)
+	// full copy — the holder can write between any two restores.
 	for round := 0; round < 3; round++ {
 		inst.Memory()[512] = 0xAB
 		if err := inst.RestoreFromSnapshot(snap, uint64(round+2)); err != nil {
@@ -393,7 +391,7 @@ func TestInstallNewImageReusesStorage(t *testing.T) {
 	if inst.RestoredPages() != -1 {
 		t.Errorf("a restore to a new image rewrote %d pages in place, want a whole-image install", inst.RestoredPages())
 	}
-	if SnapshotRestoreMode() == "copy" && &inst.mem[0] != buf {
+	if &inst.mem[0] != buf {
 		t.Error("the install replaced the instance's memory instead of reusing it")
 	}
 	if !bytes.Equal(inst.mem, other.mem) {
@@ -452,7 +450,7 @@ func TestBirthFromRecycledStorageAllocBytes(t *testing.T) {
 	if perBirth := (after.TotalAlloc - before.TotalAlloc) / cycles; perBirth >= 64<<10 {
 		t.Errorf("a close + fork cycle of a %d-byte memory allocates %d bytes, want < 64 KiB", len(inst.mem), perBirth)
 	}
-	if now, _ := BirthStats(); SnapshotRestoreMode() == "copy" && now-recycled != cycles {
+	if now, _ := BirthStats(); now-recycled != cycles {
 		t.Errorf("%d of %d births ran on recycled storage, want all", now-recycled, cycles)
 	}
 }
@@ -496,5 +494,57 @@ func TestRecycledMemoryIsZero(t *testing.T) {
 	view[64] = 0xFF
 	if &third.mem[0] == &view[0] || third.mem[64] != 0 {
 		t.Fatal("a buffer with an escaped view was handed to the next instance")
+	}
+}
+
+// TestFailedBirthRecyclesStorage: an instantiation that fails after it
+// took storage — here the start function stores, then traps — gives the
+// storage back the way Close does, so a tenant whose module cannot start
+// costs one memory, not one per request, and what the failed start
+// wrote does not reach the next birth.
+func TestFailedBirthRecyclesStorage(t *testing.T) {
+	good := elisionModule()
+	good.Mems[0].Limits = wasm.Limits{Min: 101, Max: 128, HasMax: true} // the benchmark modules' 6.6 MB
+	bad := elisionModule()
+	bad.Mems = good.Mems
+	bad.Funcs = append(bad.Funcs, wasm.Function{TypeIdx: bad.AddType(wasm.FuncType{}), Body: []wasm.Instr{
+		wasm.I64Const(3 * dirtyPageSize), wasm.I64Const(0x5EC2E7), wasm.Store(wasm.OpI64Store, 0),
+		wasm.Op(wasm.OpUnreachable), wasm.End()}})
+	start := uint32(len(bad.Funcs) - 1)
+	bad.Start = &start
+	cfg := Config{Features: core.CageAll(), Sandboxes: core.NewSandboxAllocator(core.NewPolicy(core.CageAll()))}
+	born := func() held {
+		inst, err := NewInstance(good, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close()
+		return holdings(inst)
+	}
+	drainMemPool()
+	want := born() // on never-used storage
+	drainMemPool()
+
+	recycled, fresh := BirthStats()
+	for i := 0; i < 5; i++ {
+		if _, err := NewInstance(bad, cfg); !IsTrap(err, TrapUnreachable) {
+			t.Fatalf("instantiation %d: %v, want the start function's trap", i, err)
+		}
+	}
+	if r, f := BirthStats(); f-fresh != 1 || r-recycled != 4 {
+		t.Errorf("five failed births: %d on fresh storage, %d on recycled; want 1 and 4", f-fresh, r-recycled)
+	}
+	if len(memPool) != 1 {
+		t.Fatalf("%d storages pooled after the failures, want 1", len(memPool))
+	}
+	got := born()
+	if r, _ := BirthStats(); r-recycled != 5 {
+		t.Error("the successful birth did not take the failed ones' storage")
+	}
+	if !bytes.Equal(got.mem, want.mem) {
+		t.Error("memory of a birth on a failed birth's storage differs from a birth on never-used storage")
+	}
+	if !bytes.Equal(got.tags, want.tags) {
+		t.Error("tags of a birth on a failed birth's storage differ from a birth on never-used storage")
 	}
 }

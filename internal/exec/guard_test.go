@@ -1,10 +1,9 @@
 package exec_test
 
-// Tests for the guard-region memory backend (internal/vmem, cageguard
-// build tag). Most of them gate on vmem.Supported(): on unsupported
-// builds the backend is inert and the heap paths — already covered by
-// the rest of the suite — serve every instance. The static invariants
-// run everywhere.
+// Tests for the guard-region memory backend (internal/vmem). They run
+// on whatever backing vmem.Supported() selects: where the platform or
+// the kernel (CI's `ulimit -v` pass) refuses the reservation, the heap
+// paths serve every instance and must behave the same.
 
 import (
 	"testing"
@@ -33,9 +32,12 @@ func TestGuardHeadroomCoversMaxOffset(t *testing.T) {
 	}
 }
 
-// TestGuardLoweringGating: guard opcodes appear exactly when the build
-// supports the backend, and only for guard32-strategy programs.
+// TestGuardLoweringGating: guard opcodes appear exactly when the
+// platform and kernel support the backend, and only for guard32-strategy
+// programs. The log line is what CI's forced-fallback pass greps for, so
+// that pass cannot go vacuous.
 func TestGuardLoweringGating(t *testing.T) {
+	t.Logf("vmem.Supported() = %v", vmem.Supported())
 	k, err := polybench.ByName("gemm")
 	if err != nil {
 		t.Fatal(err)
@@ -61,10 +63,10 @@ func TestGuardLoweringGating(t *testing.T) {
 		}
 	}
 	if vmem.Supported() && guarded == 0 {
-		t.Fatal("guard-capable build lowered no guard opcodes")
+		t.Fatal("guard-capable process lowered no guard opcodes")
 	}
 	if !vmem.Supported() && guarded != 0 {
-		t.Fatalf("unsupported build lowered %d guard opcodes", guarded)
+		t.Fatalf("process without guard reservations lowered %d guard opcodes", guarded)
 	}
 }
 
@@ -73,7 +75,7 @@ func TestGuardLoweringGating(t *testing.T) {
 // match the legacy interpreter in results and event counts.
 func TestGuardMatchesLegacyOnPolybench(t *testing.T) {
 	if !vmem.Supported() {
-		t.Skip("guard backend unsupported in this build (needs -tags=cageguard on linux/amd64 or linux/arm64)")
+		t.Skip("no guard reservation: not linux/amd64 or linux/arm64, or the kernel refuses 4 GiB of address space")
 	}
 	for _, name := range []string{"gemm", "jacobi-1d"} {
 		t.Run(name, func(t *testing.T) {

@@ -126,10 +126,10 @@ func LowerConfig(m *wasm.Module, cfg Config) ir.Config {
 		PtrAuth:    cfg.Features.PtrAuth,
 		Harden:     cfg.Features.SpectreHarden,
 		// Guard-region opcodes only make sense for the guard32 strategy
-		// with real bounds checks, and only when the build can back them
-		// with a vmem reservation. Supported() is constant per process,
-		// so this derivation (and the program-cache identity built on it)
-		// is stable.
+		// with real bounds checks, and only when the platform and kernel
+		// can back them with a vmem reservation. Supported() is constant
+		// per process, so this derivation (and the program-cache identity
+		// built on it) is stable.
 		Guard: mode == ir.ModeGuard32 && !cfg.SkipBoundsChecks && vmem.Supported(),
 	}
 }
@@ -165,13 +165,13 @@ type Instance struct {
 	prog    *ir.Program
 	imports []HostFunc
 
-	// Guard-region memory backend (cageguard build tag; programs with
-	// Cfg.Guard set). gmap is the vmem reservation and gmem its full
+	// Guard-region memory backing (programs with Cfg.Guard set; owned by
+	// storage.go). gmap is the vmem reservation and gmem its full
 	// Bytes() — ReservationSize long, PROT_NONE past the committed
 	// prefix — which the OpLoadG32G/OpStoreG32G handlers index directly
 	// so the MMU performs the bounds check. mem remains the committed
 	// guest-visible prefix view (gmem[:memSize]); hostReserve is 0 for
-	// guard instances. Both are nil on the heap backend.
+	// guard instances. Both are nil on the heap backing.
 	gmem []byte
 	gmap *vmem.Mapping
 
@@ -231,13 +231,11 @@ type Instance struct {
 	// HostContext.Data (Config.HostData).
 	hostData any
 
-	// Snapshot/restore state (snapshot.go). memUnmap releases the
-	// copy-on-write view backing mem (nil when mem is heap-allocated).
-	// lastImage is the base image — the snapshot the last restore or
-	// capture left memory and tags equal to, nil before either — and
-	// dirty the pages that may have diverged from it since (dirty.go):
-	// together the restore witness. restoredPages: see RestoredPages.
-	memUnmap      func()
+	// Snapshot/restore state (snapshot.go). lastImage is the base image
+	// — the snapshot the last restore or capture left memory and tags
+	// equal to, nil before either — and dirty the pages that may have
+	// diverged from it since (dirty.go): together the restore witness.
+	// restoredPages: see RestoredPages.
 	lastImage     *Snapshot
 	dirty         dirtySet
 	restoredPages int
@@ -276,19 +274,15 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 	if inst.maxStackWords == 0 {
 		inst.maxStackWords = defaultMaxStackWords
 	}
-	// If any later instantiation step fails, return the sandbox tag so a
-	// pooled engine retrying instantiation does not leak tag budget, and
-	// release the guard-region reservation so retries do not leak 4 GiB
-	// of address space per attempt.
+	// If any later instantiation step fails, close what was built: the
+	// sandbox tag goes back, so a pooled engine retrying instantiation
+	// does not leak tag budget, and the storage goes where Close sends it,
+	// so a module whose start function traps costs neither a memory of
+	// garbage nor 4 GiB of reserved address space per attempt.
 	instantiated := false
 	defer func() {
 		if !instantiated {
-			if inst.sandboxes != nil {
-				inst.sandboxes.Release(inst.sandbox)
-			}
-			if inst.gmap != nil {
-				inst.gmap.Unmap()
-			}
+			_ = inst.Close() // the instantiation error is the one to report
 		}
 	}()
 
@@ -387,47 +381,22 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 		inst.segs.SetLimit(func() uint64 { return inst.memSize })
 	}
 
-	// Memory. Guard programs get the vmem reservation (no host-reserve
-	// region: every byte past the guest prefix is PROT_NONE, which is
-	// the point); everything else gets heap storage with the
-	// host-reserve tail.
-	hostReserve := cfg.HostReserve
-	if hostReserve == 0 {
-		hostReserve = defaultHostReserve
-	}
-	if inst.prog.Cfg.Guard {
-		hostReserve = 0
-	}
-	inst.hostReserve = hostReserve
-	if len(m.Mems) > 0 {
-		// When restoring from a snapshot the image supplies the memory
-		// (and its tag layout) wholesale; taking storage here would be
-		// thrown away — but a guard instance still needs its reservation
-		// (RestoreFromSnapshot commits into it).
+	// Memory: storage in the pristine layout, which already carries the
+	// sandbox tag over the guest memory (Fig. 12b; the host reserve stays
+	// runtime-tagged, zero) — the stg loop is charged, not run. When
+	// restoring from a snapshot the image supplies the memory (and its tag
+	// layout) wholesale, and RestoreFromSnapshot takes the storage.
+	if cfg.Snapshot == nil {
+		hostReserve := cfg.HostReserve
+		if hostReserve == 0 {
+			hostReserve = defaultHostReserve
+		}
 		initSize := inst.memType.Limits.Min * wasm.PageSize
-		switch {
-		case inst.prog.Cfg.Guard:
-			commit := initSize
-			if cfg.Snapshot != nil {
-				commit = 0
-			}
-			gm, err := vmem.Map(commit)
-			if err != nil {
-				return nil, err
-			}
-			inst.gmap = gm
-			inst.gmem = gm.Bytes()
-			inst.mem = inst.gmem[:commit]
-			inst.memSize = commit
-			inst.dirty.resize(len(inst.mem))
-		case cfg.Snapshot == nil:
-			// Pristine storage already carries the sandbox tag over the
-			// guest memory (Fig. 12b; the host reserve stays
-			// runtime-tagged, zero): the stg loop is charged, not run.
-			inst.setPristine(int(initSize+hostReserve), initSize)
-			if cfg.Features.Sandbox {
-				inst.StartupGranulesTagged += initSize / mte.GranuleSize
-			}
+		if err := inst.setPristine(int(initSize+hostReserve), initSize); err != nil {
+			return nil, err
+		}
+		if cfg.Features.Sandbox {
+			inst.StartupGranulesTagged += initSize / mte.GranuleSize
 		}
 		inst.fillHostReserve()
 	}

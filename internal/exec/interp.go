@@ -8,7 +8,6 @@ import (
 	"cage/internal/arch"
 	"cage/internal/mte"
 	"cage/internal/ptrlayout"
-	"cage/internal/vmem"
 	"cage/internal/wasm"
 )
 
@@ -220,46 +219,16 @@ func (inst *Instance) memoryGrow(deltaPages uint64) uint64 {
 	if newPages > 1<<32 { // 256 TiB cap to keep the simulation sane
 		return ^uint64(0)
 	}
-	if inst.gmap != nil {
-		// Guard-region backend: growth is an mprotect on the reservation,
-		// never a reallocation, so gmem (and every guard handler's view of
-		// it) stays valid. wasm32 page counts cannot exceed the guest
-		// limit, but guard against drift defensively.
-		newSize := newPages * wasm.PageSize
-		if newSize > vmem.GuestLimit {
-			return ^uint64(0)
-		}
-		if err := inst.gmap.SetCommitted(newSize); err != nil {
-			return ^uint64(0)
-		}
-		inst.mem = inst.gmem[:newSize]
-		inst.memSize = newSize
-		inst.dirty.resize(len(inst.mem))
-		inst.dirty.setAll()
-		return oldPages
+	oldSize, newSize := inst.memSize, newPages*wasm.PageSize
+	if !inst.growStorage(newSize) {
+		return ^uint64(0)
 	}
-	hostLen := uint64(len(inst.mem)) - inst.memSize
-	newSize := newPages * wasm.PageSize
-	grown := make([]byte, newSize+hostLen)
-	copy(grown, inst.mem[:inst.memSize])
-	copy(grown[newSize:], inst.mem[inst.memSize:])
-	inst.mem = grown
-	inst.dirty.resize(len(inst.mem))
-	inst.dirty.setAll()
-	oldSize := inst.memSize
-	inst.memSize = newSize
-	if inst.tags != nil {
-		inst.tags.Grow(newSize + hostLen)
-		if inst.features.Sandbox && newSize > oldSize {
-			// New pages join the sandbox.
-			if err := inst.tags.SetTagRange(oldSize, newSize-oldSize, inst.sandbox); err == nil {
-				inst.counter.Add(arch.EvSTGGranule, (newSize-oldSize)/mte.GranuleSize)
-			}
+	if inst.tags != nil && inst.features.Sandbox {
+		// New pages join the sandbox.
+		if err := inst.tags.SetTagRange(oldSize, newSize-oldSize, inst.sandbox); err == nil {
+			inst.counter.Add(arch.EvSTGGranule, (newSize-oldSize)/mte.GranuleSize)
 		}
 	}
-	// The grown buffer (and the grown tag array) replaced every
-	// reference into a copy-on-write view; release it.
-	inst.releaseMapping()
 	return oldPages
 }
 

@@ -58,29 +58,12 @@ func (inst *Instance) ResetState(seed uint64) error {
 	if inst.closed {
 		return fmt.Errorf("exec: reset of closed instance")
 	}
-	// Memory and tags: back to the pristine layout at the initial size.
-	var initSize uint64
-	if len(inst.module.Mems) > 0 {
-		initSize = inst.memType.Limits.Min * wasm.PageSize
-	}
-	switch {
-	case inst.gmap != nil:
-		// Guard-region backend: recommit the reservation to the initial
-		// size (shrink decommits and zeroes the tail) and scrub the
-		// retained prefix, whose pages keep their contents.
-		if err := inst.gmap.SetCommitted(initSize); err != nil {
-			return err
-		}
-		inst.mem = inst.gmem[:initSize]
-		inst.memSize = initSize
-		clear(inst.mem)
-		inst.dirty.resize(len(inst.mem))
-	case len(inst.module.Mems) > 0:
-		// The instance's own storage when it is heap-backed and still has
-		// the initial size, scrubbed by the pages it wrote; after a
-		// memory.grow, or on a copy-on-write view, another one — memory
-		// and tag array together.
-		inst.setPristine(int(initSize+inst.hostReserve), initSize)
+	// Memory and tags: back to the pristine layout at the initial size —
+	// the instance's own storage, scrubbed by the pages it wrote, while it
+	// still has that size.
+	initSize := inst.memType.Limits.Min * wasm.PageSize
+	if err := inst.setPristine(int(initSize+inst.hostReserve), initSize); err != nil {
+		return err
 	}
 	// Reset leaves memory at the pre-init state, not a snapshot's: the
 	// base image (whose spans the scrub above still needed) is gone, and
@@ -176,24 +159,5 @@ func (inst *Instance) Close() error {
 	if inst.sandboxes != nil && inst.sandbox != core.RuntimeTag {
 		inst.sandboxes.Release(inst.sandbox)
 	}
-	// Heap storage — memory, tag array and the set of pages this instance
-	// wrote — goes to the next instance of its size (newStorage), unless a
-	// view of the memory escaped; a copy-on-write view is released.
-	// Either way the memory and the tag array become unreferencable here:
-	// a closed instance must not be touched again.
-	st := inst.heapStorage()
-	if inst.tags != nil {
-		inst.tags.AdoptTags(nil, 0)
-	}
-	inst.mem = nil
-	st.recycle()
-	inst.releaseMapping()
-	if inst.gmap != nil {
-		inst.gmem = nil
-		if err := inst.gmap.Unmap(); err != nil {
-			return err
-		}
-		inst.gmap = nil
-	}
-	return nil
+	return inst.release()
 }

@@ -8,8 +8,8 @@ package exec
 // its recycled storage is byte for byte and granule for granule the
 // birth on never-used storage. elision_test.go attacks the set one
 // channel at a time; this file attacks it with seeded random sequences
-// over every channel, feature set and dispatch tier, and is the fuzz
-// target CI runs under each build-tag set.
+// over every channel, feature set, dispatch tier and both memory
+// backings, and is the fuzz target CI runs.
 
 import (
 	"bytes"
@@ -30,7 +30,8 @@ import (
 
 // restoreToolbox builds the module the sequences drive: one exported
 // function per guest write channel, over a 64-bit or (for the guard32
-// strategy, and the guard-region backend under cageguard) 32-bit memory.
+// strategy, and the guard-region backing where the kernel grants one)
+// 32-bit memory.
 //
 //	st8/st16/st32/st64(addr, val)   scalar stores
 //	fill(dst, val, n), cpy(dst, src, n), grow(pages)
@@ -489,7 +490,7 @@ func (r *restoreRig) rebirth(m *wasm.Module, cfg Config, builder *Instance) {
 		}
 		r.compare(when+" on recycled storage", got.mem, want.mem, got.tags, want.tags)
 		if !retired.heap {
-			continue // no retiree, or an unmapped view, whose address may be mapped again
+			continue // no retiree, or an unmapped reservation, whose address may be mapped again
 		}
 		if perInstanceTags && got.tag == retired.tag {
 			r.fail("%s: the taker drew the retiree's sandbox tag %d", when, got.tag)
@@ -515,7 +516,7 @@ type held struct {
 }
 
 func holdings(inst *Instance) held {
-	return held{&inst.mem[0], inst.gmap == nil && inst.memUnmap == nil, inst.dirty.pinned, inst.sandbox,
+	return held{&inst.mem[0], inst.gmap == nil, inst.dirty.pinned, inst.sandbox,
 		bytes.Clone(inst.mem), bytes.Clone(inst.tagArray())}
 }
 

@@ -26,9 +26,7 @@ import (
 // Config.Snapshot at instantiation (NewInstance skips data-segment
 // replay, whole-memory tagging, and the start function, restoring the
 // image instead) or by Instance.RestoreFromSnapshot on a live instance
-// (the pooled-reset fast path). Under the cagecow build tag on Linux
-// the capture also materializes a sealed memfd image so installs can
-// map it MAP_PRIVATE instead of copying; see doc.go for the two legs.
+// (the pooled-reset fast path); see doc.go for the two legs.
 type Snapshot struct {
 	module   *wasm.Module
 	features core.Features
@@ -37,8 +35,7 @@ type Snapshot struct {
 	// bytes plus the host reserve.
 	memLen int
 	// mem holds the bytes of spans, back to back; every byte of the image
-	// outside them is zero and is not stored. A dirty-page restore copies
-	// single pages out of it, on every build.
+	// outside them is zero and is not stored.
 	mem     []byte
 	globals []uint64
 	table   []int32
@@ -67,37 +64,19 @@ type Snapshot struct {
 	// own base image, plus that image's spans. A post-init image is mostly
 	// pristine, so an install onto pristine storage copies only these.
 	spans []memSpan
-
-	// cow is the mmap-backed copy-on-write image (the whole memory and
-	// the whole tag array in one sealed memfd); nil when the build or
-	// kernel cannot provide one, in which case installs copy the spans.
-	cow *cowImage
 }
 
 // memSpan is a half-open byte range [off, end) of the snapshot image;
 // its bytes are mem[at : at+end-off].
 type memSpan struct{ off, end, at int }
 
-// SnapshotRestoreMode names how this build installs an image: "cow"
-// when the cagecow build tag is active on Linux (installs map a
-// MAP_PRIVATE view of the frozen image), "copy" otherwise (installs
-// copy the image's spans onto pristine storage). Restores of the image
-// an instance already holds rewrite its dirty pages on every build.
-func SnapshotRestoreMode() string { return snapshotRestoreMode }
-
 // MemorySize returns the guest-visible memory size of the image.
 func (s *Snapshot) MemorySize() uint64 { return s.memSize }
 
-// Close releases the snapshot's copy-on-write image, if any. Instances
-// already restored from it keep their private mappings; the snapshot
-// must not be installed from afterwards. Close is optional — a snapshot
-// cached for the process lifetime never needs it.
-func (s *Snapshot) Close() {
-	if s.cow != nil {
-		s.cow.close()
-		s.cow = nil
-	}
-}
+// Close does nothing: a snapshot holds no OS resource, only heap memory
+// the collector reclaims. It remains for the one caller that cannot be
+// edited with the rest (benchmark/layers.go; ROADMAP item 5).
+func (s *Snapshot) Close() {}
 
 // Snapshot captures the instance's current mutable state. The instance
 // must be quiescent: not closed and with no invocation in flight
@@ -144,9 +123,6 @@ func (inst *Instance) Snapshot() (*Snapshot, error) {
 		if tags != nil {
 			s.tags = append(s.tags, tags[sp.off/mte.GranuleSize:granules(sp.end)]...)
 		}
-	}
-	if memLen > 0 {
-		s.cow = newCOWImage(s, tags)
 	}
 	inst.lastImage = s
 	inst.dirty.clear()
@@ -246,47 +222,15 @@ func (inst *Instance) restoreDirty(s *Snapshot) int {
 }
 
 // installImage is the whole-image leg of RestoreFromSnapshot: it gives
-// the instance a memory and tag array equal to s, sized for it.
+// the instance a memory and tag array equal to s, sized for it —
+// pristine storage plus the image's spans. The spans are clipped to the
+// memory: an image captured on heap storage carries host-reserve bytes
+// that have no home in a guard reservation.
 func (inst *Instance) installImage(s *Snapshot) error {
-	if inst.gmap != nil {
-		// Guard-region backend: the reservation must never be replaced by
-		// a COW view or a heap buffer — the guard handlers index gmem
-		// directly — so install is recommit, clear, copy. Spans are
-		// clipped to the guest size: an image captured on the heap
-		// backend carries host-reserve bytes that have no home here.
-		if err := inst.gmap.SetCommitted(s.memSize); err != nil {
-			return err
-		}
-		inst.mem, inst.memSize = inst.gmem[:s.memSize], s.memSize
-		inst.dirty.resize(len(inst.mem))
-		clear(inst.mem)
-		s.copySpans(inst, 0, len(inst.mem))
-		return nil
+	if err := inst.setPristine(s.memLen, s.memSize); err != nil {
+		return err
 	}
-	inst.hostReserve = uint64(s.memLen) - s.memSize
-	if s.cow != nil {
-		if mem, tagView, unmap, err := s.cow.mapView(); err == nil {
-			// The private view holds the whole image; its tag region — the
-			// capturing instance's tag array — is adopted without copying
-			// and, where the sandbox identities differ, remapped in place.
-			inst.heapStorage().recycle()
-			oldUnmap := inst.memUnmap
-			inst.mem, inst.memSize, inst.memUnmap = mem, s.memSize, unmap
-			inst.dirty.resize(len(mem))
-			if inst.tags != nil {
-				inst.tags.AdoptTags(tagView, uint64(s.memLen))
-				if s.sandbox != inst.sandbox {
-					inst.tags.RestoreTagRange(tagView, 0, uint64(s.memLen), s.sandbox, inst.sandbox)
-				}
-			}
-			if oldUnmap != nil {
-				oldUnmap() // nothing references the previous view anymore
-			}
-			return nil
-		}
-	}
-	inst.setPristine(s.memLen, s.memSize)
-	s.copySpans(inst, 0, s.memLen)
+	s.copySpans(inst, 0, len(inst.mem))
 	return nil
 }
 
@@ -319,14 +263,3 @@ func (inst *Instance) RestoredPages() int { return inst.restoredPages }
 // MarkMemoryDirty marks every page dirty; the benchmark's restore probe
 // uses it to price a whole-memory restore.
 func (inst *Instance) MarkMemoryDirty() { inst.dirty.setAll() }
-
-// releaseMapping unmaps the copy-on-write view backing the instance's
-// memory, if any. Callers must have replaced (or be discarding) every
-// reference into the view first: inst.mem and, when adopted, the tag
-// array.
-func (inst *Instance) releaseMapping() {
-	if inst.memUnmap != nil {
-		inst.memUnmap()
-		inst.memUnmap = nil
-	}
-}

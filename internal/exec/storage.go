@@ -4,7 +4,16 @@ import (
 	"sync/atomic"
 
 	"cage/internal/mte"
+	"cage/internal/vmem"
 )
+
+// An instance's memory has one of two backings, and this file is the
+// only one that knows which: heap storage (below), or — for a program
+// lowered with guard opcodes, which vmem.Supported decides once per
+// process — a vmem reservation that the instance keeps from its first
+// setPristine to release. NewInstance, ResetState, installImage,
+// memory.grow and Close go through setPristine, growStorage and release
+// and never ask.
 
 // storage is what outlives a heap-backed instance: its linear memory,
 // its tag array, and the set of pages it wrote. Everything outside
@@ -38,8 +47,8 @@ var birthsRecycled, birthsFresh atomic.Uint64
 
 // BirthStats returns how many instance births (and re-sizing resets and
 // installs) in this process ran on a retired instance's storage and how
-// many on newly made storage. Births onto a copy-on-write view or a
-// guard mapping count as neither.
+// many on newly made storage. Births onto a guard mapping count as
+// neither.
 func BirthStats() (recycled, fresh uint64) { return birthsRecycled.Load(), birthsFresh.Load() }
 
 // newStorage returns storage of memLen bytes in the pristine layout for
@@ -114,12 +123,12 @@ func (st storage) recycle() {
 }
 
 // heapStorage returns the instance's storage while it is heap-backed, and
-// the zero storage while its memory is a copy-on-write view or a guard
-// mapping (or it has none). The written set is the dirty set plus the
-// base image's spans: every page after memory.grow or MarkMemoryDirty,
-// and every page for good once a raw view escaped.
+// the zero storage while its memory is a guard mapping (or it has none).
+// The written set is the dirty set plus the base image's spans: every
+// page after memory.grow or MarkMemoryDirty, and every page for good
+// once a raw view escaped.
 func (inst *Instance) heapStorage() storage {
-	if inst.gmap != nil || inst.memUnmap != nil || inst.mem == nil {
+	if inst.gmap != nil || inst.mem == nil {
 		return storage{}
 	}
 	inst.markBaseSpans()
@@ -148,12 +157,45 @@ func (inst *Instance) markBaseSpans() {
 	}
 }
 
-// setPristine gives a heap-backed instance storage of memLen bytes in
-// the pristine layout for a guest size of memSize: its own, scrubbed in
-// place, when it has that size; otherwise a retired instance's or a new
-// one, its own going to the pool (and a copy-on-write view being
-// unmapped). NewInstance, ResetState and installImage all start here.
-func (inst *Instance) setPristine(memLen int, memSize uint64) {
+// setPristine gives the instance storage of memLen bytes in the pristine
+// layout for a guest size of memSize; a module without a memory gets
+// none. NewInstance, ResetState and installImage all start here.
+//
+// Heap: its own storage, scrubbed in place, when it has that size;
+// otherwise a retired instance's or a new one, its own going to the
+// pool.
+//
+// Guard: the reservation, mapped on the first call and never replaced —
+// the guard handlers index gmem directly — with memSize bytes committed.
+// It has no host reserve (every byte past the guest prefix is PROT_NONE,
+// which is the point), so memLen is not used, and no tags (Cage features
+// need a 64-bit memory). Pages a shrink decommits come back zero from
+// the kernel; the prefix that stays committed keeps its contents and is
+// cleared by its written page runs. A reservation is never pooled.
+func (inst *Instance) setPristine(memLen int, memSize uint64) error {
+	if len(inst.module.Mems) == 0 {
+		return nil
+	}
+	if inst.prog.Cfg.Guard {
+		if inst.gmap == nil {
+			gm, err := vmem.Map(0)
+			if err != nil {
+				return err
+			}
+			inst.gmap, inst.gmem = gm, gm.Bytes()
+		}
+		inst.markBaseSpans()
+		if err := inst.gmap.SetCommitted(memSize); err != nil {
+			return err
+		}
+		kept := min(len(inst.mem), int(memSize))
+		for lo, hi := inst.dirty.nextRun(0); lo<<dirtyPageShift < kept && lo < hi; lo, hi = inst.dirty.nextRun(hi) {
+			clear(inst.gmem[lo<<dirtyPageShift : min(hi<<dirtyPageShift, kept)])
+		}
+		inst.mem, inst.memSize, inst.hostReserve = inst.gmem[:memSize], memSize, 0
+		inst.dirty.resize(len(inst.mem))
+		return nil
+	}
 	st := inst.heapStorage()
 	if len(st.mem) == memLen {
 		st.scrub(inst.sandbox, memSize)
@@ -162,13 +204,61 @@ func (inst *Instance) setPristine(memLen int, memSize uint64) {
 		st = newStorage(memLen, inst.tags != nil, inst.sandbox, memSize)
 	}
 	// Once a raw view escaped, the instance stays pinned whatever storage
-	// it moves to: under cagecow a later view can land on the address a
-	// retained slice still points at.
+	// it moves to: the scrub in place above (like a guard reservation)
+	// keeps the address a retained slice points at.
 	st.written.pinned = inst.dirty.pinned
 	inst.mem, inst.memSize, inst.dirty = st.mem, memSize, st.written
+	inst.hostReserve = uint64(memLen) - memSize
 	if inst.tags != nil {
 		inst.tags.AdoptTags(st.tags, uint64(memLen))
 	}
-	// Nothing references a previous view anymore.
-	inst.releaseMapping()
+	return nil
+}
+
+// growStorage resizes the guest memory to newSize bytes, keeping its
+// contents and the host reserve behind it, and marks every page dirty:
+// a guard reservation commits more of itself (an mprotect, so gmem and
+// every guard handler's view of it stay valid), heap storage is copied
+// into a new buffer and tag array. It reports whether the backing
+// allowed it.
+func (inst *Instance) growStorage(newSize uint64) bool {
+	if inst.gmap != nil {
+		if inst.gmap.SetCommitted(newSize) != nil { // also refuses sizes past vmem.GuestLimit
+			return false
+		}
+		inst.mem = inst.gmem[:newSize]
+	} else {
+		hostLen := uint64(len(inst.mem)) - inst.memSize
+		grown := make([]byte, newSize+hostLen)
+		copy(grown, inst.mem[:inst.memSize])
+		copy(grown[newSize:], inst.mem[inst.memSize:])
+		inst.mem = grown
+		if inst.tags != nil {
+			inst.tags.Grow(newSize + hostLen)
+		}
+	}
+	inst.memSize = newSize
+	inst.dirty.resize(len(inst.mem))
+	inst.dirty.setAll()
+	return true
+}
+
+// release gives up the instance's storage, which nothing may reference
+// from here on: heap storage — memory, tag array, written page set —
+// goes to the next birth of its size unless a view of it escaped, a
+// guard reservation is unmapped. Close and a failed NewInstance end
+// here.
+func (inst *Instance) release() error {
+	st := inst.heapStorage()
+	if inst.tags != nil {
+		inst.tags.AdoptTags(nil, 0)
+	}
+	inst.mem, inst.gmem = nil, nil
+	st.recycle()
+	if inst.gmap == nil {
+		return nil
+	}
+	gm := inst.gmap
+	inst.gmap = nil
+	return gm.Unmap()
 }

@@ -646,8 +646,8 @@ type Config struct {
 	// accesses whose offset fits GuardMaxOffset: the executor backs the
 	// linear memory with an mmap reservation (internal/vmem) whose tail
 	// is PROT_NONE, so the MMU performs the bounds check. Set only when
-	// the build provides the backing (cageguard tag on Linux); it is
-	// part of the cache identity like every other field, so guard and
+	// the platform and kernel provide the backing (vmem.Supported); it
+	// is part of the cache identity like every other field, so guard and
 	// non-guard programs never mix.
 	Guard bool
 }

@@ -376,9 +376,8 @@ func (m *Memory) RestoreTagRange(src []uint8, addr, length uint64, from, to uint
 
 // AdoptTags replaces the tag storage with tags (covering size data
 // bytes) without copying, and clears any latched fault: the instance
-// layer owns tag arrays — a retired instance's array, a new one, or the
-// tag region of a copy-on-write snapshot view — and hands the current
-// one in. The caller guarantees tags stays valid until the next
+// layer owns tag arrays — a retired instance's array or a new one — and
+// hands the current one in. The caller guarantees tags stays valid until the next
 // AdoptTags or Grow replaces it.
 func (m *Memory) AdoptTags(tags []uint8, size uint64) {
 	m.tags = tags

@@ -165,13 +165,9 @@ type ModuleStats struct {
 type Stats struct {
 	// Config is the server's sandbox preset name ("full", "sandbox", …).
 	Config string `json:"config"`
-	// RestoreMode names the snapshot-restore fast path this build forks
-	// instances with: "cow" (MAP_PRIVATE copy-on-write image) or "copy"
-	// (bulk copy).
-	RestoreMode string `json:"restore_mode"`
 	// MemoryMode names the linear-memory backend the dispatch tier runs
-	// guard32 accesses on: "guard" (cageguard build, vmem reservation,
-	// no per-access bounds check) or "bounds" (explicit checks).
+	// guard32 accesses on: "guard" (guard reservation available: vmem
+	// mapping, no per-access bounds check) or "bounds" (explicit checks).
 	MemoryMode string `json:"memory_mode"`
 	// FusionProfile is the identity of the hot-sequence profile driving
 	// the superinstruction pass ("none" when fusion is disabled); part
@@ -273,8 +269,6 @@ func (s *Stats) writeProm(w io.Writer) {
 	fmt.Fprintf(w, "cage_instance_births_recycled_total %d\n", s.Snapshots.BirthsRecycled)
 	fmt.Fprintf(w, "# TYPE cage_instance_births_fresh_total counter\n")
 	fmt.Fprintf(w, "cage_instance_births_fresh_total %d\n", s.Snapshots.BirthsFresh)
-	fmt.Fprintf(w, "# TYPE cage_snapshot_restore_mode gauge\n")
-	fmt.Fprintf(w, "cage_snapshot_restore_mode{mode=%q} 1\n", s.RestoreMode)
 	fmt.Fprintf(w, "# TYPE cage_dispatch_mode gauge\n")
 	fmt.Fprintf(w, "cage_dispatch_mode{memory=%q,fusion=%q} 1\n", s.MemoryMode, s.FusionProfile)
 }

@@ -528,7 +528,6 @@ func (s *Server) StatsSnapshot() *Stats {
 	memMode, fusion := s.eng.DispatchMode()
 	out := &Stats{
 		Config:        s.opts.ConfigName,
-		RestoreMode:   s.eng.RestoreMode(),
 		MemoryMode:    memMode,
 		FusionProfile: fusion,
 		ModuleCache:   cacheSnapshot(es.Cache),

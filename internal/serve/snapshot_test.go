@@ -106,14 +106,10 @@ func TestInitSnapshotChargedOnce(t *testing.T) {
 	if fi := stats.Snapshots.FullInstalls; fi == 0 || fi > stats.Snapshots.Restores {
 		t.Errorf("full_installs = %d of %d restores, want 1..restores", fi, stats.Snapshots.Restores)
 	}
-	if stats.RestoreMode != "copy" && stats.RestoreMode != "cow" {
-		t.Errorf("restore_mode = %q, want copy or cow", stats.RestoreMode)
-	}
-	// ... and what the births ran on: the snapshot builder's was made (or
-	// recycled from an earlier test's instance); under cow later forks map
-	// views, which count as neither.
-	if stats.Snapshots.BirthsRecycled+stats.Snapshots.BirthsFresh == 0 {
-		t.Error("births_recycled + births_fresh = 0 after an instance was built")
+	// ... and what the births ran on: every spawn of this wasm64 module
+	// took heap storage, made or recycled.
+	if births := stats.Snapshots.BirthsRecycled + stats.Snapshots.BirthsFresh; births < stats.Pools.Spawned {
+		t.Errorf("births_recycled + births_fresh = %d after %d spawns", births, stats.Pools.Spawned)
 	}
 
 	// The Prometheus rendering carries the same counters.
@@ -132,7 +128,6 @@ func TestInitSnapshotChargedOnce(t *testing.T) {
 		fmt.Sprintf("cage_snapshot_full_installs_total %d\n", stats.Snapshots.FullInstalls),
 		fmt.Sprintf("cage_instance_births_recycled_total %d\n", stats.Snapshots.BirthsRecycled),
 		fmt.Sprintf("cage_instance_births_fresh_total %d\n", stats.Snapshots.BirthsFresh),
-		`cage_snapshot_restore_mode{mode="` + stats.RestoreMode + `"} 1`,
 	} {
 		if !strings.Contains(prom, w) {
 			t.Errorf("/metrics output missing %q", w)

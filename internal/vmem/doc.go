@@ -31,9 +31,9 @@
 //     executor's recover path re-panics on faults that are not guard
 //     hits.
 //
-// The package compiles everywhere: without the cageguard build tag (or
-// off Linux) the stub's Supported returns false and Map fails, exactly
-// mirroring the cagecow pattern used by the snapshot COW path.
+// The package compiles everywhere and no build tag selects it: 64-bit
+// Linux probes the kernel once (a refused reservation means software
+// bounds checks); elsewhere the stub's Supported is false and Map fails.
 package vmem
 
 // GuestLimit is the full 32-bit guest address space: the largest

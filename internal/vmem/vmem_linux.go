@@ -1,6 +1,6 @@
 // The 4 GiB+ reservation needs a 64-bit address space; 32-bit Linux
 // targets use the stub like every other platform.
-//go:build cageguard && linux && (amd64 || arm64)
+//go:build linux && (amd64 || arm64)
 
 package vmem
 

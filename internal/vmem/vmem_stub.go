@@ -1,12 +1,12 @@
-//go:build !cageguard || !linux || !(amd64 || arm64)
+//go:build !linux || !(amd64 || arm64)
 
 package vmem
 
 import "errors"
 
-// ErrUnsupported is returned by Map on builds without the guard
-// backend (no cageguard tag, non-Linux, or 32-bit address space).
-var ErrUnsupported = errors.New("vmem: guard-region mappings unavailable in this build (need -tags=cageguard on 64-bit Linux)")
+// ErrUnsupported is returned by Map on platforms without the guard
+// backend (non-Linux, or a 32-bit address space).
+var ErrUnsupported = errors.New("vmem: guard-region mappings unavailable on this platform (need 64-bit Linux)")
 
 // Mapping is the stub guard-region handle; never instantiated in this
 // build.

@@ -241,7 +241,7 @@ func (e *Engine) setActiveSnapshot(m *Module, s *Snapshot) {
 
 // captureBaseline freezes a just-instantiated (pristine, post-start)
 // instance as the module's automatic fork image, so even modules that
-// never see an explicit Engine.Snapshot get copy/COW-fast pool resets.
+// never see an explicit Engine.Snapshot get dirty-page pool resets.
 // Failures are non-fatal: the pool falls back to full resets.
 func (e *Engine) captureBaseline(m *Module, inst *Instance) {
 	if e.activeSnapshot(m) != nil {
@@ -274,13 +274,12 @@ func (e *Engine) SnapshotStats() engine.SnapshotCacheStats {
 	return st
 }
 
-// RestoreMode names how this build installs an image into an instance
-// that does not hold it yet: "cow" under the cagecow build tag on Linux
-// (forks map a copy-on-write view of the frozen image), "copy" otherwise
-// (forks copy its written pages into a fresh buffer). A pooled reset of
-// an instance that already holds the image rewrites only the pages its
-// call dirtied, on either build.
-func (e *Engine) RestoreMode() string { return exec.SnapshotRestoreMode() }
+// RestoreMode is the constant "copy": there is one way to install an
+// image into an instance that does not hold it yet — pristine storage
+// plus a copy of the image's written pages. It remains for the one
+// caller that cannot be edited with the rest (benchmark/main.go's env
+// block; ROADMAP item 5).
+func (e *Engine) RestoreMode() string { return "copy" }
 
 // SetAutoSnapshot enables or disables the automatic post-start baseline
 // capture at first pool spawn (enabled by default). Disabling it
