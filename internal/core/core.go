@@ -366,9 +366,8 @@ func (s *Segments) New(ptr, length, offset uint64) (uint64, error) {
 		return 0, &SegmentError{Op: "segment.new", Addr: addr, Len: length, Msg: err.Error()}
 	}
 	s.GranulesTagged += length / mte.GranuleSize
-	buf := s.data()
-	for i := addr; i < addr+length && i < uint64(len(buf)); i++ {
-		buf[i] = 0
+	if buf := s.data(); addr < uint64(len(buf)) {
+		clear(buf[addr:min(addr+length, uint64(len(buf)))])
 	}
 	return ptrlayout.WithTag(addr, tag), nil
 }

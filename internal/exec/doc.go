@@ -47,6 +47,41 @@
 // holds the frame machine to identical results, traps, and event
 // counts.
 //
+// # Dispatch
+//
+// One rule holds inside (*Instance).run: every per-instruction decision
+// is one indirect jump or none. Go compiles a switch to a jump table —
+// a bounds compare and `JMP 0(Rtable)(Rindex*8)` — only for eight or
+// more integer cases whose values span at most four times their count
+// (cmd/compile/internal/walk/switch.go, minDensity); anything sparser
+// becomes a binary search of compare-and-branch pairs. Hence
+// `switch in.Op` enumerates the named and fused opcodes, which
+// internal/ir numbers as one contiguous block, and takes the numerics
+// through `default` into a second switch on the (single-byte, dense)
+// wasm opcode; the shared fusedALU block switches on aluKind[op]
+// (fused.go), not on the wasm opcode; the fused tail switch lists fused
+// opcodes only; and a tag-checked access is one call from its handler:
+// fusedMemLoad / fusedMemStore table-jump straight to the variant's
+// address function, and addrMTE / addrB64 inline mte.Allows — two
+// tag-byte compares — in front of CheckAccess, which stays the slow
+// path that builds or latches the fault.
+//
+// To see what the compiler made of it on linux/amd64:
+//
+//	go build -o /tmp/cage-serve ./cmd/cage-serve
+//	go tool objdump -s 'exec\.\(\*Instance\)\.run$' /tmp/cage-serve |
+//	    grep -cE 'JMP 0\([A-Z0-9]+\)\([A-Z0-9]+\*8\)'
+//
+// prints 4 (main switch, numeric default switch, fusedALU kind switch,
+// fused tail switch); CI fails below that, and ir.TestOpSpaceDense and
+// TestFusedALUKindsMatchSlowPath pin the two tables. Tried and moved
+// nothing, so nobody repeats them: splitting run into an outer
+// per-frame loop and an inner dispatch loop (halves the loop-head
+// spills, 8 → 4 stores, no measurable gain), and suspecting the
+// per-event ctr.Add (it is one `ADDQ $1, off(Rctr)`). What remains is
+// per dispatch, which only fewer dispatches would cut; ROADMAP has the
+// numbers.
+//
 // # Interruption points
 //
 // InvokeWith is the bounded-call entry (call.go): it arms a per-call
@@ -74,7 +109,12 @@
 // the in-flight call's context, a Memory view, fuel accounting, and
 // re-entrant guest Call. The args slice a host function receives is a
 // view of the caller's operand-stack slots in the arena — valid for the
-// duration of the host call, exactly like the HostContext itself.
+// duration of the host call, exactly like the HostContext itself. A
+// crossing allocates nothing: the HostContext and the typed adapters'
+// one-value result slice are per-instance storage
+// (TestHostCallZeroAlloc), which is sound because the context holds no
+// per-call state and the result is copied to the operand stack before
+// the instance can cross again.
 //
 // Host code runs with runtime privileges, which draws a precise line
 // through the MTE machinery:

@@ -113,7 +113,13 @@ func (inst *Instance) invokeInto(fidx uint32, args []uint64, resBuf []uint64) ([
 		}
 		inst.depth++
 		defer func() { inst.depth-- }()
-		return inst.callHost(int(fidx), args)
+		res, err := inst.callHost(int(fidx), args)
+		if err != nil {
+			return nil, err
+		}
+		// A typed host function's result lives in per-instance storage
+		// (HostContext.result); the embedder gets its own copy.
+		return append(resBuf[:0], res...), nil
 	}
 	di := int(fidx) - len(inst.imports)
 	if di >= len(inst.prog.Funcs) {
@@ -164,8 +170,8 @@ func (inst *Instance) invokeInto(fidx uint32, args []uint64, resBuf []uint64) ([
 }
 
 // callHost crosses the sandbox boundary into an imported host
-// function. The host runs under a HostContext carrying the in-flight
-// call's context; on return, errors are classified:
+// function. The host runs under the instance's one HostContext, which
+// reads the in-flight call's context; on return, errors are classified:
 //
 //   - a *Trap propagates unchanged (so a re-entrant guest call's trap,
 //     or WASI's proc_exit, keeps its code);
@@ -184,8 +190,7 @@ func (inst *Instance) invokeInto(fidx uint32, args []uint64, resBuf []uint64) ([
 // functions are already bound to.
 func (inst *Instance) callHost(idx int, args []uint64) ([]uint64, error) {
 	hf := inst.imports[idx]
-	hc := HostContext{inst: inst, ctx: inst.callCtx}
-	res, err := hf.Fn(&hc, args)
+	res, err := hf.Fn(&inst.hostCtx, args)
 	if err != nil {
 		var t *Trap
 		if errors.As(err, &t) {
@@ -546,7 +551,7 @@ func (inst *Instance) run(barrier int) error {
 			ctr.Add(arch.EvLoad, 1)
 			addr := uint64(uint32(stack[len(stack)-1])) + in.A
 			stack[len(stack)-1] = extendLoad(ir.MemOp(in.B),
-				readScalarFast(inst.gmem, addr, ir.MemSize(in.B)))
+				readScalar(inst.gmem, addr, ir.MemSize(in.B)))
 
 		// Stores, same specialization.
 		case ir.OpStoreG32:
@@ -633,7 +638,7 @@ func (inst *Instance) run(barrier int) error {
 			gm := inst.gmem
 			guardProbeSink = gm[addr+sz-1]
 			inst.dirty.mark(addr, sz)
-			writeScalarFast(gm, addr, sz, stack[len(stack)-1])
+			writeScalar(gm, addr, sz, stack[len(stack)-1])
 			stack = stack[:len(stack)-2]
 
 		// Fused superinstructions (internal/fuse): each case executes its
@@ -712,7 +717,7 @@ func (inst *Instance) run(barrier int) error {
 			if ir.FusedMemVariant(in.B) == ir.OpLoadG32G {
 				addr := uint64(uint32(stack[len(stack)-1])) + in.A
 				stack[len(stack)-1] = extendLoad(ir.FusedMemOp(in.B),
-					readScalarFast(inst.gmem, addr, ir.FusedMemSize(in.B)))
+					readScalar(inst.gmem, addr, ir.FusedMemSize(in.B)))
 			} else {
 				v, err := inst.fusedMemLoad(in, in.A, stack[len(stack)-1])
 				if err != nil {
@@ -939,7 +944,8 @@ func (inst *Instance) run(barrier int) error {
 	fusedALU:
 		// Shared ALU-constituent executor for the fused superinstructions:
 		// one inline copy of the hottest constituents (the profile
-		// corpus's top ALU ops), with the out-of-line executor as the
+		// corpus's top ALU ops) keyed by their dense aluKind so the switch
+		// is a jump table, with the out-of-line executor (kind 0) as the
 		// fallback for the rest. Event charges are copied from the
 		// dispatch fast path above, so fused streams stay event-identical
 		// to unfused ones. The ALU-first superinstructions then run their
@@ -947,61 +953,61 @@ func (inst *Instance) run(barrier int) error {
 		// directly.
 		{
 			l := len(stack)
-			switch aluOp {
-			case wasm.OpI32Add:
+			switch aluKind[uint8(aluOp)] {
+			case aluI32Add:
 				ctr.Add(arch.EvALU, 1)
 				stack[l-2] = uint64(uint32(stack[l-2]) + uint32(stack[l-1]))
 				stack = stack[:l-1]
-			case wasm.OpI64Add:
+			case aluI64Add:
 				ctr.Add(arch.EvALU, 1)
 				stack[l-2] += stack[l-1]
 				stack = stack[:l-1]
-			case wasm.OpI32Mul:
+			case aluI32Mul:
 				ctr.Add(arch.EvMul, 1)
 				stack[l-2] = uint64(uint32(stack[l-2]) * uint32(stack[l-1]))
 				stack = stack[:l-1]
-			case wasm.OpI64Mul:
+			case aluI64Mul:
 				ctr.Add(arch.EvMul, 1)
 				stack[l-2] *= stack[l-1]
 				stack = stack[:l-1]
-			case wasm.OpF64Add:
+			case aluF64Add:
 				ctr.Add(arch.EvFAdd, 1)
 				stack[l-2] = math.Float64bits(math.Float64frombits(stack[l-2]) + math.Float64frombits(stack[l-1]))
 				stack = stack[:l-1]
-			case wasm.OpF64Mul:
+			case aluF64Mul:
 				ctr.Add(arch.EvFMul, 1)
 				stack[l-2] = math.Float64bits(math.Float64frombits(stack[l-2]) * math.Float64frombits(stack[l-1]))
 				stack = stack[:l-1]
-			case wasm.OpI32LtS:
+			case aluI32LtS:
 				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(int32(stack[l-2]) < int32(stack[l-1]))
 				stack = stack[:l-1]
-			case wasm.OpI64LtS:
+			case aluI64LtS:
 				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(int64(stack[l-2]) < int64(stack[l-1]))
 				stack = stack[:l-1]
-			case wasm.OpI32Eqz:
+			case aluI32Eqz:
 				ctr.Add(arch.EvCmp, 1)
 				stack[l-1] = b2u(uint32(stack[l-1]) == 0)
-			case wasm.OpI64ExtendI32S:
+			case aluI64ExtendI32S:
 				ctr.Add(arch.EvConv, 1)
 				stack[l-1] = uint64(int64(int32(stack[l-1])))
-			case wasm.OpI32Sub:
+			case aluI32Sub:
 				ctr.Add(arch.EvALU, 1)
 				stack[l-2] = uint64(uint32(stack[l-2]) - uint32(stack[l-1]))
 				stack = stack[:l-1]
-			case wasm.OpI64Sub:
+			case aluI64Sub:
 				ctr.Add(arch.EvALU, 1)
 				stack[l-2] -= stack[l-1]
 				stack = stack[:l-1]
-			case wasm.OpF64Sub:
+			case aluF64Sub:
 				ctr.Add(arch.EvFAdd, 1)
 				stack[l-2] = math.Float64bits(math.Float64frombits(stack[l-2]) - math.Float64frombits(stack[l-1]))
 				stack = stack[:l-1]
-			case wasm.OpF64ConvertI32S:
+			case aluF64ConvertI32S:
 				ctr.Add(arch.EvConv, 1)
 				stack[l-1] = math.Float64bits(float64(int32(stack[l-1])))
-			case wasm.OpF64ConvertI64S:
+			case aluF64ConvertI64S:
 				ctr.Add(arch.EvConv, 1)
 				stack[l-1] = math.Float64bits(float64(int64(stack[l-1])))
 			default:
@@ -1046,7 +1052,7 @@ func (inst *Instance) run(barrier int) error {
 			if ir.FusedMemVariant(in.B) == ir.OpLoadG32G {
 				addr := uint64(uint32(stack[len(stack)-1])) + in.A
 				stack[len(stack)-1] = extendLoad(ir.FusedMemOp(in.B),
-					readScalarFast(inst.gmem, addr, ir.FusedMemSize(in.B)))
+					readScalar(inst.gmem, addr, ir.FusedMemSize(in.B)))
 			} else {
 				v, err := inst.fusedMemLoad(in, in.A, stack[len(stack)-1])
 				if err != nil {
@@ -1063,7 +1069,7 @@ func (inst *Instance) run(barrier int) error {
 			if ir.FusedMemVariant(in.B) == ir.OpLoadG32G {
 				addr := uint64(uint32(stack[len(stack)-1])) + uint64(uint32(in.A))
 				stack[len(stack)-1] = extendLoad(ir.FusedMemOp(in.B),
-					readScalarFast(inst.gmem, addr, ir.FusedMemSize(in.B)))
+					readScalar(inst.gmem, addr, ir.FusedMemSize(in.B)))
 			} else {
 				v, err := inst.fusedMemLoad(in, uint64(uint32(in.A)), stack[len(stack)-1])
 				if err != nil {
@@ -1105,7 +1111,7 @@ func (inst *Instance) run(barrier int) error {
 				gm := inst.gmem
 				guardProbeSink = gm[addr+sz-1]
 				inst.dirty.mark(addr, sz)
-				writeScalarFast(gm, addr, sz, stack[len(stack)-1])
+				writeScalar(gm, addr, sz, stack[len(stack)-1])
 			} else if err := inst.fusedMemStore(in, stack[len(stack)-2], stack[len(stack)-1]); err != nil {
 				return err
 			}

@@ -54,6 +54,11 @@ func recModule() *wasm.Module {
 	return m
 }
 
+// RaceEnabled lets the allocation gates that live in package exec_test
+// (they import packages that import exec) skip under the race detector
+// like the ones in this package.
+const RaceEnabled = raceEnabled
+
 // TestGuestCallZeroAlloc is the allocation gate for the frame machine:
 // once the arena and frame stack are warm, an unmetered invocation
 // whose guest makes hundreds of guest→guest calls must allocate

@@ -20,6 +20,49 @@ import (
 // makes the fusion pass semantics- and event-preserving by
 // construction.
 
+// The ALU constituents the dispatch loop's shared fusedALU block runs
+// inline, as a dense kind: aluKind[op] switches by jump table, where
+// the wasm opcodes themselves (spread over 0x45…0xB9) would compile to
+// a compare chain. Kind 0 — every other opcode — is fusedALUSlow.
+const (
+	aluSlow uint8 = iota
+	aluI32Add
+	aluI64Add
+	aluI32Mul
+	aluI64Mul
+	aluF64Add
+	aluF64Mul
+	aluI32LtS
+	aluI64LtS
+	aluI32Eqz
+	aluI64ExtendI32S
+	aluI32Sub
+	aluI64Sub
+	aluF64Sub
+	aluF64ConvertI32S
+	aluF64ConvertI64S
+	numALUKinds
+)
+
+// aluKind maps a wasm numeric opcode to its inlined kind.
+var aluKind = [256]uint8{
+	wasm.OpI32Add:         aluI32Add,
+	wasm.OpI64Add:         aluI64Add,
+	wasm.OpI32Mul:         aluI32Mul,
+	wasm.OpI64Mul:         aluI64Mul,
+	wasm.OpF64Add:         aluF64Add,
+	wasm.OpF64Mul:         aluF64Mul,
+	wasm.OpI32LtS:         aluI32LtS,
+	wasm.OpI64LtS:         aluI64LtS,
+	wasm.OpI32Eqz:         aluI32Eqz,
+	wasm.OpI64ExtendI32S:  aluI64ExtendI32S,
+	wasm.OpI32Sub:         aluI32Sub,
+	wasm.OpI64Sub:         aluI64Sub,
+	wasm.OpF64Sub:         aluF64Sub,
+	wasm.OpF64ConvertI32S: aluF64ConvertI32S,
+	wasm.OpF64ConvertI64S: aluF64ConvertI64S,
+}
+
 // fusedALUSlow executes one pure-value constituent of a fused
 // superinstruction against the operand stack, returning the new stack.
 // The inlined cases are copied from the dispatch loop's default-case
@@ -194,69 +237,75 @@ func (inst *Instance) fusedALUSlow(op wasm.Opcode, stack []uint64) ([]uint64, er
 	}
 }
 
-// fusedMemAddr translates a fused memory constituent's guest index
-// through the same per-mode address function its unfused opcode uses —
-// same events, same trap — for every specialized variant except the
-// guard-region one, which the dispatch loop handles inline (it has no
-// address function; the MMU is the check).
-func (inst *Instance) fusedMemAddr(variant ir.Op, idx, offset, sz uint64) (uint64, error) {
-	switch variant {
-	case ir.OpLoadG32, ir.OpStoreG32:
-		return inst.addrG32(idx, offset, sz, inst.memSize, variant == ir.OpStoreG32)
-	case ir.OpLoadG32NC, ir.OpStoreG32NC:
-		return inst.addrG32(idx, offset, sz, uint64(len(inst.mem)), variant == ir.OpStoreG32NC)
-	case ir.OpLoadB64:
-		return inst.addrB64(idx, offset, sz, false, true, false)
-	case ir.OpLoadB64NC:
-		return inst.addrB64(idx, offset, sz, false, false, false)
-	case ir.OpLoadB64Tag:
-		return inst.addrB64(idx, offset, sz, false, true, true)
-	case ir.OpLoadB64NCTag:
-		return inst.addrB64(idx, offset, sz, false, false, true)
-	case ir.OpLoadMTE:
-		return inst.addrMTE(idx, offset, sz, false, true)
-	case ir.OpLoadMTENC:
-		return inst.addrMTE(idx, offset, sz, false, false)
-	case ir.OpStoreB64:
-		return inst.addrB64(idx, offset, sz, true, true, false)
-	case ir.OpStoreB64NC:
-		return inst.addrB64(idx, offset, sz, true, false, false)
-	case ir.OpStoreB64Tag:
-		return inst.addrB64(idx, offset, sz, true, true, true)
-	case ir.OpStoreB64NCTag:
-		return inst.addrB64(idx, offset, sz, true, false, true)
-	case ir.OpStoreMTE:
-		return inst.addrMTE(idx, offset, sz, true, true)
-	case ir.OpStoreMTENC:
-		return inst.addrMTE(idx, offset, sz, true, false)
-	}
-	return 0, newTrap(TrapUnreachable, "fused memory op with variant %v", variant)
-}
-
 // fusedMemLoad executes the load constituent of a fused
 // superinstruction for every variant but the guard-region one (which
-// the dispatch loop runs inline): per-variant address translation,
-// read, extension. The EvLoad charge happens at the call site, before
-// translation, exactly like the unfused specialized loads.
+// the dispatch loop runs inline; it has no address function, the MMU is
+// the check): the same per-mode address function its unfused opcode
+// calls — same events, same trap — reached by one table jump over the
+// eight contiguous load variants, then read and extension. The EvLoad
+// charge happens at the call site, before translation, exactly like
+// the unfused specialized loads.
 func (inst *Instance) fusedMemLoad(in *ir.Instr, offset, idx uint64) (uint64, error) {
 	sz := ir.FusedMemSize(in.B)
-	addr, err := inst.fusedMemAddr(ir.FusedMemVariant(in.B), idx, offset, sz)
+	var addr uint64
+	var err error
+	switch variant := ir.FusedMemVariant(in.B); variant {
+	case ir.OpLoadG32:
+		addr, err = inst.addrG32(idx, offset, sz, inst.memSize, false)
+	case ir.OpLoadG32NC:
+		addr, err = inst.addrG32(idx, offset, sz, uint64(len(inst.mem)), false)
+	case ir.OpLoadB64:
+		addr, err = inst.addrB64(idx, offset, sz, false, true, false)
+	case ir.OpLoadB64NC:
+		addr, err = inst.addrB64(idx, offset, sz, false, false, false)
+	case ir.OpLoadB64Tag:
+		addr, err = inst.addrB64(idx, offset, sz, false, true, true)
+	case ir.OpLoadB64NCTag:
+		addr, err = inst.addrB64(idx, offset, sz, false, false, true)
+	case ir.OpLoadMTE:
+		addr, err = inst.addrMTE(idx, offset, sz, false, true)
+	case ir.OpLoadMTENC:
+		addr, err = inst.addrMTE(idx, offset, sz, false, false)
+	default:
+		err = newTrap(TrapUnreachable, "fused memory op with variant %v", variant)
+	}
 	if err != nil {
 		return 0, err
 	}
-	return extendLoad(ir.FusedMemOp(in.B), readScalarFast(inst.mem, addr, sz)), nil
+	return extendLoad(ir.FusedMemOp(in.B), readScalar(inst.mem, addr, sz)), nil
 }
 
-// fusedMemStore executes the store constituent of a fused
-// superinstruction for every variant but the guard-region one (inlined
-// in the dispatch loop): per-variant address translation, write. The
-// EvStore charge happens at the call site, before translation.
+// fusedMemStore is fusedMemLoad's twin for the store constituent:
+// per-variant address translation (which also marks the dirty pages),
+// write. The EvStore charge happens at the call site, before
+// translation.
 func (inst *Instance) fusedMemStore(in *ir.Instr, idx, val uint64) error {
 	sz := ir.FusedMemSize(in.B)
-	addr, err := inst.fusedMemAddr(ir.FusedMemVariant(in.B), idx, in.A, sz)
+	var addr uint64
+	var err error
+	switch variant := ir.FusedMemVariant(in.B); variant {
+	case ir.OpStoreG32:
+		addr, err = inst.addrG32(idx, in.A, sz, inst.memSize, true)
+	case ir.OpStoreG32NC:
+		addr, err = inst.addrG32(idx, in.A, sz, uint64(len(inst.mem)), true)
+	case ir.OpStoreB64:
+		addr, err = inst.addrB64(idx, in.A, sz, true, true, false)
+	case ir.OpStoreB64NC:
+		addr, err = inst.addrB64(idx, in.A, sz, true, false, false)
+	case ir.OpStoreB64Tag:
+		addr, err = inst.addrB64(idx, in.A, sz, true, true, true)
+	case ir.OpStoreB64NCTag:
+		addr, err = inst.addrB64(idx, in.A, sz, true, false, true)
+	case ir.OpStoreMTE:
+		addr, err = inst.addrMTE(idx, in.A, sz, true, true)
+	case ir.OpStoreMTENC:
+		addr, err = inst.addrMTE(idx, in.A, sz, true, false)
+	default:
+		err = newTrap(TrapUnreachable, "fused memory op with variant %v", variant)
+	}
 	if err != nil {
 		return err
 	}
-	writeScalarFast(inst.mem, addr, sz, val)
+	writeScalar(inst.mem, addr, sz, val)
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -288,6 +289,38 @@ func TestHostReentrancyUnderCancellation(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("trap does not wrap the context error: %v", err)
+	}
+}
+
+func TestHostContextAcrossReentry(t *testing.T) {
+	// Every crossing of an instance shares one HostContext, so what a
+	// host function reads through it must follow the call in flight: the
+	// nested crossing of a re-entrant call made under another context
+	// sees that context, and the outer host function finds its own
+	// again once the inner call has returned.
+	type who struct{}
+	outer := context.WithValue(context.Background(), who{}, "outer")
+	inner := context.WithValue(context.Background(), who{}, "inner")
+	var seen []any
+	hm := NewHostModule("env")
+	Void0(hm, "reenter", func(hc *HostContext) error {
+		seen = append(seen, hc.Context().Value(who{}))
+		if len(seen) > 1 {
+			return nil // the nested crossing
+		}
+		_, err := hc.Call(inner, "g", nil)
+		seen = append(seen, hc.Context().Value(who{}))
+		return err
+	})
+	inst, err := NewInstance(reentrantModule(), Config{HostModules: []*HostModule{hm}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inst.InvokeWith(outer, "g", nil, CallOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []any{"outer", "inner", "outer"}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("contexts seen by the host = %v, want %v", seen, want)
 	}
 }
 

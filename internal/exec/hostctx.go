@@ -23,10 +23,17 @@ import (
 //     budget.
 //
 // A HostContext is only valid for the duration of the host call it was
-// created for; host functions must not retain it.
+// handed to; host functions must not retain it. Every crossing of one
+// instance shares one HostContext (Instance.hostCtx): it holds no
+// per-call state — Context reads the instance's in-flight call context,
+// which InvokeWith saves and restores around every entry, so a host
+// function that re-enters the guest under another context finds its
+// own again when the inner call returns.
 type HostContext struct {
 	inst *Instance
-	ctx  context.Context
+	// ctx is set only on a context built by Instance.HostContext for
+	// host-side use outside a guest call; nil means the in-flight call's.
+	ctx context.Context
 }
 
 // Context returns the in-flight call's context: the ctx given to
@@ -38,7 +45,19 @@ func (hc *HostContext) Context() context.Context {
 	if hc.ctx != nil {
 		return hc.ctx
 	}
+	if ctx := hc.inst.callCtx; ctx != nil {
+		return ctx
+	}
 	return context.Background()
+}
+
+// result returns v as a typed host function's one-value result slice,
+// in per-instance storage: the dispatch loop copies it onto the
+// caller's operand stack before the instance can cross into the host
+// again, so the adapters never allocate one.
+func (hc *HostContext) result(v uint64) []uint64 {
+	hc.inst.hostRes[0] = v
+	return hc.inst.hostRes[:]
 }
 
 // Instance exposes the executing instance for runtime-internal host

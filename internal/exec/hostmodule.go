@@ -271,7 +271,7 @@ func Func0[R HostResult](hm *HostModule, name string, fn func(*HostContext) (R, 
 		if err != nil {
 			return nil, err
 		}
-		return []uint64{encodeResult(p32, r)}, nil
+		return hc.result(encodeResult(p32, r)), nil
 	})
 }
 
@@ -289,7 +289,7 @@ func Func1[A HostParam, R HostResult](hm *HostModule, name string, fn func(*Host
 		if err != nil {
 			return nil, err
 		}
-		return []uint64{encodeResult(p32, r)}, nil
+		return hc.result(encodeResult(p32, r)), nil
 	})
 }
 
@@ -311,7 +311,7 @@ func Func2[A, B HostParam, R HostResult](hm *HostModule, name string, fn func(*H
 		if err != nil {
 			return nil, err
 		}
-		return []uint64{encodeResult(p32, r)}, nil
+		return hc.result(encodeResult(p32, r)), nil
 	})
 }
 
@@ -340,7 +340,7 @@ func Func3[A, B, C HostParam, R HostResult](hm *HostModule, name string, fn func
 		if err != nil {
 			return nil, err
 		}
-		return []uint64{encodeResult(p32, r)}, nil
+		return hc.result(encodeResult(p32, r)), nil
 	})
 }
 
@@ -373,7 +373,7 @@ func Func4[A, B, C, D HostParam, R HostResult](hm *HostModule, name string, fn f
 		if err != nil {
 			return nil, err
 		}
-		return []uint64{encodeResult(p32, r)}, nil
+		return hc.result(encodeResult(p32, r)), nil
 	})
 }
 

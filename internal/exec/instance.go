@@ -220,12 +220,19 @@ type Instance struct {
 	// an InvokeWith with a cancellable context or a fuel budget is in
 	// flight — the dispatch loop's checkpoints reduce to one nil test
 	// otherwise — and memLimitPages caps memory.grow for the call.
-	// callCtx is the in-flight call's context, handed to host functions
+	// callCtx is the in-flight call's context, which host functions read
 	// through their HostContext (nil outside InvokeWith). All three are
 	// only touched by the goroutine driving the instance.
 	meter         *meter
 	memLimitPages uint64
 	callCtx       context.Context
+
+	// Storage every guest→host crossing reuses, so a crossing allocates
+	// nothing: hostCtx is the HostContext callHost hands to host
+	// functions, hostRes the one-value result slice of the typed
+	// adapters (HostContext.result).
+	hostCtx HostContext
+	hostRes [1]uint64
 
 	// hostData is the embedder value host functions reach through
 	// HostContext.Data (Config.HostData).
@@ -264,6 +271,7 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 		hostData:     cfg.HostData,
 		prof:         cfg.Profile,
 	}
+	inst.hostCtx.inst = inst
 	if inst.counter == nil {
 		inst.counter = &arch.Counter{}
 	}

@@ -58,8 +58,10 @@ func (inst *Instance) addrB64(idx, offset, size uint64, write, check, tagCheck b
 		} else {
 			ctr.Add(arch.EvTagCheckLoad, 1)
 		}
-		if err := inst.tags.CheckAccess(addr, size, tag, write); err != nil {
-			return 0, newTrap(TrapTagMismatch, "%v", err)
+		if !inst.tags.Allows(addr, size, tag) {
+			if err := inst.tags.CheckAccess(addr, size, tag, write); err != nil {
+				return 0, newTrap(TrapTagMismatch, "%v", err)
+			}
 		}
 	}
 	if write {
@@ -92,8 +94,10 @@ func (inst *Instance) addrMTE(idx, offset, size uint64, write, mask bool) (uint6
 		return 0, newTrap(TrapTagMismatch,
 			"sandbox violation: address 0x%x outside mapped memory (runtime tag 0, pointer tag %#x)", addr, tag)
 	}
-	if err := inst.tags.CheckAccess(addr, size, tag, write); err != nil {
-		return 0, newTrap(TrapTagMismatch, "%v", err)
+	if !inst.tags.Allows(addr, size, tag) {
+		if err := inst.tags.CheckAccess(addr, size, tag, write); err != nil {
+			return 0, newTrap(TrapTagMismatch, "%v", err)
+		}
 	}
 	if write {
 		inst.dirty.mark(addr, size)
@@ -122,27 +126,11 @@ func (inst *Instance) effectiveAddr(idx, offset, size uint64, write bool) (uint6
 	}
 }
 
-// readScalar reads a little-endian scalar of the given width.
+// readScalar reads a little-endian scalar of the given width (1, 2, 4
+// or 8 bytes) as one whole-width access. The address functions have
+// already bounds-checked the range; the test-only oracle keeps its own
+// byte loops (legacy_oracle_test.go) as the independent reference.
 func readScalar(mem []byte, addr, size uint64) uint64 {
-	var raw uint64
-	for i := uint64(0); i < size; i++ {
-		raw |= uint64(mem[addr+i]) << (8 * i)
-	}
-	return raw
-}
-
-// writeScalar writes a little-endian scalar of the given width.
-func writeScalar(mem []byte, addr, size, val uint64) {
-	for i := uint64(0); i < size; i++ {
-		mem[addr+i] = byte(val >> (8 * i))
-	}
-}
-
-// readScalarFast is readScalar as single whole-width accesses. Only the
-// frame machine's guard and fused handlers use it: the legacy oracle
-// keeps the byte loop, so the dispatch-tier benchmarks price the real
-// historical baseline, not a retro-optimized one.
-func readScalarFast(mem []byte, addr, size uint64) uint64 {
 	switch size {
 	case 8:
 		return binary.LittleEndian.Uint64(mem[addr:])
@@ -155,9 +143,9 @@ func readScalarFast(mem []byte, addr, size uint64) uint64 {
 	}
 }
 
-// writeScalarFast is writeScalar as single whole-width accesses; see
-// readScalarFast for where it may be used.
-func writeScalarFast(mem []byte, addr, size, val uint64) {
+// writeScalar writes a little-endian scalar of the given width as one
+// whole-width access; see readScalar.
+func writeScalar(mem []byte, addr, size, val uint64) {
 	switch size {
 	case 8:
 		binary.LittleEndian.PutUint64(mem[addr:], val)

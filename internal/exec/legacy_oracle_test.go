@@ -149,6 +149,25 @@ func (lr *LegacyRunner) invoke(fidx uint32, args []uint64) ([]uint64, error) {
 	return lr.run(cf, locals)
 }
 
+// legacyReadScalar reads a little-endian scalar of the given width one
+// byte at a time — the oracle's own access path, independent of the
+// frame machine's whole-width readScalar it is compared against.
+func legacyReadScalar(mem []byte, addr, size uint64) uint64 {
+	var raw uint64
+	for i := uint64(0); i < size; i++ {
+		raw |= uint64(mem[addr+i]) << (8 * i)
+	}
+	return raw
+}
+
+// legacyWriteScalar writes a little-endian scalar one byte at a time;
+// see legacyReadScalar.
+func legacyWriteScalar(mem []byte, addr, size, val uint64) {
+	for i := uint64(0); i < size; i++ {
+		mem[addr+i] = byte(val >> (8 * i))
+	}
+}
+
 func (lr *LegacyRunner) doLoad(in wasm.Instr, stack *[]uint64) error {
 	inst := lr.inst
 	inst.counter.Add(arch.EvLoad, 1)
@@ -159,7 +178,7 @@ func (lr *LegacyRunner) doLoad(in wasm.Instr, stack *[]uint64) error {
 	if err != nil {
 		return err
 	}
-	s[len(s)-1] = extendLoad(in.Op, readScalar(inst.mem, addr, size))
+	s[len(s)-1] = extendLoad(in.Op, legacyReadScalar(inst.mem, addr, size))
 	return nil
 }
 
@@ -175,7 +194,7 @@ func (lr *LegacyRunner) doStore(in wasm.Instr, stack *[]uint64) error {
 	if err != nil {
 		return err
 	}
-	writeScalar(inst.mem, addr, size, val)
+	legacyWriteScalar(inst.mem, addr, size, val)
 	return nil
 }
 

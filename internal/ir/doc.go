@@ -20,6 +20,10 @@
 //     value arena — callee parameters materialize in place at the
 //     caller's stack top — and never allocate on a guest→guest call.
 //
+// Opcode numbers are laid out for the executor's dispatch switch (see
+// Op) and never persisted: profiles and the fusion corpus spell opcodes
+// by mnemonic (ParseOp).
+//
 // A Program is immutable after Lower and safe to share: the engine
 // caches programs per (module content hash, Config) — exactly like
 // compiled modules — so pooled instances of one module under one

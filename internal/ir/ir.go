@@ -12,6 +12,15 @@ import (
 // dedicated dense opcodes; pure value (numeric) instructions pass
 // through as OpNumericBase+wasm-opcode so the executor's numeric ALU
 // keeps a single switch.
+//
+// Numbering follows the density rule the executor's dispatch depends on
+// (internal/exec/doc.go, "Dispatch"): named and fused opcodes are one
+// contiguous block [0, endFusedOps) — the cases of the loop's
+// `switch in.Op`, which Go compiles to a jump table only while their
+// values span at most four times their count — and the numerics sit
+// apart behind its `default`. A new opcode is appended inside its
+// block, never given a base of its own; TestOpSpaceDense and CI's
+// objdump step hold the line.
 type Op uint16
 
 // Lowered opcodes. The memory-access family is specialized at lower
@@ -118,8 +127,10 @@ const (
 // OpNumericBase offsets pass-through numeric opcodes: a lowered op in
 // [OpNumericBase, OpNumericBase+0x100) encodes
 // wasm.Opcode(op - OpNumericBase). Wasm numeric opcodes are single
-// bytes, so the block is exactly 0x100 wide; the fused-superinstruction
-// block (OpFusedBase) sits above it.
+// bytes, so the block is exactly 0x100 wide. It is the one block the
+// dispatch switch does not enumerate — numerics reach their own dense
+// switch on the wasm opcode through `default` — so it may sit anywhere
+// above endFusedOps.
 const OpNumericBase Op = 0x100
 
 // IsNumeric reports whether op is a pass-through numeric opcode.
@@ -149,7 +160,11 @@ const GuardMaxOffset = 1 << 20
 // instructions in order — identical semantics, identical trap points,
 // identical timing-model events — in a single dispatch. Branch targets
 // embedded in fused opcodes are absolute PCs into the *fused* code.
-const OpFusedBase Op = 0x200
+//
+// The block starts where the named opcodes end, with no gap (see Op);
+// nothing persists an opcode's number — profiles spell opcodes by
+// mnemonic — so it moves whenever a named opcode is added.
+const OpFusedBase Op = numNamedOps
 
 // Fused superinstructions. Immediate encodings (aux fields are
 // documented per opcode; "alu" is always a single-byte wasm numeric
@@ -210,34 +225,16 @@ const (
 	endFusedOps
 )
 
+// Constant expressions that stop compiling when the enumerated block
+// reaches the numerics or a named opcode outgrows PackFusedMem's 8-bit
+// variant field.
+const (
+	_ = uint(OpNumericBase - endFusedOps)
+	_ = uint(0xFF - (numNamedOps - 1))
+)
+
 // IsFused reports whether op is a fused superinstruction.
 func (op Op) IsFused() bool { return op >= OpFusedBase && op < endFusedOps }
-
-var fusedNames = [...]string{
-	OpFusedGetGet - OpFusedBase:             "fused.get+get",
-	OpFusedGetConst - OpFusedBase:           "fused.get+const",
-	OpFusedConstALU - OpFusedBase:           "fused.const+alu",
-	OpFusedGetALU - OpFusedBase:             "fused.get+alu",
-	OpFusedGetGetALU - OpFusedBase:          "fused.get+get+alu",
-	OpFusedGetConstALU - OpFusedBase:        "fused.get+const+alu",
-	OpFusedALUSet - OpFusedBase:             "fused.alu+set",
-	OpFusedSetGet - OpFusedBase:             "fused.set+get",
-	OpFusedSetBr - OpFusedBase:              "fused.set+br",
-	OpFusedCmpBrIf - OpFusedBase:            "fused.cmp+br_if",
-	OpFusedCmpBrIfZ - OpFusedBase:           "fused.cmp+br_ifz",
-	OpFusedCmpEqzBrIf - OpFusedBase:         "fused.cmp+eqz+br_if",
-	OpFusedLoadALU - OpFusedBase:            "fused.load+alu",
-	OpFusedALULoad - OpFusedBase:            "fused.alu+load",
-	OpFusedALUStore - OpFusedBase:           "fused.alu+store",
-	OpFusedConstALUALU - OpFusedBase:        "fused.const+alu+alu",
-	OpFusedGetALUGetALU - OpFusedBase:       "fused.get+alu+get+alu",
-	OpFusedGetGetCmpEqzBr - OpFusedBase:     "fused.get+get+cmp+eqz+br_if",
-	OpFusedIncBr - OpFusedBase:              "fused.inc+br",
-	OpFusedGet4 - OpFusedBase:               "fused.get+get+get+get",
-	OpFusedGet3ALUGetALU - OpFusedBase:      "fused.get3+alu+get+alu",
-	OpFusedConstALUALULoadALU - OpFusedBase: "fused.const+alu+alu+load+alu",
-	OpFusedALUSetIncBr - OpFusedBase:        "fused.alu+set+inc+br",
-}
 
 // PackFusedMem packs the memory half of a fused load/store — access
 // width, the specialized (unfused) memory opcode, the ALU constituent,
@@ -298,15 +295,36 @@ var opNames = [...]string{
 	OpStoreMTE: "store.mte", OpStoreMTENC: "store.mte.nc",
 	OpStoreG32G: "store.g32.guard",
 	OpFence:     "fence",
+
+	OpFusedGetGet:             "fused.get+get",
+	OpFusedGetConst:           "fused.get+const",
+	OpFusedConstALU:           "fused.const+alu",
+	OpFusedGetALU:             "fused.get+alu",
+	OpFusedGetGetALU:          "fused.get+get+alu",
+	OpFusedGetConstALU:        "fused.get+const+alu",
+	OpFusedALUSet:             "fused.alu+set",
+	OpFusedSetGet:             "fused.set+get",
+	OpFusedSetBr:              "fused.set+br",
+	OpFusedCmpBrIf:            "fused.cmp+br_if",
+	OpFusedCmpBrIfZ:           "fused.cmp+br_ifz",
+	OpFusedCmpEqzBrIf:         "fused.cmp+eqz+br_if",
+	OpFusedLoadALU:            "fused.load+alu",
+	OpFusedALULoad:            "fused.alu+load",
+	OpFusedALUStore:           "fused.alu+store",
+	OpFusedConstALUALU:        "fused.const+alu+alu",
+	OpFusedGetALUGetALU:       "fused.get+alu+get+alu",
+	OpFusedGetGetCmpEqzBr:     "fused.get+get+cmp+eqz+br_if",
+	OpFusedIncBr:              "fused.inc+br",
+	OpFusedGet4:               "fused.get+get+get+get",
+	OpFusedGet3ALUGetALU:      "fused.get3+alu+get+alu",
+	OpFusedConstALUALULoadALU: "fused.const+alu+alu+load+alu",
+	OpFusedALUSetIncBr:        "fused.alu+set+inc+br",
 }
 
 // String returns the lowered mnemonic.
 func (op Op) String() string {
 	if op.IsNumeric() {
 		return op.Wasm().String()
-	}
-	if op.IsFused() {
-		return fusedNames[op-OpFusedBase]
 	}
 	if int(op) < len(opNames) && opNames[op] != "" {
 		return opNames[op]
@@ -331,10 +349,8 @@ var (
 func opsByName() map[string]Op {
 	opsByNameOnce.Do(func() {
 		m := make(map[string]Op, 256)
-		for op := Op(0); op < numNamedOps; op++ {
-			if int(op) < len(opNames) && opNames[op] != "" {
-				m[opNames[op]] = op
-			}
+		for op := Op(0); op < endFusedOps; op++ {
+			m[opNames[op]] = op
 		}
 		for w := 0; w < 0x100; w++ {
 			op := OpNumericBase + Op(w)
@@ -348,9 +364,6 @@ func opsByName() map[string]Op {
 					m[name] = op
 				}
 			}
-		}
-		for op := OpFusedBase; op < endFusedOps; op++ {
-			m[fusedNames[op-OpFusedBase]] = op
 		}
 		opsByNameMap = m
 	})

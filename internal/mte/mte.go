@@ -282,6 +282,24 @@ func (m *Memory) RangeTag(addr, length uint64) (tag uint8, ok bool) {
 	return tag, true
 }
 
+// Allows is CheckAccess's fast path as an inlinable predicate: for an
+// access of 1 to GranuleSize bytes it is true exactly when CheckAccess
+// would return nil without latching a fault — checks are disabled, or
+// the range is in bounds and its first and last granule (an access that
+// short touches no third) both carry ptrTag. On false, and for longer
+// accesses, the caller asks CheckAccess, which builds or latches the
+// fault as the mode demands.
+func (m *Memory) Allows(addr, length uint64, ptrTag uint8) bool {
+	if m.mode == ModeDisabled {
+		return true
+	}
+	end := addr + length
+	if length-1 >= GranuleSize || end < addr || end > m.size {
+		return false
+	}
+	return m.tags[addr/GranuleSize] == ptrTag && m.tags[(end-1)/GranuleSize] == ptrTag
+}
+
 // CheckAccess performs the tag check for an access of length bytes at the
 // untagged address addr using a pointer carrying ptrTag. The return value
 // follows the configured mode: sync faults return a *TagFault, async

@@ -339,3 +339,39 @@ func TestFillTagsEqualsByteLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestAllowsEqualsCheckAccess holds the inlinable fast predicate to the
+// check it fronts: Allows is true exactly when CheckAccess returns nil
+// and latches nothing — over every size it is specified for, offsets on
+// both sides of a tag boundary, matching and mismatching pointer tags,
+// every mode, reads and writes, and ranges that end inside, on and past
+// the covered size.
+func TestAllowsEqualsCheckAccess(t *testing.T) {
+	// Granules below boundary carry tag 3, granules from it on tag 9.
+	const boundary = 64
+	for _, size := range []uint64{96, 100, 112} { // last granule whole, partial, one more
+		for _, mode := range []Mode{ModeDisabled, ModeSync, ModeAsync, ModeAsymmetric} {
+			m := NewMemory(size, mode)
+			FillTags(m.Tags()[:boundary/GranuleSize], 3)
+			FillTags(m.Tags()[boundary/GranuleSize:], 9)
+			for _, base := range []uint64{boundary - GranuleSize, size - GranuleSize, ^uint64(0) - 40} {
+				for off := uint64(0); off < 32; off++ {
+					for length := uint64(1); length <= GranuleSize; length++ {
+						for _, tag := range []uint8{0, 3, 9} {
+							for _, write := range []bool{false, true} {
+								addr := base + off
+								got := m.Allows(addr, length, tag)
+								err := m.CheckAccess(addr, length, tag, write)
+								want := err == nil && m.PendingFault() == nil
+								if got != want {
+									t.Fatalf("size %d mode %v: Allows(%#x, %d, %d) = %v, CheckAccess(write=%v) allows = %v (err %v)",
+										size, mode, addr, length, tag, got, write, want, err)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
