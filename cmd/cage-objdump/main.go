@@ -19,6 +19,11 @@
 // -profile. Each fused superinstruction is printed with its
 // constituent ops expanded inline, so the listing remains auditable
 // against the wasm source; -nofuse shows the raw pre-fusion stream.
+// The mnemonic shows what the fuse pass decided: a shape whose ALU
+// tuple has an idiom opcode prints under the concrete name
+// (fused.const+i64.mul+i64.add, run as straight-line code), any other
+// tuple under the generic one (fused.const+alu+alu, run through the
+// executor's shared fused-ALU block).
 //
 // Usage:
 //

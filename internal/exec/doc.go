@@ -78,9 +78,38 @@
 // nothing, so nobody repeats them: splitting run into an outer
 // per-frame loop and an inner dispatch loop (halves the loop-head
 // spills, 8 → 4 stores, no measurable gain), and suspecting the
-// per-event ctr.Add (it is one `ADDQ $1, off(Rctr)`). What remains is
-// per dispatch, which only fewer dispatches would cut; ROADMAP has the
-// numbers.
+// per-event ctr.Add (it is one `ADDQ $1, off(Rctr)`).
+//
+// A second rule holds of the fused tier: a fused handler makes no
+// indirect jump of its own for a constituent the fuse pass could name.
+// The shape-generic superinstructions carry their ALU opcodes as
+// immediates (fused.const+alu+alu+load+alu has three), so each one
+// leaves the main switch for the shared fusedALU block, table-jumps on
+// aluKind once per ALU constituent, and jumps once more on in.Op to
+// retire: 26 table jumps for the 7 dispatches (38 constituents) of one
+// gemm inner-loop iteration. Fusion was saving the loop head (pc++,
+// &code[pc], the operand-stack bounds) but re-taking the decision
+// "which ALU op is this" per constituent, per dispatch. The idiom
+// opcodes (ir/idiom.go) take it once, in the fuse pass, and record it
+// in the opcode: each has one case in the main switch that reads its
+// operands from locals, immediates and the entry stack into Go locals,
+// charges the constituents' events in constituent order, and writes the
+// result — no goto fusedALU, no switch on an ALU opcode, the operand
+// stack untouched in between. The same iteration is 9 table jumps: the
+// seven dispatches and the two loads' memory variant, which stays a
+// run-time field behind fusedMemLoad (inlining that variant switch into
+// the three load idioms measured the same and tripled their code). Over
+// the 25 polybench kernels and the Fig. 15 ptr-auth 2mm under `full`,
+// 85 % of the ALU constituents executed inside fused ops now run in an
+// idiom case. The fusedALU block is what is left for every tuple
+// without an idiom — other ALU ops, 32-bit code, whatever a foreign
+// profile fuses — and the ALU ops it does not inline take inst.numeric,
+// as an unfused instruction would. An idiom is identical to its
+// constituent sequence in results, traps, trap text, event totals and
+// interrupt checkpoints (TestIdiomsMatchConstituents), with one
+// exception no site can be held to: f64.add / f64.mul of two different
+// NaNs keep the payload of whichever operand the compiled instruction
+// names first, and the compiler picks that per site.
 //
 // # Interruption points
 //

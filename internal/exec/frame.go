@@ -258,12 +258,14 @@ func (inst *Instance) run(barrier int) error {
 	// never touches them.
 	callIdx, callN := 0, 0
 	// aluOp feeds the shared fused-ALU block at the bottom of the loop
-	// (the ALU-carrying fused superinstructions converge there); like
-	// callIdx/callN it lives outside the loop so the fast path never
-	// touches it. aluOp2 holds the pending second ALU of the two-ALU
-	// superinstructions; the fused-ALU block always consumes it, so it
-	// is zero whenever the main switch dispatches.
-	var aluOp, aluOp2 wasm.Opcode
+	// (the shape-generic ALU-carrying superinstructions converge there);
+	// like callIdx/callN it lives outside the loop so the fast path
+	// never touches it. aluNext holds the ALUs of a multi-ALU
+	// superinstruction that are still to run, the next one in the low
+	// byte; the fused-ALU block always consumes it, so it is zero
+	// whenever the main switch dispatches.
+	var aluOp wasm.Opcode
+	var aluNext uint32
 
 	for {
 		in := &code[pc]
@@ -734,13 +736,13 @@ func (inst *Instance) run(barrier int) error {
 			ctr.Add(arch.EvConst, 1)
 			stack = append(stack, in.A)
 			aluOp = wasm.Opcode(in.B & 0xFF)
-			aluOp2 = wasm.Opcode((in.B >> 8) & 0xFF)
+			aluNext = uint32(in.B>>8) & 0xFF
 			goto fusedALU
 		case ir.OpFusedGetALUGetALU:
 			ctr.Add(arch.EvLocal, 1)
 			stack = append(stack, locals[in.A>>32])
 			aluOp = wasm.Opcode(in.B & 0xFF)
-			aluOp2 = wasm.Opcode((in.B >> 8) & 0xFF)
+			aluNext = uint32(in.B>>8) & 0xFF
 			goto fusedALU
 		case ir.OpFusedGetGetCmpEqzBr:
 			ctr.Add(arch.EvLocal, 2)
@@ -758,18 +760,164 @@ func (inst *Instance) run(barrier int) error {
 			stack = append(stack, locals[in.A>>48], locals[(in.A>>32)&0xFFFF],
 				locals[(in.A>>16)&0xFFFF])
 			aluOp = wasm.Opcode(in.B & 0xFF)
-			aluOp2 = wasm.Opcode((in.B >> 8) & 0xFF)
+			aluNext = uint32(in.B>>8) & 0xFF
 			goto fusedALU
 		case ir.OpFusedConstALUALULoadALU:
 			ctr.Add(arch.EvConst, 1)
 			stack = append(stack, in.A>>32)
 			aluOp = wasm.Opcode((in.B >> 32) & 0xFF)
-			aluOp2 = wasm.Opcode((in.B >> 40) & 0xFF)
+			aluNext = uint32(in.B>>40)&0xFF | uint32(ir.FusedMemALU(in.B))<<8
 			goto fusedALU
 		case ir.OpFusedALUSetIncBr:
 			aluOp = wasm.Opcode(in.A >> 48)
-			aluOp2 = wasm.Opcode(in.A & 0xFF)
+			aluNext = uint32(in.A) & 0xFF
 			goto fusedALU
+
+		// Idiom superinstructions (ir/idiom.go): a generic shape above
+		// with its ALU constituents named in the opcode, so the case is
+		// straight-line code — no trip through fusedALU, no switch on an
+		// ALU opcode. Operands go from locals, immediates and the entry
+		// stack through Go locals to the final stack; the constituents'
+		// events are charged in constituent order (the ones after a
+		// memory constituent only once it has not trapped), and a memory
+		// constituent is the shapes' fusedMemLoad, whose variant stays a
+		// run-time field. Immediates are the shape's with the ALU fields
+		// zero.
+		case ir.OpFusedConstI64MulAdd:
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvMul, 1)
+			ctr.Add(arch.EvALU, 1)
+			l := len(stack)
+			stack[l-2] += stack[l-1] * in.A
+			stack = stack[:l-1]
+		case ir.OpFusedConstI64MulAddLoadF64Mul:
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvMul, 1)
+			ctr.Add(arch.EvALU, 1)
+			ctr.Add(arch.EvLoad, 1)
+			l := len(stack)
+			v, err := inst.fusedMemLoad(in, uint64(uint32(in.A)), stack[l-2]+stack[l-1]*(in.A>>32))
+			if err != nil {
+				return err
+			}
+			ctr.Add(arch.EvFMul, 1)
+			stack[l-3] = math.Float64bits(math.Float64frombits(stack[l-3]) * math.Float64frombits(v))
+			stack = stack[:l-2]
+		case ir.OpFusedConstI64MulAddLoadF64Add:
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvMul, 1)
+			ctr.Add(arch.EvALU, 1)
+			ctr.Add(arch.EvLoad, 1)
+			l := len(stack)
+			v, err := inst.fusedMemLoad(in, uint64(uint32(in.A)), stack[l-2]+stack[l-1]*(in.A>>32))
+			if err != nil {
+				return err
+			}
+			ctr.Add(arch.EvFAdd, 1)
+			stack[l-3] = math.Float64bits(math.Float64frombits(stack[l-3]) + math.Float64frombits(v))
+			stack = stack[:l-2]
+		case ir.OpFusedConstI64MulAddLoadF64Sub:
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvMul, 1)
+			ctr.Add(arch.EvALU, 1)
+			ctr.Add(arch.EvLoad, 1)
+			l := len(stack)
+			v, err := inst.fusedMemLoad(in, uint64(uint32(in.A)), stack[l-2]+stack[l-1]*(in.A>>32))
+			if err != nil {
+				return err
+			}
+			ctr.Add(arch.EvFAdd, 1)
+			stack[l-3] = math.Float64bits(math.Float64frombits(stack[l-3]) - math.Float64frombits(v))
+			stack = stack[:l-2]
+		case ir.OpFusedGetGetI64LtSEqzBr:
+			ctr.Add(arch.EvLocal, 2)
+			ctr.Add(arch.EvCmp, 2) // i64.lt_s, i32.eqz
+			ctr.Add(arch.EvBranch, 1)
+			if int64(locals[in.A>>32]) >= int64(locals[uint32(in.A)]) {
+				stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
+				pc = ir.FusedBranchTarget(in.B)
+				if mtr != nil {
+					if err := mtr.check(ctr); err != nil {
+						return err
+					}
+				}
+				continue
+			}
+		case ir.OpFusedF64AddSetI64IncBr:
+			ctr.Add(arch.EvFAdd, 1)
+			ctr.Add(arch.EvLocal, 2)
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvALU, 1)
+			ctr.Add(arch.EvLocal, 1)
+			ctr.Add(arch.EvBranch, 1)
+			l := len(stack)
+			locals[(in.A>>32)&0xFFFF] = math.Float64bits(math.Float64frombits(stack[l-2]) + math.Float64frombits(stack[l-1]))
+			locals[(in.A>>16)&0xFFFF] += (in.A >> 8) & 0xFF
+			stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
+			pc = ir.FusedBranchTarget(in.B)
+			if mtr != nil {
+				if err := mtr.check(ctr); err != nil {
+					return err
+				}
+			}
+			continue
+		case ir.OpFusedF64SubSetI64IncBr:
+			ctr.Add(arch.EvFAdd, 1)
+			ctr.Add(arch.EvLocal, 2)
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvALU, 1)
+			ctr.Add(arch.EvLocal, 1)
+			ctr.Add(arch.EvBranch, 1)
+			l := len(stack)
+			locals[(in.A>>32)&0xFFFF] = math.Float64bits(math.Float64frombits(stack[l-2]) - math.Float64frombits(stack[l-1]))
+			locals[(in.A>>16)&0xFFFF] += (in.A >> 8) & 0xFF
+			stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
+			pc = ir.FusedBranchTarget(in.B)
+			if mtr != nil {
+				if err := mtr.check(ctr); err != nil {
+					return err
+				}
+			}
+			continue
+		case ir.OpFusedGet3I64MulGetAdd:
+			ctr.Add(arch.EvLocal, 3)
+			ctr.Add(arch.EvMul, 1)
+			ctr.Add(arch.EvLocal, 1)
+			ctr.Add(arch.EvALU, 1)
+			stack = append(stack, locals[in.A>>48],
+				locals[(in.A>>32)&0xFFFF]*locals[(in.A>>16)&0xFFFF]+locals[in.A&0xFFFF])
+		case ir.OpFusedConstExtendI64Add:
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvConv, 1)
+			ctr.Add(arch.EvALU, 1)
+			stack[len(stack)-1] += uint64(int64(int32(in.A)))
+		case ir.OpFusedConstExtendI64Sub:
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvConv, 1)
+			ctr.Add(arch.EvALU, 1)
+			stack[len(stack)-1] -= uint64(int64(int32(in.A)))
+		case ir.OpFusedI64IncBr:
+			ctr.Add(arch.EvLocal, 1)
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvALU, 1)
+			ctr.Add(arch.EvLocal, 1)
+			ctr.Add(arch.EvBranch, 1)
+			locals[ir.FusedBranchAux(in.B)] += in.A >> 8
+			stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
+			pc = ir.FusedBranchTarget(in.B)
+			if mtr != nil {
+				if err := mtr.check(ctr); err != nil {
+					return err
+				}
+			}
+			continue
+		case ir.OpFusedGetI64MulGetAdd:
+			ctr.Add(arch.EvLocal, 1)
+			ctr.Add(arch.EvMul, 1)
+			ctr.Add(arch.EvLocal, 1)
+			ctr.Add(arch.EvALU, 1)
+			l := len(stack)
+			stack[l-1] = stack[l-1]*locals[in.A>>32] + locals[uint32(in.A)]
 
 		default:
 			// Fast path for the hottest pure-value opcodes, inlined so a
@@ -1011,17 +1159,18 @@ func (inst *Instance) run(barrier int) error {
 				ctr.Add(arch.EvConv, 1)
 				stack[l-1] = math.Float64bits(float64(int64(stack[l-1])))
 			default:
-				var err error
-				if stack, err = inst.fusedALUSlow(aluOp, stack); err != nil {
+				n, err := inst.numeric(aluOp, stack, l)
+				if err != nil {
 					return err
 				}
+				stack = stack[:n]
 			}
 		}
-		if aluOp2 != 0 {
-			// First ALU of a two-ALU superinstruction just ran; stage the
-			// interleaved constituent (the second local.get, when the op
-			// has one), promote the pending ALU, and loop back. aluOp2 is
-			// zero on the second pass, so the op then retires through the
+		if aluNext != 0 {
+			// An ALU of a multi-ALU superinstruction just ran and more
+			// are pending; stage the constituents that sit between it and
+			// the next one, promote that one, and loop back. aluNext is
+			// zero after the last ALU, so the op then retires through the
 			// switch below.
 			switch in.Op {
 			case ir.OpFusedGetALUGetALU:
@@ -1038,8 +1187,20 @@ func (inst *Instance) run(barrier int) error {
 				locals[(in.A>>32)&0xFFFF] = stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				stack = append(stack, locals[(in.A>>16)&0xFFFF], (in.A>>8)&0xFF)
+			case ir.OpFusedConstALUALULoadALU:
+				// Nothing sits between the two address ALUs; the load
+				// constituent (offset in A's low half, the high half is
+				// the already-pushed constant) sits before the last one.
+				if aluNext <= 0xFF {
+					ctr.Add(arch.EvLoad, 1)
+					v, err := inst.fusedMemLoad(in, uint64(uint32(in.A)), stack[len(stack)-1])
+					if err != nil {
+						return err
+					}
+					stack[len(stack)-1] = v
+				}
 			}
-			aluOp, aluOp2 = aluOp2, 0
+			aluOp, aluNext = wasm.Opcode(aluNext&0xFF), aluNext>>8
 			goto fusedALU
 		}
 		switch in.Op {
@@ -1059,47 +1220,6 @@ func (inst *Instance) run(barrier int) error {
 					return err
 				}
 				stack[len(stack)-1] = v
-			}
-		case ir.OpFusedConstALUALULoadALU:
-			// The load constituent (offset lives in A's low half; the
-			// high half is the already-pushed constant), then the
-			// trailing ALU — inlined for the multiply-accumulate ops the
-			// pattern exists for, out of line for the rest.
-			ctr.Add(arch.EvLoad, 1)
-			if ir.FusedMemVariant(in.B) == ir.OpLoadG32G {
-				addr := uint64(uint32(stack[len(stack)-1])) + uint64(uint32(in.A))
-				stack[len(stack)-1] = extendLoad(ir.FusedMemOp(in.B),
-					readScalar(inst.gmem, addr, ir.FusedMemSize(in.B)))
-			} else {
-				v, err := inst.fusedMemLoad(in, uint64(uint32(in.A)), stack[len(stack)-1])
-				if err != nil {
-					return err
-				}
-				stack[len(stack)-1] = v
-			}
-			l := len(stack)
-			switch alu3 := ir.FusedMemALU(in.B); alu3 {
-			case wasm.OpF64Add:
-				ctr.Add(arch.EvFAdd, 1)
-				stack[l-2] = math.Float64bits(math.Float64frombits(stack[l-2]) + math.Float64frombits(stack[l-1]))
-				stack = stack[:l-1]
-			case wasm.OpF64Mul:
-				ctr.Add(arch.EvFMul, 1)
-				stack[l-2] = math.Float64bits(math.Float64frombits(stack[l-2]) * math.Float64frombits(stack[l-1]))
-				stack = stack[:l-1]
-			case wasm.OpI32Add:
-				ctr.Add(arch.EvALU, 1)
-				stack[l-2] = uint64(uint32(stack[l-2]) + uint32(stack[l-1]))
-				stack = stack[:l-1]
-			case wasm.OpI64Add:
-				ctr.Add(arch.EvALU, 1)
-				stack[l-2] += stack[l-1]
-				stack = stack[:l-1]
-			default:
-				var err error
-				if stack, err = inst.fusedALUSlow(alu3, stack); err != nil {
-					return err
-				}
 			}
 		case ir.OpFusedALUStore:
 			ctr.Add(arch.EvStore, 1)

@@ -1,29 +1,25 @@
 package exec
 
 import (
-	"math"
-
-	"cage/internal/arch"
 	"cage/internal/ir"
 	"cage/internal/wasm"
 )
 
-// This file holds the out-of-line halves of the fused-superinstruction
-// handlers (frame.go): the cold tail of the ALU constituent executor
-// (the hottest ops run in the dispatch loop's shared fusedALU block)
-// and the variant-dispatched memory constituents (the guard-region
-// variant is likewise inlined in the loop). Everything here mirrors an
-// existing unfused path op-for-op and event-for-event — fusedALUSlow is
-// the dispatch loop's inlined hot switch plus the shared numeric
-// fallback, and the memory helpers call the same per-mode address
-// functions the specialized load/store opcodes call — which is what
-// makes the fusion pass semantics- and event-preserving by
-// construction.
+// This file holds what the shape-generic fused-superinstruction
+// handlers (frame.go) keep outside the dispatch loop: the dense key of
+// the shared fusedALU block and the variant-dispatched memory
+// constituents (the guard-region variant is inlined in the loop). The
+// memory helpers call the same per-mode address functions the
+// specialized load/store opcodes call, and an ALU constituent the
+// fusedALU block does not inline takes the shared numeric ALU exactly
+// as an unfused instruction would — which is what makes the fusion pass
+// semantics- and event-preserving by construction. The idiom opcodes
+// (ir/idiom.go) use none of this: their cases are straight-line code.
 
 // The ALU constituents the dispatch loop's shared fusedALU block runs
 // inline, as a dense kind: aluKind[op] switches by jump table, where
 // the wasm opcodes themselves (spread over 0x45…0xB9) would compile to
-// a compare chain. Kind 0 — every other opcode — is fusedALUSlow.
+// a compare chain. Kind 0 — every other opcode — is inst.numeric.
 const (
 	aluSlow uint8 = iota
 	aluI32Add
@@ -63,193 +59,23 @@ var aluKind = [256]uint8{
 	wasm.OpF64ConvertI64S: aluF64ConvertI64S,
 }
 
-// fusedALUSlow executes one pure-value constituent of a fused
-// superinstruction against the operand stack, returning the new stack.
-// The inlined cases are copied from the dispatch loop's default-case
-// fast path (same ops, same events); everything else takes the shared
-// numeric ALU, exactly as an unfused instruction would.
-func (inst *Instance) fusedALUSlow(op wasm.Opcode, stack []uint64) ([]uint64, error) {
-	ctr := inst.counter
-	l := len(stack)
-	switch op {
-	case wasm.OpI64Add:
-		ctr.Add(arch.EvALU, 1)
-		stack[l-2] += stack[l-1]
-		return stack[:l-1], nil
-	case wasm.OpI64Sub:
-		ctr.Add(arch.EvALU, 1)
-		stack[l-2] -= stack[l-1]
-		return stack[:l-1], nil
-	case wasm.OpI64And:
-		ctr.Add(arch.EvALU, 1)
-		stack[l-2] &= stack[l-1]
-		return stack[:l-1], nil
-	case wasm.OpI64Or:
-		ctr.Add(arch.EvALU, 1)
-		stack[l-2] |= stack[l-1]
-		return stack[:l-1], nil
-	case wasm.OpI64Xor:
-		ctr.Add(arch.EvALU, 1)
-		stack[l-2] ^= stack[l-1]
-		return stack[:l-1], nil
-	case wasm.OpI64Shl:
-		ctr.Add(arch.EvALU, 1)
-		stack[l-2] <<= stack[l-1] & 63
-		return stack[:l-1], nil
-	case wasm.OpI64ShrS:
-		ctr.Add(arch.EvALU, 1)
-		stack[l-2] = uint64(int64(stack[l-2]) >> (stack[l-1] & 63))
-		return stack[:l-1], nil
-	case wasm.OpI64ShrU:
-		ctr.Add(arch.EvALU, 1)
-		stack[l-2] >>= stack[l-1] & 63
-		return stack[:l-1], nil
-	case wasm.OpI64Mul:
-		ctr.Add(arch.EvMul, 1)
-		stack[l-2] *= stack[l-1]
-		return stack[:l-1], nil
-	case wasm.OpI32Add:
-		ctr.Add(arch.EvALU, 1)
-		stack[l-2] = uint64(uint32(stack[l-2]) + uint32(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI32Sub:
-		ctr.Add(arch.EvALU, 1)
-		stack[l-2] = uint64(uint32(stack[l-2]) - uint32(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI32And:
-		ctr.Add(arch.EvALU, 1)
-		stack[l-2] = uint64(uint32(stack[l-2]) & uint32(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI32Or:
-		ctr.Add(arch.EvALU, 1)
-		stack[l-2] = uint64(uint32(stack[l-2]) | uint32(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI32Xor:
-		ctr.Add(arch.EvALU, 1)
-		stack[l-2] = uint64(uint32(stack[l-2]) ^ uint32(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI32Mul:
-		ctr.Add(arch.EvMul, 1)
-		stack[l-2] = uint64(uint32(stack[l-2]) * uint32(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI64LtS:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-2] = b2u(int64(stack[l-2]) < int64(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI64LtU:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-2] = b2u(stack[l-2] < stack[l-1])
-		return stack[:l-1], nil
-	case wasm.OpI64GtS:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-2] = b2u(int64(stack[l-2]) > int64(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI64GeS:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-2] = b2u(int64(stack[l-2]) >= int64(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI64LeS:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-2] = b2u(int64(stack[l-2]) <= int64(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI64Eq:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-2] = b2u(stack[l-2] == stack[l-1])
-		return stack[:l-1], nil
-	case wasm.OpI64Ne:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-2] = b2u(stack[l-2] != stack[l-1])
-		return stack[:l-1], nil
-	case wasm.OpI64Eqz:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-1] = b2u(stack[l-1] == 0)
-		return stack, nil
-	case wasm.OpI32LtS:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-2] = b2u(int32(stack[l-2]) < int32(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI32LtU:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-2] = b2u(uint32(stack[l-2]) < uint32(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI32GtS:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-2] = b2u(int32(stack[l-2]) > int32(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI32GeS:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-2] = b2u(int32(stack[l-2]) >= int32(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI32LeS:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-2] = b2u(int32(stack[l-2]) <= int32(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI32Eq:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-2] = b2u(uint32(stack[l-2]) == uint32(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI32Ne:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-2] = b2u(uint32(stack[l-2]) != uint32(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpI32Eqz:
-		ctr.Add(arch.EvCmp, 1)
-		stack[l-1] = b2u(uint32(stack[l-1]) == 0)
-		return stack, nil
-	case wasm.OpI32WrapI64:
-		ctr.Add(arch.EvConv, 1)
-		stack[l-1] = uint64(uint32(stack[l-1]))
-		return stack, nil
-	case wasm.OpI64ExtendI32S:
-		ctr.Add(arch.EvConv, 1)
-		stack[l-1] = uint64(int64(int32(stack[l-1])))
-		return stack, nil
-	case wasm.OpI64ExtendI32U:
-		ctr.Add(arch.EvConv, 1)
-		stack[l-1] = uint64(uint32(stack[l-1]))
-		return stack, nil
-	case wasm.OpF64ConvertI64S:
-		ctr.Add(arch.EvConv, 1)
-		stack[l-1] = math.Float64bits(float64(int64(stack[l-1])))
-		return stack, nil
-	case wasm.OpF64ConvertI32S:
-		ctr.Add(arch.EvConv, 1)
-		stack[l-1] = math.Float64bits(float64(int32(stack[l-1])))
-		return stack, nil
-	case wasm.OpF64Add:
-		ctr.Add(arch.EvFAdd, 1)
-		stack[l-2] = math.Float64bits(math.Float64frombits(stack[l-2]) + math.Float64frombits(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpF64Sub:
-		ctr.Add(arch.EvFAdd, 1)
-		stack[l-2] = math.Float64bits(math.Float64frombits(stack[l-2]) - math.Float64frombits(stack[l-1]))
-		return stack[:l-1], nil
-	case wasm.OpF64Mul:
-		ctr.Add(arch.EvFMul, 1)
-		stack[l-2] = math.Float64bits(math.Float64frombits(stack[l-2]) * math.Float64frombits(stack[l-1]))
-		return stack[:l-1], nil
-	default:
-		n, err := inst.numeric(op, stack, l)
-		if err != nil {
-			return stack, err
-		}
-		return stack[:n], nil
-	}
-}
-
 // fusedMemLoad executes the load constituent of a fused
-// superinstruction for every variant but the guard-region one (which
-// the dispatch loop runs inline; it has no address function, the MMU is
-// the check): the same per-mode address function its unfused opcode
-// calls — same events, same trap — reached by one table jump over the
-// eight contiguous load variants, then read and extension. The EvLoad
-// charge happens at the call site, before translation, exactly like
-// the unfused specialized loads.
+// superinstruction: the same per-mode address function its unfused
+// opcode calls — same events, same trap — reached by one table jump
+// over the nine contiguous load variants, then read and extension. The
+// guard-region variant has no address function (the MMU is the check;
+// see OpLoadG32G), and the two-constituent shapes run it inline in the
+// dispatch loop without coming here. The EvLoad charge happens at the
+// call site, before translation, exactly like the unfused specialized
+// loads.
 func (inst *Instance) fusedMemLoad(in *ir.Instr, offset, idx uint64) (uint64, error) {
 	sz := ir.FusedMemSize(in.B)
+	mem := inst.mem
 	var addr uint64
 	var err error
 	switch variant := ir.FusedMemVariant(in.B); variant {
+	case ir.OpLoadG32G:
+		addr, mem = uint64(uint32(idx))+offset, inst.gmem
 	case ir.OpLoadG32:
 		addr, err = inst.addrG32(idx, offset, sz, inst.memSize, false)
 	case ir.OpLoadG32NC:
@@ -272,7 +98,7 @@ func (inst *Instance) fusedMemLoad(in *ir.Instr, offset, idx uint64) (uint64, er
 	if err != nil {
 		return 0, err
 	}
-	return extendLoad(ir.FusedMemOp(in.B), readScalar(inst.mem, addr, sz)), nil
+	return extendLoad(ir.FusedMemOp(in.B), readScalar(mem, addr, sz)), nil
 }
 
 // fusedMemStore is fusedMemLoad's twin for the store constituent:

@@ -162,16 +162,80 @@ func TestFusedMatchesUnfusedTraps(t *testing.T) {
 	}
 }
 
+// idiomSeedSource is the FuzzFuse seed whose exhaustive fusion contains
+// every idiom opcode (TestFuzzFuseSeedCoversIdioms): scaled-index loads
+// feeding f64.mul, f64.add and f64.sub, both reduction latches, the
+// counted-loop head and latch, and i ± 1 row addressing. It imports
+// nothing (the arrays are globals), so the fuzz target's execution half
+// runs it instead of skipping on an unresolved malloc.
+const idiomSeedSource = `
+double ga[256];
+double gb[16];
+double run(long n) {
+    if (n > 16) { n = 16; }
+    double* a = ga;
+    double* b = gb;
+    for (long i = 0; i < n; i++) {
+        b[i] = 0.5;
+        for (long j = 0; j < n; j++) { a[i * n + j] = 1.5; }
+    }
+    double s = 0.0;
+    double d = 0.0;
+    for (long i = 1; i < n - 1; i++) {
+        for (long k = 0; k < n; k++) {
+            s += 2.0 * a[i * n + k] * b[k];
+        }
+        for (long k = 0; k < n; k++) {
+            d -= b[k] - a[(i - 1) * n + k] + a[(i + 1) * n + k];
+        }
+    }
+    return s + d;
+}`
+
+// TestFuzzFuseSeedCoversIdioms keeps the fuzzer's corpus honest: an
+// idiom added to the table without a seed that produces it would be
+// fuzzed only by luck.
+func TestFuzzFuseSeedCoversIdioms(t *testing.T) {
+	file, err := minicc.Parse(idiomSeedSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mprog, err := minicc.Analyze(file, minicc.Layout64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := codegen.Compile(mprog, codegen.Options{Wasm64: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := exec.LowerModule(m, exec.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[ir.Op]bool{}
+	for _, fn := range fuse.Fuse(prog, nil).Funcs {
+		for _, in := range fn.Code {
+			seen[in.Op] = true
+		}
+	}
+	for _, id := range ir.Idioms() {
+		if !seen[id.Op] {
+			t.Errorf("idiomSeedSource fuses to no %v", id.Op)
+		}
+	}
+}
+
 // FuzzFuse feeds MiniC programs through the full pipeline and asserts
 // the fuse pass's two contracts on whatever the fuzzer synthesizes:
 // every branch target in the fused stream is a valid absolute PC, and
 // execution is oracle-equivalent to the unfused program (results, trap
 // codes, event stream). Seeds come from the differential suite's call
-// kernels plus a memory-heavy loop.
+// kernels plus a memory-heavy loop and idiomSeedSource.
 func FuzzFuse(f *testing.F) {
 	for _, k := range callKernelSources {
 		f.Add(k.src, k.arg)
 	}
+	f.Add(idiomSeedSource, uint64(12))
 	f.Add(`
 extern char* malloc(long n);
 long run(long n) {
@@ -216,7 +280,8 @@ long run(long n) {
 					}
 				case ir.OpFusedSetBr, ir.OpFusedCmpBrIf, ir.OpFusedCmpBrIfZ,
 					ir.OpFusedCmpEqzBrIf, ir.OpFusedGetGetCmpEqzBr, ir.OpFusedIncBr,
-					ir.OpFusedALUSetIncBr:
+					ir.OpFusedALUSetIncBr, ir.OpFusedGetGetI64LtSEqzBr, ir.OpFusedI64IncBr,
+					ir.OpFusedF64AddSetI64IncBr, ir.OpFusedF64SubSetI64IncBr:
 					check(ir.FusedBranchTarget(in.B))
 				}
 			}

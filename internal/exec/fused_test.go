@@ -12,7 +12,9 @@ import (
 // TestFusedALUKindsMatchSlowPath pins the dense ALU key of the dispatch
 // loop's shared fusedALU block: aluKind names each inlined kind exactly
 // once, and an opcode the block runs inline produces the value and the
-// event fusedALUSlow produces for it, on boundary operands. The inline
+// event the shared numeric ALU (the block's kind-0 fallback, and what an
+// unfused instruction outside the loop's fast path runs) produces for
+// it, on boundary operands. The inline
 // side runs through the dispatch loop itself — a hand-built
 // `const a; fused.const+alu b op` program — so a case attached to the
 // wrong kind, or a kind without a case, fails here.
@@ -64,18 +66,19 @@ func TestFusedALUKindsMatchSlowPath(t *testing.T) {
 				fast := ctr.DeltaSince(before)
 
 				before = ctr.Snapshot()
-				stack, err := inst.fusedALUSlow(op, []uint64{a, b})
+				stack := []uint64{a, b}
+				n, err := inst.numeric(op, stack, len(stack))
 				if err != nil {
 					t.Fatalf("%v(%#x, %#x) slow: %v", op, a, b, err)
 				}
 				slow := ctr.DeltaSince(before)
 
-				if want := stack[len(stack)-1]; res[0] != want {
-					t.Errorf("%v(%#x, %#x): inline %#x, fusedALUSlow %#x", op, a, b, res[0], want)
+				if want := stack[n-1]; res[0] != want {
+					t.Errorf("%v(%#x, %#x): inline %#x, numeric %#x", op, a, b, res[0], want)
 				}
 				slow.Add(arch.EvConst, 2) // the two constants the program pushed
 				if fast != slow {
-					t.Errorf("%v(%#x, %#x): inline events %v, fusedALUSlow %v",
+					t.Errorf("%v(%#x, %#x): inline events %v, numeric %v",
 						op, a, b, fast.EventCounts(), slow.EventCounts())
 				}
 			}

@@ -1,18 +1,30 @@
 // Package fuse is the profile-guided superinstruction pass: a
 // post-lowering rewrite over ir.Program that collapses the hot
-// adjacent pairs, triples, and quads a profile (internal/profile)
-// observed —
-// load+op, op+store, cmp+br, const+op, local traffic — into single
-// fused opcodes (ir.OpFusedBase block), halving or thirding dispatch
-// overhead on the sequences that dominate polybench inner loops.
+// adjacent sequences a profile (internal/profile) observed — load+op,
+// op+store, cmp+br, const+op, local traffic, up to seven-constituent
+// loop latches — into single fused opcodes (ir.OpFusedBase block).
+//
+// What a fused opcode saves is decided here, not in the executor. A
+// shape opcode (fused.const+alu+alu) carries its ALU ops as immediates:
+// it saves the dispatch loop's head — the pc bump, the instruction
+// fetch, one table jump — per constituent merged, but the executor
+// still decides "which ALU op is this" with an indirect jump per ALU
+// constituent, at every dispatch, so a fused gemm iteration made 26
+// table jumps for 38 constituents. Where a matched shape's ALU tuple is
+// in the idiom table (ir.Specialize, ir/idiom.go) the pass emits the
+// idiom opcode that names those ops instead (fused.const+i64.mul+
+// i64.add), and that decision is never taken again: the executor runs
+// the idiom as straight-line code over Go locals. Every other tuple
+// keeps its shape.
 //
 // The pass is semantics- and event-preserving by construction: every
 // fused opcode's executor handler runs the exact constituent sequence
-// (same ALU helper, same address-translation function, same cost
+// (same arithmetic, same address-translation function, same cost
 // events, same trap points and ordering), so a fused program is
 // bit-identical to its unfused twin in results, traps, and the
 // architectural event stream — the differential oracle pins this
-// across every preset. Safety rules:
+// across every preset, and exec's TestIdiomsMatchConstituents pins each
+// idiom to its own Constituents(). Safety rules:
 //
 //   - No pattern contains OpFence, so the hardened preset's
 //     speculation barriers are never fused across; fence adjacency is
@@ -100,17 +112,18 @@ func memParts(in ir.Instr) (size uint64, variant ir.Op, memOp wasm.Opcode, ok bo
 	return
 }
 
-// branchTargets collects every absolute PC that any branch in code can
-// jump to.
-func branchTargets(code []ir.Instr) map[int]bool {
-	t := make(map[int]bool)
-	for _, in := range code {
-		switch in.Op {
+// branchTargets marks every absolute PC that any branch in code can
+// jump to. PCs are dense, so the set is a slice indexed by PC, one
+// entry longer than code for the one-past-end target.
+func branchTargets(code []ir.Instr) []bool {
+	t := make([]bool, len(code)+1)
+	for i := range code {
+		switch in := &code[i]; in.Op {
 		case ir.OpGoto, ir.OpBr, ir.OpBrIf, ir.OpBrIfZ:
-			t[int(in.B)] = true
+			t[in.B] = true
 		case ir.OpBrTable:
 			for _, bt := range in.Targets {
-				t[int(bt.PC)] = true
+				t[bt.PC] = true
 			}
 		}
 	}
@@ -121,7 +134,7 @@ func branchTargets(code []ir.Instr) map[int]bool {
 // and returns the fused instruction plus the number of constituents
 // consumed (0 = no match). Fused branch targets still carry OLD PCs;
 // the caller remaps them after the stream is rebuilt.
-func match(code []ir.Instr, i int, targets map[int]bool, prof *profile.Profile) (ir.Instr, int) {
+func match(code []ir.Instr, i int, targets []bool, prof *profile.Profile) (ir.Instr, int) {
 	a := code[i]
 	var b, c ir.Instr
 	if i+1 < len(code) {
@@ -371,6 +384,9 @@ func fuseFunc(f *ir.Func, prof *profile.Profile) ir.Func {
 			in.B = ir.PackFusedBranch(ir.FusedBranchAux(in.B),
 				uint64(newPC[ir.FusedBranchTarget(in.B)]))
 		}
+		// Name the ALU constituents where the tuple has an idiom opcode.
+		// Last, so match and the remap above only know the shapes.
+		ir.Specialize(in)
 	}
 
 	g := *f

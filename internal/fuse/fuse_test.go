@@ -8,6 +8,7 @@ package fuse_test
 // profile gating works, and the pass refuses to run twice.
 
 import (
+	"reflect"
 	"testing"
 
 	"cage/internal/codegen"
@@ -17,6 +18,7 @@ import (
 	"cage/internal/ir"
 	"cage/internal/polybench"
 	"cage/internal/profile"
+	"cage/internal/wasm"
 )
 
 // lowerKernel builds and lowers a polybench kernel under feats.
@@ -197,5 +199,109 @@ func TestFuseIdempotent(t *testing.T) {
 	p := fuse.Fuse(lowerKernel(t, "gemm", true, core.Features{}), nil)
 	if q := fuse.Fuse(p, nil); q != p {
 		t.Fatal("refusing a fused program must return it unchanged")
+	}
+}
+
+// idiomSample gives an idiom opcode the immediates of a plausible
+// instance of its shape (the shape's encoding with the ALU fields
+// zero): small locals, a scale of 8, a bounds-checked f64.load, and a
+// branch back to pc 0, the instruction's own head.
+func idiomSample(t *testing.T, id ir.Idiom) ir.Instr {
+	t.Helper()
+	in := ir.Instr{Op: id.Op}
+	switch id.Shape {
+	case ir.OpFusedConstALUALU:
+		in.A = 8
+	case ir.OpFusedConstALUALULoadALU:
+		in.A = 8<<32 | 16
+		in.B = ir.PackFusedMem(8, ir.OpLoadB64, 0, wasm.OpF64Load)
+	case ir.OpFusedGetGetCmpEqzBr:
+		in.A = 1<<32 | 2
+	case ir.OpFusedALUSetIncBr:
+		in.A = 3<<32 | 4<<16 | 1<<8
+	case ir.OpFusedGet3ALUGetALU:
+		in.A = 1<<48 | 2<<32 | 3<<16 | 4
+	case ir.OpFusedIncBr:
+		in.A = 1 << 8
+		in.B = ir.PackFusedBranch(2, 0)
+	case ir.OpFusedGetALUGetALU:
+		in.A = 1<<32 | 2
+	default:
+		t.Fatalf("%v: no sample immediates for shape %v", id.Op, id.Shape)
+	}
+	return in
+}
+
+// fuseOne fuses a function made of seq and a terminator and returns the
+// instruction seq became, requiring that it became exactly one.
+func fuseOne(t *testing.T, seq []ir.Instr) ir.Instr {
+	t.Helper()
+	code := append(append([]ir.Instr{}, seq...), ir.Instr{Op: ir.OpRetEnd})
+	q := fuse.Fuse(&ir.Program{Funcs: []ir.Func{{Code: code}}}, nil)
+	if got := q.Funcs[0].Code; len(got) != 2 {
+		t.Fatalf("%v fused to %d instructions, want 1 + ret_end: %v", seq, len(got), got)
+	}
+	return q.Funcs[0].Code[0]
+}
+
+// TestFuseEmitsIdioms: every row of the idiom table is emitted for its
+// exact constituent sequence — opcode and immediates — and for no
+// other: with any one ALU constituent swapped for an op no idiom names
+// (f64.div in a latch's reduction slot, say), the sequence fuses to the
+// generic shape, which carries the swapped op.
+func TestFuseEmitsIdioms(t *testing.T) {
+	// Stand-ins by stack effect; none appears in the idiom table.
+	standIn := func(alu wasm.Opcode) wasm.Opcode {
+		switch pop, _, _ := ir.NumericStackEffect(alu); {
+		case pop == 1:
+			return wasm.OpI64Popcnt
+		case alu >= wasm.OpF64Add:
+			return wasm.OpF64Div
+		case alu == wasm.OpI64LtS:
+			return wasm.OpI64GtU
+		}
+		return wasm.OpI64Xor
+	}
+	for _, id := range ir.Idioms() {
+		for _, alu := range id.ALUs {
+			for _, other := range ir.Idioms() {
+				for _, o := range other.ALUs {
+					if o == standIn(alu) {
+						t.Fatalf("stand-in %v is an idiom constituent of %v", o, other.Op)
+					}
+				}
+			}
+		}
+		want := idiomSample(t, id)
+		seq := want.Constituents()
+		if got := fuseOne(t, seq); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: its constituents fused to %v (A=%#x B=%#x), want A=%#x B=%#x",
+				id.Op, got.Op, got.A, got.B, want.A, want.B)
+		}
+		k := 0 // index into id.ALUs of the constituent being swapped
+		for i, c := range seq {
+			if !c.Op.IsNumeric() || c.Op.Wasm() == wasm.OpI32Eqz {
+				continue // the shapes' fixed i32.eqz is not one of their ALU fields
+			}
+			if c.Op.Wasm() != id.ALUs[k] {
+				t.Fatalf("%v: ALU constituent %d is %v, table says %v", id.Op, k, c.Op, id.ALUs[k])
+			}
+			k++
+			mutated := append([]ir.Instr{}, seq...)
+			mutated[i].Op = ir.OpNumericBase + ir.Op(standIn(c.Op.Wasm()))
+			got := fuseOne(t, mutated)
+			if got.Op != id.Shape {
+				t.Errorf("%v with %v for %v fused to %v, want the shape %v",
+					id.Op, mutated[i].Op, c.Op, got.Op, id.Shape)
+				continue
+			}
+			if cons := got.Constituents(); !reflect.DeepEqual(cons, mutated) {
+				t.Errorf("%v with %v for %v: shape expands to %v, want %v",
+					id.Op, mutated[i].Op, c.Op, cons, mutated)
+			}
+		}
+		if k != len(id.ALUs) {
+			t.Errorf("%v: %d ALU constituents, table lists %d", id.Op, k, len(id.ALUs))
+		}
 	}
 }

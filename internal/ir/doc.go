@@ -24,6 +24,13 @@
 // Op) and never persisted: profiles and the fusion corpus spell opcodes
 // by mnemonic (ParseOp).
 //
+// The package also owns the encoding of what internal/fuse rewrites
+// that stream into: the shape-generic superinstructions (OpFusedBase),
+// whose ALU constituents are immediates, and the idiom opcodes
+// (idiom.go), which name one concrete ALU tuple of a shape in the
+// opcode so the executor never has to ask. Instr.Constituents expands
+// either back to the lowered sequence it stands for.
+//
 // A Program is immutable after Lower and safe to share: the engine
 // caches programs per (module content hash, Config) — exactly like
 // compiled modules — so pooled instances of one module under one

@@ -198,6 +198,24 @@ const OpFusedBase Op = numNamedOps
 // OpFusedIncBr latches) only match branches with a zero repair pack
 // (keep=0, arity=0) — the shape structured lowering gives every loop
 // back-edge — so their handlers truncate the operand stack outright.
+//
+// The opcodes above are shape-generic: they carry their ALU opcodes as
+// immediates and the executor decides which op to run at every
+// dispatch. The idiom opcodes that follow them are the same shapes
+// with the ALU constituents named in the opcode (idiom.go): the fuse
+// pass emits one where the tuple has one, the immediates are the
+// shape's with the ALU fields zero, and the executor runs it as
+// straight-line code. Mnemonics spell the ops:
+//
+//	OpFusedConstI64MulAdd          const c; i64.mul; i64.add                      (OpFusedConstALUALU)
+//	OpFusedConstI64MulAddLoadF64Mul|Add|Sub
+//	                               const c; i64.mul; i64.add; load; f64.mul|add|sub  (OpFusedConstALUALULoadALU)
+//	OpFusedGetGetI64LtSEqzBr       get x; get y; i64.lt_s; i32.eqz; br_if         (OpFusedGetGetCmpEqzBr)
+//	OpFusedF64AddSetI64IncBr|Sub   f64.add|sub; set x; get y; const c; i64.add; set y; br  (OpFusedALUSetIncBr)
+//	OpFusedGet3I64MulGetAdd        get w; get x; get y; i64.mul; get z; i64.add   (OpFusedGet3ALUGetALU)
+//	OpFusedConstExtendI64Add|Sub   const c; i64.extend_i32_s; i64.add|sub         (OpFusedConstALUALU)
+//	OpFusedI64IncBr                get x; const c; i64.add; set x; br             (OpFusedIncBr)
+//	OpFusedGetI64MulGetAdd         get x; i64.mul; get y; i64.add                 (OpFusedGetALUGetALU)
 const (
 	OpFusedGetGet Op = OpFusedBase + iota
 	OpFusedGetConst
@@ -222,8 +240,27 @@ const (
 	OpFusedGet3ALUGetALU
 	OpFusedConstALUALULoadALU
 	OpFusedALUSetIncBr
+
+	// Idioms, in order of dynamic share over the polybench corpus. A new
+	// one is appended here — inside the fused block, so the dispatch
+	// switch stays a jump table — with a row in the idioms table.
+	OpFusedConstI64MulAdd
+	OpFusedConstI64MulAddLoadF64Mul
+	OpFusedConstI64MulAddLoadF64Add
+	OpFusedConstI64MulAddLoadF64Sub
+	OpFusedGetGetI64LtSEqzBr
+	OpFusedF64AddSetI64IncBr
+	OpFusedF64SubSetI64IncBr
+	OpFusedGet3I64MulGetAdd
+	OpFusedConstExtendI64Add
+	OpFusedConstExtendI64Sub
+	OpFusedI64IncBr
+	OpFusedGetI64MulGetAdd
 	endFusedOps
 )
+
+// firstIdiomOp is where the idiom opcodes start inside the fused block.
+const firstIdiomOp = OpFusedConstI64MulAdd
 
 // Constant expressions that stop compiling when the enumerated block
 // reaches the numerics or a named opcode outgrows PackFusedMem's 8-bit
@@ -319,6 +356,19 @@ var opNames = [...]string{
 	OpFusedGet3ALUGetALU:      "fused.get3+alu+get+alu",
 	OpFusedConstALUALULoadALU: "fused.const+alu+alu+load+alu",
 	OpFusedALUSetIncBr:        "fused.alu+set+inc+br",
+
+	OpFusedConstI64MulAdd:           "fused.const+i64.mul+i64.add",
+	OpFusedConstI64MulAddLoadF64Mul: "fused.const+i64.mul+i64.add+load+f64.mul",
+	OpFusedConstI64MulAddLoadF64Add: "fused.const+i64.mul+i64.add+load+f64.add",
+	OpFusedConstI64MulAddLoadF64Sub: "fused.const+i64.mul+i64.add+load+f64.sub",
+	OpFusedGetGetI64LtSEqzBr:        "fused.get+get+i64.lt_s+eqz+br_if",
+	OpFusedF64AddSetI64IncBr:        "fused.f64.add+set+inc.i64.add+br",
+	OpFusedF64SubSetI64IncBr:        "fused.f64.sub+set+inc.i64.add+br",
+	OpFusedGet3I64MulGetAdd:         "fused.get3+i64.mul+get+i64.add",
+	OpFusedConstExtendI64Add:        "fused.const+i64.extend_i32_s+i64.add",
+	OpFusedConstExtendI64Sub:        "fused.const+i64.extend_i32_s+i64.sub",
+	OpFusedI64IncBr:                 "fused.inc.i64.add+br",
+	OpFusedGetI64MulGetAdd:          "fused.get+i64.mul+get+i64.add",
 }
 
 // String returns the lowered mnemonic.
@@ -458,6 +508,10 @@ func (in Instr) String() string {
 	case OpFusedLoadALU, OpFusedALULoad, OpFusedALUStore:
 		return fmt.Sprintf("%s offset=%d size=%d (%s; %s)",
 			in.Op, in.A, FusedMemSize(in.B), FusedMemOp(in.B), FusedMemALU(in.B))
+	case OpFusedConstI64MulAddLoadF64Mul, OpFusedConstI64MulAddLoadF64Add,
+		OpFusedConstI64MulAddLoadF64Sub:
+		return fmt.Sprintf("%s offset=%d size=%d (%s)",
+			in.Op, uint32(in.A), FusedMemSize(in.B), FusedMemOp(in.B))
 	}
 	if in.Op.IsFused() {
 		return in.Op.String()
@@ -473,8 +527,12 @@ func (in Instr) String() string {
 // instructions it executes, in order — the expansion cage-objdump
 // prints inline and the fuse pass's round-trip validation checks
 // against. Branch constituents carry the fused instruction's (already
-// remapped) target. For non-fused instructions it returns nil.
+// remapped) target. An idiom expands as the generic shape it names the
+// ALU constituents of. For non-fused instructions it returns nil.
 func (in Instr) Constituents() []Instr {
+	if g, ok := in.generic(); ok {
+		in = g
+	}
 	num := func(alu wasm.Opcode) Instr { return Instr{Op: OpNumericBase + Op(alu)} }
 	switch in.Op {
 	case OpFusedGetGet:
