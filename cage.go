@@ -107,7 +107,6 @@ import (
 	"cage/internal/minicc"
 	"cage/internal/mte"
 	"cage/internal/pac"
-	"cage/internal/profile"
 	"cage/internal/vmem"
 	"cage/internal/wasi"
 	"cage/internal/wasm"
@@ -322,14 +321,6 @@ type Runtime struct {
 	// influence linking).
 	programs engine.Cache[*ir.Program]
 	imports  engine.Cache[*exec.ImportTable]
-
-	// dispatch is the hot-sequence profile driving superinstruction
-	// fusion (internal/fuse) over freshly lowered programs. It defaults
-	// to the checked-in polybench corpus; SetDispatchProfile swaps it
-	// (nil disables fusion). The profile's identity is part of the
-	// program cache key, so programs fused under different profiles
-	// never alias.
-	dispatch atomic.Pointer[profile.Profile]
 }
 
 // NewRuntime creates a process-level runtime for the configuration.
@@ -343,31 +334,21 @@ func NewRuntime(cfg Config) *Runtime {
 	rt.hostMods = append(rt.hostMods, wasi.HostModule())
 	rt.hostMods = append(rt.hostMods, envHostModules(rt)...)
 	rt.seed.Store(1)
-	rt.dispatch.Store(profile.Default())
 	return rt
 }
-
-// SetDispatchProfile selects the hot-sequence profile that drives
-// superinstruction fusion for programs lowered after the call; nil
-// disables fusion entirely (the unfused tier). Programs already cached
-// under another profile are unaffected — the profile identity is part
-// of the cache key — so the method is safe at any point, though setting
-// it before the first Instantiate avoids lowering twice. The default is
-// the checked-in polybench corpus (profile.Default).
-func (rt *Runtime) SetDispatchProfile(p *profile.Profile) { rt.dispatch.Store(p) }
 
 // DispatchMode reports the execution tier this runtime builds programs
 // for: the linear-memory backend ("guard" when a guard reservation is
 // available — 64-bit Linux whose kernel grants one — and backs guard32
-// memories, "bounds" otherwise)
-// and the identity of the fusion profile driving the superinstruction
-// pass ("none" when fusion is disabled).
+// memories, "bounds" otherwise). The second result is a constant, a
+// benchmark-only leftover of the env line benchmark/main.go prints
+// (ROADMAP item 5): every program is fused, and fusion has one mode.
 func (rt *Runtime) DispatchMode() (memory, fusion string) {
 	memory = "bounds"
 	if vmem.Supported() {
 		memory = "guard"
 	}
-	return memory, rt.dispatch.Load().ID()
+	return memory, "exhaustive"
 }
 
 // NewHostModule creates an embedder host module named name and
@@ -502,31 +483,27 @@ func (rt *Runtime) instantiate(m *Module, snap *Snapshot) (*Instance, error) {
 	return out, nil
 }
 
-// loweredProgram returns the shared lowered program for m under the
-// runtime's configuration, lowering on first use. The cache is keyed by
+// loweredProgram returns the shared lowered and fused program for m
+// under the runtime's configuration, building it on first use. The
+// cache is keyed by
 // the module's content hash plus the derived lowering config — exactly
 // the compiled-module cache's identity — with singleflight semantics.
 // A module whose binary encoding fails (never produced by this
 // toolchain) is lowered privately instead of cached.
 func (rt *Runtime) loweredProgram(m *Module, ecfg exec.Config) (*ir.Program, error) {
 	lcfg := exec.LowerConfig(m.wasm, ecfg)
-	prof := rt.dispatch.Load()
 	build := func() (*ir.Program, error) {
 		p, err := ir.Lower(m.wasm, lcfg)
-		if err != nil || prof == nil {
-			return p, err
+		if err != nil {
+			return nil, err
 		}
-		return fuse.Fuse(p, prof), nil
+		return fuse.Fuse(p, nil), nil
 	}
 	hash, err := m.contentHash()
 	if err != nil {
 		return build()
 	}
-	variant := fmt.Sprintf("ir|%+v", lcfg)
-	if prof != nil {
-		variant += "|fuse|" + prof.ID()
-	}
-	key := engine.Key{Hash: hash, Variant: variant}
+	key := engine.Key{Hash: hash, Variant: fmt.Sprintf("ir|%+v", lcfg)}
 	return rt.programs.GetOrBuild(key, build)
 }
 

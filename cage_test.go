@@ -2,11 +2,15 @@ package cage
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"cage/internal/exec"
+	"cage/internal/fuse"
+	"cage/internal/ir"
+	"cage/internal/polybench"
 )
 
 const quickProgram = `
@@ -239,8 +243,8 @@ long f(long x) { return x * 2; }`)
 
 // TestLoweredProgramCacheHitAllocs: every instance birth asks for the
 // module's lowered program, and on a hit that must cost what spelling
-// the cache key costs — the variant string — never a hash over the
-// fusion profile (Profile.ID is computed once per profile).
+// the cache key costs — the variant string of the lowering config —
+// and nothing else.
 func TestLoweredProgramCacheHitAllocs(t *testing.T) {
 	if raceTestEnabled {
 		t.Skip("race detector instruments allocations; the gate runs in the non-race suite")
@@ -270,5 +274,48 @@ func TestLoweredProgramCacheHitAllocs(t *testing.T) {
 	}
 	if st := rt.ProgramCacheStats(); st.Misses != 1 || st.Hits < hits {
 		t.Errorf("program cache: %d misses, %d hits; want 1 and at least %d", st.Misses, st.Hits, hits)
+	}
+}
+
+// TestRuntimeExecutesExhaustiveFusion: the program an instance runs is
+// the fuse pass's whole output — instruction for instruction what
+// fuse.Fuse makes of the lowered module, the program every differential
+// suite and FuzzFuse test. It fails if anything between Instantiate and
+// the pass vetoes a shape. baseline32 is the row where the generic
+// multi-ALU shapes carry a third of the dispatches.
+func TestRuntimeExecutesExhaustiveFusion(t *testing.T) {
+	k, err := polybench.ByName("gemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"full", "baseline32"} {
+		cfg, err := ConfigByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, err := NewToolchain(cfg).CompileSource(k.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		inst, err := NewRuntime(cfg).Instantiate(mod)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := inst.Raw().Program()
+		lowered, err := ir.Lower(mod.wasm, exec.LowerConfig(mod.wasm, exec.Config{Features: cfg.features()}))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := fuse.Fuse(lowered, nil)
+		if !got.Fused || len(got.Funcs) != len(want.Funcs) {
+			t.Fatalf("%s: Fused = %v, %d funcs; want fused, %d funcs", name, got.Fused, len(got.Funcs), len(want.Funcs))
+		}
+		for f := range want.Funcs {
+			if !reflect.DeepEqual(got.Funcs[f].Code, want.Funcs[f].Code) {
+				t.Errorf("%s: func %d: the runtime's code differs from fuse.Fuse's (%d vs %d instructions)",
+					name, f, len(got.Funcs[f].Code), len(want.Funcs[f].Code))
+			}
+		}
+		inst.Close()
 	}
 }

@@ -1,5 +1,5 @@
 // Command cage-bench regenerates the paper's tables and figures, and
-// the two deterministic records the repo checks in. Performance claims
+// the deterministic record the repo checks in. Performance claims
 // are made by benchmark/ (see BENCHMARK.json), not here.
 //
 // With -mitigation it emits the Spectre-mitigation record: the
@@ -9,22 +9,16 @@
 // every preset. The non-quick document is checked in as
 // BENCH_mitigation.json.
 //
-// With -record-profile it runs the polybench kernels with the
-// hot-sequence recorder armed and emits the merged profile — the
-// document checked in as internal/profile/corpus/polybench.json, the
-// runtime's default fusion profile.
+// The document depends on the source tree alone; CI regenerates it and
+// fails unless it is byte-identical to the checked-in file.
 //
-// Both documents depend on the source tree alone; CI regenerates each
-// and fails unless it is byte-identical to the checked-in file.
-//
-// -mitigation, -record-profile and a non-default -exp select different
-// outputs; giving two of them is a usage error.
+// -mitigation and a non-default -exp select different outputs; giving
+// both is a usage error.
 //
 // Usage:
 //
 //	cage-bench [-quick] [-exp all|table1|table2|fig4|fig14|fig15|fig16|startup|mem|security]
 //	cage-bench [-quick] -mitigation
-//	cage-bench [-quick] -record-profile
 package main
 
 import (
@@ -32,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"cage/internal/adversary"
 	"cage/internal/bench"
@@ -42,34 +35,15 @@ func main() {
 	quick := flag.Bool("quick", false, "use small problem sizes")
 	exp := flag.String("exp", "all", "which experiment to run")
 	mitigationOut := flag.Bool("mitigation", false, "emit the Spectre-mitigation (hardened vs full) JSON record")
-	recordProfile := flag.Bool("record-profile", false, "record the polybench hot-sequence corpus and emit it as a profile JSON document")
 	flag.Parse()
 
-	var modes []string
-	if *mitigationOut {
-		modes = append(modes, "-mitigation")
-	}
-	if *recordProfile {
-		modes = append(modes, "-record-profile")
-	}
-	if *exp != "all" {
-		modes = append(modes, "-exp "+*exp)
-	}
-	if len(modes) > 1 {
-		fmt.Fprintf(os.Stderr, "cage-bench: %s do not combine: each selects a different output\n",
-			strings.Join(modes, " and "))
+	if *mitigationOut && *exp != "all" {
+		fmt.Fprintf(os.Stderr, "cage-bench: -mitigation and -exp %s do not combine: each selects a different output\n", *exp)
 		os.Exit(2)
 	}
 
 	w := os.Stdout
 	var err error
-	if *recordProfile {
-		if err := bench.WriteProfileJSON(w, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "cage-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *mitigationOut {
 		// The scenario half of the record is the adversary verdict
 		// table, evaluated here and attached pre-encoded (internal/bench

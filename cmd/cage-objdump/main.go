@@ -13,12 +13,10 @@
 // checkpoint of the context-first Call API.
 //
 // The lowered listing shows the program in the form the engine caches
-// and executes: after the profile-guided superinstruction pass
-// (internal/fuse) driven by the checked-in polybench corpus, or by a
-// profile recorded with `cage-bench -record-profile` and passed via
-// -profile. Each fused superinstruction is printed with its
-// constituent ops expanded inline, so the listing remains auditable
-// against the wasm source; -nofuse shows the raw pre-fusion stream.
+// and executes: after the superinstruction pass (internal/fuse). Each
+// fused superinstruction is printed with its constituent ops expanded
+// inline, so the listing remains auditable against the wasm source;
+// -nofuse shows the raw pre-fusion stream.
 // The mnemonic shows what the fuse pass decided: a shape whose ALU
 // tuple has an idiom opcode prints under the concrete name
 // (fused.const+i64.mul+i64.add, run as straight-line code), any other
@@ -27,11 +25,7 @@
 //
 // Usage:
 //
-//	cage-objdump [-lowered] [-nofuse] [-profile file.json] [-config full|hardened|baseline32|baseline64|memsafety|ptrauth|sandbox] module.wasm
-//	cage-objdump -profile file.json
-//
-// With -profile and no module, the recorded hot-sequence table itself
-// is dumped, hottest first — the view of what drives fusion decisions.
+//	cage-objdump [-lowered] [-nofuse] [-config full|hardened|baseline32|baseline64|memsafety|ptrauth|sandbox] module.wasm
 //
 // Under -config=hardened the lowered listing additionally shows the
 // speculation barriers of the Spectre-hardened preset: a fence
@@ -43,57 +37,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"cage"
 	"cage/internal/exec"
 	"cage/internal/fuse"
 	"cage/internal/ir"
-	"cage/internal/profile"
 	"cage/internal/wasm"
 )
-
-// loadProfile resolves the -profile flag: a path to a recorded JSON
-// profile, or the empty string for the embedded polybench corpus.
-func loadProfile(path string) (*profile.Profile, error) {
-	if path == "" {
-		return profile.Default(), nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return profile.ReadJSON(f)
-}
-
-// dumpProfile prints the hot-sequence table, hottest first.
-func dumpProfile(p *profile.Profile) {
-	fmt.Printf(";; hot-sequence profile (id=%s, %d seqs)\n", p.ID(), len(p.Seqs))
-	for _, s := range p.Seqs {
-		fmt.Printf("%10d  %s\n", s.Count, strings.Join(s.Ops, " ; "))
-	}
-}
 
 func main() {
 	lowered := flag.Bool("lowered", false, "also disassemble the lowered internal/ir program")
 	nofuse := flag.Bool("nofuse", false, "show the lowered program before the superinstruction pass")
-	profPath := flag.String("profile", "", "recorded hot-sequence profile (JSON); empty = embedded polybench corpus")
 	cfgName := flag.String("config", "full", "configuration the lowered program is specialized for")
 	flag.Parse()
 
-	if flag.NArg() == 0 && *profPath != "" {
-		// Profile-table mode: no module, just dump the recorded table.
-		p, err := loadProfile(*profPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cage-objdump: %v\n", err)
-			os.Exit(1)
-		}
-		dumpProfile(p)
-		return
-	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: cage-objdump [-lowered] [-nofuse] [-profile file.json] [-config name] module.wasm")
+		fmt.Fprintln(os.Stderr, "usage: cage-objdump [-lowered] [-nofuse] [-config name] module.wasm")
 		os.Exit(2)
 	}
 	bin, err := os.ReadFile(flag.Arg(0))
@@ -125,13 +84,8 @@ func main() {
 
 	fusion := "nofuse"
 	if !*nofuse {
-		prof, err := loadProfile(*profPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cage-objdump: %v\n", err)
-			os.Exit(1)
-		}
-		prog = fuse.Fuse(prog, prof)
-		fusion = "profile=" + prof.ID()
+		prog = fuse.Fuse(prog, nil)
+		fusion = "fused"
 	}
 
 	fmt.Printf("\n;; lowered program (config=%s mode=%s memsafety=%t ptrauth=%t harden=%t %s)\n",

@@ -5,10 +5,9 @@
 // Table 4 / Fig. 16 (tagged-memory initialization), the §7.2 startup
 // cost, the §7.3 memory overhead, and the §7.4 security analysis.
 //
-// Beside the paper it produces the two deterministic documents the repo
+// Beside the paper it produces the deterministic document the repo
 // checks in: the Spectre-mitigation record (mitigation.go,
-// BENCH_mitigation.json) and the default fusion profile (corpus.go,
-// internal/profile/corpus/polybench.json).
+// BENCH_mitigation.json).
 //
 // Executions are deterministic: kernels run once per configuration on
 // the event-counting engine, and the per-core timing models price the

@@ -11,20 +11,18 @@ import (
 	"cage/internal/fuse"
 	"cage/internal/minicc"
 	"cage/internal/polybench"
-	"cage/internal/profile"
 	"cage/internal/wasm"
 )
 
 // BenchmarkLoweredVsLegacy is the before/after of the dispatch tiers:
 // the same instantiated PolyBench kernel invoked through the legacy
 // re-scanning interpreter (the pre-refactor engine, preserved in
-// legacy.go), through the lowered flat-dispatch loop, and through the
-// fused superinstruction tier driven by the checked-in polybench
-// corpus (the runtime's default profile). The guard32 rows run wasm32
-// kernels — where a guard reservation is available they use the vmem
-// guard-region backend,
-// so guard32/fused is the full tentpole configuration the ≥2.5×-over-
-// legacy target is measured on. Kernels free their allocations, so one
+// legacy_oracle_test.go), through the lowered flat-dispatch loop, and
+// through the fused superinstruction tier the runtime executes. The
+// guard32 rows run wasm32 kernels — where a guard reservation is
+// available they use the vmem guard-region backend, so guard32/fused is
+// the full tentpole configuration the ≥2.5×-over-legacy target is
+// measured on. Kernels free their allocations, so one
 // instance serves every iteration and the delta is pure dispatch.
 func BenchmarkLoweredVsLegacy(b *testing.B) {
 	for _, kernel := range []string{"gemm", "jacobi-1d"} {
@@ -78,7 +76,7 @@ func BenchmarkLoweredVsLegacy(b *testing.B) {
 				}
 				var ctr arch.Counter
 				inst := newFusedBenchInstance(b, m, cfg.feats, &ctr,
-					fuse.Fuse(prog, profile.Default()))
+					fuse.Fuse(prog, nil))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := inst.Invoke("run", n); err != nil {

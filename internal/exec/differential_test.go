@@ -10,7 +10,6 @@ import (
 	"errors"
 	"testing"
 
-	"cage/internal/alloc"
 	"cage/internal/arch"
 	"cage/internal/codegen"
 	"cage/internal/core"
@@ -26,21 +25,9 @@ import (
 // instance handle.
 func newKernelInstance(t testing.TB, m *wasm.Module, feats core.Features, ctr *arch.Counter) *exec.Instance {
 	t.Helper()
-	host := &alloc.Host{}
-	inst, err := exec.NewInstance(m, exec.Config{
-		Features: feats, HostModules: polybench.HostModules(), HostData: host,
-		Seed: 1234, Counter: ctr,
-	})
+	inst, err := kernelInstance(m, feats, ctr, nil)
 	if err != nil {
 		t.Fatalf("instantiate: %v", err)
-	}
-	heapBase, ok := inst.GlobalValue("__heap_base")
-	if !ok {
-		t.Fatal("module lacks __heap_base")
-	}
-	host.A, err = alloc.New(inst, heapBase)
-	if err != nil {
-		t.Fatalf("allocator: %v", err)
 	}
 	return inst
 }

@@ -102,8 +102,8 @@
 // the 25 polybench kernels and the Fig. 15 ptr-auth 2mm under `full`,
 // 85 % of the ALU constituents executed inside fused ops now run in an
 // idiom case. The fusedALU block is what is left for every tuple
-// without an idiom — other ALU ops, 32-bit code, whatever a foreign
-// profile fuses — and the ALU ops it does not inline take inst.numeric,
+// without an idiom — other ALU ops, 32-bit code — and the ALU ops it
+// does not inline take inst.numeric,
 // as an unfused instruction would. An idiom is identical to its
 // constituent sequence in results, traps, trap text, event totals and
 // interrupt checkpoints (TestIdiomsMatchConstituents), with one

@@ -241,11 +241,6 @@ func (inst *Instance) run(barrier int) error {
 	// every call is an interrupt checkpoint, and the unmetered variant
 	// of that checkpoint is a single never-taken nil test.
 	mtr := inst.meter
-	// rec is the hot-sequence recorder, nil unless the embedder armed
-	// profiling (Config.Profile): the unarmed cost is one never-taken
-	// nil test per retired instruction.
-	rec := inst.prof
-
 	entry := &inst.frames[len(inst.frames)-1]
 	code := entry.fn.Code
 	sb := entry.base + entry.fn.StackBase()
@@ -269,9 +264,6 @@ func (inst *Instance) run(barrier int) error {
 
 	for {
 		in := &code[pc]
-		if rec != nil {
-			rec.Note(&code[0], pc, in.Op)
-		}
 		switch in.Op {
 		case ir.OpUnreachable:
 			return newTrap(TrapUnreachable, "at pc %d", pc)
@@ -1091,8 +1083,8 @@ func (inst *Instance) run(barrier int) error {
 
 	fusedALU:
 		// Shared ALU-constituent executor for the fused superinstructions:
-		// one inline copy of the hottest constituents (the profile
-		// corpus's top ALU ops) keyed by their dense aluKind so the switch
+		// one inline copy of the hottest constituents (the polybench
+		// kernels' top ALU ops) keyed by their dense aluKind so the switch
 		// is a jump table, with the out-of-line executor (kind 0) as the
 		// fallback for the rest. Event charges are copied from the
 		// dispatch fast path above, so fused streams stay event-identical

@@ -28,11 +28,16 @@ import (
 
 // dispatchConfigs are the presets the fused tier must be bit-identical
 // on: the Table 3 configurations plus the Spectre-hardened stack.
+// baseline32 is where the generic multi-ALU shapes do the work (a third
+// of its dispatches, under 1.2 % of full's: 32-bit tuples have no
+// idiom); it runs on the guard reservation or on bounds-checked heap
+// memory, whichever vmem.Supported() grants.
 var dispatchConfigs = []struct {
 	name  string
 	opts  codegen.Options
 	feats core.Features
 }{
+	{"baseline32", codegen.Options{Wasm64: false}, core.Features{}},
 	{"baseline64", codegen.Options{Wasm64: true}, core.Features{}},
 	{"memsafety", codegen.Options{Wasm64: true, StackSanitizer: true},
 		core.Features{MemSafety: true, MTEMode: mte.ModeSync}},
@@ -55,25 +60,32 @@ func newFusedKernelInstance(t testing.TB, m *wasm.Module, feats core.Features, c
 	return newFusedBenchInstance(t, m, feats, ctr, fuse.Fuse(prog, nil))
 }
 
-// newFusedBenchInstance is newKernelInstance with an explicit
-// pre-lowered (typically fused) program.
-func newFusedBenchInstance(t testing.TB, m *wasm.Module, feats core.Features, ctr *arch.Counter, prog *ir.Program) *exec.Instance {
-	t.Helper()
+// kernelInstance instantiates m against the polybench host modules and
+// binds the hardened allocator after birth; a nil prog lowers privately.
+func kernelInstance(m *wasm.Module, feats core.Features, ctr *arch.Counter, prog *ir.Program) (*exec.Instance, error) {
 	host := &alloc.Host{}
 	inst, err := exec.NewInstance(m, exec.Config{
 		Features: feats, HostModules: polybench.HostModules(), HostData: host,
 		Seed: 1234, Counter: ctr, Program: prog,
 	})
 	if err != nil {
-		t.Fatalf("instantiate fused: %v", err)
+		return nil, err
 	}
 	heapBase, ok := inst.GlobalValue("__heap_base")
 	if !ok {
-		t.Fatal("module lacks __heap_base")
+		return nil, errors.New("module lacks __heap_base")
 	}
 	host.A, err = alloc.New(inst, heapBase)
+	return inst, err
+}
+
+// newFusedBenchInstance is newKernelInstance with an explicit
+// pre-lowered (typically fused) program.
+func newFusedBenchInstance(t testing.TB, m *wasm.Module, feats core.Features, ctr *arch.Counter, prog *ir.Program) *exec.Instance {
+	t.Helper()
+	inst, err := kernelInstance(m, feats, ctr, prog)
 	if err != nil {
-		t.Fatalf("allocator: %v", err)
+		t.Fatalf("instantiate fused: %v", err)
 	}
 	return inst
 }
@@ -192,23 +204,42 @@ double run(long n) {
     return s + d;
 }`
 
+// mallocSeedSource is the FuzzFuse seed that imports: whatever the
+// fuzzer derives from it calls into the host allocator, so the
+// execution half must link both tiers against it.
+const mallocSeedSource = `
+extern char* malloc(long n);
+long run(long n) {
+    long* a = (long*)malloc(n * 8);
+    long s = 0;
+    for (long i = 0; i < n; i++) { a[i] = i * 3; s += a[i]; }
+    return s;
+}`
+
+// lowerMiniC64 takes a MiniC source through the baseline64 pipeline to
+// its unfused lowered program.
+func lowerMiniC64(src string) (*wasm.Module, *ir.Program, error) {
+	file, err := minicc.Parse(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	mprog, err := minicc.Analyze(file, minicc.Layout64)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := codegen.Compile(mprog, codegen.Options{Wasm64: true})
+	if err != nil {
+		return nil, nil, err
+	}
+	prog, err := exec.LowerModule(m, exec.Config{})
+	return m, prog, err
+}
+
 // TestFuzzFuseSeedCoversIdioms keeps the fuzzer's corpus honest: an
 // idiom added to the table without a seed that produces it would be
 // fuzzed only by luck.
 func TestFuzzFuseSeedCoversIdioms(t *testing.T) {
-	file, err := minicc.Parse(idiomSeedSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mprog, err := minicc.Analyze(file, minicc.Layout64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := codegen.Compile(mprog, codegen.Options{Wasm64: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := exec.LowerModule(m, exec.Config{})
+	_, prog, err := lowerMiniC64(idiomSeedSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,112 +256,128 @@ func TestFuzzFuseSeedCoversIdioms(t *testing.T) {
 	}
 }
 
+// TestFuzzFuseSeedsReachEventComparison: a seed that stops short of the
+// event comparison — the malloc seed did, on an unresolved import,
+// while both tiers were instantiated without host modules — leaves the
+// fuzzer mutating inputs whose execution is never checked.
+func TestFuzzFuseSeedsReachEventComparison(t *testing.T) {
+	for _, seed := range []struct {
+		name, src string
+		arg       uint64
+	}{
+		{"idiom", idiomSeedSource, 12},
+		{"malloc", mallocSeedSource, 64},
+	} {
+		if got := checkFuseContracts(t, seed.src, seed.arg); got != fuseEventsCompared {
+			t.Errorf("%s seed: outcome %d, want the event comparison (%d)", seed.name, got, fuseEventsCompared)
+		}
+	}
+}
+
 // FuzzFuse feeds MiniC programs through the full pipeline and asserts
 // the fuse pass's two contracts on whatever the fuzzer synthesizes:
 // every branch target in the fused stream is a valid absolute PC, and
 // execution is oracle-equivalent to the unfused program (results, trap
 // codes, event stream). Seeds come from the differential suite's call
-// kernels plus a memory-heavy loop and idiomSeedSource.
+// kernels plus mallocSeedSource and idiomSeedSource.
 func FuzzFuse(f *testing.F) {
 	for _, k := range callKernelSources {
 		f.Add(k.src, k.arg)
 	}
 	f.Add(idiomSeedSource, uint64(12))
-	f.Add(`
-extern char* malloc(long n);
-long run(long n) {
-    long* a = (long*)malloc(n * 8);
-    long s = 0;
-    for (long i = 0; i < n; i++) { a[i] = i * 3; s += a[i]; }
-    return s;
-}`, uint64(64))
+	f.Add(mallocSeedSource, uint64(64))
 	f.Fuzz(func(t *testing.T, src string, arg uint64) {
-		file, err := minicc.Parse(src)
-		if err != nil {
+		if checkFuseContracts(t, src, arg) == fuseNotRunnable {
 			t.Skip()
-		}
-		mprog, err := minicc.Analyze(file, minicc.Layout64)
-		if err != nil {
-			t.Skip()
-		}
-		m, err := codegen.Compile(mprog, codegen.Options{Wasm64: true})
-		if err != nil {
-			t.Skip()
-		}
-		prog, err := exec.LowerModule(m, exec.Config{})
-		if err != nil {
-			t.Skip()
-		}
-		fusedProg := fuse.Fuse(prog, nil)
-
-		// Contract 1: branch-target validity after the PC remap.
-		for fi, fn := range fusedProg.Funcs {
-			check := func(target int) {
-				if target < 0 || target >= len(fn.Code) {
-					t.Fatalf("func %d: branch target %d outside [0,%d)", fi, target, len(fn.Code))
-				}
-			}
-			for _, in := range fn.Code {
-				switch in.Op {
-				case ir.OpGoto, ir.OpBr, ir.OpBrIf, ir.OpBrIfZ:
-					check(int(in.B))
-				case ir.OpBrTable:
-					for _, bt := range in.Targets {
-						check(int(bt.PC))
-					}
-				case ir.OpFusedSetBr, ir.OpFusedCmpBrIf, ir.OpFusedCmpBrIfZ,
-					ir.OpFusedCmpEqzBrIf, ir.OpFusedGetGetCmpEqzBr, ir.OpFusedIncBr,
-					ir.OpFusedALUSetIncBr, ir.OpFusedGetGetI64LtSEqzBr, ir.OpFusedI64IncBr,
-					ir.OpFusedF64AddSetI64IncBr, ir.OpFusedF64SubSetI64IncBr:
-					check(ir.FusedBranchTarget(in.B))
-				}
-			}
-		}
-
-		// Contract 2: oracle equivalence under a fuel bound (fuzzed
-		// programs may loop forever; both tiers must run dry at the
-		// same event count).
-		const fuel = 200_000
-		var ctrPlain arch.Counter
-		plain, err := exec.NewInstance(m, exec.Config{Seed: 5, Counter: &ctrPlain})
-		if err != nil {
-			t.Skip() // e.g. unresolved imports the fuzzer invented
-		}
-		plainRes, plainErr := plain.InvokeWith(context.Background(), "run",
-			[]uint64{arg % 1024}, exec.CallOptions{Fuel: fuel})
-
-		var ctrFused arch.Counter
-		fusedInst, err := exec.NewInstance(m, exec.Config{
-			Seed: 5, Counter: &ctrFused, Program: fusedProg,
-		})
-		if err != nil {
-			t.Fatalf("fused instantiation failed where unfused succeeded: %v", err)
-		}
-		fusedRes, fusedErr := fusedInst.InvokeWith(context.Background(), "run",
-			[]uint64{arg % 1024}, exec.CallOptions{Fuel: fuel})
-
-		if (plainErr == nil) != (fusedErr == nil) {
-			t.Fatalf("error mismatch: unfused=%v fused=%v", plainErr, fusedErr)
-		}
-		if plainErr != nil {
-			var pt, ft *exec.Trap
-			if errors.As(plainErr, &pt) != errors.As(fusedErr, &ft) || (pt != nil && pt.Code != ft.Code) {
-				t.Fatalf("trap mismatch: unfused=%v fused=%v", plainErr, fusedErr)
-			}
-			return
-		}
-		if len(plainRes.Values) != len(fusedRes.Values) {
-			t.Fatalf("result arity: unfused=%d fused=%d", len(plainRes.Values), len(fusedRes.Values))
-		}
-		for i := range plainRes.Values {
-			if plainRes.Values[i] != fusedRes.Values[i] {
-				t.Fatalf("result[%d]: unfused=%#x fused=%#x", i, plainRes.Values[i], fusedRes.Values[i])
-			}
-		}
-		for ev := arch.Event(0); ev < arch.NumEvents; ev++ {
-			if ctrPlain.Get(ev) != ctrFused.Get(ev) {
-				t.Fatalf("event %v: unfused=%d fused=%d", ev, ctrPlain.Get(ev), ctrFused.Get(ev))
-			}
 		}
 	})
+}
+
+// fuseOutcome is how far checkFuseContracts got with an input.
+type fuseOutcome int
+
+const (
+	fuseNotRunnable    fuseOutcome = iota // does not compile, lower or link: nothing to compare
+	fuseTrapsCompared                     // both tiers stopped on the same trap (or ran dry)
+	fuseEventsCompared                    // both tiers returned: results and event totals compared
+)
+
+// checkFuseContracts is FuzzFuse's body: it fails t on a broken
+// contract and reports how far the input got otherwise.
+func checkFuseContracts(t *testing.T, src string, arg uint64) fuseOutcome {
+	m, prog, err := lowerMiniC64(src)
+	if err != nil {
+		return fuseNotRunnable
+	}
+	fusedProg := fuse.Fuse(prog, nil)
+
+	// Contract 1: branch-target validity after the PC remap.
+	for fi, fn := range fusedProg.Funcs {
+		check := func(target int) {
+			if target < 0 || target >= len(fn.Code) {
+				t.Fatalf("func %d: branch target %d outside [0,%d)", fi, target, len(fn.Code))
+			}
+		}
+		for _, in := range fn.Code {
+			switch in.Op {
+			case ir.OpGoto, ir.OpBr, ir.OpBrIf, ir.OpBrIfZ:
+				check(int(in.B))
+			case ir.OpBrTable:
+				for _, bt := range in.Targets {
+					check(int(bt.PC))
+				}
+			case ir.OpFusedSetBr, ir.OpFusedCmpBrIf, ir.OpFusedCmpBrIfZ,
+				ir.OpFusedCmpEqzBrIf, ir.OpFusedGetGetCmpEqzBr, ir.OpFusedIncBr,
+				ir.OpFusedALUSetIncBr, ir.OpFusedGetGetI64LtSEqzBr, ir.OpFusedI64IncBr,
+				ir.OpFusedF64AddSetI64IncBr, ir.OpFusedF64SubSetI64IncBr:
+				check(ir.FusedBranchTarget(in.B))
+			}
+		}
+	}
+
+	// Contract 2: oracle equivalence under a fuel bound (fuzzed
+	// programs may loop forever; both tiers must run dry at the
+	// same event count). Both tiers link against the polybench host
+	// modules, so a program that imports malloc executes.
+	const fuel = 200_000
+	var ctrPlain arch.Counter
+	plain, err := kernelInstance(m, core.Features{}, &ctrPlain, nil)
+	if err != nil {
+		return fuseNotRunnable // e.g. imports the fuzzer invented
+	}
+	plainRes, plainErr := plain.InvokeWith(context.Background(), "run",
+		[]uint64{arg % 1024}, exec.CallOptions{Fuel: fuel})
+
+	var ctrFused arch.Counter
+	fusedInst, err := kernelInstance(m, core.Features{}, &ctrFused, fusedProg)
+	if err != nil {
+		t.Fatalf("fused instantiation failed where unfused succeeded: %v", err)
+	}
+	fusedRes, fusedErr := fusedInst.InvokeWith(context.Background(), "run",
+		[]uint64{arg % 1024}, exec.CallOptions{Fuel: fuel})
+
+	if (plainErr == nil) != (fusedErr == nil) {
+		t.Fatalf("error mismatch: unfused=%v fused=%v", plainErr, fusedErr)
+	}
+	if plainErr != nil {
+		var pt, ft *exec.Trap
+		if errors.As(plainErr, &pt) != errors.As(fusedErr, &ft) || (pt != nil && pt.Code != ft.Code) {
+			t.Fatalf("trap mismatch: unfused=%v fused=%v", plainErr, fusedErr)
+		}
+		return fuseTrapsCompared
+	}
+	if len(plainRes.Values) != len(fusedRes.Values) {
+		t.Fatalf("result arity: unfused=%d fused=%d", len(plainRes.Values), len(fusedRes.Values))
+	}
+	for i := range plainRes.Values {
+		if plainRes.Values[i] != fusedRes.Values[i] {
+			t.Fatalf("result[%d]: unfused=%#x fused=%#x", i, plainRes.Values[i], fusedRes.Values[i])
+		}
+	}
+	for ev := arch.Event(0); ev < arch.NumEvents; ev++ {
+		if ctrPlain.Get(ev) != ctrFused.Get(ev) {
+			t.Fatalf("event %v: unfused=%d fused=%d", ev, ctrPlain.Get(ev), ctrFused.Get(ev))
+		}
+	}
+	return fuseEventsCompared
 }

@@ -10,7 +10,6 @@ import (
 	"cage/internal/ir"
 	"cage/internal/mte"
 	"cage/internal/pac"
-	"cage/internal/profile"
 	"cage/internal/ptrlayout"
 	"cage/internal/vmem"
 	"cage/internal/wasm"
@@ -76,12 +75,6 @@ type Config struct {
 	// HostReserve appends a host-owned, runtime-tagged region after the
 	// guest memory for sandbox-escape demonstrations; 0 means 4 KiB.
 	HostReserve uint64
-	// Profile, when non-nil, records the hot opcode sequences this
-	// instance executes (the pair/triple counters behind the
-	// superinstruction pass, internal/fuse). Recording costs one
-	// predictable branch per retired instruction when armed and nothing
-	// when nil; the recorder is single-goroutine like the instance.
-	Profile *profile.Recorder
 	// Snapshot, when non-nil, instantiates by restoring this frozen
 	// image (Instance.Snapshot) instead of replaying data segments,
 	// tagging the whole memory, and running the start function — the
@@ -175,10 +168,6 @@ type Instance struct {
 	gmem []byte
 	gmap *vmem.Mapping
 
-	// prof, when armed (Config.Profile), receives every retired
-	// instruction for hot-sequence recording.
-	prof *profile.Recorder
-
 	features core.Features
 	policy   core.Policy
 	strategy memStrategy
@@ -269,7 +258,6 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 		maxCallDepth: cfg.MaxCallDepth,
 		skipBounds:   cfg.SkipBoundsChecks,
 		hostData:     cfg.HostData,
-		prof:         cfg.Profile,
 	}
 	inst.hostCtx.inst = inst
 	if inst.counter == nil {

@@ -12,8 +12,8 @@ import (
 )
 
 // This file holds the opcode semantics shared by the frame machine
-// (frame.go) and the legacy oracle (legacy.go): address
-// translation per sandboxing strategy, scalar memory access, bulk
+// (frame.go) and the test-only legacy oracle (legacy_oracle_test.go):
+// address translation per sandboxing strategy, scalar memory access, bulk
 // memory operations, Cage segment instructions, and the numeric ALU.
 // The stack-consuming helpers take the operand stack as a value slice
 // and return its new height, so callers that keep the stack in the

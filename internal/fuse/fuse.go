@@ -1,8 +1,10 @@
-// Package fuse is the profile-guided superinstruction pass: a
-// post-lowering rewrite over ir.Program that collapses the hot
-// adjacent sequences a profile (internal/profile) observed — load+op,
-// op+store, cmp+br, const+op, local traffic, up to seven-constituent
-// loop latches — into single fused opcodes (ir.OpFusedBase block).
+// Package fuse is the superinstruction pass: a post-lowering rewrite
+// over ir.Program that collapses every adjacent sequence matching one
+// of its hand-written shapes — load+op, op+store, cmp+br, const+op,
+// local traffic, up to seven-constituent loop latches — into single
+// fused opcodes (ir.OpFusedBase block). There is one mode: a sequence
+// that is eligible is fused, in the runtime exactly as in the fuzzer
+// and the differential suites.
 //
 // What a fused opcode saves is decided here, not in the executor. A
 // shape opcode (fused.const+alu+alu) carries its ALU ops as immediates:
@@ -36,42 +38,29 @@
 //     stream, including BrTable target vectors (deep-copied — lowering
 //     may share them) and the targets packed inside fused branches.
 //
-// Fuse refuses to run twice (Program.Fused) because PCs change. A nil
-// profile fuses every eligible candidate — the exhaustive mode the
-// fuzzer and the differential suite use; the runtime passes the
-// polybench default corpus or an embedder-recorded profile instead.
+// Fuse refuses to run twice (Program.Fused) because PCs change.
 package fuse
 
 import (
 	"cage/internal/ir"
-	"cage/internal/profile"
 	"cage/internal/wasm"
 )
 
-// MinCount is the profile threshold: a sequence must have been
-// observed at least this many times to drive a fusion.
-const MinCount = 1
-
-// Fuse rewrites p with superinstructions for the sequences prof marks
-// hot (all eligible sequences when prof is nil). The input program is
-// not modified; the result shares no mutable state with it.
-func Fuse(p *ir.Program, prof *profile.Profile) *ir.Program {
+// Fuse rewrites p with a superinstruction for every eligible sequence.
+// The input program is not modified; the result shares no mutable state
+// with it. The second parameter is ignored, and untyped so that nothing
+// here names internal/profile: a benchmark-only leftover of the call
+// benchmark/layers.go spells, fuse.Fuse(p, profile.Default()) (ROADMAP
+// item 5). Everything else passes nil.
+func Fuse(p *ir.Program, _ any) *ir.Program {
 	if p == nil || p.Fused {
 		return p
 	}
 	out := &ir.Program{Cfg: p.Cfg, Funcs: make([]ir.Func, len(p.Funcs)), Fused: true}
 	for i := range p.Funcs {
-		out.Funcs[i] = fuseFunc(&p.Funcs[i], prof)
+		out.Funcs[i] = fuseFunc(&p.Funcs[i])
 	}
 	return out
-}
-
-// hot reports whether the profile justifies fusing the sequence.
-func hot(prof *profile.Profile, ops ...ir.Op) bool {
-	if prof == nil {
-		return true
-	}
-	return prof.Count(ops...) >= MinCount
 }
 
 // aluOf returns the wasm opcode of a fusable pure-value instruction:
@@ -130,11 +119,11 @@ func branchTargets(code []ir.Instr) []bool {
 	return t
 }
 
-// match tries every fusion pattern at code[i], triples before pairs,
-// and returns the fused instruction plus the number of constituents
+// match tries every fusion pattern at code[i], longest first, and
+// returns the fused instruction plus the number of constituents
 // consumed (0 = no match). Fused branch targets still carry OLD PCs;
 // the caller remaps them after the stream is rebuilt.
-func match(code []ir.Instr, i int, targets []bool, prof *profile.Profile) (ir.Instr, int) {
+func match(code []ir.Instr, i int, targets []bool) (ir.Instr, int) {
 	a := code[i]
 	var b, c ir.Instr
 	if i+1 < len(code) {
@@ -162,7 +151,7 @@ func match(code []ir.Instr, i int, targets []bool, prof *profile.Profile) (ir.In
 			g.Op == ir.OpBr && g.A == 0 &&
 			b.A <= 0xFFFF && c.A <= 0xFFFF && d.A <= 0xFF {
 			if alu0, ok := aluOf(a); ok {
-				if alu1, ok1 := aluOf(e); ok1 && hot(prof, a.Op, b.Op, c.Op) {
+				if alu1, ok1 := aluOf(e); ok1 {
 					return ir.Instr{Op: ir.OpFusedALUSetIncBr,
 						A: uint64(alu0)<<48 | b.A<<32 | c.A<<16 | d.A<<8 | uint64(alu1),
 						B: ir.PackFusedBranch(0, g.B)}, 7
@@ -178,7 +167,7 @@ func match(code []ir.Instr, i int, targets []bool, prof *profile.Profile) (ir.In
 			e.Op == ir.OpLocalGet &&
 			a.A <= 0xFFFF && b.A <= 0xFFFF && c.A <= 0xFFFF && e.A <= 0xFFFF {
 			if alu1, ok := aluOf(d); ok {
-				if alu2, ok2 := aluOf(f); ok2 && hot(prof, a.Op, b.Op, c.Op) {
+				if alu2, ok2 := aluOf(f); ok2 {
 					return ir.Instr{Op: ir.OpFusedGet3ALUGetALU,
 						A: a.A<<48 | b.A<<32 | c.A<<16 | e.A,
 						B: uint64(alu2)<<8 | uint64(alu1)}, 6
@@ -198,7 +187,7 @@ func match(code []ir.Instr, i int, targets []bool, prof *profile.Profile) (ir.In
 			a.A <= 0xFFFFFFFF && b.A <= 0xFFFFFFFF &&
 			d.Op == ir.OpNumericBase+ir.Op(wasm.OpI32Eqz) &&
 			e.Op == ir.OpBrIf && e.A == 0:
-			if alu, ok := condALUOf(c); ok && hot(prof, a.Op, b.Op, c.Op) {
+			if alu, ok := condALUOf(c); ok {
 				return ir.Instr{Op: ir.OpFusedGetGetCmpEqzBr, A: a.A<<32 | b.A,
 					B: ir.PackFusedBranch(uint64(alu), e.B)}, 5
 			}
@@ -206,7 +195,7 @@ func match(code []ir.Instr, i int, targets []bool, prof *profile.Profile) (ir.In
 			d.Op == ir.OpLocalSet && d.A == a.A &&
 			e.Op == ir.OpBr && e.A == 0 &&
 			a.A <= 0xFFFFFFFF && b.A <= 1<<56-1:
-			if alu, ok := aluOf(c); ok && hot(prof, a.Op, b.Op, c.Op) {
+			if alu, ok := aluOf(c); ok {
 				return ir.Instr{Op: ir.OpFusedIncBr, A: b.A<<8 | uint64(alu),
 					B: ir.PackFusedBranch(a.A, e.B)}, 5
 			}
@@ -217,7 +206,7 @@ func match(code []ir.Instr, i int, targets []bool, prof *profile.Profile) (ir.In
 			alu1, ok1 := aluOf(b)
 			alu2, ok2 := aluOf(c)
 			alu3, ok3 := aluOf(e)
-			if ok1 && ok2 && ok3 && hot(prof, a.Op, b.Op, c.Op) {
+			if ok1 && ok2 && ok3 {
 				if size, variant, memOp, fits := memParts(d); fits {
 					return ir.Instr{Op: ir.OpFusedConstALUALULoadALU,
 						A: a.A<<32 | d.A,
@@ -233,19 +222,16 @@ func match(code []ir.Instr, i int, targets []bool, prof *profile.Profile) (ir.In
 		// polybench kernels put in front of multiply-accumulate chains.
 		if a.Op == ir.OpLocalGet && b.Op == ir.OpLocalGet &&
 			c.Op == ir.OpLocalGet && d.Op == ir.OpLocalGet &&
-			a.A <= 0xFFFF && b.A <= 0xFFFF && c.A <= 0xFFFF && d.A <= 0xFFFF &&
-			hot(prof, a.Op, b.Op, c.Op) {
+			a.A <= 0xFFFF && b.A <= 0xFFFF && c.A <= 0xFFFF && d.A <= 0xFFFF {
 			return ir.Instr{Op: ir.OpFusedGet4,
 				A: a.A<<48 | b.A<<32 | c.A<<16 | d.A}, 4
 		}
 		// get x; alu1; get y; alu2 — the dependent-chain shape address
 		// arithmetic leaves behind once its const+alu prefixes fuse.
-		// The profile records pairs and triples only, so the quad gates
-		// on its triple prefix.
 		if a.Op == ir.OpLocalGet && c.Op == ir.OpLocalGet &&
 			a.A <= 0xFFFFFFFF && c.A <= 0xFFFFFFFF {
 			if alu1, ok := aluOf(b); ok {
-				if alu2, ok2 := aluOf(d); ok2 && hot(prof, a.Op, b.Op, c.Op) {
+				if alu2, ok2 := aluOf(d); ok2 {
 					return ir.Instr{Op: ir.OpFusedGetALUGetALU, A: a.A<<32 | c.A,
 						B: uint64(alu2)<<8 | uint64(alu1)}, 4
 				}
@@ -255,23 +241,22 @@ func match(code []ir.Instr, i int, targets []bool, prof *profile.Profile) (ir.In
 	if tripleOK {
 		switch {
 		case a.Op == ir.OpLocalGet && b.Op == ir.OpLocalGet:
-			if alu, ok := aluOf(c); ok && a.A <= 0xFFFFFFFF && b.A <= 0xFFFFFFFF &&
-				hot(prof, a.Op, b.Op, c.Op) {
+			if alu, ok := aluOf(c); ok && a.A <= 0xFFFFFFFF && b.A <= 0xFFFFFFFF {
 				return ir.Instr{Op: ir.OpFusedGetGetALU, A: a.A<<32 | b.A, B: uint64(alu)}, 3
 			}
 		case a.Op == ir.OpLocalGet && b.Op == ir.OpConst:
-			if alu, ok := aluOf(c); ok && a.A <= 0xFFFFFFFF && hot(prof, a.Op, b.Op, c.Op) {
+			if alu, ok := aluOf(c); ok && a.A <= 0xFFFFFFFF {
 				return ir.Instr{Op: ir.OpFusedGetConstALU, A: b.A,
 					B: ir.PackFusedBranch(a.A, uint64(alu))}, 3
 			}
 		case b.Op == ir.OpNumericBase+ir.Op(wasm.OpI32Eqz) && c.Op == ir.OpBrIf:
-			if alu, ok := condALUOf(a); ok && hot(prof, a.Op, b.Op, c.Op) {
+			if alu, ok := condALUOf(a); ok {
 				return ir.Instr{Op: ir.OpFusedCmpEqzBrIf, A: c.A,
 					B: ir.PackFusedBranch(uint64(alu), c.B)}, 3
 			}
 		case a.Op == ir.OpConst:
 			if alu1, ok := aluOf(b); ok {
-				if alu2, ok2 := aluOf(c); ok2 && hot(prof, a.Op, b.Op, c.Op) {
+				if alu2, ok2 := aluOf(c); ok2 {
 					return ir.Instr{Op: ir.OpFusedConstALUALU, A: a.A,
 						B: uint64(alu2)<<8 | uint64(alu1)}, 3
 				}
@@ -279,9 +264,6 @@ func match(code []ir.Instr, i int, targets []bool, prof *profile.Profile) (ir.In
 		}
 	}
 	if !pairOK {
-		return ir.Instr{}, 0
-	}
-	if !hot(prof, a.Op, b.Op) {
 		return ir.Instr{}, 0
 	}
 	switch {
@@ -342,7 +324,7 @@ func match(code []ir.Instr, i int, targets []bool, prof *profile.Profile) (ir.In
 	return ir.Instr{}, 0
 }
 
-func fuseFunc(f *ir.Func, prof *profile.Profile) ir.Func {
+func fuseFunc(f *ir.Func) ir.Func {
 	targets := branchTargets(f.Code)
 	// newPC maps every old PC (and the one-past-end sentinel) to its
 	// position in the rewritten stream; interior constituents map to
@@ -351,7 +333,7 @@ func fuseFunc(f *ir.Func, prof *profile.Profile) ir.Func {
 	code := make([]ir.Instr, 0, len(f.Code))
 	for i := 0; i < len(f.Code); {
 		newPC[i] = len(code)
-		in, n := match(f.Code, i, targets, prof)
+		in, n := match(f.Code, i, targets)
 		if n == 0 {
 			code = append(code, f.Code[i])
 			i++

@@ -4,8 +4,8 @@ package fuse_test
 // (results, traps, event counts) is pinned by the differential suite in
 // internal/exec; here we check the rewrite's static contracts: fused
 // instructions expand back to their constituents, fences survive
-// untouched, every branch target lands inside the rewritten stream,
-// profile gating works, and the pass refuses to run twice.
+// untouched, every branch target lands inside the rewritten stream, and
+// the pass refuses to run twice.
 
 import (
 	"reflect"
@@ -17,7 +17,6 @@ import (
 	"cage/internal/fuse"
 	"cage/internal/ir"
 	"cage/internal/polybench"
-	"cage/internal/profile"
 	"cage/internal/wasm"
 )
 
@@ -160,34 +159,6 @@ func TestFuseBranchTargetsValid(t *testing.T) {
 				case ir.OpFusedSetBr, ir.OpFusedCmpBrIf, ir.OpFusedCmpBrIfZ, ir.OpFusedCmpEqzBrIf:
 					check(pc, ir.FusedBranchTarget(in.B))
 				}
-			}
-		}
-	}
-}
-
-// TestFuseProfileGating: an empty profile fuses nothing (no sequence
-// reaches MinCount); a profile naming one hot pair fuses only that
-// pattern.
-func TestFuseProfileGating(t *testing.T) {
-	p := lowerKernel(t, "gemm", true, core.Features{})
-
-	empty := &profile.Profile{}
-	if n := countFused(fuse.Fuse(p, empty)); n != 0 {
-		t.Fatalf("empty profile fused %d instructions, want 0", n)
-	}
-
-	one := &profile.Profile{Seqs: []profile.Seq{{
-		Ops:   []string{ir.OpLocalGet.String(), ir.OpLocalGet.String()},
-		Count: 1000,
-	}}}
-	q := fuse.Fuse(p, one)
-	if n := countFused(q); n == 0 {
-		t.Fatal("single-pair profile fused nothing")
-	}
-	for _, f := range q.Funcs {
-		for _, in := range f.Code {
-			if in.Op.IsFused() && in.Op != ir.OpFusedGetGet {
-				t.Fatalf("profile named only get+get, got %v", in.Op)
 			}
 		}
 	}

@@ -21,8 +21,7 @@
 //     caller's stack top — and never allocate on a guest→guest call.
 //
 // Opcode numbers are laid out for the executor's dispatch switch (see
-// Op) and never persisted: profiles and the fusion corpus spell opcodes
-// by mnemonic (ParseOp).
+// Op) and never persisted.
 //
 // The package also owns the encoding of what internal/fuse rewrites
 // that stream into: the shape-generic superinstructions (OpFusedBase),

@@ -26,7 +26,7 @@ type Idiom struct {
 
 // idioms is indexed by Op - firstIdiomOp (TestIdiomTable holds the
 // order). Rows are the concrete sequences that dominate the polybench
-// corpus (85 % of the ALU constituents executed inside fused ops);
+// kernels (85 % of the ALU constituents executed inside fused ops);
 // 32-bit twins are left to the shapes until a workload runs a 32-bit
 // module.
 var idioms = [...]Idiom{

@@ -2,8 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 
 	"cage/internal/wasm"
 )
@@ -155,15 +153,15 @@ func (op Op) IsStore() bool { return op >= OpStoreG32 && op <= OpStoreG32G }
 const GuardMaxOffset = 1 << 20
 
 // OpFusedBase offsets the superinstruction block: fused opcodes the
-// profile-guided pass (internal/fuse) rewrites hot adjacent pairs and
-// triples into. Each fused opcode executes its constituent lowered
+// fuse pass (internal/fuse) rewrites adjacent sequences of two to seven
+// instructions into. Each fused opcode executes its constituent lowered
 // instructions in order — identical semantics, identical trap points,
 // identical timing-model events — in a single dispatch. Branch targets
 // embedded in fused opcodes are absolute PCs into the *fused* code.
 //
 // The block starts where the named opcodes end, with no gap (see Op);
-// nothing persists an opcode's number — profiles spell opcodes by
-// mnemonic — so it moves whenever a named opcode is added.
+// nothing persists an opcode's number, so it moves whenever a named
+// opcode is added.
 const OpFusedBase Op = numNamedOps
 
 // Fused superinstructions. Immediate encodings (aux fields are
@@ -241,7 +239,7 @@ const (
 	OpFusedConstALUALULoadALU
 	OpFusedALUSetIncBr
 
-	// Idioms, in order of dynamic share over the polybench corpus. A new
+	// Idioms, in order of dynamic share over the polybench kernels. A new
 	// one is appended here — inside the fused block, so the dispatch
 	// switch stays a jump table — with a row in the idioms table.
 	OpFusedConstI64MulAdd
@@ -380,44 +378,6 @@ func (op Op) String() string {
 		return opNames[op]
 	}
 	return fmt.Sprintf("irop(0x%x)", uint16(op))
-}
-
-// ParseOp resolves a lowered mnemonic (the Op.String form: named ops,
-// pass-through numerics by their wasm mnemonic, fused names) back to
-// its opcode. Profiles serialize opcodes by name so a checked-in corpus
-// survives opcode renumbering; this is the read-side resolver.
-func ParseOp(name string) (Op, bool) {
-	op, ok := opsByName()[name]
-	return op, ok
-}
-
-var (
-	opsByNameOnce sync.Once
-	opsByNameMap  map[string]Op
-)
-
-func opsByName() map[string]Op {
-	opsByNameOnce.Do(func() {
-		m := make(map[string]Op, 256)
-		for op := Op(0); op < endFusedOps; op++ {
-			m[opNames[op]] = op
-		}
-		for w := 0; w < 0x100; w++ {
-			op := OpNumericBase + Op(w)
-			name := wasm.Opcode(w).String()
-			// Skip the unknown-opcode fallback, and never shadow a named
-			// op: wasm mnemonics like "local.get" belong to opcodes the
-			// lowering always rewrites, so they can only name the named
-			// form (numeric pass-throughs never carry them).
-			if !strings.HasPrefix(name, "op(") {
-				if _, taken := m[name]; !taken {
-					m[name] = op
-				}
-			}
-		}
-		opsByNameMap = m
-	})
-	return opsByNameMap
 }
 
 // BranchTarget is one resolved br_table destination.

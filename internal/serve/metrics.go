@@ -169,11 +169,6 @@ type Stats struct {
 	// guard32 accesses on: "guard" (guard reservation available: vmem
 	// mapping, no per-access bounds check) or "bounds" (explicit checks).
 	MemoryMode string `json:"memory_mode"`
-	// FusionProfile is the identity of the hot-sequence profile driving
-	// the superinstruction pass ("none" when fusion is disabled); part
-	// of the program-cache key, so it tells a scraper which fused
-	// programs this server's caches hold.
-	FusionProfile string `json:"fusion_profile"`
 	// Modules/Programs are the engine's compiled-module and
 	// lowered-program cache counters; Pools sums every module pool.
 	ModuleCache  CacheSnapshot `json:"module_cache"`
@@ -270,7 +265,7 @@ func (s *Stats) writeProm(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE cage_instance_births_fresh_total counter\n")
 	fmt.Fprintf(w, "cage_instance_births_fresh_total %d\n", s.Snapshots.BirthsFresh)
 	fmt.Fprintf(w, "# TYPE cage_dispatch_mode gauge\n")
-	fmt.Fprintf(w, "cage_dispatch_mode{memory=%q,fusion=%q} 1\n", s.MemoryMode, s.FusionProfile)
+	fmt.Fprintf(w, "cage_dispatch_mode{memory=%q} 1\n", s.MemoryMode)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

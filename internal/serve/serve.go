@@ -525,17 +525,16 @@ func (s *Server) ensureSnapshot(ctx context.Context, tn *tenant, entry *moduleEn
 // embedders that want the counters without HTTP).
 func (s *Server) StatsSnapshot() *Stats {
 	es := s.eng.Stats()
-	memMode, fusion := s.eng.DispatchMode()
+	memMode, _ := s.eng.DispatchMode()
 	out := &Stats{
-		Config:        s.opts.ConfigName,
-		MemoryMode:    memMode,
-		FusionProfile: fusion,
-		ModuleCache:   cacheSnapshot(es.Cache),
-		ProgramCache:  cacheSnapshot(es.Programs),
-		Snapshots:     snapshotCacheSnapshot(es.Snapshots),
-		Pools:         poolSnapshot(es.Pools),
-		Tenants:       make(map[string]TenantStats),
-		Modules:       make(map[string]ModuleStats),
+		Config:       s.opts.ConfigName,
+		MemoryMode:   memMode,
+		ModuleCache:  cacheSnapshot(es.Cache),
+		ProgramCache: cacheSnapshot(es.Programs),
+		Snapshots:    snapshotCacheSnapshot(es.Snapshots),
+		Pools:        poolSnapshot(es.Pools),
+		Tenants:      make(map[string]TenantStats),
+		Modules:      make(map[string]ModuleStats),
 	}
 	var tenants []*tenant
 	if m := s.tenantSnap.Load(); m != nil {
