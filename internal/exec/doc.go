@@ -111,6 +111,21 @@
 // NaNs keep the payload of whichever operand the compiled instruction
 // names first, and the compiler picks that per site.
 //
+// Cheap dispatches left the number of them as the cost. The indexed
+// loads (ir.OpFusedIdx1Load and family) fold a whole address built from
+// locals, its load and a trailing f64.mul into one straight-line case
+// that reads the locals straight into the address — no operand-stack
+// traffic until the result — and loads through fusedMemLoad, so the
+// MTE tag check, bounds check and trap point are the unfused load's.
+// Since shapes yield to them in the fuse pass, the hot loops of gemm,
+// atax and the ptr-auth 2mm are 5 dispatches per iteration (head,
+// operand, two indexed loads, latch), and one run of the four gated
+// kernel classes takes 540 923 dispatches instead of 688 187.
+// TestDispatchGate holds both numbers without timing anything: it
+// counts dispatches by running a copy of the program with an OpFence in
+// front of every counted instruction (the EvFence delta), so nothing in
+// run is instrumented.
+//
 // # Interruption points
 //
 // InvokeWith is the bounded-call entry (call.go): it arms a per-call

@@ -765,6 +765,80 @@ func (inst *Instance) run(barrier int) error {
 			aluNext = uint32(in.A) & 0xFF
 			goto fusedALU
 
+		// Indexed loads: an i64 address built from locals and the scale
+		// constant, then the load through fusedMemLoad (the unfused
+		// load's address function, events and trap), then the f64.mul
+		// where the opcode names one. The events of everything before the load are charged
+		// up front, merged per event — nothing can observe the counter
+		// between them — and the f64.mul's only once the load has not
+		// trapped.
+		case ir.OpFusedIdx1Load:
+			ctr.Add(arch.EvLocal, 2)
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvMul, 1)
+			ctr.Add(arch.EvALU, 1)
+			ctr.Add(arch.EvLoad, 1)
+			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B),
+				locals[in.A>>48]+locals[(in.A>>32)&0xFFFF]*ir.IdxScale(in.B))
+			if err != nil {
+				return err
+			}
+			stack = append(stack, v)
+		case ir.OpFusedIdx1LoadF64Mul:
+			ctr.Add(arch.EvLocal, 2)
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvMul, 1)
+			ctr.Add(arch.EvALU, 1)
+			ctr.Add(arch.EvLoad, 1)
+			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B),
+				locals[in.A>>48]+locals[(in.A>>32)&0xFFFF]*ir.IdxScale(in.B))
+			if err != nil {
+				return err
+			}
+			ctr.Add(arch.EvFMul, 1)
+			l := len(stack)
+			stack[l-1] = math.Float64bits(math.Float64frombits(stack[l-1]) * math.Float64frombits(v))
+		case ir.OpFusedIdx2Load:
+			ctr.Add(arch.EvLocal, 4)
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvMul, 2)
+			ctr.Add(arch.EvALU, 2)
+			ctr.Add(arch.EvLoad, 1)
+			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B), locals[in.A>>48]+
+				(locals[(in.A>>32)&0xFFFF]*locals[(in.A>>16)&0xFFFF]+locals[in.A&0xFFFF])*ir.IdxScale(in.B))
+			if err != nil {
+				return err
+			}
+			stack = append(stack, v)
+		case ir.OpFusedIdx2LoadF64Mul:
+			ctr.Add(arch.EvLocal, 4)
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvMul, 2)
+			ctr.Add(arch.EvALU, 2)
+			ctr.Add(arch.EvLoad, 1)
+			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B), locals[in.A>>48]+
+				(locals[(in.A>>32)&0xFFFF]*locals[(in.A>>16)&0xFFFF]+locals[in.A&0xFFFF])*ir.IdxScale(in.B))
+			if err != nil {
+				return err
+			}
+			ctr.Add(arch.EvFMul, 1)
+			l := len(stack)
+			stack[l-1] = math.Float64bits(math.Float64frombits(stack[l-1]) * math.Float64frombits(v))
+		case ir.OpFusedIdx3LoadF64Mul:
+			ctr.Add(arch.EvLocal, 3)
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvMul, 2)
+			ctr.Add(arch.EvALU, 1)
+			ctr.Add(arch.EvLoad, 1)
+			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B), locals[in.A>>48]+
+				locals[(in.A>>32)&0xFFFF]*locals[(in.A>>16)&0xFFFF]*ir.IdxScale(in.B))
+			if err != nil {
+				return err
+			}
+			ctr.Add(arch.EvFMul, 1)
+			l := len(stack)
+			stack[l-1] = math.Float64bits(math.Float64frombits(stack[l-1]) * math.Float64frombits(v))
+
 		// Idiom superinstructions (ir/idiom.go): a generic shape above
 		// with its ALU constituents named in the opcode, so the case is
 		// straight-line code — no trip through fusedALU, no switch on an

@@ -27,10 +27,9 @@ import (
 )
 
 // dispatchConfigs are the presets the fused tier must be bit-identical
-// on: the Table 3 configurations plus the Spectre-hardened stack.
-// baseline32 is where the generic multi-ALU shapes do the work (a third
-// of its dispatches, under 1.2 % of full's: 32-bit tuples have no
-// idiom); it runs on the guard reservation or on bounds-checked heap
+// on: the seven presets of cage.ConfigByName. baseline32 is where the
+// generic multi-ALU shapes do the work (a third of its dispatches, under
+// 1.5 % of full's: 32-bit tuples have no idiom or indexed load); it runs on the guard reservation or on bounds-checked heap
 // memory, whichever vmem.Supported() grants.
 var dispatchConfigs = []struct {
 	name  string
@@ -43,6 +42,8 @@ var dispatchConfigs = []struct {
 		core.Features{MemSafety: true, MTEMode: mte.ModeSync}},
 	{"sandbox", codegen.Options{Wasm64: true},
 		core.Features{Sandbox: true, MTEMode: mte.ModeSync}},
+	{"ptrauth", codegen.Options{Wasm64: true, PtrAuth: true},
+		core.Features{PtrAuth: true, MTEMode: mte.ModeSync}},
 	{"full-cage", codegen.Options{Wasm64: true, StackSanitizer: true, PtrAuth: true},
 		core.CageAll()},
 	{"hardened", codegen.Options{Wasm64: true, StackSanitizer: true, PtrAuth: true},
@@ -175,11 +176,13 @@ func TestFusedMatchesUnfusedTraps(t *testing.T) {
 }
 
 // idiomSeedSource is the FuzzFuse seed whose exhaustive fusion contains
-// every idiom opcode (TestFuzzFuseSeedCoversIdioms): scaled-index loads
-// feeding f64.mul, f64.add and f64.sub, both reduction latches, the
-// counted-loop head and latch, and i ± 1 row addressing. It imports
-// nothing (the arrays are globals), so the fuzz target's execution half
-// runs it instead of skipping on an unresolved malloc.
+// every straight-line opcode, indexed loads and idioms alike
+// (TestFuzzFuseSeedCoversIdioms): indexed loads of every form with and
+// without the f64.mul, scaled-index loads off i ± 1 rows feeding
+// f64.mul, f64.add and f64.sub, both reduction latches, and the counted-
+// loop head and latch. It imports nothing (the arrays are globals), so
+// the fuzz target's execution half runs it instead of skipping on an
+// unresolved malloc.
 const idiomSeedSource = `
 double ga[256];
 double gb[16];
@@ -200,8 +203,27 @@ double run(long n) {
         for (long k = 0; k < n; k++) {
             d -= b[k] - a[(i - 1) * n + k] + a[(i + 1) * n + k];
         }
+        for (long k = 0; k < n; k++) {
+            s += a[i * n + k] * b[k] + b[k] * a[k * n] + a[(i + 1) * n + k] * a[(i - 1) * n + k];
+        }
     }
     return s + d;
+}`
+
+// branchSeedSource is the FuzzFuse seed with a branch target inside an
+// indexed load's window: the ternary's merge point is the get i of
+// get b; get i; const 8; i64.mul; i64.add; load, so that sequence must
+// not fuse (TestFuzzFuseSeedCoversIdioms).
+const branchSeedSource = `
+double ga[64];
+double gb[64];
+double run(long n) {
+    if (n > 64) { n = 64; }
+    double* a = ga;
+    double* b = gb;
+    double s = 0.0;
+    for (long i = 0; i < n; i++) { s += (i > 3 ? a : b)[i]; }
+    return s;
 }`
 
 // mallocSeedSource is the FuzzFuse seed that imports: whatever the
@@ -235,23 +257,33 @@ func lowerMiniC64(src string) (*wasm.Module, *ir.Program, error) {
 	return m, prog, err
 }
 
-// TestFuzzFuseSeedCoversIdioms keeps the fuzzer's corpus honest: an
-// idiom added to the table without a seed that produces it would be
-// fuzzed only by luck.
+// TestFuzzFuseSeedCoversIdioms keeps the fuzzer's corpus honest: a
+// straight-line opcode added without a seed that produces it would be
+// fuzzed only by luck, and so would the rule that a branch target
+// inside an indexed load's window stops it fusing.
 func TestFuzzFuseSeedCoversIdioms(t *testing.T) {
-	_, prog, err := lowerMiniC64(idiomSeedSource)
-	if err != nil {
-		t.Fatal(err)
+	ops := func(src string) map[ir.Op]bool {
+		_, prog, err := lowerMiniC64(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[ir.Op]bool{}
+		for _, fn := range fuse.Fuse(prog, nil).Funcs {
+			for _, in := range fn.Code {
+				seen[in.Op] = true
+			}
+		}
+		return seen
 	}
-	seen := map[ir.Op]bool{}
-	for _, fn := range fuse.Fuse(prog, nil).Funcs {
-		for _, in := range fn.Code {
-			seen[in.Op] = true
+	seen := ops(idiomSeedSource)
+	for op := ir.OpFusedIdx1Load; op.IsFused(); op++ {
+		if !seen[op] {
+			t.Errorf("idiomSeedSource fuses to no %v", op)
 		}
 	}
-	for _, id := range ir.Idioms() {
-		if !seen[id.Op] {
-			t.Errorf("idiomSeedSource fuses to no %v", id.Op)
+	for op := range ops(branchSeedSource) {
+		if op >= ir.OpFusedIdx1Load && op <= ir.OpFusedIdx3LoadF64Mul {
+			t.Errorf("branchSeedSource fuses to %v across a branch target", op)
 		}
 	}
 }
@@ -266,6 +298,7 @@ func TestFuzzFuseSeedsReachEventComparison(t *testing.T) {
 		arg       uint64
 	}{
 		{"idiom", idiomSeedSource, 12},
+		{"branch", branchSeedSource, 12},
 		{"malloc", mallocSeedSource, 64},
 	} {
 		if got := checkFuseContracts(t, seed.src, seed.arg); got != fuseEventsCompared {
@@ -279,12 +312,13 @@ func TestFuzzFuseSeedsReachEventComparison(t *testing.T) {
 // every branch target in the fused stream is a valid absolute PC, and
 // execution is oracle-equivalent to the unfused program (results, trap
 // codes, event stream). Seeds come from the differential suite's call
-// kernels plus mallocSeedSource and idiomSeedSource.
+// kernels plus mallocSeedSource, idiomSeedSource and branchSeedSource.
 func FuzzFuse(f *testing.F) {
 	for _, k := range callKernelSources {
 		f.Add(k.src, k.arg)
 	}
 	f.Add(idiomSeedSource, uint64(12))
+	f.Add(branchSeedSource, uint64(12))
 	f.Add(mallocSeedSource, uint64(64))
 	f.Fuzz(func(t *testing.T, src string, arg uint64) {
 		if checkFuseContracts(t, src, arg) == fuseNotRunnable {
@@ -326,10 +360,8 @@ func checkFuseContracts(t *testing.T, src string, arg uint64) fuseOutcome {
 				for _, bt := range in.Targets {
 					check(int(bt.PC))
 				}
-			case ir.OpFusedSetBr, ir.OpFusedCmpBrIf, ir.OpFusedCmpBrIfZ,
-				ir.OpFusedCmpEqzBrIf, ir.OpFusedGetGetCmpEqzBr, ir.OpFusedIncBr,
-				ir.OpFusedALUSetIncBr, ir.OpFusedGetGetI64LtSEqzBr, ir.OpFusedI64IncBr,
-				ir.OpFusedF64AddSetI64IncBr, ir.OpFusedF64SubSetI64IncBr:
+			}
+			if in.Op.IsFusedBranch() {
 				check(ir.FusedBranchTarget(in.B))
 			}
 		}

@@ -14,8 +14,9 @@ import (
 	"cage/internal/wasm"
 )
 
-// The idiom opcodes (ir/idiom.go) run as straight-line code in the
-// dispatch loop instead of through the shared fused-ALU block, so
+// The idiom opcodes (ir/idiom.go) and the indexed loads run as
+// straight-line code in the dispatch loop instead of through the shared
+// fused-ALU block, so
 // nothing but these tests ties a case's arithmetic, event charges and
 // trap points to the constituent sequence it stands for. Each test
 // drives a hand-built instruction through the real loop twice — once
@@ -207,6 +208,45 @@ func memIdiom(op ir.Op) idiomCase {
 	}}
 }
 
+// idxLocals are the locals an indexed load under test reads — base b,
+// index i, row length n, column j (A's fields in order) — chosen so
+// every form addresses idiomLoadAddr with scale 8 and offset 16:
+// idx1 240 + 96·8, idx2 240 + (3·30 + 6)·8, idx3 240 + 4·24·8.
+var idxLocals = map[ir.Op][idiomLocals]uint64{
+	ir.OpFusedIdx1Load:       {240, 96, 7, 7, 7, 7},
+	ir.OpFusedIdx1LoadF64Mul: {240, 96, 7, 7, 7, 7},
+	ir.OpFusedIdx2Load:       {240, 3, 30, 6, 7, 7},
+	ir.OpFusedIdx2LoadF64Mul: {240, 3, 30, 6, 7, 7},
+	ir.OpFusedIdx3LoadF64Mul: {240, 4, 24, 7, 7, 7},
+}
+
+// idxInstr is an indexed load of locals 0–3 (those its form uses), scale
+// 8 and offset 16, loading f64 through the configuration's variant.
+func idxInstr(op ir.Op, b *idiomBench) ir.Instr {
+	a := uint64(0)<<48 | 1<<32
+	switch op {
+	case ir.OpFusedIdx2Load, ir.OpFusedIdx2LoadF64Mul:
+		a |= 2<<16 | 3
+	case ir.OpFusedIdx3LoadF64Mul:
+		a |= 2 << 16
+	}
+	return ir.Instr{Op: op, A: a, B: ir.PackIdxMem(8, 16, ir.PackFusedMem(8, b.load, 0, wasm.OpF64Load))}
+}
+
+// idxIdiom is the build of an indexed load: f64 x on the stack (the
+// f64.mul's multiplicand, or a bystander), the load of y.
+func idxIdiom(op ir.Op) idiomCase {
+	mul := op == ir.OpFusedIdx1LoadF64Mul || op == ir.OpFusedIdx2LoadF64Mul || op == ir.OpFusedIdx3LoadF64Mul
+	height := 2
+	if mul {
+		height = 1
+	}
+	return idiomCase{height: height, nanOrder: mul, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
+		binary.LittleEndian.PutUint64(b.inst.mem[idiomLoadAddr:], y)
+		return consts(x), func(int) ir.Instr { return idxInstr(op, b) }, idxLocals[op]
+	}}
+}
+
 func latchIdiom(op ir.Op, xl, yl uint64) idiomCase {
 	return idiomCase{height: 0, nanOrder: op == ir.OpFusedF64AddSetI64IncBr, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
 		return consts(x, y), func(target int) ir.Instr {
@@ -223,9 +263,14 @@ func headIdiom(xl, yl uint64) idiomCase {
 	}}
 }
 
-// idiomCases has one entry per idiom opcode; the extra entries keyed by
-// name are the aliasing variants.
+// idiomCases has one entry per straight-line opcode: the indexed loads
+// and the idioms.
 var idiomCases = map[ir.Op]idiomCase{
+	ir.OpFusedIdx1Load:       idxIdiom(ir.OpFusedIdx1Load),
+	ir.OpFusedIdx1LoadF64Mul: idxIdiom(ir.OpFusedIdx1LoadF64Mul),
+	ir.OpFusedIdx2Load:       idxIdiom(ir.OpFusedIdx2Load),
+	ir.OpFusedIdx2LoadF64Mul: idxIdiom(ir.OpFusedIdx2LoadF64Mul),
+	ir.OpFusedIdx3LoadF64Mul: idxIdiom(ir.OpFusedIdx3LoadF64Mul),
 	ir.OpFusedConstI64MulAdd: {height: 1, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
 		return consts(x, y), func(int) ir.Instr { return ir.Instr{Op: ir.OpFusedConstI64MulAdd, A: z} }, [idiomLocals]uint64{}
 	}},
@@ -271,13 +316,14 @@ func (c idiomCase) sweep(t *testing.T, name string) {
 }
 
 func TestIdiomsMatchConstituents(t *testing.T) {
-	for _, id := range ir.Idioms() {
-		c, ok := idiomCases[id.Op]
+	// The straight-line opcodes close the fused block, indexed loads first.
+	for op := ir.OpFusedIdx1Load; op.IsFused(); op++ {
+		c, ok := idiomCases[op]
 		if !ok {
-			t.Errorf("%v has no case in idiomCases", id.Op)
+			t.Errorf("%v has no case in idiomCases", op)
 			continue
 		}
-		t.Run(id.Op.String(), func(t *testing.T) { c.sweep(t, id.Op.String()) })
+		t.Run(op.String(), func(t *testing.T) { c.sweep(t, op.String()) })
 	}
 
 	// The orders the shape handlers get right by running constituents
@@ -317,11 +363,13 @@ func TestIdiomsMatchConstituents(t *testing.T) {
 	t.Run("branches meter fuel", testIdiomBranchesMeterFuel)
 }
 
-// testIdiomLoadTraps: the memory idioms' load constituent faults the
-// way the unfused load does — same trap code and text, same events
-// charged before it, the trailing ALU's event never — under each
-// address function, and under ModeAsync the fault is latched and the
-// run completes on both sides.
+// testIdiomLoadTraps: the memory idioms' and the indexed loads' load
+// constituent faults the way the unfused load does — same trap code
+// and text, same events charged before it, the trailing ALU's event
+// never — under each address function, and under ModeAsync the fault
+// is latched and the run completes on both sides. base is the address
+// the memory idioms' base operand and the indexed loads' base local
+// hold; both then add 768.
 func testIdiomLoadTraps(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -335,6 +383,7 @@ func testIdiomLoadTraps(t *testing.T) {
 			ptrlayout.WithTag(256, 5), TrapTagMismatch},
 		{"memsafety tag mismatch latched", core.Features{MemSafety: true, MTEMode: mte.ModeAsync},
 			ptrlayout.WithTag(256, 5), TrapTagMismatch},
+		{"full cage tag mismatch", core.CageAll(), ptrlayout.WithTag(256, 5), TrapTagMismatch},
 		{"full cage in bounds", core.CageAll(), 256, 0},
 	}
 	for _, tc := range cases {
@@ -351,6 +400,18 @@ func testIdiomLoadTraps(t *testing.T) {
 				}
 				if tc.code != 0 && r.events["fmul"]+r.events["fadd"] != 0 && tc.feats.MTEMode != mte.ModeAsync {
 					t.Errorf("%v: the ALU after a faulting load was charged: %v", op, r.events)
+				}
+			}
+			for op := range idxLocals {
+				locals := idxLocals[op]
+				locals[0] = tc.base - 16 // the indexed loads' offset is 16
+				r := b.both(t, op.String(), consts(math.Float64bits(2.5)),
+					func(int) ir.Instr { return idxInstr(op, b) }, locals, 0)
+				if r.code != tc.code {
+					t.Errorf("%v: trap %v %q, want %v", op, r.code, r.text, tc.code)
+				}
+				if tc.code != 0 && r.events["fmul"] != 0 && tc.feats.MTEMode != mte.ModeAsync {
+					t.Errorf("%v: the f64.mul after a faulting load was charged: %v", op, r.events)
 				}
 			}
 		})

@@ -6,6 +6,19 @@
 // that is eligible is fused, in the runtime exactly as in the fuzzer
 // and the differential suites.
 //
+// The largest are the indexed loads: an address built entirely from
+// locals, b + i·c (idx1), b + (i·n + j)·c (idx2) or b + i·n·c (idx3),
+// then the load, then an f64.mul where one follows (idx3 only fuses
+// with it) — six to eleven constituents, the whole operand side of a
+// polybench inner product, in one dispatch. The matcher is greedy, left
+// to right, longest first, with one exception: shapes yield to indexed
+// loads. A pre-pass marks where each indexed load starts, and no shape
+// may reach past the next mark, so a local.get run that would otherwise
+// swallow an indexed load's base (gemm's get+get+get+get, atax's
+// get s; get A; get i; get n) stops short of it. That rule took the
+// hot loops of gemm, atax and the ptr-auth 2mm from 7–9 dispatches per
+// iteration to 5.
+//
 // What a fused opcode saves is decided here, not in the executor. A
 // shape opcode (fused.const+alu+alu) carries its ALU ops as immediates:
 // it saves the dispatch loop's head — the pc bump, the instruction
@@ -51,7 +64,7 @@ import (
 // with it. The second parameter is ignored, and untyped so that nothing
 // here names internal/profile: a benchmark-only leftover of the call
 // benchmark/layers.go spells, fuse.Fuse(p, profile.Default()) (ROADMAP
-// item 5). Everything else passes nil.
+// item 1). Everything else passes nil.
 func Fuse(p *ir.Program, _ any) *ir.Program {
 	if p == nil || p.Fused {
 		return p
@@ -123,21 +136,24 @@ func branchTargets(code []ir.Instr) []bool {
 // returns the fused instruction plus the number of constituents
 // consumed (0 = no match). Fused branch targets still carry OLD PCs;
 // the caller remaps them after the stream is rebuilt.
-func match(code []ir.Instr, i int, targets []bool) (ir.Instr, int) {
+//
+// A shape never reaches past end: the caller passes the head of the
+// next indexed load there, so that load is not split.
+func match(code []ir.Instr, i, end int, targets []bool) (ir.Instr, int) {
 	a := code[i]
 	var b, c ir.Instr
-	if i+1 < len(code) {
+	if i+1 < end {
 		b = code[i+1]
 	}
-	if i+2 < len(code) {
+	if i+2 < end {
 		c = code[i+2]
 	}
-	pairOK := i+1 < len(code) && !targets[i+1]
-	tripleOK := i+2 < len(code) && pairOK && !targets[i+2]
-	quadOK := tripleOK && i+3 < len(code) && !targets[i+3]
-	quintOK := quadOK && i+4 < len(code) && !targets[i+4]
-	sextOK := quintOK && i+5 < len(code) && !targets[i+5]
-	septOK := sextOK && i+6 < len(code) && !targets[i+6]
+	pairOK := i+1 < end && !targets[i+1]
+	tripleOK := i+2 < end && pairOK && !targets[i+2]
+	quadOK := tripleOK && i+3 < end && !targets[i+3]
+	quintOK := quadOK && i+4 < end && !targets[i+4]
+	sextOK := quintOK && i+5 < end && !targets[i+5]
+	septOK := sextOK && i+6 < end && !targets[i+6]
 
 	if septOK {
 		// alu0; set x; get y; const c; alu1; set y; br — the
@@ -324,6 +340,63 @@ func match(code []ir.Instr, i int, targets []bool) (ir.Instr, int) {
 	return ir.Instr{}, 0
 }
 
+// indexedLoad matches an indexed load at code[i]: one of the three index
+// forms (ir.OpFusedIdx1Load), the scale, the load and an f64.mul, which
+// idx1 and idx2 may go without. It returns the fused instruction and
+// the number of constituents consumed (0 = no match).
+func indexedLoad(code []ir.Instr, i int, targets []bool) (ir.Instr, int) {
+	// at returns constituent k of the window, or an invalid instruction
+	// past the end or on a branch target (only the head may be one).
+	at := func(k int) ir.Instr {
+		if i+k >= len(code) || (k > 0 && targets[i+k]) {
+			return ir.Instr{}
+		}
+		return code[i+k]
+	}
+	get := func(k int) bool { in := at(k); return in.Op == ir.OpLocalGet && in.A <= 0xFFFF }
+	is := func(k int, w wasm.Opcode) bool { return at(k).Op == ir.OpNumericBase+ir.Op(w) }
+	if !get(0) || !get(1) {
+		return ir.Instr{}, 0
+	}
+	// op and mul are the form's opcode without and with the f64.mul (0:
+	// none), k where its scale constant sits.
+	var op, mul ir.Op
+	var k int
+	A := at(0).A<<48 | at(1).A<<32
+	switch {
+	case at(2).Op == ir.OpConst:
+		op, mul, k = ir.OpFusedIdx1Load, ir.OpFusedIdx1LoadF64Mul, 2
+	case get(2) && is(3, wasm.OpI64Mul) && get(4) && is(5, wasm.OpI64Add):
+		op, mul, k = ir.OpFusedIdx2Load, ir.OpFusedIdx2LoadF64Mul, 6
+		A |= at(2).A<<16 | at(4).A
+	case get(2) && is(3, wasm.OpI64Mul):
+		op, mul, k = 0, ir.OpFusedIdx3LoadF64Mul, 4
+		A |= at(2).A << 16
+	default:
+		return ir.Instr{}, 0
+	}
+	scale, load := at(k), at(k+3)
+	if scale.Op != ir.OpConst || scale.A > 0xFFFF ||
+		!is(k+1, wasm.OpI64Mul) || !is(k+2, wasm.OpI64Add) ||
+		!load.Op.IsLoad() || load.A > 0xFFFF {
+		return ir.Instr{}, 0
+	}
+	size, variant, memOp, fits := memParts(load)
+	if !fits {
+		return ir.Instr{}, 0
+	}
+	n := k + 4
+	if is(n, wasm.OpF64Mul) {
+		op = mul
+		n++
+	}
+	if op == 0 {
+		return ir.Instr{}, 0
+	}
+	return ir.Instr{Op: op, A: A,
+		B: ir.PackIdxMem(scale.A, load.A, ir.PackFusedMem(size, variant, 0, memOp))}, n
+}
+
 func fuseFunc(f *ir.Func) ir.Func {
 	targets := branchTargets(f.Code)
 	// newPC maps every old PC (and the one-past-end sentinel) to its
@@ -331,9 +404,34 @@ func fuseFunc(f *ir.Func) ir.Func {
 	// their head, but no branch can name them (match guarantees it).
 	newPC := make([]int, len(f.Code)+1)
 	code := make([]ir.Instr, 0, len(f.Code))
+	// next is the first PC at or after i where an indexed load starts
+	// (len(f.Code) if none), idx and idxN that load. Shapes yield to it:
+	// no shape reaches past the head of an indexed load, which would
+	// otherwise lose its leading local.get to a get+get+get+get or
+	// get+get run. Each PC is scanned once.
+	next := -1
+	var idx ir.Instr
+	var idxN int
 	for i := 0; i < len(f.Code); {
 		newPC[i] = len(code)
-		in, n := match(f.Code, i, targets)
+		if next < i {
+			for next = i; next < len(f.Code); next++ {
+				if f.Code[next].Op != ir.OpLocalGet || next+1 == len(f.Code) ||
+					f.Code[next+1].Op != ir.OpLocalGet {
+					continue // every indexed load starts get; get
+				}
+				if idx, idxN = indexedLoad(f.Code, next, targets); idxN > 0 {
+					break
+				}
+			}
+		}
+		var in ir.Instr
+		var n int
+		if next == i {
+			in, n = idx, idxN
+		} else {
+			in, n = match(f.Code, i, next, targets)
+		}
 		if n == 0 {
 			code = append(code, f.Code[i])
 			i++
@@ -349,23 +447,7 @@ func fuseFunc(f *ir.Func) ir.Func {
 
 	for pc := range code {
 		in := &code[pc]
-		switch {
-		case in.Op == ir.OpGoto || in.Op == ir.OpBr || in.Op == ir.OpBrIf || in.Op == ir.OpBrIfZ:
-			in.B = uint64(newPC[in.B])
-		case in.Op == ir.OpBrTable:
-			ts := make([]ir.BranchTarget, len(in.Targets))
-			copy(ts, in.Targets)
-			for k := range ts {
-				ts[k].PC = uint32(newPC[ts[k].PC])
-			}
-			in.Targets = ts
-		case in.Op == ir.OpFusedSetBr || in.Op == ir.OpFusedCmpBrIf ||
-			in.Op == ir.OpFusedCmpBrIfZ || in.Op == ir.OpFusedCmpEqzBrIf ||
-			in.Op == ir.OpFusedGetGetCmpEqzBr || in.Op == ir.OpFusedIncBr ||
-			in.Op == ir.OpFusedALUSetIncBr:
-			in.B = ir.PackFusedBranch(ir.FusedBranchAux(in.B),
-				uint64(newPC[ir.FusedBranchTarget(in.B)]))
-		}
+		in.Retarget(newPC)
 		// Name the ALU constituents where the tuple has an idiom opcode.
 		// Last, so match and the remap above only know the shapes.
 		ir.Specialize(in)

@@ -27,6 +27,12 @@ func lowerKernel(t *testing.T, name string, wasm64 bool, feats core.Features) *i
 	if err != nil {
 		t.Fatal(err)
 	}
+	return lower(t, k, wasm64, feats)
+}
+
+// lower builds and lowers k under feats.
+func lower(t *testing.T, k polybench.Kernel, wasm64 bool, feats core.Features) *ir.Program {
+	t.Helper()
 	m, err := polybench.Build(k, codegen.Options{
 		Wasm64:         wasm64,
 		StackSanitizer: feats.MemSafety,
@@ -56,46 +62,68 @@ func countFused(p *ir.Program) int {
 
 // TestFuseRoundTrip: walking the fused and unfused streams in lockstep,
 // every fused instruction's Constituents() must reproduce the original
-// instructions it replaced — same opcodes, and same immediates for the
+// instructions it replaced — same opcodes and immediates for the
 // non-branch constituents (branch constituents carry remapped PCs,
 // checked separately by TestFuseBranchTargetsValid and the differential
-// suite).
+// suite). The kernels between them fuse every indexed-load opcode.
 func TestFuseRoundTrip(t *testing.T) {
-	p := lowerKernel(t, "gemm", true, core.Features{})
-	q := fuse.Fuse(p, nil)
-	if countFused(q) == 0 {
-		t.Fatal("exhaustive fusion produced no fused instructions")
+	var kernels []polybench.Kernel
+	for _, name := range []string{"gemm", "atax"} {
+		k, err := polybench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels = append(kernels, k)
 	}
-	for fi := range q.Funcs {
-		orig, fused := p.Funcs[fi].Code, q.Funcs[fi].Code
-		i := 0
-		for _, in := range fused {
-			cons := in.Constituents()
-			if cons == nil {
-				// Unfused instruction: must match the original verbatim
-				// except for remapped branch immediates.
-				if in.Op != orig[i].Op {
-					t.Fatalf("func %d pc %d: op %v, original %v", fi, i, in.Op, orig[i].Op)
-				}
-				i++
-				continue
-			}
-			for _, c := range cons {
-				if c.Op != orig[i].Op {
-					t.Fatalf("func %d pc %d: constituent %v, original %v", fi, i, c.Op, orig[i].Op)
-				}
-				switch c.Op {
-				case ir.OpLocalGet, ir.OpLocalSet, ir.OpConst:
-					if c.A != orig[i].A {
-						t.Fatalf("func %d pc %d: %v immediate %#x, original %#x",
-							fi, i, c.Op, c.A, orig[i].A)
+	kernels = append(kernels, polybench.TwoMMVariant(polybench.CallDynamic))
+	seen := map[ir.Op]bool{}
+	for _, k := range kernels {
+		name := k.Name
+		p := lower(t, k, true, core.Features{})
+		q := fuse.Fuse(p, nil)
+		if countFused(q) == 0 {
+			t.Fatalf("%s: exhaustive fusion produced no fused instructions", name)
+		}
+		for fi := range q.Funcs {
+			orig, fused := p.Funcs[fi].Code, q.Funcs[fi].Code
+			i := 0
+			for _, in := range fused {
+				seen[in.Op] = true
+				cons := in.Constituents()
+				if cons == nil {
+					// Unfused instruction: must match the original verbatim
+					// except for remapped branch immediates.
+					if in.Op != orig[i].Op {
+						t.Fatalf("%s func %d pc %d: op %v, original %v", name, fi, i, in.Op, orig[i].Op)
 					}
+					i++
+					continue
 				}
-				i++
+				for _, c := range cons {
+					o := orig[i]
+					if c.Op != o.Op {
+						t.Fatalf("%s func %d pc %d: constituent %v, original %v", name, fi, i, c.Op, o.Op)
+					}
+					switch c.Op {
+					case ir.OpBr, ir.OpBrIf, ir.OpBrIfZ:
+					default:
+						if c.A != o.A || c.B != o.B {
+							t.Fatalf("%s func %d pc %d: %v immediates %#x %#x, original %#x %#x",
+								name, fi, i, c.Op, c.A, c.B, o.A, o.B)
+						}
+					}
+					i++
+				}
+			}
+			if i != len(orig) {
+				t.Fatalf("%s func %d: expansion covers %d of %d instructions", name, fi, i, len(orig))
 			}
 		}
-		if i != len(orig) {
-			t.Fatalf("func %d: expansion covers %d of %d instructions", fi, i, len(orig))
+	}
+	for _, op := range []ir.Op{ir.OpFusedIdx1Load, ir.OpFusedIdx1LoadF64Mul,
+		ir.OpFusedIdx2Load, ir.OpFusedIdx2LoadF64Mul, ir.OpFusedIdx3LoadF64Mul} {
+		if !seen[op] {
+			t.Errorf("no kernel fused to %v", op)
 		}
 	}
 }
@@ -156,7 +184,8 @@ func TestFuseBranchTargetsValid(t *testing.T) {
 					for _, bt := range in.Targets {
 						check(pc, int(bt.PC))
 					}
-				case ir.OpFusedSetBr, ir.OpFusedCmpBrIf, ir.OpFusedCmpBrIfZ, ir.OpFusedCmpEqzBrIf:
+				}
+				if in.Op.IsFusedBranch() {
 					check(pc, ir.FusedBranchTarget(in.B))
 				}
 			}

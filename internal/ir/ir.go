@@ -192,6 +192,20 @@ const OpFusedBase Op = numNamedOps
 //	OpFusedConstALUALULoadALU  const c; alu1; alu2; load; alu3  A=c<<32|offset, B=alu2<<40|alu1<<32|PackFusedMem
 //	OpFusedALUSetIncBr alu0; set x; get y; const c; alu1; set y; br  A=alu0<<48|x<<32|y<<16|c<<8|alu1, B=target
 //
+// The indexed loads follow the shapes. Each is a fixed sequence — an
+// i64 address built from locals and one scale constant, then a load,
+// optionally then f64.mul — so its opcode names every constituent and
+// the executor runs it as straight-line code (idx3 without the f64.mul
+// fired nowhere in the polybench kernels, so it has no opcode). They
+// share one encoding, locals in A by position and the scale and memarg
+// offset above the memory pack in B; fields a form does not use are
+// zero:
+//
+//	OpFusedIdx1Load[F64Mul]  get b; get i; const c; i64.mul; i64.add; load [; f64.mul]
+//	OpFusedIdx2Load[F64Mul]  get b; get i; get n; i64.mul; get j; i64.add; const c; i64.mul; i64.add; load [; f64.mul]
+//	OpFusedIdx3LoadF64Mul    get b; get i; get n; i64.mul; const c; i64.mul; i64.add; load; f64.mul
+//	                         A=b<<48|i<<32|n<<16|j, B=c<<48|offset<<32|PackFusedMem(size, variant, 0, memOp)
+//
 // The two loop-shaped quintuples (OpFusedGetGetCmpEqzBr heads,
 // OpFusedIncBr latches) only match branches with a zero repair pack
 // (keep=0, arity=0) — the shape structured lowering gives every loop
@@ -239,6 +253,13 @@ const (
 	OpFusedConstALUALULoadALU
 	OpFusedALUSetIncBr
 
+	// Indexed loads (address = b + (i[·n][+j])·c, see above).
+	OpFusedIdx1Load
+	OpFusedIdx1LoadF64Mul
+	OpFusedIdx2Load
+	OpFusedIdx2LoadF64Mul
+	OpFusedIdx3LoadF64Mul
+
 	// Idioms, in order of dynamic share over the polybench kernels. A new
 	// one is appended here — inside the fused block, so the dispatch
 	// switch stays a jump table — with a row in the idioms table.
@@ -271,6 +292,39 @@ const (
 // IsFused reports whether op is a fused superinstruction.
 func (op Op) IsFused() bool { return op >= OpFusedBase && op < endFusedOps }
 
+// IsFusedBranch reports whether op is a fused superinstruction that ends
+// in a branch, whose absolute target is packed in B (PackFusedBranch).
+func (op Op) IsFusedBranch() bool {
+	if op >= firstIdiomOp && op < endFusedOps {
+		op = idioms[op-firstIdiomOp].Shape
+	}
+	switch op {
+	case OpFusedSetBr, OpFusedCmpBrIf, OpFusedCmpBrIfZ, OpFusedCmpEqzBrIf,
+		OpFusedGetGetCmpEqzBr, OpFusedIncBr, OpFusedALUSetIncBr:
+		return true
+	}
+	return false
+}
+
+// Retarget rewrites every branch target in — a plain branch's, each
+// br_table entry's (in a fresh vector: lowering may share one) and the
+// one packed in a fused branch — through newPC, indexed by old PC.
+func (in *Instr) Retarget(newPC []int) {
+	switch {
+	case in.Op == OpGoto || in.Op == OpBr || in.Op == OpBrIf || in.Op == OpBrIfZ:
+		in.B = uint64(newPC[in.B])
+	case in.Op == OpBrTable:
+		ts := make([]BranchTarget, len(in.Targets))
+		copy(ts, in.Targets)
+		for k := range ts {
+			ts[k].PC = uint32(newPC[ts[k].PC])
+		}
+		in.Targets = ts
+	case in.Op.IsFusedBranch():
+		in.B = PackFusedBranch(FusedBranchAux(in.B), uint64(newPC[FusedBranchTarget(in.B)]))
+	}
+}
+
 // PackFusedMem packs the memory half of a fused load/store — access
 // width, the specialized (unfused) memory opcode, the ALU constituent,
 // and the originating wasm memory opcode — into the B immediate. All
@@ -293,6 +347,17 @@ func FusedMemALU(b uint64) wasm.Opcode { return wasm.Opcode((b >> 8) & 0xFF) }
 // FusedMemOp unpacks the originating wasm memory opcode (which fixes
 // the load extension).
 func FusedMemOp(b uint64) wasm.Opcode { return wasm.Opcode(b & 0xFF) }
+
+// PackIdxMem packs an indexed load's B immediate: the scale constant
+// and the memarg offset above the memory pack (PackFusedMem, ALU zero).
+// The fuse pass only emits scales and offsets that fit 16 bits.
+func PackIdxMem(scale, offset, mem uint64) uint64 { return scale<<48 | offset<<32 | mem }
+
+// IdxScale unpacks an indexed load's scale constant.
+func IdxScale(b uint64) uint64 { return b >> 48 }
+
+// IdxOffset unpacks an indexed load's memarg offset.
+func IdxOffset(b uint64) uint64 { return (b >> 32) & 0xFFFF }
 
 // PackFusedBranch packs a fused branch's auxiliary field (the local
 // index of OpFusedSetBr, the ALU opcode of OpFusedCmpBrIf*) above its
@@ -354,6 +419,11 @@ var opNames = [...]string{
 	OpFusedGet3ALUGetALU:      "fused.get3+alu+get+alu",
 	OpFusedConstALUALULoadALU: "fused.const+alu+alu+load+alu",
 	OpFusedALUSetIncBr:        "fused.alu+set+inc+br",
+	OpFusedIdx1Load:           "fused.idx1+load",
+	OpFusedIdx1LoadF64Mul:     "fused.idx1+load+f64.mul",
+	OpFusedIdx2Load:           "fused.idx2+load",
+	OpFusedIdx2LoadF64Mul:     "fused.idx2+load+f64.mul",
+	OpFusedIdx3LoadF64Mul:     "fused.idx3+load+f64.mul",
 
 	OpFusedConstI64MulAdd:           "fused.const+i64.mul+i64.add",
 	OpFusedConstI64MulAddLoadF64Mul: "fused.const+i64.mul+i64.add+load+f64.mul",
@@ -472,6 +542,10 @@ func (in Instr) String() string {
 		OpFusedConstI64MulAddLoadF64Sub:
 		return fmt.Sprintf("%s offset=%d size=%d (%s)",
 			in.Op, uint32(in.A), FusedMemSize(in.B), FusedMemOp(in.B))
+	case OpFusedIdx1Load, OpFusedIdx1LoadF64Mul, OpFusedIdx2Load, OpFusedIdx2LoadF64Mul,
+		OpFusedIdx3LoadF64Mul:
+		return fmt.Sprintf("%s offset=%d size=%d (%s)",
+			in.Op, IdxOffset(in.B), FusedMemSize(in.B), FusedMemOp(in.B))
 	}
 	if in.Op.IsFused() {
 		return in.Op.String()
@@ -621,6 +695,26 @@ func (in Instr) Constituents() []Instr {
 			{Op: OpLocalSet, A: y},
 			{Op: OpBr, B: uint64(FusedBranchTarget(in.B))},
 		}
+	case OpFusedIdx1Load, OpFusedIdx1LoadF64Mul, OpFusedIdx2Load, OpFusedIdx2LoadF64Mul,
+		OpFusedIdx3LoadF64Mul:
+		get := func(shift uint) Instr { return Instr{Op: OpLocalGet, A: (in.A >> shift) & 0xFFFF} }
+		var seq []Instr
+		switch in.Op {
+		case OpFusedIdx1Load, OpFusedIdx1LoadF64Mul:
+			seq = []Instr{get(48), get(32)}
+		case OpFusedIdx2Load, OpFusedIdx2LoadF64Mul:
+			seq = []Instr{get(48), get(32), get(16), num(wasm.OpI64Mul), get(0), num(wasm.OpI64Add)}
+		default:
+			seq = []Instr{get(48), get(32), get(16), num(wasm.OpI64Mul)}
+		}
+		seq = append(seq,
+			Instr{Op: OpConst, A: IdxScale(in.B)}, num(wasm.OpI64Mul), num(wasm.OpI64Add),
+			Instr{Op: FusedMemVariant(in.B), A: IdxOffset(in.B),
+				B: PackMem(FusedMemSize(in.B), FusedMemOp(in.B))})
+		if in.Op == OpFusedIdx1LoadF64Mul || in.Op == OpFusedIdx2LoadF64Mul || in.Op == OpFusedIdx3LoadF64Mul {
+			seq = append(seq, num(wasm.OpF64Mul))
+		}
+		return seq
 	}
 	return nil
 }

@@ -1,5 +1,7 @@
 package ptrlayout
 
+import "math/bits"
+
 // Field boundaries shared by every layout.
 const (
 	// AddressBits is the number of low bits that index memory (48-bit VA).
@@ -73,24 +75,25 @@ func StripTag(p uint64) uint64 { return p &^ MTETagMask }
 
 // PACBits returns how many signature bits layout l provides.
 func (l Layout) PACBits() int {
-	n := 0
-	for m := l.PACMask; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
+	return bits.OnesCount64(l.PACMask)
 }
+
+// The PAC field is a few contiguous runs of bits (two for MTEAndPAC), so
+// Insert and Extract move it run by run: each step peels the lowest run
+// off the mask with two trailing-zero counts and shifts the next
+// slice of the signature into place. The runs are derived from PACMask
+// on every call rather than cached, so a Layout stays a plain value.
 
 // Insert scatters the low PACBits() bits of sig into the PAC field of p.
 func (l Layout) Insert(p, sig uint64) uint64 {
 	out := p &^ l.PACMask
-	bit := 0
-	for i := 0; i < 64; i++ {
-		if l.PACMask&(uint64(1)<<i) != 0 {
-			if sig&(uint64(1)<<bit) != 0 {
-				out |= uint64(1) << i
-			}
-			bit++
-		}
+	for m := l.PACMask; m != 0; {
+		lo := uint(bits.TrailingZeros64(m))
+		n := uint(bits.TrailingZeros64(^(m >> lo)))
+		run := (uint64(1)<<n - 1) << lo
+		out |= sig << lo & run
+		sig >>= n
+		m &^= run
 	}
 	return out
 }
@@ -99,14 +102,14 @@ func (l Layout) Insert(p, sig uint64) uint64 {
 // Insert).
 func (l Layout) Extract(p uint64) uint64 {
 	var sig uint64
-	bit := 0
-	for i := 0; i < 64; i++ {
-		if l.PACMask&(uint64(1)<<i) != 0 {
-			if p&(uint64(1)<<i) != 0 {
-				sig |= uint64(1) << bit
-			}
-			bit++
-		}
+	at := uint(0) // signature bits gathered so far
+	for m := l.PACMask; m != 0; {
+		lo := uint(bits.TrailingZeros64(m))
+		n := uint(bits.TrailingZeros64(^(m >> lo)))
+		run := (uint64(1)<<n - 1) << lo
+		sig |= (p & run) >> lo << at
+		at += n
+		m &^= run
 	}
 	return sig
 }
