@@ -1,21 +1,16 @@
 package cage
 
-// Benchmark harness: one testing.B target per table/figure of the
-// paper's evaluation, plus wall-clock microbenchmarks of the simulation
-// substrates themselves. The paper-shaped numbers (modeled milliseconds
-// on the three Tensor G3 cores, overhead percentages) are emitted as
-// custom benchmark metrics; `go test -bench . -benchmem` regenerates
-// everything.
+// Wall-clock microbenchmarks of the simulation substrates: the engine,
+// the compiler, the allocator, PAC and MTE. The paper's tables and
+// figures are not benchmarks: cage-bench writes them as one
+// deterministic document, BENCH_paper.txt, which internal/bench's
+// TestPaperDocument pins.
 
 import (
 	"context"
-	"io"
-	"strings"
 	"testing"
 
 	"cage/internal/alloc"
-	"cage/internal/arch"
-	"cage/internal/bench"
 	"cage/internal/codegen"
 	"cage/internal/core"
 	"cage/internal/exec"
@@ -24,140 +19,6 @@ import (
 	"cage/internal/polybench"
 	"cage/internal/wasm"
 )
-
-// BenchmarkTable1_InstCycles regenerates paper Table 1: MTE/PAC
-// instruction throughput (instructions/cycle) and latency (cycles) on
-// the three cores.
-func BenchmarkTable1_InstCycles(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, c := range arch.Cores() {
-			_ = c.MeasureAll(1_000_000)
-		}
-	}
-	x3 := arch.NewCortexX3()
-	b.ReportMetric(x3.MeasureThroughput(arch.IRG, 1_000_000), "X3-irg-ipc")
-	b.ReportMetric(x3.MeasureLatency(arch.PACDA, 1_000_000), "X3-pacda-lat")
-	a510 := arch.NewCortexA510()
-	b.ReportMetric(a510.MeasureLatency(arch.AUTDA, 1_000_000), "A510-autda-lat")
-}
-
-// BenchmarkFig4_MTEModes regenerates paper Fig. 4: a 128 MiB memset with
-// MTE disabled / asynchronous / synchronous.
-func BenchmarkFig4_MTEModes(b *testing.B) {
-	var rows []bench.Fig4Row
-	for i := 0; i < b.N; i++ {
-		rows = bench.Fig4Rows()
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.NoneMs, r.Core+"-none-ms")
-		b.ReportMetric(r.SyncMs, r.Core+"-sync-ms")
-		b.ReportMetric(r.AsyncMs, r.Core+"-async-ms")
-	}
-}
-
-// BenchmarkTable2_CVEMitigation regenerates paper Table 2: every CVE
-// analog is exploited on the baseline and trapped under Cage.
-func BenchmarkTable2_CVEMitigation(b *testing.B) {
-	var rows []bench.Table2Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = bench.Table2Rows()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	mitigated := 0
-	for _, r := range rows {
-		if r.CageTrapped && r.BaselineDamage != 0 {
-			mitigated++
-		}
-	}
-	b.ReportMetric(float64(mitigated), "mitigated-CVEs")
-}
-
-// BenchmarkFig14_PolyBench regenerates paper Fig. 14: the PolyBench/C
-// suite across the six Table 3 variants, priced on the three cores.
-// Means are normalized to the wasm64 baseline = 100.
-func BenchmarkFig14_PolyBench(b *testing.B) {
-	var res *bench.Fig14Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = bench.RunFig14(true)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, v := range []string{"baseline wasm32", "Cage-mem-safety", "Cage-sandboxing", "Cage"} {
-		for _, c := range res.Cores {
-			name := strings.ReplaceAll(v, " ", "-") + "@" + c
-			b.ReportMetric(res.MeanPct[v][c], name)
-		}
-	}
-}
-
-// BenchmarkFig15_PtrAuth regenerates paper Fig. 15: static vs dynamic vs
-// authenticated dynamic calls on the modified 2mm (kernel region only),
-// normalized to static = 100.
-func BenchmarkFig15_PtrAuth(b *testing.B) {
-	var res *bench.Fig15Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = bench.RunFig15(false)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, mode := range []string{"dynamic", "ptr-auth"} {
-		for _, c := range res.Cores {
-			b.ReportMetric(res.Pct[mode][c], mode+"@"+c)
-		}
-	}
-}
-
-// BenchmarkFig16_TagInit regenerates paper Table 4 / Fig. 16: the
-// tagged-memory initialization variants over 128 MiB.
-func BenchmarkFig16_TagInit(b *testing.B) {
-	var cells []bench.Fig16Cell
-	for i := 0; i < b.N; i++ {
-		cells = bench.Fig16Cells()
-	}
-	for _, c := range cells {
-		if c.Core == "Cortex-X3" {
-			b.ReportMetric(c.Ms, c.Variant.String()+"-ms")
-		}
-	}
-}
-
-// BenchmarkStartup regenerates the §7.2 startup experiment: instantiate
-// a 128 MiB module under MTE sandboxing and call an empty export.
-func BenchmarkStartup(b *testing.B) {
-	var res *bench.StartupResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = bench.RunStartup()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.GranulesTagged), "granules")
-	b.ReportMetric(res.TaggingMs["Cortex-X3"], "X3-tagging-ms")
-}
-
-// BenchmarkMemoryOverhead regenerates the §7.3 accounting.
-func BenchmarkMemoryOverhead(b *testing.B) {
-	var res *bench.MemoryResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = bench.RunMemoryOverhead(true)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*res.Total, "total-overhead-pct")
-	b.ReportMetric(100*res.TagStorage, "tag-storage-pct")
-}
-
-// --- Substrate wall-clock microbenchmarks ---
 
 // BenchmarkEngineGemm measures raw engine throughput on gemm under the
 // baseline and the full Cage configuration.
@@ -411,17 +272,4 @@ func BenchmarkHostCall(b *testing.B) {
 				})
 		})
 	})
-}
-
-// BenchmarkReportAll exercises the whole harness once per iteration,
-// discarding output; it is the cage-bench CLI's hot path.
-func BenchmarkReportAll(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full harness")
-	}
-	for i := 0; i < b.N; i++ {
-		if err := bench.RunAll(io.Discard, true); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

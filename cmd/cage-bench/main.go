@@ -1,28 +1,24 @@
-// Command cage-bench regenerates the paper's tables and figures, and
-// the deterministic record the repo checks in. Performance claims
-// are made by benchmark/ (see BENCHMARK.json), not here.
+// Command cage-bench writes the paper document: every table and figure
+// of the evaluation, the Spectre mitigation tax the hardened preset
+// pays over full, and the adversary scenario × preset matrix Table 2 is
+// read from. Performance claims are made by benchmark/ (see
+// BENCHMARK.json), not here.
 //
-// With -mitigation it emits the Spectre-mitigation record: the
-// per-kernel fuel/cycle tax the hardened preset pays over full (whose
-// results it must reproduce bit-identically) together with the
-// adversary verdict table — every scenario of internal/adversary under
-// every preset. The non-quick document is checked in as
-// BENCH_mitigation.json.
+// The document depends on the source tree alone: no clock is read, and
+// every number is fuel, an event count or a modeled figure printed at a
+// fixed precision. The full (non-quick) output is checked in as
+// BENCH_paper.txt, and internal/bench's TestPaperDocument fails unless
+// it regenerates byte for byte. After a change that moves a modeled
+// number, regenerate it:
 //
-// The document depends on the source tree alone; CI regenerates it and
-// fails unless it is byte-identical to the checked-in file.
-//
-// -mitigation and a non-default -exp select different outputs; giving
-// both is a usage error.
+//	go run ./cmd/cage-bench > BENCH_paper.txt
 //
 // Usage:
 //
 //	cage-bench [-quick] [-exp all|table1|table2|fig4|fig14|fig15|fig16|startup|mem|security]
-//	cage-bench [-quick] -mitigation
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -34,43 +30,20 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "use small problem sizes")
 	exp := flag.String("exp", "all", "which experiment to run")
-	mitigationOut := flag.Bool("mitigation", false, "emit the Spectre-mitigation (hardened vs full) JSON record")
 	flag.Parse()
-
-	if *mitigationOut && *exp != "all" {
-		fmt.Fprintf(os.Stderr, "cage-bench: -mitigation and -exp %s do not combine: each selects a different output\n", *exp)
-		os.Exit(2)
-	}
 
 	w := os.Stdout
 	var err error
-	if *mitigationOut {
-		// The scenario half of the record is the adversary verdict
-		// table, evaluated here and attached pre-encoded (internal/bench
-		// cannot import internal/adversary; see MitigationRecord).
-		tbl, err := adversary.Run(adversary.DefaultMatrix())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cage-bench: adversary matrix: %v\n", err)
-			os.Exit(1)
-		}
-		var buf bytes.Buffer
-		if err := tbl.WriteJSON(&buf); err != nil {
-			fmt.Fprintf(os.Stderr, "cage-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteMitigationJSON(w, *quick, buf.Bytes()); err != nil {
-			fmt.Fprintf(os.Stderr, "cage-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	switch *exp {
 	case "all":
 		err = bench.RunAll(w, *quick)
 	case "table1":
 		bench.Table1Report(w)
 	case "table2":
-		err = bench.Table2Report(w)
+		var matrix *adversary.Table
+		if matrix, err = adversary.Run(adversary.DefaultMatrix()); err == nil {
+			bench.Table2Report(w, matrix)
+		}
 	case "fig4":
 		bench.Fig4Report(w)
 	case "fig14":

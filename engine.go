@@ -263,7 +263,7 @@ func (e *Engine) pool(m *Module) *engine.Pool {
 // birth reclaims one idle sibling instance (closing it frees its tag)
 // and retries. When even that fails — every tag is held by an
 // in-flight invocation — it queues until the allocator releases a tag
-// (the condition AcquireContext waits on) or any pool checks an
+// (SandboxAllocator.Released) or any pool checks an
 // instance in, then retries, so Engine.Call and Engine.Snapshot queue
 // across modules on §7.4 exhaustion instead of surfacing
 // core.ErrSandboxesExhausted. The queued wait honors ctx, so a caller

@@ -2,16 +2,13 @@ package adversary
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"cage"
 	"cage/internal/arch"
 	"cage/internal/exec"
-	"cage/internal/exploit"
 )
 
 // Verdict classifies one scenario run.
@@ -22,7 +19,7 @@ const (
 	// leakage indicator fired.
 	VerdictExploited Verdict = "exploited"
 	// VerdictTrapped means a runtime defense aborted the run; the
-	// Outcome carries the trap's exploit.TrapClass.
+	// Outcome carries the trap's TrapClass.
 	VerdictTrapped Verdict = "trapped"
 	// VerdictMitigatedTiming means the attack's speculative channel is
 	// closed by the modeled mitigations: every executed speculation
@@ -32,14 +29,48 @@ const (
 	VerdictHarmless Verdict = "harmless"
 )
 
+// TrapClass groups exec trap codes into the violation classes of the
+// paper's security evaluation (§3, §7.4).
+type TrapClass string
+
+const (
+	// ClassMemorySafety covers spatial/temporal violations: MTE tag
+	// mismatches, segment-instruction violations, and host-side
+	// allocator aborts (invalid/double free surface as host traps).
+	ClassMemorySafety TrapClass = "memory-safety"
+	// ClassSandbox covers attempted sandbox escapes caught by bounds
+	// checks or guard pages.
+	ClassSandbox TrapClass = "sandbox"
+	// ClassPtrAuth covers failed pointer authentications.
+	ClassPtrAuth TrapClass = "ptrauth"
+	// ClassOther covers every remaining trap (unreachable, stack
+	// overflow, fuel, ...): a defense did fire, but not one of the
+	// paper's evaluated mitigations.
+	ClassOther TrapClass = "other"
+)
+
+// ClassOf maps a trap code to its verdict class.
+func ClassOf(code exec.TrapCode) TrapClass {
+	switch code {
+	case exec.TrapTagMismatch, exec.TrapSegment, exec.TrapHost:
+		return ClassMemorySafety
+	case exec.TrapOutOfBounds:
+		return ClassSandbox
+	case exec.TrapAuthFailure:
+		return ClassPtrAuth
+	}
+	return ClassOther
+}
+
 // Outcome is a verdict plus its supporting detail.
 type Outcome struct {
-	Verdict Verdict `json:"verdict"`
+	Verdict Verdict
 	// Class is the trap's violation class when Verdict is trapped.
-	Class exploit.TrapClass `json:"class,omitempty"`
-	// Detail is a human-readable explanation (unfenced-site counts,
-	// damage indicators); it does not participate in matrix matching.
-	Detail string `json:"detail,omitempty"`
+	Class TrapClass
+	// Detail is a human-readable explanation (the trap's name,
+	// unfenced-site counts, damage indicators); it does not participate
+	// in matrix matching.
+	Detail string
 }
 
 // Observation is the raw material an oracle classifies: how the run
@@ -140,27 +171,23 @@ func AllScenarios() []Scenario {
 	return out
 }
 
-// TableSchema identifies the verdict table's JSON encoding.
-const TableSchema = "cage-adversary/v1"
-
 // Cell is one (scenario, preset) evaluation.
 type Cell struct {
-	Scenario string  `json:"scenario"`
-	Family   string  `json:"family"`
-	Config   string  `json:"config"`
-	Expected Outcome `json:"expected"`
-	Observed Outcome `json:"observed"`
+	Scenario string
+	Family   string
+	Config   string
+	Expected Outcome
+	Observed Outcome
 	// Match reports oracle agreement: same verdict and same class.
-	Match bool `json:"match"`
+	Match bool
 	// Fuel is the run's event total, so the table doubles as a coarse
 	// mitigation-tax trace.
-	Fuel uint64 `json:"fuel"`
+	Fuel uint64
 }
 
-// Table is the machine-readable verdict matrix.
+// Table is the verdict matrix.
 type Table struct {
-	Schema string `json:"schema"`
-	Cells  []Cell `json:"cells"`
+	Cells []Cell
 }
 
 // Mismatches returns the cells whose observed verdict disagrees with
@@ -185,13 +212,6 @@ func (t *Table) Cell(scenario, config string) (Cell, bool) {
 	return Cell{}, false
 }
 
-// WriteJSON emits the table as indented JSON.
-func (t *Table) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
-
 // cellTimeout bounds one scenario run; adversarial programs are small,
 // so this only guards against a scenario regressing into an infinite
 // loop under some configuration.
@@ -202,7 +222,7 @@ const cellTimeout = 30 * time.Second
 // failures (compile or link errors) abort the run; guest traps are
 // observations, not errors.
 func Run(m Matrix) (*Table, error) {
-	tbl := &Table{Schema: TableSchema}
+	tbl := &Table{}
 	for _, p := range m.Presets {
 		tc := cage.NewToolchain(p.Config)
 		rt := cage.NewRuntime(p.Config)
@@ -260,7 +280,7 @@ func runCell(tc *cage.Toolchain, rt *cage.Runtime, p Preset, s Scenario) (Cell, 
 // completed run by its indicator.
 func classifyDamage(_ cage.Config, obs Observation) Outcome {
 	if obs.Trapped {
-		return Outcome{Verdict: VerdictTrapped, Class: exploit.ClassOf(obs.TrapCode),
+		return Outcome{Verdict: VerdictTrapped, Class: ClassOf(obs.TrapCode),
 			Detail: obs.TrapCode.String()}
 	}
 	if obs.Damage != 0 {

@@ -1,10 +1,6 @@
 package adversary
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // runDefault evaluates the default matrix once per test binary.
 var matrixTable *Table
@@ -94,30 +90,89 @@ func TestCorruptionUnmitigatedEverywhere(t *testing.T) {
 	}
 }
 
-// TestTableJSONRoundTrip pins the machine-readable encoding: schema
-// tag, stable field names, and a lossless decode.
-func TestTableJSONRoundTrip(t *testing.T) {
-	tbl := defaultTable(t)
-	var buf bytes.Buffer
-	if err := tbl.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var decoded Table
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if decoded.Schema != TableSchema {
-		t.Fatalf("schema %q, want %q", decoded.Schema, TableSchema)
-	}
-	if len(decoded.Cells) != len(tbl.Cells) {
-		t.Fatalf("decoded %d cells, want %d", len(decoded.Cells), len(tbl.Cells))
-	}
-	for i, c := range decoded.Cells {
-		if c != tbl.Cells[i] {
-			t.Fatalf("cell %d round-trip mismatch: %+v vs %+v", i, c, tbl.Cells[i])
+// runUnder evaluates scenarios under the named presets only.
+func runUnder(t *testing.T, scenarios []Scenario, presets ...string) *Table {
+	t.Helper()
+	var ps []Preset
+	for _, p := range Presets() {
+		for _, name := range presets {
+			if p.Name == name {
+				ps = append(ps, p)
+			}
 		}
 	}
+	tbl, err := Run(Matrix{Scenarios: scenarios, Presets: ps})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return tbl
 }
+
+// TestBenignInputsStillWork verifies full does not break the Table 2
+// programs on non-malicious inputs (no false positives).
+func TestBenignInputsStillWork(t *testing.T) {
+	benign := map[string]uint64{
+		"CVE-2023-4863":  0,
+		"CVE-2014-0160":  16,
+		"CVE-2021-3999":  0,
+		"CVE-2018-14550": 16,
+		"CVE-2021-22940": 0,
+		"CVE-2021-33574": 0,
+		"CVE-2020-1752":  0,
+		"CVE-2019-11932": 0,
+	}
+	var scenarios []Scenario
+	for _, cs := range Table2Cases() {
+		cs.Arg = benign[cs.CVE]
+		scenarios = append(scenarios, cs.scenario())
+	}
+	for _, c := range runUnder(t, scenarios, "full").Cells {
+		t.Run(c.Scenario, func(t *testing.T) {
+			if c.Observed.Verdict == VerdictTrapped {
+				t.Fatalf("false positive: benign input trapped (%s)", c.Observed.Detail)
+			}
+		})
+	}
+}
+
+// TestListing1VTableHijack reproduces the paper's Listing 1: the stack
+// overflow redirects the indirect call on the baseline; under full the
+// overflow itself is caught by MTE before any control-flow damage.
+func TestListing1VTableHijack(t *testing.T) {
+	cs := CaseStudy{CVE: "listing-1", Source: listing1Source, Arg: 32}
+	tbl := runUnder(t, []Scenario{cs.scenario()}, "baseline64", "full")
+	base, _ := tbl.Cell(cs.CVE, "baseline64")
+	if base.Observed.Verdict == VerdictTrapped {
+		t.Fatalf("baseline trapped: %s", base.Observed.Detail)
+	}
+	if base.Observed.Verdict != VerdictExploited {
+		t.Skip("overflow did not reach the vtable on this layout")
+	}
+	caged, _ := tbl.Cell(cs.CVE, "full")
+	if caged.Observed.Verdict != VerdictTrapped {
+		t.Errorf("Cage failed to stop the vtable hijack (%s %s)", caged.Observed.Verdict, caged.Observed.Detail)
+	}
+}
+
+// listing1Source is the paper's Listing 1: a stack overflow that
+// overwrites a vtable function pointer, redirecting an indirect call.
+const listing1Source = `
+long foo_called = 0;
+long bar_called = 0;
+void foo(void) { foo_called = 1; }
+void bar(void) { bar_called = 1; }
+struct VTable { void (*f)(void); void (*g)(void); };
+long attack(long inputLen) {
+    struct VTable vtable;
+    char buf[16];
+    vtable.f = bar;
+    vtable.g = foo;
+    for (long i = 0; i < inputLen; i++) {
+        buf[i] = (char)(i == 16 ? 2 : 0);  // strcpy(buf, crafted input):
+    }                                      // rewrites f with foo's index
+    vtable.f();
+    return foo_called;                     // 1 = control flow hijacked
+}`
 
 // TestPresetsResolve pins the matrix columns to the shared CLI names.
 func TestPresetsResolve(t *testing.T) {

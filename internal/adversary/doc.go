@@ -1,18 +1,18 @@
-// Package adversary is the scenario-harness generalization of the
-// Table 2 runner in cage/internal/exploit: instead of one hard-coded
-// baseline-vs-Cage comparison per CVE, it evaluates a matrix of
-// adversarial scenarios against every preset configuration and emits a
-// machine-readable verdict table.
+// Package adversary is the security evaluation: it runs a matrix of
+// adversarial scenarios against every preset configuration and
+// classifies each run with the scenario's oracle. The paper's Table 2 is
+// the matrix's table2 family read under baseline64 and full;
+// internal/bench prints both Table 2 and the whole matrix in the paper
+// document.
 //
 // A Scenario is a guest program (MiniC compiled by the preset's
 // toolchain, or a raw wasm module) plus its oracle: the verdict the
-// scenario must produce under each configuration. Verdicts share the
-// exploit package's vocabulary — a run is
+// scenario must produce under each configuration. A run is
 //
 //   - exploited: it completed and the damage (or leakage) indicator
 //     fired;
-//   - trapped: a runtime defense aborted it, carrying the
-//     exploit.TrapClass of the trap (memory-safety, sandbox, ptrauth);
+//   - trapped: a runtime defense aborted it, carrying the TrapClass of
+//     the trap (memory-safety, sandbox, ptrauth);
 //   - mitigated-timing: the attack's speculative channel is closed by
 //     the hardened preset's modeled mitigations — every executed
 //     return/indirect-branch site was fenced and sandbox transitions
@@ -23,9 +23,9 @@
 //
 // Three scenario families ship with the package:
 //
-//   - table2: the eight exploit.Cases CVE reproductions, with the
-//     oracle delegated to exploit.Expected so the two suites can never
-//     disagree on what "mitigated" means.
+//   - table2: the eight CVE case studies of Table2Cases. They trap with
+//     the memory-safety class exactly when the configuration carries
+//     the memory-safety extension, and are exploited otherwise.
 //   - speculative: Spectre-style leak models — a bounds-check-bypass
 //     gadget and a poisoned indirect-branch gadget. The programs are
 //     architecturally benign; the leak is modeled, and the verdict is

@@ -5,7 +5,6 @@ import (
 
 	"cage"
 	"cage/internal/arch"
-	"cage/internal/exploit"
 )
 
 // Speculative-leak scenarios. The interpreter does not speculate, so
@@ -111,7 +110,7 @@ func classifySpeculative(_ cage.Config, obs Observation) Outcome {
 	if obs.Trapped {
 		// A trap would mean the gadget is not benign — surfaced as an
 		// oracle mismatch, never silently absorbed.
-		return Outcome{Verdict: VerdictTrapped, Class: exploit.ClassOf(obs.TrapCode),
+		return Outcome{Verdict: VerdictTrapped, Class: ClassOf(obs.TrapCode),
 			Detail: obs.TrapCode.String()}
 	}
 	fences := obs.Events.Get(arch.EvFence)

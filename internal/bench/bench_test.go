@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -144,24 +145,6 @@ func TestFig16Shape(t *testing.T) {
 	}
 }
 
-func TestTable2AllMitigated(t *testing.T) {
-	rows, err := Table2Rows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 8 {
-		t.Fatalf("%d rows, want 8", len(rows))
-	}
-	for _, r := range rows {
-		if r.BaselineDamage == 0 {
-			t.Errorf("%s: baseline not exploited", r.CVE)
-		}
-		if !r.CageTrapped {
-			t.Errorf("%s: Cage did not mitigate", r.CVE)
-		}
-	}
-}
-
 func TestStartupAccounting(t *testing.T) {
 	res, err := RunStartup()
 	if err != nil {
@@ -201,21 +184,35 @@ func TestSecurityAnalysisNumbers(t *testing.T) {
 	}
 }
 
-func TestRunAllProducesFullReport(t *testing.T) {
+// TestPaperDocument pins every number of the paper document: the
+// non-quick report must equal the checked-in BENCH_paper.txt byte for
+// byte.
+func TestPaperDocument(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness")
 	}
-	var buf bytes.Buffer
-	if err := RunAll(&buf, true); err != nil {
+	want, err := os.ReadFile("../../BENCH_paper.txt")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, heading := range []string{
-		"Table 1", "Fig. 4", "Table 2", "Fig. 14", "Fig. 15",
-		"Fig. 16", "startup", "memory overhead", "security analysis",
-	} {
-		if !strings.Contains(out, heading) {
-			t.Errorf("report missing section %q", heading)
-		}
+	var buf bytes.Buffer
+	if err := RunAll(&buf, false); err != nil {
+		t.Fatal(err)
 	}
+	if bytes.Equal(buf.Bytes(), want) {
+		return
+	}
+	got, wantLines := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(got) && i < len(wantLines) && got[i] == wantLines[i] {
+		i++
+	}
+	line := func(lines []string) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "(end of document)"
+	}
+	t.Fatalf("report differs from BENCH_paper.txt at line %d:\n got: %s\nwant: %s\nregenerate with: go run ./cmd/cage-bench > BENCH_paper.txt",
+		i+1, line(got), line(wantLines))
 }

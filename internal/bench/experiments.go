@@ -3,13 +3,12 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
+	"cage/internal/adversary"
 	"cage/internal/alloc"
 	"cage/internal/arch"
 	"cage/internal/core"
 	"cage/internal/exec"
-	"cage/internal/exploit"
 	"cage/internal/mte"
 	"cage/internal/wasm"
 )
@@ -139,62 +138,43 @@ func yesNo(b bool) string {
 	return "No"
 }
 
-// --- Table 2 ---
+// --- Table 2 and the adversary matrix ---
 
-// Table2Row is one CVE case-study outcome pair.
-type Table2Row struct {
-	CVE               string
-	Cause             string
-	MitigatedBaseline string
-	BaselineDamage    int64
-	CageTrapped       bool
-	CageTrap          string
-}
-
-// Table2Rows runs every exploit under baseline and Cage.
-func Table2Rows() ([]Table2Row, error) {
-	var rows []Table2Row
-	for _, cs := range exploit.Cases() {
-		base, err := exploit.Run(cs, false)
-		if err != nil {
-			return nil, err
-		}
-		caged, err := exploit.Run(cs, true)
-		if err != nil {
-			return nil, err
-		}
-		trapName := ""
-		if caged.Trapped {
-			trapName = (&exec.Trap{Code: caged.TrapCode}).Error()
-		}
-		rows = append(rows, Table2Row{
-			CVE: cs.CVE, Cause: cs.Cause, MitigatedBaseline: cs.MitigatedBaseline,
-			BaselineDamage: base.Damage, CageTrapped: caged.Trapped, CageTrap: trapName,
-		})
-	}
-	return rows, nil
-}
-
-// Table2Report prints the mitigation matrix.
-func Table2Report(w io.Writer) error {
-	rows, err := Table2Rows()
-	if err != nil {
-		return err
-	}
+// Table2Report prints Table 2 from the adversary matrix: each case
+// study's baseline64 cell and its full cell.
+func Table2Report(w io.Writer, matrix *adversary.Table) {
 	t := &table{header: []string{"CVE", "Cause", "Mitigated in WASM", "Baseline outcome", "Cage outcome"}}
-	for _, r := range rows {
-		baseline := "exploited"
-		if r.BaselineDamage == 0 {
-			baseline = "benign"
-		}
-		cage := "NOT MITIGATED"
-		if r.CageTrapped {
-			cage = "trapped (" + r.CageTrap + ")"
-		}
-		t.add(r.CVE, r.Cause, r.MitigatedBaseline, baseline, cage)
+	for _, cs := range adversary.Table2Cases() {
+		base, _ := matrix.Cell(cs.CVE, "baseline64")
+		caged, _ := matrix.Cell(cs.CVE, "full")
+		t.add(cs.CVE, cs.Cause, cs.MitigatedBaseline, outcome(base.Observed), outcome(caged.Observed))
 	}
 	t.write(w)
-	return nil
+}
+
+// MatrixReport prints every cell of the adversary matrix, then how many
+// agree with their scenario's oracle.
+func MatrixReport(w io.Writer, matrix *adversary.Table) {
+	t := &table{header: []string{"Scenario", "Family", "Config", "Verdict", "Class", "Fuel", "Detail"}}
+	for _, c := range matrix.Cells {
+		class := string(c.Observed.Class)
+		if class == "" {
+			class = "-"
+		}
+		t.add(c.Scenario, c.Family, c.Config, string(c.Observed.Verdict), class,
+			fmt.Sprintf("%d", c.Fuel), c.Observed.Detail)
+	}
+	t.write(w)
+	fmt.Fprintf(w, "cells agreeing with their oracle: %d of %d\n",
+		len(matrix.Cells)-len(matrix.Mismatches()), len(matrix.Cells))
+}
+
+// outcome renders an observed verdict, naming the trap when it trapped.
+func outcome(o adversary.Outcome) string {
+	if o.Verdict == adversary.VerdictTrapped {
+		return fmt.Sprintf("%s (%s)", o.Verdict, o.Detail)
+	}
+	return string(o.Verdict)
 }
 
 // --- §7.2 startup ---
@@ -205,8 +185,6 @@ type StartupResult struct {
 	TaggingMs map[string]float64
 	// GranulesTagged is the measured tag-store work at instantiation.
 	GranulesTagged uint64
-	// WallClock is the host-side instantiation + empty call time.
-	WallClock time.Duration
 }
 
 // RunStartup instantiates a module with a 128 MiB linear memory under
@@ -219,7 +197,6 @@ func RunStartup() (*StartupResult, error) {
 	m.Funcs = []wasm.Function{{TypeIdx: ti, Body: []wasm.Instr{wasm.End()}}}
 	m.Exports = []wasm.Export{{Name: "empty", Kind: wasm.ExportFunc, Idx: 0}}
 
-	start := time.Now()
 	inst, err := exec.NewInstance(m, exec.Config{
 		Features: core.Features{Sandbox: true, MTEMode: mte.ModeSync},
 		Seed:     5,
@@ -230,12 +207,10 @@ func RunStartup() (*StartupResult, error) {
 	if _, err := inst.Invoke("empty"); err != nil {
 		return nil, err
 	}
-	wall := time.Since(start)
 
 	res := &StartupResult{
 		TaggingMs:      make(map[string]float64),
 		GranulesTagged: inst.StartupGranulesTagged,
-		WallClock:      wall,
 	}
 	for _, c := range arch.Cores() {
 		res.TaggingMs[c.Name] = c.Millis(c.TagRegionCycles(res.GranulesTagged * mte.GranuleSize))
@@ -255,7 +230,6 @@ func StartupReport(w io.Writer) error {
 	for _, c := range arch.Cores() {
 		fmt.Fprintf(w, "  %-12s modeled tagging cost: %.1f ms\n", c.Name, res.TaggingMs[c.Name])
 	}
-	fmt.Fprintf(w, "host instantiation wall clock: %v\n", res.WallClock)
 	fmt.Fprintln(w, "(the paper observes the tagging cost is hidden by runtime startup)")
 
 	// Ablation: initializing zeroed+tagged memory with stzg beats the

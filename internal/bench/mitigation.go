@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -34,42 +33,31 @@ func MitigationVariants() (full, hardened Variant) {
 
 // MitigationKernel is one kernel's full-vs-hardened comparison.
 type MitigationKernel struct {
-	Kernel   string  `json:"kernel"`
-	N        int     `json:"n"`
-	Checksum float64 `json:"checksum"`
+	Kernel   string
+	N        int
+	Checksum float64
 	// ResultsIdentical records the acceptance criterion: the hardened
 	// run returned bit-identical values to the full run.
-	ResultsIdentical bool   `json:"results_identical"`
-	FullFuel         uint64 `json:"full_fuel"`
-	HardenedFuel     uint64 `json:"hardened_fuel"`
+	ResultsIdentical bool
+	FullFuel         uint64
+	HardenedFuel     uint64
 	// FuelTaxPct is the relative fuel increase hardened pays.
-	FuelTaxPct float64 `json:"fuel_tax_pct"`
+	FuelTaxPct float64
 	// FenceEvents and BTBFlushEvents are the mitigation's own events —
 	// the entire difference between the two runs.
-	FenceEvents    uint64 `json:"fence_events"`
-	BTBFlushEvents uint64 `json:"btb_flush_events"`
+	FenceEvents    uint64
+	BTBFlushEvents uint64
 	// CycleTaxPct maps each modeled core to the relative cycle increase;
 	// the fence is cheap on the little core and dear on the big ones, so
 	// the tax is core-dependent even at a fixed event count.
-	CycleTaxPct map[string]float64 `json:"cycle_tax_pct"`
-}
-
-// MitigationRecord is the cage-bench -mitigation JSON record.
-type MitigationRecord struct {
-	Kernels []MitigationKernel `json:"kernels"`
-	// Scenarios is the adversary verdict table (schema cage-adversary/v1)
-	// covering the scenario corpus under every preset. It is attached by
-	// cmd/cage-bench as pre-encoded JSON: this package cannot import
-	// internal/adversary, which depends on the root package that the
-	// root benchmark suite compiles together with this one.
-	Scenarios json.RawMessage `json:"scenarios,omitempty"`
+	CycleTaxPct map[string]float64
 }
 
 // MeasureMitigation runs every PolyBench kernel under full and hardened
 // and reports the per-kernel tax. quick selects the test problem sizes.
-func MeasureMitigation(quick bool) (*MitigationRecord, error) {
+func MeasureMitigation(quick bool) ([]MitigationKernel, error) {
 	fullV, hardV := MitigationVariants()
-	rec := &MitigationRecord{}
+	var out []MitigationKernel
 	for _, k := range polybench.Kernels() {
 		n := k.BenchN
 		if quick {
@@ -124,36 +112,35 @@ func MeasureMitigation(quick bool) (*MitigationRecord, error) {
 				mk.CycleTaxPct[c.Name] = 100 * (hardCtr.Cycles(c)/base - 1)
 			}
 		}
-		rec.Kernels = append(rec.Kernels, mk)
+		out = append(out, mk)
 	}
-	return rec, nil
+	return out, nil
 }
 
-// JSONSchema identifies the layout of the -mitigation document; bump it
-// when fields change incompatibly.
-const JSONSchema = "cage-bench/v2"
-
-// JSONReport is the -mitigation document, checked in as
-// BENCH_mitigation.json. Every field is a function of the source tree
-// alone (fuel, modeled cycles, verdicts — never wall time), so CI
-// regenerates the document and compares it byte for byte.
-type JSONReport struct {
-	Schema     string            `json:"schema"`
-	Quick      bool              `json:"quick"`
-	Mitigation *MitigationRecord `json:"mitigation,omitempty"`
-}
-
-// WriteMitigationJSON measures the mitigation record and writes its
-// JSONReport to w. scenarios, if non-nil, is the pre-encoded adversary
-// verdict table.
-func WriteMitigationJSON(w io.Writer, quick bool, scenarios json.RawMessage) error {
-	rec, err := MeasureMitigation(quick)
+// MitigationReport prints the per-kernel tax.
+func MitigationReport(w io.Writer, quick bool) error {
+	kernels, err := MeasureMitigation(quick)
 	if err != nil {
 		return err
 	}
-	rec.Scenarios = scenarios
-	rep := JSONReport{Schema: JSONSchema, Quick: quick, Mitigation: rec}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	cores := arch.Cores()
+	header := []string{"Kernel", "n", "checksum", "identical", "full fuel", "hardened fuel",
+		"fuel tax", "fences", "BTB flushes"}
+	for _, c := range cores {
+		header = append(header, c.Name+" cycles")
+	}
+	t := &table{header: header}
+	for _, k := range kernels {
+		cells := []string{k.Kernel, fmt.Sprintf("%d", k.N), fmt.Sprintf("%.4f", k.Checksum),
+			yesNo(k.ResultsIdentical), fmt.Sprintf("%d", k.FullFuel), fmt.Sprintf("%d", k.HardenedFuel),
+			fmt.Sprintf("%+.3f%%", k.FuelTaxPct), fmt.Sprintf("%d", k.FenceEvents),
+			fmt.Sprintf("%d", k.BTBFlushEvents)}
+		for _, c := range cores {
+			cells = append(cells, fmt.Sprintf("%+.2f%%", k.CycleTaxPct[c.Name]))
+		}
+		t.add(cells...)
+	}
+	fmt.Fprintln(w, "hardened over full per kernel, in fuel and modeled cycles (results must be identical):")
+	t.write(w)
+	return nil
 }

@@ -1,93 +1,65 @@
 package core
 
 import (
-	"context"
 	"errors"
-	"sync"
 	"testing"
-	"time"
 )
 
-func TestAcquireContextBlocksUntilRelease(t *testing.T) {
-	pol := NewPolicy(Features{Sandbox: true})
-	a := NewSandboxAllocator(pol)
-
-	var tags []uint8
-	for i := 0; i < pol.MaxSandboxes; i++ {
-		tag, err := a.Acquire()
-		if err != nil {
-			t.Fatalf("acquire %d: %v", i, err)
-		}
-		tags = append(tags, tag)
+// TestReleasedWakesOnFreedBudget pins the wake-up Engine.birth waits on
+// when the §7.4 budget is exhausted: Released's channel stays open until
+// a Release frees budget, after which an Acquire succeeds. Releasing the
+// runtime tag or a tag nobody owns frees nothing and wakes nobody.
+func TestReleasedWakesOnFreedBudget(t *testing.T) {
+	combined := Features{MemSafety: true, Sandbox: true} // one sandbox tag: 1
+	cases := []struct {
+		name    string
+		feats   Features
+		release func(held []uint8) uint8
+		wakes   bool
+	}{
+		{"owned tag", Features{Sandbox: true}, func(held []uint8) uint8 { return held[3] }, true},
+		{"combined mode's one tag", combined, func(held []uint8) uint8 { return held[0] }, true},
+		{"runtime tag", Features{Sandbox: true}, func([]uint8) uint8 { return RuntimeTag }, false},
+		{"unowned tag", combined, func([]uint8) uint8 { return 2 }, false},
 	}
-	if _, err := a.Acquire(); !errors.Is(err, ErrSandboxesExhausted) {
-		t.Fatalf("non-blocking Acquire past the budget: %v", err)
-	}
-
-	got := make(chan uint8, 1)
-	go func() {
-		tag, err := a.AcquireContext(context.Background())
-		if err != nil {
-			t.Errorf("AcquireContext: %v", err)
-		}
-		got <- tag
-	}()
-	select {
-	case tag := <-got:
-		t.Fatalf("AcquireContext returned tag %d with no free budget", tag)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	a.Release(tags[0])
-	select {
-	case tag := <-got:
-		if tag == RuntimeTag {
-			t.Fatalf("blocked acquire yielded the runtime tag")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("AcquireContext still blocked after Release")
-	}
-}
-
-func TestAcquireContextHonorsDeadline(t *testing.T) {
-	pol := NewPolicy(Features{MemSafety: true, Sandbox: true}) // combined: budget 1
-	a := NewSandboxAllocator(pol)
-	if _, err := a.Acquire(); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := a.AcquireContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("got %v, want deadline exceeded", err)
-	}
-}
-
-// TestAcquireContextContended hammers a 1-tag budget from many
-// goroutines, each holding the tag briefly; every waiter must
-// eventually get a turn and the refcount must end at zero.
-func TestAcquireContextContended(t *testing.T) {
-	pol := NewPolicy(Features{MemSafety: true, Sandbox: true})
-	a := NewSandboxAllocator(pol)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 25; j++ {
-				tag, err := a.AcquireContext(ctx)
-				if err != nil {
-					t.Errorf("AcquireContext: %v", err)
-					return
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewSandboxAllocator(NewPolicy(tc.feats))
+			var held []uint8
+			for {
+				tag, err := a.Acquire()
+				if errors.Is(err, ErrSandboxesExhausted) {
+					break
 				}
-				a.Release(tag)
+				if err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, tag)
 			}
-		}()
-	}
-	wg.Wait()
-	if n := a.InUse(); n != 0 {
-		t.Fatalf("%d sandboxes leaked", n)
+			released := a.Released()
+			select {
+			case <-released:
+				t.Fatal("closed while the budget is exhausted")
+			default:
+			}
+			a.Release(tc.release(held))
+			select {
+			case <-released:
+				if !tc.wakes {
+					t.Fatal("closed by a Release that freed no budget")
+				}
+			default:
+				if tc.wakes {
+					t.Fatal("still open after a Release that freed budget")
+				}
+			}
+			_, err := a.Acquire()
+			switch {
+			case tc.wakes && err != nil:
+				t.Fatalf("Acquire after the wake-up: %v", err)
+			case !tc.wakes && !errors.Is(err, ErrSandboxesExhausted):
+				t.Fatalf("Acquire after a Release that freed nothing: %v, want ErrSandboxesExhausted", err)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -146,9 +145,9 @@ type SandboxAllocator struct {
 	// guard-separated address ranges, lifting the 15-per-process limit.
 	reuse   bool
 	nextRot uint8
-	// freed broadcasts tag releases to blocked acquirers: it is closed
-	// (and replaced lazily) on every Release that frees budget, the
-	// channel-shaped condition variable AcquireContext waits on.
+	// freed broadcasts tag releases to waiters: it is closed (and
+	// replaced lazily) on every Release that frees budget, the
+	// channel-shaped condition variable Released hands out.
 	freed chan struct{}
 }
 
@@ -174,34 +173,12 @@ func NewSandboxAllocator(pol Policy) *SandboxAllocator {
 }
 
 // Acquire reserves a sandbox tag for a new instance, failing with
-// ErrSandboxesExhausted when the budget is spent. Use AcquireContext to
-// queue for a tag instead.
+// ErrSandboxesExhausted when the budget is spent. A caller that queues
+// for a tag waits on Released and retries.
 func (a *SandboxAllocator) Acquire() (uint8, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.acquireLocked()
-}
-
-// AcquireContext reserves a sandbox tag, blocking while the §7.4 budget
-// is exhausted until another instance releases one (each Release wakes
-// the waiters, condition-variable style) or ctx ends — pass a context
-// with a deadline to bound the wait.
-func (a *SandboxAllocator) AcquireContext(ctx context.Context) (uint8, error) {
-	for {
-		a.mu.Lock()
-		tag, err := a.acquireLocked()
-		if err == nil {
-			a.mu.Unlock()
-			return tag, nil
-		}
-		ch := a.releasedLocked()
-		a.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}
 }
 
 // Released returns a channel closed at the next Release that frees
@@ -210,10 +187,6 @@ func (a *SandboxAllocator) AcquireContext(ctx context.Context) (uint8, error) {
 func (a *SandboxAllocator) Released() <-chan struct{} {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.releasedLocked()
-}
-
-func (a *SandboxAllocator) releasedLocked() chan struct{} {
 	if a.freed == nil {
 		a.freed = make(chan struct{})
 	}
