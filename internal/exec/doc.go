@@ -113,18 +113,25 @@
 //
 // Cheap dispatches left the number of them as the cost. The indexed
 // loads (ir.OpFusedIdx1Load and family) fold a whole address built from
-// locals, its load and a trailing f64.mul into one straight-line case
-// that reads the locals straight into the address — no operand-stack
-// traffic until the result — and loads through fusedMemLoad, so the
-// MTE tag check, bounds check and trap point are the unfused load's.
-// Since shapes yield to them in the fuse pass, the hot loops of gemm,
-// atax and the ptr-auth 2mm are 5 dispatches per iteration (head,
-// operand, two indexed loads, latch), and one run of the four gated
-// kernel classes takes 540 923 dispatches instead of 688 187.
-// TestDispatchGate holds both numbers without timing anything: it
-// counts dispatches by running a copy of the program with an OpFence in
-// front of every counted instruction (the EvFence delta), so nothing in
-// run is instrumented.
+// locals, its load and a trailing f64.mul or f64.add into one
+// straight-line case that reads the locals straight into the address —
+// no operand-stack traffic until the result — and loads through
+// fusedMemLoad, so the MTE tag check, bounds check and trap point are
+// the unfused load's. The idx1±k forms add ir.IdxDelta — the i32
+// constant k sign-extended, negated for i64.sub — to the index in the
+// constituents' wrap arithmetic; fused.idx1 pushes the address alone,
+// and the i < n ± k head compares against n + IdxDelta. Since shapes
+// yield to them in the fuse pass, the hot loops of gemm, atax and the
+// ptr-auth 2mm are 5 dispatches per iteration (head, operand, two
+// indexed loads, latch), jacobi-1d's stencil is 8 (head, store address,
+// constant, three indexed loads, f64.mul+store, latch; 17 before the
+// idx1±k forms), and one run of the four gated kernel classes takes
+// 494 395 dispatches (688 187 before the indexed loads, 540 923 before
+// the idx1±k forms). TestDispatchGate holds the loop bounds and a
+// 500 000 total without timing anything: it counts dispatches by
+// running a copy of the program with an OpFence in front of every
+// counted instruction (the EvFence delta), so nothing in run is
+// instrumented.
 //
 // # Interruption points
 //

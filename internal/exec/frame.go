@@ -838,6 +838,75 @@ func (inst *Instance) run(barrier int) error {
 			ctr.Add(arch.EvFMul, 1)
 			l := len(stack)
 			stack[l-1] = math.Float64bits(math.Float64frombits(stack[l-1]) * math.Float64frombits(v))
+		case ir.OpFusedIdx1LoadF64Add:
+			ctr.Add(arch.EvLocal, 2)
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvMul, 1)
+			ctr.Add(arch.EvALU, 1)
+			ctr.Add(arch.EvLoad, 1)
+			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B),
+				locals[in.A>>48]+locals[(in.A>>32)&0xFFFF]*ir.IdxScale(in.B))
+			if err != nil {
+				return err
+			}
+			ctr.Add(arch.EvFAdd, 1)
+			l := len(stack)
+			stack[l-1] = math.Float64bits(math.Float64frombits(stack[l-1]) + math.Float64frombits(v))
+		// The idx1±k forms index with i ± k (ir.IdxDelta): the
+		// constituents' i64.extend_i32_s and i64.add|sub, in the same wrap
+		// arithmetic.
+		case ir.OpFusedIdx1KLoad:
+			ctr.Add(arch.EvLocal, 2)
+			ctr.Add(arch.EvConst, 2)
+			ctr.Add(arch.EvConv, 1)
+			ctr.Add(arch.EvMul, 1)
+			ctr.Add(arch.EvALU, 2)
+			ctr.Add(arch.EvLoad, 1)
+			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B), locals[in.A>>48]+
+				(locals[(in.A>>32)&0xFFFF]+ir.IdxDelta(in.A, ir.FusedMemALU(in.B)))*ir.IdxScale(in.B))
+			if err != nil {
+				return err
+			}
+			stack = append(stack, v)
+		case ir.OpFusedIdx1KLoadF64Add:
+			ctr.Add(arch.EvLocal, 2)
+			ctr.Add(arch.EvConst, 2)
+			ctr.Add(arch.EvConv, 1)
+			ctr.Add(arch.EvMul, 1)
+			ctr.Add(arch.EvALU, 2)
+			ctr.Add(arch.EvLoad, 1)
+			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B), locals[in.A>>48]+
+				(locals[(in.A>>32)&0xFFFF]+ir.IdxDelta(in.A, ir.FusedMemALU(in.B)))*ir.IdxScale(in.B))
+			if err != nil {
+				return err
+			}
+			ctr.Add(arch.EvFAdd, 1)
+			l := len(stack)
+			stack[l-1] = math.Float64bits(math.Float64frombits(stack[l-1]) + math.Float64frombits(v))
+		case ir.OpFusedIdx1:
+			ctr.Add(arch.EvLocal, 2)
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvMul, 1)
+			ctr.Add(arch.EvALU, 1)
+			stack = append(stack, locals[in.A>>48]+locals[(in.A>>32)&0xFFFF]*ir.IdxScale(in.B))
+		case ir.OpFusedGetGetKI64LtSEqzBr:
+			ctr.Add(arch.EvLocal, 2)
+			ctr.Add(arch.EvConst, 1)
+			ctr.Add(arch.EvConv, 1)
+			ctr.Add(arch.EvALU, 1)
+			ctr.Add(arch.EvCmp, 2) // i64.lt_s, i32.eqz
+			ctr.Add(arch.EvBranch, 1)
+			if int64(locals[in.A>>48]) >= int64(locals[(in.A>>32)&0xFFFF]+
+				ir.IdxDelta(in.A, wasm.Opcode(ir.FusedBranchAux(in.B)))) {
+				stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
+				pc = ir.FusedBranchTarget(in.B)
+				if mtr != nil {
+					if err := mtr.check(ctr); err != nil {
+						return err
+					}
+				}
+				continue
+			}
 
 		// Idiom superinstructions (ir/idiom.go): a generic shape above
 		// with its ALU constituents named in the opcode, so the case is

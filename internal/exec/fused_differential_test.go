@@ -178,20 +178,23 @@ func TestFusedMatchesUnfusedTraps(t *testing.T) {
 // idiomSeedSource is the FuzzFuse seed whose exhaustive fusion contains
 // every straight-line opcode, indexed loads and idioms alike
 // (TestFuzzFuseSeedCoversIdioms): indexed loads of every form with and
-// without the f64.mul, scaled-index loads off i ± 1 rows feeding
-// f64.mul, f64.add and f64.sub, both reduction latches, and the counted-
-// loop head and latch. It imports nothing (the arrays are globals), so
-// the fuzz target's execution half runs it instead of skipping on an
-// unresolved malloc.
+// without their trailing op, scaled-index loads off i ± 1 rows feeding
+// f64.mul, f64.add and f64.sub, both reduction latches, the counted-
+// loop head and latch, and a 3-point stencil under an i < n - 1 head
+// (A[i - 1], A[i], A[i + 1] into B[i]). It imports nothing (the arrays
+// are globals), so the fuzz target's execution half runs it instead of
+// skipping on an unresolved malloc.
 const idiomSeedSource = `
 double ga[256];
 double gb[16];
+double gc[16];
 double run(long n) {
     if (n > 16) { n = 16; }
     double* a = ga;
     double* b = gb;
+    double* c = gc;
     for (long i = 0; i < n; i++) {
-        b[i] = 0.5;
+        b[i] = 0.5 * (double)i;
         for (long j = 0; j < n; j++) { a[i * n + j] = 1.5; }
     }
     double s = 0.0;
@@ -207,13 +210,18 @@ double run(long n) {
             s += a[i * n + k] * b[k] + b[k] * a[k * n] + a[(i + 1) * n + k] * a[(i - 1) * n + k];
         }
     }
+    for (long i = 1; i < n - 1; i++) {
+        c[i] = 0.25 * (b[i - 1] + b[i] + b[i + 1]);
+    }
+    for (long i = 0; i < n; i++) { d += c[i]; }
     return s + d;
 }`
 
 // branchSeedSource is the FuzzFuse seed with a branch target inside an
-// indexed load's window: the ternary's merge point is the get i of
-// get b; get i; const 8; i64.mul; i64.add; load, so that sequence must
-// not fuse (TestFuzzFuseSeedCoversIdioms).
+// indexed load's window: the ternaries' merge point is the get i of
+// get b; get i; const 8; i64.mul; i64.add; load and of
+// get b; get i; const 1; i64.extend_i32_s; i64.sub; const 8; …, so
+// neither sequence may fuse (TestFuzzFuseSeedCoversIdioms).
 const branchSeedSource = `
 double ga[64];
 double gb[64];
@@ -223,6 +231,7 @@ double run(long n) {
     double* b = gb;
     double s = 0.0;
     for (long i = 0; i < n; i++) { s += (i > 3 ? a : b)[i]; }
+    for (long i = 1; i < n; i++) { s += (i > 5 ? a : b)[i - 1]; }
     return s;
 }`
 
@@ -282,7 +291,7 @@ func TestFuzzFuseSeedCoversIdioms(t *testing.T) {
 		}
 	}
 	for op := range ops(branchSeedSource) {
-		if op >= ir.OpFusedIdx1Load && op <= ir.OpFusedIdx3LoadF64Mul {
+		if op.IsIndexed() {
 			t.Errorf("branchSeedSource fuses to %v across a branch target", op)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -211,39 +212,91 @@ func memIdiom(op ir.Op) idiomCase {
 // idxLocals are the locals an indexed load under test reads — base b,
 // index i, row length n, column j (A's fields in order) — chosen so
 // every form addresses idiomLoadAddr with scale 8 and offset 16:
-// idx1 240 + 96·8, idx2 240 + (3·30 + 6)·8, idx3 240 + 4·24·8.
+// idx1 240 + 96·8, idx2 240 + (3·30 + 6)·8, idx3 240 + 4·24·8, idx1±k
+// 240 + (97 - 1)·8 and 240 + (95 + 1)·8.
 var idxLocals = map[ir.Op][idiomLocals]uint64{
-	ir.OpFusedIdx1Load:       {240, 96, 7, 7, 7, 7},
-	ir.OpFusedIdx1LoadF64Mul: {240, 96, 7, 7, 7, 7},
-	ir.OpFusedIdx2Load:       {240, 3, 30, 6, 7, 7},
-	ir.OpFusedIdx2LoadF64Mul: {240, 3, 30, 6, 7, 7},
-	ir.OpFusedIdx3LoadF64Mul: {240, 4, 24, 7, 7, 7},
+	ir.OpFusedIdx1Load:        {240, 96, 7, 7, 7, 7},
+	ir.OpFusedIdx1LoadF64Mul:  {240, 96, 7, 7, 7, 7},
+	ir.OpFusedIdx1LoadF64Add:  {240, 96, 7, 7, 7, 7},
+	ir.OpFusedIdx2Load:        {240, 3, 30, 6, 7, 7},
+	ir.OpFusedIdx2LoadF64Mul:  {240, 3, 30, 6, 7, 7},
+	ir.OpFusedIdx3LoadF64Mul:  {240, 4, 24, 7, 7, 7},
+	ir.OpFusedIdx1KLoad:       {240, 97, 7, 7, 7, 7},
+	ir.OpFusedIdx1KLoadF64Add: {240, 95, 7, 7, 7, 7},
 }
 
 // idxInstr is an indexed load of locals 0–3 (those its form uses), scale
-// 8 and offset 16, loading f64 through the configuration's variant.
+// 8 and offset 16, loading f64 through the configuration's variant; the
+// idx1±k forms are A[i - 1] without a trailing op and A[i + 1] with one.
 func idxInstr(op ir.Op, b *idiomBench) ir.Instr {
 	a := uint64(0)<<48 | 1<<32
+	var alu wasm.Opcode
 	switch op {
 	case ir.OpFusedIdx2Load, ir.OpFusedIdx2LoadF64Mul:
 		a |= 2<<16 | 3
 	case ir.OpFusedIdx3LoadF64Mul:
 		a |= 2 << 16
+	case ir.OpFusedIdx1KLoad:
+		a, alu = a|1, wasm.OpI64Sub
+	case ir.OpFusedIdx1KLoadF64Add:
+		a, alu = a|1, wasm.OpI64Add
 	}
-	return ir.Instr{Op: op, A: a, B: ir.PackIdxMem(8, 16, ir.PackFusedMem(8, b.load, 0, wasm.OpF64Load))}
+	return ir.Instr{Op: op, A: a, B: ir.PackIdxMem(8, 16, ir.PackFusedMem(8, b.load, alu, wasm.OpF64Load))}
+}
+
+// idxTail reports whether an indexed load ends in an f64.mul or f64.add.
+func idxTail(op ir.Op) bool {
+	c := ir.Instr{Op: op}.Constituents()
+	return c[len(c)-1].Op.IsNumeric()
 }
 
 // idxIdiom is the build of an indexed load: f64 x on the stack (the
-// f64.mul's multiplicand, or a bystander), the load of y.
+// trailing op's other operand, or a bystander), the load of y.
 func idxIdiom(op ir.Op) idiomCase {
-	mul := op == ir.OpFusedIdx1LoadF64Mul || op == ir.OpFusedIdx2LoadF64Mul || op == ir.OpFusedIdx3LoadF64Mul
 	height := 2
-	if mul {
+	if idxTail(op) {
 		height = 1
 	}
-	return idiomCase{height: height, nanOrder: mul, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
+	return idiomCase{height: height, nanOrder: idxTail(op), build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
 		binary.LittleEndian.PutUint64(b.inst.mem[idiomLoadAddr:], y)
 		return consts(x), func(int) ir.Instr { return idxInstr(op, b) }, idxLocals[op]
+	}}
+}
+
+// idxKIdiom is the build of an idx1±k load swept over k: f64 x on the
+// stack, k the low 32 bits of z, i64.sub for odd x and i64.add for even
+// (so every k meets both), and the index local whatever makes i ± k wrap
+// to 96 — the load of y at idiomLoadAddr for every k, 0x80000000 and
+// 0xFFFFFFFF included.
+func idxKIdiom(op ir.Op) idiomCase {
+	c := idxIdiom(op)
+	c.build = func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
+		binary.LittleEndian.PutUint64(b.inst.mem[idiomLoadAddr:], y)
+		alu := wasm.OpI64Add
+		if x&1 != 0 {
+			alu = wasm.OpI64Sub
+		}
+		k := uint64(uint32(z))
+		in := ir.Instr{Op: op, A: 0<<48 | 1<<32 | k,
+			B: ir.PackIdxMem(8, 16, ir.PackFusedMem(8, b.load, alu, wasm.OpF64Load))}
+		return consts(x), func(int) ir.Instr { return in }, [idiomLocals]uint64{240, 96 - ir.IdxDelta(k, alu), 7, 7, 7, 7}
+	}
+	return c
+}
+
+// headKIdiom is the build of the i < n ± k head: i = x, n = y, k and the
+// i64.add / i64.sub as in idxKIdiom, so n ± k overflows on the sweep's
+// edges.
+func headKIdiom() idiomCase {
+	return idiomCase{height: 0, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
+		alu := wasm.OpI64Add
+		if x&1 != 0 {
+			alu = wasm.OpI64Sub
+		}
+		return nil, func(target int) ir.Instr {
+			return ir.Instr{Op: ir.OpFusedGetGetKI64LtSEqzBr, A: 0<<48 | 1<<32 | uint64(uint32(z)),
+				B: ir.PackFusedBranch(uint64(alu), uint64(target))}
+		}, [idiomLocals]uint64{x, y, 7, 7, 7, 7}
 	}}
 }
 
@@ -266,11 +319,20 @@ func headIdiom(xl, yl uint64) idiomCase {
 // idiomCases has one entry per straight-line opcode: the indexed loads
 // and the idioms.
 var idiomCases = map[ir.Op]idiomCase{
-	ir.OpFusedIdx1Load:       idxIdiom(ir.OpFusedIdx1Load),
-	ir.OpFusedIdx1LoadF64Mul: idxIdiom(ir.OpFusedIdx1LoadF64Mul),
-	ir.OpFusedIdx2Load:       idxIdiom(ir.OpFusedIdx2Load),
-	ir.OpFusedIdx2LoadF64Mul: idxIdiom(ir.OpFusedIdx2LoadF64Mul),
-	ir.OpFusedIdx3LoadF64Mul: idxIdiom(ir.OpFusedIdx3LoadF64Mul),
+	ir.OpFusedIdx1Load:        idxIdiom(ir.OpFusedIdx1Load),
+	ir.OpFusedIdx1LoadF64Mul:  idxIdiom(ir.OpFusedIdx1LoadF64Mul),
+	ir.OpFusedIdx2Load:        idxIdiom(ir.OpFusedIdx2Load),
+	ir.OpFusedIdx2LoadF64Mul:  idxIdiom(ir.OpFusedIdx2LoadF64Mul),
+	ir.OpFusedIdx3LoadF64Mul:  idxIdiom(ir.OpFusedIdx3LoadF64Mul),
+	ir.OpFusedIdx1LoadF64Add:  idxIdiom(ir.OpFusedIdx1LoadF64Add),
+	ir.OpFusedIdx1KLoad:       idxKIdiom(ir.OpFusedIdx1KLoad),
+	ir.OpFusedIdx1KLoadF64Add: idxKIdiom(ir.OpFusedIdx1KLoadF64Add),
+	ir.OpFusedIdx1: {height: 1, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
+		return nil, func(int) ir.Instr {
+			return ir.Instr{Op: ir.OpFusedIdx1, A: 0<<48 | 1<<32, B: ir.PackIdxMem(z&0xFFFF, 0, 0)}
+		}, [idiomLocals]uint64{x, y, 7, 7, 7, 7}
+	}},
+	ir.OpFusedGetGetKI64LtSEqzBr: headKIdiom(),
 	ir.OpFusedConstI64MulAdd: {height: 1, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
 		return consts(x, y), func(int) ir.Instr { return ir.Instr{Op: ir.OpFusedConstI64MulAdd, A: z} }, [idiomLocals]uint64{}
 	}},
@@ -360,6 +422,8 @@ func TestIdiomsMatchConstituents(t *testing.T) {
 	})
 
 	t.Run("load traps", testIdiomLoadTraps)
+	t.Run("idx1±k traps", testIdxKTraps)
+	t.Run("head n±k overflow", testHeadKOverflow)
 	t.Run("branches meter fuel", testIdiomBranchesMeterFuel)
 }
 
@@ -410,11 +474,88 @@ func testIdiomLoadTraps(t *testing.T) {
 				if r.code != tc.code {
 					t.Errorf("%v: trap %v %q, want %v", op, r.code, r.text, tc.code)
 				}
-				if tc.code != 0 && r.events["fmul"] != 0 && tc.feats.MTEMode != mte.ModeAsync {
-					t.Errorf("%v: the f64.mul after a faulting load was charged: %v", op, r.events)
+				if tc.code != 0 && r.events["fmul"]+r.events["fadd"] != 0 && tc.feats.MTEMode != mte.ModeAsync {
+					t.Errorf("%v: the trailing op after a faulting load was charged: %v", op, r.events)
 				}
 			}
 		})
+	}
+}
+
+// testIdxKTraps: the idx1±k loads trap where their constituents do.
+// A[i - 1] at i = 0 reads below the array — out of bounds when the array
+// starts the memory, a tag mismatch when it is a tagged segment — and
+// k = 0x80000000 moves the index 2^31 elements either way, past any
+// memory.
+func testIdxKTraps(t *testing.T) {
+	memsafety := core.Features{MemSafety: true, MTEMode: mte.ModeSync}
+	cases := []struct {
+		name    string
+		feats   core.Features
+		segment bool // the base is a tagged 64-byte segment at 1024, else 0
+		k       uint64
+		alu     wasm.Opcode
+		code    TrapCode
+	}{
+		{"bounds64 A[i-1] at i=0", core.Features{}, false, 1, wasm.OpI64Sub, TrapOutOfBounds},
+		{"memsafety A[i-1] at i=0", memsafety, true, 1, wasm.OpI64Sub, TrapTagMismatch},
+		{"full cage A[i-1] at i=0", core.CageAll(), true, 1, wasm.OpI64Sub, TrapTagMismatch},
+		{"bounds64 i+0x80000000", core.Features{}, false, 0x80000000, wasm.OpI64Add, TrapOutOfBounds},
+		{"bounds64 i-0x80000000", core.Features{}, false, 0x80000000, wasm.OpI64Sub, TrapOutOfBounds},
+		{"memsafety i+0x80000000", memsafety, true, 0x80000000, wasm.OpI64Add, TrapOutOfBounds},
+		{"memsafety i-0x80000000", memsafety, true, 0x80000000, wasm.OpI64Sub, TrapOutOfBounds},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newIdiomBench(t, tc.feats, 1)
+			base := uint64(0)
+			if tc.segment {
+				var err error
+				if base, err = b.inst.HostSegmentNew(1024, 64); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, op := range []ir.Op{ir.OpFusedIdx1KLoad, ir.OpFusedIdx1KLoadF64Add} {
+				in := ir.Instr{Op: op, A: 0<<48 | 1<<32 | tc.k,
+					B: ir.PackIdxMem(8, 0, ir.PackFusedMem(8, b.load, tc.alu, wasm.OpF64Load))}
+				r := b.both(t, op.String(), consts(math.Float64bits(2.5)),
+					func(int) ir.Instr { return in }, [idiomLocals]uint64{base, 0, 7, 7, 7, 7}, 0)
+				if r.code != tc.code {
+					t.Errorf("%v: trap %v %q, want %v", op, r.code, r.text, tc.code)
+				}
+				if r.events["fadd"] != 0 {
+					t.Errorf("%v: the f64.add after a faulting load was charged: %v", op, r.events)
+				}
+			}
+		})
+	}
+}
+
+// testHeadKOverflow: the i < n ± k head wraps n ± k like its
+// constituents' i64.add / i64.sub, so a bound that overflows flips the
+// exit test: 0 < MaxInt64 + 1 is 0 < MinInt64, false (the loop exits),
+// and 0 < MinInt64 - 1 is 0 < MaxInt64, true (it runs); the same with
+// k = 0x80000000, whose i64.sub adds 2^31.
+func testHeadKOverflow(t *testing.T) {
+	b := newIdiomBench(t, core.Features{}, 0)
+	for _, tc := range []struct {
+		n, k  uint64
+		alu   wasm.Opcode
+		exits bool
+	}{
+		{math.MaxInt64, 1, wasm.OpI64Add, true},
+		{1 << 63, 1, wasm.OpI64Sub, false},
+		{math.MaxInt64, 0x80000000, wasm.OpI64Sub, true},
+		{1 << 63, 0x80000000, wasm.OpI64Add, false},
+	} {
+		what := fmt.Sprintf("0 < %#x %v %#x", tc.n, tc.alu, tc.k)
+		r := b.both(t, what, nil, func(target int) ir.Instr {
+			return ir.Instr{Op: ir.OpFusedGetGetKI64LtSEqzBr, A: 0<<48 | 1<<32 | tc.k,
+				B: ir.PackFusedBranch(uint64(tc.alu), uint64(target))}
+		}, [idiomLocals]uint64{0, tc.n, 7, 7, 7, 7}, 0)
+		if exits := r.values[0] == 2; exits != tc.exits {
+			t.Errorf("%s: exits %v, want %v", what, exits, tc.exits)
+		}
 	}
 }
 
@@ -425,36 +566,47 @@ func testIdiomLoadTraps(t *testing.T) {
 // so one that never polls the meter finishes instead of trapping.
 func testIdiomBranchesMeterFuel(t *testing.T) {
 	b := newIdiomBench(t, core.Features{}, 0)
-	head := ir.Instr{Op: ir.OpFusedGetGetI64LtSEqzBr, A: 0<<32 | 1}
+	// The heads i < n and i < n - 1, as functions of the exit target.
+	heads := []func(exit int) ir.Instr{
+		func(exit int) ir.Instr {
+			return ir.Instr{Op: ir.OpFusedGetGetI64LtSEqzBr, A: 0<<32 | 1, B: ir.PackFusedBranch(0, uint64(exit))}
+		},
+		func(exit int) ir.Instr {
+			return ir.Instr{Op: ir.OpFusedGetGetKI64LtSEqzBr, A: 0<<48 | 1<<32 | 1,
+				B: ir.PackFusedBranch(uint64(wasm.OpI64Sub), uint64(exit))}
+		},
+	}
 	latches := []ir.Instr{
 		{Op: ir.OpFusedI64IncBr, A: 1 << 8, B: ir.PackFusedBranch(0, 0)},
 		{Op: ir.OpFusedF64AddSetI64IncBr, A: 2<<32 | 0<<16 | 1<<8},
 		{Op: ir.OpFusedF64SubSetI64IncBr, A: 2<<32 | 0<<16 | 1<<8},
 	}
-	for _, latch := range latches {
-		for _, fuel := range []uint64{1, 10, 11, 12, 13, 500, 501, 502, 503, 504, 505, 506, 507} {
-			loop := func(expand bool) idiomRun {
-				var pre []ir.Instr
-				if latch.Op != ir.OpFusedI64IncBr {
-					pre = []ir.Instr{{Op: ir.OpLocalGet, A: 2}, {Op: ir.OpLocalGet, A: 3}}
-				}
-				return b.run(nil, func(exit int) []ir.Instr {
-					h, l := head, latch
-					h.B = ir.PackFusedBranch(0, uint64(exit))
-					if !expand {
-						return append(append([]ir.Instr{h}, pre...), l)
+	for _, head := range heads {
+		for _, latch := range latches {
+			for _, fuel := range []uint64{1, 10, 11, 12, 13, 500, 501, 502, 503, 504, 505, 506, 507} {
+				loop := func(expand bool) idiomRun {
+					var pre []ir.Instr
+					if latch.Op != ir.OpFusedI64IncBr {
+						pre = []ir.Instr{{Op: ir.OpLocalGet, A: 2}, {Op: ir.OpLocalGet, A: 3}}
 					}
-					return append(append(h.Constituents(), pre...), l.Constituents()...)
-				}, [idiomLocals]uint64{0, 200, 0, math.Float64bits(0.5)}, fuel)
-			}
-			fused, plain := loop(false), loop(true)
-			if fused.code != TrapFuelExhausted || plain.code != TrapFuelExhausted {
-				t.Fatalf("%v fuel %d: fused %v %q, constituents %v %q",
-					latch.Op, fuel, fused.code, fused.text, plain.code, plain.text)
-			}
-			if fused.fuel != plain.fuel || fused.text != plain.text {
-				t.Fatalf("%v fuel %d: fused ran dry at %d events (%s), constituents at %d (%s)",
-					latch.Op, fuel, fused.fuel, fused.text, plain.fuel, plain.text)
+					return b.run(nil, func(exit int) []ir.Instr {
+						h, l := head(exit), latch
+						if !expand {
+							return append(append([]ir.Instr{h}, pre...), l)
+						}
+						return append(append(h.Constituents(), pre...), l.Constituents()...)
+					}, [idiomLocals]uint64{0, 200, 0, math.Float64bits(0.5)}, fuel)
+				}
+				fused, plain := loop(false), loop(true)
+				what := fmt.Sprintf("%v, %v", head(0).Op, latch.Op)
+				if fused.code != TrapFuelExhausted || plain.code != TrapFuelExhausted {
+					t.Fatalf("%s fuel %d: fused %v %q, constituents %v %q",
+						what, fuel, fused.code, fused.text, plain.code, plain.text)
+				}
+				if fused.fuel != plain.fuel || fused.text != plain.text {
+					t.Fatalf("%s fuel %d: fused ran dry at %d events (%s), constituents at %d (%s)",
+						what, fuel, fused.fuel, fused.text, plain.fuel, plain.text)
+				}
 			}
 		}
 	}

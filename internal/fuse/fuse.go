@@ -1,23 +1,36 @@
 // Package fuse is the superinstruction pass: a post-lowering rewrite
 // over ir.Program that collapses every adjacent sequence matching one
 // of its hand-written shapes — load+op, op+store, cmp+br, const+op,
-// local traffic, up to seven-constituent loop latches — into single
-// fused opcodes (ir.OpFusedBase block). There is one mode: a sequence
-// that is eligible is fused, in the runtime exactly as in the fuzzer
-// and the differential suites.
+// local traffic, seven-constituent loop latches, eight-constituent
+// loop heads — into single fused opcodes (ir.OpFusedBase block). There
+// is one mode: a sequence that is eligible is fused, in the runtime
+// exactly as in the fuzzer and the differential suites.
 //
 // The largest are the indexed loads: an address built entirely from
-// locals, b + i·c (idx1), b + (i·n + j)·c (idx2) or b + i·n·c (idx3),
-// then the load, then an f64.mul where one follows (idx3 only fuses
-// with it) — six to eleven constituents, the whole operand side of a
-// polybench inner product, in one dispatch. The matcher is greedy, left
-// to right, longest first, with one exception: shapes yield to indexed
-// loads. A pre-pass marks where each indexed load starts, and no shape
-// may reach past the next mark, so a local.get run that would otherwise
-// swallow an indexed load's base (gemm's get+get+get+get, atax's
-// get s; get A; get i; get n) stops short of it. That rule took the
-// hot loops of gemm, atax and the ptr-auth 2mm from 7–9 dispatches per
-// iteration to 5.
+// locals, b + i·c (idx1), b + (i·n + j)·c (idx2), b + i·n·c (idx3) or a
+// stencil's b + (i ± k)·c (idx1±k, k an i32 constant extended to i64),
+// then the load, then an f64.mul or f64.add where one follows and the
+// form has an opcode with it (idx1 either, idx2 the f64.mul, idx1±k the
+// f64.add; idx3 only fuses with its f64.mul) — six to eleven
+// constituents, the whole operand side of a polybench inner product, in
+// one dispatch. The idx1 address with no load behind it, the store side
+// of B[i] = …, is fused.idx1. The matcher is greedy, left to right,
+// longest first, with two exceptions:
+//
+//   - Shapes yield to indexed forms. A pre-pass marks where each one
+//     starts, and no shape may reach past the next mark, so a local.get
+//     run that would otherwise swallow an indexed load's base (gemm's
+//     get+get+get+get, atax's get s; get A; get i; get n) stops short of
+//     it. That rule took the hot loops of gemm, atax and the ptr-auth
+//     2mm from 7–9 dispatches per iteration to 5.
+//   - A trailing op joins an indexed load only if it does not head a
+//     reduction latch (op; local.set; get; const; alu; local.set; br):
+//     acc += a[i] stays fused.idx1+load and one latch, where taking the
+//     f64.add would leave the latch's rest three dispatches.
+//
+// With the idx1±k loads, fused.idx1 and the head of i < n ± k
+// (fused.get+get+k+i64.lt_s+eqz+br_if), jacobi-1d's 3-point stencil
+// runs in 8 dispatches per iteration instead of 17.
 //
 // What a fused opcode saves is decided here, not in the executor. A
 // shape opcode (fused.const+alu+alu) carries its ALU ops as immediates:
@@ -154,25 +167,26 @@ func match(code []ir.Instr, i, end int, targets []bool) (ir.Instr, int) {
 	quintOK := quadOK && i+4 < end && !targets[i+4]
 	sextOK := quintOK && i+5 < end && !targets[i+5]
 	septOK := sextOK && i+6 < end && !targets[i+6]
+	octOK := septOK && i+7 < end && !targets[i+7]
 
-	if septOK {
-		// alu0; set x; get y; const c; alu1; set y; br — the
-		// accumulate-and-advance tail of a counted loop: retire the
-		// reduction into x, bump the induction variable y, and take the
-		// back edge. Like the quintuple latches this only matches a
-		// zero-repair branch, so the executor truncates the stack.
-		d, e, f, g := code[i+3], code[i+4], code[i+5], code[i+6]
-		if b.Op == ir.OpLocalSet && c.Op == ir.OpLocalGet &&
-			d.Op == ir.OpConst && f.Op == ir.OpLocalSet && f.A == c.A &&
-			g.Op == ir.OpBr && g.A == 0 &&
-			b.A <= 0xFFFF && c.A <= 0xFFFF && d.A <= 0xFF {
-			if alu0, ok := aluOf(a); ok {
-				if alu1, ok1 := aluOf(e); ok1 {
-					return ir.Instr{Op: ir.OpFusedALUSetIncBr,
-						A: uint64(alu0)<<48 | b.A<<32 | c.A<<16 | d.A<<8 | uint64(alu1),
-						B: ir.PackFusedBranch(0, g.B)}, 7
-				}
-			}
+	if octOK && a.Op == ir.OpLocalGet && b.Op == ir.OpLocalGet && c.Op == ir.OpConst {
+		// get x; get y; const k; i64.extend_i32_s; i64.add|sub; i64.lt_s;
+		// i32.eqz; br_if — the head of a loop bounded by n ± k (a
+		// stencil's i < n - 1), zero repair only, like the quintuple head.
+		f, h := &code[i+4], &code[i+7]
+		if a.A <= 0xFFFF && b.A <= 0xFFFF && c.A <= 0xFFFFFFFF && isALU(code[i+3].Op, wasm.OpI64ExtendI32S) &&
+			(isALU(f.Op, wasm.OpI64Add) || isALU(f.Op, wasm.OpI64Sub)) &&
+			isALU(code[i+5].Op, wasm.OpI64LtS) && isALU(code[i+6].Op, wasm.OpI32Eqz) &&
+			h.Op == ir.OpBrIf && h.A == 0 {
+			return ir.Instr{Op: ir.OpFusedGetGetKI64LtSEqzBr, A: a.A<<48 | b.A<<32 | c.A,
+				B: ir.PackFusedBranch(uint64(f.Op.Wasm()), h.B)}, 8
+		}
+	}
+	// The cheap test keeps the call off the common path: the pass runs
+	// on every cold start.
+	if septOK && b.Op == ir.OpLocalSet {
+		if in, n := latch(code, i, end, targets); n > 0 {
+			return in, n
 		}
 	}
 	if sextOK {
@@ -340,10 +354,49 @@ func match(code []ir.Instr, i, end int, targets []bool) (ir.Instr, int) {
 	return ir.Instr{}, 0
 }
 
-// indexedLoad matches an indexed load at code[i]: one of the three index
-// forms (ir.OpFusedIdx1Load), the scale, the load and an f64.mul, which
-// idx1 and idx2 may go without. It returns the fused instruction and
-// the number of constituents consumed (0 = no match).
+// latch matches alu0; set x; get y; const c; alu1; set y; br at code[i]
+// — the accumulate-and-advance tail of a counted loop: retire the
+// reduction into x, bump the induction variable y, and take the back
+// edge. Like the quintuple latches it only matches a zero-repair branch,
+// so the executor truncates the stack. It returns the fused instruction
+// and 7, or 0 when code[i:] is no latch that ends before end and is
+// entered only at its head.
+func latch(code []ir.Instr, i, end int, targets []bool) (ir.Instr, int) {
+	if i+7 > end || code[i+1].Op != ir.OpLocalSet {
+		return ir.Instr{}, 0
+	}
+	b, c, d, e, f, g := &code[i+1], &code[i+2], &code[i+3], &code[i+4], &code[i+5], &code[i+6]
+	if c.Op != ir.OpLocalGet ||
+		d.Op != ir.OpConst || f.Op != ir.OpLocalSet || f.A != c.A ||
+		g.Op != ir.OpBr || g.A != 0 ||
+		b.A > 0xFFFF || c.A > 0xFFFF || d.A > 0xFF {
+		return ir.Instr{}, 0
+	}
+	for k := i + 1; k < i+7; k++ {
+		if targets[k] {
+			return ir.Instr{}, 0
+		}
+	}
+	alu0, ok0 := aluOf(code[i])
+	alu1, ok1 := aluOf(*e)
+	if !ok0 || !ok1 {
+		return ir.Instr{}, 0
+	}
+	return ir.Instr{Op: ir.OpFusedALUSetIncBr,
+		A: uint64(alu0)<<48 | b.A<<32 | c.A<<16 | d.A<<8 | uint64(alu1),
+		B: ir.PackFusedBranch(0, g.B)}, 7
+}
+
+// isALU reports whether op is the pass-through numeric w.
+func isALU(op ir.Op, w wasm.Opcode) bool { return op == ir.OpNumericBase+ir.Op(w) }
+
+// indexedLoad matches an indexed form at code[i]: one of the four index
+// forms (b + i·c, b + (i·n + j)·c, b + i·n·c, b + (i ± k)·c; see
+// ir.OpFusedIdx1Load), the scale, the load, and a trailing f64.mul or
+// f64.add where the form has an opcode with it (idx3 has only the
+// f64.mul one). The idx1 address with no load behind it is
+// ir.OpFusedIdx1. It returns the fused instruction and the number of
+// constituents consumed (0 = no match).
 func indexedLoad(code []ir.Instr, i int, targets []bool) (ir.Instr, int) {
 	// at returns constituent k of the window, or an invalid instruction
 	// past the end or on a branch target (only the head may be one).
@@ -354,47 +407,70 @@ func indexedLoad(code []ir.Instr, i int, targets []bool) (ir.Instr, int) {
 		return code[i+k]
 	}
 	get := func(k int) bool { in := at(k); return in.Op == ir.OpLocalGet && in.A <= 0xFFFF }
-	is := func(k int, w wasm.Opcode) bool { return at(k).Op == ir.OpNumericBase+ir.Op(w) }
+	is := func(k int, w wasm.Opcode) bool { return isALU(at(k).Op, w) }
 	if !get(0) || !get(1) {
 		return ir.Instr{}, 0
 	}
-	// op and mul are the form's opcode without and with the f64.mul (0:
-	// none), k where its scale constant sits.
-	var op, mul ir.Op
+	// op, mul and add are the form's opcode with no trailing op, with the
+	// f64.mul and with the f64.add, bare its address alone (0: none); k
+	// is where its scale constant sits, alu idx1±k's i64.add or i64.sub.
+	var op, mul, add, bare ir.Op
 	var k int
+	var alu wasm.Opcode
 	A := at(0).A<<48 | at(1).A<<32
 	switch {
+	case at(2).Op == ir.OpConst && at(2).A <= 0xFFFFFFFF && is(3, wasm.OpI64ExtendI32S) &&
+		(is(4, wasm.OpI64Add) || is(4, wasm.OpI64Sub)):
+		op, add, k = ir.OpFusedIdx1KLoad, ir.OpFusedIdx1KLoadF64Add, 5
+		A |= at(2).A
+		alu = at(4).Op.Wasm()
 	case at(2).Op == ir.OpConst:
-		op, mul, k = ir.OpFusedIdx1Load, ir.OpFusedIdx1LoadF64Mul, 2
+		op, mul, add, bare, k = ir.OpFusedIdx1Load, ir.OpFusedIdx1LoadF64Mul, ir.OpFusedIdx1LoadF64Add, ir.OpFusedIdx1, 2
 	case get(2) && is(3, wasm.OpI64Mul) && get(4) && is(5, wasm.OpI64Add):
 		op, mul, k = ir.OpFusedIdx2Load, ir.OpFusedIdx2LoadF64Mul, 6
 		A |= at(2).A<<16 | at(4).A
 	case get(2) && is(3, wasm.OpI64Mul):
-		op, mul, k = 0, ir.OpFusedIdx3LoadF64Mul, 4
+		mul, k = ir.OpFusedIdx3LoadF64Mul, 4
 		A |= at(2).A << 16
 	default:
 		return ir.Instr{}, 0
 	}
 	scale, load := at(k), at(k+3)
 	if scale.Op != ir.OpConst || scale.A > 0xFFFF ||
-		!is(k+1, wasm.OpI64Mul) || !is(k+2, wasm.OpI64Add) ||
-		!load.Op.IsLoad() || load.A > 0xFFFF {
+		!is(k+1, wasm.OpI64Mul) || !is(k+2, wasm.OpI64Add) {
 		return ir.Instr{}, 0
+	}
+	if !load.Op.IsLoad() {
+		if bare == 0 {
+			return ir.Instr{}, 0
+		}
+		return ir.Instr{Op: bare, A: A, B: ir.PackIdxMem(scale.A, 0, 0)}, k + 3
 	}
 	size, variant, memOp, fits := memParts(load)
-	if !fits {
+	if !fits || load.A > 0xFFFF {
 		return ir.Instr{}, 0
 	}
+	// A trailing op joins the load unless it heads a reduction latch,
+	// which takes it with the set, the induction step and the back edge:
+	// acc += a[i] stays fused.idx1+load and one latch, where joining the
+	// f64.add would leave the latch's six other constituents three
+	// dispatches.
 	n := k + 4
-	if is(n, wasm.OpF64Mul) {
-		op = mul
-		n++
+	if _, l := latch(code, i+n, len(code), targets); l == 0 {
+		switch {
+		case mul != 0 && is(n, wasm.OpF64Mul):
+			op = mul
+			n++
+		case add != 0 && is(n, wasm.OpF64Add):
+			op = add
+			n++
+		}
 	}
 	if op == 0 {
 		return ir.Instr{}, 0
 	}
 	return ir.Instr{Op: op, A: A,
-		B: ir.PackIdxMem(scale.A, load.A, ir.PackFusedMem(size, variant, 0, memOp))}, n
+		B: ir.PackIdxMem(scale.A, load.A, ir.PackFusedMem(size, variant, alu, memOp))}, n
 }
 
 func fuseFunc(f *ir.Func) ir.Func {

@@ -65,10 +65,13 @@ func countFused(p *ir.Program) int {
 // instructions it replaced — same opcodes and immediates for the
 // non-branch constituents (branch constituents carry remapped PCs,
 // checked separately by TestFuseBranchTargetsValid and the differential
-// suite). The kernels between them fuse every indexed-load opcode.
+// suite). The kernels between them fuse every indexed form and the
+// i < n ± k head; jacobi-1d's stencil has the idx1±k forms, so the
+// comparison covers their k (the const constituent) and i64.add /
+// i64.sub (the ALU constituent).
 func TestFuseRoundTrip(t *testing.T) {
 	var kernels []polybench.Kernel
-	for _, name := range []string{"gemm", "atax"} {
+	for _, name := range []string{"gemm", "atax", "jacobi-1d"} {
 		k, err := polybench.ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -120,10 +123,78 @@ func TestFuseRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, op := range []ir.Op{ir.OpFusedIdx1Load, ir.OpFusedIdx1LoadF64Mul,
-		ir.OpFusedIdx2Load, ir.OpFusedIdx2LoadF64Mul, ir.OpFusedIdx3LoadF64Mul} {
+	for op := ir.OpFusedIdx1Load; op.IsIndexed() || op == ir.OpFusedGetGetKI64LtSEqzBr; op++ {
 		if !seen[op] {
 			t.Errorf("no kernel fused to %v", op)
+		}
+	}
+}
+
+// TestFuseReductionKeepsLatch: a trailing f64.add joins an indexed load
+// only when it does not head a reduction latch. acc += a[i] stays
+// get acc; fused.idx1+load; fused.f64.add+set+inc.i64.add+br — three
+// dispatches — where taking the f64.add into the load would leave the
+// latch's set, induction step and back edge three more. Without the
+// back edge the same f64.add joins.
+func TestFuseReductionKeepsLatch(t *testing.T) {
+	const acc, a, i = 0, 1, 2
+	body := []ir.Instr{
+		{Op: ir.OpLocalGet, A: acc},
+		{Op: ir.OpLocalGet, A: a},
+		{Op: ir.OpLocalGet, A: i},
+		{Op: ir.OpConst, A: 8},
+		{Op: ir.OpNumericBase + ir.Op(wasm.OpI64Mul)},
+		{Op: ir.OpNumericBase + ir.Op(wasm.OpI64Add)},
+		{Op: ir.OpLoadB64, B: ir.PackMem(8, wasm.OpF64Load)},
+		{Op: ir.OpNumericBase + ir.Op(wasm.OpF64Add)},
+		{Op: ir.OpLocalSet, A: acc},
+	}
+	latch := []ir.Instr{
+		{Op: ir.OpLocalGet, A: i},
+		{Op: ir.OpConst, A: 1},
+		{Op: ir.OpNumericBase + ir.Op(wasm.OpI64Add)},
+		{Op: ir.OpLocalSet, A: i},
+		{Op: ir.OpBr, B: 0},
+	}
+	ops := func(code []ir.Instr) []ir.Op {
+		code = append(append([]ir.Instr{}, code...), ir.Instr{Op: ir.OpRetEnd})
+		var out []ir.Op
+		for _, in := range fuse.Fuse(&ir.Program{Funcs: []ir.Func{{Code: code}}}, nil).Funcs[0].Code {
+			out = append(out, in.Op)
+		}
+		return out
+	}
+	want := []ir.Op{ir.OpLocalGet, ir.OpFusedIdx1Load, ir.OpFusedF64AddSetI64IncBr, ir.OpRetEnd}
+	if got := ops(append(append([]ir.Instr{}, body...), latch...)); !reflect.DeepEqual(got, want) {
+		t.Errorf("acc += a[i] loop fused to %v, want %v", got, want)
+	}
+	want = []ir.Op{ir.OpLocalGet, ir.OpFusedIdx1LoadF64Add, ir.OpLocalSet, ir.OpRetEnd}
+	if got := ops(body); !reflect.DeepEqual(got, want) {
+		t.Errorf("acc += a[i] without a back edge fused to %v, want %v", got, want)
+	}
+}
+
+// BenchmarkFuse times the fuse pass alone over the 25 polybench kernels
+// lowered under full Cage — the pass is on every cold start's path.
+func BenchmarkFuse(b *testing.B) {
+	feats := core.CageAll()
+	var progs []*ir.Program
+	for _, k := range polybench.Kernels() {
+		m, err := polybench.Build(k, codegen.Options{Wasm64: true, StackSanitizer: true, PtrAuth: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := exec.LowerModule(m, exec.Config{Features: feats})
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, p := range progs {
+			fuse.Fuse(p, nil)
 		}
 	}
 }

@@ -153,7 +153,7 @@ func (op Op) IsStore() bool { return op >= OpStoreG32 && op <= OpStoreG32G }
 const GuardMaxOffset = 1 << 20
 
 // OpFusedBase offsets the superinstruction block: fused opcodes the
-// fuse pass (internal/fuse) rewrites adjacent sequences of two to seven
+// fuse pass (internal/fuse) rewrites adjacent sequences of two to eleven
 // instructions into. Each fused opcode executes its constituent lowered
 // instructions in order — identical semantics, identical trap points,
 // identical timing-model events — in a single dispatch. Branch targets
@@ -194,17 +194,30 @@ const OpFusedBase Op = numNamedOps
 //
 // The indexed loads follow the shapes. Each is a fixed sequence — an
 // i64 address built from locals and one scale constant, then a load,
-// optionally then f64.mul — so its opcode names every constituent and
-// the executor runs it as straight-line code (idx3 without the f64.mul
-// fired nowhere in the polybench kernels, so it has no opcode). They
-// share one encoding, locals in A by position and the scale and memarg
-// offset above the memory pack in B; fields a form does not use are
-// zero:
+// optionally then f64.mul or f64.add — so its opcode names every
+// constituent and the executor runs it as straight-line code (a form
+// and trailing op that fired nowhere in the polybench kernels has no
+// opcode). They share one encoding, locals in A by position and the
+// scale and memarg offset above the memory pack in B; fields a form
+// does not use are zero. The idx1±k forms index with i ± k, k an i32
+// constant extended to i64: A's low 32 bits hold k's raw bits in place
+// of n and j, and the memory pack's ALU byte says i64.add or i64.sub
+// (IdxDelta reads both). OpFusedIdx1 is the idx1 address with no load
+// behind it, the store side of B[i] = …:
 //
-//	OpFusedIdx1Load[F64Mul]  get b; get i; const c; i64.mul; i64.add; load [; f64.mul]
+//	OpFusedIdx1Load[F64Mul|F64Add]  get b; get i; const c; i64.mul; i64.add; load [; f64.mul|f64.add]
 //	OpFusedIdx2Load[F64Mul]  get b; get i; get n; i64.mul; get j; i64.add; const c; i64.mul; i64.add; load [; f64.mul]
 //	OpFusedIdx3LoadF64Mul    get b; get i; get n; i64.mul; const c; i64.mul; i64.add; load; f64.mul
 //	                         A=b<<48|i<<32|n<<16|j, B=c<<48|offset<<32|PackFusedMem(size, variant, 0, memOp)
+//	OpFusedIdx1KLoad[F64Add] get b; get i; const k; i64.extend_i32_s; i64.add|sub; const c; i64.mul; i64.add; load [; f64.add]
+//	                         A=b<<48|i<<32|k, B=c<<48|offset<<32|PackFusedMem(size, variant, add|sub, memOp)
+//	OpFusedIdx1              get b; get i; const c; i64.mul; i64.add       A=b<<48|i<<32, B=c<<48
+//
+// The loop head of `i < n ± k` closes the straight-line block. Like
+// the quintuple head it only matches a zero repair pack:
+//
+//	OpFusedGetGetKI64LtSEqzBr  get x; get y; const k; i64.extend_i32_s; i64.add|sub; i64.lt_s; i32.eqz; br_if
+//	                           A=x<<48|y<<32|k, B=PackFusedBranch(add|sub, target)
 //
 // The two loop-shaped quintuples (OpFusedGetGetCmpEqzBr heads,
 // OpFusedIncBr latches) only match branches with a zero repair pack
@@ -253,12 +266,18 @@ const (
 	OpFusedConstALUALULoadALU
 	OpFusedALUSetIncBr
 
-	// Indexed loads (address = b + (i[·n][+j])·c, see above).
+	// Indexed loads (address = b + (i[·n][+j] | i±k)·c, see above), the
+	// bare idx1 address, and the i < n ± k head.
 	OpFusedIdx1Load
 	OpFusedIdx1LoadF64Mul
 	OpFusedIdx2Load
 	OpFusedIdx2LoadF64Mul
 	OpFusedIdx3LoadF64Mul
+	OpFusedIdx1LoadF64Add
+	OpFusedIdx1KLoad
+	OpFusedIdx1KLoadF64Add
+	OpFusedIdx1
+	OpFusedGetGetKI64LtSEqzBr
 
 	// Idioms, in order of dynamic share over the polybench kernels. A new
 	// one is appended here — inside the fused block, so the dispatch
@@ -292,6 +311,10 @@ const (
 // IsFused reports whether op is a fused superinstruction.
 func (op Op) IsFused() bool { return op >= OpFusedBase && op < endFusedOps }
 
+// IsIndexed reports whether op is an indexed load or OpFusedIdx1, the
+// address of one without the load.
+func (op Op) IsIndexed() bool { return op >= OpFusedIdx1Load && op <= OpFusedIdx1 }
+
 // IsFusedBranch reports whether op is a fused superinstruction that ends
 // in a branch, whose absolute target is packed in B (PackFusedBranch).
 func (op Op) IsFusedBranch() bool {
@@ -300,7 +323,7 @@ func (op Op) IsFusedBranch() bool {
 	}
 	switch op {
 	case OpFusedSetBr, OpFusedCmpBrIf, OpFusedCmpBrIfZ, OpFusedCmpEqzBrIf,
-		OpFusedGetGetCmpEqzBr, OpFusedIncBr, OpFusedALUSetIncBr:
+		OpFusedGetGetCmpEqzBr, OpFusedIncBr, OpFusedALUSetIncBr, OpFusedGetGetKI64LtSEqzBr:
 		return true
 	}
 	return false
@@ -358,6 +381,18 @@ func IdxScale(b uint64) uint64 { return b >> 48 }
 
 // IdxOffset unpacks an indexed load's memarg offset.
 func IdxOffset(b uint64) uint64 { return (b >> 32) & 0xFFFF }
+
+// IdxDelta returns what an idx1±k form or the i < n ± k head adds to
+// its index: the i32 constant k in a's low 32 bits, sign-extended, and
+// negated when alu is i64.sub. The sum wraps like the constituents'
+// i64.add / i64.sub, so every k is exact, 0x80000000 included.
+func IdxDelta(a uint64, alu wasm.Opcode) uint64 {
+	d := uint64(int64(int32(a)))
+	if alu == wasm.OpI64Sub {
+		return -d
+	}
+	return d
+}
 
 // PackFusedBranch packs a fused branch's auxiliary field (the local
 // index of OpFusedSetBr, the ALU opcode of OpFusedCmpBrIf*) above its
@@ -424,6 +459,11 @@ var opNames = [...]string{
 	OpFusedIdx2Load:           "fused.idx2+load",
 	OpFusedIdx2LoadF64Mul:     "fused.idx2+load+f64.mul",
 	OpFusedIdx3LoadF64Mul:     "fused.idx3+load+f64.mul",
+	OpFusedIdx1LoadF64Add:     "fused.idx1+load+f64.add",
+	OpFusedIdx1KLoad:          "fused.idx1±k+load",
+	OpFusedIdx1KLoadF64Add:    "fused.idx1±k+load+f64.add",
+	OpFusedIdx1:               "fused.idx1",
+	OpFusedGetGetKI64LtSEqzBr: "fused.get+get+k+i64.lt_s+eqz+br_if",
 
 	OpFusedConstI64MulAdd:           "fused.const+i64.mul+i64.add",
 	OpFusedConstI64MulAddLoadF64Mul: "fused.const+i64.mul+i64.add+load+f64.mul",
@@ -543,9 +583,15 @@ func (in Instr) String() string {
 		return fmt.Sprintf("%s offset=%d size=%d (%s)",
 			in.Op, uint32(in.A), FusedMemSize(in.B), FusedMemOp(in.B))
 	case OpFusedIdx1Load, OpFusedIdx1LoadF64Mul, OpFusedIdx2Load, OpFusedIdx2LoadF64Mul,
-		OpFusedIdx3LoadF64Mul:
+		OpFusedIdx3LoadF64Mul, OpFusedIdx1LoadF64Add:
 		return fmt.Sprintf("%s offset=%d size=%d (%s)",
 			in.Op, IdxOffset(in.B), FusedMemSize(in.B), FusedMemOp(in.B))
+	case OpFusedIdx1KLoad, OpFusedIdx1KLoadF64Add:
+		return fmt.Sprintf("%s k=%+d offset=%d size=%d (%s)", in.Op, int64(IdxDelta(in.A, FusedMemALU(in.B))),
+			IdxOffset(in.B), FusedMemSize(in.B), FusedMemOp(in.B))
+	case OpFusedGetGetKI64LtSEqzBr:
+		return fmt.Sprintf("%s k=%+d ->%d", in.Op,
+			int64(IdxDelta(in.A, wasm.Opcode(FusedBranchAux(in.B)))), FusedBranchTarget(in.B))
 	}
 	if in.Op.IsFused() {
 		return in.Op.String()
@@ -696,25 +742,45 @@ func (in Instr) Constituents() []Instr {
 			{Op: OpBr, B: uint64(FusedBranchTarget(in.B))},
 		}
 	case OpFusedIdx1Load, OpFusedIdx1LoadF64Mul, OpFusedIdx2Load, OpFusedIdx2LoadF64Mul,
-		OpFusedIdx3LoadF64Mul:
+		OpFusedIdx3LoadF64Mul, OpFusedIdx1LoadF64Add, OpFusedIdx1KLoad, OpFusedIdx1KLoadF64Add,
+		OpFusedIdx1:
 		get := func(shift uint) Instr { return Instr{Op: OpLocalGet, A: (in.A >> shift) & 0xFFFF} }
 		var seq []Instr
 		switch in.Op {
-		case OpFusedIdx1Load, OpFusedIdx1LoadF64Mul:
-			seq = []Instr{get(48), get(32)}
 		case OpFusedIdx2Load, OpFusedIdx2LoadF64Mul:
 			seq = []Instr{get(48), get(32), get(16), num(wasm.OpI64Mul), get(0), num(wasm.OpI64Add)}
-		default:
+		case OpFusedIdx3LoadF64Mul:
 			seq = []Instr{get(48), get(32), get(16), num(wasm.OpI64Mul)}
+		case OpFusedIdx1KLoad, OpFusedIdx1KLoadF64Add:
+			seq = []Instr{get(48), get(32), {Op: OpConst, A: uint64(uint32(in.A))},
+				num(wasm.OpI64ExtendI32S), num(FusedMemALU(in.B))}
+		default:
+			seq = []Instr{get(48), get(32)}
 		}
-		seq = append(seq,
-			Instr{Op: OpConst, A: IdxScale(in.B)}, num(wasm.OpI64Mul), num(wasm.OpI64Add),
-			Instr{Op: FusedMemVariant(in.B), A: IdxOffset(in.B),
-				B: PackMem(FusedMemSize(in.B), FusedMemOp(in.B))})
-		if in.Op == OpFusedIdx1LoadF64Mul || in.Op == OpFusedIdx2LoadF64Mul || in.Op == OpFusedIdx3LoadF64Mul {
+		seq = append(seq, Instr{Op: OpConst, A: IdxScale(in.B)}, num(wasm.OpI64Mul), num(wasm.OpI64Add))
+		if in.Op == OpFusedIdx1 {
+			return seq
+		}
+		seq = append(seq, Instr{Op: FusedMemVariant(in.B), A: IdxOffset(in.B),
+			B: PackMem(FusedMemSize(in.B), FusedMemOp(in.B))})
+		switch in.Op {
+		case OpFusedIdx1LoadF64Mul, OpFusedIdx2LoadF64Mul, OpFusedIdx3LoadF64Mul:
 			seq = append(seq, num(wasm.OpF64Mul))
+		case OpFusedIdx1LoadF64Add, OpFusedIdx1KLoadF64Add:
+			seq = append(seq, num(wasm.OpF64Add))
 		}
 		return seq
+	case OpFusedGetGetKI64LtSEqzBr:
+		return []Instr{
+			{Op: OpLocalGet, A: in.A >> 48},
+			{Op: OpLocalGet, A: (in.A >> 32) & 0xFFFF},
+			{Op: OpConst, A: uint64(uint32(in.A))},
+			num(wasm.OpI64ExtendI32S),
+			num(wasm.Opcode(FusedBranchAux(in.B))),
+			num(wasm.OpI64LtS),
+			num(wasm.OpI32Eqz),
+			{Op: OpBrIf, B: uint64(FusedBranchTarget(in.B))},
+		}
 	}
 	return nil
 }
