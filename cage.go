@@ -342,7 +342,8 @@ func NewRuntime(cfg Config) *Runtime {
 // available — 64-bit Linux whose kernel grants one — and backs guard32
 // memories, "bounds" otherwise). The second result is a constant, a
 // benchmark-only leftover of the env line benchmark/main.go prints
-// (ROADMAP item 5): every program is fused, and fusion has one mode.
+// (ROADMAP, "Unblock the parked deletions"): every program is fused, and
+// fusion has one mode.
 func (rt *Runtime) DispatchMode() (memory, fusion string) {
 	memory = "bounds"
 	if vmem.Supported() {

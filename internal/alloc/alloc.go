@@ -121,9 +121,6 @@ func (a *Allocator) Restore(s HeapState) {
 // Hardened reports whether allocations are tagged.
 func (a *Allocator) Hardened() bool { return a.hardened }
 
-// HeapBytes returns the total bytes the heap has claimed.
-func (a *Allocator) HeapBytes() uint64 { return a.heapEnd - a.heapStart }
-
 // align16 rounds n up to a multiple of 16.
 func align16(n uint64) uint64 { return (n + 15) &^ 15 }
 
@@ -346,15 +343,6 @@ func (a *Allocator) readHeader(hdr uint64) (payload uint64, free bool, err error
 		return 0, false, fmt.Errorf("%w: corrupt allocator metadata at %#x", ErrInvalidFree, hdr)
 	}
 	return (word &^ headerMagic) >> 1, word&1 == 1, nil
-}
-
-// MetadataOverhead reports live metadata bytes per live payload byte,
-// used by the §7.3 memory-overhead accounting.
-func (a *Allocator) MetadataOverhead() float64 {
-	if a.InUse == 0 {
-		return 0
-	}
-	return float64(a.Meta) / float64(a.InUse)
 }
 
 // TagStorageOverhead is MTE's architectural tag-storage cost: 4 bits per

@@ -95,6 +95,16 @@ func (m *meter) check(ctr *arch.Counter) error {
 	return nil
 }
 
+// quiet reports that check has nothing to find without looking
+// further: a lone meter (no outer call's bounds to enforce) with no
+// fuel budget whose context has not ended — every cancellable call
+// without fuel, at every checkpoint until its context ends. It is small
+// enough to inline into the dispatch loop, which calls check only when
+// quiet is false.
+func (m *meter) quiet() bool {
+	return m.parent == nil && m.fuelLimit == 0 && !m.interrupted.Load()
+}
+
 // checkSync is check plus a direct ctx.Err() poll of every meter in
 // the chain. The atomic interrupted flag is set by a watcher goroutine
 // (context.AfterFunc), so immediately after a context fires there is a

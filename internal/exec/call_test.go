@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -194,10 +195,17 @@ func TestInvokeWithStackDepth(t *testing.T) {
 }
 
 // TestNestedInvokeWithDoesNotMaskOuterDeadline: a host callback that
-// re-enters InvokeWith with its own meter (here a large fuel budget on
-// a background context) must not shadow the outer call's deadline —
-// checkpoints walk the meter chain.
+// re-enters InvokeWith with its own meter — a large fuel budget on a
+// background context, or a cancellable context of its own and no fuel,
+// the meter the inline quiet poll would let pass alone — must not
+// shadow the outer call's deadline: checkpoints walk the meter chain.
 func TestNestedInvokeWithDoesNotMaskOuterDeadline(t *testing.T) {
+	for _, fuel := range []uint64{100_000_000, 0} {
+		t.Run(fmt.Sprintf("inner fuel %d", fuel), func(t *testing.T) { testNestedDeadline(t, fuel) })
+	}
+}
+
+func testNestedDeadline(t *testing.T, innerFuel uint64) {
 	m := &wasm.Module{}
 	tVoid := m.AddType(wasm.FuncType{})
 	tI64 := m.AddType(wasm.FuncType{Results: []wasm.ValType{wasm.I64}})
@@ -223,11 +231,15 @@ func TestNestedInvokeWithDoesNotMaskOuterDeadline(t *testing.T) {
 	linker.Define("env", "reenter", HostFunc{
 		Type: wasm.FuncType{},
 		Fn: func(hc *HostContext, _ []uint64) ([]uint64, error) {
-			// A bounded-but-large inner budget: if the chain is broken
-			// the outer deadline is ignored until this runs dry, and the
-			// test observes the wrong trap code instead of hanging.
-			_, err := hc.Instance().InvokeWith(context.Background(), "spin", nil,
-				CallOptions{Fuel: 100_000_000})
+			// A bounded-but-large inner budget, or deadline: if the chain
+			// is broken the outer deadline is ignored until this one
+			// ends, and the test fails instead of hanging.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if innerFuel != 0 {
+				ctx = context.Background()
+			}
+			_, err := hc.Instance().InvokeWith(ctx, "spin", nil, CallOptions{Fuel: innerFuel})
 			return nil, err
 		},
 	})

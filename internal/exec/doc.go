@@ -59,12 +59,9 @@
 // internal/ir numbers as one contiguous block, and takes the numerics
 // through `default` into a second switch on the (single-byte, dense)
 // wasm opcode; the shared fusedALU block switches on aluKind[op]
-// (fused.go), not on the wasm opcode; the fused tail switch lists fused
-// opcodes only; and a tag-checked access is one call from its handler:
-// fusedMemLoad / fusedMemStore table-jump straight to the variant's
-// address function, and addrMTE / addrB64 inline mte.Allows — two
-// tag-byte compares — in front of CheckAccess, which stays the slow
-// path that builds or latches the fault.
+// (fused.go), not on the wasm opcode; and the fused tail switch and the
+// load block's switch on what a load's opcode does with its value list
+// fused opcodes only.
 //
 // To see what the compiler made of it on linux/amd64:
 //
@@ -72,8 +69,8 @@
 //	go tool objdump -s 'exec\.\(\*Instance\)\.run$' /tmp/cage-serve |
 //	    grep -cE 'JMP 0\([A-Z0-9]+\)\([A-Z0-9]+\*8\)'
 //
-// prints 4 (main switch, numeric default switch, fusedALU kind switch,
-// fused tail switch); CI fails below that, and ir.TestOpSpaceDense and
+// prints 5 (main switch, numeric default switch, fusedALU kind switch,
+// fused tail switch, load block); CI fails below 4, and ir.TestOpSpaceDense and
 // TestFusedALUKindsMatchSlowPath pin the two tables. Tried and moved
 // nothing, so nobody repeats them: splitting run into an outer
 // per-frame loop and an inner dispatch loop (halves the loop-head
@@ -97,8 +94,8 @@
 // result — no goto fusedALU, no switch on an ALU opcode, the operand
 // stack untouched in between. The same iteration is 9 table jumps: the
 // seven dispatches and the two loads' memory variant, which stays a
-// run-time field behind fusedMemLoad (inlining that variant switch into
-// the three load idioms measured the same and tripled their code). Over
+// run-time field of the shared load block (inlining that variant switch
+// into the three load idioms measured the same and tripled their code). Over
 // the 25 polybench kernels and the Fig. 15 ptr-auth 2mm under `full`,
 // 85 % of the ALU constituents executed inside fused ops now run in an
 // idiom case. The fusedALU block is what is left for every tuple
@@ -106,17 +103,20 @@
 // does not inline take inst.numeric,
 // as an unfused instruction would. An idiom is identical to its
 // constituent sequence in results, traps, trap text, event totals and
-// interrupt checkpoints (TestIdiomsMatchConstituents), with one
-// exception no site can be held to: f64.add / f64.mul of two different
-// NaNs keep the payload of whichever operand the compiled instruction
-// names first, and the compiler picks that per site.
+// interrupt checkpoints (TestIdiomsMatchConstituents), NaN payloads
+// included: hardware keeps the NaN of whichever operand the compiled
+// instruction names first, and for f64.add and f64.mul the compiler
+// picks that order per site, so every f64 add, sub and mul in run tests
+// its result and, for a NaN, calls f64NaN (interp.go) — the first NaN
+// operand, quieted — which numeric applies to every binary float op.
+// TestNaNRule pins the rule on both paths.
 //
 // Cheap dispatches left the number of them as the cost. The indexed
 // loads (ir.OpFusedIdx1Load and family) fold a whole address built from
 // locals, its load and a trailing f64.mul or f64.add into one
 // straight-line case that reads the locals straight into the address —
-// no operand-stack traffic until the result — and loads through
-// fusedMemLoad, so the MTE tag check, bounds check and trap point are
+// no operand-stack traffic until the result — and loads through the
+// load block, so the MTE tag check, bounds check and trap point are
 // the unfused load's. The idx1±k forms add ir.IdxDelta — the i32
 // constant k sign-extended, negated for i64.sub — to the index in the
 // constituents' wrap arithmetic; fused.idx1 pushes the address alone,
@@ -133,6 +133,46 @@
 // counted instruction (the EvFence delta), so nothing in run is
 // instrumented.
 //
+// A fourth rule is Go's, not ours: nothing of real size inlines into
+// run. `go build -gcflags=-m=2 ./internal/exec` reports "function
+// (*Instance).run considered 'big'; reducing max cost of inlinees": in
+// a function that large the inliner takes only callees of cost ≤ 20, so
+// readScalar (34), extendLoad (56), writeScalar (35), dirtySet.mark
+// (38), mte.Allows (51) and even binary.LittleEndian.Uint64 are real
+// calls there, and Go's ABI has no callee-saved registers, so each call
+// also reloads the loop's live state. A fused load under `full` was the
+// chain run → fusedMemLoad → addrMTE → readScalar, extendLoad. Hence
+// run has one access block per direction, reached by goto like
+// fusedALU: every load constituent — the specialized loads, the
+// indexed forms, the load idioms and the shapes' load — sets memIdx,
+// memOff and the memory pack and jumps to `load`; every store to
+// `store`. The block open-codes the accepting case of the hot variants
+// for 4- and 8-byte accesses: MTE masks the index, adds the tagged heap
+// base and compares the first and last granule's tag through
+// mte.Memory.Granules (cost 8), B64 is the bounds compare, B64Tag both,
+// G32 the limit compare and G32G the guard-region access; the bytes
+// are moved by a spelled-out little-endian expression the compiler
+// merges into one MOVQ/MOVL, and a store ORs its first and last page
+// into the dirty set. An accepted access charges exactly what its
+// address function would. Everything else — a miss, a trap, a 1- or
+// 2-byte access, the NC variants of the buggy-lowering demo, a tag
+// mismatch that async or disabled checking would let through — calls
+// fusedMemLoad / fusedMemStore, which table-jump to the address
+// functions, so addrG32, addrB64 and addrMTE stay the one definition of
+// semantics, events and traps (TestAccessBlocksMatchAddressFunctions
+// holds the open-coded half to them over random accesses and tag
+// layouts). After the value, the load block switches on the opcode for
+// its trailing f64.mul, f64.add or f64.sub, or hands a shape's ALU to
+// fusedALU. The same budget shapes the checkpoints: a taken branch
+// repairs the stack inline — a loop back-edge carries no values, so
+// its repair is one truncation — and polls the meter through
+// meter.quiet (cost 20), calling meter.check only for a fuel budget, an
+// ended context or a nested call. Each branch keeps its own copy of
+// that tail: one shared block for it, reached by goto, cost gemm 12 %.
+// CI fails if run calls readScalar, extendLoad, writeScalar,
+// dirtySet.mark or branchRepair, or if quiet or Granules stop
+// inlining into it.
+//
 // # Interruption points
 //
 // InvokeWith is the bounded-call entry (call.go): it arms a per-call
@@ -147,7 +187,11 @@
 // recycle interrupted instances normally. When no context cancellation
 // and no fuel budget apply, the meter is nil and every checkpoint
 // degenerates to a single never-taken pointer test — the zero-cost nop
-// variant that keeps unmetered dispatch at full speed.
+// variant that keeps unmetered dispatch at full speed. A call with a
+// cancellable context and no fuel (every cage-serve request) has a
+// meter, and its checkpoints read three fields inline (meter.quiet: no
+// outer call, no fuel, not interrupted) and call meter.check only once
+// one of them says there is something to find.
 //
 // # Host functions and the privilege model
 //
@@ -312,8 +356,8 @@
 // not the 0.4 MB per 6.6 MB memory a whole tag image took. What is still
 // O(memory): memory.grow on heap storage copies the old memory, and
 // MarkMemoryDirty or a pinned instance restores every page.
-// Kernel-provided dirty bits on guard mappings (ROADMAP item 1) would
-// take the marking out of the opcodes' hands.
+// Kernel-provided dirty bits on guard mappings (ROADMAP, "Memory and
+// birth leftovers") would take the marking out of the opcodes' hands.
 //
 // # PAC modifiers across lifetimes
 //

@@ -8,7 +8,9 @@ import (
 
 	"cage/internal/arch"
 	"cage/internal/ir"
+	"cage/internal/mte"
 	"cage/internal/pac"
+	"cage/internal/ptrlayout"
 	"cage/internal/wasm"
 )
 
@@ -209,15 +211,6 @@ func (inst *Instance) callHost(idx int, args []uint64) ([]uint64, error) {
 	return res, nil
 }
 
-// branchRepair applies a branch's precomputed stack repair: carry the
-// top arity values, truncate to the recorded height, in place.
-func branchRepair(stack []uint64, keep, arity int) []uint64 {
-	if arity > 0 {
-		copy(stack[keep:keep+arity], stack[len(stack)-arity:])
-	}
-	return stack[:keep+arity]
-}
-
 // run drives the frame machine until the activation that entered at
 // barrier returns: one flat dispatch loop over the pre-resolved
 // instruction stream of whichever frame is on top. There is no control
@@ -239,7 +232,8 @@ func (inst *Instance) run(barrier int) error {
 	// mtr is the per-call interruption meter, nil for unbounded calls:
 	// every taken branch below (the superset of loop back-edges) and
 	// every call is an interrupt checkpoint, and the unmetered variant
-	// of that checkpoint is a single never-taken nil test.
+	// of that checkpoint is a single never-taken nil test; a metered one
+	// calls check only when the inlined quiet test fails.
 	mtr := inst.meter
 	entry := &inst.frames[len(inst.frames)-1]
 	code := entry.fn.Code
@@ -261,6 +255,12 @@ func (inst *Instance) run(barrier int) error {
 	// whenever the main switch dispatches.
 	var aluOp wasm.Opcode
 	var aluNext uint32
+	// The shared access blocks' operands, set by every memory
+	// constituent before it jumps there: the index and memarg offset of
+	// a load, and for both directions the memory pack (PackFusedMem:
+	// size, specialized variant, wasm opcode). A store's index and value
+	// are the top two stack slots and its offset in.A.
+	var memIdx, memOff, memB uint64
 
 	for {
 		in := &code[pc]
@@ -272,11 +272,23 @@ func (inst *Instance) run(barrier int) error {
 			pc = int(in.B)
 			continue
 
+		// A taken branch applies its stack repair in place — carry the
+		// top n values down to height keep; a loop back-edge carries none,
+		// so its repair is one truncation — and is an interrupt
+		// checkpoint. quiet, inlined, answers for a meter that check
+		// would pass without looking further, so only a fuel budget, an
+		// ended context or a nested call pays the call. Every branch
+		// below, fused or not, repeats this inline: one shared block for
+		// it cost gemm 12 %.
 		case ir.OpBr:
 			ctr.Add(arch.EvBranch, 1)
-			stack = branchRepair(stack, ir.BranchKeep(in.A), ir.BranchArity(in.A))
+			keep, n := ir.BranchKeep(in.A), ir.BranchArity(in.A)
+			if n != 0 {
+				copy(stack[keep:keep+n], stack[len(stack)-n:])
+			}
+			stack = stack[:keep+n]
 			pc = int(in.B)
-			if mtr != nil {
+			if mtr != nil && !mtr.quiet() {
 				if err := mtr.check(ctr); err != nil {
 					return err
 				}
@@ -288,9 +300,13 @@ func (inst *Instance) run(barrier int) error {
 			c := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if uint32(c) != 0 {
-				stack = branchRepair(stack, ir.BranchKeep(in.A), ir.BranchArity(in.A))
+				keep, n := ir.BranchKeep(in.A), ir.BranchArity(in.A)
+				if n != 0 {
+					copy(stack[keep:keep+n], stack[len(stack)-n:])
+				}
+				stack = stack[:keep+n]
 				pc = int(in.B)
-				if mtr != nil {
+				if mtr != nil && !mtr.quiet() {
 					if err := mtr.check(ctr); err != nil {
 						return err
 					}
@@ -299,16 +315,16 @@ func (inst *Instance) run(barrier int) error {
 			}
 
 		case ir.OpBrIfZ:
+			// Taken BrIfZ is a branch like any other and therefore an
+			// interrupt checkpoint; skipping it would let a loop whose
+			// only taken edges are if-conditionals outrun WithTimeout and
+			// WithFuel. It repairs nothing: the height stays.
 			ctr.Add(arch.EvBranch, 1)
 			c := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if uint32(c) == 0 {
 				pc = int(in.B)
-				// Taken BrIfZ is a branch like any other and therefore an
-				// interrupt checkpoint; skipping it would let a loop whose
-				// only taken edges are if-conditionals outrun WithTimeout
-				// and WithFuel.
-				if mtr != nil {
+				if mtr != nil && !mtr.quiet() {
 					if err := mtr.check(ctr); err != nil {
 						return err
 					}
@@ -325,9 +341,13 @@ func (inst *Instance) run(barrier int) error {
 			if uint64(i) < uint64(len(ts)-1) {
 				t = ts[i]
 			}
-			stack = branchRepair(stack, int(t.Keep), int(t.Arity))
+			keep, n := int(t.Keep), int(t.Arity)
+			if n != 0 {
+				copy(stack[keep:keep+n], stack[len(stack)-n:])
+			}
+			stack = stack[:keep+n]
 			pc = int(t.PC)
-			if mtr != nil {
+			if mtr != nil && !mtr.quiet() {
 				if err := mtr.check(ctr); err != nil {
 					return err
 				}
@@ -470,170 +490,22 @@ func (inst *Instance) run(barrier int) error {
 		case ir.OpPtrAuthNop:
 			ctr.Add(arch.EvPACAuth, 1)
 
-		// Loads, specialized per address-translation mode at lower time.
-		case ir.OpLoadG32:
+		// Loads and stores, specialized per address-translation mode at
+		// lower time: the operands go to the shared access blocks at the
+		// bottom of the loop, which every memory constituent of a fused
+		// op reaches too.
+		case ir.OpLoadG32, ir.OpLoadG32NC, ir.OpLoadB64, ir.OpLoadB64NC, ir.OpLoadB64Tag,
+			ir.OpLoadB64NCTag, ir.OpLoadMTE, ir.OpLoadMTENC, ir.OpLoadG32G:
 			ctr.Add(arch.EvLoad, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrG32(stack[len(stack)-1], in.A, sz, inst.memSize, false)
-			if err != nil {
-				return err
-			}
-			stack[len(stack)-1] = extendLoad(ir.MemOp(in.B), readScalar(inst.mem, addr, sz))
-		case ir.OpLoadG32NC:
-			ctr.Add(arch.EvLoad, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrG32(stack[len(stack)-1], in.A, sz, uint64(len(inst.mem)), false)
-			if err != nil {
-				return err
-			}
-			stack[len(stack)-1] = extendLoad(ir.MemOp(in.B), readScalar(inst.mem, addr, sz))
-		case ir.OpLoadB64:
-			ctr.Add(arch.EvLoad, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrB64(stack[len(stack)-1], in.A, sz, false, true, false)
-			if err != nil {
-				return err
-			}
-			stack[len(stack)-1] = extendLoad(ir.MemOp(in.B), readScalar(inst.mem, addr, sz))
-		case ir.OpLoadB64NC:
-			ctr.Add(arch.EvLoad, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrB64(stack[len(stack)-1], in.A, sz, false, false, false)
-			if err != nil {
-				return err
-			}
-			stack[len(stack)-1] = extendLoad(ir.MemOp(in.B), readScalar(inst.mem, addr, sz))
-		case ir.OpLoadB64Tag:
-			ctr.Add(arch.EvLoad, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrB64(stack[len(stack)-1], in.A, sz, false, true, true)
-			if err != nil {
-				return err
-			}
-			stack[len(stack)-1] = extendLoad(ir.MemOp(in.B), readScalar(inst.mem, addr, sz))
-		case ir.OpLoadB64NCTag:
-			ctr.Add(arch.EvLoad, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrB64(stack[len(stack)-1], in.A, sz, false, false, true)
-			if err != nil {
-				return err
-			}
-			stack[len(stack)-1] = extendLoad(ir.MemOp(in.B), readScalar(inst.mem, addr, sz))
-		case ir.OpLoadMTE:
-			ctr.Add(arch.EvLoad, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrMTE(stack[len(stack)-1], in.A, sz, false, true)
-			if err != nil {
-				return err
-			}
-			stack[len(stack)-1] = extendLoad(ir.MemOp(in.B), readScalar(inst.mem, addr, sz))
-		case ir.OpLoadMTENC:
-			ctr.Add(arch.EvLoad, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrMTE(stack[len(stack)-1], in.A, sz, false, false)
-			if err != nil {
-				return err
-			}
-			stack[len(stack)-1] = extendLoad(ir.MemOp(in.B), readScalar(inst.mem, addr, sz))
-		case ir.OpLoadG32G:
-			// Guard-region load: no Go-level bounds check at all. gmem is
-			// the full 4 GiB+headroom reservation, so the index math can
-			// never trip a slice bound; an uncommitted page faults in the
-			// MMU and runProtected converts it to TrapOutOfBounds. Event
-			// accounting matches OpLoadG32 exactly (guard32 charges no
-			// per-access check events either way).
-			ctr.Add(arch.EvLoad, 1)
-			addr := uint64(uint32(stack[len(stack)-1])) + in.A
-			stack[len(stack)-1] = extendLoad(ir.MemOp(in.B),
-				readScalar(inst.gmem, addr, ir.MemSize(in.B)))
-
-		// Stores, same specialization.
-		case ir.OpStoreG32:
+			memIdx, memOff = stack[len(stack)-1], in.A
+			memB = ir.PackFusedMem(ir.MemSize(in.B), in.Op, 0, ir.MemOp(in.B))
+			stack = stack[:len(stack)-1]
+			goto load
+		case ir.OpStoreG32, ir.OpStoreG32NC, ir.OpStoreB64, ir.OpStoreB64NC, ir.OpStoreB64Tag,
+			ir.OpStoreB64NCTag, ir.OpStoreMTE, ir.OpStoreMTENC, ir.OpStoreG32G:
 			ctr.Add(arch.EvStore, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrG32(stack[len(stack)-2], in.A, sz, inst.memSize, true)
-			if err != nil {
-				return err
-			}
-			writeScalar(inst.mem, addr, sz, stack[len(stack)-1])
-			stack = stack[:len(stack)-2]
-		case ir.OpStoreG32NC:
-			ctr.Add(arch.EvStore, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrG32(stack[len(stack)-2], in.A, sz, uint64(len(inst.mem)), true)
-			if err != nil {
-				return err
-			}
-			writeScalar(inst.mem, addr, sz, stack[len(stack)-1])
-			stack = stack[:len(stack)-2]
-		case ir.OpStoreB64:
-			ctr.Add(arch.EvStore, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrB64(stack[len(stack)-2], in.A, sz, true, true, false)
-			if err != nil {
-				return err
-			}
-			writeScalar(inst.mem, addr, sz, stack[len(stack)-1])
-			stack = stack[:len(stack)-2]
-		case ir.OpStoreB64NC:
-			ctr.Add(arch.EvStore, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrB64(stack[len(stack)-2], in.A, sz, true, false, false)
-			if err != nil {
-				return err
-			}
-			writeScalar(inst.mem, addr, sz, stack[len(stack)-1])
-			stack = stack[:len(stack)-2]
-		case ir.OpStoreB64Tag:
-			ctr.Add(arch.EvStore, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrB64(stack[len(stack)-2], in.A, sz, true, true, true)
-			if err != nil {
-				return err
-			}
-			writeScalar(inst.mem, addr, sz, stack[len(stack)-1])
-			stack = stack[:len(stack)-2]
-		case ir.OpStoreB64NCTag:
-			ctr.Add(arch.EvStore, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrB64(stack[len(stack)-2], in.A, sz, true, false, true)
-			if err != nil {
-				return err
-			}
-			writeScalar(inst.mem, addr, sz, stack[len(stack)-1])
-			stack = stack[:len(stack)-2]
-		case ir.OpStoreMTE:
-			ctr.Add(arch.EvStore, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrMTE(stack[len(stack)-2], in.A, sz, true, true)
-			if err != nil {
-				return err
-			}
-			writeScalar(inst.mem, addr, sz, stack[len(stack)-1])
-			stack = stack[:len(stack)-2]
-		case ir.OpStoreMTENC:
-			ctr.Add(arch.EvStore, 1)
-			sz := ir.MemSize(in.B)
-			addr, err := inst.addrMTE(stack[len(stack)-2], in.A, sz, true, false)
-			if err != nil {
-				return err
-			}
-			writeScalar(inst.mem, addr, sz, stack[len(stack)-1])
-			stack = stack[:len(stack)-2]
-		case ir.OpStoreG32G:
-			// Guard-region store; see OpLoadG32G. The probe read of the
-			// access's last byte makes the store all-or-nothing: if any
-			// byte falls past the committed prefix the probe faults before
-			// the write starts, so a trapped store is never partially
-			// visible, and the dirty mark only ever indexes committed pages.
-			ctr.Add(arch.EvStore, 1)
-			sz := ir.MemSize(in.B)
-			addr := uint64(uint32(stack[len(stack)-2])) + in.A
-			gm := inst.gmem
-			guardProbeSink = gm[addr+sz-1]
-			inst.dirty.mark(addr, sz)
-			writeScalar(gm, addr, sz, stack[len(stack)-1])
-			stack = stack[:len(stack)-2]
+			memB = ir.PackFusedMem(ir.MemSize(in.B), in.Op, 0, ir.MemOp(in.B))
+			goto store
 
 		// Fused superinstructions (internal/fuse): each case executes its
 		// constituents in order with the constituents' exact events and
@@ -643,8 +515,9 @@ func (inst *Instance) run(barrier int) error {
 		// identical (the constituents run one by one), so the frame's
 		// precomputed MaxStack still bounds every append below. The
 		// ALU-carrying cases converge on the fusedALU block at the bottom
-		// of the loop, which runs the constituent without leaving the
-		// dispatch frame.
+		// of the loop, and the memory constituents on the load and store
+		// blocks, which run the constituent without leaving the dispatch
+		// frame.
 		case ir.OpFusedGetGet:
 			ctr.Add(arch.EvLocal, 2)
 			stack = append(stack, locals[in.A], locals[in.B])
@@ -692,9 +565,13 @@ func (inst *Instance) run(barrier int) error {
 			locals[ir.FusedBranchAux(in.B)] = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			ctr.Add(arch.EvBranch, 1)
-			stack = branchRepair(stack, ir.BranchKeep(in.A), ir.BranchArity(in.A))
+			keep, n := ir.BranchKeep(in.A), ir.BranchArity(in.A)
+			if n != 0 {
+				copy(stack[keep:keep+n], stack[len(stack)-n:])
+			}
+			stack = stack[:keep+n]
 			pc = ir.FusedBranchTarget(in.B)
-			if mtr != nil {
+			if mtr != nil && !mtr.quiet() {
 				if err := mtr.check(ctr); err != nil {
 					return err
 				}
@@ -704,23 +581,11 @@ func (inst *Instance) run(barrier int) error {
 			aluOp = wasm.Opcode(ir.FusedBranchAux(in.B))
 			goto fusedALU
 		case ir.OpFusedLoadALU:
-			// Load constituent first: EvLoad, then the guard-region direct
-			// access (no Go-level bounds check; see OpLoadG32G) or the
-			// per-variant translated path out of line.
+			// Load constituent first, then its ALU.
 			ctr.Add(arch.EvLoad, 1)
-			if ir.FusedMemVariant(in.B) == ir.OpLoadG32G {
-				addr := uint64(uint32(stack[len(stack)-1])) + in.A
-				stack[len(stack)-1] = extendLoad(ir.FusedMemOp(in.B),
-					readScalar(inst.gmem, addr, ir.FusedMemSize(in.B)))
-			} else {
-				v, err := inst.fusedMemLoad(in, in.A, stack[len(stack)-1])
-				if err != nil {
-					return err
-				}
-				stack[len(stack)-1] = v
-			}
-			aluOp = ir.FusedMemALU(in.B)
-			goto fusedALU
+			memIdx, memOff, memB = stack[len(stack)-1], in.A, in.B
+			stack = stack[:len(stack)-1]
+			goto load
 		case ir.OpFusedALULoad, ir.OpFusedALUStore:
 			aluOp = ir.FusedMemALU(in.B)
 			goto fusedALU
@@ -766,123 +631,54 @@ func (inst *Instance) run(barrier int) error {
 			goto fusedALU
 
 		// Indexed loads: an i64 address built from locals and the scale
-		// constant, then the load through fusedMemLoad (the unfused
-		// load's address function, events and trap), then the f64.mul
-		// where the opcode names one. The events of everything before the load are charged
-		// up front, merged per event — nothing can observe the counter
-		// between them — and the f64.mul's only once the load has not
-		// trapped.
-		case ir.OpFusedIdx1Load:
+		// constant, then the load block (the unfused load's checks, events
+		// and trap), then the f64.mul or f64.add where the opcode names
+		// one. The events of everything before the load are charged up
+		// front, merged per event — nothing can observe the counter
+		// between them — and the trailing op's, in the load block, only
+		// once the load has not trapped.
+		case ir.OpFusedIdx1Load, ir.OpFusedIdx1LoadF64Mul, ir.OpFusedIdx1LoadF64Add:
 			ctr.Add(arch.EvLocal, 2)
 			ctr.Add(arch.EvConst, 1)
 			ctr.Add(arch.EvMul, 1)
 			ctr.Add(arch.EvALU, 1)
 			ctr.Add(arch.EvLoad, 1)
-			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B),
-				locals[in.A>>48]+locals[(in.A>>32)&0xFFFF]*ir.IdxScale(in.B))
-			if err != nil {
-				return err
-			}
-			stack = append(stack, v)
-		case ir.OpFusedIdx1LoadF64Mul:
-			ctr.Add(arch.EvLocal, 2)
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvMul, 1)
-			ctr.Add(arch.EvALU, 1)
-			ctr.Add(arch.EvLoad, 1)
-			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B),
-				locals[in.A>>48]+locals[(in.A>>32)&0xFFFF]*ir.IdxScale(in.B))
-			if err != nil {
-				return err
-			}
-			ctr.Add(arch.EvFMul, 1)
-			l := len(stack)
-			stack[l-1] = math.Float64bits(math.Float64frombits(stack[l-1]) * math.Float64frombits(v))
-		case ir.OpFusedIdx2Load:
+			memIdx = locals[in.A>>48] + locals[(in.A>>32)&0xFFFF]*ir.IdxScale(in.B)
+			memOff, memB = ir.IdxOffset(in.B), in.B
+			goto load
+		case ir.OpFusedIdx2Load, ir.OpFusedIdx2LoadF64Mul:
 			ctr.Add(arch.EvLocal, 4)
 			ctr.Add(arch.EvConst, 1)
 			ctr.Add(arch.EvMul, 2)
 			ctr.Add(arch.EvALU, 2)
 			ctr.Add(arch.EvLoad, 1)
-			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B), locals[in.A>>48]+
-				(locals[(in.A>>32)&0xFFFF]*locals[(in.A>>16)&0xFFFF]+locals[in.A&0xFFFF])*ir.IdxScale(in.B))
-			if err != nil {
-				return err
-			}
-			stack = append(stack, v)
-		case ir.OpFusedIdx2LoadF64Mul:
-			ctr.Add(arch.EvLocal, 4)
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvMul, 2)
-			ctr.Add(arch.EvALU, 2)
-			ctr.Add(arch.EvLoad, 1)
-			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B), locals[in.A>>48]+
-				(locals[(in.A>>32)&0xFFFF]*locals[(in.A>>16)&0xFFFF]+locals[in.A&0xFFFF])*ir.IdxScale(in.B))
-			if err != nil {
-				return err
-			}
-			ctr.Add(arch.EvFMul, 1)
-			l := len(stack)
-			stack[l-1] = math.Float64bits(math.Float64frombits(stack[l-1]) * math.Float64frombits(v))
+			memIdx = locals[in.A>>48] +
+				(locals[(in.A>>32)&0xFFFF]*locals[(in.A>>16)&0xFFFF]+locals[in.A&0xFFFF])*ir.IdxScale(in.B)
+			memOff, memB = ir.IdxOffset(in.B), in.B
+			goto load
 		case ir.OpFusedIdx3LoadF64Mul:
 			ctr.Add(arch.EvLocal, 3)
 			ctr.Add(arch.EvConst, 1)
 			ctr.Add(arch.EvMul, 2)
 			ctr.Add(arch.EvALU, 1)
 			ctr.Add(arch.EvLoad, 1)
-			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B), locals[in.A>>48]+
-				locals[(in.A>>32)&0xFFFF]*locals[(in.A>>16)&0xFFFF]*ir.IdxScale(in.B))
-			if err != nil {
-				return err
-			}
-			ctr.Add(arch.EvFMul, 1)
-			l := len(stack)
-			stack[l-1] = math.Float64bits(math.Float64frombits(stack[l-1]) * math.Float64frombits(v))
-		case ir.OpFusedIdx1LoadF64Add:
-			ctr.Add(arch.EvLocal, 2)
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvMul, 1)
-			ctr.Add(arch.EvALU, 1)
-			ctr.Add(arch.EvLoad, 1)
-			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B),
-				locals[in.A>>48]+locals[(in.A>>32)&0xFFFF]*ir.IdxScale(in.B))
-			if err != nil {
-				return err
-			}
-			ctr.Add(arch.EvFAdd, 1)
-			l := len(stack)
-			stack[l-1] = math.Float64bits(math.Float64frombits(stack[l-1]) + math.Float64frombits(v))
+			memIdx = locals[in.A>>48] + locals[(in.A>>32)&0xFFFF]*locals[(in.A>>16)&0xFFFF]*ir.IdxScale(in.B)
+			memOff, memB = ir.IdxOffset(in.B), in.B
+			goto load
 		// The idx1±k forms index with i ± k (ir.IdxDelta): the
 		// constituents' i64.extend_i32_s and i64.add|sub, in the same wrap
 		// arithmetic.
-		case ir.OpFusedIdx1KLoad:
+		case ir.OpFusedIdx1KLoad, ir.OpFusedIdx1KLoadF64Add:
 			ctr.Add(arch.EvLocal, 2)
 			ctr.Add(arch.EvConst, 2)
 			ctr.Add(arch.EvConv, 1)
 			ctr.Add(arch.EvMul, 1)
 			ctr.Add(arch.EvALU, 2)
 			ctr.Add(arch.EvLoad, 1)
-			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B), locals[in.A>>48]+
-				(locals[(in.A>>32)&0xFFFF]+ir.IdxDelta(in.A, ir.FusedMemALU(in.B)))*ir.IdxScale(in.B))
-			if err != nil {
-				return err
-			}
-			stack = append(stack, v)
-		case ir.OpFusedIdx1KLoadF64Add:
-			ctr.Add(arch.EvLocal, 2)
-			ctr.Add(arch.EvConst, 2)
-			ctr.Add(arch.EvConv, 1)
-			ctr.Add(arch.EvMul, 1)
-			ctr.Add(arch.EvALU, 2)
-			ctr.Add(arch.EvLoad, 1)
-			v, err := inst.fusedMemLoad(in, ir.IdxOffset(in.B), locals[in.A>>48]+
-				(locals[(in.A>>32)&0xFFFF]+ir.IdxDelta(in.A, ir.FusedMemALU(in.B)))*ir.IdxScale(in.B))
-			if err != nil {
-				return err
-			}
-			ctr.Add(arch.EvFAdd, 1)
-			l := len(stack)
-			stack[l-1] = math.Float64bits(math.Float64frombits(stack[l-1]) + math.Float64frombits(v))
+			memIdx = locals[in.A>>48] +
+				(locals[(in.A>>32)&0xFFFF]+ir.IdxDelta(in.A, ir.FusedMemALU(in.B)))*ir.IdxScale(in.B)
+			memOff, memB = ir.IdxOffset(in.B), in.B
+			goto load
 		case ir.OpFusedIdx1:
 			ctr.Add(arch.EvLocal, 2)
 			ctr.Add(arch.EvConst, 1)
@@ -900,7 +696,7 @@ func (inst *Instance) run(barrier int) error {
 				ir.IdxDelta(in.A, wasm.Opcode(ir.FusedBranchAux(in.B)))) {
 				stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
 				pc = ir.FusedBranchTarget(in.B)
-				if mtr != nil {
+				if mtr != nil && !mtr.quiet() {
 					if err := mtr.check(ctr); err != nil {
 						return err
 					}
@@ -915,7 +711,7 @@ func (inst *Instance) run(barrier int) error {
 		// stack through Go locals to the final stack; the constituents'
 		// events are charged in constituent order (the ones after a
 		// memory constituent only once it has not trapped), and a memory
-		// constituent is the shapes' fusedMemLoad, whose variant stays a
+		// constituent is the shapes' load block, whose variant stays a
 		// run-time field. Immediates are the shape's with the ALU fields
 		// zero.
 		case ir.OpFusedConstI64MulAdd:
@@ -925,45 +721,16 @@ func (inst *Instance) run(barrier int) error {
 			l := len(stack)
 			stack[l-2] += stack[l-1] * in.A
 			stack = stack[:l-1]
-		case ir.OpFusedConstI64MulAddLoadF64Mul:
+		case ir.OpFusedConstI64MulAddLoadF64Mul, ir.OpFusedConstI64MulAddLoadF64Add,
+			ir.OpFusedConstI64MulAddLoadF64Sub:
 			ctr.Add(arch.EvConst, 1)
 			ctr.Add(arch.EvMul, 1)
 			ctr.Add(arch.EvALU, 1)
 			ctr.Add(arch.EvLoad, 1)
 			l := len(stack)
-			v, err := inst.fusedMemLoad(in, uint64(uint32(in.A)), stack[l-2]+stack[l-1]*(in.A>>32))
-			if err != nil {
-				return err
-			}
-			ctr.Add(arch.EvFMul, 1)
-			stack[l-3] = math.Float64bits(math.Float64frombits(stack[l-3]) * math.Float64frombits(v))
+			memIdx, memOff, memB = stack[l-2]+stack[l-1]*(in.A>>32), uint64(uint32(in.A)), in.B
 			stack = stack[:l-2]
-		case ir.OpFusedConstI64MulAddLoadF64Add:
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvMul, 1)
-			ctr.Add(arch.EvALU, 1)
-			ctr.Add(arch.EvLoad, 1)
-			l := len(stack)
-			v, err := inst.fusedMemLoad(in, uint64(uint32(in.A)), stack[l-2]+stack[l-1]*(in.A>>32))
-			if err != nil {
-				return err
-			}
-			ctr.Add(arch.EvFAdd, 1)
-			stack[l-3] = math.Float64bits(math.Float64frombits(stack[l-3]) + math.Float64frombits(v))
-			stack = stack[:l-2]
-		case ir.OpFusedConstI64MulAddLoadF64Sub:
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvMul, 1)
-			ctr.Add(arch.EvALU, 1)
-			ctr.Add(arch.EvLoad, 1)
-			l := len(stack)
-			v, err := inst.fusedMemLoad(in, uint64(uint32(in.A)), stack[l-2]+stack[l-1]*(in.A>>32))
-			if err != nil {
-				return err
-			}
-			ctr.Add(arch.EvFAdd, 1)
-			stack[l-3] = math.Float64bits(math.Float64frombits(stack[l-3]) - math.Float64frombits(v))
-			stack = stack[:l-2]
+			goto load
 		case ir.OpFusedGetGetI64LtSEqzBr:
 			ctr.Add(arch.EvLocal, 2)
 			ctr.Add(arch.EvCmp, 2) // i64.lt_s, i32.eqz
@@ -971,7 +738,7 @@ func (inst *Instance) run(barrier int) error {
 			if int64(locals[in.A>>32]) >= int64(locals[uint32(in.A)]) {
 				stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
 				pc = ir.FusedBranchTarget(in.B)
-				if mtr != nil {
+				if mtr != nil && !mtr.quiet() {
 					if err := mtr.check(ctr); err != nil {
 						return err
 					}
@@ -985,12 +752,17 @@ func (inst *Instance) run(barrier int) error {
 			ctr.Add(arch.EvALU, 1)
 			ctr.Add(arch.EvLocal, 1)
 			ctr.Add(arch.EvBranch, 1)
-			l := len(stack)
-			locals[(in.A>>32)&0xFFFF] = math.Float64bits(math.Float64frombits(stack[l-2]) + math.Float64frombits(stack[l-1]))
+			x, y := stack[len(stack)-2], stack[len(stack)-1]
+			r := math.Float64frombits(x) + math.Float64frombits(y)
+			v := math.Float64bits(r)
+			if r != r {
+				v = f64NaN(x, y, v)
+			}
+			locals[(in.A>>32)&0xFFFF] = v
 			locals[(in.A>>16)&0xFFFF] += (in.A >> 8) & 0xFF
 			stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
 			pc = ir.FusedBranchTarget(in.B)
-			if mtr != nil {
+			if mtr != nil && !mtr.quiet() {
 				if err := mtr.check(ctr); err != nil {
 					return err
 				}
@@ -1003,12 +775,17 @@ func (inst *Instance) run(barrier int) error {
 			ctr.Add(arch.EvALU, 1)
 			ctr.Add(arch.EvLocal, 1)
 			ctr.Add(arch.EvBranch, 1)
-			l := len(stack)
-			locals[(in.A>>32)&0xFFFF] = math.Float64bits(math.Float64frombits(stack[l-2]) - math.Float64frombits(stack[l-1]))
+			x, y := stack[len(stack)-2], stack[len(stack)-1]
+			r := math.Float64frombits(x) - math.Float64frombits(y)
+			v := math.Float64bits(r)
+			if r != r {
+				v = f64NaN(x, y, v)
+			}
+			locals[(in.A>>32)&0xFFFF] = v
 			locals[(in.A>>16)&0xFFFF] += (in.A >> 8) & 0xFF
 			stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
 			pc = ir.FusedBranchTarget(in.B)
-			if mtr != nil {
+			if mtr != nil && !mtr.quiet() {
 				if err := mtr.check(ctr); err != nil {
 					return err
 				}
@@ -1040,7 +817,7 @@ func (inst *Instance) run(barrier int) error {
 			locals[ir.FusedBranchAux(in.B)] += in.A >> 8
 			stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
 			pc = ir.FusedBranchTarget(in.B)
-			if mtr != nil {
+			if mtr != nil && !mtr.quiet() {
 				if err := mtr.check(ctr); err != nil {
 					return err
 				}
@@ -1203,15 +980,30 @@ func (inst *Instance) run(barrier int) error {
 				stack[l-1] = math.Float64bits(float64(int32(stack[l-1])))
 			case wasm.OpF64Add:
 				ctr.Add(arch.EvFAdd, 1)
-				stack[l-2] = math.Float64bits(math.Float64frombits(stack[l-2]) + math.Float64frombits(stack[l-1]))
+				x, y := stack[l-2], stack[l-1]
+				r := math.Float64frombits(x) + math.Float64frombits(y)
+				stack[l-2] = math.Float64bits(r)
+				if r != r {
+					stack[l-2] = f64NaN(x, y, stack[l-2])
+				}
 				stack = stack[:l-1]
 			case wasm.OpF64Sub:
 				ctr.Add(arch.EvFAdd, 1)
-				stack[l-2] = math.Float64bits(math.Float64frombits(stack[l-2]) - math.Float64frombits(stack[l-1]))
+				x, y := stack[l-2], stack[l-1]
+				r := math.Float64frombits(x) - math.Float64frombits(y)
+				stack[l-2] = math.Float64bits(r)
+				if r != r {
+					stack[l-2] = f64NaN(x, y, stack[l-2])
+				}
 				stack = stack[:l-1]
 			case wasm.OpF64Mul:
 				ctr.Add(arch.EvFMul, 1)
-				stack[l-2] = math.Float64bits(math.Float64frombits(stack[l-2]) * math.Float64frombits(stack[l-1]))
+				x, y := stack[l-2], stack[l-1]
+				r := math.Float64frombits(x) * math.Float64frombits(y)
+				stack[l-2] = math.Float64bits(r)
+				if r != r {
+					stack[l-2] = f64NaN(x, y, stack[l-2])
+				}
 				stack = stack[:l-1]
 			default:
 				n, err := inst.numeric(op, stack, l)
@@ -1255,11 +1047,21 @@ func (inst *Instance) run(barrier int) error {
 				stack = stack[:l-1]
 			case aluF64Add:
 				ctr.Add(arch.EvFAdd, 1)
-				stack[l-2] = math.Float64bits(math.Float64frombits(stack[l-2]) + math.Float64frombits(stack[l-1]))
+				x, y := stack[l-2], stack[l-1]
+				r := math.Float64frombits(x) + math.Float64frombits(y)
+				stack[l-2] = math.Float64bits(r)
+				if r != r {
+					stack[l-2] = f64NaN(x, y, stack[l-2])
+				}
 				stack = stack[:l-1]
 			case aluF64Mul:
 				ctr.Add(arch.EvFMul, 1)
-				stack[l-2] = math.Float64bits(math.Float64frombits(stack[l-2]) * math.Float64frombits(stack[l-1]))
+				x, y := stack[l-2], stack[l-1]
+				r := math.Float64frombits(x) * math.Float64frombits(y)
+				stack[l-2] = math.Float64bits(r)
+				if r != r {
+					stack[l-2] = f64NaN(x, y, stack[l-2])
+				}
 				stack = stack[:l-1]
 			case aluI32LtS:
 				ctr.Add(arch.EvCmp, 1)
@@ -1285,7 +1087,12 @@ func (inst *Instance) run(barrier int) error {
 				stack = stack[:l-1]
 			case aluF64Sub:
 				ctr.Add(arch.EvFAdd, 1)
-				stack[l-2] = math.Float64bits(math.Float64frombits(stack[l-2]) - math.Float64frombits(stack[l-1]))
+				x, y := stack[l-2], stack[l-1]
+				r := math.Float64frombits(x) - math.Float64frombits(y)
+				stack[l-2] = math.Float64bits(r)
+				if r != r {
+					stack[l-2] = f64NaN(x, y, stack[l-2])
+				}
 				stack = stack[:l-1]
 			case aluF64ConvertI32S:
 				ctr.Add(arch.EvConv, 1)
@@ -1328,11 +1135,10 @@ func (inst *Instance) run(barrier int) error {
 				// the already-pushed constant) sits before the last one.
 				if aluNext <= 0xFF {
 					ctr.Add(arch.EvLoad, 1)
-					v, err := inst.fusedMemLoad(in, uint64(uint32(in.A)), stack[len(stack)-1])
-					if err != nil {
-						return err
-					}
-					stack[len(stack)-1] = v
+					memIdx, memOff, memB = stack[len(stack)-1], uint64(uint32(in.A)), in.B
+					aluOp, aluNext = wasm.Opcode(aluNext), 0
+					stack = stack[:len(stack)-1]
+					goto load
 				}
 			}
 			aluOp, aluNext = wasm.Opcode(aluNext&0xFF), aluNext>>8
@@ -1345,40 +1151,25 @@ func (inst *Instance) run(barrier int) error {
 			stack = stack[:len(stack)-1]
 		case ir.OpFusedALULoad:
 			ctr.Add(arch.EvLoad, 1)
-			if ir.FusedMemVariant(in.B) == ir.OpLoadG32G {
-				addr := uint64(uint32(stack[len(stack)-1])) + in.A
-				stack[len(stack)-1] = extendLoad(ir.FusedMemOp(in.B),
-					readScalar(inst.gmem, addr, ir.FusedMemSize(in.B)))
-			} else {
-				v, err := inst.fusedMemLoad(in, in.A, stack[len(stack)-1])
-				if err != nil {
-					return err
-				}
-				stack[len(stack)-1] = v
-			}
+			memIdx, memOff, memB = stack[len(stack)-1], in.A, in.B
+			stack = stack[:len(stack)-1]
+			goto load
 		case ir.OpFusedALUStore:
 			ctr.Add(arch.EvStore, 1)
-			if ir.FusedMemVariant(in.B) == ir.OpStoreG32G {
-				// Guard-region store with the all-or-nothing probe; see
-				// OpStoreG32G.
-				sz := ir.FusedMemSize(in.B)
-				addr := uint64(uint32(stack[len(stack)-2])) + in.A
-				gm := inst.gmem
-				guardProbeSink = gm[addr+sz-1]
-				inst.dirty.mark(addr, sz)
-				writeScalar(gm, addr, sz, stack[len(stack)-1])
-			} else if err := inst.fusedMemStore(in, stack[len(stack)-2], stack[len(stack)-1]); err != nil {
-				return err
-			}
-			stack = stack[:len(stack)-2]
+			memB = in.B
+			goto store
 		case ir.OpFusedCmpBrIf:
 			ctr.Add(arch.EvBranch, 1)
 			c := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if uint32(c) != 0 {
-				stack = branchRepair(stack, ir.BranchKeep(in.A), ir.BranchArity(in.A))
+				keep, n := ir.BranchKeep(in.A), ir.BranchArity(in.A)
+				if n != 0 {
+					copy(stack[keep:keep+n], stack[len(stack)-n:])
+				}
+				stack = stack[:keep+n]
 				pc = ir.FusedBranchTarget(in.B)
-				if mtr != nil {
+				if mtr != nil && !mtr.quiet() {
 					if err := mtr.check(ctr); err != nil {
 						return err
 					}
@@ -1391,7 +1182,7 @@ func (inst *Instance) run(barrier int) error {
 			stack = stack[:len(stack)-1]
 			if uint32(c) == 0 {
 				pc = ir.FusedBranchTarget(in.B)
-				if mtr != nil {
+				if mtr != nil && !mtr.quiet() {
 					if err := mtr.check(ctr); err != nil {
 						return err
 					}
@@ -1404,9 +1195,13 @@ func (inst *Instance) run(barrier int) error {
 			stack = stack[:len(stack)-1]
 			ctr.Add(arch.EvBranch, 1)
 			if eq {
-				stack = branchRepair(stack, ir.BranchKeep(in.A), ir.BranchArity(in.A))
+				keep, n := ir.BranchKeep(in.A), ir.BranchArity(in.A)
+				if n != 0 {
+					copy(stack[keep:keep+n], stack[len(stack)-n:])
+				}
+				stack = stack[:keep+n]
 				pc = ir.FusedBranchTarget(in.B)
-				if mtr != nil {
+				if mtr != nil && !mtr.quiet() {
 					if err := mtr.check(ctr); err != nil {
 						return err
 					}
@@ -1423,7 +1218,7 @@ func (inst *Instance) run(barrier int) error {
 				// keep=0, arity=0 truncates the operand stack.
 				stack = stack[:0]
 				pc = ir.FusedBranchTarget(in.B)
-				if mtr != nil {
+				if mtr != nil && !mtr.quiet() {
 					if err := mtr.check(ctr); err != nil {
 						return err
 					}
@@ -1436,7 +1231,7 @@ func (inst *Instance) run(barrier int) error {
 			ctr.Add(arch.EvBranch, 1)
 			stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
 			pc = ir.FusedBranchTarget(in.B)
-			if mtr != nil {
+			if mtr != nil && !mtr.quiet() {
 				if err := mtr.check(ctr); err != nil {
 					return err
 				}
@@ -1448,7 +1243,7 @@ func (inst *Instance) run(barrier int) error {
 			ctr.Add(arch.EvBranch, 1)
 			stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
 			pc = ir.FusedBranchTarget(in.B)
-			if mtr != nil {
+			if mtr != nil && !mtr.quiet() {
 				if err := mtr.check(ctr); err != nil {
 					return err
 				}
@@ -1458,10 +1253,212 @@ func (inst *Instance) run(barrier int) error {
 		pc++
 		continue
 
+	load:
+		// Shared load block: the checked read of every load constituent,
+		// then what its opcode does with the value. The accepting case of
+		// the hot variants — an in-bounds 4- or 8-byte access whose
+		// granule tags match — is open-coded here, because run is too big
+		// for the Go inliner to put any helper of real size inside it
+		// (doc.go, "Dispatch"); it charges exactly what the variant's
+		// address function charges on the same access. Everything else —
+		// a miss, a trap, another width, the NC variants — is
+		// fusedMemLoad, the address functions' one definition of
+		// semantics, events and traps.
+		{
+			sz, mem := ir.FusedMemSize(memB), inst.mem
+			var addr, v uint64
+			if sz < 4 {
+				goto loadCall
+			}
+			switch ir.FusedMemVariant(memB) {
+			case ir.OpLoadMTE:
+				full := inst.heapBase + memIdx&inst.policy.IndexMask + memOff
+				addr = full & ptrlayout.AddressMask
+				tags, tag, last := inst.tags.Granules(), ptrlayout.Tag(full), (addr+sz-1)/mte.GranuleSize
+				if addr+sz <= uint64(len(mem)) && last < uint64(len(tags)) &&
+					tags[addr/mte.GranuleSize] == tag && tags[last] == tag {
+					ctr.Add(arch.EvMask, 1)
+					ctr.Add(arch.EvTagCheckLoad, 1)
+					goto loadRead
+				}
+			case ir.OpLoadB64:
+				addr = (memIdx + memOff) & ptrlayout.AddressMask
+				if addr+sz <= inst.memSize {
+					ctr.Add(arch.EvBoundsCheck, 1)
+					goto loadRead
+				}
+			case ir.OpLoadB64Tag:
+				full := memIdx + memOff
+				addr = full & ptrlayout.AddressMask
+				tags, tag, last := inst.tags.Granules(), ptrlayout.Tag(full), (addr+sz-1)/mte.GranuleSize
+				if addr+sz <= inst.memSize && last < uint64(len(tags)) &&
+					tags[addr/mte.GranuleSize] == tag && tags[last] == tag {
+					ctr.Add(arch.EvBoundsCheck, 1)
+					ctr.Add(arch.EvTagCheckLoad, 1)
+					goto loadRead
+				}
+			case ir.OpLoadG32:
+				addr = uint64(uint32(memIdx)) + memOff
+				if addr+sz <= inst.memSize {
+					goto loadRead
+				}
+			case ir.OpLoadG32G:
+				// No Go-level bounds check at all: gmem is the whole
+				// 4 GiB+headroom reservation, so the index math never
+				// trips a slice bound; an uncommitted page faults in the
+				// MMU and runProtected converts it to TrapOutOfBounds.
+				addr, mem = uint64(uint32(memIdx))+memOff, inst.gmem
+				goto loadRead
+			}
+		loadCall:
+			{
+				var err error
+				if v, err = inst.fusedMemLoad(memB, memOff, memIdx); err != nil {
+					return err
+				}
+				goto loaded
+			}
+		loadRead:
+			if sz == 8 {
+				// binary.LittleEndian.Uint64 spelled out, as it does not
+				// inline here; the compiler still merges it into one load.
+				b := mem[addr : addr+8 : addr+8]
+				v = uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+					uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+			} else {
+				b := mem[addr : addr+4 : addr+4]
+				v = uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24
+				if ir.FusedMemOp(memB) == wasm.OpI64Load32S {
+					v = uint64(int64(int32(v)))
+				}
+			}
+		loaded:
+			// The op's constituents after the load, charged only now that
+			// it has not trapped.
+			l := len(stack)
+			switch in.Op {
+			case ir.OpFusedIdx1LoadF64Mul, ir.OpFusedIdx2LoadF64Mul, ir.OpFusedIdx3LoadF64Mul,
+				ir.OpFusedConstI64MulAddLoadF64Mul:
+				ctr.Add(arch.EvFMul, 1)
+				x := stack[l-1]
+				r := math.Float64frombits(x) * math.Float64frombits(v)
+				stack[l-1] = math.Float64bits(r)
+				if r != r {
+					stack[l-1] = f64NaN(x, v, stack[l-1])
+				}
+			case ir.OpFusedIdx1LoadF64Add, ir.OpFusedIdx1KLoadF64Add, ir.OpFusedConstI64MulAddLoadF64Add:
+				ctr.Add(arch.EvFAdd, 1)
+				x := stack[l-1]
+				r := math.Float64frombits(x) + math.Float64frombits(v)
+				stack[l-1] = math.Float64bits(r)
+				if r != r {
+					stack[l-1] = f64NaN(x, v, stack[l-1])
+				}
+			case ir.OpFusedConstI64MulAddLoadF64Sub:
+				ctr.Add(arch.EvFAdd, 1)
+				x := stack[l-1]
+				r := math.Float64frombits(x) - math.Float64frombits(v)
+				stack[l-1] = math.Float64bits(r)
+				if r != r {
+					stack[l-1] = f64NaN(x, v, stack[l-1])
+				}
+			case ir.OpFusedLoadALU:
+				stack = append(stack, v)
+				aluOp = ir.FusedMemALU(in.B)
+				goto fusedALU
+			case ir.OpFusedConstALUALULoadALU:
+				// Its last ALU is already in aluOp.
+				stack = append(stack, v)
+				goto fusedALU
+			default:
+				stack = append(stack, v)
+			}
+		}
+		pc++
+		continue
+
+	store:
+		// Shared store block, the load block's twin: the index and value
+		// are the top two stack slots, the offset in.A. An accepted store
+		// marks its page — and the next, should the access straddle one —
+		// in the dirty set before it writes. A guard-region store first
+		// probes the access's last byte, so a store that runs past the
+		// committed prefix faults before it writes anything: a trapped
+		// store is never partially visible, and the dirty mark only ever
+		// indexes committed pages.
+		{
+			sz, mem := ir.FusedMemSize(memB), inst.mem
+			idx, val := stack[len(stack)-2], stack[len(stack)-1]
+			var addr uint64
+			if sz < 4 {
+				goto storeCall
+			}
+			switch ir.FusedMemVariant(memB) {
+			case ir.OpStoreMTE:
+				full := inst.heapBase + idx&inst.policy.IndexMask + in.A
+				addr = full & ptrlayout.AddressMask
+				tags, tag, last := inst.tags.Granules(), ptrlayout.Tag(full), (addr+sz-1)/mte.GranuleSize
+				if addr+sz <= uint64(len(mem)) && last < uint64(len(tags)) &&
+					tags[addr/mte.GranuleSize] == tag && tags[last] == tag {
+					ctr.Add(arch.EvMask, 1)
+					ctr.Add(arch.EvTagCheckStore, 1)
+					goto storeWrite
+				}
+			case ir.OpStoreB64:
+				addr = (idx + in.A) & ptrlayout.AddressMask
+				if addr+sz <= inst.memSize {
+					ctr.Add(arch.EvBoundsCheck, 1)
+					goto storeWrite
+				}
+			case ir.OpStoreB64Tag:
+				full := idx + in.A
+				addr = full & ptrlayout.AddressMask
+				tags, tag, last := inst.tags.Granules(), ptrlayout.Tag(full), (addr+sz-1)/mte.GranuleSize
+				if addr+sz <= inst.memSize && last < uint64(len(tags)) &&
+					tags[addr/mte.GranuleSize] == tag && tags[last] == tag {
+					ctr.Add(arch.EvBoundsCheck, 1)
+					ctr.Add(arch.EvTagCheckStore, 1)
+					goto storeWrite
+				}
+			case ir.OpStoreG32:
+				addr = uint64(uint32(idx)) + in.A
+				if addr+sz <= inst.memSize {
+					goto storeWrite
+				}
+			case ir.OpStoreG32G:
+				addr, mem = uint64(uint32(idx))+in.A, inst.gmem
+				guardProbeSink = mem[addr+sz-1]
+				goto storeWrite
+			}
+		storeCall:
+			if err := inst.fusedMemStore(memB, in.A, idx, val); err != nil {
+				return err
+			}
+			goto stored
+		storeWrite:
+			{
+				d, p, q := inst.dirty.bits, addr>>dirtyPageShift, (addr+sz-1)>>dirtyPageShift
+				d[p>>6] |= 1 << (p & 63)
+				d[q>>6] |= 1 << (q & 63)
+			}
+			if sz == 8 {
+				b := mem[addr : addr+8 : addr+8]
+				b[0], b[1], b[2], b[3] = byte(val), byte(val>>8), byte(val>>16), byte(val>>24)
+				b[4], b[5], b[6], b[7] = byte(val>>32), byte(val>>40), byte(val>>48), byte(val>>56)
+			} else {
+				b := mem[addr : addr+4 : addr+4]
+				b[0], b[1], b[2], b[3] = byte(val), byte(val>>8), byte(val>>16), byte(val>>24)
+			}
+		stored:
+			stack = stack[:len(stack)-2]
+		}
+		pc++
+		continue
+
 	call:
 		// Interrupt checkpoint at every call entry, host and guest alike,
 		// so cancellation reaches even loop-free recursion.
-		if mtr != nil {
+		if mtr != nil && !mtr.quiet() {
 			if err := mtr.check(ctr); err != nil {
 				return err
 			}

@@ -5,16 +5,15 @@ import (
 	"cage/internal/wasm"
 )
 
-// This file holds what the shape-generic fused-superinstruction
-// handlers (frame.go) keep outside the dispatch loop: the dense key of
-// the shared fusedALU block and the variant-dispatched memory
-// constituents (the guard-region variant is inlined in the loop). The
-// memory helpers call the same per-mode address functions the
-// specialized load/store opcodes call, and an ALU constituent the
-// fusedALU block does not inline takes the shared numeric ALU exactly
-// as an unfused instruction would — which is what makes the fusion pass
-// semantics- and event-preserving by construction. The idiom opcodes
-// (ir/idiom.go) use none of this: their cases are straight-line code.
+// This file holds what the dispatch loop (frame.go) keeps outside
+// itself: the dense key of the shared fusedALU block and the
+// out-of-line half of its load and store blocks, which every access
+// the blocks do not open-code takes. The memory helpers call the same
+// per-mode address functions whatever the opcode, and an ALU
+// constituent the fusedALU block does not inline takes the shared
+// numeric ALU exactly as an unfused instruction would — which is what
+// makes the fusion pass semantics- and event-preserving by
+// construction.
 
 // The ALU constituents the dispatch loop's shared fusedALU block runs
 // inline, as a dense kind: aluKind[op] switches by jump table, where
@@ -59,21 +58,19 @@ var aluKind = [256]uint8{
 	wasm.OpF64ConvertI64S: aluF64ConvertI64S,
 }
 
-// fusedMemLoad executes the load constituent of a fused
-// superinstruction: the same per-mode address function its unfused
-// opcode calls — same events, same trap — reached by one table jump
-// over the nine contiguous load variants, then read and extension. The
-// guard-region variant has no address function (the MMU is the check;
-// see OpLoadG32G), and the two-constituent shapes run it inline in the
-// dispatch loop without coming here. The EvLoad charge happens at the
-// call site, before translation, exactly like the unfused specialized
-// loads.
-func (inst *Instance) fusedMemLoad(in *ir.Instr, offset, idx uint64) (uint64, error) {
-	sz := ir.FusedMemSize(in.B)
+// fusedMemLoad is the dispatch loop's out-of-line load, for every
+// access its load block does not open-code: the variant's address
+// function — same events, same trap — reached by one table jump over
+// the nine contiguous load variants, then read and extension. b is the
+// memory pack (PackFusedMem). The guard-region variant has no address
+// function: the MMU is the check (see OpLoadG32G). The EvLoad charge
+// happens before the load block, exactly like the unfused load's.
+func (inst *Instance) fusedMemLoad(b, offset, idx uint64) (uint64, error) {
+	sz := ir.FusedMemSize(b)
 	mem := inst.mem
 	var addr uint64
 	var err error
-	switch variant := ir.FusedMemVariant(in.B); variant {
+	switch variant := ir.FusedMemVariant(b); variant {
 	case ir.OpLoadG32G:
 		addr, mem = uint64(uint32(idx))+offset, inst.gmem
 	case ir.OpLoadG32:
@@ -98,40 +95,46 @@ func (inst *Instance) fusedMemLoad(in *ir.Instr, offset, idx uint64) (uint64, er
 	if err != nil {
 		return 0, err
 	}
-	return extendLoad(ir.FusedMemOp(in.B), readScalar(mem, addr, sz)), nil
+	return extendLoad(ir.FusedMemOp(b), readScalar(mem, addr, sz)), nil
 }
 
-// fusedMemStore is fusedMemLoad's twin for the store constituent:
+// fusedMemStore is fusedMemLoad's twin for the store block:
 // per-variant address translation (which also marks the dirty pages),
-// write. The EvStore charge happens at the call site, before
-// translation.
-func (inst *Instance) fusedMemStore(in *ir.Instr, idx, val uint64) error {
-	sz := ir.FusedMemSize(in.B)
+// write. The EvStore charge happens before the store block.
+func (inst *Instance) fusedMemStore(b, offset, idx, val uint64) error {
+	sz := ir.FusedMemSize(b)
+	mem := inst.mem
 	var addr uint64
 	var err error
-	switch variant := ir.FusedMemVariant(in.B); variant {
+	switch variant := ir.FusedMemVariant(b); variant {
+	case ir.OpStoreG32G:
+		// The probe read of the last byte faults before anything is
+		// written; see the store block.
+		addr, mem = uint64(uint32(idx))+offset, inst.gmem
+		guardProbeSink = mem[addr+sz-1]
+		inst.dirty.mark(addr, sz)
 	case ir.OpStoreG32:
-		addr, err = inst.addrG32(idx, in.A, sz, inst.memSize, true)
+		addr, err = inst.addrG32(idx, offset, sz, inst.memSize, true)
 	case ir.OpStoreG32NC:
-		addr, err = inst.addrG32(idx, in.A, sz, uint64(len(inst.mem)), true)
+		addr, err = inst.addrG32(idx, offset, sz, uint64(len(inst.mem)), true)
 	case ir.OpStoreB64:
-		addr, err = inst.addrB64(idx, in.A, sz, true, true, false)
+		addr, err = inst.addrB64(idx, offset, sz, true, true, false)
 	case ir.OpStoreB64NC:
-		addr, err = inst.addrB64(idx, in.A, sz, true, false, false)
+		addr, err = inst.addrB64(idx, offset, sz, true, false, false)
 	case ir.OpStoreB64Tag:
-		addr, err = inst.addrB64(idx, in.A, sz, true, true, true)
+		addr, err = inst.addrB64(idx, offset, sz, true, true, true)
 	case ir.OpStoreB64NCTag:
-		addr, err = inst.addrB64(idx, in.A, sz, true, false, true)
+		addr, err = inst.addrB64(idx, offset, sz, true, false, true)
 	case ir.OpStoreMTE:
-		addr, err = inst.addrMTE(idx, in.A, sz, true, true)
+		addr, err = inst.addrMTE(idx, offset, sz, true, true)
 	case ir.OpStoreMTENC:
-		addr, err = inst.addrMTE(idx, in.A, sz, true, false)
+		addr, err = inst.addrMTE(idx, offset, sz, true, false)
 	default:
 		err = newTrap(TrapUnreachable, "fused memory op with variant %v", variant)
 	}
 	if err != nil {
 		return err
 	}
-	writeScalar(inst.mem, addr, sz, val)
+	writeScalar(mem, addr, sz, val)
 	return nil
 }

@@ -35,9 +35,6 @@ type idiomBench struct {
 	inst *Instance
 	prog *ir.Program
 	load ir.Op // the load variant this configuration lowers to
-	// nanPayloadOpen makes both compare values modulo NaN payload (two
-	// NaNs are equal); see idiomCase.nanOrder.
-	nanPayloadOpen bool
 }
 
 func newIdiomBench(t *testing.T, feats core.Features, height int) *idiomBench {
@@ -136,8 +133,7 @@ func (b *idiomBench) both(t *testing.T, what string, setup []ir.Instr, in func(t
 		t.Fatalf("%s: fused returned %d values, constituents %d", what, len(fused.values), len(plain.values))
 	}
 	for i := range fused.values {
-		if fused.values[i] != plain.values[i] &&
-			!(b.nanPayloadOpen && isNaN64(fused.values[i]) && isNaN64(plain.values[i])) {
+		if fused.values[i] != plain.values[i] {
 			t.Fatalf("%s: value %d (stack, marker, locals): fused %#x, constituents %#x",
 				what, i, fused.values[i], plain.values[i])
 		}
@@ -183,25 +179,13 @@ const idiomLoadAddr = 1024
 type idiomCase struct {
 	height int // operand-stack height the instruction leaves when it does not branch
 	build  func(b *idiomBench, x, y, z uint64) (setup []ir.Instr, in func(target int) ir.Instr, args [idiomLocals]uint64)
-	// nanOrder marks a case that computes x + y or x * y in f64. When
-	// both are NaNs the hardware returns the payload of the operand the
-	// instruction names first, and for a commutative op the compiler
-	// picks that order per site — the same source line has compiled both
-	// ways inside the dispatch loop — so which payload survives is not
-	// something a fused and an unfused site can be held to (wasm leaves
-	// it open too). The sweep compares these cases' values modulo NaN
-	// payload — a NaN must still meet a NaN, with the same events —
-	// f64.sub's operand roles are fixed, so its cases stay bit-exact.
-	nanOrder bool
 }
-
-func isNaN64(bits uint64) bool { f := math.Float64frombits(bits); return f != f }
 
 // memIdiom is the build of the three load idioms: f64 accumulator x on
 // the stack, then base 256 and index 96 scaled by the constant 8; the
 // loaded value is y.
 func memIdiom(op ir.Op) idiomCase {
-	return idiomCase{height: 1, nanOrder: op != ir.OpFusedConstI64MulAddLoadF64Sub, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
+	return idiomCase{height: 1, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
 		binary.LittleEndian.PutUint64(b.inst.mem[idiomLoadAddr:], y)
 		return consts(x, 256, 96), func(int) ir.Instr {
 			return ir.Instr{Op: op, A: 8 << 32, B: ir.PackFusedMem(8, b.load, 0, wasm.OpF64Load)}
@@ -257,7 +241,7 @@ func idxIdiom(op ir.Op) idiomCase {
 	if idxTail(op) {
 		height = 1
 	}
-	return idiomCase{height: height, nanOrder: idxTail(op), build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
+	return idiomCase{height: height, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
 		binary.LittleEndian.PutUint64(b.inst.mem[idiomLoadAddr:], y)
 		return consts(x), func(int) ir.Instr { return idxInstr(op, b) }, idxLocals[op]
 	}}
@@ -301,7 +285,7 @@ func headKIdiom() idiomCase {
 }
 
 func latchIdiom(op ir.Op, xl, yl uint64) idiomCase {
-	return idiomCase{height: 0, nanOrder: op == ir.OpFusedF64AddSetI64IncBr, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
+	return idiomCase{height: 0, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
 		return consts(x, y), func(target int) ir.Instr {
 			return ir.Instr{Op: op, A: xl<<32 | yl<<16 | (z&0xFF)<<8, B: ir.PackFusedBranch(0, uint64(target))}
 		}, [idiomLocals]uint64{7, 7, 7, z, 7, 7}
@@ -367,7 +351,6 @@ var idiomCases = map[ir.Op]idiomCase{
 // the list diagonally.
 func (c idiomCase) sweep(t *testing.T, name string) {
 	b := newIdiomBench(t, core.Features{}, c.height)
-	b.nanPayloadOpen = c.nanOrder
 	for i, x := range idiomOperands {
 		for j, y := range idiomOperands {
 			z := idiomOperands[(i+j)%len(idiomOperands)]
@@ -407,7 +390,7 @@ func TestIdiomsMatchConstituents(t *testing.T) {
 			{wasm.OpI64Shl, wasm.OpI64Add, wasm.OpF64Mul},
 			{wasm.OpI32Mul, wasm.OpI32Add, wasm.OpI64Xor},
 		} {
-			idiomCase{height: 1, nanOrder: alus[2] == wasm.OpF64Mul, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
+			idiomCase{height: 1, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
 				binary.LittleEndian.PutUint64(b.inst.mem[idiomLoadAddr:], y)
 				scale := uint64(8)
 				if alus[0] == wasm.OpI64Shl {

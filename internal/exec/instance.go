@@ -501,11 +501,6 @@ func (inst *Instance) Module() *wasm.Module { return inst.module }
 // HostContext.Data.
 func (inst *Instance) HostData() any { return inst.hostData }
 
-// SetHostData replaces the instance's host data. It must not race an
-// in-flight invocation; embedders normally set it once via
-// Config.HostData and mutate the pointed-to state instead.
-func (inst *Instance) SetHostData(v any) { inst.hostData = v }
-
 // Program returns the lowered instruction stream the instance executes.
 func (inst *Instance) Program() *ir.Program { return inst.prog }
 
@@ -565,15 +560,6 @@ func (inst *Instance) Invoke(name string, args ...uint64) ([]uint64, error) {
 	return res, err
 }
 
-// InvokeIndex calls a function by index.
-func (inst *Instance) InvokeIndex(fidx uint32, args ...uint64) ([]uint64, error) {
-	res, err := inst.invoke(fidx, args)
-	if err == nil {
-		err = inst.pollAsyncFault()
-	}
-	return res, err
-}
-
 // pollAsyncFault reports a latched asynchronous tag fault as a trap.
 func (inst *Instance) pollAsyncFault() error {
 	if inst.tags == nil {
@@ -602,6 +588,3 @@ func F64Bits(v float64) uint64 { return math.Float64bits(v) }
 
 // F64Val decodes a float64 from raw bits.
 func F64Val(bits uint64) float64 { return math.Float64frombits(bits) }
-
-// I32Bits sign-extends an int32 into value bits.
-func I32Bits(v int32) uint64 { return uint64(uint32(v)) }

@@ -328,6 +328,39 @@ func (inst *Instance) segmentFree(tagged, length, offset uint64) error {
 	return nil
 }
 
+// f64NaN is the NaN rule of every binary f64 op: when the result r is
+// a NaN, it is the first operand that is a NaN, quieted, or r itself —
+// the NaN the hardware made (∞ − ∞, 0 · ∞) — when neither operand is
+// one. Hardware returns the NaN of whichever operand sits in its first
+// source register, and for a commutative op Go's register allocation
+// picks that operand, so without the rule a payload could change with
+// any edit to the dispatch loop, or differ between its inline sites
+// and numeric. Each inline f64 add, sub and mul in run tests its result
+// and calls this only for a NaN, so the rule costs the hot path one
+// compare.
+func f64NaN(a, b, r uint64) uint64 {
+	const quiet = 1 << 51
+	switch {
+	case a&^(1<<63) > 0x7FF0000000000000:
+		return a | quiet
+	case b&^(1<<63) > 0x7FF0000000000000:
+		return b | quiet
+	}
+	return r
+}
+
+// f32NaN is f64NaN for f32.
+func f32NaN(a, b, r uint32) uint32 {
+	const quiet = 1 << 22
+	switch {
+	case a&^(1<<31) > 0x7F800000:
+		return a | quiet
+	case b&^(1<<31) > 0x7F800000:
+		return b | quiet
+	}
+	return r
+}
+
 // numeric executes the pure value instructions. s is the value slice
 // holding the operand stack and sp the absolute index one past its top
 // — the frame machine passes its arena and stack pointer directly, the
@@ -367,16 +400,26 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 			setTop2(0)
 		}
 	}
+	// The binary float ops follow the NaN rule (f64NaN, f32NaN).
 	f64bin := func(ev arch.Event, f func(a, b float64) float64) {
 		ctr.Add(ev, 1)
 		a, b := pop2()
-		setTop2(math.Float64bits(f(math.Float64frombits(a), math.Float64frombits(b))))
+		r := f(math.Float64frombits(a), math.Float64frombits(b))
+		v := math.Float64bits(r)
+		if r != r {
+			v = f64NaN(a, b, v)
+		}
+		setTop2(v)
 	}
 	f32bin := func(ev arch.Event, f func(a, b float32) float32) {
 		ctr.Add(ev, 1)
 		a, b := pop2()
-		setTop2(uint64(math.Float32bits(f(
-			math.Float32frombits(uint32(a)), math.Float32frombits(uint32(b))))))
+		r := f(math.Float32frombits(uint32(a)), math.Float32frombits(uint32(b)))
+		v := math.Float32bits(r)
+		if r != r {
+			v = f32NaN(uint32(a), uint32(b), v)
+		}
+		setTop2(uint64(v))
 	}
 	f64un := func(ev arch.Event, f func(a float64) float64) {
 		ctr.Add(ev, 1)
@@ -655,7 +698,10 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 	case wasm.OpF32Max:
 		f32bin(arch.EvFAdd, func(a, b float32) float32 { return float32(math.Max(float64(a), float64(b))) })
 	case wasm.OpF32Copysign:
-		f32bin(arch.EvFAdd, func(a, b float32) float32 { return float32(math.Copysign(float64(a), float64(b))) })
+		// A sign-bit move, not arithmetic: a NaN keeps its payload.
+		ctr.Add(arch.EvFAdd, 1)
+		a, b := pop2()
+		setTop2(uint64(uint32(a)&^(1<<31) | uint32(b)&(1<<31)))
 
 	// f64 arithmetic.
 	case wasm.OpF64Abs:
@@ -685,7 +731,9 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 	case wasm.OpF64Max:
 		f64bin(arch.EvFAdd, math.Max)
 	case wasm.OpF64Copysign:
-		f64bin(arch.EvFAdd, math.Copysign)
+		ctr.Add(arch.EvFAdd, 1)
+		a, b := pop2()
+		setTop2(a&^(1<<63) | b&(1<<63))
 
 	// Conversions.
 	case wasm.OpI32WrapI64:

@@ -1,6 +1,7 @@
 package exec
 
-// Restore soundness as a property (ROADMAP item 3): after any sequence
+// Restore soundness as a property (the restore leg of ROADMAP, "One
+// generative differential harness"): after any sequence
 // of writes through any channel, the dirty set covers every page whose
 // bytes or tags differ from the base image, a restore leaves memory and
 // tags equal to the image — a restore of the birth image equal to a

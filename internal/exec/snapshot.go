@@ -80,7 +80,8 @@ func (s *Snapshot) SignedPointers() bool { return s.signedPtrs }
 
 // Close does nothing: a snapshot holds no OS resource, only heap memory
 // the collector reclaims. It remains for the one caller that cannot be
-// edited with the rest (benchmark/layers.go; ROADMAP item 5).
+// edited with the rest (benchmark/layers.go; ROADMAP, "Unblock the
+// parked deletions").
 func (s *Snapshot) Close() {}
 
 // Snapshot captures the instance's current mutable state. The instance

@@ -76,8 +76,8 @@ import (
 // The input program is not modified; the result shares no mutable state
 // with it. The second parameter is ignored, and untyped so that nothing
 // here names internal/profile: a benchmark-only leftover of the call
-// benchmark/layers.go spells, fuse.Fuse(p, profile.Default()) (ROADMAP
-// item 1). Everything else passes nil.
+// benchmark/layers.go spells, fuse.Fuse(p, profile.Default()) (ROADMAP,
+// "Unblock the parked deletions"). Everything else passes nil.
 func Fuse(p *ir.Program, _ any) *ir.Program {
 	if p == nil || p.Fused {
 		return p

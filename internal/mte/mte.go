@@ -114,9 +114,6 @@ func (m *Memory) Size() uint64 { return m.size }
 // Mode returns the current check mode.
 func (m *Memory) Mode() Mode { return m.mode }
 
-// SetMode switches the check mode.
-func (m *Memory) SetMode(mode Mode) { m.mode = mode }
-
 // Seed reseeds the deterministic random tag generator.
 func (m *Memory) Seed(seed uint64) {
 	if seed == 0 {
@@ -134,9 +131,6 @@ func (m *Memory) SetExcludeMask(mask uint16) error {
 	m.exclude = mask
 	return nil
 }
-
-// ExcludeMask returns the current tag exclusion mask.
-func (m *Memory) ExcludeMask() uint16 { return m.exclude }
 
 // Grow extends the covered region to newSize bytes; new granules are
 // tagged zero. The grown tags live in a new array, so storage handed in
@@ -299,6 +293,14 @@ func (m *Memory) Allows(addr, length uint64, ptrTag uint8) bool {
 	}
 	return m.tags[addr/GranuleSize] == ptrTag && m.tags[(end-1)/GranuleSize] == ptrTag
 }
+
+// Granules returns the tags of the granules that lie wholly inside the
+// covered size, one per granule: Allows's tag lookup for a caller that
+// has to open-code it (the executor's dispatch loop, into which no
+// function of Allows's size inlines). An access of 1 to GranuleSize
+// bytes whose first and last granule are both in the result and both
+// carry the pointer's tag is one Allows accepts, whatever the mode.
+func (m *Memory) Granules() []uint8 { return m.tags[:m.size/GranuleSize] }
 
 // CheckAccess performs the tag check for an access of length bytes at the
 // untagged address addr using a pointer carrying ptrTag. The return value

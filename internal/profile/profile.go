@@ -2,7 +2,8 @@
 // still spells fuse.Fuse(p, profile.Default()), and that module cannot
 // be edited alongside this one. Fusion takes no profile (internal/fuse
 // fuses every eligible sequence); the package goes with the
-// benchmark's reference to it (ROADMAP item 5).
+// benchmark's reference to it (ROADMAP, "Unblock the parked
+// deletions").
 package profile
 
 // Profile carries nothing; fuse.Fuse ignores its second argument.

@@ -205,10 +205,6 @@ type Module struct {
 	Start *uint32
 }
 
-// NumImports returns the number of imported functions. Function index
-// space is imports first, then defined functions.
-func (m *Module) NumImports() int { return len(m.Imports) }
-
 // FuncTypeAt resolves the signature of function index fidx (spanning
 // imports and defined functions).
 func (m *Module) FuncTypeAt(fidx uint32) (FuncType, error) {

@@ -258,5 +258,5 @@ func (e *Engine) SnapshotStats() engine.SnapshotCacheStats {
 // image into an instance that does not hold it yet — pristine storage
 // plus a copy of the image's written pages. It remains for the one
 // caller that cannot be edited with the rest (benchmark/main.go's env
-// block; ROADMAP item 5).
+// block; ROADMAP, "Unblock the parked deletions").
 func (e *Engine) RestoreMode() string { return "copy" }
