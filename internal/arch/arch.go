@@ -22,8 +22,6 @@
 // attractive (paper §3, §7.2).
 package arch
 
-import "cage/internal/mte"
-
 // InstClass enumerates the MTE/PAC instructions of paper Table 1.
 type InstClass int
 
@@ -226,31 +224,4 @@ func NewCortexA510() *Core {
 // Cores returns the three Tensor G3 core models in paper order.
 func Cores() []*Core {
 	return []*Core{NewCortexX3(), NewCortexA715(), NewCortexA510()}
-}
-
-// CoreByName looks a core model up by (case-sensitive) name.
-func CoreByName(name string) *Core {
-	for _, c := range Cores() {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
-}
-
-// TagStoreClass maps an mte tag-store variant to its instruction class.
-func TagStoreClass(op mte.TagStoreOp) InstClass {
-	switch op {
-	case mte.OpSTG:
-		return STG
-	case mte.OpST2G:
-		return ST2G
-	case mte.OpSTZG:
-		return STZG
-	case mte.OpST2ZG:
-		return ST2ZG
-	case mte.OpSTGP:
-		return STGP
-	}
-	return STG
 }

@@ -192,24 +192,3 @@ func TestMillisConversion(t *testing.T) {
 		t.Errorf("Millis(2.91e9) = %f, want 1000", ms)
 	}
 }
-
-func TestCoreByName(t *testing.T) {
-	if CoreByName("Cortex-A715") == nil {
-		t.Error("CoreByName failed for Cortex-A715")
-	}
-	if CoreByName("Cortex-M0") != nil {
-		t.Error("CoreByName returned a model for an unknown core")
-	}
-}
-
-func TestTagStoreClassMapping(t *testing.T) {
-	pairs := map[mte.TagStoreOp]InstClass{
-		mte.OpSTG: STG, mte.OpST2G: ST2G, mte.OpSTZG: STZG,
-		mte.OpST2ZG: ST2ZG, mte.OpSTGP: STGP,
-	}
-	for op, want := range pairs {
-		if got := TagStoreClass(op); got != want {
-			t.Errorf("TagStoreClass(%v) = %v, want %v", op, got, want)
-		}
-	}
-}

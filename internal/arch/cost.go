@@ -130,11 +130,14 @@ type Counter struct {
 	counts [NumEvents]uint64
 }
 
-// Add records n occurrences of ev. It is the single hottest call in the
-// dispatch loop (one per lowered operation), so it does exactly one
-// read-modify-write; Total sums on demand instead of maintaining a
-// running total here.
+// Add records n occurrences of ev. Total sums on demand instead of
+// maintaining a running total here.
 func (c *Counter) Add(ev Event, n uint64) { c.counts[ev] += n }
+
+// Sub takes back n occurrences of ev recorded ahead of time: the
+// executor charges a straight-line region at its entry, and a trap
+// inside it returns what the region did not run.
+func (c *Counter) Sub(ev Event, n uint64) { c.counts[ev] -= n }
 
 // Get returns the count for ev.
 func (c *Counter) Get(ev Event) uint64 { return c.counts[ev] }

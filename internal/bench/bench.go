@@ -55,16 +55,6 @@ func Table3Variants() []Variant {
 	}
 }
 
-// VariantByName finds a Table 3 variant.
-func VariantByName(name string) (Variant, error) {
-	for _, v := range Table3Variants() {
-		if v.Name == name {
-			return v, nil
-		}
-	}
-	return Variant{}, fmt.Errorf("bench: unknown variant %q", name)
-}
-
 // table is a minimal text-table writer for harness output.
 type table struct {
 	header []string

@@ -94,15 +94,6 @@ func NewPolicy(f Features) Policy {
 // bit) plus tag 1, the sandbox's guard/untagged representative.
 const irgExcludeCombined uint16 = 0x5555 | 1<<1
 
-// GuardTag returns the tag treated as "untagged" for guest segments:
-// tag 0 normally, tag 1 when the sandbox bit is in use.
-func (p Policy) GuardTag() uint8 {
-	if p.SandboxBit != 0 {
-		return 1
-	}
-	return RuntimeTag
-}
-
 // CollisionProbability is the chance two adjacent instrumented
 // allocations draw the same tag (paper §7.4: 1/15, rising to 1/7 when
 // MTE also carries the sandbox).

@@ -48,9 +48,6 @@ func TestPolicyCombined(t *testing.T) {
 	if p.MaskIndex(idx) != uint64(0xE<<56|0x42) {
 		t.Errorf("combined mask = %#x", p.MaskIndex(idx))
 	}
-	if p.GuardTag() != 1 {
-		t.Errorf("combined GuardTag = %d, want 1", p.GuardTag())
-	}
 }
 
 func TestSandboxAllocatorExhaustion(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 
 	"cage/internal/arch"
 	"cage/internal/core"
+	"cage/internal/fuse"
 	"cage/internal/ir"
 	"cage/internal/mte"
 	"cage/internal/ptrlayout"
@@ -47,11 +48,27 @@ var accessVariants = []accessVariant{
 }
 
 // refAddr is the address function a variant's load or store calls: the
-// reference the access blocks are held to. The guard variants have
-// none — the MMU checks them — so theirs is the committed prefix.
+// reference the access blocks are held to, with the check events the
+// access makes — a bounds check, a tag check unless the access is out
+// of bounds first, the MTE mask and tag check. The guard variants have
+// no address function — the MMU checks them — so theirs is the
+// committed prefix.
 func refAddr(inst *Instance, op ir.Op, idx, off, sz uint64, write bool) (uint64, error) {
+	ctr := inst.counter
+	tagCheck := arch.EvTagCheckLoad
 	if write {
 		op -= ir.OpStoreG32 - ir.OpLoadG32
+		tagCheck = arch.EvTagCheckStore
+	}
+	b64 := func(check, tags bool) (uint64, error) {
+		if check {
+			ctr.Add(arch.EvBoundsCheck, 1)
+		}
+		addr, err := inst.addrB64(idx, off, sz, write, check, tags)
+		if tags && !IsTrap(err, TrapOutOfBounds) {
+			ctr.Add(tagCheck, 1)
+		}
+		return addr, err
 	}
 	switch op {
 	case ir.OpLoadG32:
@@ -65,16 +82,19 @@ func refAddr(inst *Instance, op ir.Op, idx, off, sz uint64, write bool) (uint64,
 		}
 		return addr, nil
 	case ir.OpLoadB64:
-		return inst.addrB64(idx, off, sz, write, true, false)
+		return b64(true, false)
 	case ir.OpLoadB64NC:
-		return inst.addrB64(idx, off, sz, write, false, false)
+		return b64(false, false)
 	case ir.OpLoadB64Tag:
-		return inst.addrB64(idx, off, sz, write, true, true)
+		return b64(true, true)
 	case ir.OpLoadB64NCTag:
-		return inst.addrB64(idx, off, sz, write, false, true)
+		return b64(false, true)
 	case ir.OpLoadMTE:
+		ctr.Add(arch.EvMask, 1)
+		ctr.Add(tagCheck, 1)
 		return inst.addrMTE(idx, off, sz, write, true)
 	default:
+		ctr.Add(tagCheck, 1)
 		return inst.addrMTE(idx, off, sz, write, false)
 	}
 }
@@ -133,7 +153,7 @@ func TestAccessBlocksMatchAddressFunctions(t *testing.T) {
 				}
 			}
 			run := func(code []ir.Instr) (uint64, arch.Counter, error) {
-				prog.Funcs[0].Code = append(code, ir.Instr{Op: ir.OpRetEnd, A: 1})
+				setCode(prog, append(code, ir.Instr{Op: ir.OpRetEnd, A: 1}))
 				res, err := inst.InvokeWith(context.Background(), "f", nil, CallOptions{})
 				if err != nil {
 					return 0, res.Events, err
@@ -230,8 +250,14 @@ func TestAccessBlocksMatchAddressFunctions(t *testing.T) {
 // TestAccessBlockTraps: the edges of the open-coded acceptance, each
 // through a fused form (fused.idx1+load, fused.alu+store) and through
 // its constituents, which run the unfused load or store; the two runs
-// must agree on the value or the trap and on every event total.
+// must agree on the value or the trap and on every event total. Then
+// every opcode with a memory constituent traps there, on the heap
+// backings, with the lowered tier's and the oracle's event totals
+// (MemConstituentTraps; TestGuardOOBTraps has the guard fault).
 func TestAccessBlockTraps(t *testing.T) {
+	for _, mode := range []string{"bounds64", "b64tag-oob", "b64tag-mismatch", "mte"} {
+		MemConstituentTraps(t, mode)
+	}
 	memsafety := core.Features{MemSafety: true, MTEMode: mte.ModeSync}
 	sandbox := core.Features{Sandbox: true, MTEMode: mte.ModeSync}
 	const memSize = wasm.PageSize
@@ -320,6 +346,203 @@ func TestAccessBlockTraps(t *testing.T) {
 						}
 					}
 					b.both(t, "store", consts(addr, 40, 2), func(int) ir.Instr { return in }, [idiomLocals]uint64{}, 0)
+				}
+			}
+		})
+	}
+}
+
+// memTrapRow is one opcode with a memory constituent, as the wasm that
+// lowers and fuses to it: f(b, i, n, j, x) first sets global 0 to i,
+// then forms an address from b, i, n, j and global 0 — b itself for the
+// arguments memTrapArgs passes — and accesses it. op is the fused
+// opcode f's access becomes, or 0 for a plain load or store.
+type memTrapRow struct {
+	name   string
+	op     ir.Op
+	store  bool
+	wasm32 bool // the form exists for a wasm32 module
+	body   func(a memTrapAddr) []wasm.Instr
+}
+
+// memTrapAddr is the address arithmetic of one memory width.
+type memTrapAddr struct {
+	add, mul, load, store wasm.Opcode
+	konst                 func(int64) wasm.Instr
+}
+
+var (
+	memTrapAddr64 = memTrapAddr{wasm.OpI64Add, wasm.OpI64Mul, wasm.OpI64Load, wasm.OpI64Store, wasm.I64Const}
+	memTrapAddr32 = memTrapAddr{wasm.OpI32Add, wasm.OpI32Mul, wasm.OpI32Load, wasm.OpI32Store,
+		func(v int64) wasm.Instr { return wasm.I32Const(int32(v)) }}
+)
+
+// memTrapRows covers every opcode with a memory constituent: the plain
+// load and store, the shapes (fused.load+alu, fused.alu+load,
+// fused.alu+store, fused.const+alu+alu+load+alu), their idioms and the
+// indexed loads. A scale of 0x10000 keeps the shape from the indexed
+// forms, which only take 16-bit scales.
+func memTrapRows() []memTrapRow {
+	get, op := wasm.LocalGet, wasm.Op
+	f64 := func(alu wasm.Opcode, seq ...wasm.Instr) []wasm.Instr {
+		return append(append([]wasm.Instr{get(4)}, seq...),
+			wasm.Load(wasm.OpF64Load, 0), op(alu), op(wasm.OpI64ReinterpretF64))
+	}
+	idx1 := []wasm.Instr{get(0), get(1), wasm.I64Const(8), op(wasm.OpI64Mul), op(wasm.OpI64Add)}
+	idx2 := []wasm.Instr{get(0), get(1), get(2), op(wasm.OpI64Mul), get(3), op(wasm.OpI64Add),
+		wasm.I64Const(8), op(wasm.OpI64Mul), op(wasm.OpI64Add)}
+	idx3 := []wasm.Instr{get(0), get(1), get(2), op(wasm.OpI64Mul),
+		wasm.I64Const(8), op(wasm.OpI64Mul), op(wasm.OpI64Add)}
+	idx1k := []wasm.Instr{get(0), get(1), wasm.I32Const(1), op(wasm.OpI64ExtendI32S), op(wasm.OpI64Add),
+		wasm.I64Const(8), op(wasm.OpI64Mul), op(wasm.OpI64Add)}
+	scaled := []wasm.Instr{get(0), wasm.GlobalGet(0), wasm.I64Const(0x10000), op(wasm.OpI64Mul), op(wasm.OpI64Add)}
+	load := func(seq []wasm.Instr) []wasm.Instr {
+		return append(append([]wasm.Instr{}, seq...), wasm.Load(wasm.OpI64Load, 0))
+	}
+	return []memTrapRow{
+		{"load", 0, false, true, func(a memTrapAddr) []wasm.Instr {
+			return []wasm.Instr{get(0), wasm.Load(a.load, 0)}
+		}},
+		{"store", 0, true, true, func(a memTrapAddr) []wasm.Instr {
+			return []wasm.Instr{get(0), get(1), wasm.Store(a.store, 0), a.konst(1)}
+		}},
+		{"load+alu", ir.OpFusedLoadALU, false, true, func(a memTrapAddr) []wasm.Instr {
+			return []wasm.Instr{get(1), get(0), wasm.Load(a.load, 0), op(a.add)}
+		}},
+		{"alu+load", ir.OpFusedALULoad, false, true, func(a memTrapAddr) []wasm.Instr {
+			return []wasm.Instr{get(0), wasm.GlobalGet(0), op(a.add), wasm.Load(a.load, 0)}
+		}},
+		{"alu+store", ir.OpFusedALUStore, true, true, func(a memTrapAddr) []wasm.Instr {
+			return []wasm.Instr{get(0), get(1), wasm.GlobalGet(0), op(a.add), wasm.Store(a.store, 0), a.konst(1)}
+		}},
+		{"const+alu+alu+load+alu", ir.OpFusedConstALUALULoadALU, false, true, func(a memTrapAddr) []wasm.Instr {
+			return []wasm.Instr{get(1), get(0), wasm.GlobalGet(0), a.konst(0x10000), op(a.mul), op(a.add),
+				wasm.Load(a.load, 0), op(a.add)}
+		}},
+		{"const+mul+add+load+f64.mul", ir.OpFusedConstI64MulAddLoadF64Mul, false, false, func(memTrapAddr) []wasm.Instr {
+			return f64(wasm.OpF64Mul, scaled...)
+		}},
+		{"const+mul+add+load+f64.add", ir.OpFusedConstI64MulAddLoadF64Add, false, false, func(memTrapAddr) []wasm.Instr {
+			return f64(wasm.OpF64Add, scaled...)
+		}},
+		{"const+mul+add+load+f64.sub", ir.OpFusedConstI64MulAddLoadF64Sub, false, false, func(memTrapAddr) []wasm.Instr {
+			return f64(wasm.OpF64Sub, scaled...)
+		}},
+		{"idx1+load", ir.OpFusedIdx1Load, false, false, func(memTrapAddr) []wasm.Instr { return load(idx1) }},
+		{"idx1+load+f64.mul", ir.OpFusedIdx1LoadF64Mul, false, false, func(memTrapAddr) []wasm.Instr {
+			return f64(wasm.OpF64Mul, idx1...)
+		}},
+		{"idx1+load+f64.add", ir.OpFusedIdx1LoadF64Add, false, false, func(memTrapAddr) []wasm.Instr {
+			return f64(wasm.OpF64Add, idx1...)
+		}},
+		{"idx2+load", ir.OpFusedIdx2Load, false, false, func(memTrapAddr) []wasm.Instr { return load(idx2) }},
+		{"idx2+load+f64.mul", ir.OpFusedIdx2LoadF64Mul, false, false, func(memTrapAddr) []wasm.Instr {
+			return f64(wasm.OpF64Mul, idx2...)
+		}},
+		{"idx3+load+f64.mul", ir.OpFusedIdx3LoadF64Mul, false, false, func(memTrapAddr) []wasm.Instr {
+			return f64(wasm.OpF64Mul, idx3...)
+		}},
+		{"idx1±k+load", ir.OpFusedIdx1KLoad, false, false, func(memTrapAddr) []wasm.Instr { return load(idx1k) }},
+		{"idx1±k+load+f64.add", ir.OpFusedIdx1KLoadF64Add, false, false, func(memTrapAddr) []wasm.Instr {
+			return f64(wasm.OpF64Add, idx1k...)
+		}},
+	}
+}
+
+// memTrapMode is one way a memory constituent traps: the configuration
+// and the address (f's b) that makes it trap.
+type memTrapMode struct {
+	name   string
+	feats  core.Features
+	wasm32 bool
+	addr   uint64
+	code   TrapCode
+}
+
+var memTrapModes = map[string]memTrapMode{
+	"bounds64": {"bounds64 out of bounds", core.Features{}, false, wasm.PageSize, TrapOutOfBounds},
+	"b64tag-oob": {"B64Tag out of bounds", core.Features{MemSafety: true, MTEMode: mte.ModeSync},
+		false, wasm.PageSize, TrapOutOfBounds},
+	"b64tag-mismatch": {"B64Tag tag mismatch", core.Features{MemSafety: true, MTEMode: mte.ModeSync},
+		false, ptrlayout.WithTag(256, 5), TrapTagMismatch},
+	"mte": {"MTE tag mismatch", core.Features{Sandbox: true, MTEMode: mte.ModeSync},
+		false, wasm.PageSize, TrapTagMismatch},
+	"guard": {"guard fault", core.Features{}, true, wasm.PageSize, TrapOutOfBounds},
+}
+
+// MemConstituentTraps runs every memTrapRows opcode that exists under
+// the named memTrapModes entry so that it traps at its memory
+// constituent, fused, lowered and through the oracle: the trap code is
+// the mode's, and the per-event totals of the three agree — the fused
+// and lowered tiers take back what their regions did not run.
+func MemConstituentTraps(t *testing.T, modeName string) {
+	mode := memTrapModes[modeName]
+	addr, at := memTrapAddr64, wasm.I64
+	if mode.wasm32 {
+		addr, at = memTrapAddr32, wasm.I32
+	}
+	for _, row := range memTrapRows() {
+		if mode.wasm32 && !row.wasm32 {
+			continue
+		}
+		t.Run(mode.name+"/"+row.name, func(t *testing.T) {
+			m := buildModule([]wasm.ValType{at, at, at, at, wasm.F64}, []wasm.ValType{at}, nil,
+				append(append([]wasm.Instr{wasm.LocalGet(1), wasm.GlobalSet(0)}, row.body(addr)...), wasm.End())...)
+			m.Mems[0].Memory64 = !mode.wasm32
+			m.Globals = []wasm.Global{{Type: wasm.GlobalType{Type: at, Mutable: true}}}
+			cfg := Config{Features: mode.feats, Seed: 7}
+			prog, err := LowerModule(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fused := fuse.Fuse(prog, nil)
+			found := false
+			for _, in := range fused.Funcs[0].Code {
+				found = found || row.op != 0 && in.Op == row.op ||
+					row.op == 0 && (row.store && in.Op.IsStore() || !row.store && in.Op.IsLoad())
+			}
+			if !found {
+				t.Fatalf("f does not fuse to %v: %v", row.op, fused.Funcs[0].Code)
+			}
+			i := uint64(0)
+			if row.op == ir.OpFusedIdx1KLoad || row.op == ir.OpFusedIdx1KLoadF64Add {
+				i = ^uint64(0) // i + 1 = 0
+			}
+			args := []uint64{mode.addr, i, 0, 0, math.Float64bits(1.5)}
+			var events [3]arch.Counter
+			var codes [3]TrapCode
+			tiers := []string{"fused", "lowered", "oracle"}
+			for k, tier := range tiers {
+				c := cfg
+				c.Counter = &events[k]
+				if tier == "fused" {
+					c.Program = fused
+				}
+				inst, err := NewInstance(m, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tier == "oracle" {
+					lr, lerr := NewLegacyRunner(inst)
+					if lerr != nil {
+						t.Fatal(lerr)
+					}
+					_, err = lr.Invoke("f", args...)
+				} else {
+					_, err = inst.Invoke("f", args...)
+				}
+				if tr, ok := err.(*Trap); ok {
+					codes[k] = tr.Code
+				} else {
+					t.Fatalf("%s: %v, want a trap", tier, err)
+				}
+			}
+			for k, tier := range tiers {
+				if codes[k] != mode.code {
+					t.Errorf("%s traps %v, want %v", tier, codes[k], mode.code)
+				}
+				if events[k] != events[2] {
+					t.Errorf("%s events %v, the oracle's %v", tier, events[k].EventCounts(), events[2].EventCounts())
 				}
 			}
 		})

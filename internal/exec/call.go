@@ -95,6 +95,14 @@ func (m *meter) check(ctr *arch.Counter) error {
 	return nil
 }
 
+// checkpoint is the dispatch loop's interrupt checkpoint once m.quiet
+// has failed: the region charges still pending go to the counter, then
+// m.check reads it.
+func (inst *Instance) checkpoint(m *meter) error {
+	inst.pending.Drain(inst.counter)
+	return m.check(inst.counter)
+}
+
 // quiet reports that check has nothing to find without looking
 // further: a lone meter (no outer call's bounds to enforce) with no
 // fuel budget whose context has not ended — every cancellable call

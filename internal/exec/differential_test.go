@@ -8,6 +8,7 @@ package exec_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"cage/internal/arch"
@@ -319,6 +320,26 @@ func trapCases() []trapCase {
 			core.Features{}, exec.TrapDivByZero,
 		},
 		{
+			// const 0; i64.div_s; i64.eqz fuses to one op whose first ALU
+			// traps with the second still queued.
+			"div-by-zero-first-of-two-alus",
+			trapModule([]wasm.ValType{wasm.I32}, []wasm.Instr{
+				wasm.I64Const(1), wasm.I64Const(0), wasm.Op(wasm.OpI64DivS), wasm.Op(wasm.OpI64Eqz),
+				wasm.Op(wasm.OpEnd),
+			}, nil, 0),
+			core.Features{}, exec.TrapDivByZero,
+		},
+		{
+			// const 0; f64.add; i64.trunc_f64_s fuses to one op whose
+			// second ALU traps on the NaN.
+			"trunc-nan-second-of-two-alus",
+			trapModule([]wasm.ValType{wasm.I64}, []wasm.Instr{
+				wasm.F64Const(math.NaN()), wasm.F64Const(0), wasm.Op(wasm.OpF64Add), wasm.Op(wasm.OpI64TruncF64S),
+				wasm.Op(wasm.OpEnd),
+			}, nil, 0),
+			core.Features{}, exec.TrapIntOverflow,
+		},
+		{
 			"oob-load-bounds64",
 			trapModule([]wasm.ValType{wasm.I64}, []wasm.Instr{
 				wasm.I64Const(1 << 20), wasm.Load(wasm.OpI64Load, 0), wasm.Op(wasm.OpEnd),
@@ -372,16 +393,19 @@ func trapCases() []trapCase {
 	return cases
 }
 
+// TestLoweredMatchesLegacyTraps: the lowered tier traps where the
+// oracle does, with the oracle's per-event totals up to the trap.
 func TestLoweredMatchesLegacyTraps(t *testing.T) {
 	for _, tc := range trapCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			low, err := exec.NewInstance(tc.mod, exec.Config{Features: tc.feats, Seed: 7})
+			var lowCtr, legCtr arch.Counter
+			low, err := exec.NewInstance(tc.mod, exec.Config{Features: tc.feats, Seed: 7, Counter: &lowCtr})
 			if err != nil {
 				t.Fatalf("instantiate lowered: %v", err)
 			}
 			_, lowErr := low.Invoke("f")
 
-			leg, err := exec.NewInstance(tc.mod, exec.Config{Features: tc.feats, Seed: 7})
+			leg, err := exec.NewInstance(tc.mod, exec.Config{Features: tc.feats, Seed: 7, Counter: &legCtr})
 			if err != nil {
 				t.Fatalf("instantiate legacy: %v", err)
 			}
@@ -403,6 +427,9 @@ func TestLoweredMatchesLegacyTraps(t *testing.T) {
 			}
 			if legTrap.Code != lowTrap.Code {
 				t.Errorf("trap mismatch: lowered=%v legacy=%v", lowTrap.Code, legTrap.Code)
+			}
+			if lowCtr != legCtr {
+				t.Errorf("events: lowered=%v legacy=%v", lowCtr.EventCounts(), legCtr.EventCounts())
 			}
 		})
 	}

@@ -49,6 +49,9 @@ func withProbes(p *ir.Program, sel probe) *ir.Program {
 		out.Funcs[fi] = f
 		out.Funcs[fi].Code = code
 	}
+	if err := ir.BuildCharges(&out); err != nil {
+		panic(err)
+	}
 	return &out
 }
 

@@ -42,10 +42,10 @@
 //
 // Branches carry absolute target PCs and precomputed stack repair, the
 // sandboxing strategy is baked into mode-specialized memory opcodes at
-// lower time, and each opcode reports its fixed cost events, keeping
-// the arch timing model exact — the legacy-oracle differential suite
-// holds the frame machine to identical results, traps, and event
-// counts.
+// lower time, and the fixed cost events of each opcode are a property
+// of the lowered program (see "Events" below), keeping the arch timing
+// model exact — the legacy-oracle differential suite holds the frame
+// machine to identical results, traps, and event counts.
 //
 // # Dispatch
 //
@@ -74,8 +74,7 @@
 // TestFusedALUKindsMatchSlowPath pin the two tables. Tried and moved
 // nothing, so nobody repeats them: splitting run into an outer
 // per-frame loop and an inner dispatch loop (halves the loop-head
-// spills, 8 → 4 stores, no measurable gain), and suspecting the
-// per-event ctr.Add (it is one `ADDQ $1, off(Rctr)`).
+// spills, 8 → 4 stores, no measurable gain).
 //
 // A second rule holds of the fused tier: a fused handler makes no
 // indirect jump of its own for a constituent the fuse pass could name.
@@ -89,13 +88,14 @@
 // "which ALU op is this" per constituent, per dispatch. The idiom
 // opcodes (ir/idiom.go) take it once, in the fuse pass, and record it
 // in the opcode: each has one case in the main switch that reads its
-// operands from locals, immediates and the entry stack into Go locals,
-// charges the constituents' events in constituent order, and writes the
-// result — no goto fusedALU, no switch on an ALU opcode, the operand
-// stack untouched in between. The same iteration is 9 table jumps: the
-// seven dispatches and the two loads' memory variant, which stays a
-// run-time field of the shared load block (inlining that variant switch
-// into the three load idioms measured the same and tripled their code). Over
+// operands from locals, immediates and the entry stack into Go locals
+// and writes the result — no goto fusedALU, no switch on an ALU opcode,
+// the operand stack untouched in between, and no event charged: its
+// events are its constituents', in its region's charge. The same
+// iteration is 9 table jumps: the seven dispatches and the two loads'
+// memory variant, which stays a run-time field of the shared load block
+// (inlining that variant switch into the three load idioms measured the
+// same and tripled their code). Over
 // the 25 polybench kernels and the Fig. 15 ptr-auth 2mm under `full`,
 // 85 % of the ALU constituents executed inside fused ops now run in an
 // idiom case. The fusedALU block is what is left for every tuple
@@ -153,25 +153,63 @@
 // G32 the limit compare and G32G the guard-region access; the bytes
 // are moved by a spelled-out little-endian expression the compiler
 // merges into one MOVQ/MOVL, and a store ORs its first and last page
-// into the dirty set. An accepted access charges exactly what its
-// address function would. Everything else — a miss, a trap, a 1- or
-// 2-byte access, the NC variants of the buggy-lowering demo, a tag
-// mismatch that async or disabled checking would let through — calls
+// into the dirty set. Everything else — a miss, a trap, a 1- or 2-byte
+// access, the NC variants of the buggy-lowering demo, a tag mismatch
+// that async or disabled checking would let through — calls
 // fusedMemLoad / fusedMemStore, which table-jump to the address
 // functions, so addrG32, addrB64 and addrMTE stay the one definition of
-// semantics, events and traps (TestAccessBlocksMatchAddressFunctions
-// holds the open-coded half to them over random accesses and tag
-// layouts). After the value, the load block switches on the opcode for
-// its trailing f64.mul, f64.add or f64.sub, or hands a shape's ALU to
-// fusedALU. The same budget shapes the checkpoints: a taken branch
+// semantics and traps (TestAccessBlocksMatchAddressFunctions holds the
+// open-coded half to them over random accesses and tag layouts). None
+// of them charges an event: an access's load or store, bounds check,
+// mask and tag check are its region's. After the value, the load block
+// switches on the opcode for its trailing f64.mul, f64.add or f64.sub,
+// or hands a shape's ALU to fusedALU. The same budget shapes the checkpoints: a taken branch
 // repairs the stack inline — a loop back-edge carries no values, so
 // its repair is one truncation — and polls the meter through
 // meter.quiet (cost 20), calling meter.check only for a fuel budget, an
 // ended context or a nested call. Each branch keeps its own copy of
 // that tail: one shared block for it, reached by goto, cost gemm 12 %.
 // CI fails if run calls readScalar, extendLoad, writeScalar,
-// dirtySet.mark or branchRepair, or if quiet or Granules stop
+// dirtySet.mark, branchRepair or arch.Counter.Add — the region charge
+// is open-coded at the region label — or if quiet or Granules stop
 // inlining into it.
+//
+// # Events
+//
+// The timing-model events of straight-line code are a property of the
+// program: ir.BuildCharges (the end of ir.Lower; fuse.Fuse keeps its
+// table) records for every pc the events of the region from it through
+// the next control transfer, from one per-opcode table (ir.Op.Events)
+// and each fused op's Constituents. run charges a region where it
+// enters it — a function's entry, a taken branch's target after its
+// meter check, a not-taken branch's fallthrough, a call's continuation
+// — so the cases, the fusedALU and access blocks, numeric and the
+// address functions carry semantics only. A charge is dense
+// (ir.Charge, a 16-bit lane per event): the region label adds eight
+// words to Instance.pending, which is drained into the counter when a
+// lane fills and before anything reads the counter — a meter
+// checkpoint, a host call, the end of the run, a trap. A sparse
+// (event, n) list per region, added straight to the counter, ran gemm
+// and jacobi-1d 25 % slower: its loop changes trip count from region
+// to region, and its exit branch mispredicts.
+//
+// A trap takes back, on the cold path, what its region did not run
+// (trapped, ir.Program.Unrun): the parts of the trapping instruction
+// after the one that trapped, and the rest of the region. The part
+// that trapped has charged all its events, except that a *Tag access
+// out of bounds traps before its tag check. The fusedALU block finds
+// its trapping ALU from the ALUs still queued in aluNext; a
+// guard-region fault, which leaves run by panic, takes its pc from
+// Instance.guardPC, which the G32G access paths write before each
+// access. TestFuelGolden pins every fuel point and trapped total.
+//
+// Charges that depend on operands go straight to the counter: segment
+// tag granules, bulk memory's per-8-byte counts, memory.grow's
+// granules, a hardened host crossing's BTB flush, host fuel.
+// effectiveAddr, the path of bulk memory and of the test-only oracle,
+// charges its check events itself, and the oracle prices the numeric
+// ops with its own switch, so the differential suites check the ir
+// table against a second definition.
 //
 // # Interruption points
 //

@@ -215,9 +215,10 @@ func (inst *Instance) callHost(idx int, args []uint64) ([]uint64, error) {
 // barrier returns: one flat dispatch loop over the pre-resolved
 // instruction stream of whichever frame is on top. There is no control
 // stack and no end/else matching — branches carry absolute target PCs
-// and their stack repair — and each opcode reports its cost event(s) to
-// the arch timing model, so one execution can still be priced on all
-// three cores afterwards.
+// and their stack repair. The cases carry semantics only: the arch
+// timing model's events are charged a straight-line region at a time
+// at the region label below, from the table ir.BuildCharges built, so
+// one execution can still be priced on all three cores afterwards.
 //
 // The hot loop sees the top frame through two slice views into the
 // value arena — locals (params + declared locals) and stack (the
@@ -261,7 +262,24 @@ func (inst *Instance) run(barrier int) error {
 	// size, specialized variant, wasm opcode). A store's index and value
 	// are the top two stack slots and its offset in.A.
 	var memIdx, memOff, memB uint64
+	charges := inst.prog.Charges
+	const _ = uint(ir.ChargeWords - 8) // the region label adds eight words
+	const _ = uint(8 - ir.ChargeWords)
 
+region:
+	// Every way into a straight-line region comes here — a function's
+	// entry, a taken branch's target after its meter check, a not-taken
+	// branch's fallthrough, a call's continuation — and adds the events
+	// of the whole region through the next control transfer to
+	// inst.pending (doc.go, "Events").
+	{
+		c, p := &charges[code[pc].Charge], &inst.pending
+		p[0], p[1], p[2], p[3] = p[0]+c[0], p[1]+c[1], p[2]+c[2], p[3]+c[3]
+		p[4], p[5], p[6], p[7] = p[4]+c[4], p[5]+c[5], p[6]+c[6], p[7]+c[7]
+		if (p[0]|p[1]|p[2]|p[3]|p[4]|p[5]|p[6]|p[7])&ir.ChargeFull != 0 {
+			p.Drain(ctr)
+		}
+	}
 	for {
 		in := &code[pc]
 		switch in.Op {
@@ -270,7 +288,7 @@ func (inst *Instance) run(barrier int) error {
 
 		case ir.OpGoto:
 			pc = int(in.B)
-			continue
+			goto region
 
 		// A taken branch applies its stack repair in place — carry the
 		// top n values down to height keep; a loop back-edge carries none,
@@ -281,7 +299,6 @@ func (inst *Instance) run(barrier int) error {
 		// below, fused or not, repeats this inline: one shared block for
 		// it cost gemm 12 %.
 		case ir.OpBr:
-			ctr.Add(arch.EvBranch, 1)
 			keep, n := ir.BranchKeep(in.A), ir.BranchArity(in.A)
 			if n != 0 {
 				copy(stack[keep:keep+n], stack[len(stack)-n:])
@@ -289,14 +306,13 @@ func (inst *Instance) run(barrier int) error {
 			stack = stack[:keep+n]
 			pc = int(in.B)
 			if mtr != nil && !mtr.quiet() {
-				if err := mtr.check(ctr); err != nil {
+				if err := inst.checkpoint(mtr); err != nil {
 					return err
 				}
 			}
-			continue
+			goto region
 
 		case ir.OpBrIf:
-			ctr.Add(arch.EvBranch, 1)
 			c := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if uint32(c) != 0 {
@@ -307,33 +323,35 @@ func (inst *Instance) run(barrier int) error {
 				stack = stack[:keep+n]
 				pc = int(in.B)
 				if mtr != nil && !mtr.quiet() {
-					if err := mtr.check(ctr); err != nil {
+					if err := inst.checkpoint(mtr); err != nil {
 						return err
 					}
 				}
-				continue
+				goto region
 			}
+			pc++
+			goto region
 
 		case ir.OpBrIfZ:
 			// Taken BrIfZ is a branch like any other and therefore an
 			// interrupt checkpoint; skipping it would let a loop whose
 			// only taken edges are if-conditionals outrun WithTimeout and
 			// WithFuel. It repairs nothing: the height stays.
-			ctr.Add(arch.EvBranch, 1)
 			c := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if uint32(c) == 0 {
 				pc = int(in.B)
 				if mtr != nil && !mtr.quiet() {
-					if err := mtr.check(ctr); err != nil {
+					if err := inst.checkpoint(mtr); err != nil {
 						return err
 					}
 				}
-				continue
+				goto region
 			}
+			pc++
+			goto region
 
 		case ir.OpBrTable:
-			ctr.Add(arch.EvBrTable, 1)
 			i := uint32(stack[len(stack)-1])
 			stack = stack[:len(stack)-1]
 			ts := in.Targets
@@ -348,30 +366,25 @@ func (inst *Instance) run(barrier int) error {
 			stack = stack[:keep+n]
 			pc = int(t.PC)
 			if mtr != nil && !mtr.quiet() {
-				if err := mtr.check(ctr); err != nil {
+				if err := inst.checkpoint(mtr); err != nil {
 					return err
 				}
 			}
-			continue
+			goto region
 
-		case ir.OpReturn:
-			ctr.Add(arch.EvReturn, 1)
-			goto ret
-		case ir.OpRetEnd:
+		case ir.OpReturn, ir.OpRetEnd:
 			goto ret
 
-		case ir.OpFence:
-			// Speculation barrier of the hardened lowering: no semantic
-			// effect, priced as a pipeline drain by the timing model.
-			ctr.Add(arch.EvFence, 1)
+		case ir.OpFence, ir.OpPtrSignNop, ir.OpPtrAuthNop:
+			// Events only: the hardened lowering's speculation barrier,
+			// priced as a pipeline drain, and the PAC instructions of the
+			// software fallback, which the timing model still prices.
 
 		case ir.OpCall:
-			ctr.Add(arch.EvCall, 1)
 			callIdx, callN = int(in.A), int(in.B)
 			goto call
 
 		case ir.OpCallIndirect:
-			ctr.Add(arch.EvCallIndirect, 1)
 			ti := uint32(stack[len(stack)-1])
 			stack = stack[:len(stack)-1]
 			if uint64(ti) >= uint64(len(inst.table)) {
@@ -397,51 +410,42 @@ func (inst *Instance) run(barrier int) error {
 			stack = stack[:len(stack)-1]
 
 		case ir.OpSelect:
-			ctr.Add(arch.EvSelect, 1)
 			if uint32(stack[len(stack)-1]) == 0 {
 				stack[len(stack)-3] = stack[len(stack)-2]
 			}
 			stack = stack[:len(stack)-2]
 
 		case ir.OpLocalGet:
-			ctr.Add(arch.EvLocal, 1)
 			stack = append(stack, locals[in.A])
 		case ir.OpLocalSet:
-			ctr.Add(arch.EvLocal, 1)
 			locals[in.A] = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 		case ir.OpLocalTee:
-			ctr.Add(arch.EvLocal, 1)
 			locals[in.A] = stack[len(stack)-1]
 
 		case ir.OpGlobalGet:
-			ctr.Add(arch.EvGlobal, 1)
 			stack = append(stack, inst.globals[in.A])
 		case ir.OpGlobalSet:
-			ctr.Add(arch.EvGlobal, 1)
 			inst.globals[in.A] = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 
 		case ir.OpConst:
-			ctr.Add(arch.EvConst, 1)
 			stack = append(stack, in.A)
 
 		case ir.OpMemorySize:
-			ctr.Add(arch.EvALU, 1)
 			stack = append(stack, inst.memSize/wasm.PageSize)
 		case ir.OpMemoryGrow:
-			ctr.Add(arch.EvMemGrow, 1)
 			stack[len(stack)-1] = inst.memoryGrow(stack[len(stack)-1])
 		case ir.OpMemoryFill:
 			n, err := inst.memoryFill(stack)
 			if err != nil {
-				return err
+				return inst.trapped(code, pc, 0, err)
 			}
 			stack = stack[:n]
 		case ir.OpMemoryCopy:
 			n, err := inst.memoryCopy(stack)
 			if err != nil {
-				return err
+				return inst.trapped(code, pc, 0, err)
 			}
 			stack = stack[:n]
 
@@ -451,7 +455,7 @@ func (inst *Instance) run(barrier int) error {
 			stack = stack[:len(stack)-2]
 			tagged, err := inst.segmentNew(ptr, length, in.A)
 			if err != nil {
-				return err
+				return inst.trapped(code, pc, 0, err)
 			}
 			stack = append(stack, tagged)
 		case ir.OpSegmentSetTag:
@@ -460,35 +464,27 @@ func (inst *Instance) run(barrier int) error {
 			ptr := stack[len(stack)-3]
 			stack = stack[:len(stack)-3]
 			if err := inst.segmentSetTag(ptr, tagged, length, in.A); err != nil {
-				return err
+				return inst.trapped(code, pc, 0, err)
 			}
 		case ir.OpSegmentFree:
 			length := stack[len(stack)-1]
 			tagged := stack[len(stack)-2]
 			stack = stack[:len(stack)-2]
 			if err := inst.segmentFree(tagged, length, in.A); err != nil {
-				return err
+				return inst.trapped(code, pc, 0, err)
 			}
 
 		case ir.OpPtrSign:
-			ctr.Add(arch.EvPACSign, 1)
 			stack[len(stack)-1] = inst.keys.Sign(stack[len(stack)-1])
-		case ir.OpPtrSignNop:
-			// PAC disabled: the instruction is a no-op fallback, but the
-			// timing model still prices the lowered pacda.
-			ctr.Add(arch.EvPACSign, 1)
 		case ir.OpPtrAuth:
-			ctr.Add(arch.EvPACAuth, 1)
 			v, err := inst.keys.Auth(stack[len(stack)-1])
 			if err != nil {
 				if errors.Is(err, pac.ErrAuthFailed) {
-					return newTrap(TrapAuthFailure, "i64.pointer_auth at pc %d", pc)
+					err = newTrap(TrapAuthFailure, "i64.pointer_auth at pc %d", pc)
 				}
-				return err
+				return inst.trapped(code, pc, 0, err)
 			}
 			stack[len(stack)-1] = v
-		case ir.OpPtrAuthNop:
-			ctr.Add(arch.EvPACAuth, 1)
 
 		// Loads and stores, specialized per address-translation mode at
 		// lower time: the operands go to the shared access blocks at the
@@ -496,22 +492,21 @@ func (inst *Instance) run(barrier int) error {
 		// op reaches too.
 		case ir.OpLoadG32, ir.OpLoadG32NC, ir.OpLoadB64, ir.OpLoadB64NC, ir.OpLoadB64Tag,
 			ir.OpLoadB64NCTag, ir.OpLoadMTE, ir.OpLoadMTENC, ir.OpLoadG32G:
-			ctr.Add(arch.EvLoad, 1)
 			memIdx, memOff = stack[len(stack)-1], in.A
 			memB = ir.PackFusedMem(ir.MemSize(in.B), in.Op, 0, ir.MemOp(in.B))
 			stack = stack[:len(stack)-1]
 			goto load
 		case ir.OpStoreG32, ir.OpStoreG32NC, ir.OpStoreB64, ir.OpStoreB64NC, ir.OpStoreB64Tag,
 			ir.OpStoreB64NCTag, ir.OpStoreMTE, ir.OpStoreMTENC, ir.OpStoreG32G:
-			ctr.Add(arch.EvStore, 1)
 			memB = ir.PackFusedMem(ir.MemSize(in.B), in.Op, 0, ir.MemOp(in.B))
 			goto store
 
 		// Fused superinstructions (internal/fuse): each case executes its
-		// constituents in order with the constituents' exact events and
-		// trap points, so a fused program is observationally identical to
-		// its unfused twin — results, traps, and event stream — and only
-		// the dispatch count differs. Operand-stack peaks are also
+		// constituents in order with the constituents' exact trap points,
+		// and its events are its constituents' in the region's charge, so
+		// a fused program is observationally identical to its unfused
+		// twin — results, traps, and event stream — and only the dispatch
+		// count differs. Operand-stack peaks are also
 		// identical (the constituents run one by one), so the frame's
 		// precomputed MaxStack still bounds every append below. The
 		// ALU-carrying cases converge on the fusedALU block at the bottom
@@ -519,34 +514,25 @@ func (inst *Instance) run(barrier int) error {
 		// blocks, which run the constituent without leaving the dispatch
 		// frame.
 		case ir.OpFusedGetGet:
-			ctr.Add(arch.EvLocal, 2)
 			stack = append(stack, locals[in.A], locals[in.B])
 		case ir.OpFusedGet4:
-			ctr.Add(arch.EvLocal, 4)
 			stack = append(stack, locals[in.A>>48], locals[(in.A>>32)&0xFFFF],
 				locals[(in.A>>16)&0xFFFF], locals[in.A&0xFFFF])
 		case ir.OpFusedGetConst:
-			ctr.Add(arch.EvLocal, 1)
-			ctr.Add(arch.EvConst, 1)
 			stack = append(stack, locals[in.A], in.B)
 		case ir.OpFusedConstALU:
-			ctr.Add(arch.EvConst, 1)
 			stack = append(stack, in.A)
 			aluOp = wasm.Opcode(in.B)
 			goto fusedALU
 		case ir.OpFusedGetALU:
-			ctr.Add(arch.EvLocal, 1)
 			stack = append(stack, locals[in.A])
 			aluOp = wasm.Opcode(in.B)
 			goto fusedALU
 		case ir.OpFusedGetGetALU:
-			ctr.Add(arch.EvLocal, 2)
 			stack = append(stack, locals[in.A>>32], locals[uint32(in.A)])
 			aluOp = wasm.Opcode(in.B)
 			goto fusedALU
 		case ir.OpFusedGetConstALU:
-			ctr.Add(arch.EvLocal, 1)
-			ctr.Add(arch.EvConst, 1)
 			stack = append(stack, locals[ir.FusedBranchAux(in.B)], in.A)
 			aluOp = wasm.Opcode(uint32(in.B))
 			goto fusedALU
@@ -557,14 +543,11 @@ func (inst *Instance) run(barrier int) error {
 			// set then get, in order: when both name the same local the
 			// get observes the just-set value, exactly like the unfused
 			// pair.
-			ctr.Add(arch.EvLocal, 2)
 			locals[in.A] = stack[len(stack)-1]
 			stack[len(stack)-1] = locals[in.B]
 		case ir.OpFusedSetBr:
-			ctr.Add(arch.EvLocal, 1)
 			locals[ir.FusedBranchAux(in.B)] = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			ctr.Add(arch.EvBranch, 1)
 			keep, n := ir.BranchKeep(in.A), ir.BranchArity(in.A)
 			if n != 0 {
 				copy(stack[keep:keep+n], stack[len(stack)-n:])
@@ -572,17 +555,16 @@ func (inst *Instance) run(barrier int) error {
 			stack = stack[:keep+n]
 			pc = ir.FusedBranchTarget(in.B)
 			if mtr != nil && !mtr.quiet() {
-				if err := mtr.check(ctr); err != nil {
+				if err := inst.checkpoint(mtr); err != nil {
 					return err
 				}
 			}
-			continue
+			goto region
 		case ir.OpFusedCmpBrIf, ir.OpFusedCmpBrIfZ, ir.OpFusedCmpEqzBrIf:
 			aluOp = wasm.Opcode(ir.FusedBranchAux(in.B))
 			goto fusedALU
 		case ir.OpFusedLoadALU:
 			// Load constituent first, then its ALU.
-			ctr.Add(arch.EvLoad, 1)
 			memIdx, memOff, memB = stack[len(stack)-1], in.A, in.B
 			stack = stack[:len(stack)-1]
 			goto load
@@ -590,37 +572,30 @@ func (inst *Instance) run(barrier int) error {
 			aluOp = ir.FusedMemALU(in.B)
 			goto fusedALU
 		case ir.OpFusedConstALUALU:
-			ctr.Add(arch.EvConst, 1)
 			stack = append(stack, in.A)
 			aluOp = wasm.Opcode(in.B & 0xFF)
 			aluNext = uint32(in.B>>8) & 0xFF
 			goto fusedALU
 		case ir.OpFusedGetALUGetALU:
-			ctr.Add(arch.EvLocal, 1)
 			stack = append(stack, locals[in.A>>32])
 			aluOp = wasm.Opcode(in.B & 0xFF)
 			aluNext = uint32(in.B>>8) & 0xFF
 			goto fusedALU
 		case ir.OpFusedGetGetCmpEqzBr:
-			ctr.Add(arch.EvLocal, 2)
 			stack = append(stack, locals[in.A>>32], locals[uint32(in.A)])
 			aluOp = wasm.Opcode(ir.FusedBranchAux(in.B))
 			goto fusedALU
 		case ir.OpFusedIncBr:
-			ctr.Add(arch.EvLocal, 1)
-			ctr.Add(arch.EvConst, 1)
 			stack = append(stack, locals[ir.FusedBranchAux(in.B)], in.A>>8)
 			aluOp = wasm.Opcode(in.A & 0xFF)
 			goto fusedALU
 		case ir.OpFusedGet3ALUGetALU:
-			ctr.Add(arch.EvLocal, 3)
 			stack = append(stack, locals[in.A>>48], locals[(in.A>>32)&0xFFFF],
 				locals[(in.A>>16)&0xFFFF])
 			aluOp = wasm.Opcode(in.B & 0xFF)
 			aluNext = uint32(in.B>>8) & 0xFF
 			goto fusedALU
 		case ir.OpFusedConstALUALULoadALU:
-			ctr.Add(arch.EvConst, 1)
 			stack = append(stack, in.A>>32)
 			aluOp = wasm.Opcode((in.B >> 32) & 0xFF)
 			aluNext = uint32(in.B>>40)&0xFF | uint32(ir.FusedMemALU(in.B))<<8
@@ -631,37 +606,18 @@ func (inst *Instance) run(barrier int) error {
 			goto fusedALU
 
 		// Indexed loads: an i64 address built from locals and the scale
-		// constant, then the load block (the unfused load's checks, events
-		// and trap), then the f64.mul or f64.add where the opcode names
-		// one. The events of everything before the load are charged up
-		// front, merged per event — nothing can observe the counter
-		// between them — and the trailing op's, in the load block, only
-		// once the load has not trapped.
+		// constant, then the load block (the unfused load's checks and
+		// trap), then the f64.mul or f64.add where the opcode names one.
 		case ir.OpFusedIdx1Load, ir.OpFusedIdx1LoadF64Mul, ir.OpFusedIdx1LoadF64Add:
-			ctr.Add(arch.EvLocal, 2)
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvMul, 1)
-			ctr.Add(arch.EvALU, 1)
-			ctr.Add(arch.EvLoad, 1)
 			memIdx = locals[in.A>>48] + locals[(in.A>>32)&0xFFFF]*ir.IdxScale(in.B)
 			memOff, memB = ir.IdxOffset(in.B), in.B
 			goto load
 		case ir.OpFusedIdx2Load, ir.OpFusedIdx2LoadF64Mul:
-			ctr.Add(arch.EvLocal, 4)
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvMul, 2)
-			ctr.Add(arch.EvALU, 2)
-			ctr.Add(arch.EvLoad, 1)
 			memIdx = locals[in.A>>48] +
 				(locals[(in.A>>32)&0xFFFF]*locals[(in.A>>16)&0xFFFF]+locals[in.A&0xFFFF])*ir.IdxScale(in.B)
 			memOff, memB = ir.IdxOffset(in.B), in.B
 			goto load
 		case ir.OpFusedIdx3LoadF64Mul:
-			ctr.Add(arch.EvLocal, 3)
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvMul, 2)
-			ctr.Add(arch.EvALU, 1)
-			ctr.Add(arch.EvLoad, 1)
 			memIdx = locals[in.A>>48] + locals[(in.A>>32)&0xFFFF]*locals[(in.A>>16)&0xFFFF]*ir.IdxScale(in.B)
 			memOff, memB = ir.IdxOffset(in.B), in.B
 			goto load
@@ -669,89 +625,59 @@ func (inst *Instance) run(barrier int) error {
 		// constituents' i64.extend_i32_s and i64.add|sub, in the same wrap
 		// arithmetic.
 		case ir.OpFusedIdx1KLoad, ir.OpFusedIdx1KLoadF64Add:
-			ctr.Add(arch.EvLocal, 2)
-			ctr.Add(arch.EvConst, 2)
-			ctr.Add(arch.EvConv, 1)
-			ctr.Add(arch.EvMul, 1)
-			ctr.Add(arch.EvALU, 2)
-			ctr.Add(arch.EvLoad, 1)
 			memIdx = locals[in.A>>48] +
 				(locals[(in.A>>32)&0xFFFF]+ir.IdxDelta(in.A, ir.FusedMemALU(in.B)))*ir.IdxScale(in.B)
 			memOff, memB = ir.IdxOffset(in.B), in.B
 			goto load
 		case ir.OpFusedIdx1:
-			ctr.Add(arch.EvLocal, 2)
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvMul, 1)
-			ctr.Add(arch.EvALU, 1)
 			stack = append(stack, locals[in.A>>48]+locals[(in.A>>32)&0xFFFF]*ir.IdxScale(in.B))
 		case ir.OpFusedGetGetKI64LtSEqzBr:
-			ctr.Add(arch.EvLocal, 2)
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvConv, 1)
-			ctr.Add(arch.EvALU, 1)
-			ctr.Add(arch.EvCmp, 2) // i64.lt_s, i32.eqz
-			ctr.Add(arch.EvBranch, 1)
 			if int64(locals[in.A>>48]) >= int64(locals[(in.A>>32)&0xFFFF]+
 				ir.IdxDelta(in.A, wasm.Opcode(ir.FusedBranchAux(in.B)))) {
 				stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
 				pc = ir.FusedBranchTarget(in.B)
 				if mtr != nil && !mtr.quiet() {
-					if err := mtr.check(ctr); err != nil {
+					if err := inst.checkpoint(mtr); err != nil {
 						return err
 					}
 				}
-				continue
+				goto region
 			}
+			pc++
+			goto region
 
 		// Idiom superinstructions (ir/idiom.go): a generic shape above
 		// with its ALU constituents named in the opcode, so the case is
 		// straight-line code — no trip through fusedALU, no switch on an
 		// ALU opcode. Operands go from locals, immediates and the entry
-		// stack through Go locals to the final stack; the constituents'
-		// events are charged in constituent order (the ones after a
-		// memory constituent only once it has not trapped), and a memory
+		// stack through Go locals to the final stack, and a memory
 		// constituent is the shapes' load block, whose variant stays a
 		// run-time field. Immediates are the shape's with the ALU fields
 		// zero.
 		case ir.OpFusedConstI64MulAdd:
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvMul, 1)
-			ctr.Add(arch.EvALU, 1)
 			l := len(stack)
 			stack[l-2] += stack[l-1] * in.A
 			stack = stack[:l-1]
 		case ir.OpFusedConstI64MulAddLoadF64Mul, ir.OpFusedConstI64MulAddLoadF64Add,
 			ir.OpFusedConstI64MulAddLoadF64Sub:
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvMul, 1)
-			ctr.Add(arch.EvALU, 1)
-			ctr.Add(arch.EvLoad, 1)
 			l := len(stack)
 			memIdx, memOff, memB = stack[l-2]+stack[l-1]*(in.A>>32), uint64(uint32(in.A)), in.B
 			stack = stack[:l-2]
 			goto load
 		case ir.OpFusedGetGetI64LtSEqzBr:
-			ctr.Add(arch.EvLocal, 2)
-			ctr.Add(arch.EvCmp, 2) // i64.lt_s, i32.eqz
-			ctr.Add(arch.EvBranch, 1)
 			if int64(locals[in.A>>32]) >= int64(locals[uint32(in.A)]) {
 				stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
 				pc = ir.FusedBranchTarget(in.B)
 				if mtr != nil && !mtr.quiet() {
-					if err := mtr.check(ctr); err != nil {
+					if err := inst.checkpoint(mtr); err != nil {
 						return err
 					}
 				}
-				continue
+				goto region
 			}
+			pc++
+			goto region
 		case ir.OpFusedF64AddSetI64IncBr:
-			ctr.Add(arch.EvFAdd, 1)
-			ctr.Add(arch.EvLocal, 2)
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvALU, 1)
-			ctr.Add(arch.EvLocal, 1)
-			ctr.Add(arch.EvBranch, 1)
 			x, y := stack[len(stack)-2], stack[len(stack)-1]
 			r := math.Float64frombits(x) + math.Float64frombits(y)
 			v := math.Float64bits(r)
@@ -763,18 +689,12 @@ func (inst *Instance) run(barrier int) error {
 			stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
 			pc = ir.FusedBranchTarget(in.B)
 			if mtr != nil && !mtr.quiet() {
-				if err := mtr.check(ctr); err != nil {
+				if err := inst.checkpoint(mtr); err != nil {
 					return err
 				}
 			}
-			continue
+			goto region
 		case ir.OpFusedF64SubSetI64IncBr:
-			ctr.Add(arch.EvFAdd, 1)
-			ctr.Add(arch.EvLocal, 2)
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvALU, 1)
-			ctr.Add(arch.EvLocal, 1)
-			ctr.Add(arch.EvBranch, 1)
 			x, y := stack[len(stack)-2], stack[len(stack)-1]
 			r := math.Float64frombits(x) - math.Float64frombits(y)
 			v := math.Float64bits(r)
@@ -786,200 +706,144 @@ func (inst *Instance) run(barrier int) error {
 			stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
 			pc = ir.FusedBranchTarget(in.B)
 			if mtr != nil && !mtr.quiet() {
-				if err := mtr.check(ctr); err != nil {
+				if err := inst.checkpoint(mtr); err != nil {
 					return err
 				}
 			}
-			continue
+			goto region
 		case ir.OpFusedGet3I64MulGetAdd:
-			ctr.Add(arch.EvLocal, 3)
-			ctr.Add(arch.EvMul, 1)
-			ctr.Add(arch.EvLocal, 1)
-			ctr.Add(arch.EvALU, 1)
 			stack = append(stack, locals[in.A>>48],
 				locals[(in.A>>32)&0xFFFF]*locals[(in.A>>16)&0xFFFF]+locals[in.A&0xFFFF])
 		case ir.OpFusedConstExtendI64Add:
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvConv, 1)
-			ctr.Add(arch.EvALU, 1)
 			stack[len(stack)-1] += uint64(int64(int32(in.A)))
 		case ir.OpFusedConstExtendI64Sub:
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvConv, 1)
-			ctr.Add(arch.EvALU, 1)
 			stack[len(stack)-1] -= uint64(int64(int32(in.A)))
 		case ir.OpFusedI64IncBr:
-			ctr.Add(arch.EvLocal, 1)
-			ctr.Add(arch.EvConst, 1)
-			ctr.Add(arch.EvALU, 1)
-			ctr.Add(arch.EvLocal, 1)
-			ctr.Add(arch.EvBranch, 1)
 			locals[ir.FusedBranchAux(in.B)] += in.A >> 8
 			stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
 			pc = ir.FusedBranchTarget(in.B)
 			if mtr != nil && !mtr.quiet() {
-				if err := mtr.check(ctr); err != nil {
+				if err := inst.checkpoint(mtr); err != nil {
 					return err
 				}
 			}
-			continue
+			goto region
 		case ir.OpFusedGetI64MulGetAdd:
-			ctr.Add(arch.EvLocal, 1)
-			ctr.Add(arch.EvMul, 1)
-			ctr.Add(arch.EvLocal, 1)
-			ctr.Add(arch.EvALU, 1)
 			l := len(stack)
 			stack[l-1] = stack[l-1]*locals[in.A>>32] + locals[uint32(in.A)]
 
 		default:
 			// Fast path for the hottest pure-value opcodes, inlined so a
 			// tight arithmetic loop never leaves the dispatch frame; the
-			// event accounting is identical to the numeric ALU's, which
-			// the differential suite holds both executors to. Everything
-			// else (divisions, truncations, the float library calls)
-			// falls through to the shared numeric ALU.
+			// semantics are identical to the numeric ALU's, which the
+			// differential suite holds both executors to. Everything else
+			// (divisions, truncations, the float library calls) falls
+			// through to the shared numeric ALU.
 			op := wasm.Opcode(in.Op - ir.OpNumericBase)
 			l := len(stack)
 			switch op {
 			case wasm.OpI64Add:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] += stack[l-1]
 				stack = stack[:l-1]
 			case wasm.OpI64Sub:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] -= stack[l-1]
 				stack = stack[:l-1]
 			case wasm.OpI64And:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] &= stack[l-1]
 				stack = stack[:l-1]
 			case wasm.OpI64Or:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] |= stack[l-1]
 				stack = stack[:l-1]
 			case wasm.OpI64Xor:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] ^= stack[l-1]
 				stack = stack[:l-1]
 			case wasm.OpI64Shl:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] <<= stack[l-1] & 63
 				stack = stack[:l-1]
 			case wasm.OpI64ShrS:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] = uint64(int64(stack[l-2]) >> (stack[l-1] & 63))
 				stack = stack[:l-1]
 			case wasm.OpI64ShrU:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] >>= stack[l-1] & 63
 				stack = stack[:l-1]
 			case wasm.OpI64Mul:
-				ctr.Add(arch.EvMul, 1)
 				stack[l-2] *= stack[l-1]
 				stack = stack[:l-1]
 			case wasm.OpI32Add:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] = uint64(uint32(stack[l-2]) + uint32(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI32Sub:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] = uint64(uint32(stack[l-2]) - uint32(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI32And:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] = uint64(uint32(stack[l-2]) & uint32(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI32Or:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] = uint64(uint32(stack[l-2]) | uint32(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI32Xor:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] = uint64(uint32(stack[l-2]) ^ uint32(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI32Mul:
-				ctr.Add(arch.EvMul, 1)
 				stack[l-2] = uint64(uint32(stack[l-2]) * uint32(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI64LtS:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(int64(stack[l-2]) < int64(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI64LtU:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(stack[l-2] < stack[l-1])
 				stack = stack[:l-1]
 			case wasm.OpI64GtS:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(int64(stack[l-2]) > int64(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI64GeS:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(int64(stack[l-2]) >= int64(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI64LeS:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(int64(stack[l-2]) <= int64(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI64Eq:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(stack[l-2] == stack[l-1])
 				stack = stack[:l-1]
 			case wasm.OpI64Ne:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(stack[l-2] != stack[l-1])
 				stack = stack[:l-1]
 			case wasm.OpI64Eqz:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-1] = b2u(stack[l-1] == 0)
 			case wasm.OpI32LtS:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(int32(stack[l-2]) < int32(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI32LtU:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(uint32(stack[l-2]) < uint32(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI32GtS:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(int32(stack[l-2]) > int32(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI32GeS:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(int32(stack[l-2]) >= int32(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI32LeS:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(int32(stack[l-2]) <= int32(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI32Eq:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(uint32(stack[l-2]) == uint32(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI32Ne:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(uint32(stack[l-2]) != uint32(stack[l-1]))
 				stack = stack[:l-1]
 			case wasm.OpI32Eqz:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-1] = b2u(uint32(stack[l-1]) == 0)
 			case wasm.OpI32WrapI64:
-				ctr.Add(arch.EvConv, 1)
 				stack[l-1] = uint64(uint32(stack[l-1]))
 			case wasm.OpI64ExtendI32S:
-				ctr.Add(arch.EvConv, 1)
 				stack[l-1] = uint64(int64(int32(stack[l-1])))
 			case wasm.OpI64ExtendI32U:
-				ctr.Add(arch.EvConv, 1)
 				stack[l-1] = uint64(uint32(stack[l-1]))
 			case wasm.OpF64ConvertI64S:
-				ctr.Add(arch.EvConv, 1)
 				stack[l-1] = math.Float64bits(float64(int64(stack[l-1])))
 			case wasm.OpF64ConvertI32S:
-				ctr.Add(arch.EvConv, 1)
 				stack[l-1] = math.Float64bits(float64(int32(stack[l-1])))
 			case wasm.OpF64Add:
-				ctr.Add(arch.EvFAdd, 1)
 				x, y := stack[l-2], stack[l-1]
 				r := math.Float64frombits(x) + math.Float64frombits(y)
 				stack[l-2] = math.Float64bits(r)
@@ -988,7 +852,6 @@ func (inst *Instance) run(barrier int) error {
 				}
 				stack = stack[:l-1]
 			case wasm.OpF64Sub:
-				ctr.Add(arch.EvFAdd, 1)
 				x, y := stack[l-2], stack[l-1]
 				r := math.Float64frombits(x) - math.Float64frombits(y)
 				stack[l-2] = math.Float64bits(r)
@@ -997,7 +860,6 @@ func (inst *Instance) run(barrier int) error {
 				}
 				stack = stack[:l-1]
 			case wasm.OpF64Mul:
-				ctr.Add(arch.EvFMul, 1)
 				x, y := stack[l-2], stack[l-1]
 				r := math.Float64frombits(x) * math.Float64frombits(y)
 				stack[l-2] = math.Float64bits(r)
@@ -1008,7 +870,7 @@ func (inst *Instance) run(barrier int) error {
 			default:
 				n, err := inst.numeric(op, stack, l)
 				if err != nil {
-					return err
+					return inst.trapped(code, pc, 0, err)
 				}
 				stack = stack[:n]
 			}
@@ -1021,32 +883,26 @@ func (inst *Instance) run(barrier int) error {
 		// one inline copy of the hottest constituents (the polybench
 		// kernels' top ALU ops) keyed by their dense aluKind so the switch
 		// is a jump table, with the out-of-line executor (kind 0) as the
-		// fallback for the rest. Event charges are copied from the
-		// dispatch fast path above, so fused streams stay event-identical
-		// to unfused ones. The ALU-first superinstructions then run their
-		// second constituent in the switch below; ALU-last ones retire
-		// directly.
+		// fallback for the rest; a trap there finds which ALU constituent
+		// it was from the ALUs still queued in aluNext. The ALU-first
+		// superinstructions then run their second constituent in the
+		// switch below; ALU-last ones retire directly.
 		{
 			l := len(stack)
 			switch aluKind[uint8(aluOp)] {
 			case aluI32Add:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] = uint64(uint32(stack[l-2]) + uint32(stack[l-1]))
 				stack = stack[:l-1]
 			case aluI64Add:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] += stack[l-1]
 				stack = stack[:l-1]
 			case aluI32Mul:
-				ctr.Add(arch.EvMul, 1)
 				stack[l-2] = uint64(uint32(stack[l-2]) * uint32(stack[l-1]))
 				stack = stack[:l-1]
 			case aluI64Mul:
-				ctr.Add(arch.EvMul, 1)
 				stack[l-2] *= stack[l-1]
 				stack = stack[:l-1]
 			case aluF64Add:
-				ctr.Add(arch.EvFAdd, 1)
 				x, y := stack[l-2], stack[l-1]
 				r := math.Float64frombits(x) + math.Float64frombits(y)
 				stack[l-2] = math.Float64bits(r)
@@ -1055,7 +911,6 @@ func (inst *Instance) run(barrier int) error {
 				}
 				stack = stack[:l-1]
 			case aluF64Mul:
-				ctr.Add(arch.EvFMul, 1)
 				x, y := stack[l-2], stack[l-1]
 				r := math.Float64frombits(x) * math.Float64frombits(y)
 				stack[l-2] = math.Float64bits(r)
@@ -1064,29 +919,22 @@ func (inst *Instance) run(barrier int) error {
 				}
 				stack = stack[:l-1]
 			case aluI32LtS:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(int32(stack[l-2]) < int32(stack[l-1]))
 				stack = stack[:l-1]
 			case aluI64LtS:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-2] = b2u(int64(stack[l-2]) < int64(stack[l-1]))
 				stack = stack[:l-1]
 			case aluI32Eqz:
-				ctr.Add(arch.EvCmp, 1)
 				stack[l-1] = b2u(uint32(stack[l-1]) == 0)
 			case aluI64ExtendI32S:
-				ctr.Add(arch.EvConv, 1)
 				stack[l-1] = uint64(int64(int32(stack[l-1])))
 			case aluI32Sub:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] = uint64(uint32(stack[l-2]) - uint32(stack[l-1]))
 				stack = stack[:l-1]
 			case aluI64Sub:
-				ctr.Add(arch.EvALU, 1)
 				stack[l-2] -= stack[l-1]
 				stack = stack[:l-1]
 			case aluF64Sub:
-				ctr.Add(arch.EvFAdd, 1)
 				x, y := stack[l-2], stack[l-1]
 				r := math.Float64frombits(x) - math.Float64frombits(y)
 				stack[l-2] = math.Float64bits(r)
@@ -1095,15 +943,13 @@ func (inst *Instance) run(barrier int) error {
 				}
 				stack = stack[:l-1]
 			case aluF64ConvertI32S:
-				ctr.Add(arch.EvConv, 1)
 				stack[l-1] = math.Float64bits(float64(int32(stack[l-1])))
 			case aluF64ConvertI64S:
-				ctr.Add(arch.EvConv, 1)
 				stack[l-1] = math.Float64bits(float64(int64(stack[l-1])))
 			default:
 				n, err := inst.numeric(aluOp, stack, l)
 				if err != nil {
-					return err
+					return inst.trapped(code, pc, aluConstituent(in, aluNext), err)
 				}
 				stack = stack[:n]
 			}
@@ -1116,16 +962,12 @@ func (inst *Instance) run(barrier int) error {
 			// switch below.
 			switch in.Op {
 			case ir.OpFusedGetALUGetALU:
-				ctr.Add(arch.EvLocal, 1)
 				stack = append(stack, locals[uint32(in.A)])
 			case ir.OpFusedGet3ALUGetALU:
-				ctr.Add(arch.EvLocal, 1)
 				stack = append(stack, locals[in.A&0xFFFF])
 			case ir.OpFusedALUSetIncBr:
 				// set x; get y; const c — retire the reduction, then set
 				// up the induction-variable bump for the second ALU.
-				ctr.Add(arch.EvLocal, 2)
-				ctr.Add(arch.EvConst, 1)
 				locals[(in.A>>32)&0xFFFF] = stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				stack = append(stack, locals[(in.A>>16)&0xFFFF], (in.A>>8)&0xFF)
@@ -1134,7 +976,6 @@ func (inst *Instance) run(barrier int) error {
 				// constituent (offset in A's low half, the high half is
 				// the already-pushed constant) sits before the last one.
 				if aluNext <= 0xFF {
-					ctr.Add(arch.EvLoad, 1)
 					memIdx, memOff, memB = stack[len(stack)-1], uint64(uint32(in.A)), in.B
 					aluOp, aluNext = wasm.Opcode(aluNext), 0
 					stack = stack[:len(stack)-1]
@@ -1146,20 +987,16 @@ func (inst *Instance) run(barrier int) error {
 		}
 		switch in.Op {
 		case ir.OpFusedALUSet:
-			ctr.Add(arch.EvLocal, 1)
 			locals[in.A] = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 		case ir.OpFusedALULoad:
-			ctr.Add(arch.EvLoad, 1)
 			memIdx, memOff, memB = stack[len(stack)-1], in.A, in.B
 			stack = stack[:len(stack)-1]
 			goto load
 		case ir.OpFusedALUStore:
-			ctr.Add(arch.EvStore, 1)
 			memB = in.B
 			goto store
 		case ir.OpFusedCmpBrIf:
-			ctr.Add(arch.EvBranch, 1)
 			c := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if uint32(c) != 0 {
@@ -1170,30 +1007,31 @@ func (inst *Instance) run(barrier int) error {
 				stack = stack[:keep+n]
 				pc = ir.FusedBranchTarget(in.B)
 				if mtr != nil && !mtr.quiet() {
-					if err := mtr.check(ctr); err != nil {
+					if err := inst.checkpoint(mtr); err != nil {
 						return err
 					}
 				}
-				continue
+				goto region
 			}
+			pc++
+			goto region
 		case ir.OpFusedCmpBrIfZ:
-			ctr.Add(arch.EvBranch, 1)
 			c := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if uint32(c) == 0 {
 				pc = ir.FusedBranchTarget(in.B)
 				if mtr != nil && !mtr.quiet() {
-					if err := mtr.check(ctr); err != nil {
+					if err := inst.checkpoint(mtr); err != nil {
 						return err
 					}
 				}
-				continue
+				goto region
 			}
+			pc++
+			goto region
 		case ir.OpFusedCmpEqzBrIf:
-			ctr.Add(arch.EvCmp, 1) // the i32.eqz constituent
 			eq := uint32(stack[len(stack)-1]) == 0
 			stack = stack[:len(stack)-1]
-			ctr.Add(arch.EvBranch, 1)
 			if eq {
 				keep, n := ir.BranchKeep(in.A), ir.BranchArity(in.A)
 				if n != 0 {
@@ -1202,53 +1040,51 @@ func (inst *Instance) run(barrier int) error {
 				stack = stack[:keep+n]
 				pc = ir.FusedBranchTarget(in.B)
 				if mtr != nil && !mtr.quiet() {
-					if err := mtr.check(ctr); err != nil {
+					if err := inst.checkpoint(mtr); err != nil {
 						return err
 					}
 				}
-				continue
+				goto region
 			}
+			pc++
+			goto region
 		case ir.OpFusedGetGetCmpEqzBr:
-			ctr.Add(arch.EvCmp, 1) // the i32.eqz constituent
 			eq := uint32(stack[len(stack)-1]) == 0
 			stack = stack[:len(stack)-1]
-			ctr.Add(arch.EvBranch, 1)
 			if eq {
 				// Zero repair pack (the fuse pass only matches it):
 				// keep=0, arity=0 truncates the operand stack.
 				stack = stack[:0]
 				pc = ir.FusedBranchTarget(in.B)
 				if mtr != nil && !mtr.quiet() {
-					if err := mtr.check(ctr); err != nil {
+					if err := inst.checkpoint(mtr); err != nil {
 						return err
 					}
 				}
-				continue
+				goto region
 			}
+			pc++
+			goto region
 		case ir.OpFusedIncBr:
-			ctr.Add(arch.EvLocal, 1)
 			locals[ir.FusedBranchAux(in.B)] = stack[len(stack)-1]
-			ctr.Add(arch.EvBranch, 1)
 			stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
 			pc = ir.FusedBranchTarget(in.B)
 			if mtr != nil && !mtr.quiet() {
-				if err := mtr.check(ctr); err != nil {
+				if err := inst.checkpoint(mtr); err != nil {
 					return err
 				}
 			}
-			continue
+			goto region
 		case ir.OpFusedALUSetIncBr:
-			ctr.Add(arch.EvLocal, 1)
 			locals[(in.A>>16)&0xFFFF] = stack[len(stack)-1]
-			ctr.Add(arch.EvBranch, 1)
 			stack = stack[:0] // zero repair pack; see OpFusedGetGetCmpEqzBr
 			pc = ir.FusedBranchTarget(in.B)
 			if mtr != nil && !mtr.quiet() {
-				if err := mtr.check(ctr); err != nil {
+				if err := inst.checkpoint(mtr); err != nil {
 					return err
 				}
 			}
-			continue
+			goto region
 		}
 		pc++
 		continue
@@ -1259,11 +1095,11 @@ func (inst *Instance) run(barrier int) error {
 		// the hot variants — an in-bounds 4- or 8-byte access whose
 		// granule tags match — is open-coded here, because run is too big
 		// for the Go inliner to put any helper of real size inside it
-		// (doc.go, "Dispatch"); it charges exactly what the variant's
-		// address function charges on the same access. Everything else —
-		// a miss, a trap, another width, the NC variants — is
-		// fusedMemLoad, the address functions' one definition of
-		// semantics, events and traps.
+		// (doc.go, "Dispatch"). Everything else — a miss, a trap, another
+		// width, the NC variants — is fusedMemLoad, the address
+		// functions' one definition of semantics and traps. A guard-region
+		// access publishes its pc first: its trap is an MMU fault, which
+		// leaves run by panic (runProtected).
 		{
 			sz, mem := ir.FusedMemSize(memB), inst.mem
 			var addr, v uint64
@@ -1277,14 +1113,11 @@ func (inst *Instance) run(barrier int) error {
 				tags, tag, last := inst.tags.Granules(), ptrlayout.Tag(full), (addr+sz-1)/mte.GranuleSize
 				if addr+sz <= uint64(len(mem)) && last < uint64(len(tags)) &&
 					tags[addr/mte.GranuleSize] == tag && tags[last] == tag {
-					ctr.Add(arch.EvMask, 1)
-					ctr.Add(arch.EvTagCheckLoad, 1)
 					goto loadRead
 				}
 			case ir.OpLoadB64:
 				addr = (memIdx + memOff) & ptrlayout.AddressMask
 				if addr+sz <= inst.memSize {
-					ctr.Add(arch.EvBoundsCheck, 1)
 					goto loadRead
 				}
 			case ir.OpLoadB64Tag:
@@ -1293,8 +1126,6 @@ func (inst *Instance) run(barrier int) error {
 				tags, tag, last := inst.tags.Granules(), ptrlayout.Tag(full), (addr+sz-1)/mte.GranuleSize
 				if addr+sz <= inst.memSize && last < uint64(len(tags)) &&
 					tags[addr/mte.GranuleSize] == tag && tags[last] == tag {
-					ctr.Add(arch.EvBoundsCheck, 1)
-					ctr.Add(arch.EvTagCheckLoad, 1)
 					goto loadRead
 				}
 			case ir.OpLoadG32:
@@ -1307,14 +1138,16 @@ func (inst *Instance) run(barrier int) error {
 				// 4 GiB+headroom reservation, so the index math never
 				// trips a slice bound; an uncommitted page faults in the
 				// MMU and runProtected converts it to TrapOutOfBounds.
+				inst.guardPC = pc
 				addr, mem = uint64(uint32(memIdx))+memOff, inst.gmem
 				goto loadRead
 			}
 		loadCall:
 			{
+				inst.guardPC = pc
 				var err error
 				if v, err = inst.fusedMemLoad(memB, memOff, memIdx); err != nil {
-					return err
+					return inst.trapped(code, pc, memConstituent(in), err)
 				}
 				goto loaded
 			}
@@ -1333,13 +1166,11 @@ func (inst *Instance) run(barrier int) error {
 				}
 			}
 		loaded:
-			// The op's constituents after the load, charged only now that
-			// it has not trapped.
+			// The op's constituents after the load.
 			l := len(stack)
 			switch in.Op {
 			case ir.OpFusedIdx1LoadF64Mul, ir.OpFusedIdx2LoadF64Mul, ir.OpFusedIdx3LoadF64Mul,
 				ir.OpFusedConstI64MulAddLoadF64Mul:
-				ctr.Add(arch.EvFMul, 1)
 				x := stack[l-1]
 				r := math.Float64frombits(x) * math.Float64frombits(v)
 				stack[l-1] = math.Float64bits(r)
@@ -1347,7 +1178,6 @@ func (inst *Instance) run(barrier int) error {
 					stack[l-1] = f64NaN(x, v, stack[l-1])
 				}
 			case ir.OpFusedIdx1LoadF64Add, ir.OpFusedIdx1KLoadF64Add, ir.OpFusedConstI64MulAddLoadF64Add:
-				ctr.Add(arch.EvFAdd, 1)
 				x := stack[l-1]
 				r := math.Float64frombits(x) + math.Float64frombits(v)
 				stack[l-1] = math.Float64bits(r)
@@ -1355,7 +1185,6 @@ func (inst *Instance) run(barrier int) error {
 					stack[l-1] = f64NaN(x, v, stack[l-1])
 				}
 			case ir.OpFusedConstI64MulAddLoadF64Sub:
-				ctr.Add(arch.EvFAdd, 1)
 				x := stack[l-1]
 				r := math.Float64frombits(x) - math.Float64frombits(v)
 				stack[l-1] = math.Float64bits(r)
@@ -1400,14 +1229,11 @@ func (inst *Instance) run(barrier int) error {
 				tags, tag, last := inst.tags.Granules(), ptrlayout.Tag(full), (addr+sz-1)/mte.GranuleSize
 				if addr+sz <= uint64(len(mem)) && last < uint64(len(tags)) &&
 					tags[addr/mte.GranuleSize] == tag && tags[last] == tag {
-					ctr.Add(arch.EvMask, 1)
-					ctr.Add(arch.EvTagCheckStore, 1)
 					goto storeWrite
 				}
 			case ir.OpStoreB64:
 				addr = (idx + in.A) & ptrlayout.AddressMask
 				if addr+sz <= inst.memSize {
-					ctr.Add(arch.EvBoundsCheck, 1)
 					goto storeWrite
 				}
 			case ir.OpStoreB64Tag:
@@ -1416,8 +1242,6 @@ func (inst *Instance) run(barrier int) error {
 				tags, tag, last := inst.tags.Granules(), ptrlayout.Tag(full), (addr+sz-1)/mte.GranuleSize
 				if addr+sz <= inst.memSize && last < uint64(len(tags)) &&
 					tags[addr/mte.GranuleSize] == tag && tags[last] == tag {
-					ctr.Add(arch.EvBoundsCheck, 1)
-					ctr.Add(arch.EvTagCheckStore, 1)
 					goto storeWrite
 				}
 			case ir.OpStoreG32:
@@ -1426,13 +1250,15 @@ func (inst *Instance) run(barrier int) error {
 					goto storeWrite
 				}
 			case ir.OpStoreG32G:
+				inst.guardPC = pc
 				addr, mem = uint64(uint32(idx))+in.A, inst.gmem
 				guardProbeSink = mem[addr+sz-1]
 				goto storeWrite
 			}
 		storeCall:
+			inst.guardPC = pc
 			if err := inst.fusedMemStore(memB, in.A, idx, val); err != nil {
-				return err
+				return inst.trapped(code, pc, memConstituent(in), err)
 			}
 			goto stored
 		storeWrite:
@@ -1459,7 +1285,7 @@ func (inst *Instance) run(barrier int) error {
 		// Interrupt checkpoint at every call entry, host and guest alike,
 		// so cancellation reaches even loop-free recursion.
 		if mtr != nil && !mtr.quiet() {
-			if err := mtr.check(ctr); err != nil {
+			if err := inst.checkpoint(mtr); err != nil {
 				return err
 			}
 		}
@@ -1479,6 +1305,7 @@ func (inst *Instance) run(barrier int) error {
 				inst.depth++
 				inst.arenaTop = sbTop + len(stack)
 				args := stack[len(stack)-callN : len(stack) : len(stack)]
+				inst.pending.Drain(ctr) // the host may read the counter
 				res, err := inst.callHost(callIdx, args)
 				inst.depth--
 				if err != nil {
@@ -1502,7 +1329,7 @@ func (inst *Instance) run(barrier int) error {
 				stack = inst.vals[sbTop : sbTop+height : top.base+top.fn.FrameSize]
 				stack = append(stack, res...)
 				pc++
-				continue
+				goto region
 			}
 			di := callIdx - len(inst.imports)
 			if di >= len(inst.prog.Funcs) {
@@ -1532,7 +1359,7 @@ func (inst *Instance) run(barrier int) error {
 			stack = inst.vals[nsb:nsb:need]
 			code = callee.Code
 			pc = 0
-			continue
+			goto region
 		}
 
 	ret:
@@ -1562,7 +1389,7 @@ func (inst *Instance) run(barrier int) error {
 			stack = inst.vals[csb : csb+height : caller.base+caller.fn.FrameSize]
 			code = caller.fn.Code
 			pc = caller.pc
-			continue
+			goto region
 		}
 	}
 }

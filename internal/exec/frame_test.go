@@ -201,6 +201,15 @@ func TestStackOverflowArenaBound(t *testing.T) {
 	}
 }
 
+// setCode makes code the first function of p, which may already run in
+// an instance, and rebuilds p's event table for it.
+func setCode(p *ir.Program, code []ir.Instr) {
+	p.Funcs[0].Code = code
+	if err := ir.BuildCharges(p); err != nil {
+		panic(err)
+	}
+}
+
 // TestBrIfZOnlyLoopInterruptible is the regression test for the missed
 // interruption checkpoint on taken OpBrIfZ branches: a loop whose only
 // taken edge is a BrIfZ must still be stopped by a deadline and by a
@@ -225,6 +234,7 @@ func TestBrIfZOnlyLoopInterruptible(t *testing.T) {
 			},
 		}},
 	}
+	setCode(prog, prog.Funcs[0].Code)
 	inst, err := NewInstance(m, Config{Program: prog})
 	if err != nil {
 		t.Fatal(err)

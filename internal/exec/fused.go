@@ -1,19 +1,21 @@
 package exec
 
 import (
+	"cage/internal/arch"
 	"cage/internal/ir"
 	"cage/internal/wasm"
 )
 
 // This file holds what the dispatch loop (frame.go) keeps outside
-// itself: the dense key of the shared fusedALU block and the
-// out-of-line half of its load and store blocks, which every access
-// the blocks do not open-code takes. The memory helpers call the same
-// per-mode address functions whatever the opcode, and an ALU
-// constituent the fusedALU block does not inline takes the shared
+// itself: the dense key of the shared fusedALU block, the out-of-line
+// half of its load and store blocks, which every access the blocks do
+// not open-code takes, and the cold path of a trap. The memory helpers
+// call the same per-mode address functions whatever the opcode, and an
+// ALU constituent the fusedALU block does not inline takes the shared
 // numeric ALU exactly as an unfused instruction would — which is what
-// makes the fusion pass semantics- and event-preserving by
-// construction.
+// makes the fusion pass semantics-preserving by construction. Events
+// are the program's (ir.BuildCharges): a fused instruction's are its
+// constituents', charged with its region's.
 
 // The ALU constituents the dispatch loop's shared fusedALU block runs
 // inline, as a dense kind: aluKind[op] switches by jump table, where
@@ -63,8 +65,7 @@ var aluKind = [256]uint8{
 // function — same events, same trap — reached by one table jump over
 // the nine contiguous load variants, then read and extension. b is the
 // memory pack (PackFusedMem). The guard-region variant has no address
-// function: the MMU is the check (see OpLoadG32G). The EvLoad charge
-// happens before the load block, exactly like the unfused load's.
+// function: the MMU is the check (see OpLoadG32G).
 func (inst *Instance) fusedMemLoad(b, offset, idx uint64) (uint64, error) {
 	sz := ir.FusedMemSize(b)
 	mem := inst.mem
@@ -100,7 +101,7 @@ func (inst *Instance) fusedMemLoad(b, offset, idx uint64) (uint64, error) {
 
 // fusedMemStore is fusedMemLoad's twin for the store block:
 // per-variant address translation (which also marks the dirty pages),
-// write. The EvStore charge happens before the store block.
+// write.
 func (inst *Instance) fusedMemStore(b, offset, idx, val uint64) error {
 	sz := ir.FusedMemSize(b)
 	mem := inst.mem
@@ -137,4 +138,60 @@ func (inst *Instance) fusedMemStore(b, offset, idx, val uint64) error {
 	}
 	writeScalar(mem, addr, sz, val)
 	return nil
+}
+
+// trapped is the cold path of a trap inside a straight-line region:
+// run charged the whole region at its entry, so when part k of
+// code[pc] traps with err, trapped takes back what the trap kept from
+// running and returns err. Part k itself has charged all its events
+// but one case: a *Tag access that is out of bounds traps before its
+// tag check.
+func (inst *Instance) trapped(code []ir.Instr, pc, k int, err error) error {
+	ctr := inst.counter
+	inst.pending.Drain(ctr)
+	left := inst.prog.Unrun(&code[pc], k)
+	for ev := arch.Event(0); ev < arch.NumEvents; ev++ {
+		ctr.Sub(ev, left.Count(ev))
+	}
+	if t, ok := err.(*Trap); ok && t.Code == TrapOutOfBounds {
+		for _, ev := range code[pc].Parts()[k].Op.Events() {
+			if ev == arch.EvTagCheckLoad || ev == arch.EvTagCheckStore {
+				ctr.Sub(ev, 1)
+			}
+		}
+	}
+	return err
+}
+
+// memConstituent returns the index of in's load or store among its
+// parts.
+func memConstituent(in *ir.Instr) int {
+	for i, c := range in.Parts() {
+		if c.Op.IsLoad() || c.Op.IsStore() {
+			return i
+		}
+	}
+	return 0
+}
+
+// aluConstituent returns the index among in's parts of the ALU the
+// fusedALU block was running while aluNext still held ALUs to run: the
+// one with that many ALU constituents after it. The i32.eqz of the
+// cmp+eqz+branch shapes runs in their tail, never in the block, so it
+// does not count.
+func aluConstituent(in *ir.Instr, aluNext uint32) int {
+	var alus []int
+	for i, c := range in.Parts() {
+		if c.Op.IsNumeric() {
+			alus = append(alus, i)
+		}
+	}
+	if in.Op == ir.OpFusedCmpEqzBrIf || in.Op == ir.OpFusedGetGetCmpEqzBr {
+		alus = alus[:len(alus)-1]
+	}
+	pending := 0
+	for ; aluNext != 0; aluNext >>= 8 {
+		pending++
+	}
+	return alus[len(alus)-1-pending]
 }

@@ -138,7 +138,8 @@ func TestFusedMatchesUnfusedOnPolybench(t *testing.T) {
 }
 
 // TestFusedMatchesUnfusedTraps drives the trap-matrix modules through
-// the fused tier: same trap codes at the same sites.
+// the fused tier: same trap codes at the same sites, and the same
+// per-event totals up to the trap.
 func TestFusedMatchesUnfusedTraps(t *testing.T) {
 	for _, tc := range trapCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,7 +147,7 @@ func TestFusedMatchesUnfusedTraps(t *testing.T) {
 			if err != nil {
 				t.Fatalf("instantiate unfused: %v", err)
 			}
-			_, plainErr := plain.Invoke("f")
+			plainRes, plainErr := plain.InvokeWith(context.Background(), "f", nil, exec.CallOptions{})
 
 			prog, err := exec.LowerModule(tc.mod, exec.Config{Features: tc.feats})
 			if err != nil {
@@ -158,7 +159,7 @@ func TestFusedMatchesUnfusedTraps(t *testing.T) {
 			if err != nil {
 				t.Fatalf("instantiate fused: %v", err)
 			}
-			_, fusedErr := fusedInst.Invoke("f")
+			fusedRes, fusedErr := fusedInst.InvokeWith(context.Background(), "f", nil, exec.CallOptions{})
 
 			var plainTrap, fusedTrap *exec.Trap
 			if !errors.As(plainErr, &plainTrap) {
@@ -170,6 +171,10 @@ func TestFusedMatchesUnfusedTraps(t *testing.T) {
 			if plainTrap.Code != tc.code || fusedTrap.Code != tc.code {
 				t.Errorf("trap codes: unfused=%v fused=%v, want %v",
 					plainTrap.Code, fusedTrap.Code, tc.code)
+			}
+			if plainRes.Events != fusedRes.Events {
+				t.Errorf("events: unfused=%v fused=%v",
+					plainRes.Events.EventCounts(), fusedRes.Events.EventCounts())
 			}
 		})
 	}
@@ -404,6 +409,13 @@ func checkFuseContracts(t *testing.T, src string, arg uint64) fuseOutcome {
 		var pt, ft *exec.Trap
 		if errors.As(plainErr, &pt) != errors.As(fusedErr, &ft) || (pt != nil && pt.Code != ft.Code) {
 			t.Fatalf("trap mismatch: unfused=%v fused=%v", plainErr, fusedErr)
+		}
+		// Where a tier stops, it has consumed the same: a trap takes
+		// back the rest of its region, and fuel runs out at the same
+		// checkpoint.
+		if plainRes.Fuel != fusedRes.Fuel || plainRes.Events != fusedRes.Events {
+			t.Fatalf("%v: fuel unfused=%d fused=%d, events unfused=%v fused=%v", plainErr,
+				plainRes.Fuel, fusedRes.Fuel, plainRes.Events.EventCounts(), fusedRes.Events.EventCounts())
 		}
 		return fuseTrapsCompared
 	}

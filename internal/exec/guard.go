@@ -16,8 +16,9 @@ import (
 // load cannot be optimized away.
 var guardProbeSink byte
 
-// runProtected wraps one dispatch-loop run in the guard fault handler.
-// On the heap backend it is a tail call with zero overhead; with a
+// runProtected wraps one dispatch-loop run in the guard fault handler
+// and drains the region charges the run left pending into the counter,
+// however it ends. On the heap backend it is a plain call; with a
 // guard mapping it arms runtime.SetPanicOnFault so an MMU fault inside
 // the reservation surfaces as a recoverable runtime.Error carrying the
 // faulting address instead of killing the process.
@@ -30,11 +31,14 @@ var guardProbeSink byte
 // the same unwind path every other trap takes.
 func (inst *Instance) runProtected(barrier int) (err error) {
 	if inst.gmap == nil {
-		return inst.run(barrier)
+		err = inst.run(barrier)
+		inst.pending.Drain(inst.counter)
+		return err
 	}
 	old := debug.SetPanicOnFault(true)
 	defer func() {
 		debug.SetPanicOnFault(old)
+		inst.pending.Drain(inst.counter)
 		if r := recover(); r != nil {
 			f, ok := r.(interface {
 				error
@@ -43,8 +47,11 @@ func (inst *Instance) runProtected(barrier int) (err error) {
 			if !ok || !inst.gmap.Owns(f.Addr()) {
 				panic(r)
 			}
-			err = newTrap(TrapOutOfBounds, "address 0x%x (guard region)",
-				inst.gmap.GuestAddr(f.Addr()))
+			// The faulting access is the top frame's, at the pc its
+			// access path published.
+			code := inst.frames[len(inst.frames)-1].fn.Code
+			err = inst.trapped(code, inst.guardPC, memConstituent(&code[inst.guardPC]),
+				newTrap(TrapOutOfBounds, "address 0x%x (guard region)", inst.gmap.GuestAddr(f.Addr())))
 		}
 	}()
 	return inst.run(barrier)

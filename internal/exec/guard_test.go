@@ -179,8 +179,13 @@ func newGuardInstances(t *testing.T, m *wasm.Module) (*exec.Instance, *exec.Inst
 
 // TestGuardOOBTraps: accesses past the committed prefix must raise
 // TrapOutOfBounds — via the MMU on the guard backend, via the explicit
-// check elsewhere — and leave the instance usable.
+// check elsewhere — and leave the instance usable. Every opcode with a
+// memory constituent that a wasm32 module fuses to faults there with
+// the lowered tier's and the oracle's event totals: the fault leaves
+// the dispatch loop by panic, and its region is taken back from the pc
+// the access published (exec.MemConstituentTraps).
 func TestGuardOOBTraps(t *testing.T) {
+	exec.MemConstituentTraps(t, "guard")
 	m := guardModule(1)
 	plain, fused := newGuardInstances(t, m)
 	for _, inst := range []*exec.Instance{plain, fused} {

@@ -161,6 +161,11 @@ type Instance struct {
 	// host reserve. Both are nil on the heap backing.
 	gmem []byte
 	gmap *vmem.Mapping
+	// guardPC is the pc of the guard-region access the dispatch loop is
+	// making, written before each one: a fault leaves run by panic, and
+	// runProtected needs the pc to take back the rest of its region's
+	// events (trapped).
+	guardPC int
 
 	features core.Features
 	policy   core.Policy
@@ -175,7 +180,10 @@ type Instance struct {
 	sandboxes *core.SandboxAllocator
 	closed    bool
 
-	counter      *arch.Counter
+	counter *arch.Counter
+	// pending holds the region charges the dispatch loop has made and
+	// not yet drained into counter (frame.go, the region label).
+	pending      ir.Charge
 	maxCallDepth int
 	depth        int // live activations: guest frames + in-flight host crossings
 	skipBounds   bool

@@ -40,12 +40,10 @@ func (inst *Instance) addrG32(idx, offset, size, limit uint64, write bool) (uint
 // (skipped by the buggy-lowering demo, which then only faults at the
 // host mapping), plus the MTE memory-safety tag check when enabled.
 func (inst *Instance) addrB64(idx, offset, size uint64, write, check, tagCheck bool) (uint64, error) {
-	ctr := inst.counter
 	full := idx + offset
 	tag := ptrlayout.Tag(full)
 	addr := ptrlayout.Address(ptrlayout.StripTag(full))
 	if check {
-		ctr.Add(arch.EvBoundsCheck, 1)
 		if addr+size > inst.memSize || addr+size < addr {
 			return 0, newTrap(TrapOutOfBounds, "address 0x%x+%d >= 0x%x", addr, size, inst.memSize)
 		}
@@ -53,11 +51,6 @@ func (inst *Instance) addrB64(idx, offset, size uint64, write, check, tagCheck b
 		return 0, newTrap(TrapOutOfBounds, "address 0x%x+%d (host fault)", addr, size)
 	}
 	if tagCheck {
-		if write {
-			ctr.Add(arch.EvTagCheckStore, 1)
-		} else {
-			ctr.Add(arch.EvTagCheckLoad, 1)
-		}
 		if !inst.tags.Allows(addr, size, tag) {
 			if err := inst.tags.CheckAccess(addr, size, tag, write); err != nil {
 				return 0, newTrap(TrapTagMismatch, "%v", err)
@@ -74,20 +67,13 @@ func (inst *Instance) addrB64(idx, offset, size uint64, write, check, tagCheck b
 // untrusted index (unless the demo drops the mask), add the tagged heap
 // base, and let the tag check catch any escape.
 func (inst *Instance) addrMTE(idx, offset, size uint64, write, mask bool) (uint64, error) {
-	ctr := inst.counter
 	masked := idx
 	if mask {
-		ctr.Add(arch.EvMask, 1)
 		masked = inst.policy.MaskIndex(idx)
 	}
 	full := inst.heapBase + masked + offset
 	tag := ptrlayout.Tag(full)
 	addr := ptrlayout.Address(ptrlayout.StripTag(full))
-	if write {
-		ctr.Add(arch.EvTagCheckStore, 1)
-	} else {
-		ctr.Add(arch.EvTagCheckLoad, 1)
-	}
 	// Addresses beyond the mapped region belong to the runtime: the
 	// tag memory reports tag 0 there, so the check below faults.
 	if addr+size > uint64(len(inst.mem)) || addr+size < addr {
@@ -108,10 +94,19 @@ func (inst *Instance) addrMTE(idx, offset, size uint64, write, mask bool) (uint6
 // effectiveAddr applies the instance's sandboxing strategy to a guest
 // index and access size, returning the in-bounds physical offset. It is
 // the un-specialized path used by bulk/host operations (memory.fill,
-// memory.copy, the hardened allocator); guest loads and stores run the
-// specialized lowered opcodes instead, which call the same per-mode
-// helpers, so the semantics cannot drift apart.
+// memory.copy, the hardened allocator) and by the test-only oracle's
+// loads and stores; guest loads and stores run the specialized lowered
+// opcodes instead, which call the same per-mode helpers, so the
+// semantics cannot drift apart. Those charge their check events with
+// their region (ir.BuildCharges); this path charges them itself: the
+// bounds check, the tag check unless the access is out of bounds
+// first, and the MTE mask and tag check.
 func (inst *Instance) effectiveAddr(idx, offset, size uint64, write bool) (uint64, error) {
+	ctr := inst.counter
+	tagCheck := arch.EvTagCheckLoad
+	if write {
+		tagCheck = arch.EvTagCheckStore
+	}
 	switch inst.strategy {
 	case stratGuard32:
 		limit := inst.memSize
@@ -120,8 +115,19 @@ func (inst *Instance) effectiveAddr(idx, offset, size uint64, write bool) (uint6
 		}
 		return inst.addrG32(idx, offset, size, limit, write)
 	case stratBounds64:
-		return inst.addrB64(idx, offset, size, write, !inst.skipBounds, inst.features.MemSafety)
+		if !inst.skipBounds {
+			ctr.Add(arch.EvBoundsCheck, 1)
+		}
+		addr, err := inst.addrB64(idx, offset, size, write, !inst.skipBounds, inst.features.MemSafety)
+		if t, ok := err.(*Trap); inst.features.MemSafety && !(ok && t.Code == TrapOutOfBounds) {
+			ctr.Add(tagCheck, 1)
+		}
+		return addr, err
 	default: // stratMTE64, Fig. 12b / Fig. 13
+		if !inst.skipBounds {
+			ctr.Add(arch.EvMask, 1)
+		}
+		ctr.Add(tagCheck, 1)
 		return inst.addrMTE(idx, offset, size, write, !inst.skipBounds)
 	}
 }
@@ -367,9 +373,9 @@ func f32NaN(a, b, r uint32) uint32 {
 // legacy oracle its private stack and length — and the new top index is
 // returned. The helpers are written against the entry top: setTop2
 // writes the slot that becomes the new top after a binary op's
-// single-value pop.
+// single-value pop. numeric charges no events: an op's event is its
+// region's (ir.Op.Events), and the oracle charges its own.
 func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
-	ctr := inst.counter
 	h := sp // top index on return
 
 	top := func() *uint64 { return &s[sp-1] }
@@ -382,17 +388,14 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 	setTop2 := func(v uint64) { s[sp-2] = v }
 
 	b32 := func(f func(a, b uint32) uint32) {
-		ctr.Add(arch.EvALU, 1)
 		a, b := pop2()
 		setTop2(uint64(f(uint32(a), uint32(b))))
 	}
 	b64 := func(f func(a, b uint64) uint64) {
-		ctr.Add(arch.EvALU, 1)
 		a, b := pop2()
 		setTop2(f(a, b))
 	}
 	cmp := func(f func(a, b uint64) bool) {
-		ctr.Add(arch.EvCmp, 1)
 		a, b := pop2()
 		if f(a, b) {
 			setTop2(1)
@@ -401,8 +404,7 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 		}
 	}
 	// The binary float ops follow the NaN rule (f64NaN, f32NaN).
-	f64bin := func(ev arch.Event, f func(a, b float64) float64) {
-		ctr.Add(ev, 1)
+	f64bin := func(f func(a, b float64) float64) {
 		a, b := pop2()
 		r := f(math.Float64frombits(a), math.Float64frombits(b))
 		v := math.Float64bits(r)
@@ -411,8 +413,7 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 		}
 		setTop2(v)
 	}
-	f32bin := func(ev arch.Event, f func(a, b float32) float32) {
-		ctr.Add(ev, 1)
+	f32bin := func(f func(a, b float32) float32) {
 		a, b := pop2()
 		r := f(math.Float32frombits(uint32(a)), math.Float32frombits(uint32(b)))
 		v := math.Float32bits(r)
@@ -421,18 +422,15 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 		}
 		setTop2(uint64(v))
 	}
-	f64un := func(ev arch.Event, f func(a float64) float64) {
-		ctr.Add(ev, 1)
+	f64un := func(f func(a float64) float64) {
 		t := top()
 		*t = math.Float64bits(f(math.Float64frombits(*t)))
 	}
-	f32un := func(ev arch.Event, f func(a float32) float32) {
-		ctr.Add(ev, 1)
+	f32un := func(f func(a float32) float32) {
 		t := top()
 		*t = uint64(math.Float32bits(f(math.Float32frombits(uint32(*t)))))
 	}
 	conv := func(f func(v uint64) uint64) {
-		ctr.Add(arch.EvConv, 1)
 		t := top()
 		*t = f(*t)
 	}
@@ -440,7 +438,6 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 	switch op {
 	// i32 compare / test.
 	case wasm.OpI32Eqz:
-		ctr.Add(arch.EvCmp, 1)
 		t := top()
 		if uint32(*t) == 0 {
 			*t = 1
@@ -470,7 +467,6 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 
 	// i64 compare / test.
 	case wasm.OpI64Eqz:
-		ctr.Add(arch.EvCmp, 1)
 		t := top()
 		if *t == 0 {
 			*t = 1
@@ -500,7 +496,6 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 
 	// f32/f64 compare.
 	case wasm.OpF32Eq, wasm.OpF32Ne, wasm.OpF32Lt, wasm.OpF32Gt, wasm.OpF32Le, wasm.OpF32Ge:
-		ctr.Add(arch.EvCmp, 1)
 		a, b := pop2()
 		x, y := math.Float32frombits(uint32(a)), math.Float32frombits(uint32(b))
 		var r bool
@@ -524,7 +519,6 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 			setTop2(0)
 		}
 	case wasm.OpF64Eq, wasm.OpF64Ne, wasm.OpF64Lt, wasm.OpF64Gt, wasm.OpF64Le, wasm.OpF64Ge:
-		ctr.Add(arch.EvCmp, 1)
 		a, b := pop2()
 		x, y := math.Float64frombits(a), math.Float64frombits(b)
 		var r bool
@@ -550,15 +544,12 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 
 	// i32 arithmetic.
 	case wasm.OpI32Clz:
-		ctr.Add(arch.EvALU, 1)
 		t := top()
 		*t = uint64(bits.LeadingZeros32(uint32(*t)))
 	case wasm.OpI32Ctz:
-		ctr.Add(arch.EvALU, 1)
 		t := top()
 		*t = uint64(bits.TrailingZeros32(uint32(*t)))
 	case wasm.OpI32Popcnt:
-		ctr.Add(arch.EvALU, 1)
 		t := top()
 		*t = uint64(bits.OnesCount32(uint32(*t)))
 	case wasm.OpI32Add:
@@ -566,11 +557,9 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 	case wasm.OpI32Sub:
 		b32(func(a, b uint32) uint32 { return a - b })
 	case wasm.OpI32Mul:
-		ctr.Add(arch.EvMul, 1)
 		a, b := pop2()
 		setTop2(uint64(uint32(a) * uint32(b)))
 	case wasm.OpI32DivS, wasm.OpI32DivU, wasm.OpI32RemS, wasm.OpI32RemU:
-		ctr.Add(arch.EvDivInt, 1)
 		a, b := pop2()
 		if uint32(b) == 0 {
 			return h, newTrap(TrapDivByZero, "%v", op)
@@ -611,15 +600,12 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 
 	// i64 arithmetic.
 	case wasm.OpI64Clz:
-		ctr.Add(arch.EvALU, 1)
 		t := top()
 		*t = uint64(bits.LeadingZeros64(*t))
 	case wasm.OpI64Ctz:
-		ctr.Add(arch.EvALU, 1)
 		t := top()
 		*t = uint64(bits.TrailingZeros64(*t))
 	case wasm.OpI64Popcnt:
-		ctr.Add(arch.EvALU, 1)
 		t := top()
 		*t = uint64(bits.OnesCount64(*t))
 	case wasm.OpI64Add:
@@ -627,11 +613,9 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 	case wasm.OpI64Sub:
 		b64(func(a, b uint64) uint64 { return a - b })
 	case wasm.OpI64Mul:
-		ctr.Add(arch.EvMul, 1)
 		a, b := pop2()
 		setTop2(a * b)
 	case wasm.OpI64DivS, wasm.OpI64DivU, wasm.OpI64RemS, wasm.OpI64RemU:
-		ctr.Add(arch.EvDivInt, 1)
 		a, b := pop2()
 		if b == 0 {
 			return h, newTrap(TrapDivByZero, "%v", op)
@@ -672,66 +656,64 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 
 	// f32 arithmetic.
 	case wasm.OpF32Abs:
-		f32un(arch.EvFAdd, func(a float32) float32 { return float32(math.Abs(float64(a))) })
+		f32un(func(a float32) float32 { return float32(math.Abs(float64(a))) })
 	case wasm.OpF32Neg:
-		f32un(arch.EvFAdd, func(a float32) float32 { return -a })
+		f32un(func(a float32) float32 { return -a })
 	case wasm.OpF32Ceil:
-		f32un(arch.EvFAdd, func(a float32) float32 { return float32(math.Ceil(float64(a))) })
+		f32un(func(a float32) float32 { return float32(math.Ceil(float64(a))) })
 	case wasm.OpF32Floor:
-		f32un(arch.EvFAdd, func(a float32) float32 { return float32(math.Floor(float64(a))) })
+		f32un(func(a float32) float32 { return float32(math.Floor(float64(a))) })
 	case wasm.OpF32Trunc:
-		f32un(arch.EvFAdd, func(a float32) float32 { return float32(math.Trunc(float64(a))) })
+		f32un(func(a float32) float32 { return float32(math.Trunc(float64(a))) })
 	case wasm.OpF32Nearest:
-		f32un(arch.EvFAdd, func(a float32) float32 { return float32(math.RoundToEven(float64(a))) })
+		f32un(func(a float32) float32 { return float32(math.RoundToEven(float64(a))) })
 	case wasm.OpF32Sqrt:
-		f32un(arch.EvFDiv, func(a float32) float32 { return float32(math.Sqrt(float64(a))) })
+		f32un(func(a float32) float32 { return float32(math.Sqrt(float64(a))) })
 	case wasm.OpF32Add:
-		f32bin(arch.EvFAdd, func(a, b float32) float32 { return a + b })
+		f32bin(func(a, b float32) float32 { return a + b })
 	case wasm.OpF32Sub:
-		f32bin(arch.EvFAdd, func(a, b float32) float32 { return a - b })
+		f32bin(func(a, b float32) float32 { return a - b })
 	case wasm.OpF32Mul:
-		f32bin(arch.EvFMul, func(a, b float32) float32 { return a * b })
+		f32bin(func(a, b float32) float32 { return a * b })
 	case wasm.OpF32Div:
-		f32bin(arch.EvFDiv, func(a, b float32) float32 { return a / b })
+		f32bin(func(a, b float32) float32 { return a / b })
 	case wasm.OpF32Min:
-		f32bin(arch.EvFAdd, func(a, b float32) float32 { return float32(math.Min(float64(a), float64(b))) })
+		f32bin(func(a, b float32) float32 { return float32(math.Min(float64(a), float64(b))) })
 	case wasm.OpF32Max:
-		f32bin(arch.EvFAdd, func(a, b float32) float32 { return float32(math.Max(float64(a), float64(b))) })
+		f32bin(func(a, b float32) float32 { return float32(math.Max(float64(a), float64(b))) })
 	case wasm.OpF32Copysign:
 		// A sign-bit move, not arithmetic: a NaN keeps its payload.
-		ctr.Add(arch.EvFAdd, 1)
 		a, b := pop2()
 		setTop2(uint64(uint32(a)&^(1<<31) | uint32(b)&(1<<31)))
 
 	// f64 arithmetic.
 	case wasm.OpF64Abs:
-		f64un(arch.EvFAdd, math.Abs)
+		f64un(math.Abs)
 	case wasm.OpF64Neg:
-		f64un(arch.EvFAdd, func(a float64) float64 { return -a })
+		f64un(func(a float64) float64 { return -a })
 	case wasm.OpF64Ceil:
-		f64un(arch.EvFAdd, math.Ceil)
+		f64un(math.Ceil)
 	case wasm.OpF64Floor:
-		f64un(arch.EvFAdd, math.Floor)
+		f64un(math.Floor)
 	case wasm.OpF64Trunc:
-		f64un(arch.EvFAdd, math.Trunc)
+		f64un(math.Trunc)
 	case wasm.OpF64Nearest:
-		f64un(arch.EvFAdd, math.RoundToEven)
+		f64un(math.RoundToEven)
 	case wasm.OpF64Sqrt:
-		f64un(arch.EvFDiv, math.Sqrt)
+		f64un(math.Sqrt)
 	case wasm.OpF64Add:
-		f64bin(arch.EvFAdd, func(a, b float64) float64 { return a + b })
+		f64bin(func(a, b float64) float64 { return a + b })
 	case wasm.OpF64Sub:
-		f64bin(arch.EvFAdd, func(a, b float64) float64 { return a - b })
+		f64bin(func(a, b float64) float64 { return a - b })
 	case wasm.OpF64Mul:
-		f64bin(arch.EvFMul, func(a, b float64) float64 { return a * b })
+		f64bin(func(a, b float64) float64 { return a * b })
 	case wasm.OpF64Div:
-		f64bin(arch.EvFDiv, func(a, b float64) float64 { return a / b })
+		f64bin(func(a, b float64) float64 { return a / b })
 	case wasm.OpF64Min:
-		f64bin(arch.EvFAdd, math.Min)
+		f64bin(math.Min)
 	case wasm.OpF64Max:
-		f64bin(arch.EvFAdd, math.Max)
+		f64bin(math.Max)
 	case wasm.OpF64Copysign:
-		ctr.Add(arch.EvFAdd, 1)
 		a, b := pop2()
 		setTop2(a&^(1<<63) | b&(1<<63))
 
@@ -744,7 +726,6 @@ func (inst *Instance) numeric(op wasm.Opcode, s []uint64, sp int) (int, error) {
 		conv(func(v uint64) uint64 { return uint64(uint32(v)) })
 	case wasm.OpI32TruncF64S, wasm.OpI32TruncF64U, wasm.OpI64TruncF64S, wasm.OpI64TruncF64U,
 		wasm.OpI32TruncF32S, wasm.OpI32TruncF32U, wasm.OpI64TruncF32S, wasm.OpI64TruncF32U:
-		ctr.Add(arch.EvConv, 1)
 		t := top()
 		var f float64
 		switch op {

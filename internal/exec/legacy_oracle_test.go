@@ -435,6 +435,9 @@ func (lr *LegacyRunner) run(cf *legacyFunc, locals []uint64) ([]uint64, error) {
 					return nil, err
 				}
 			} else {
+				if ev, ok := legacyNumericEvent(op); ok {
+					ctr.Add(ev, 1)
+				}
 				n, err := inst.numeric(op, stack, len(stack))
 				if err != nil {
 					return nil, err
@@ -445,4 +448,54 @@ func (lr *LegacyRunner) run(cf *legacyFunc, locals []uint64) ([]uint64, error) {
 		pc++
 	}
 	return nil, newTrap(TrapUnreachable, "fell off function body")
+}
+
+// legacyNumericEvent is the oracle's own price list for the numeric
+// ops, charged before the op runs (and traps): a second definition of
+// the event table the dispatch loop charges from (ir.Op.Events), which
+// the differential suites check that table against. An op numeric does
+// not implement charges nothing.
+func legacyNumericEvent(op wasm.Opcode) (arch.Event, bool) {
+	switch op {
+	case wasm.OpI32Eqz, wasm.OpI32Eq, wasm.OpI32Ne, wasm.OpI32LtS, wasm.OpI32LtU,
+		wasm.OpI32GtS, wasm.OpI32GtU, wasm.OpI32LeS, wasm.OpI32LeU, wasm.OpI32GeS, wasm.OpI32GeU,
+		wasm.OpI64Eqz, wasm.OpI64Eq, wasm.OpI64Ne, wasm.OpI64LtS, wasm.OpI64LtU,
+		wasm.OpI64GtS, wasm.OpI64GtU, wasm.OpI64LeS, wasm.OpI64LeU, wasm.OpI64GeS, wasm.OpI64GeU,
+		wasm.OpF32Eq, wasm.OpF32Ne, wasm.OpF32Lt, wasm.OpF32Gt, wasm.OpF32Le, wasm.OpF32Ge,
+		wasm.OpF64Eq, wasm.OpF64Ne, wasm.OpF64Lt, wasm.OpF64Gt, wasm.OpF64Le, wasm.OpF64Ge:
+		return arch.EvCmp, true
+	case wasm.OpI32Clz, wasm.OpI32Ctz, wasm.OpI32Popcnt, wasm.OpI32Add, wasm.OpI32Sub,
+		wasm.OpI32And, wasm.OpI32Or, wasm.OpI32Xor, wasm.OpI32Shl, wasm.OpI32ShrS, wasm.OpI32ShrU,
+		wasm.OpI32Rotl, wasm.OpI32Rotr,
+		wasm.OpI64Clz, wasm.OpI64Ctz, wasm.OpI64Popcnt, wasm.OpI64Add, wasm.OpI64Sub,
+		wasm.OpI64And, wasm.OpI64Or, wasm.OpI64Xor, wasm.OpI64Shl, wasm.OpI64ShrS, wasm.OpI64ShrU,
+		wasm.OpI64Rotl, wasm.OpI64Rotr:
+		return arch.EvALU, true
+	case wasm.OpI32Mul, wasm.OpI64Mul:
+		return arch.EvMul, true
+	case wasm.OpI32DivS, wasm.OpI32DivU, wasm.OpI32RemS, wasm.OpI32RemU,
+		wasm.OpI64DivS, wasm.OpI64DivU, wasm.OpI64RemS, wasm.OpI64RemU:
+		return arch.EvDivInt, true
+	case wasm.OpF32Abs, wasm.OpF32Neg, wasm.OpF32Ceil, wasm.OpF32Floor, wasm.OpF32Trunc,
+		wasm.OpF32Nearest, wasm.OpF32Add, wasm.OpF32Sub, wasm.OpF32Min, wasm.OpF32Max,
+		wasm.OpF32Copysign,
+		wasm.OpF64Abs, wasm.OpF64Neg, wasm.OpF64Ceil, wasm.OpF64Floor, wasm.OpF64Trunc,
+		wasm.OpF64Nearest, wasm.OpF64Add, wasm.OpF64Sub, wasm.OpF64Min, wasm.OpF64Max,
+		wasm.OpF64Copysign:
+		return arch.EvFAdd, true
+	case wasm.OpF32Mul, wasm.OpF64Mul:
+		return arch.EvFMul, true
+	case wasm.OpF32Div, wasm.OpF32Sqrt, wasm.OpF64Div, wasm.OpF64Sqrt:
+		return arch.EvFDiv, true
+	case wasm.OpI32WrapI64, wasm.OpI64ExtendI32S, wasm.OpI64ExtendI32U,
+		wasm.OpI32TruncF32S, wasm.OpI32TruncF32U, wasm.OpI32TruncF64S, wasm.OpI32TruncF64U,
+		wasm.OpI64TruncF32S, wasm.OpI64TruncF32U, wasm.OpI64TruncF64S, wasm.OpI64TruncF64U,
+		wasm.OpF32ConvertI32S, wasm.OpF32ConvertI32U, wasm.OpF32ConvertI64S, wasm.OpF32ConvertI64U,
+		wasm.OpF32DemoteF64,
+		wasm.OpF64ConvertI32S, wasm.OpF64ConvertI32U, wasm.OpF64ConvertI64S, wasm.OpF64ConvertI64U,
+		wasm.OpF64PromoteF32,
+		wasm.OpI32ReinterpretF32, wasm.OpI64ReinterpretF64, wasm.OpF32ReinterpretI32, wasm.OpF64ReinterpretI64:
+		return arch.EvConv, true
+	}
+	return 0, false
 }

@@ -47,12 +47,15 @@
 //
 // The pass is semantics- and event-preserving by construction: every
 // fused opcode's executor handler runs the exact constituent sequence
-// (same arithmetic, same address-translation function, same cost
-// events, same trap points and ordering), so a fused program is
-// bit-identical to its unfused twin in results, traps, and the
-// architectural event stream — the differential oracle pins this
-// across every preset, and exec's TestIdiomsMatchConstituents pins each
-// idiom to its own Constituents(). Safety rules:
+// (same arithmetic, same address-translation function, same trap points
+// and ordering), and its events are not the handler's at all: the
+// fused program keeps the lowered program's event table
+// (ir.BuildCharges), each fused instruction indexing its head's region,
+// which is the same instructions — so a fused program is bit-identical
+// to its unfused twin in results, traps, and the architectural event
+// stream. The differential oracle pins this across
+// every preset, and exec's TestIdiomsMatchConstituents pins each idiom
+// to its own Constituents(). Safety rules:
 //
 //   - No pattern contains OpFence, so the hardened preset's
 //     speculation barriers are never fused across; fence adjacency is
@@ -82,7 +85,12 @@ func Fuse(p *ir.Program, _ any) *ir.Program {
 	if p == nil || p.Fused {
 		return p
 	}
-	out := &ir.Program{Cfg: p.Cfg, Funcs: make([]ir.Func, len(p.Funcs)), Fused: true}
+	// The region from a fused instruction is the region from its head
+	// in p — the same instructions through the same transfer — so out
+	// shares p's event table (ir.BuildCharges) and each instruction
+	// keeps its head's index into it; TestFuseKeepsCharges holds it to
+	// a rebuild.
+	out := &ir.Program{Cfg: p.Cfg, Funcs: make([]ir.Func, len(p.Funcs)), Fused: true, Charges: p.Charges}
 	for i := range p.Funcs {
 		out.Funcs[i] = fuseFunc(&p.Funcs[i])
 	}
@@ -516,6 +524,7 @@ func fuseFunc(f *ir.Func) ir.Func {
 		for j := 1; j < n; j++ {
 			newPC[i+j] = len(code)
 		}
+		in.Charge = f.Code[i].Charge
 		code = append(code, in)
 		i += n
 	}

@@ -312,7 +312,9 @@ func fuseOne(t *testing.T, seq []ir.Instr) ir.Instr {
 	if got := q.Funcs[0].Code; len(got) != 2 {
 		t.Fatalf("%v fused to %d instructions, want 1 + ret_end: %v", seq, len(got), got)
 	}
-	return q.Funcs[0].Code[0]
+	in := q.Funcs[0].Code[0]
+	in.Charge = 0 // where its region's events sit, not what it is
+	return in
 }
 
 // TestFuseEmitsIdioms: every row of the idiom table is emitted for its
@@ -373,6 +375,40 @@ func TestFuseEmitsIdioms(t *testing.T) {
 		}
 		if k != len(id.ALUs) {
 			t.Errorf("%v: %d ALU constituents, table lists %d", id.Op, k, len(id.ALUs))
+		}
+	}
+}
+
+// TestFuseKeepsCharges: a fused program shares the lowered program's
+// event table, each instruction keeping its head's index, which is
+// right only because the region from a fused instruction is the same
+// instructions as the region from its head in the lowered program. A
+// rebuild of the fused program's table must agree at every pc.
+func TestFuseKeepsCharges(t *testing.T) {
+	for _, k := range polybench.Kernels() {
+		for _, wasm64 := range []bool{true, false} {
+			feats := core.Features{}
+			if wasm64 {
+				feats = core.CageAll()
+			}
+			fused := fuse.Fuse(lower(t, k, wasm64, feats), nil)
+			rebuilt := &ir.Program{Funcs: make([]ir.Func, len(fused.Funcs))}
+			for fi, f := range fused.Funcs {
+				rebuilt.Funcs[fi] = f
+				rebuilt.Funcs[fi].Code = append([]ir.Instr(nil), f.Code...)
+			}
+			if err := ir.BuildCharges(rebuilt); err != nil {
+				t.Fatal(err)
+			}
+			for fi, f := range rebuilt.Funcs {
+				for pc, in := range f.Code {
+					got := fused.Charges[fused.Funcs[fi].Code[pc].Charge]
+					if want := rebuilt.Charges[in.Charge]; got != want {
+						t.Fatalf("%s wasm64=%v func %d pc %d (%v): fused charges %v, a rebuild %v",
+							k.Name, wasm64, fi, pc, in, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -36,9 +36,14 @@
 // configuration all execute the same lowered stream and the lowering
 // cost amortizes across millions of invocations.
 //
-// The package depends only on internal/wasm. Mapping a runtime
-// configuration (core.Features, memory kind, demo flags) onto a Config
-// is the exec layer's job, as is attaching the arch timing model: each
-// lowered opcode has a fixed cost-event signature that the dispatch
-// loop reports (interp.go's per-op hooks).
+// The timing model's events are a property of the lowered program too:
+// each opcode has a fixed set (Op.Events, charge.go), and BuildCharges,
+// which Lower runs last, records for every pc the events of the
+// straight-line region from it through the next control transfer — the
+// table the executor charges a region at a time from, indexed by
+// Instr.Charge. internal/fuse keeps the lowered program's table.
+//
+// The package depends only on internal/wasm and internal/arch's event
+// names. Mapping a runtime configuration (core.Features, memory kind,
+// demo flags) onto a Config is the exec layer's job.
 package ir

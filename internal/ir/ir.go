@@ -533,8 +533,13 @@ func MemOp(b uint64) wasm.Opcode { return wasm.Opcode(uint32(b)) }
 //	OpConst              A = value bits
 //	loads/stores         A = memarg offset, B = PackMem(size, wasmOp)
 //	OpSegment*           A = static offset immediate
+//
+// Charge, in the padding after Op, indexes in Program.Charges the
+// events of the region from the instruction through the next control
+// transfer (BuildCharges).
 type Instr struct {
 	Op      Op
+	Charge  uint32
 	A       uint64
 	B       uint64
 	Targets []BranchTarget
@@ -890,6 +895,10 @@ type Program struct {
 	// semantics- and event-preserving — but their PCs differ from the
 	// plain lowering, so the pass refuses to run twice.
 	Fused bool
+	// Charges holds, for every pc, the events of the region from it
+	// through the next control transfer (BuildCharges). A fused
+	// program shares its lowered program's.
+	Charges []Charge
 }
 
 // Matches reports whether the program can execute module m under cfg —

@@ -27,6 +27,9 @@ func Lower(m *wasm.Module, cfg Config) (*Program, error) {
 		}
 		p.Funcs[i] = fn
 	}
+	if err := BuildCharges(p); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 

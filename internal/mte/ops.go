@@ -50,9 +50,6 @@ func (op TagStoreOp) ZeroesData() bool {
 	return op == OpSTZG || op == OpST2ZG || op == OpSTGP
 }
 
-// AllTagStoreOps lists the variants in paper Table 4 order.
-var AllTagStoreOps = []TagStoreOp{OpSTG, OpST2G, OpSTGP, OpSTZG, OpST2ZG}
-
 // Apply executes the semantic effect of op at addr: tagging the covered
 // granules and, for zeroing variants, clearing the data bytes in buf.
 // addr must be aligned to the instruction's coverage.

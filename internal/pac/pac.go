@@ -17,10 +17,7 @@
 package pac
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 
 	"cage/internal/ptrlayout"
 )
@@ -33,18 +30,6 @@ var ErrAuthFailed = errors.New("pac: pointer authentication failed")
 // only needs one data key per process, with per-instance modifiers.
 type Key struct {
 	k0, k1 uint64
-}
-
-// NewKey draws a key from the given entropy source.
-func NewKey(r io.Reader) (Key, error) {
-	var buf [16]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return Key{}, fmt.Errorf("pac: generating key: %w", err)
-	}
-	return Key{
-		k0: binary.LittleEndian.Uint64(buf[0:8]),
-		k1: binary.LittleEndian.Uint64(buf[8:16]),
-	}, nil
 }
 
 // KeyFromSeed derives a deterministic key, for reproducible tests and

@@ -1,7 +1,6 @@
 package pac
 
 import (
-	"crypto/rand"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -148,20 +147,6 @@ func TestKeyIndependence(t *testing.T) {
 	b := cfg.Sign(0x8650, 0, KeyFromSeed(6))
 	if a == b {
 		t.Error("different keys produced identical signed pointers")
-	}
-}
-
-func TestNewKeyFromEntropy(t *testing.T) {
-	k1, err := NewKey(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := NewKey(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 == k2 {
-		t.Error("two fresh keys are identical")
 	}
 }
 
