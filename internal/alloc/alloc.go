@@ -249,12 +249,6 @@ func (a *Allocator) Realloc(ptr uint64, newSize uint64) (uint64, error) {
 	return np, nil
 }
 
-// UsableSize returns the payload size backing ptr.
-func (a *Allocator) UsableSize(ptr uint64) (uint64, error) {
-	payload, _, err := a.readHeader(ptrlayout.Address(ptr) - HeaderSize)
-	return payload, err
-}
-
 // takeFree pops a first-fit free block of at least total bytes,
 // splitting the remainder back onto the list.
 func (a *Allocator) takeFree(total uint64) (uint64, bool) {

@@ -327,18 +327,6 @@ func TestMallocFreeProperty(t *testing.T) {
 	}
 }
 
-func TestUsableSize(t *testing.T) {
-	a, _ := newAlloc(t, true)
-	p, _ := a.Malloc(50)
-	n, err := a.UsableSize(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 64 {
-		t.Errorf("UsableSize = %d, want 64", n)
-	}
-}
-
 func TestTagStorageOverheadConstant(t *testing.T) {
 	if got := TagStorageOverhead(); got != 0.03125 {
 		t.Errorf("tag storage overhead = %f, want 1/32", got)

@@ -135,8 +135,8 @@ type Counter struct {
 func (c *Counter) Add(ev Event, n uint64) { c.counts[ev] += n }
 
 // Sub takes back n occurrences of ev recorded ahead of time: the
-// executor charges a straight-line region at its entry, and a trap
-// inside it returns what the region did not run.
+// executor counts a straight-line region's events from its entry, and a
+// trap inside it returns what the region did not run.
 func (c *Counter) Sub(ev Event, n uint64) { c.counts[ev] -= n }
 
 // Get returns the count for ev.

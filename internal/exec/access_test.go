@@ -153,7 +153,7 @@ func TestAccessBlocksMatchAddressFunctions(t *testing.T) {
 				}
 			}
 			run := func(code []ir.Instr) (uint64, arch.Counter, error) {
-				setCode(prog, append(code, ir.Instr{Op: ir.OpRetEnd, A: 1}))
+				setCode(inst, prog, append(code, ir.Instr{Op: ir.OpRetEnd, A: 1}))
 				res, err := inst.InvokeWith(context.Background(), "f", nil, CallOptions{})
 				if err != nil {
 					return 0, res.Events, err

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -85,6 +86,42 @@ func BenchmarkLoweredVsLegacy(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkFuelMetered prices the dispatch loop under a fuel budget,
+// where every taken branch is a checkpoint that prices the regions
+// entered since the last one into the counter and compares it with the
+// budget: gemm and jacobi-1d at BenchN under full, fused. The budget,
+// 1<<40 events, never trips.
+func BenchmarkFuelMetered(b *testing.B) {
+	feats := core.CageAll()
+	for _, kernel := range []string{"gemm", "jacobi-1d"} {
+		k, err := polybench.ByName(kernel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := polybench.Build(k, codegen.Options{Wasm64: true, StackSanitizer: true, PtrAuth: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(kernel, func(b *testing.B) {
+			prog, err := exec.LowerModule(m, exec.Config{Features: feats})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var ctr arch.Counter
+			inst := newFusedBenchInstance(b, m, feats, &ctr, fuse.Fuse(prog, nil))
+			args := []uint64{uint64(k.BenchN)}
+			opts := exec.CallOptions{Fuel: 1 << 40}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := inst.InvokeWith(context.Background(), "run", args, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

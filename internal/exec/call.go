@@ -96,10 +96,10 @@ func (m *meter) check(ctr *arch.Counter) error {
 }
 
 // checkpoint is the dispatch loop's interrupt checkpoint once m.quiet
-// has failed: the region charges still pending go to the counter, then
-// m.check reads it.
+// has failed: the regions entered since the last drain are priced into
+// the counter, then m.check reads it.
 func (inst *Instance) checkpoint(m *meter) error {
-	inst.pending.Drain(inst.counter)
+	inst.drain()
 	return m.check(inst.counter)
 }
 

@@ -170,9 +170,9 @@
 // ended context or a nested call. Each branch keeps its own copy of
 // that tail: one shared block for it, reached by goto, cost gemm 12 %.
 // CI fails if run calls readScalar, extendLoad, writeScalar,
-// dirtySet.mark, branchRepair or arch.Counter.Add — the region charge
-// is open-coded at the region label — or if quiet or Granules stop
-// inlining into it.
+// dirtySet.mark, branchRepair or arch.Counter.Add — the region label is
+// one increment of a visit count — if it calls drain anywhere but the
+// host crossing, or if quiet or Granules stop inlining into it.
 //
 // # Events
 //
@@ -180,18 +180,26 @@
 // program: ir.BuildCharges (the end of ir.Lower; fuse.Fuse keeps its
 // table) records for every pc the events of the region from it through
 // the next control transfer, from one per-opcode table (ir.Op.Events)
-// and each fused op's Constituents. run charges a region where it
-// enters it — a function's entry, a taken branch's target after its
-// meter check, a not-taken branch's fallthrough, a call's continuation
-// — so the cases, the fusedALU and access blocks, numeric and the
-// address functions carry semantics only. A charge is dense
-// (ir.Charge, a 16-bit lane per event): the region label adds eight
-// words to Instance.pending, which is drained into the counter when a
-// lane fills and before anything reads the counter — a meter
-// checkpoint, a host call, the end of the run, a trap. A sparse
-// (event, n) list per region, added straight to the counter, ran gemm
-// and jacobi-1d 25 % slower: its loop changes trip count from region
-// to region, and its exit branch mispredicts.
+// and each fused op's Constituents, as a sparse (event, n) list per pc.
+// run counts a region where it enters it — a function's entry, a taken
+// branch's target after its meter check, a not-taken branch's
+// fallthrough, a call's continuation — so the cases, the fusedALU and
+// access blocks, numeric and the address functions carry semantics
+// only. The region label is one increment, visits[code[pc].Charge]++
+// on the instance's per-region counts; a region's first entry since
+// the last drain also puts it on Instance.visited, whose capacity is
+// the number of regions, so it never grows. drain prices the counts
+// before anything reads the counter — a meter checkpoint, a host
+// crossing, the end of the run (runProtected, on both backings), a
+// trap: for each listed region it adds count × the region's events to
+// the counter and zeroes the count. A label that added the region's
+// events as a dense eight-word vector (a 16-bit lane per event) was
+// 16 % of the kernels' samples. The drain's walk is not the sparse
+// (event, n) loop tried at the label, which ran at every region entry
+// and changed trip count from region to region (gemm and jacobi-1d
+// 25 % slower): this one runs once per distinct region per drain.
+// Unmetered, that is once per call; under a fuel budget every taken
+// branch drains, about two regions each on gemm.
 //
 // A trap takes back, on the cold path, what its region did not run
 // (trapped, ir.Program.Unrun): the parts of the trapping instruction

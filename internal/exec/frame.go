@@ -215,10 +215,10 @@ func (inst *Instance) callHost(idx int, args []uint64) ([]uint64, error) {
 // barrier returns: one flat dispatch loop over the pre-resolved
 // instruction stream of whichever frame is on top. There is no control
 // stack and no end/else matching — branches carry absolute target PCs
-// and their stack repair. The cases carry semantics only: the arch
-// timing model's events are charged a straight-line region at a time
-// at the region label below, from the table ir.BuildCharges built, so
-// one execution can still be priced on all three cores afterwards.
+// and their stack repair. The cases carry semantics only: the region
+// label below counts each entry into a straight-line region, and drain
+// prices the counts from the table ir.BuildCharges built, so one
+// execution can still be priced on all three cores afterwards.
 //
 // The hot loop sees the top frame through two slice views into the
 // value arena — locals (params + declared locals) and stack (the
@@ -262,23 +262,24 @@ func (inst *Instance) run(barrier int) error {
 	// size, specialized variant, wasm opcode). A store's index and value
 	// are the top two stack slots and its offset in.A.
 	var memIdx, memOff, memB uint64
-	charges := inst.prog.Charges
-	const _ = uint(ir.ChargeWords - 8) // the region label adds eight words
-	const _ = uint(8 - ir.ChargeWords)
+	visits := inst.visits
 
 region:
 	// Every way into a straight-line region comes here — a function's
 	// entry, a taken branch's target after its meter check, a not-taken
-	// branch's fallthrough, a call's continuation — and adds the events
-	// of the whole region through the next control transfer to
-	// inst.pending (doc.go, "Events").
+	// branch's fallthrough, a call's continuation — and counts one entry
+	// into the region through the next control transfer. Its events are
+	// priced from the program's table when something is about to read
+	// the counter (drain; doc.go, "Events"). A region's first entry
+	// since the last drain lists it, within the list's capacity.
 	{
-		c, p := &charges[code[pc].Charge], &inst.pending
-		p[0], p[1], p[2], p[3] = p[0]+c[0], p[1]+c[1], p[2]+c[2], p[3]+c[3]
-		p[4], p[5], p[6], p[7] = p[4]+c[4], p[5]+c[5], p[6]+c[6], p[7]+c[7]
-		if (p[0]|p[1]|p[2]|p[3]|p[4]|p[5]|p[6]|p[7])&ir.ChargeFull != 0 {
-			p.Drain(ctr)
+		r := code[pc].Charge
+		if visits[r] == 0 {
+			n := len(inst.visited)
+			inst.visited = inst.visited[:n+1]
+			inst.visited[n] = r
 		}
+		visits[r]++
 	}
 	for {
 		in := &code[pc]
@@ -1305,7 +1306,7 @@ region:
 				inst.depth++
 				inst.arenaTop = sbTop + len(stack)
 				args := stack[len(stack)-callN : len(stack) : len(stack)]
-				inst.pending.Drain(ctr) // the host may read the counter
+				inst.drain() // the host may read the counter
 				res, err := inst.callHost(callIdx, args)
 				inst.depth--
 				if err != nil {

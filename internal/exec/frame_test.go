@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cage/internal/arch"
 	"cage/internal/ir"
 	"cage/internal/wasm"
 )
@@ -201,12 +202,16 @@ func TestStackOverflowArenaBound(t *testing.T) {
 	}
 }
 
-// setCode makes code the first function of p, which may already run in
-// an instance, and rebuilds p's event table for it.
-func setCode(p *ir.Program, code []ir.Instr) {
+// setCode makes code the first function of p and rebuilds p's event
+// table for it. inst, if not nil, is an instance already running p,
+// whose visit counts are resized to the new table.
+func setCode(inst *Instance, p *ir.Program, code []ir.Instr) {
 	p.Funcs[0].Code = code
 	if err := ir.BuildCharges(p); err != nil {
 		panic(err)
+	}
+	if inst != nil {
+		inst.sizeVisits()
 	}
 }
 
@@ -234,7 +239,7 @@ func TestBrIfZOnlyLoopInterruptible(t *testing.T) {
 			},
 		}},
 	}
-	setCode(prog, prog.Funcs[0].Code)
+	setCode(nil, prog, prog.Funcs[0].Code)
 	inst, err := NewInstance(m, Config{Program: prog})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +260,10 @@ func TestBrIfZOnlyLoopInterruptible(t *testing.T) {
 // stack — is live in the arena. The re-entrant call stacks above the
 // barrier, recurses deep enough to force the arena to grow (so the
 // outer frame's cached views must be re-derived, not reused), and the
-// outer activation still completes with the right values.
+// outer activation still completes with the right values. Its events
+// are those of the two runs apart, though the inner run shares the
+// outer run's visit counts, and the host finds the outer run's events
+// up to the crossing in the counter.
 func TestHostReentryBarrier(t *testing.T) {
 	m := &wasm.Module{}
 	tHost := m.AddType(wasm.FuncType{Params: []wasm.ValType{wasm.I64}, Results: []wasm.ValType{wasm.I64}})
@@ -287,21 +295,31 @@ func TestHostReentryBarrier(t *testing.T) {
 		{Name: "deep", Kind: wasm.ExportFunc, Idx: 2},
 	}
 
-	linker := NewLinker()
-	linker.Define("env", "reenter", HostFunc{
-		Type: wasm.FuncType{Params: []wasm.ValType{wasm.I64}, Results: []wasm.ValType{wasm.I64}},
-		Fn: func(hc *HostContext, args []uint64) ([]uint64, error) {
-			res, err := hc.Call(nil, "deep", []uint64{args[0]})
-			if err != nil {
-				return nil, err
-			}
-			return []uint64{res[0] * 10}, nil
-		},
-	})
-	inst, err := NewInstance(m, Config{Linker: linker})
-	if err != nil {
-		t.Fatal(err)
+	// atHost is the counter as the last host call found it.
+	var atHost arch.Counter
+	instantiate := func(reenter bool) *Instance {
+		linker := NewLinker()
+		linker.Define("env", "reenter", HostFunc{
+			Type: wasm.FuncType{Params: []wasm.ValType{wasm.I64}, Results: []wasm.ValType{wasm.I64}},
+			Fn: func(hc *HostContext, args []uint64) ([]uint64, error) {
+				atHost = hc.Instance().Counter().Snapshot()
+				if !reenter {
+					return []uint64{0}, nil
+				}
+				res, err := hc.Call(nil, "deep", []uint64{args[0]})
+				if err != nil {
+					return nil, err
+				}
+				return []uint64{res[0] * 10}, nil
+			},
+		})
+		inst, err := NewInstance(m, Config{Linker: linker})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst
 	}
+	inst := instantiate(true)
 
 	// Small first: f(5) = 10 + 50.
 	res, err := inst.Invoke("f", 5)
@@ -320,6 +338,28 @@ func TestHostReentryBarrier(t *testing.T) {
 	}
 	if res[0] != 6000 {
 		t.Fatalf("f(500) = %d, want 6000 (outer frame corrupted across re-entry)", res[0])
+	}
+
+	run := func(inst *Instance, name string) (total, host arch.Counter) {
+		inst.Counter().Reset()
+		atHost = arch.Counter{}
+		if _, err := inst.Invoke(name, 500); err != nil {
+			t.Fatal(err)
+		}
+		return inst.Counter().Snapshot(), atHost
+	}
+	nested, nestedHost := run(inst, "f")
+	plain := instantiate(false)
+	flat, flatHost := run(plain, "f")
+	deep, _ := run(plain, "deep")
+	flat.Merge(&deep)
+	if nested != flat {
+		t.Errorf("f(500) re-entering deep(500) charges %v, the two runs apart %v",
+			nested.EventCounts(), flat.EventCounts())
+	}
+	if nestedHost != flatHost || flatHost.Get(arch.EvCall) != 1 {
+		t.Errorf("the host found %v in the counter (%v without re-entry), want f's events through its call",
+			nestedHost.EventCounts(), flatHost.EventCounts())
 	}
 }
 

@@ -141,17 +141,17 @@ func (inst *Instance) fusedMemStore(b, offset, idx, val uint64) error {
 }
 
 // trapped is the cold path of a trap inside a straight-line region:
-// run charged the whole region at its entry, so when part k of
-// code[pc] traps with err, trapped takes back what the trap kept from
-// running and returns err. Part k itself has charged all its events
-// but one case: a *Tag access that is out of bounds traps before its
-// tag check.
+// run counted an entry into the whole region, so when part k of
+// code[pc] traps with err, trapped drains the counts, takes back from
+// the counter what the trap kept from running and returns err. Part k
+// itself has charged all its events but one case: a *Tag access that
+// is out of bounds traps before its tag check.
 func (inst *Instance) trapped(code []ir.Instr, pc, k int, err error) error {
 	ctr := inst.counter
-	inst.pending.Drain(ctr)
+	inst.drain()
 	left := inst.prog.Unrun(&code[pc], k)
 	for ev := arch.Event(0); ev < arch.NumEvents; ev++ {
-		ctr.Sub(ev, left.Count(ev))
+		ctr.Sub(ev, left.Get(ev))
 	}
 	if t, ok := err.(*Trap); ok && t.Code == TrapOutOfBounds {
 		for _, ev := range code[pc].Parts()[k].Op.Events() {

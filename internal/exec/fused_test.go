@@ -43,7 +43,7 @@ func TestFusedALUKindsMatchSlowPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	code := []ir.Instr{{Op: ir.OpConst}, {Op: ir.OpFusedConstALU}, {Op: ir.OpRetEnd, A: 1}}
-	setCode(prog, code) // same frame: no locals, two operand slots, one result
+	setCode(nil, prog, code) // same frame: no locals, two operand slots, one result
 	var ctr arch.Counter
 	inst, err := NewInstance(m, Config{Program: prog, Counter: &ctr})
 	if err != nil {
@@ -59,7 +59,7 @@ func TestFusedALUKindsMatchSlowPath(t *testing.T) {
 		for _, a := range operands {
 			for _, b := range operands {
 				code[0].A, code[1].A, code[1].B = a, b, uint64(op)
-				setCode(prog, code)
+				setCode(inst, prog, code)
 				before := ctr.Snapshot()
 				res, err := inst.Invoke("f")
 				if err != nil {
@@ -142,7 +142,7 @@ func TestNaNRule(t *testing.T) {
 				{{Op: ir.OpConst, A: r.a}, {Op: ir.OpConst, A: r.b}, {Op: ir.OpNumericBase + ir.Op(op)}},
 				{{Op: ir.OpConst, A: r.a}, {Op: ir.OpFusedConstALU, A: r.b, B: uint64(op)}},
 			} {
-				setCode(prog, append(code, ir.Instr{Op: ir.OpRetEnd, A: 1}))
+				setCode(inst, prog, append(code, ir.Instr{Op: ir.OpRetEnd, A: 1}))
 				res, err := inst.Invoke("f")
 				if err != nil {
 					t.Fatal(err)

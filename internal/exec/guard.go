@@ -17,7 +17,7 @@ import (
 var guardProbeSink byte
 
 // runProtected wraps one dispatch-loop run in the guard fault handler
-// and drains the region charges the run left pending into the counter,
+// and prices the regions the run entered into the counter (drain),
 // however it ends. On the heap backend it is a plain call; with a
 // guard mapping it arms runtime.SetPanicOnFault so an MMU fault inside
 // the reservation surfaces as a recoverable runtime.Error carrying the
@@ -32,13 +32,13 @@ var guardProbeSink byte
 func (inst *Instance) runProtected(barrier int) (err error) {
 	if inst.gmap == nil {
 		err = inst.run(barrier)
-		inst.pending.Drain(inst.counter)
+		inst.drain()
 		return err
 	}
 	old := debug.SetPanicOnFault(true)
 	defer func() {
 		debug.SetPanicOnFault(old)
-		inst.pending.Drain(inst.counter)
+		inst.drain()
 		if r := recover(); r != nil {
 			f, ok := r.(interface {
 				error

@@ -104,7 +104,7 @@ func (b *idiomBench) run(setup []ir.Instr, body func(target int) []ir.Instr, arg
 	for i := 0; i < idiomLocals; i++ {
 		code = append(code, ir.Instr{Op: ir.OpLocalGet, A: uint64(i)})
 	}
-	setCode(b.prog, append(code, ir.Instr{Op: ir.OpRetEnd, A: uint64(b.prog.Funcs[0].NumResults)}))
+	setCode(b.inst, b.prog, append(code, ir.Instr{Op: ir.OpRetEnd, A: uint64(b.prog.Funcs[0].NumResults)}))
 
 	res, err := b.inst.InvokeWith(context.Background(), "f", args[:], CallOptions{Fuel: fuel})
 	r := idiomRun{values: res.Values, events: res.Events.EventCounts(), fuel: res.Fuel}

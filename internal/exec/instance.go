@@ -181,9 +181,14 @@ type Instance struct {
 	closed    bool
 
 	counter *arch.Counter
-	// pending holds the region charges the dispatch loop has made and
-	// not yet drained into counter (frame.go, the region label).
-	pending      ir.Charge
+	// visits counts, per region of the program's event table
+	// (ir.Charges, indexed by Instr.Charge), the dispatch loop's entries
+	// into it since the last drain, and visited lists each region whose
+	// count is not zero, once (frame.go, the region label). drain prices
+	// them into counter. Both are sized at instantiation and never grow:
+	// visited's capacity is the number of regions.
+	visits       []uint64
+	visited      []uint32
 	maxCallDepth int
 	depth        int // live activations: guest frames + in-flight host crossings
 	skipBounds   bool
@@ -357,6 +362,7 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 		inst.sandbox = tag
 		inst.heapBase = ptrlayout.WithTag(0, tag)
 	}
+	inst.sizeVisits()
 
 	// MTE state, before the memory: the tag array is part of the
 	// instance's storage and arrives with it.
@@ -532,6 +538,29 @@ func (inst *Instance) MemorySize() uint64 { return inst.memSize }
 func (inst *Instance) HostRegion() []byte {
 	inst.dirty.pinned = true
 	return inst.mem[inst.memSize:]
+}
+
+// sizeVisits allocates the visit counts for the program's event table.
+func (inst *Instance) sizeVisits() {
+	n := inst.prog.Charges.Len()
+	inst.visits = make([]uint64, n)
+	inst.visited = make([]uint32, 0, n)
+}
+
+// drain prices the regions the dispatch loop entered since the last
+// drain: each listed region's events, times its count, go to the
+// counter, and the counts and the list are zeroed. The walk is one per
+// distinct region per drain, not one per region entry.
+func (inst *Instance) drain() {
+	ctr, charges := inst.counter, &inst.prog.Charges
+	for _, r := range inst.visited {
+		n := inst.visits[r]
+		inst.visits[r] = 0
+		for _, e := range charges.Events(r) {
+			ctr.Add(arch.Event(e.Ev), n*uint64(e.N))
+		}
+	}
+	inst.visited = inst.visited[:0]
 }
 
 // Counter returns the instruction-event counter.

@@ -88,8 +88,9 @@ func Fuse(p *ir.Program, _ any) *ir.Program {
 	// The region from a fused instruction is the region from its head
 	// in p — the same instructions through the same transfer — so out
 	// shares p's event table (ir.BuildCharges) and each instruction
-	// keeps its head's index into it; TestFuseKeepsCharges holds it to
-	// a rebuild.
+	// keeps its head's index into it, which is also the index of the
+	// executor's visit count for it; TestFuseKeepsCharges holds it to a
+	// rebuild.
 	out := &ir.Program{Cfg: p.Cfg, Funcs: make([]ir.Func, len(p.Funcs)), Fused: true, Charges: p.Charges}
 	for i := range p.Funcs {
 		out.Funcs[i] = fuseFunc(&p.Funcs[i])

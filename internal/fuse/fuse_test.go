@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cage/internal/arch"
 	"cage/internal/codegen"
 	"cage/internal/core"
 	"cage/internal/exec"
@@ -402,13 +403,22 @@ func TestFuseKeepsCharges(t *testing.T) {
 			}
 			for fi, f := range rebuilt.Funcs {
 				for pc, in := range f.Code {
-					got := fused.Charges[fused.Funcs[fi].Code[pc].Charge]
-					if want := rebuilt.Charges[in.Charge]; got != want {
+					got := regionEvents(&fused.Charges, fused.Funcs[fi].Code[pc].Charge)
+					if want := regionEvents(&rebuilt.Charges, in.Charge); got != want {
 						t.Fatalf("%s wasm64=%v func %d pc %d (%v): fused charges %v, a rebuild %v",
-							k.Name, wasm64, fi, pc, in, got, want)
+							k.Name, wasm64, fi, pc, in, got.EventCounts(), want.EventCounts())
 					}
 				}
 			}
 		}
 	}
+}
+
+// regionEvents returns region r of c as counts.
+func regionEvents(c *ir.Charges, r uint32) arch.Counter {
+	var ctr arch.Counter
+	for _, e := range c.Events(r) {
+		ctr.Add(arch.Event(e.Ev), uint64(e.N))
+	}
+	return ctr
 }

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cage/internal/arch"
 	"cage/internal/wasm"
@@ -9,42 +10,38 @@ import (
 
 // Between two control transfers the timing-model events an instruction
 // stream charges depend only on its opcodes (Swivel's "linear blocks"
-// rest on the same fact), so BuildCharges works them out at lower time
-// and the executor charges a straight-line region at its entry. Events
-// that depend on operands (tag-store granules, bulk memory, host fuel,
-// BTB flushes) are not in the table.
+// rest on the same fact), so BuildCharges works them out at lower time.
+// The executor only counts how often it enters each region and prices
+// the counts when something is about to read the counter. Events that
+// depend on operands (tag-store granules, bulk memory, host fuel, BTB
+// flushes) are not in the table.
 
-// Charge is the events of one region: every arch.Event's count in a
-// 16-bit lane, event e in word e/4 at bit 16·(e%4). Being dense, it is
-// added with ChargeWords additions whatever the region holds; a loop
-// over a sparse (event, n) list, whose trip count changes from region
-// to region, ran gemm 25 % slower. A count is at most MaxChargeCount,
-// so an accumulator whose lanes are all below ChargeFull takes one
-// more Charge without a carry.
-type Charge [ChargeWords]uint64
+// Charges is a program's event table: for every pc of the lowered
+// program, the events of the region from it through the next transfer,
+// as a sparse list of (event, count). Instr.Charge indexes it.
+type Charges struct {
+	off  []uint32 // region r's list is list[off[r]:off[r+1]]
+	list []EventCount
+}
 
-// ChargeWords is the length of a Charge.
-const ChargeWords = (arch.NumEvents + 3) / 4
+// EventCount is one event of a region and how many times the region
+// charges it.
+type EventCount struct {
+	Ev uint8 // an arch.Event
+	N  uint16
+}
+
+const _ = uint8(arch.NumEvents - 1) // every event fits EventCount.Ev
+const _ = uint(64 - arch.NumEvents) // and a region's events fit a uint64
 
 // MaxChargeCount is the most occurrences of one event a region holds.
-const MaxChargeCount = 1<<15 - 1
+const MaxChargeCount = 1<<16 - 1
 
-// ChargeFull has the top bit of every lane: an accumulator with one of
-// them set must be drained (Drain) before it takes another Charge.
-const ChargeFull = 0x8000_8000_8000_8000
+// Len returns the number of regions, one per pc of the lowered program.
+func (c *Charges) Len() int { return len(c.off) - 1 }
 
-// Drain adds every count of c to ctr and zeroes c.
-func (c *Charge) Drain(ctr *arch.Counter) {
-	for w, x := range c {
-		for ev := arch.Event(4 * w); x != 0; ev++ {
-			if n := x & 0xFFFF; n != 0 {
-				ctr.Add(ev, n)
-			}
-			x >>= 16
-		}
-		c[w] = 0
-	}
-}
+// Events returns region r's events.
+func (c *Charges) Events(r uint32) []EventCount { return c.list[c.off[r]:c.off[r+1]] }
 
 // Transfers reports whether op ends a straight-line region: any branch,
 // taken or not, goto, br_table, call, call_indirect, return or
@@ -166,63 +163,80 @@ func BuildCharges(p *Program) error {
 	for fi := range p.Funcs {
 		n += len(p.Funcs[fi].Code)
 	}
-	p.Charges = make([]Charge, n)
-	n = 0
+	c := Charges{off: make([]uint32, n+1)}
+	if err := c.walk(p, false); err != nil {
+		return err
+	}
+	for r := range n {
+		c.off[r+1] += c.off[r]
+	}
+	c.list = make([]EventCount, c.off[n])
+	c.walk(p, true)
+	p.Charges = c
+	return nil
+}
+
+// walk goes over p's regions, last pc to first in each function, and
+// sets every instruction's Charge. The first walk, before c.list is
+// allocated at its exact size, records the number of distinct events
+// of region r in c.off[r+1]; the second (fill) writes them, with their
+// counts, at c.list[c.off[r]:], in event order.
+func (c *Charges) walk(p *Program, fill bool) error {
+	var n [arch.NumEvents]uint32 // the region's count of each event
+	var set uint64               // its events, bit e for event e
+	base := 0
 	for fi := range p.Funcs {
 		code := p.Funcs[fi].Code
-		var acc Charge
 		for pc := len(code) - 1; pc >= 0; pc-- {
 			in := &code[pc]
-			if in.Op.Transfers() {
-				acc = Charge{}
-			}
-			if in.Op.IsFused() {
-				for _, c := range in.Constituents() {
-					acc.add(c.Op)
+			if pc == len(code)-1 || in.Op.Transfers() {
+				for ; set != 0; set &= set - 1 {
+					n[bits.TrailingZeros64(set)] = 0
 				}
-			} else {
-				acc.add(in.Op)
 			}
-			in.Charge = uint32(n + pc)
-			p.Charges[n+pc] = acc
-			if (pc == 0 || code[pc-1].Op.Transfers()) && acc.full() { // a region's head counts the most
-				return fmt.Errorf("ir: function %d: the region at pc %d charges an event more than %d times",
-					fi, pc, MaxChargeCount)
+			parts := code[pc : pc+1]
+			if in.Op.IsFused() {
+				parts = in.Constituents()
+			}
+			for _, part := range parts {
+				for _, ev := range opEvents[part.Op] {
+					set |= 1 << ev
+					n[ev]++
+					if n[ev] > MaxChargeCount {
+						return fmt.Errorf("ir: function %d: the region at pc %d charges an event more than %d times",
+							fi, pc, MaxChargeCount)
+					}
+				}
+			}
+			r := base + pc
+			in.Charge = uint32(r)
+			if !fill {
+				c.off[r+1] = uint32(bits.OnesCount64(set))
+				continue
+			}
+			i := c.off[r]
+			for s := set; s != 0; s &= s - 1 {
+				ev := bits.TrailingZeros64(s)
+				c.list[i] = EventCount{Ev: uint8(ev), N: uint16(n[ev])}
+				i++
 			}
 		}
-		n += len(code)
+		base += len(code)
 	}
 	return nil
 }
 
-// add counts the events of one unfused instruction of opcode op.
-func (c *Charge) add(op Op) {
-	for _, ev := range opEvents[op] {
-		c[ev/4] += 1 << (16 * (ev % 4))
-	}
-}
-
-// full reports whether a count of c exceeds MaxChargeCount.
-func (c *Charge) full() bool {
-	for _, w := range c {
-		if w&ChargeFull != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Count returns c's count of ev.
-func (c *Charge) Count(ev arch.Event) uint64 { return c[ev/4] >> (16 * (ev % 4)) & 0xFFFF }
-
-// Unrun returns the events of in's region, charged at the region's
+// Unrun returns the events of in's region, counted at the region's
 // entry, that a trap in in's part k (Parts) keeps from running: all
 // but those of parts 0 through k.
-func (p *Program) Unrun(in *Instr, k int) Charge {
-	left := p.Charges[in.Charge]
+func (p *Program) Unrun(in *Instr, k int) arch.Counter {
+	var left arch.Counter
+	for _, e := range p.Charges.Events(in.Charge) {
+		left.Add(arch.Event(e.Ev), uint64(e.N))
+	}
 	for _, c := range in.Parts()[:k+1] {
 		for _, ev := range opEvents[c.Op] {
-			left[ev/4] -= 1 << (16 * (ev % 4))
+			left.Sub(ev, 1)
 		}
 	}
 	return left

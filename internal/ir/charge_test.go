@@ -32,15 +32,17 @@ func TestBuildChargesRegions(t *testing.T) {
 	if err := BuildCharges(p); err != nil {
 		t.Fatal(err)
 	}
-	events := func(ops ...Op) Charge {
-		var c Charge
+	events := func(ops ...Op) arch.Counter {
+		var c arch.Counter
 		for _, op := range ops {
-			c.add(op)
+			for _, ev := range op.Events() {
+				c.Add(ev, 1)
+			}
 		}
 		return c
 	}
 	code := p.Funcs[0].Code
-	for pc, want := range []Charge{
+	for pc, want := range []arch.Counter{
 		events(OpLocalGet, OpConst, add, OpBrIf),
 		events(OpConst, add, OpBrIf),
 		events(OpBrIf),
@@ -48,15 +50,25 @@ func TestBuildChargesRegions(t *testing.T) {
 		events(OpConst, OpReturn),
 		events(OpReturn),
 	} {
-		if got := p.Charges[code[pc].Charge]; got != want {
-			t.Errorf("pc %d (%v): charge %v, want %v", pc, code[pc].Op, got, want)
+		var got arch.Counter
+		for _, e := range p.Charges.Events(code[pc].Charge) {
+			if e.N == 0 {
+				t.Errorf("pc %d lists event %d with no count", pc, e.Ev)
+			}
+			got.Add(arch.Event(e.Ev), uint64(e.N))
+		}
+		if got != want {
+			t.Errorf("pc %d (%v): charge %v, want %v", pc, code[pc].Op, got.EventCounts(), want.EventCounts())
 		}
 	}
-	if got, want := p.Unrun(&code[1], 0), events(add, OpBrIf); got != want {
-		t.Errorf("Unrun(pc 1, part 0) = %v, want %v", got, want)
+	if n := p.Charges.Len(); n != len(code) {
+		t.Errorf("%d regions for %d pcs", n, len(code))
 	}
-	if got := p.Charges[code[3].Charge].Count(arch.EvTagCheckLoad); got != 1 {
-		t.Errorf("pc 3 charges %d tag checks, want 1", got)
+	if got, want := p.Unrun(&code[1], 0), events(add, OpBrIf); got != want {
+		t.Errorf("Unrun(pc 1, part 0) = %v, want %v", got.EventCounts(), want.EventCounts())
+	}
+	if tagged := events(OpLoadB64Tag); tagged.Get(arch.EvTagCheckLoad) != 1 {
+		t.Errorf("a tagged load charges %d tag checks, want 1", tagged.Get(arch.EvTagCheckLoad))
 	}
 }
 

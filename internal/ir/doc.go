@@ -39,9 +39,11 @@
 // The timing model's events are a property of the lowered program too:
 // each opcode has a fixed set (Op.Events, charge.go), and BuildCharges,
 // which Lower runs last, records for every pc the events of the
-// straight-line region from it through the next control transfer — the
-// table the executor charges a region at a time from, indexed by
-// Instr.Charge. internal/fuse keeps the lowered program's table.
+// straight-line region from it through the next control transfer, as a
+// sparse (event, n) list (Charges). The executor counts its entries
+// into each region by Instr.Charge, the same index, and prices the
+// counts from the table when the counter is read. internal/fuse keeps
+// the lowered program's table.
 //
 // The package depends only on internal/wasm and internal/arch's event
 // names. Mapping a runtime configuration (core.Features, memory kind,

@@ -535,8 +535,8 @@ func MemOp(b uint64) wasm.Opcode { return wasm.Opcode(uint32(b)) }
 //	OpSegment*           A = static offset immediate
 //
 // Charge, in the padding after Op, indexes in Program.Charges the
-// events of the region from the instruction through the next control
-// transfer (BuildCharges).
+// region from the instruction through the next control transfer
+// (BuildCharges); the executor counts its entries by the same index.
 type Instr struct {
 	Op      Op
 	Charge  uint32
@@ -898,7 +898,7 @@ type Program struct {
 	// Charges holds, for every pc, the events of the region from it
 	// through the next control transfer (BuildCharges). A fused
 	// program shares its lowered program's.
-	Charges []Charge
+	Charges Charges
 }
 
 // Matches reports whether the program can execute module m under cfg —

@@ -247,35 +247,6 @@ func TestTagStoreOpProperties(t *testing.T) {
 	}
 }
 
-func TestTagStoreOpApply(t *testing.T) {
-	m := NewMemory(128, ModeSync)
-	buf := make([]byte, 128)
-	for i := range buf {
-		buf[i] = 0xAA
-	}
-	if err := OpSTZG.Apply(m, buf, 16, 3); err != nil {
-		t.Fatal(err)
-	}
-	if m.TagAt(16) != 3 {
-		t.Error("stzg did not tag")
-	}
-	if buf[16] != 0 || buf[31] != 0 {
-		t.Error("stzg did not zero data")
-	}
-	if buf[15] != 0xAA || buf[32] != 0xAA {
-		t.Error("stzg zeroed bytes outside its granule")
-	}
-	if err := OpST2G.Apply(m, buf, 32, 4); err != nil {
-		t.Fatal(err)
-	}
-	if m.TagAt(32) != 4 || m.TagAt(48) != 4 {
-		t.Error("st2g did not tag two granules")
-	}
-	if buf[32] != 0xAA {
-		t.Error("st2g must not zero data")
-	}
-}
-
 // TestRestoreTagRange: the ranged restore rewrites exactly the granules
 // covering the byte range from the leading tags of src (a snapshot keeps
 // the tags of its written runs only, so src starts at the range, not at

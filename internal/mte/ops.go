@@ -49,19 +49,3 @@ func (op TagStoreOp) Granules() int {
 func (op TagStoreOp) ZeroesData() bool {
 	return op == OpSTZG || op == OpST2ZG || op == OpSTGP
 }
-
-// Apply executes the semantic effect of op at addr: tagging the covered
-// granules and, for zeroing variants, clearing the data bytes in buf.
-// addr must be aligned to the instruction's coverage.
-func (op TagStoreOp) Apply(m *Memory, buf []byte, addr uint64, tag uint8) error {
-	length := uint64(op.Granules()) * GranuleSize
-	if err := m.SetTagRange(addr, length, tag); err != nil {
-		return err
-	}
-	if op.ZeroesData() && addr+length <= uint64(len(buf)) {
-		for i := addr; i < addr+length; i++ {
-			buf[i] = 0
-		}
-	}
-	return nil
-}

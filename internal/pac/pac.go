@@ -140,8 +140,5 @@ func (c Config) Auth(ptr, modifier uint64, key Key) (uint64, error) {
 	return base ^ (uint64(1) << 62), nil
 }
 
-// Strip removes the signature without authenticating (xpacd).
-func (c Config) Strip(ptr uint64) uint64 { return c.signable(ptr) }
-
 // SigBits reports the number of signature bits the configuration offers.
 func (c Config) SigBits() int { return c.Layout.PACBits() }

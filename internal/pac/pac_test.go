@@ -71,17 +71,6 @@ func TestNonFPACProducesPoisonedPointer(t *testing.T) {
 	}
 }
 
-func TestStripRemovesSignatureOnly(t *testing.T) {
-	cfg := DefaultConfig
-	key := KeyFromSeed(9)
-	ptr := ptrlayout.WithTag(0xBEEF0, 5)
-	signed := cfg.Sign(ptr, 42, key)
-	stripped := cfg.Strip(signed)
-	if stripped != ptr {
-		t.Errorf("Strip = %#x, want %#x", stripped, ptr)
-	}
-}
-
 func TestSignPreservesMTETag(t *testing.T) {
 	cfg := DefaultConfig
 	key := KeyFromSeed(11)

@@ -59,9 +59,6 @@ var (
 // Address returns the 48-bit virtual-address portion of p.
 func Address(p uint64) uint64 { return p & AddressMask }
 
-// IsKernel reports whether p addresses kernel space (bit 55 set).
-func IsKernel(p uint64) bool { return p&(1<<KernelBit) != 0 }
-
 // Tag extracts the 4-bit MTE allocation tag from p.
 func Tag(p uint64) uint8 { return uint8((p & MTETagMask) >> MTETagShift) }
 
@@ -112,15 +109,4 @@ func (l Layout) Extract(p uint64) uint64 {
 		m &^= run
 	}
 	return sig
-}
-
-// Canonical returns p with all metadata bits cleared/sign-extended so the
-// result is a plain user-space pointer: the address bits survive, every
-// PAC and tag bit is zeroed.
-func (l Layout) Canonical(p uint64) uint64 {
-	p &^= l.PACMask
-	if l.MTE {
-		p = StripTag(p)
-	}
-	return p & ((1 << (KernelBit + 1)) - 1) & AddressMask
 }

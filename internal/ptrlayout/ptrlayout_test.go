@@ -13,15 +13,6 @@ func TestAddressMasksMetadata(t *testing.T) {
 	}
 }
 
-func TestKernelBit(t *testing.T) {
-	if IsKernel(0) {
-		t.Error("IsKernel(0) = true, want false")
-	}
-	if !IsKernel(1 << 55) {
-		t.Error("IsKernel(1<<55) = false, want true")
-	}
-}
-
 func TestTagRoundTrip(t *testing.T) {
 	for tag := uint8(0); tag < 16; tag++ {
 		p := WithTag(0x1234_5678, tag)
@@ -93,20 +84,6 @@ func TestInsertPreservesMTETag(t *testing.T) {
 	signed := MTEAndPAC.Insert(p, 0x3FF)
 	if Tag(signed) != 0xB {
 		t.Errorf("Insert clobbered MTE tag: %#x", Tag(signed))
-	}
-}
-
-func TestCanonicalClearsAllMetadata(t *testing.T) {
-	f := func(p uint64) bool {
-		c := MTEAndPAC.Canonical(p)
-		return c == p&AddressMask&^MTETagMask || c == p&AddressMask
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	p := MTEAndPAC.Insert(WithTag(0x1000, 5), 0x2AA)
-	if got := MTEAndPAC.Canonical(p); got != 0x1000 {
-		t.Errorf("Canonical = %#x, want 0x1000", got)
 	}
 }
 
