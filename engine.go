@@ -55,7 +55,7 @@ type Engine struct {
 
 	// idle broadcasts instance checkins to spawns queued on the shared
 	// tag budget (a Release alone never fires for a tag that moved to a
-	// sibling pool's idle list). The channel rides an atomic pointer so
+	// sibling pool's idle stack). The channel rides an atomic pointer so
 	// the checkin hot path pays one load when nobody is queued, never a
 	// mutex.
 	idleCh atomic.Pointer[chan struct{}]

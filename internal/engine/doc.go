@@ -57,8 +57,8 @@
 // may wait on the shared §7.4 sandbox-tag budget) reserve cap slots
 // under it, exhausted checkouts queue on a broadcast channel and
 // abandon cleanly when their context ends, a checkin that finds the
-// stack full spills to a mutex-guarded idle list, and Close/Reclaim
-// drain both the stack and that list. The lock-free checkin
+// stack full closes its instance, and Close/Reclaim drain the stack.
+// The lock-free checkin
 // and the queued checkout rendezvous through an atomic waiter count:
 // a waiter registers, re-polls the fast stack once, then sleeps; a
 // checkin pushes, then broadcasts only if it observes a registered

@@ -65,20 +65,18 @@ type Pool struct {
 	closedHint atomic.Bool
 
 	// Monotonic counters and gauges, atomic so Stats never touches mu.
-	// liveN and idleSlowN are written only under mu (the fast stack
-	// keeps its own size); spawned/recycled/discarded are written
-	// wherever the event happens.
+	// liveN is written only under mu (the fast stack keeps its own
+	// size); spawned/recycled/discarded are written wherever the event
+	// happens.
 	spawned   atomic.Uint64
 	recycled  atomic.Uint64
 	discarded atomic.Uint64
 	liveN     atomic.Int64
-	idleSlowN atomic.Int64
 
 	seed atomic.Uint64 // pool-private seed counter (NextSeed == nil)
 
 	mu       sync.Mutex
-	idle     []Resetter // slow-path idle list: fast-stack overflow
-	spawning int        // spawn attempts in flight (reserve cap slots)
+	spawning int // spawn attempts in flight (reserve cap slots)
 	max      int
 	closed   bool
 	// wake is a channel-shaped broadcast condition variable: it is
@@ -92,9 +90,8 @@ type Pool struct {
 	wake chan struct{}
 }
 
-// lifoDefaultCap sizes the fast stack when the pool is uncapped (or
-// absurdly capped): enough idle slots for any realistic core count,
-// with overflow spilling harmlessly to the mutex-guarded idle list.
+// lifoDefaultCap sizes the idle stack when the pool is uncapped (or
+// capped above 4096): enough idle slots for any realistic core count.
 const lifoDefaultCap = 256
 
 // NewPool creates a pool over spawn. The spawn function receives the
@@ -103,6 +100,12 @@ const lifoDefaultCap = 256
 // instances (checked out plus idle); 0 means unlimited. Embedders
 // running under a sandbox-tag budget (§7.4) should pass the budget as
 // max so checkouts queue instead of failing with ErrSandboxesExhausted.
+//
+// The pool keeps at most max idle instances (lifoDefaultCap, 256, when
+// max is 0 or above 4096): a checkin that finds that many idle closes
+// its instance instead. A pool capped at 4096 or less never gets there,
+// since idle ≤ live ≤ max; an uncapped one keeps 256 of a burst's
+// instances.
 func NewPool(max int, spawn func(ctx context.Context) (Resetter, error)) *Pool {
 	c := max
 	if c <= 0 || c > 4096 {
@@ -185,13 +188,6 @@ func (p *Pool) getSlow(ctx context.Context) (Resetter, error) {
 			p.mu.Unlock()
 			return inst, nil
 		}
-		if n := len(p.idle); n > 0 {
-			inst := p.idle[n-1]
-			p.idle = p.idle[:n-1]
-			p.idleSlowN.Store(int64(len(p.idle)))
-			p.mu.Unlock()
-			return inst, nil
-		}
 		if p.max == 0 || int(p.liveN.Load())+p.spawning < p.max {
 			p.spawning++
 			p.mu.Unlock()
@@ -219,12 +215,10 @@ func (p *Pool) getSlow(ctx context.Context) (Resetter, error) {
 						p.mu.Unlock()
 						return inst, nil
 					}
-					if len(p.idle) == 0 {
-						if inst, ok := p.sleepLocked(ctx); ok {
-							return inst, nil
-						}
-						p.mu.Lock()
+					if inst, ok := p.sleepLocked(ctx); ok {
+						return inst, nil
 					}
+					p.mu.Lock()
 					continue
 				}
 				p.mu.Unlock()
@@ -268,7 +262,9 @@ func (p *Pool) sleepLocked(ctx context.Context) (Resetter, bool) {
 }
 
 // Put checks an instance back in. The instance is reset first; a reset
-// failure closes and discards it (freeing its slot under the cap).
+// failure closes and discards it (freeing its slot under the cap), and
+// so does a checkin that finds the idle stack full, without counting a
+// discard.
 //
 // When the reset succeeds and the pool is open, checkin is lock-free:
 // one push onto the Treiber stack, at most two CAS ops, no allocation.
@@ -291,25 +287,18 @@ func (p *Pool) Put(inst Resetter) {
 	p.putSlow(inst, err)
 }
 
-// putSlow handles reset failures, closed pools, and fast-stack overflow
-// under the pool mutex.
+// putSlow closes an instance the pool does not keep — its reset
+// failed, the pool is closed or the idle stack is full — freeing its
+// slot under the cap.
 func (p *Pool) putSlow(inst Resetter, err error) {
 	p.mu.Lock()
-	if err != nil || p.closed {
-		p.liveN.Add(-1)
-		if err != nil {
-			p.discarded.Add(1)
-		}
-		p.wakeLocked()
-		p.mu.Unlock()
-		inst.Close()
-		return
+	p.liveN.Add(-1)
+	if err != nil {
+		p.discarded.Add(1)
 	}
-	p.idle = append(p.idle, inst)
-	p.idleSlowN.Store(int64(len(p.idle)))
-	p.recycled.Add(1)
 	p.wakeLocked()
 	p.mu.Unlock()
+	inst.Close()
 }
 
 // drainFast closes everything on the fast stack; only called once the
@@ -335,14 +324,7 @@ func (p *Pool) drainFast() {
 // retry.
 func (p *Pool) ReclaimIdle(n int) int {
 	p.mu.Lock()
-	k := n
-	if k > len(p.idle) {
-		k = len(p.idle)
-	}
-	evicted := make([]Resetter, 0, k)
-	evicted = append(evicted, p.idle[len(p.idle)-k:]...)
-	p.idle = p.idle[:len(p.idle)-k]
-	p.idleSlowN.Store(int64(len(p.idle)))
+	var evicted []Resetter
 	for len(evicted) < n {
 		inst, ok := p.fast.pop()
 		if !ok {
@@ -379,9 +361,7 @@ func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
 	p.closedHint.Store(true)
-	idle := p.idle
-	p.idle = nil
-	p.idleSlowN.Store(0)
+	var idle []Resetter
 	for {
 		inst, ok := p.fast.pop()
 		if !ok {
@@ -400,12 +380,11 @@ func (p *Pool) Close() {
 // Stats returns a snapshot of the pool counters. It reads only atomics
 // — never the pool mutex — so scraping cannot stall checkouts.
 func (p *Pool) Stats() PoolStats {
-	idle := p.idleSlowN.Load() + int64(p.fast.size.Load())
 	return PoolStats{
 		Spawned:   p.spawned.Load(),
 		Recycled:  p.recycled.Load(),
 		Discarded: p.discarded.Load(),
-		Idle:      int(idle),
+		Idle:      int(p.fast.size.Load()),
 		Live:      int(p.liveN.Load()),
 	}
 }

@@ -114,6 +114,7 @@ func TestCacheSingleflight(t *testing.T) {
 // armed to fail its next reset.
 type fake struct {
 	resets    atomic.Uint64
+	closes    atomic.Int32
 	closed    atomic.Bool
 	failReset atomic.Bool
 }
@@ -126,7 +127,7 @@ func (f *fake) Reset(seed uint64) error {
 	return nil
 }
 
-func (f *fake) Close() error { f.closed.Store(true); return nil }
+func (f *fake) Close() error { f.closes.Add(1); f.closed.Store(true); return nil }
 
 func TestPoolCheckoutCheckinConcurrent(t *testing.T) {
 	var spawned atomic.Int32
@@ -164,6 +165,43 @@ func TestPoolCheckoutCheckinConcurrent(t *testing.T) {
 	}
 	if s.Live > 4 || s.Idle > 4 || s.Discarded != 0 {
 		t.Errorf("stats = %+v", s)
+	}
+}
+
+// TestPoolIdleBound: an uncapped pool keeps at most lifoDefaultCap idle
+// instances. After a burst of 300 checkouts, the checkins beyond the
+// idle stack's 256 slots close their instance, so the pool ends with
+// 256 idle and live and nothing counted as discarded.
+func TestPoolIdleBound(t *testing.T) {
+	var fakes []*fake
+	p := NewPool(0, func(context.Context) (Resetter, error) {
+		f := &fake{}
+		fakes = append(fakes, f)
+		return f, nil
+	})
+	defer p.Close()
+
+	const burst = 300
+	out := make([]Resetter, burst)
+	for i := range out {
+		inst, err := p.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = inst
+	}
+	for _, inst := range out {
+		p.Put(inst)
+	}
+	closed := 0
+	for _, f := range fakes {
+		closed += int(f.closes.Load())
+	}
+	s := p.Stats()
+	if s.Idle != lifoDefaultCap || s.Live != lifoDefaultCap || closed != burst-lifoDefaultCap ||
+		s.Recycled != lifoDefaultCap || s.Discarded != 0 {
+		t.Errorf("after %d checkins: %+v, %d Close calls; want %d idle and live, %d Close calls",
+			burst, s, closed, lifoDefaultCap, burst-lifoDefaultCap)
 	}
 }
 

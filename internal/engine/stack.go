@@ -15,9 +15,8 @@ import "sync/atomic"
 // caught by the version mismatch; a stale next-pointer read is
 // discarded with the failed CAS, never dereferenced as truth.
 //
-// A full stack rejects the push (the caller falls back to the pool's
-// mutex-guarded idle list), so capacity is a fast-path sizing hint, not
-// a correctness bound.
+// A full stack rejects the push (the pool then closes the instance), so
+// capacity bounds how many idle instances a pool keeps.
 type lifo struct {
 	head  atomic.Uint64 // versioned top of the value stack
 	free  atomic.Uint64 // versioned top of the free-slot list

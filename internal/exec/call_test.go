@@ -227,10 +227,8 @@ func testNestedDeadline(t *testing.T, innerFuel uint64) {
 		{Name: "spin", Kind: wasm.ExportFunc, Idx: 2},
 	}
 
-	linker := NewLinker()
-	linker.Define("env", "reenter", HostFunc{
-		Type: wasm.FuncType{},
-		Fn: func(hc *HostContext, _ []uint64) ([]uint64, error) {
+	env := NewHostModule("env").Func("reenter", wasm.FuncType{},
+		func(hc *HostContext, _ []uint64) ([]uint64, error) {
 			// A bounded-but-large inner budget, or deadline: if the chain
 			// is broken the outer deadline is ignored until this one
 			// ends, and the test fails instead of hanging.
@@ -241,9 +239,8 @@ func testNestedDeadline(t *testing.T, innerFuel uint64) {
 			}
 			_, err := hc.Instance().InvokeWith(ctx, "spin", nil, CallOptions{Fuel: innerFuel})
 			return nil, err
-		},
-	})
-	inst, err := NewInstance(m, Config{Linker: linker})
+		})
+	inst, err := NewInstance(m, Config{HostModules: []*HostModule{env}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,12 +56,14 @@
 // (cmd/compile/internal/walk/switch.go, minDensity); anything sparser
 // becomes a binary search of compare-and-branch pairs. Hence
 // `switch in.Op` enumerates the named and fused opcodes, which
-// internal/ir numbers as one contiguous block, and takes the numerics
-// through `default` into a second switch on the (single-byte, dense)
-// wasm opcode; the shared fusedALU block switches on aluKind[op]
-// (fused.go), not on the wasm opcode; and the fused tail switch and the
-// load block's switch on what a load's opcode does with its value list
-// fused opcodes only.
+// internal/ir numbers as one contiguous block, and sends the numerics
+// through `default` to the fusedALU block, run's one inline ALU: a
+// switch on the (single-byte) wasm opcode whose 40 cases are dense
+// enough for a table, entered alike by an unfused numeric and by the
+// ALU constituents of the shape-generic superinstructions, with
+// inst.numeric as its one fallback. The fused tail switch and the load
+// block's switch on what a load's opcode does with its value list fused
+// opcodes only.
 //
 // To see what the compiler made of it on linux/amd64:
 //
@@ -69,19 +71,26 @@
 //	go tool objdump -s 'exec\.\(\*Instance\)\.run$' /tmp/cage-serve |
 //	    grep -cE 'JMP 0\([A-Z0-9]+\)\([A-Z0-9]+\*8\)'
 //
-// prints 5 (main switch, numeric default switch, fusedALU kind switch,
-// fused tail switch, load block); CI fails below 4, and ir.TestOpSpaceDense and
-// TestFusedALUKindsMatchSlowPath pin the two tables. Tried and moved
-// nothing, so nobody repeats them: splitting run into an outer
-// per-frame loop and an inner dispatch loop (halves the loop-head
-// spills, 8 → 4 stores, no measurable gain).
+// prints 4 (main switch, fusedALU switch, fused tail switch, load
+// block); CI fails below 4. ir.TestOpSpaceDense pins the opcode block,
+// and TestInlineALUMatchesNumeric holds the one inline ALU, through
+// both ways into it, to inst.numeric and the event table. A variable
+// the blocks share lives for the shortest span that covers its uses:
+// aluOp and aluNext, declared once per run, were carried across every
+// dispatch and reloaded at each back-edge, which cost 2–12 % per
+// baseline64 kernel once the unfused numerics joined fusedALU; declared
+// per dispatch they cost nothing. Tried and moved nothing, so nobody
+// repeats them: splitting run into an outer per-frame loop and an
+// inner dispatch loop (halves the loop-head spills, 8 → 4 stores, no
+// measurable gain); declaring the access blocks' memIdx, memOff and
+// memB per dispatch too.
 //
 // A second rule holds of the fused tier: a fused handler makes no
 // indirect jump of its own for a constituent the fuse pass could name.
 // The shape-generic superinstructions carry their ALU opcodes as
 // immediates (fused.const+alu+alu+load+alu has three), so each one
 // leaves the main switch for the shared fusedALU block, table-jumps on
-// aluKind once per ALU constituent, and jumps once more on in.Op to
+// the wasm opcode once per ALU constituent, and jumps once more on in.Op to
 // retire: 26 table jumps for the 7 dispatches (38 constituents) of one
 // gemm inner-loop iteration. Fusion was saving the loop head (pc++,
 // &code[pc], the operand-stack bounds) but re-taking the decision
@@ -99,9 +108,9 @@
 // the 25 polybench kernels and the Fig. 15 ptr-auth 2mm under `full`,
 // 85 % of the ALU constituents executed inside fused ops now run in an
 // idiom case. The fusedALU block is what is left for every tuple
-// without an idiom — other ALU ops, 32-bit code — and the ALU ops it
-// does not inline take inst.numeric,
-// as an unfused instruction would. An idiom is identical to its
+// without an idiom — other ALU ops, 32-bit code — and the one every
+// unfused numeric takes; the ALU ops it does not inline take
+// inst.numeric. An idiom is identical to its
 // constituent sequence in results, traps, trap text, event totals and
 // interrupt checkpoints (TestIdiomsMatchConstituents), NaN payloads
 // included: hardware keeps the NaN of whichever operand the compiled

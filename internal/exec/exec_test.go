@@ -378,14 +378,12 @@ func TestHostFunctionCall(t *testing.T) {
 	m.Funcs = []wasm.Function{{TypeIdx: main, Body: []wasm.Instr{
 		wasm.I64Const(14), wasm.Call(0), wasm.End()}}}
 	m.Exports = []wasm.Export{{Name: "f", Kind: wasm.ExportFunc, Idx: 1}}
-	l := NewLinker()
-	l.Define("env", "triple", HostFunc{
-		Type: wasm.FuncType{Params: []wasm.ValType{wasm.I64}, Results: []wasm.ValType{wasm.I64}},
-		Fn: func(_ *HostContext, args []uint64) ([]uint64, error) {
+	env := NewHostModule("env").Func("triple",
+		wasm.FuncType{Params: []wasm.ValType{wasm.I64}, Results: []wasm.ValType{wasm.I64}},
+		func(_ *HostContext, args []uint64) ([]uint64, error) {
 			return []uint64{args[0] * 3}, nil
-		},
-	})
-	got, err := run1(t, Config{Linker: l}, m)
+		})
+	got, err := run1(t, Config{HostModules: []*HostModule{env}}, m)
 	if err != nil {
 		t.Fatal(err)
 	}

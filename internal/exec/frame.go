@@ -247,15 +247,6 @@ func (inst *Instance) run(barrier int) error {
 	// callee); declared outside the loop so the per-iteration fast path
 	// never touches them.
 	callIdx, callN := 0, 0
-	// aluOp feeds the shared fused-ALU block at the bottom of the loop
-	// (the shape-generic ALU-carrying superinstructions converge there);
-	// like callIdx/callN it lives outside the loop so the fast path
-	// never touches it. aluNext holds the ALUs of a multi-ALU
-	// superinstruction that are still to run, the next one in the low
-	// byte; the fused-ALU block always consumes it, so it is zero
-	// whenever the main switch dispatches.
-	var aluOp wasm.Opcode
-	var aluNext uint32
 	// The shared access blocks' operands, set by every memory
 	// constituent before it jumps there: the index and memarg offset of
 	// a load, and for both directions the memory pack (PackFusedMem:
@@ -283,6 +274,16 @@ region:
 	}
 	for {
 		in := &code[pc]
+		// aluOp feeds the fusedALU block at the bottom of the loop, the
+		// one inline ALU: unfused numerics and the shape-generic
+		// ALU-carrying superinstructions converge there. aluNext holds
+		// the ALUs of a multi-ALU superinstruction that are still to run,
+		// the next one in the low byte. Both live for one dispatch, so
+		// aluNext is zero at every entry into the main switch by scope,
+		// and the compiler carries neither across the back-edge: declared
+		// per run, the pair costs two reloads per instruction.
+		var aluOp wasm.Opcode
+		var aluNext uint32
 		switch in.Op {
 		case ir.OpUnreachable:
 			return newTrap(TrapUnreachable, "at pc %d", pc)
@@ -734,15 +735,29 @@ region:
 			stack[l-1] = stack[l-1]*locals[in.A>>32] + locals[uint32(in.A)]
 
 		default:
-			// Fast path for the hottest pure-value opcodes, inlined so a
-			// tight arithmetic loop never leaves the dispatch frame; the
-			// semantics are identical to the numeric ALU's, which the
-			// differential suite holds both executors to. Everything else
-			// (divisions, truncations, the float library calls) falls
-			// through to the shared numeric ALU.
-			op := wasm.Opcode(in.Op - ir.OpNumericBase)
+			// Every unfused numeric opcode runs in the fusedALU block, the
+			// one inline ALU; it finds aluNext zero and no tail case for an
+			// unfused op, so the op retires there.
+			aluOp = wasm.Opcode(in.Op - ir.OpNumericBase)
+			goto fusedALU
+		}
+		pc++
+		continue
+
+	fusedALU:
+		// The one inline ALU, for unfused numeric instructions and the
+		// ALU constituents of the shape-generic superinstructions alike:
+		// the hottest pure-value opcodes switch on the wasm opcode itself
+		// (dense enough that Go compiles it to a jump table), and the rest
+		// — divisions, truncations, the float library calls — fall back
+		// to the shared numeric ALU, whose trap finds which constituent it
+		// was from the ALUs still queued in aluNext (0 for an unfused op).
+		// The ALU-first superinstructions then run their second
+		// constituent in the switch below; ALU-last ones and unfused ops
+		// retire directly.
+		{
 			l := len(stack)
-			switch op {
+			switch aluOp {
 			case wasm.OpI64Add:
 				stack[l-2] += stack[l-1]
 				stack = stack[:l-1]
@@ -868,85 +883,6 @@ region:
 					stack[l-2] = f64NaN(x, y, stack[l-2])
 				}
 				stack = stack[:l-1]
-			default:
-				n, err := inst.numeric(op, stack, l)
-				if err != nil {
-					return inst.trapped(code, pc, 0, err)
-				}
-				stack = stack[:n]
-			}
-		}
-		pc++
-		continue
-
-	fusedALU:
-		// Shared ALU-constituent executor for the fused superinstructions:
-		// one inline copy of the hottest constituents (the polybench
-		// kernels' top ALU ops) keyed by their dense aluKind so the switch
-		// is a jump table, with the out-of-line executor (kind 0) as the
-		// fallback for the rest; a trap there finds which ALU constituent
-		// it was from the ALUs still queued in aluNext. The ALU-first
-		// superinstructions then run their second constituent in the
-		// switch below; ALU-last ones retire directly.
-		{
-			l := len(stack)
-			switch aluKind[uint8(aluOp)] {
-			case aluI32Add:
-				stack[l-2] = uint64(uint32(stack[l-2]) + uint32(stack[l-1]))
-				stack = stack[:l-1]
-			case aluI64Add:
-				stack[l-2] += stack[l-1]
-				stack = stack[:l-1]
-			case aluI32Mul:
-				stack[l-2] = uint64(uint32(stack[l-2]) * uint32(stack[l-1]))
-				stack = stack[:l-1]
-			case aluI64Mul:
-				stack[l-2] *= stack[l-1]
-				stack = stack[:l-1]
-			case aluF64Add:
-				x, y := stack[l-2], stack[l-1]
-				r := math.Float64frombits(x) + math.Float64frombits(y)
-				stack[l-2] = math.Float64bits(r)
-				if r != r {
-					stack[l-2] = f64NaN(x, y, stack[l-2])
-				}
-				stack = stack[:l-1]
-			case aluF64Mul:
-				x, y := stack[l-2], stack[l-1]
-				r := math.Float64frombits(x) * math.Float64frombits(y)
-				stack[l-2] = math.Float64bits(r)
-				if r != r {
-					stack[l-2] = f64NaN(x, y, stack[l-2])
-				}
-				stack = stack[:l-1]
-			case aluI32LtS:
-				stack[l-2] = b2u(int32(stack[l-2]) < int32(stack[l-1]))
-				stack = stack[:l-1]
-			case aluI64LtS:
-				stack[l-2] = b2u(int64(stack[l-2]) < int64(stack[l-1]))
-				stack = stack[:l-1]
-			case aluI32Eqz:
-				stack[l-1] = b2u(uint32(stack[l-1]) == 0)
-			case aluI64ExtendI32S:
-				stack[l-1] = uint64(int64(int32(stack[l-1])))
-			case aluI32Sub:
-				stack[l-2] = uint64(uint32(stack[l-2]) - uint32(stack[l-1]))
-				stack = stack[:l-1]
-			case aluI64Sub:
-				stack[l-2] -= stack[l-1]
-				stack = stack[:l-1]
-			case aluF64Sub:
-				x, y := stack[l-2], stack[l-1]
-				r := math.Float64frombits(x) - math.Float64frombits(y)
-				stack[l-2] = math.Float64bits(r)
-				if r != r {
-					stack[l-2] = f64NaN(x, y, stack[l-2])
-				}
-				stack = stack[:l-1]
-			case aluF64ConvertI32S:
-				stack[l-1] = math.Float64bits(float64(int32(stack[l-1])))
-			case aluF64ConvertI64S:
-				stack[l-1] = math.Float64bits(float64(int64(stack[l-1])))
 			default:
 				n, err := inst.numeric(aluOp, stack, l)
 				if err != nil {

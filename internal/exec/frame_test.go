@@ -298,10 +298,9 @@ func TestHostReentryBarrier(t *testing.T) {
 	// atHost is the counter as the last host call found it.
 	var atHost arch.Counter
 	instantiate := func(reenter bool) *Instance {
-		linker := NewLinker()
-		linker.Define("env", "reenter", HostFunc{
-			Type: wasm.FuncType{Params: []wasm.ValType{wasm.I64}, Results: []wasm.ValType{wasm.I64}},
-			Fn: func(hc *HostContext, args []uint64) ([]uint64, error) {
+		env := NewHostModule("env").Func("reenter",
+			wasm.FuncType{Params: []wasm.ValType{wasm.I64}, Results: []wasm.ValType{wasm.I64}},
+			func(hc *HostContext, args []uint64) ([]uint64, error) {
 				atHost = hc.Instance().Counter().Snapshot()
 				if !reenter {
 					return []uint64{0}, nil
@@ -311,9 +310,8 @@ func TestHostReentryBarrier(t *testing.T) {
 					return nil, err
 				}
 				return []uint64{res[0] * 10}, nil
-			},
-		})
-		inst, err := NewInstance(m, Config{Linker: linker})
+			})
+		inst, err := NewInstance(m, Config{HostModules: []*HostModule{env}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,62 +3,18 @@ package exec
 import (
 	"cage/internal/arch"
 	"cage/internal/ir"
-	"cage/internal/wasm"
 )
 
 // This file holds what the dispatch loop (frame.go) keeps outside
-// itself: the dense key of the shared fusedALU block, the out-of-line
-// half of its load and store blocks, which every access the blocks do
-// not open-code takes, and the cold path of a trap. The memory helpers
-// call the same per-mode address functions whatever the opcode, and an
-// ALU constituent the fusedALU block does not inline takes the shared
-// numeric ALU exactly as an unfused instruction would — which is what
-// makes the fusion pass semantics-preserving by construction. Events
-// are the program's (ir.BuildCharges): a fused instruction's are its
-// constituents', charged with its region's.
-
-// The ALU constituents the dispatch loop's shared fusedALU block runs
-// inline, as a dense kind: aluKind[op] switches by jump table, where
-// the wasm opcodes themselves (spread over 0x45…0xB9) would compile to
-// a compare chain. Kind 0 — every other opcode — is inst.numeric.
-const (
-	aluSlow uint8 = iota
-	aluI32Add
-	aluI64Add
-	aluI32Mul
-	aluI64Mul
-	aluF64Add
-	aluF64Mul
-	aluI32LtS
-	aluI64LtS
-	aluI32Eqz
-	aluI64ExtendI32S
-	aluI32Sub
-	aluI64Sub
-	aluF64Sub
-	aluF64ConvertI32S
-	aluF64ConvertI64S
-	numALUKinds
-)
-
-// aluKind maps a wasm numeric opcode to its inlined kind.
-var aluKind = [256]uint8{
-	wasm.OpI32Add:         aluI32Add,
-	wasm.OpI64Add:         aluI64Add,
-	wasm.OpI32Mul:         aluI32Mul,
-	wasm.OpI64Mul:         aluI64Mul,
-	wasm.OpF64Add:         aluF64Add,
-	wasm.OpF64Mul:         aluF64Mul,
-	wasm.OpI32LtS:         aluI32LtS,
-	wasm.OpI64LtS:         aluI64LtS,
-	wasm.OpI32Eqz:         aluI32Eqz,
-	wasm.OpI64ExtendI32S:  aluI64ExtendI32S,
-	wasm.OpI32Sub:         aluI32Sub,
-	wasm.OpI64Sub:         aluI64Sub,
-	wasm.OpF64Sub:         aluF64Sub,
-	wasm.OpF64ConvertI32S: aluF64ConvertI32S,
-	wasm.OpF64ConvertI64S: aluF64ConvertI64S,
-}
+// itself: the out-of-line half of its load and store blocks, which
+// every access the blocks do not open-code takes, and the cold path of
+// a trap. The memory helpers call the same per-mode address functions
+// whatever the opcode, and a fused ALU constituent runs in the same
+// fusedALU block as an unfused numeric instruction — one switch on the
+// wasm opcode, one numeric fallback — which is what makes the fusion
+// pass semantics-preserving by construction. Events are the program's
+// (ir.BuildCharges): a fused instruction's are its constituents',
+// charged with its region's.
 
 // fusedMemLoad is the dispatch loop's out-of-line load, for every
 // access its load block does not open-code: the variant's address

@@ -10,93 +10,112 @@ import (
 	"cage/internal/wasm"
 )
 
-// TestFusedALUKindsMatchSlowPath pins the dense ALU key of the dispatch
-// loop's shared fusedALU block: aluKind names each inlined kind exactly
-// once, and an opcode the block runs inline produces the value the
-// shared numeric ALU (the block's kind-0 fallback, and what an unfused
-// instruction outside the loop's fast path runs) produces for it, on
-// boundary operands, and the events the ir table prices the op at. The
-// inline side runs through the dispatch loop itself — a hand-built
-// `const a; fused.const+alu b op` program — so a case attached to the
-// wrong kind, or a kind without a case, fails here.
-func TestFusedALUKindsMatchSlowPath(t *testing.T) {
-	inlined := map[uint8]wasm.Opcode{}
-	for op, k := range aluKind {
-		if k == aluSlow {
-			continue
-		}
-		if k >= numALUKinds {
-			t.Fatalf("aluKind[%v] = %d, beyond the %d kinds", wasm.Opcode(op), k, numALUKinds-1)
-		}
-		if prev, dup := inlined[k]; dup {
-			t.Fatalf("kind %d names both %v and %v", k, prev, wasm.Opcode(op))
-		}
-		inlined[k] = wasm.Opcode(op)
-	}
-	if len(inlined) != int(numALUKinds)-1 {
-		t.Fatalf("aluKind names %d kinds, want %d", len(inlined), numALUKinds-1)
-	}
-
+// TestInlineALUMatchesNumeric pins the dispatch loop's one inline ALU
+// (the fusedALU block) to the shared numeric ALU and the ir event
+// table. Every opcode ir.NumericStackEffect accepts runs through both
+// ways into the block — an unfused instruction (`const a; [const b;]
+// op`) and a fused one (`[const a;] fused.const+alu op`) — on boundary
+// operands, the trapping ones included (division by zero, the
+// overflowing division and truncations). Each must produce numeric's
+// result or numeric's trap code, and the constants' events plus the
+// one event the table prices the op at, so a case that computes the
+// wrong op, or an op the block misroutes, fails here.
+func TestInlineALUMatchesNumeric(t *testing.T) {
 	m := i64m(wasm.I64Const(0), wasm.I64Const(0), wasm.Op(wasm.OpI64Add), wasm.End())
 	prog, err := LowerModule(m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	code := []ir.Instr{{Op: ir.OpConst}, {Op: ir.OpFusedConstALU}, {Op: ir.OpRetEnd, A: 1}}
-	setCode(nil, prog, code) // same frame: no locals, two operand slots, one result
 	var ctr arch.Counter
 	inst, err := NewInstance(m, Config{Program: prog, Counter: &ctr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f32 := func(f float32) uint64 { return uint64(math.Float32bits(f)) }
 	operands := []uint64{
 		0, 1, 2, 31, 32, 63, 64, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 1 << 32,
 		math.MaxInt64, 1 << 63, math.MaxUint64,
 		math.Float64bits(1.5), math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.MaxFloat64),
-		math.Float64bits(math.Inf(-1)), math.Float64bits(math.NaN()),
+		math.Float64bits(math.Inf(-1)), math.Float64bits(math.NaN()), math.Float64bits(-1e19),
+		f32(1.5), f32(-2.5e9), f32(float32(math.Inf(1))), f32(float32(math.NaN())),
 	}
-	for _, op := range inlined {
+	code := make([]ir.Instr, 0, 4)
+	ops, traps := 0, 0
+	for i := 0; i < 256; i++ {
+		op := wasm.Opcode(i)
+		pop, _, ok := ir.NumericStackEffect(op)
+		if !ok {
+			continue
+		}
+		ops++
+		events := (ir.OpNumericBase + ir.Op(op)).Events()
+		if len(events) != 1 {
+			t.Fatalf("%v: the table prices %d events, want 1", op, len(events))
+		}
+		var want arch.Counter
+		want.Add(arch.EvConst, uint64(pop))
+		want.Add(events[0], 1)
+		seconds := operands
+		if pop == 1 {
+			seconds = operands[:1] // b is unused
+		}
 		for _, a := range operands {
-			for _, b := range operands {
-				code[0].A, code[1].A, code[1].B = a, b, uint64(op)
-				setCode(inst, prog, code)
-				before := ctr.Snapshot()
-				res, err := inst.Invoke("f")
-				if err != nil {
-					t.Fatalf("%v(%#x, %#x) inline: %v", op, a, b, err)
-				}
-				fast := ctr.DeltaSince(before)
-
-				stack := []uint64{a, b}
-				n, err := inst.numeric(op, stack, len(stack))
-				if err != nil {
-					t.Fatalf("%v(%#x, %#x) slow: %v", op, a, b, err)
-				}
-				if want := stack[n-1]; res[0] != want {
-					t.Errorf("%v(%#x, %#x): inline %#x, numeric %#x", op, a, b, res[0], want)
-				}
-
-				var want arch.Counter
-				want.Add(arch.EvConst, 2) // the two constants the program pushed
-				for _, ev := range (ir.OpNumericBase + ir.Op(op)).Events() {
-					want.Add(ev, 1)
-				}
-				if fast != want || len((ir.OpNumericBase+ir.Op(op)).Events()) != 1 {
-					t.Errorf("%v(%#x, %#x): inline events %v, the table's %v",
-						op, a, b, fast.EventCounts(), want.EventCounts())
+			for _, b := range seconds {
+				in := []uint64{a, b}[:pop]
+				stack := append([]uint64(nil), in...)
+				n, slowErr := inst.numeric(op, stack, pop)
+				for _, path := range []string{"unfused", "fused"} {
+					code = code[:0]
+					if path == "unfused" {
+						code = append(code, ir.Instr{Op: ir.OpConst, A: a})
+						if pop == 2 {
+							code = append(code, ir.Instr{Op: ir.OpConst, A: b})
+						}
+						code = append(code, ir.Instr{Op: ir.OpNumericBase + ir.Op(op)})
+					} else {
+						if pop == 2 {
+							code = append(code, ir.Instr{Op: ir.OpConst, A: a})
+						}
+						code = append(code, ir.Instr{Op: ir.OpFusedConstALU, A: in[pop-1], B: uint64(op)})
+					}
+					setCode(inst, prog, append(code, ir.Instr{Op: ir.OpRetEnd, A: 1}))
+					before := ctr.Snapshot()
+					res, err := inst.Invoke("f")
+					got := ctr.DeltaSince(before)
+					switch {
+					case slowErr != nil:
+						traps++
+						tr, ok := err.(*Trap)
+						if !ok || tr.Code != slowErr.(*Trap).Code {
+							t.Errorf("%v(%#x, %#x) %s: %v, numeric traps %v", op, a, b, path, err, slowErr)
+						}
+					case err != nil:
+						t.Errorf("%v(%#x, %#x) %s: %v, numeric %#x", op, a, b, path, err, stack[n-1])
+					case res[0] != stack[n-1]:
+						t.Errorf("%v(%#x, %#x) %s: %#x, numeric %#x", op, a, b, path, res[0], stack[n-1])
+					}
+					if got != want {
+						t.Errorf("%v(%#x, %#x) %s: events %v, the table's %v",
+							op, a, b, path, got.EventCounts(), want.EventCounts())
+					}
 				}
 			}
 		}
 	}
+	if ops < 120 || traps == 0 {
+		t.Fatalf("%d opcodes, %d traps: want every wasm numeric and its traps", ops, traps)
+	}
+	t.Logf("%d opcodes, %d trapping runs", ops, traps)
 }
 
 // TestNaNRule pins the rule every binary float op follows (f64NaN): a
 // NaN result is the first operand that is a NaN, quieted, and only when
 // neither operand is one the NaN the hardware made. It holds in numeric
-// and at the dispatch loop's inline f64 sites — the unfused fast path,
-// the fused-ALU block and the load block's trailing op — whatever
-// operand order the compiler gave each site; the idiom sweep ties every
-// other inline site to these.
+// and at the dispatch loop's inline f64 sites — the one inline ALU (the
+// fusedALU block, entered by an unfused and by a fused instruction) and
+// the load block's trailing op — whatever operand order the compiler
+// gave each site; the idiom sweep ties every other inline site to
+// these.
 func TestNaNRule(t *testing.T) {
 	const (
 		sa = 0x7FF0000000000001 // signalling, payload 1

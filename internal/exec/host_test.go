@@ -1,7 +1,7 @@
 package exec
 
 // Tests for the host-binding surface: the HostModule builder and typed
-// adapters, the struct-keyed Linker and structured link errors, shared
+// adapters, struct-keyed import resolution and structured link errors, shared
 // import-table snapshots, the HostContext (memory view, fuel,
 // re-entrancy), and interruption of blocking host calls.
 
@@ -37,24 +37,21 @@ func hostCallModule(ft wasm.FuncType) *wasm.Module {
 func TestLinkerStructKeyNoCollision(t *testing.T) {
 	// Historically keys were module+"."+name, so ("a.b", "c") and
 	// ("a", "b.c") collided. The struct key must keep them apart.
-	l := NewLinker()
-	mk := func(v uint64) HostFunc {
-		return HostFunc{
-			Type: wasm.FuncType{Results: []wasm.ValType{wasm.I64}},
-			Fn: func(*HostContext, []uint64) ([]uint64, error) {
-				return []uint64{v}, nil
-			},
-		}
+	ft := wasm.FuncType{Results: []wasm.ValType{wasm.I64}}
+	mk := func(module, name string, v uint64) *HostModule {
+		return NewHostModule(module).Func(name, ft, func(*HostContext, []uint64) ([]uint64, error) {
+			return []uint64{v}, nil
+		})
 	}
-	l.Define("a.b", "c", mk(1))
-	l.Define("a", "b.c", mk(2))
-	f1, ok1 := l.Lookup("a.b", "c")
-	f2, ok2 := l.Lookup("a", "b.c")
-	if !ok1 || !ok2 {
-		t.Fatal("lookup failed")
+	m := &wasm.Module{}
+	ti := m.AddType(ft)
+	m.Imports = []wasm.Import{{Module: "a.b", Name: "c", TypeIdx: ti}, {Module: "a", Name: "b.c", TypeIdx: ti}}
+	table, err := ResolveImports(m, mk("a.b", "c", 1), mk("a", "b.c", 2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	r1, _ := f1.Fn(nil, nil)
-	r2, _ := f2.Fn(nil, nil)
+	r1, _ := table.funcs[0].Fn(nil, nil)
+	r2, _ := table.funcs[1].Fn(nil, nil)
 	if r1[0] != 1 || r2[0] != 2 {
 		t.Errorf("colliding keys resolved to %d, %d", r1[0], r2[0])
 	}

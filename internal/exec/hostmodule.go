@@ -15,9 +15,9 @@ import (
 // arguments and results.
 //
 // A HostModule is mutable until it is frozen: linking it into an
-// instance (Linker.AddModule, ResolveImports — and therefore the first
-// use of any engine it is registered with) freezes it, after which
-// further definitions panic. This mirrors the facade's ErrEngineStarted
+// instance (ResolveImports — and therefore the first use of any engine
+// it is registered with) freezes it, after which further definitions
+// panic. This mirrors the facade's ErrEngineStarted
 // contract: the host surface is fixed before the first call, so
 // resolved import tables can be snapshotted and shared by every pooled
 // instance without locking.

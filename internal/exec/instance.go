@@ -20,19 +20,15 @@ type Config struct {
 	// Features selects the active Cage components (paper Table 3).
 	Features core.Features
 	// HostModules is the host surface the module links against; with
-	// Imports and Linker nil, imports resolve against these modules
-	// (freezing them). Embedders outside internal/exec provide host
-	// functions exclusively this way (or pre-resolved via Imports).
+	// Imports nil, imports resolve against these modules (freezing
+	// them), and with neither no imports are allowed. Host functions
+	// are provided only this way or pre-resolved via Imports.
 	HostModules []*HostModule
 	// Imports is an optional pre-resolved import table (ResolveImports),
 	// typically cached per compiled module so pooled instances share one
 	// snapshot instead of re-linking. It takes precedence over
-	// HostModules and Linker; NewInstance verifies it fits the module.
+	// HostModules; NewInstance verifies it fits the module.
 	Imports *ImportTable
-	// Linker resolves imports when Imports is nil; nil with no
-	// HostModules means no imports allowed. Low-level: only this package
-	// (and its tests) construct Linkers.
-	Linker *Linker
 	// HostData is an arbitrary embedder value attached to the instance
 	// and reachable from every host function via HostContext.Data: the
 	// per-instance state (allocator binding, WASI system) that host
@@ -295,16 +291,7 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 		}
 		inst.imports = cfg.Imports.funcs
 	default:
-		linker := cfg.Linker
-		if linker == nil {
-			linker = NewLinker()
-			for _, hm := range cfg.HostModules {
-				if err := linker.AddModule(hm); err != nil {
-					return nil, err
-				}
-			}
-		}
-		table, err := linker.Resolve(m)
+		table, err := ResolveImports(m, cfg.HostModules...)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"cage/internal/wasm"
 )
@@ -61,57 +60,6 @@ type linkKey struct {
 	module, name string
 }
 
-// Linker resolves module imports to host functions. It is the low-level
-// registry beneath HostModule: embedders outside this package assemble
-// HostModules and hand them to Config.HostModules or ResolveImports
-// instead of building Linkers. All methods are safe for concurrent use;
-// Define after instantiation is race-free (resolution snapshots into an
-// ImportTable, and lookups lock).
-type Linker struct {
-	mu    sync.RWMutex
-	funcs map[linkKey]HostFunc
-}
-
-// NewLinker creates an empty linker.
-func NewLinker() *Linker {
-	return &Linker{funcs: make(map[linkKey]HostFunc)}
-}
-
-// Define registers a host function under (module, name), replacing any
-// previous definition.
-func (l *Linker) Define(module, name string, fn HostFunc) {
-	l.mu.Lock()
-	l.funcs[linkKey{module, name}] = fn
-	l.mu.Unlock()
-}
-
-// AddModule merges a host module's functions into the linker and
-// freezes the module (its definition set is now part of resolved import
-// tables). Two modules sharing an import-module name may both
-// contribute — embedders extend "env" alongside the built-ins this way
-// — but defining the same (module, name) twice is an error.
-func (l *Linker) AddModule(hm *HostModule) error {
-	hm.Freeze()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, name := range hm.names {
-		k := linkKey{hm.name, name}
-		if _, dup := l.funcs[k]; dup {
-			return fmt.Errorf("exec: host function %s.%s defined twice", hm.name, name)
-		}
-		l.funcs[k] = hm.funcs[name]
-	}
-	return nil
-}
-
-// Lookup resolves (module, name).
-func (l *Linker) Lookup(module, name string) (HostFunc, bool) {
-	l.mu.RLock()
-	fn, ok := l.funcs[linkKey{module, name}]
-	l.mu.RUnlock()
-	return fn, ok
-}
-
 // ImportTable is a resolved import list for one module: the result of
 // linking, snapshotted so every instance of the module — pooled or
 // fresh — shares one immutable table instead of re-resolving (and
@@ -121,13 +69,29 @@ type ImportTable struct {
 	types []wasm.FuncType
 }
 
-// Resolve links every import of m against the linker, returning the
-// snapshot or the first structured LinkError.
-func (l *Linker) Resolve(m *wasm.Module) (*ImportTable, error) {
+// ResolveImports links every import of m against the given host
+// modules (freezing them), returning the shareable import-table
+// snapshot or the first structured LinkError. It is the one linking
+// entry point: NewInstance without Config.Imports calls it on
+// Config.HostModules. Two modules sharing an import-module name may
+// both contribute — embedders extend "env" alongside the built-ins this
+// way — but defining the same (module, name) twice is an error.
+func ResolveImports(m *wasm.Module, mods ...*HostModule) (*ImportTable, error) {
+	funcs := make(map[linkKey]HostFunc)
+	for _, hm := range mods {
+		hm.Freeze()
+		for _, name := range hm.names {
+			k := linkKey{hm.name, name}
+			if _, dup := funcs[k]; dup {
+				return nil, fmt.Errorf("exec: host function %s.%s defined twice", hm.name, name)
+			}
+			funcs[k] = hm.funcs[name]
+		}
+	}
 	t := &ImportTable{}
 	for _, im := range m.Imports {
 		want := m.Types[im.TypeIdx]
-		fn, ok := l.Lookup(im.Module, im.Name)
+		fn, ok := funcs[linkKey{im.Module, im.Name}]
 		if !ok {
 			return nil, &LinkError{Module: im.Module, Name: im.Name, Want: want, Err: ErrUnresolvedImport}
 		}
@@ -138,20 +102,6 @@ func (l *Linker) Resolve(m *wasm.Module) (*ImportTable, error) {
 		t.types = append(t.types, want)
 	}
 	return t, nil
-}
-
-// ResolveImports links m against the given host modules (freezing
-// them), returning the shareable import-table snapshot. It is the one
-// linking entry point for embedders: no Linker surfaces outside this
-// package.
-func ResolveImports(m *wasm.Module, mods ...*HostModule) (*ImportTable, error) {
-	l := NewLinker()
-	for _, hm := range mods {
-		if err := l.AddModule(hm); err != nil {
-			return nil, err
-		}
-	}
-	return l.Resolve(m)
 }
 
 // matches verifies the snapshot still fits module m (same import count
