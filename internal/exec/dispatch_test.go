@@ -9,6 +9,9 @@ package exec_test
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"cage/internal/arch"
@@ -212,4 +215,83 @@ func TestDispatchGate(t *testing.T) {
 	if total > maxTotal {
 		t.Errorf("gated classes take %d dispatches per run, want <= %d", total, maxTotal)
 	}
+}
+
+const dispatchCensusFile = "testdata/dispatch_census.txt"
+
+// TestDispatchCensus pins how often each fused opcode is dispatched,
+// summed over the 25 polybench kernels and 2mm-ptr-auth at TestN, under
+// each of the seven presets, to testdata/dispatch_census.txt. A change
+// to what the fuse pass emits fails it, and so does a fused opcode that
+// no preset dispatches: an opcode the workloads never reach is a row, a
+// case in run and tests kept for nothing.
+func TestDispatchCensus(t *testing.T) {
+	if testing.Short() || exec.RaceEnabled {
+		t.Skip("runs every kernel once per fused opcode it contains; nothing in it is concurrent")
+	}
+	want, err := os.ReadFile(dispatchCensusFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, counts := dispatchCensus(t)
+	for op := ir.OpFusedBase; op.IsFused(); op++ {
+		var n uint64
+		for _, c := range counts[op] {
+			n += c
+		}
+		if n == 0 {
+			t.Errorf("%v: no preset dispatches it", op)
+		}
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s line %d:\n got  %s\n want %s", dispatchCensusFile, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: got %d lines, want %d", dispatchCensusFile, len(gl), len(wl))
+}
+
+// dispatchCensus renders the census's text — a header, then one line
+// per fused opcode with its dispatches under each preset in
+// dispatchConfigs' order — and returns the counts behind it.
+func dispatchCensus(t *testing.T) (string, map[ir.Op][]uint64) {
+	kernels := append(polybench.Kernels(), polybench.TwoMMVariant(polybench.CallAuthenticated))
+	counts := map[ir.Op][]uint64{}
+	for op := ir.OpFusedBase; op.IsFused(); op++ {
+		counts[op] = make([]uint64, len(dispatchConfigs))
+	}
+	for ci, cfg := range dispatchConfigs {
+		for _, k := range kernels {
+			d := newDispatchProgram(t, k.Name+"/"+cfg.name, k.Source, cfg.opts, cfg.feats, uint64(k.TestN))
+			present := map[ir.Op]bool{}
+			for _, f := range d.prog.Funcs {
+				for _, in := range f.Code {
+					if in.Op.IsFused() {
+						present[in.Op] = true
+					}
+				}
+			}
+			for op := range present {
+				counts[op][ci] += d.count(t, func(_, _ int, in ir.Instr) bool { return in.Op == op })
+			}
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "# fused dispatches, 25 polybench kernels + 2mm-ptr-auth at TestN\n# op")
+	for _, cfg := range dispatchConfigs {
+		fmt.Fprintf(&b, " %s", cfg.name)
+	}
+	b.WriteString("\n")
+	for op := ir.OpFusedBase; op.IsFused(); op++ {
+		b.WriteString(op.String())
+		for _, n := range counts[op] {
+			fmt.Fprintf(&b, " %d", n)
+		}
+		b.WriteString("\n")
+	}
+	return b.String(), counts
 }
