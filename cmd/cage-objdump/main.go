@@ -17,11 +17,11 @@
 // fused superinstruction is printed with its constituent ops expanded
 // inline, so the listing remains auditable against the wasm source;
 // -nofuse shows the raw pre-fusion stream.
-// The mnemonic shows what the fuse pass decided: a shape whose ALU
-// tuple has an idiom opcode prints under the concrete name
-// (fused.const+i64.mul+i64.add, run as straight-line code), any other
-// tuple under the generic one (fused.const+alu+alu, run through the
-// executor's shared fused-ALU block).
+// The mnemonic shows what the fuse pass decided: a tuple with a row of
+// its own in internal/ir's form table (an idiom) prints under the
+// concrete name (fused.const+i64.mul+i64.add, run as straight-line
+// code), any other tuple under its shape's (fused.const+alu+alu, run
+// through the executor's one inline ALU). The expansion is the row's.
 //
 // Usage:
 //

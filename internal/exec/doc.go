@@ -95,8 +95,9 @@
 // gemm inner-loop iteration. Fusion was saving the loop head (pc++,
 // &code[pc], the operand-stack bounds) but re-taking the decision
 // "which ALU op is this" per constituent, per dispatch. The idiom
-// opcodes (ir/idiom.go) take it once, in the fuse pass, and record it
-// in the opcode: each has one case in the main switch that reads its
+// opcodes (rows of internal/ir's form table whose ALU slots are exact
+// ops) take it once, in the fuse pass, and record it in the opcode:
+// each has one case in the main switch that reads its
 // operands from locals, immediates and the entry stack into Go locals
 // and writes the result — no goto fusedALU, no switch on an ALU opcode,
 // the operand stack untouched in between, and no event charged: its

@@ -648,7 +648,7 @@ region:
 			pc++
 			goto region
 
-		// Idiom superinstructions (ir/idiom.go): a generic shape above
+		// Idiom superinstructions (ir/form.go): a generic shape above
 		// with its ALU constituents named in the opcode, so the case is
 		// straight-line code — no trip through fusedALU, no switch on an
 		// ALU opcode. Operands go from locals, immediates and the entry

@@ -15,9 +15,9 @@ import (
 	"cage/internal/wasm"
 )
 
-// The idiom opcodes (ir/idiom.go) and the indexed loads run as
-// straight-line code in the dispatch loop instead of through the shared
-// fused-ALU block, so
+// The straight-line opcodes (ir.Op.IsStraightLine: the idioms, the
+// indexed loads and the i < n ± k head) run as straight-line code in
+// the dispatch loop instead of through the shared fused-ALU block, so
 // nothing but these tests ties a case's arithmetic, event charges and
 // trap points to the constituent sequence it stands for. Each test
 // drives a hand-built instruction through the real loop twice — once
@@ -283,7 +283,7 @@ func headKIdiom() idiomCase {
 	}}
 }
 
-func latchIdiom(op ir.Op, xl, yl uint64) idiomCase {
+func reductionIdiom(op ir.Op, xl, yl uint64) idiomCase {
 	return idiomCase{height: 0, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
 		return consts(x, y), func(target int) ir.Instr {
 			return ir.Instr{Op: op, A: xl<<32 | yl<<16 | (z&0xFF)<<8, B: ir.PackFusedBranch(0, uint64(target))}
@@ -323,8 +323,8 @@ var idiomCases = map[ir.Op]idiomCase{
 	ir.OpFusedConstI64MulAddLoadF64Add: memIdiom(ir.OpFusedConstI64MulAddLoadF64Add),
 	ir.OpFusedConstI64MulAddLoadF64Sub: memIdiom(ir.OpFusedConstI64MulAddLoadF64Sub),
 	ir.OpFusedGetGetI64LtSEqzBr:        headIdiom(0, 1),
-	ir.OpFusedF64AddSetI64IncBr:        latchIdiom(ir.OpFusedF64AddSetI64IncBr, 2, 3),
-	ir.OpFusedF64SubSetI64IncBr:        latchIdiom(ir.OpFusedF64SubSetI64IncBr, 2, 3),
+	ir.OpFusedF64AddSetI64IncBr:        reductionIdiom(ir.OpFusedF64AddSetI64IncBr, 2, 3),
+	ir.OpFusedF64SubSetI64IncBr:        reductionIdiom(ir.OpFusedF64SubSetI64IncBr, 2, 3),
 	ir.OpFusedGet3I64MulGetAdd: {height: 2, build: func(b *idiomBench, x, y, z uint64) ([]ir.Instr, func(int) ir.Instr, [idiomLocals]uint64) {
 		return nil, func(int) ir.Instr { return ir.Instr{Op: ir.OpFusedGet3I64MulGetAdd, A: 4<<48 | 0<<32 | 1<<16 | 2} },
 			[idiomLocals]uint64{x, y, z, 7, x ^ z}
@@ -360,8 +360,10 @@ func (c idiomCase) sweep(t *testing.T, name string) {
 }
 
 func TestIdiomsMatchConstituents(t *testing.T) {
-	// The straight-line opcodes close the fused block, indexed loads first.
-	for op := ir.OpFusedIdx1Load; op.IsFused(); op++ {
+	for op := ir.OpFusedBase; op.IsFused(); op++ {
+		if !op.IsStraightLine() {
+			continue
+		}
 		c, ok := idiomCases[op]
 		if !ok {
 			t.Errorf("%v has no case in idiomCases", op)
@@ -375,8 +377,8 @@ func TestIdiomsMatchConstituents(t *testing.T) {
 	// variable (the get must see the set), and a head comparing a local
 	// with itself.
 	t.Run("latch x==y", func(t *testing.T) {
-		latchIdiom(ir.OpFusedF64AddSetI64IncBr, 3, 3).sweep(t, "f64.add latch, x == y")
-		latchIdiom(ir.OpFusedF64SubSetI64IncBr, 3, 3).sweep(t, "f64.sub latch, x == y")
+		reductionIdiom(ir.OpFusedF64AddSetI64IncBr, 3, 3).sweep(t, "f64.add latch, x == y")
+		reductionIdiom(ir.OpFusedF64SubSetI64IncBr, 3, 3).sweep(t, "f64.sub latch, x == y")
 	})
 	t.Run("head x==y", func(t *testing.T) { headIdiom(1, 1).sweep(t, "head, x == y") })
 

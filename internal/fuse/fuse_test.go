@@ -274,34 +274,22 @@ func TestFuseIdempotent(t *testing.T) {
 	}
 }
 
-// idiomSample gives an idiom opcode the immediates of a plausible
-// instance of its shape (the shape's encoding with the ALU fields
-// zero): small locals, a scale of 8, a bounds-checked f64.load, and a
-// branch back to pc 0, the instruction's own head.
-func idiomSample(t *testing.T, id ir.Idiom) ir.Instr {
-	t.Helper()
-	in := ir.Instr{Op: id.Op}
-	switch id.Shape {
-	case ir.OpFusedConstALUALU:
-		in.A = 8
-	case ir.OpFusedConstALUALULoadALU:
-		in.A = 8<<32 | 16
-		in.B = ir.PackFusedMem(8, ir.OpLoadB64, 0, wasm.OpF64Load)
-	case ir.OpFusedGetGetCmpEqzBr:
-		in.A = 1<<32 | 2
-	case ir.OpFusedALUSetIncBr:
-		in.A = 3<<32 | 4<<16 | 1<<8
-	case ir.OpFusedGet3ALUGetALU:
-		in.A = 1<<48 | 2<<32 | 3<<16 | 4
-	case ir.OpFusedIncBr:
-		in.A = 1 << 8
-		in.B = ir.PackFusedBranch(2, 0)
-	case ir.OpFusedGetALUGetALU:
-		in.A = 1<<32 | 2
-	default:
-		t.Fatalf("%v: no sample immediates for shape %v", id.Op, id.Shape)
+// straightSample returns a constituent sequence of the straight-line
+// opcode op: its expansion with locals, constants and offsets drawn
+// from one nonzero A, every memory access a bounds-checked f64.load,
+// every i64.add|i64.sub slot an i64.add and every branch back to pc 0,
+// the instruction's own head.
+func straightSample(op ir.Op) []ir.Instr {
+	seq := ir.Instr{Op: op, A: 0x0004_0003_0002_0001}.Constituents()
+	for k := range seq {
+		switch c := &seq[k]; c.Op {
+		case ir.OpInvalid: // a memory access whose pack B does not hold
+			c.Op, c.B = ir.OpLoadB64, ir.PackMem(8, wasm.OpF64Load)
+		case ir.OpNumericBase: // an i64.add|i64.sub whose byte B does not hold
+			c.Op = ir.OpNumericBase + ir.Op(wasm.OpI64Add)
+		}
 	}
-	return in
+	return seq
 }
 
 // fuseOne fuses a function made of seq and a terminator and returns the
@@ -318,13 +306,16 @@ func fuseOne(t *testing.T, seq []ir.Instr) ir.Instr {
 	return in
 }
 
-// TestFuseEmitsIdioms: every row of the idiom table is emitted for its
-// exact constituent sequence — opcode and immediates — and for no
-// other: with any one ALU constituent swapped for an op no idiom names
-// (f64.div in a latch's reduction slot, say), the sequence fuses to the
-// generic shape, which carries the swapped op.
+// TestFuseEmitsIdioms: every row whose ALU slots are exact — the
+// idioms, the indexed forms and the i < n ± k head (ir.IsStraightLine)
+// — is emitted for its constituent sequence, and its instruction
+// expands back to that sequence. Where the row is an idiom, any one ALU
+// constituent swapped for an op no straight-line row names (f64.div in
+// a latch's reduction slot, say) fuses to the generic shape, which
+// carries the swapped op; the indexed forms and the head have no shape
+// to fall back to.
 func TestFuseEmitsIdioms(t *testing.T) {
-	// Stand-ins by stack effect; none appears in the idiom table.
+	// Stand-ins by stack effect; none appears in a straight-line row.
 	standIn := func(alu wasm.Opcode) wasm.Opcode {
 		switch pop, _, _ := ir.NumericStackEffect(alu); {
 		case pop == 1:
@@ -336,46 +327,50 @@ func TestFuseEmitsIdioms(t *testing.T) {
 		}
 		return wasm.OpI64Xor
 	}
-	for _, id := range ir.Idioms() {
-		for _, alu := range id.ALUs {
-			for _, other := range ir.Idioms() {
-				for _, o := range other.ALUs {
-					if o == standIn(alu) {
-						t.Fatalf("stand-in %v is an idiom constituent of %v", o, other.Op)
-					}
-				}
+	var straight []ir.Op
+	named := map[ir.Op]bool{}
+	for op := ir.OpFusedBase; op.IsFused(); op++ {
+		if op.IsStraightLine() {
+			straight = append(straight, op)
+			for _, c := range straightSample(op) {
+				named[c.Op] = true
 			}
 		}
-		want := idiomSample(t, id)
-		seq := want.Constituents()
-		if got := fuseOne(t, seq); !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: its constituents fused to %v (A=%#x B=%#x), want A=%#x B=%#x",
-				id.Op, got.Op, got.A, got.B, want.A, want.B)
+	}
+	if len(straight) != 22 {
+		t.Errorf("%d straight-line rows, want the 12 idioms, 9 indexed forms and the i < n ± k head", len(straight))
+	}
+	for _, op := range straight {
+		seq := straightSample(op)
+		got := fuseOne(t, seq)
+		if got.Op != op {
+			t.Errorf("%v: its constituents fused to %v", op, got.Op)
+			continue
 		}
-		k := 0 // index into id.ALUs of the constituent being swapped
+		if cons := got.Constituents(); !reflect.DeepEqual(cons, seq) {
+			t.Errorf("%v: fused to A=%#x B=%#x, which expands to %v, want %v", op, got.A, got.B, cons, seq)
+		}
+		if op.IsIndexed() || op == ir.OpFusedGetGetKI64LtSEqzBr {
+			continue
+		}
 		for i, c := range seq {
 			if !c.Op.IsNumeric() || c.Op.Wasm() == wasm.OpI32Eqz {
 				continue // the shapes' fixed i32.eqz is not one of their ALU fields
 			}
-			if c.Op.Wasm() != id.ALUs[k] {
-				t.Fatalf("%v: ALU constituent %d is %v, table says %v", id.Op, k, c.Op, id.ALUs[k])
-			}
-			k++
 			mutated := append([]ir.Instr{}, seq...)
 			mutated[i].Op = ir.OpNumericBase + ir.Op(standIn(c.Op.Wasm()))
+			if named[mutated[i].Op] {
+				t.Fatalf("stand-in %v is a straight-line row's constituent", mutated[i].Op)
+			}
 			got := fuseOne(t, mutated)
-			if got.Op != id.Shape {
-				t.Errorf("%v with %v for %v fused to %v, want the shape %v",
-					id.Op, mutated[i].Op, c.Op, got.Op, id.Shape)
+			if got.Op.IsStraightLine() {
+				t.Errorf("%v with %v for %v fused to %v, want its generic shape", op, mutated[i].Op, c.Op, got.Op)
 				continue
 			}
 			if cons := got.Constituents(); !reflect.DeepEqual(cons, mutated) {
-				t.Errorf("%v with %v for %v: shape expands to %v, want %v",
-					id.Op, mutated[i].Op, c.Op, cons, mutated)
+				t.Errorf("%v with %v for %v: %v expands to %v, want %v",
+					op, mutated[i].Op, c.Op, got.Op, cons, mutated)
 			}
-		}
-		if k != len(id.ALUs) {
-			t.Errorf("%v: %d ALU constituents, table lists %d", id.Op, k, len(id.ALUs))
 		}
 	}
 }

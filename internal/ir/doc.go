@@ -23,12 +23,14 @@
 // Opcode numbers are laid out for the executor's dispatch switch (see
 // Op) and never persisted.
 //
-// The package also owns the encoding of what internal/fuse rewrites
-// that stream into: the shape-generic superinstructions (OpFusedBase),
-// whose ALU constituents are immediates, and the idiom opcodes
-// (idiom.go), which name one concrete ALU tuple of a shape in the
-// opcode so the executor never has to ask. Instr.Constituents expands
-// either back to the lowered sequence it stands for.
+// The package also owns what internal/fuse rewrites that stream into:
+// the superinstructions (OpFusedBase), one row each in form.go's
+// tables. A row lists the constituents the opcode stands for and the
+// immediate field each one's operand travels in; Form.Match encodes a
+// sequence through it and Instr.Constituents decodes one back. The
+// shapes carry their ALU ops as immediates; an idiom is a shape's row
+// with its ALU ops named (fused.const+i64.mul+i64.add), so the executor
+// never has to ask.
 //
 // A Program is immutable after Lower and safe to share: the engine
 // caches programs per (module content hash, Config) — exactly like

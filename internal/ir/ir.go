@@ -164,83 +164,10 @@ const GuardMaxOffset = 1 << 20
 // opcode is added.
 const OpFusedBase Op = numNamedOps
 
-// Fused superinstructions. Immediate encodings (aux fields are
-// documented per opcode; "alu" is always a single-byte wasm numeric
-// opcode, "x"/"y" local indices, "target" an absolute fused PC):
-//
-//	OpFusedGetGet      local.get x; local.get y          A=x, B=y
-//	OpFusedGetConst    local.get x; const c              A=x, B=c
-//	OpFusedConstALU    const c; alu                      A=c, B=alu
-//	OpFusedGetALU      local.get x; alu                  A=x, B=alu
-//	OpFusedGetGetALU   local.get x; local.get y; alu     A=x<<32|y, B=alu
-//	OpFusedGetConstALU local.get x; const c; alu         A=c, B=x<<32|alu
-//	OpFusedALUSet      alu; local.set x                  A=x, B=alu
-//	OpFusedSetGet      local.set x; local.get y          A=x, B=y
-//	OpFusedSetBr       local.set x; br                   A=PackBranch, B=x<<32|target
-//	OpFusedCmpBrIf     alu; br_if                        A=PackBranch, B=alu<<32|target
-//	OpFusedCmpBrIfZ    alu; br_ifz                       A=PackBranch, B=alu<<32|target
-//	OpFusedCmpEqzBrIf  alu; i32.eqz; br_if               A=PackBranch, B=alu<<32|target
-//	OpFusedLoadALU     load; alu                         A=offset, B=PackFusedMem
-//	OpFusedALULoad     alu; load                         A=offset, B=PackFusedMem
-//	OpFusedALUStore    alu; store                        A=offset, B=PackFusedMem
-//	OpFusedConstALUALU const c; alu1; alu2               A=c, B=alu2<<8|alu1
-//	OpFusedGetALUGetALU  get x; alu1; get y; alu2        A=x<<32|y, B=alu2<<8|alu1
-//	OpFusedGetGetCmpEqzBr get x; get y; cmp; i32.eqz; br_if  A=x<<32|y, B=cmp<<32|target
-//	OpFusedIncBr       get x; const c; alu; set x; br    A=c<<8|alu, B=x<<32|target
-//	OpFusedGet4        get w; get x; get y; get z        A=w<<48|x<<32|y<<16|z
-//	OpFusedGet3ALUGetALU  get w; get x; get y; alu1; get z; alu2  A=w<<48|x<<32|y<<16|z, B=alu2<<8|alu1
-//	OpFusedConstALUALULoadALU  const c; alu1; alu2; load; alu3  A=c<<32|offset, B=alu2<<40|alu1<<32|PackFusedMem
-//	OpFusedALUSetIncBr alu0; set x; get y; const c; alu1; set y; br  A=alu0<<48|x<<32|y<<16|c<<8|alu1, B=target
-//
-// The indexed loads follow the shapes. Each is a fixed sequence — an
-// i64 address built from locals and one scale constant, then a load,
-// optionally then f64.mul or f64.add — so its opcode names every
-// constituent and the executor runs it as straight-line code (a form
-// and trailing op that fired nowhere in the polybench kernels has no
-// opcode). They share one encoding, locals in A by position and the
-// scale and memarg offset above the memory pack in B; fields a form
-// does not use are zero. The idx1±k forms index with i ± k, k an i32
-// constant extended to i64: A's low 32 bits hold k's raw bits in place
-// of n and j, and the memory pack's ALU byte says i64.add or i64.sub
-// (IdxDelta reads both). OpFusedIdx1 is the idx1 address with no load
-// behind it, the store side of B[i] = …:
-//
-//	OpFusedIdx1Load[F64Mul|F64Add]  get b; get i; const c; i64.mul; i64.add; load [; f64.mul|f64.add]
-//	OpFusedIdx2Load[F64Mul]  get b; get i; get n; i64.mul; get j; i64.add; const c; i64.mul; i64.add; load [; f64.mul]
-//	OpFusedIdx3LoadF64Mul    get b; get i; get n; i64.mul; const c; i64.mul; i64.add; load; f64.mul
-//	                         A=b<<48|i<<32|n<<16|j, B=c<<48|offset<<32|PackFusedMem(size, variant, 0, memOp)
-//	OpFusedIdx1KLoad[F64Add] get b; get i; const k; i64.extend_i32_s; i64.add|sub; const c; i64.mul; i64.add; load [; f64.add]
-//	                         A=b<<48|i<<32|k, B=c<<48|offset<<32|PackFusedMem(size, variant, add|sub, memOp)
-//	OpFusedIdx1              get b; get i; const c; i64.mul; i64.add       A=b<<48|i<<32, B=c<<48
-//
-// The loop head of `i < n ± k` closes the straight-line block. Like
-// the quintuple head it only matches a zero repair pack:
-//
-//	OpFusedGetGetKI64LtSEqzBr  get x; get y; const k; i64.extend_i32_s; i64.add|sub; i64.lt_s; i32.eqz; br_if
-//	                           A=x<<48|y<<32|k, B=PackFusedBranch(add|sub, target)
-//
-// The two loop-shaped quintuples (OpFusedGetGetCmpEqzBr heads,
-// OpFusedIncBr latches) only match branches with a zero repair pack
-// (keep=0, arity=0) — the shape structured lowering gives every loop
-// back-edge — so their handlers truncate the operand stack outright.
-//
-// The opcodes above are shape-generic: they carry their ALU opcodes as
-// immediates and the executor decides which op to run at every
-// dispatch. The idiom opcodes that follow them are the same shapes
-// with the ALU constituents named in the opcode (idiom.go): the fuse
-// pass emits one where the tuple has one, the immediates are the
-// shape's with the ALU fields zero, and the executor runs it as
-// straight-line code. Mnemonics spell the ops:
-//
-//	OpFusedConstI64MulAdd          const c; i64.mul; i64.add                      (OpFusedConstALUALU)
-//	OpFusedConstI64MulAddLoadF64Mul|Add|Sub
-//	                               const c; i64.mul; i64.add; load; f64.mul|add|sub  (OpFusedConstALUALULoadALU)
-//	OpFusedGetGetI64LtSEqzBr       get x; get y; i64.lt_s; i32.eqz; br_if         (OpFusedGetGetCmpEqzBr)
-//	OpFusedF64AddSetI64IncBr|Sub   f64.add|sub; set x; get y; const c; i64.add; set y; br  (OpFusedALUSetIncBr)
-//	OpFusedGet3I64MulGetAdd        get w; get x; get y; i64.mul; get z; i64.add   (OpFusedGet3ALUGetALU)
-//	OpFusedConstExtendI64Add|Sub   const c; i64.extend_i32_s; i64.add|sub         (OpFusedConstALUALU)
-//	OpFusedI64IncBr                get x; const c; i64.add; set x; br             (OpFusedIncBr)
-//	OpFusedGetI64MulGetAdd         get x; i64.mul; get y; i64.add                 (OpFusedGetALUGetALU)
+// Fused superinstructions, one row each in form.go's tables, which
+// define their constituents and immediates. The shapes carry their ALU
+// opcodes as immediates; the indexed loads and the idioms name theirs
+// and close the block.
 const (
 	OpFusedGetGet Op = OpFusedBase + iota
 	OpFusedGetConst
@@ -266,7 +193,7 @@ const (
 	OpFusedConstALUALULoadALU
 	OpFusedALUSetIncBr
 
-	// Indexed loads (address = b + (i[·n][+j] | i±k)·c, see above), the
+	// Indexed loads (address = b + (i[·n][+j] | i±k)·c, form.go), the
 	// bare idx1 address, and the i < n ± k head.
 	OpFusedIdx1Load
 	OpFusedIdx1LoadF64Mul
@@ -279,9 +206,9 @@ const (
 	OpFusedIdx1
 	OpFusedGetGetKI64LtSEqzBr
 
-	// Idioms, in order of dynamic share over the polybench kernels. A new
-	// one is appended here — inside the fused block, so the dispatch
-	// switch stays a jump table — with a row in the idioms table.
+	// Idioms: shapes with their ALU ops named, in order of dynamic share
+	// over the polybench kernels. A new fused op is appended inside the
+	// block, so the dispatch switch stays a jump table.
 	OpFusedConstI64MulAdd
 	OpFusedConstI64MulAddLoadF64Mul
 	OpFusedConstI64MulAddLoadF64Add
@@ -297,9 +224,6 @@ const (
 	endFusedOps
 )
 
-// firstIdiomOp is where the idiom opcodes start inside the fused block.
-const firstIdiomOp = OpFusedConstI64MulAdd
-
 // Constant expressions that stop compiling when the enumerated block
 // reaches the numerics or a named opcode outgrows PackFusedMem's 8-bit
 // variant field.
@@ -310,24 +234,6 @@ const (
 
 // IsFused reports whether op is a fused superinstruction.
 func (op Op) IsFused() bool { return op >= OpFusedBase && op < endFusedOps }
-
-// IsIndexed reports whether op is an indexed load or OpFusedIdx1, the
-// address of one without the load.
-func (op Op) IsIndexed() bool { return op >= OpFusedIdx1Load && op <= OpFusedIdx1 }
-
-// IsFusedBranch reports whether op is a fused superinstruction that ends
-// in a branch, whose absolute target is packed in B (PackFusedBranch).
-func (op Op) IsFusedBranch() bool {
-	if op >= firstIdiomOp && op < endFusedOps {
-		op = idioms[op-firstIdiomOp].Shape
-	}
-	switch op {
-	case OpFusedSetBr, OpFusedCmpBrIf, OpFusedCmpBrIfZ, OpFusedCmpEqzBrIf,
-		OpFusedGetGetCmpEqzBr, OpFusedIncBr, OpFusedALUSetIncBr, OpFusedGetGetKI64LtSEqzBr:
-		return true
-	}
-	return false
-}
 
 // Retarget rewrites every branch target in — a plain branch's, each
 // br_table entry's (in a fresh vector: lowering may share one) and the
@@ -430,59 +336,15 @@ var opNames = [...]string{
 	OpStoreMTE: "store.mte", OpStoreMTENC: "store.mte.nc",
 	OpStoreG32G: "store.g32.guard",
 	OpFence:     "fence",
-
-	OpFusedGetGet:             "fused.get+get",
-	OpFusedGetConst:           "fused.get+const",
-	OpFusedConstALU:           "fused.const+alu",
-	OpFusedGetALU:             "fused.get+alu",
-	OpFusedGetGetALU:          "fused.get+get+alu",
-	OpFusedGetConstALU:        "fused.get+const+alu",
-	OpFusedALUSet:             "fused.alu+set",
-	OpFusedSetGet:             "fused.set+get",
-	OpFusedSetBr:              "fused.set+br",
-	OpFusedCmpBrIf:            "fused.cmp+br_if",
-	OpFusedCmpBrIfZ:           "fused.cmp+br_ifz",
-	OpFusedCmpEqzBrIf:         "fused.cmp+eqz+br_if",
-	OpFusedLoadALU:            "fused.load+alu",
-	OpFusedALULoad:            "fused.alu+load",
-	OpFusedALUStore:           "fused.alu+store",
-	OpFusedConstALUALU:        "fused.const+alu+alu",
-	OpFusedGetALUGetALU:       "fused.get+alu+get+alu",
-	OpFusedGetGetCmpEqzBr:     "fused.get+get+cmp+eqz+br_if",
-	OpFusedIncBr:              "fused.inc+br",
-	OpFusedGet4:               "fused.get+get+get+get",
-	OpFusedGet3ALUGetALU:      "fused.get3+alu+get+alu",
-	OpFusedConstALUALULoadALU: "fused.const+alu+alu+load+alu",
-	OpFusedALUSetIncBr:        "fused.alu+set+inc+br",
-	OpFusedIdx1Load:           "fused.idx1+load",
-	OpFusedIdx1LoadF64Mul:     "fused.idx1+load+f64.mul",
-	OpFusedIdx2Load:           "fused.idx2+load",
-	OpFusedIdx2LoadF64Mul:     "fused.idx2+load+f64.mul",
-	OpFusedIdx3LoadF64Mul:     "fused.idx3+load+f64.mul",
-	OpFusedIdx1LoadF64Add:     "fused.idx1+load+f64.add",
-	OpFusedIdx1KLoad:          "fused.idx1±k+load",
-	OpFusedIdx1KLoadF64Add:    "fused.idx1±k+load+f64.add",
-	OpFusedIdx1:               "fused.idx1",
-	OpFusedGetGetKI64LtSEqzBr: "fused.get+get+k+i64.lt_s+eqz+br_if",
-
-	OpFusedConstI64MulAdd:           "fused.const+i64.mul+i64.add",
-	OpFusedConstI64MulAddLoadF64Mul: "fused.const+i64.mul+i64.add+load+f64.mul",
-	OpFusedConstI64MulAddLoadF64Add: "fused.const+i64.mul+i64.add+load+f64.add",
-	OpFusedConstI64MulAddLoadF64Sub: "fused.const+i64.mul+i64.add+load+f64.sub",
-	OpFusedGetGetI64LtSEqzBr:        "fused.get+get+i64.lt_s+eqz+br_if",
-	OpFusedF64AddSetI64IncBr:        "fused.f64.add+set+inc.i64.add+br",
-	OpFusedF64SubSetI64IncBr:        "fused.f64.sub+set+inc.i64.add+br",
-	OpFusedGet3I64MulGetAdd:         "fused.get3+i64.mul+get+i64.add",
-	OpFusedConstExtendI64Add:        "fused.const+i64.extend_i32_s+i64.add",
-	OpFusedConstExtendI64Sub:        "fused.const+i64.extend_i32_s+i64.sub",
-	OpFusedI64IncBr:                 "fused.inc.i64.add+br",
-	OpFusedGetI64MulGetAdd:          "fused.get+i64.mul+get+i64.add",
 }
 
 // String returns the lowered mnemonic.
 func (op Op) String() string {
 	if op.IsNumeric() {
 		return op.Wasm().String()
+	}
+	if f := op.form(); f != nil {
+		return f.name
 	}
 	if int(op) < len(opNames) && opNames[op] != "" {
 		return opNames[op]
@@ -606,188 +468,6 @@ func (in Instr) String() string {
 			in.Op, in.A, MemSize(in.B), MemOp(in.B))
 	}
 	return in.Op.String()
-}
-
-// Constituents expands a fused superinstruction into the exact lowered
-// instructions it executes, in order — the expansion cage-objdump
-// prints inline and the fuse pass's round-trip validation checks
-// against. Branch constituents carry the fused instruction's (already
-// remapped) target. An idiom expands as the generic shape it names the
-// ALU constituents of. For non-fused instructions it returns nil.
-func (in Instr) Constituents() []Instr {
-	if g, ok := in.generic(); ok {
-		in = g
-	}
-	num := func(alu wasm.Opcode) Instr { return Instr{Op: OpNumericBase + Op(alu)} }
-	switch in.Op {
-	case OpFusedGetGet:
-		return []Instr{{Op: OpLocalGet, A: in.A}, {Op: OpLocalGet, A: in.B}}
-	case OpFusedGetConst:
-		return []Instr{{Op: OpLocalGet, A: in.A}, {Op: OpConst, A: in.B}}
-	case OpFusedConstALU:
-		return []Instr{{Op: OpConst, A: in.A}, num(wasm.Opcode(in.B))}
-	case OpFusedGetALU:
-		return []Instr{{Op: OpLocalGet, A: in.A}, num(wasm.Opcode(in.B))}
-	case OpFusedGetGetALU:
-		return []Instr{
-			{Op: OpLocalGet, A: in.A >> 32},
-			{Op: OpLocalGet, A: uint64(uint32(in.A))},
-			num(wasm.Opcode(in.B)),
-		}
-	case OpFusedGetConstALU:
-		return []Instr{
-			{Op: OpLocalGet, A: FusedBranchAux(in.B)},
-			{Op: OpConst, A: in.A},
-			num(wasm.Opcode(uint32(in.B))),
-		}
-	case OpFusedALUSet:
-		return []Instr{num(wasm.Opcode(in.B)), {Op: OpLocalSet, A: in.A}}
-	case OpFusedSetGet:
-		return []Instr{{Op: OpLocalSet, A: in.A}, {Op: OpLocalGet, A: in.B}}
-	case OpFusedSetBr:
-		return []Instr{
-			{Op: OpLocalSet, A: FusedBranchAux(in.B)},
-			{Op: OpBr, A: in.A, B: uint64(FusedBranchTarget(in.B))},
-		}
-	case OpFusedCmpBrIf:
-		return []Instr{
-			num(wasm.Opcode(FusedBranchAux(in.B))),
-			{Op: OpBrIf, A: in.A, B: uint64(FusedBranchTarget(in.B))},
-		}
-	case OpFusedCmpBrIfZ:
-		return []Instr{
-			num(wasm.Opcode(FusedBranchAux(in.B))),
-			{Op: OpBrIfZ, A: in.A, B: uint64(FusedBranchTarget(in.B))},
-		}
-	case OpFusedCmpEqzBrIf:
-		return []Instr{
-			num(wasm.Opcode(FusedBranchAux(in.B))),
-			num(wasm.OpI32Eqz),
-			{Op: OpBrIf, A: in.A, B: uint64(FusedBranchTarget(in.B))},
-		}
-	case OpFusedLoadALU:
-		return []Instr{
-			{Op: FusedMemVariant(in.B), A: in.A, B: PackMem(FusedMemSize(in.B), FusedMemOp(in.B))},
-			num(FusedMemALU(in.B)),
-		}
-	case OpFusedALULoad:
-		return []Instr{
-			num(FusedMemALU(in.B)),
-			{Op: FusedMemVariant(in.B), A: in.A, B: PackMem(FusedMemSize(in.B), FusedMemOp(in.B))},
-		}
-	case OpFusedALUStore:
-		return []Instr{
-			num(FusedMemALU(in.B)),
-			{Op: FusedMemVariant(in.B), A: in.A, B: PackMem(FusedMemSize(in.B), FusedMemOp(in.B))},
-		}
-	case OpFusedConstALUALU:
-		return []Instr{
-			{Op: OpConst, A: in.A},
-			num(wasm.Opcode(in.B & 0xFF)),
-			num(wasm.Opcode((in.B >> 8) & 0xFF)),
-		}
-	case OpFusedGetALUGetALU:
-		return []Instr{
-			{Op: OpLocalGet, A: in.A >> 32},
-			num(wasm.Opcode(in.B & 0xFF)),
-			{Op: OpLocalGet, A: uint64(uint32(in.A))},
-			num(wasm.Opcode((in.B >> 8) & 0xFF)),
-		}
-	case OpFusedGetGetCmpEqzBr:
-		return []Instr{
-			{Op: OpLocalGet, A: in.A >> 32},
-			{Op: OpLocalGet, A: uint64(uint32(in.A))},
-			num(wasm.Opcode(FusedBranchAux(in.B))),
-			num(wasm.OpI32Eqz),
-			{Op: OpBrIf, B: uint64(FusedBranchTarget(in.B))},
-		}
-	case OpFusedIncBr:
-		x := FusedBranchAux(in.B)
-		return []Instr{
-			{Op: OpLocalGet, A: x},
-			{Op: OpConst, A: in.A >> 8},
-			num(wasm.Opcode(in.A & 0xFF)),
-			{Op: OpLocalSet, A: x},
-			{Op: OpBr, B: uint64(FusedBranchTarget(in.B))},
-		}
-	case OpFusedGet4:
-		return []Instr{
-			{Op: OpLocalGet, A: in.A >> 48},
-			{Op: OpLocalGet, A: (in.A >> 32) & 0xFFFF},
-			{Op: OpLocalGet, A: (in.A >> 16) & 0xFFFF},
-			{Op: OpLocalGet, A: in.A & 0xFFFF},
-		}
-	case OpFusedGet3ALUGetALU:
-		return []Instr{
-			{Op: OpLocalGet, A: in.A >> 48},
-			{Op: OpLocalGet, A: (in.A >> 32) & 0xFFFF},
-			{Op: OpLocalGet, A: (in.A >> 16) & 0xFFFF},
-			num(wasm.Opcode(in.B & 0xFF)),
-			{Op: OpLocalGet, A: in.A & 0xFFFF},
-			num(wasm.Opcode((in.B >> 8) & 0xFF)),
-		}
-	case OpFusedConstALUALULoadALU:
-		return []Instr{
-			{Op: OpConst, A: in.A >> 32},
-			num(wasm.Opcode((in.B >> 32) & 0xFF)),
-			num(wasm.Opcode((in.B >> 40) & 0xFF)),
-			{Op: FusedMemVariant(in.B), A: uint64(uint32(in.A)),
-				B: PackMem(FusedMemSize(in.B), FusedMemOp(in.B))},
-			num(FusedMemALU(in.B)),
-		}
-	case OpFusedALUSetIncBr:
-		y := (in.A >> 16) & 0xFFFF
-		return []Instr{
-			num(wasm.Opcode(in.A >> 48)),
-			{Op: OpLocalSet, A: (in.A >> 32) & 0xFFFF},
-			{Op: OpLocalGet, A: y},
-			{Op: OpConst, A: (in.A >> 8) & 0xFF},
-			num(wasm.Opcode(in.A & 0xFF)),
-			{Op: OpLocalSet, A: y},
-			{Op: OpBr, B: uint64(FusedBranchTarget(in.B))},
-		}
-	case OpFusedIdx1Load, OpFusedIdx1LoadF64Mul, OpFusedIdx2Load, OpFusedIdx2LoadF64Mul,
-		OpFusedIdx3LoadF64Mul, OpFusedIdx1LoadF64Add, OpFusedIdx1KLoad, OpFusedIdx1KLoadF64Add,
-		OpFusedIdx1:
-		get := func(shift uint) Instr { return Instr{Op: OpLocalGet, A: (in.A >> shift) & 0xFFFF} }
-		var seq []Instr
-		switch in.Op {
-		case OpFusedIdx2Load, OpFusedIdx2LoadF64Mul:
-			seq = []Instr{get(48), get(32), get(16), num(wasm.OpI64Mul), get(0), num(wasm.OpI64Add)}
-		case OpFusedIdx3LoadF64Mul:
-			seq = []Instr{get(48), get(32), get(16), num(wasm.OpI64Mul)}
-		case OpFusedIdx1KLoad, OpFusedIdx1KLoadF64Add:
-			seq = []Instr{get(48), get(32), {Op: OpConst, A: uint64(uint32(in.A))},
-				num(wasm.OpI64ExtendI32S), num(FusedMemALU(in.B))}
-		default:
-			seq = []Instr{get(48), get(32)}
-		}
-		seq = append(seq, Instr{Op: OpConst, A: IdxScale(in.B)}, num(wasm.OpI64Mul), num(wasm.OpI64Add))
-		if in.Op == OpFusedIdx1 {
-			return seq
-		}
-		seq = append(seq, Instr{Op: FusedMemVariant(in.B), A: IdxOffset(in.B),
-			B: PackMem(FusedMemSize(in.B), FusedMemOp(in.B))})
-		switch in.Op {
-		case OpFusedIdx1LoadF64Mul, OpFusedIdx2LoadF64Mul, OpFusedIdx3LoadF64Mul:
-			seq = append(seq, num(wasm.OpF64Mul))
-		case OpFusedIdx1LoadF64Add, OpFusedIdx1KLoadF64Add:
-			seq = append(seq, num(wasm.OpF64Add))
-		}
-		return seq
-	case OpFusedGetGetKI64LtSEqzBr:
-		return []Instr{
-			{Op: OpLocalGet, A: in.A >> 48},
-			{Op: OpLocalGet, A: (in.A >> 32) & 0xFFFF},
-			{Op: OpConst, A: uint64(uint32(in.A))},
-			num(wasm.OpI64ExtendI32S),
-			num(wasm.Opcode(FusedBranchAux(in.B))),
-			num(wasm.OpI64LtS),
-			num(wasm.OpI32Eqz),
-			{Op: OpBrIf, B: uint64(FusedBranchTarget(in.B))},
-		}
-	}
-	return nil
 }
 
 // Mode is the address-translation strategy a program was lowered for.

@@ -344,8 +344,8 @@ func TestOpSpaceDense(t *testing.T) {
 	if endFusedOps > OpNumericBase {
 		t.Errorf("endFusedOps = %#x overlaps the numeric block at %#x", uint16(endFusedOps), uint16(OpNumericBase))
 	}
-	if len(opNames) != int(endFusedOps) {
-		t.Errorf("opNames has %d entries, the enumerated block %d", len(opNames), endFusedOps)
+	if len(opNames) != int(numNamedOps) {
+		t.Errorf("opNames has %d entries, the named block %d", len(opNames), numNamedOps)
 	}
 	byName := make(map[string]Op, endFusedOps)
 	for op := Op(0); op < endFusedOps; op++ {
@@ -361,60 +361,5 @@ func TestOpSpaceDense(t *testing.T) {
 		if op.IsFused() != (op >= numNamedOps) {
 			t.Errorf("%s: IsFused = %v", name, op.IsFused())
 		}
-	}
-}
-
-// TestIdiomTable pins what generic() and the executor assume of the
-// idiom table: row i is opcode firstIdiomOp+i, every shape has as many
-// ALU fields as the row has ALUs, an idiom expands to its shape's
-// constituents with exactly those ALUs, and Specialize inverts the
-// expansion without touching the other immediates.
-func TestIdiomTable(t *testing.T) {
-	for i, id := range Idioms() {
-		if id.Op != firstIdiomOp+Op(i) {
-			t.Fatalf("row %d is %v, want %v: rows follow the opcode order", i, id.Op, firstIdiomOp+Op(i))
-		}
-		fields := aluFields(id.Shape)
-		if len(fields) == 0 || len(fields) != len(id.ALUs) {
-			t.Fatalf("%v: shape %v has %d ALU fields, row names %d ALUs", id.Op, id.Shape, len(fields), len(id.ALUs))
-		}
-		// Every immediate bit a shape gives a meaning to set (the bits
-		// above A's byte 6 and B's low half are read as part of an ALU
-		// opcode by some), except the ALU fields, which an idiom keeps
-		// zero.
-		in := Instr{Op: id.Op, A: 1<<56 - 1, B: 1<<32 - 1}
-		for _, f := range fields {
-			f.clear(&in)
-		}
-		g, ok := in.generic()
-		if !ok || g.Op != id.Shape {
-			t.Fatalf("%v.generic() = %v, %v; want shape %v", id.Op, g.Op, ok, id.Shape)
-		}
-		for k, f := range fields {
-			if got := f.get(&g); got != id.ALUs[k] {
-				t.Errorf("%v: ALU field %d of its shape reads %v, want %v", id.Op, k, got, id.ALUs[k])
-			}
-		}
-		if Specialize(&g); g.Op != in.Op || g.A != in.A || g.B != in.B {
-			t.Errorf("Specialize(%v.generic()) = %v A=%#x B=%#x, want the idiom back", id.Op, g.Op, g.A, g.B)
-		}
-		var alus []wasm.Opcode
-		for _, c := range in.Constituents() {
-			if c.Op.IsNumeric() && c.Op.Wasm() != wasm.OpI32Eqz {
-				alus = append(alus, c.Op.Wasm())
-			}
-		}
-		if len(alus) != len(id.ALUs) {
-			t.Fatalf("%v expands to ALUs %v, row names %v", id.Op, alus, id.ALUs)
-		}
-		for k := range alus {
-			if alus[k] != id.ALUs[k] {
-				t.Errorf("%v expands to ALUs %v, row names %v", id.Op, alus, id.ALUs)
-			}
-		}
-	}
-	g := Instr{Op: OpFusedConstALUALU, A: 8, B: uint64(wasm.OpI64Xor)<<8 | uint64(wasm.OpI64Mul)}
-	if Specialize(&g); g.Op != OpFusedConstALUALU {
-		t.Errorf("Specialize named a tuple the table does not list: %v", g.Op)
 	}
 }

@@ -1,6 +1,6 @@
 // Package vmem provides the mmap-backed guard-region linear memory
 // behind the guard32 dispatch tier (WAVM-style virtual-memory bounds
-// checks; ROADMAP "VM-assisted bounds").
+// checks: the MMU, not the executor, rejects an out-of-bounds access).
 //
 // A Mapping is one anonymous PROT_NONE reservation of ReservationSize
 // bytes: the full 4 GiB a 32-bit guest index can name, plus Headroom
