@@ -287,7 +287,7 @@ func (e *Engine) birth(ctx context.Context, m *Module, fork bool) (*Instance, er
 		if !errors.Is(err, core.ErrSandboxesExhausted) {
 			return nil, err
 		}
-		if e.pools.ReclaimIdle(1) > 0 {
+		if e.pools.ReclaimOne() {
 			continue
 		}
 		if released == nil {

@@ -122,4 +122,22 @@ func TestFastPathsZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("pool checkout/checkin allocates %v/op, want 0", n)
 	}
+
+	// A sibling's reclaim: every checkout of an engine whose pools share
+	// one tag budget may close an idle instance of another pool.
+	if n := testing.AllocsPerRun(1000, func() {
+		inst, err := p.Get()
+		if err != nil {
+			panic(err)
+		}
+		p.Put(inst)
+		if !p.ReclaimOne() {
+			panic("nothing idle to reclaim")
+		}
+	}); n != 0 {
+		t.Fatalf("pool checkout/checkin/reclaim allocates %v/op, want 0", n)
+	}
+	if p.Stats().Live != 0 {
+		t.Fatalf("live %d after reclaiming every instance, want 0", p.Stats().Live)
+	}
 }

@@ -317,30 +317,23 @@ func (p *Pool) drainFast() {
 	}
 }
 
-// ReclaimIdle closes up to n idle instances, freeing whatever shared
-// budget they hold (sandbox tags, memory). Returns how many were
-// reclaimed. Used by engines whose pools compete for one tag budget: a
-// pool that cannot spawn may reclaim a sibling's idle instance and
-// retry.
-func (p *Pool) ReclaimIdle(n int) int {
+// ReclaimOne closes one idle instance, freeing whatever shared budget
+// it holds (sandbox tags, memory), and reports whether there was one.
+// Used by engines whose pools compete for one tag budget: a pool that
+// cannot spawn may reclaim a sibling's idle instance and retry. It
+// allocates nothing.
+func (p *Pool) ReclaimOne() bool {
 	p.mu.Lock()
-	var evicted []Resetter
-	for len(evicted) < n {
-		inst, ok := p.fast.pop()
-		if !ok {
-			break
-		}
-		evicted = append(evicted, inst)
-	}
-	p.liveN.Add(-int64(len(evicted)))
-	if len(evicted) > 0 {
-		p.wakeLocked() // cap slots freed
+	inst, ok := p.fast.pop()
+	if ok {
+		p.liveN.Add(-1)
+		p.wakeLocked() // a cap slot freed
 	}
 	p.mu.Unlock()
-	for _, inst := range evicted {
+	if ok {
 		inst.Close()
 	}
-	return len(evicted)
+	return ok
 }
 
 // Discard removes a checked-out instance from the pool without
@@ -477,21 +470,19 @@ func (s *PoolSet) For(key any, spawn func(ctx context.Context) (Resetter, error)
 	return p
 }
 
-// ReclaimIdle closes up to n idle instances across the set's pools,
-// returning how many were reclaimed. See Pool.ReclaimIdle.
-func (s *PoolSet) ReclaimIdle(n int) int {
+// ReclaimOne closes one idle instance from any of the set's pools and
+// reports whether there was one. See Pool.ReclaimOne.
+func (s *PoolSet) ReclaimOne() bool {
 	m := s.snap.Load()
 	if m == nil {
-		return 0
+		return false
 	}
-	freed := 0
 	for _, p := range *m {
-		if freed >= n {
-			break
+		if p.ReclaimOne() {
+			return true
 		}
-		freed += p.ReclaimIdle(n - freed)
 	}
-	return freed
+	return false
 }
 
 // StatsFor snapshots the pool for key alone; ok is false when no pool
