@@ -2,11 +2,11 @@
 // over ir.Program that collapses every adjacent sequence matching a row
 // of internal/ir's form table — load+op, op+store, cmp+br, const+op,
 // local traffic, seven-constituent loop latches, eight-constituent loop
-// heads, indexed loads — into one fused opcode.
-// The rows define each fused opcode's constituents and immediates; this
-// package only decides where to try them. There is one mode: a sequence
-// that is eligible is fused, in the runtime exactly as in the fuzzer
-// and the differential suites.
+// heads, indexed loads — into one fused opcode. The rows define each
+// fused opcode's constituents and immediates; this package only decides
+// where to try them. There is one mode: a sequence that is eligible is
+// fused, in the runtime exactly as in the fuzzer and the differential
+// suites.
 //
 // The largest forms are the indexed loads: an address built entirely
 // from locals, b + i·c (idx1), b + (i·n + j)·c (idx2), b + i·n·c (idx3)
@@ -14,16 +14,16 @@
 // or f64.add where one follows and the form has a row with it — six to
 // eleven constituents, the whole operand side of a polybench inner
 // product, in one dispatch. The matcher is greedy, left to right, the
-// first row in precedence order (ir.Shapes, longest first, grouped by
-// the head constituent's op) winning, with one exception: shapes yield
-// to indexed forms. A pre-pass finds where each indexed form starts
-// (ir.IndexedForms), and no shape may reach past the next one, so a
-// local.get run that would otherwise swallow an indexed load's base
-// (gemm's get+get+get+get, atax's get s; get A; get i; get n) stops
-// short of it. That rule took the hot loops of gemm, atax and the
-// ptr-auth 2mm from 7–9 dispatches per iteration to 5; with the idx1±k
-// loads, fused.idx1 and the head of i < n ± k, jacobi-1d's 3-point
-// stencil runs in 8 instead of 17.
+// first row in precedence order (ir.Shapes: longest first, indexed by
+// the kinds of the first three constituents) winning, with one
+// exception: shapes yield to indexed forms. A pre-pass finds where each
+// indexed form starts (ir.IndexedForms), and no shape may reach past
+// the next one, so a local.get run that would otherwise swallow an
+// indexed load's base (gemm's get+get+get+get, atax's get s; get A;
+// get i; get n) stops short of it. That rule took the hot loops of
+// gemm, atax and the ptr-auth 2mm from 7–9 dispatches per iteration to
+// 5; with the idx1±k loads, fused.idx1 and the head of i < n ± k,
+// jacobi-1d's 3-point stencil runs in 8 instead of 17.
 //
 // What a fused opcode saves is decided by its row, not in the executor.
 // A shape (fused.const+alu+alu) carries its ALU ops as immediates: it
@@ -106,7 +106,7 @@ func fuseFunc(f *ir.Func) ir.Func {
 	targets := branchTargets(f.Code)
 	// newPC maps every old PC (and the one-past-end sentinel) to its
 	// position in the rewritten stream; interior constituents map to
-	// their head, but no branch can name them (Form.Match guarantees it).
+	// their head, but no branch can name them (ir.Match guarantees it).
 	newPC := make([]int, len(f.Code)+1)
 	code := make([]ir.Instr, 0, len(f.Code))
 	// next is the first PC at or after i where an indexed load starts
@@ -123,16 +123,19 @@ func fuseFunc(f *ir.Func) ir.Func {
 			for next = i; next < len(f.Code); next++ {
 				forms := ir.IndexedForms(f.Code, next)
 				if len(forms) == 0 {
-					continue // the common case, kept off the call
+					continue // most pcs; the check keeps the call off them
 				}
 				if idx, idxN = ir.Match(forms, f.Code, next, len(f.Code), targets); idxN > 0 {
 					break
 				}
 			}
 		}
-		in, n := idx, idxN
-		if next != i {
-			in, n = ir.Match(ir.Shapes(f.Code, i, next), f.Code, i, next, targets)
+		var in ir.Instr
+		var n int
+		if next == i {
+			in, n = idx, idxN
+		} else if forms := ir.Shapes(f.Code, i, next); len(forms) > 0 {
+			in, n = ir.Match(forms, f.Code, i, next, targets)
 		}
 		if n == 0 {
 			code = append(code, f.Code[i])

@@ -26,7 +26,7 @@
 // The package also owns what internal/fuse rewrites that stream into:
 // the superinstructions (OpFusedBase), one row each in form.go's
 // tables. A row lists the constituents the opcode stands for and the
-// immediate field each one's operand travels in; Form.Match encodes a
+// immediate field each one's operand travels in; Match encodes a
 // sequence through it and Instr.Constituents decodes one back. The
 // shapes carry their ALU ops as immediates; an idiom is a shape's row
 // with its ALU ops named (fused.const+i64.mul+i64.add), so the executor

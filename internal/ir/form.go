@@ -17,7 +17,7 @@ import "cage/internal/wasm"
 // gives every loop edge.
 //
 // The tables below are the one definition of every fused opcode:
-// Form.Match encodes through a row, Instr.Constituents decodes through
+// Match encodes through a row, Instr.Constituents decodes through
 // it, and IsFusedBranch, IsIndexed, IsStraightLine and the mnemonics
 // read it. The executor's cases decode the same fields by hand; the
 // round-trip and differential tests hold them to the rows.

@@ -60,7 +60,7 @@ func tryForm(f *Form, code []Instr) (Instr, int) {
 
 // TestFormsRoundTrip: every fused opcode has one row; for every row, a
 // sequence with each operand at its field's width limit encodes
-// (Form.Match) and decodes (Instr.Constituents) back to itself, and an
+// (Match) and decodes (Instr.Constituents) back to itself, and an
 // operand one past a field's width — a zero-repair branch's repair of 1,
 // a target of 2^32 — does not match the row.
 func TestFormsRoundTrip(t *testing.T) {

@@ -279,7 +279,7 @@ func FusedMemOp(b uint64) wasm.Opcode { return wasm.Opcode(b & 0xFF) }
 
 // PackIdxMem packs an indexed load's B immediate: the scale constant
 // and the memarg offset above the memory pack (PackFusedMem, ALU zero).
-// The fuse pass only emits scales and offsets that fit 16 bits.
+// The indexed rows give scale and offset 16 bits each (form.go).
 func PackIdxMem(scale, offset, mem uint64) uint64 { return scale<<48 | offset<<32 | mem }
 
 // IdxScale unpacks an indexed load's scale constant.

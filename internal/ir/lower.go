@@ -502,7 +502,7 @@ func (c Config) storeOpFor(offset uint64) Op {
 
 // NumericStackEffect returns the operand-stack effect of a pure value
 // instruction, or ok=false for opcodes that are not pass-through
-// numerics. The fuse pass uses it to classify ALU constituents.
+// numerics: exactly the ops a fused form's ALU slot accepts.
 func NumericStackEffect(op wasm.Opcode) (pop, push int, ok bool) {
 	return numericEffect(op)
 }
