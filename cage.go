@@ -303,14 +303,19 @@ type Runtime struct {
 	stdout    io.Writer
 	stderr    io.Writer
 
-	// Host surface: the built-in modules (hardened libc, WASI, env)
-	// plus embedder modules registered via NewHostModule. The set
-	// freezes at the first Instantiate — afterwards NewHostModule fails
-	// with ErrEngineStarted — so resolved import tables can be cached
-	// per module and shared by pooled instances.
-	hostMu      sync.Mutex
-	hostStarted bool
-	hostMods    []*exec.HostModule
+	// Configuration: the host surface — the built-in modules (hardened
+	// libc, WASI, env) plus embedder modules registered via
+	// NewHostModule — and whether an engine lifted the tag budget
+	// (Engine.EnableExtendedSandboxes). started, under hostMu, is the
+	// one flag that freezes both: it is set at the first Instantiate or
+	// the engine's first pool, whichever comes first, and afterwards
+	// either call fails with ErrEngineStarted — so resolved import
+	// tables can be cached per module and shared by pooled instances,
+	// and every pool is capped as the budget it was made under.
+	hostMu   sync.Mutex
+	started  bool
+	extended bool
+	hostMods []*exec.HostModule
 
 	// programs caches lowered instruction streams per (module content
 	// hash, lowering config): every instance of one module under this
@@ -361,12 +366,12 @@ func (rt *Runtime) DispatchMode() (memory, fusion string) {
 // as a link error at Instantiate.
 //
 // The host surface is fixed at the runtime's first Instantiate (the
-// engine's first Call); afterwards NewHostModule fails with
-// ErrEngineStarted, mirroring SetPoolLimit and friends.
+// engine's first Call or Snapshot); afterwards NewHostModule fails with
+// ErrEngineStarted, like Engine.EnableExtendedSandboxes.
 func (rt *Runtime) NewHostModule(name string) (*HostModule, error) {
 	rt.hostMu.Lock()
 	defer rt.hostMu.Unlock()
-	if rt.hostStarted {
+	if rt.started {
 		return nil, ErrEngineStarted
 	}
 	hm := exec.NewHostModule(name)
@@ -374,24 +379,25 @@ func (rt *Runtime) NewHostModule(name string) (*HostModule, error) {
 	return hm, nil
 }
 
-// hostModules freezes and returns the runtime's host surface.
-func (rt *Runtime) hostModules() []*exec.HostModule {
+// freeze fixes the runtime's configuration and returns the host
+// surface and whether extended sandboxes are on.
+func (rt *Runtime) freeze() (mods []*exec.HostModule, extended bool) {
 	rt.hostMu.Lock()
 	defer rt.hostMu.Unlock()
-	if !rt.hostStarted {
-		rt.hostStarted = true
+	if !rt.started {
+		rt.started = true
 		for _, hm := range rt.hostMods {
 			hm.Freeze()
 		}
 	}
-	return rt.hostMods
+	return rt.hostMods, rt.extended
 }
 
 // importTable resolves (with caching) m's imports against the frozen
 // host surface. Link failures carry structured detail: errors.Is
 // ErrUnresolvedImport / ErrImportTypeMismatch, errors.As *LinkError.
 func (rt *Runtime) importTable(m *Module) (*exec.ImportTable, error) {
-	mods := rt.hostModules()
+	mods, _ := rt.freeze()
 	hash, err := m.contentHash()
 	if err != nil {
 		return exec.ResolveImports(m.wasm, mods...)

@@ -61,14 +61,12 @@ type Engine struct {
 	idleCh atomic.Pointer[chan struct{}]
 }
 
-// NewEngine creates an engine for the configuration. The zero pool
-// limit is derived from the configuration's sandbox-tag budget (15 for
+// NewEngine creates an engine for the configuration. Each module's pool
+// is capped at the configuration's sandbox-tag budget (15 for
 // sandboxing alone, 1 when MTE also carries memory safety, unlimited
-// without sandboxing, paper §6.4).
+// without sandboxing or with extended sandboxes, paper §6.4).
 func NewEngine(cfg Config) *Engine {
 	e := &Engine{cfg: cfg, tc: NewToolchain(cfg), rt: NewRuntime(cfg)}
-	// The set is fresh — no pool exists yet, so the limit always takes.
-	_ = e.pools.SetLimit(poolBudget(cfg))
 	// All pools draw reset seeds from the runtime's instantiation
 	// counter: every instance lifetime in the process — fresh or
 	// recycled, any module — gets a unique PAC modifier (§6.3).
@@ -85,6 +83,16 @@ func poolBudget(cfg Config) int {
 	return 0 // not tag-limited
 }
 
+// poolCap freezes the engine's configuration and returns the cap of a
+// pool made now: none once extended sandboxes are on, the tag budget
+// otherwise. Frozen first, so the cap can no longer change under it.
+func (e *Engine) poolCap() int {
+	if _, extended := e.rt.freeze(); extended {
+		return 0
+	}
+	return poolBudget(e.cfg)
+}
+
 // Runtime exposes the engine's process-level runtime (PAC key, sandbox
 // allocator, stdio routing).
 func (e *Engine) Runtime() *Runtime { return e.rt }
@@ -96,41 +104,36 @@ func (e *Engine) Runtime() *Runtime { return e.rt }
 // named "env" extends the built-in env surface, which is where MiniC
 // extern declarations resolve.
 //
-// Like the other configuration methods, it must be called before the
-// engine's first Call of any module; afterwards it fails with
-// ErrEngineStarted (the host surface is frozen so resolved import
-// tables can be shared by pooled instances).
+// Like EnableExtendedSandboxes, it must be called before the engine's
+// first Call or Snapshot; afterwards it fails with ErrEngineStarted
+// (the host surface is frozen so resolved import tables can be shared
+// by pooled instances).
 func (e *Engine) NewHostModule(name string) (*HostModule, error) {
 	return e.rt.NewHostModule(name)
 }
 
 // ErrEngineStarted is returned by configuration methods called after
-// the engine has served its first invocation: pool parameters are fixed
-// once the first pool exists, so late mutation would race with (and be
-// silently ignored by) in-flight checkouts. The check shares the pool
-// set's lock with pool creation, so a configuration call racing the
-// first Call either takes effect or fails — never silently neither.
-var ErrEngineStarted = errors.New("cage: engine already served an invocation; configure it before the first Call")
+// the engine has started: its first instantiation (a Call, a Snapshot)
+// or its first pool freezes the host surface and the pool cap, so late
+// mutation would race with (and be silently ignored by) in-flight
+// checkouts. The check and the freeze share one lock, so a
+// configuration call racing the first Call either takes effect or
+// fails — never silently neither.
+var ErrEngineStarted = errors.New("cage: engine already started; configure it before the first Call or Snapshot")
 
 // EnableExtendedSandboxes lifts the 15-sandbox limit via §6.4 tag reuse
 // and removes the pool cap it implies. It must be called before the
-// first Call of any module; afterwards it fails with ErrEngineStarted.
+// engine's first Call or Snapshot; afterwards it fails with
+// ErrEngineStarted.
 func (e *Engine) EnableExtendedSandboxes() error {
-	if err := e.pools.SetLimit(0); err != nil {
+	rt := e.rt
+	rt.hostMu.Lock()
+	defer rt.hostMu.Unlock()
+	if rt.started {
 		return ErrEngineStarted
 	}
-	e.rt.EnableExtendedSandboxes()
-	return nil
-}
-
-// SetPoolLimit overrides the per-module live-instance cap (0 =
-// unlimited). It must be called before the first Call of any module;
-// afterwards it fails with ErrEngineStarted (a pool built under the old
-// cap would never observe the new one).
-func (e *Engine) SetPoolLimit(n int) error {
-	if err := e.pools.SetLimit(n); err != nil {
-		return ErrEngineStarted
-	}
+	rt.extended = true
+	rt.EnableExtendedSandboxes()
 	return nil
 }
 
@@ -240,7 +243,7 @@ func (e *Engine) pool(m *Module) *engine.Pool {
 	if p, ok := e.pools.Lookup(m); ok {
 		return p
 	}
-	return e.pools.For(m, func(ctx context.Context) (engine.Resetter, error) {
+	return e.pools.For(m, e.poolCap(), func(ctx context.Context) (engine.Resetter, error) {
 		inst, err := e.birth(ctx, m, true)
 		if err != nil {
 			return nil, err

@@ -44,7 +44,7 @@ func BenchmarkCacheHit(b *testing.B)         { benchCache(b, false) }
 func BenchmarkCacheHitParallel(b *testing.B) { benchCache(b, true) }
 
 func benchPool(b *testing.B, parallel bool) {
-	p := NewPool(64, func(ctx context.Context) (Resetter, error) {
+	p := NewPool(64, newSeeds(), func(ctx context.Context) (Resetter, error) {
 		return benchInst{}, nil
 	})
 	// Pre-warm so the timed loop is pure checkout/checkin.
@@ -105,7 +105,7 @@ func TestFastPathsZeroAlloc(t *testing.T) {
 		t.Fatalf("cache hit allocates %v/op, want 0", n)
 	}
 
-	p := NewPool(4, func(ctx context.Context) (Resetter, error) {
+	p := NewPool(4, newSeeds(), func(ctx context.Context) (Resetter, error) {
 		return benchInst{}, nil
 	})
 	inst, err := p.Get()

@@ -53,11 +53,16 @@
 // each, no locks, and no allocation — slots are preallocated and
 // recycled through an internal free list, with ABA ruled out by a
 // 32-bit version tag packed beside the slot index in each list head.
-// Everything that can block takes the pool mutex instead: spawns (which
-// may wait on the shared §7.4 sandbox-tag budget) reserve cap slots
-// under it, exhausted checkouts queue on a broadcast channel and
-// abandon cleanly when their context ends, a checkin that finds the
-// stack full closes its instance, and Close/Reclaim drain the stack.
+// Everything that can block takes the pool mutex instead: spawns
+// reserve cap slots under it, checkouts that find the cap exhausted
+// queue on a broadcast channel and abandon cleanly when their context
+// ends, a checkin that finds the stack full closes its instance, and
+// Close/Reclaim drain the stack. The cap is the only thing a pool
+// waits on. A spawn that fails frees its slot, wakes the queue and
+// fails its checkout; a budget the pool does not own — the cage
+// facade's §7.4 sandbox tags, shared by every pool of an engine — is
+// waited on inside the spawn (Engine.birth), under the checkout's
+// context, never by the pool.
 // The lock-free checkin
 // and the queued checkout rendezvous through an atomic waiter count:
 // a waiter registers, re-polls the fast stack once, then sleeps; a

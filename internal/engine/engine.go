@@ -45,12 +45,10 @@ type PoolStats struct {
 type Pool struct {
 	spawn func(ctx context.Context) (Resetter, error)
 
-	// NextSeed supplies the reset seed for each checkin. Pools sharing a
-	// process (one PAC key) must share one seed source so no two
-	// instance lifetimes — across any pool — derive the same PAC
-	// modifier (§6.3). Nil falls back to a pool-private counter, which
-	// is only safe for a process with a single pool.
-	NextSeed func() uint64
+	// nextSeed supplies the reset seed for each checkin. Pools sharing
+	// a process (one PAC key) share one seed source so no two instance
+	// lifetimes — across any pool — derive the same PAC modifier (§6.3).
+	nextSeed func() uint64
 
 	// fast is the lock-free idle stack.
 	fast *lifo
@@ -73,8 +71,6 @@ type Pool struct {
 	discarded atomic.Uint64
 	liveN     atomic.Int64
 
-	seed atomic.Uint64 // pool-private seed counter (NextSeed == nil)
-
 	mu       sync.Mutex
 	spawning int // spawn attempts in flight (reserve cap slots)
 	max      int
@@ -94,26 +90,25 @@ type Pool struct {
 // capped above 4096): enough idle slots for any realistic core count.
 const lifoDefaultCap = 256
 
-// NewPool creates a pool over spawn. The spawn function receives the
-// checkout's context so a queued spawn (e.g. one waiting on a shared
-// sandbox-tag budget) can be abandoned with it. max bounds live
-// instances (checked out plus idle); 0 means unlimited. Embedders
-// running under a sandbox-tag budget (§7.4) should pass the budget as
-// max so checkouts queue instead of failing with ErrSandboxesExhausted.
+// NewPool creates a pool over spawn, drawing each checkin's reset seed
+// from nextSeed. The spawn function receives the checkout's context so
+// a spawn that waits on a budget the pool does not own (the §7.4
+// sandbox tags, shared by every pool of a process) can be abandoned
+// with it; a spawn that fails fails its checkout. max bounds live
+// instances (checked out plus idle); 0 means unlimited, and the cap is
+// the only thing a checkout queues on.
 //
 // The pool keeps at most max idle instances (lifoDefaultCap, 256, when
 // max is 0 or above 4096): a checkin that finds that many idle closes
 // its instance instead. A pool capped at 4096 or less never gets there,
 // since idle ≤ live ≤ max; an uncapped one keeps 256 of a burst's
 // instances.
-func NewPool(max int, spawn func(ctx context.Context) (Resetter, error)) *Pool {
+func NewPool(max int, nextSeed func() uint64, spawn func(ctx context.Context) (Resetter, error)) *Pool {
 	c := max
 	if c <= 0 || c > 4096 {
 		c = lifoDefaultCap
 	}
-	p := &Pool{spawn: spawn, max: max, fast: newLifo(c)}
-	p.seed.Store(0x6361_6765) // "cage"
-	return p
+	return &Pool{spawn: spawn, nextSeed: nextSeed, max: max, fast: newLifo(c)}
 }
 
 // waitLocked returns the channel closed at the next wakeLocked.
@@ -132,15 +127,6 @@ func (p *Pool) wakeLocked() {
 	}
 }
 
-// nextSeed draws the next reset seed from NextSeed or the private
-// counter.
-func (p *Pool) nextSeed() uint64 {
-	if p.NextSeed != nil {
-		return p.NextSeed()
-	}
-	return p.seed.Add(1)
-}
-
 // ErrPoolClosed is returned by Get after Close.
 var ErrPoolClosed = fmt.Errorf("engine: pool is closed")
 
@@ -151,10 +137,11 @@ func (p *Pool) Get() (Resetter, error) {
 }
 
 // GetContext checks an instance out of the pool, spawning or queueing
-// as the cap dictates. A queued checkout — whether blocked on the live
-// cap or inside a spawn waiting on a shared budget — is abandoned
-// cleanly when ctx ends: GetContext returns ctx.Err() and no instance
-// or budget reservation leaks.
+// as the cap dictates. A checkout queued on the live cap — or inside a
+// spawn that waits on its own budget — is abandoned cleanly when ctx
+// ends: GetContext returns ctx.Err() and no instance or reservation
+// leaks. A spawn that fails otherwise fails the checkout with its
+// error.
 //
 // The hit path (an idle instance is available) is lock-free and
 // allocation-free: one pop off the Treiber stack, at most two CAS ops.
@@ -168,11 +155,11 @@ func (p *Pool) GetContext(ctx context.Context) (Resetter, error) {
 }
 
 // getSlow is the spawn/queue path, entered when the fast stack is
-// empty: cap slots are reserved across spawns, spawn failures with live
-// instances wait for a checkin instead of failing, and queued checkouts
-// abandon on ctx. The fast stack is re-polled at every turn of the loop (and once
-// after each condvar registration — see sleepLocked) so a lock-free
-// checkin cannot strand a queued waiter.
+// empty: cap slots are reserved across spawns, a failed spawn frees its
+// slot and fails the checkout, and checkouts queued on the cap abandon
+// on ctx. The fast stack is re-polled at every turn of the loop (and
+// once after each condvar registration — see sleepLocked) so a
+// lock-free checkin cannot strand a queued waiter.
 func (p *Pool) getSlow(ctx context.Context) (Resetter, error) {
 	p.mu.Lock()
 	for {
@@ -196,32 +183,14 @@ func (p *Pool) getSlow(ctx context.Context) (Resetter, error) {
 			p.spawning--
 			if err != nil {
 				// The cap slot this spawn reserved is free again; let
-				// blocked waiters retry.
+				// queued checkouts retry.
 				p.wakeLocked()
-				if ctx.Err() != nil {
+				p.mu.Unlock()
+				if cerr := ctx.Err(); cerr != nil {
 					// The spawn was abandoned by our own context; report
 					// that, not whatever wrapped error it surfaced as.
-					p.mu.Unlock()
-					return nil, ctx.Err()
+					return nil, cerr
 				}
-				if p.liveN.Load() > 0 && !p.closed {
-					// Spawning can fail on a shared budget the cap does
-					// not see (several pools over one sandbox
-					// allocator). This pool's live instances will be
-					// checked in eventually; wait for one instead of
-					// failing the request — unless one arrived while we
-					// were spawning.
-					if inst, ok := p.fast.pop(); ok {
-						p.mu.Unlock()
-						return inst, nil
-					}
-					if inst, ok := p.sleepLocked(ctx); ok {
-						return inst, nil
-					}
-					p.mu.Lock()
-					continue
-				}
-				p.mu.Unlock()
 				return nil, err
 			}
 			p.liveN.Add(1)
@@ -336,18 +305,6 @@ func (p *Pool) ReclaimOne() bool {
 	return ok
 }
 
-// Discard removes a checked-out instance from the pool without
-// recycling it (e.g. after an invocation error the embedder considers
-// fatal for the instance).
-func (p *Pool) Discard(inst Resetter) {
-	p.mu.Lock()
-	p.liveN.Add(-1)
-	p.discarded.Add(1)
-	p.wakeLocked()
-	p.mu.Unlock()
-	inst.Close()
-}
-
 // Close retires all idle instances and fails future checkouts.
 // Instances currently checked out are closed as they come back.
 func (p *Pool) Close() {
@@ -387,38 +344,16 @@ func (p *Pool) Stats() PoolStats {
 // immutable map republished on insert); only pool creation takes the
 // set mutex. The zero value is ready to use.
 type PoolSet struct {
-	// NextSeed, when non-nil, is installed on every created pool so all
-	// pools of one process share a seed source (see Pool.NextSeed).
+	// NextSeed is every created pool's seed source, so all pools of one
+	// process share one (see NewPool). Set it before the first For.
 	NextSeed func() uint64
 
 	// snap is the published key→pool table; mutations clone under mu
 	// and republish.
 	snap atomic.Pointer[map[any]*Pool]
 
-	mu      sync.Mutex
-	limit   int  // live-instance cap applied to pools as they are created
-	started bool // a pool has been built; limit is frozen
-	closed  bool
-}
-
-// ErrSetStarted is returned by SetLimit once a pool exists: that pool
-// was built under the old limit and would never observe a new one.
-var ErrSetStarted = fmt.Errorf("engine: pool set already built a pool; set the limit before first use")
-
-// SetLimit sets the live-instance cap applied to pools as they are
-// created (0 = unlimited). The check and the mutation share the set's
-// lock with pool creation, so a SetLimit racing the first checkout
-// either wins (the pool sees the new limit) or fails with
-// ErrSetStarted — it can never return success while a pool built under
-// the old limit ignores it.
-func (s *PoolSet) SetLimit(n int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started {
-		return ErrSetStarted
-	}
-	s.limit = n
-	return nil
+	mu     sync.Mutex
+	closed bool
 }
 
 // Lookup returns the pool for key if one has been created, without
@@ -432,21 +367,20 @@ func (s *PoolSet) Lookup(key any) (*Pool, bool) {
 	return nil, false
 }
 
-// For returns the pool for key, creating it with spawn on first use.
-func (s *PoolSet) For(key any, spawn func(ctx context.Context) (Resetter, error)) *Pool {
+// For returns the pool for key, creating it with live-instance cap max
+// and spawn on first use.
+func (s *PoolSet) For(key any, max int, spawn func(ctx context.Context) (Resetter, error)) *Pool {
 	if p, ok := s.Lookup(key); ok {
 		return p
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.started = true
 	if m := s.snap.Load(); m != nil {
 		if p, ok := (*m)[key]; ok {
 			return p
 		}
 	}
-	p := NewPool(s.limit, spawn)
-	p.NextSeed = s.NextSeed
+	p := NewPool(max, s.NextSeed, spawn)
 	if s.closed {
 		// A closed set must not resurrect: hand out a pool whose
 		// Get fails with ErrPoolClosed instead of silently leaking

@@ -129,9 +129,15 @@ func (f *fake) Reset(seed uint64) error {
 
 func (f *fake) Close() error { f.closes.Add(1); f.closed.Store(true); return nil }
 
+// newSeeds returns a fresh reset-seed source for a test's pool.
+func newSeeds() func() uint64 {
+	var n atomic.Uint64
+	return func() uint64 { return n.Add(1) }
+}
+
 func TestPoolCheckoutCheckinConcurrent(t *testing.T) {
 	var spawned atomic.Int32
-	p := NewPool(4, func(context.Context) (Resetter, error) {
+	p := NewPool(4, newSeeds(), func(context.Context) (Resetter, error) {
 		spawned.Add(1)
 		return &fake{}, nil
 	})
@@ -174,7 +180,7 @@ func TestPoolCheckoutCheckinConcurrent(t *testing.T) {
 // 256 idle and live and nothing counted as discarded.
 func TestPoolIdleBound(t *testing.T) {
 	var fakes []*fake
-	p := NewPool(0, func(context.Context) (Resetter, error) {
+	p := NewPool(0, newSeeds(), func(context.Context) (Resetter, error) {
 		f := &fake{}
 		fakes = append(fakes, f)
 		return f, nil
@@ -206,7 +212,7 @@ func TestPoolIdleBound(t *testing.T) {
 }
 
 func TestPoolDiscardsOnResetFailure(t *testing.T) {
-	p := NewPool(2, func(context.Context) (Resetter, error) { return &fake{}, nil })
+	p := NewPool(2, newSeeds(), func(context.Context) (Resetter, error) { return &fake{}, nil })
 	defer p.Close()
 
 	inst, err := p.Get()
@@ -237,7 +243,7 @@ func TestPoolDiscardsOnResetFailure(t *testing.T) {
 }
 
 func TestPoolBlocksAtCap(t *testing.T) {
-	p := NewPool(1, func(context.Context) (Resetter, error) { return &fake{}, nil })
+	p := NewPool(1, newSeeds(), func(context.Context) (Resetter, error) { return &fake{}, nil })
 	defer p.Close()
 
 	inst, err := p.Get()
@@ -271,7 +277,7 @@ func TestPoolBlocksAtCap(t *testing.T) {
 // cap must be abandonable — GetContext returns the context error, no cap
 // slot leaks, and the pool keeps serving later checkouts.
 func TestPoolGetContextCancelledWhileQueued(t *testing.T) {
-	p := NewPool(1, func(context.Context) (Resetter, error) { return &fake{}, nil })
+	p := NewPool(1, newSeeds(), func(context.Context) (Resetter, error) { return &fake{}, nil })
 	defer p.Close()
 
 	inst, err := p.Get()
@@ -308,7 +314,7 @@ func TestPoolGetContextCancelledWhileQueued(t *testing.T) {
 // (modelled by a spawn that waits for ctx) is abandoned with the
 // checkout's context, and the reserved cap slot is returned.
 func TestPoolGetContextCancelledInSpawn(t *testing.T) {
-	p := NewPool(1, func(ctx context.Context) (Resetter, error) {
+	p := NewPool(1, newSeeds(), func(ctx context.Context) (Resetter, error) {
 		<-ctx.Done() // a queued budget wait that only ctx can end
 		return nil, ctx.Err()
 	})
@@ -330,7 +336,7 @@ func TestPoolGetContextCancelledInSpawn(t *testing.T) {
 // another Get may wait on.
 func TestPoolConcurrentSpawnFailuresAllReturn(t *testing.T) {
 	spawnErr := errors.New("budget exhausted")
-	p := NewPool(0, func(context.Context) (Resetter, error) { return nil, spawnErr })
+	p := NewPool(0, newSeeds(), func(context.Context) (Resetter, error) { return nil, spawnErr })
 	defer p.Close()
 
 	const workers = 8
@@ -353,19 +359,20 @@ func TestPoolConcurrentSpawnFailuresAllReturn(t *testing.T) {
 	}
 }
 
-// TestPoolSpawnFailureWaitsForLiveInstance: when spawning fails but the
-// pool has a live instance checked out, Get waits for its checkin
-// instead of failing — and must see it even if the checkin raced the
-// failed spawn.
-func TestPoolSpawnFailureWaitsForLiveInstance(t *testing.T) {
-	only := &fake{}
+// TestPoolSpawnFailureFailsCheckout: the cap is the only thing a
+// checkout queues on. With an instance checked out and room under the
+// cap, a Get whose spawn fails returns the spawn's error at once — it
+// does not wait for the live instance's checkin — and frees the cap
+// slot it reserved.
+func TestPoolSpawnFailureFailsCheckout(t *testing.T) {
+	spawnErr := errors.New("guard reservation refused")
 	first := true
-	p := NewPool(0, func(context.Context) (Resetter, error) {
+	p := NewPool(0, newSeeds(), func(context.Context) (Resetter, error) {
 		if first {
 			first = false
-			return only, nil
+			return &fake{}, nil
 		}
-		return nil, errors.New("budget exhausted")
+		return nil, spawnErr
 	})
 	defer p.Close()
 
@@ -373,29 +380,27 @@ func TestPoolSpawnFailureWaitsForLiveInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make(chan Resetter, 1)
+	defer p.Put(inst)
+	got := make(chan error, 1)
 	go func() {
-		second, err := p.Get()
-		if err != nil {
-			t.Errorf("Get with a live instance = %v, want wait", err)
-		}
-		got <- second
+		_, err := p.Get()
+		got <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the second Get hit the failing spawn
-	p.Put(inst)
 	select {
-	case second := <-got:
-		if second != only {
-			t.Error("waiter did not receive the recycled instance")
+	case err := <-got:
+		if !errors.Is(err, spawnErr) {
+			t.Errorf("Get whose spawn failed = %v, want the spawn error", err)
 		}
-		p.Put(second)
-	case <-time.After(5 * time.Second):
-		t.Fatal("Get hung despite a checked-in instance")
+	case <-time.After(time.Second):
+		t.Fatal("Get whose spawn failed waited for the live instance's checkin")
+	}
+	if s := p.Stats(); s.Live != 1 || s.Spawned != 1 {
+		t.Errorf("stats after failed spawn = %+v, want 1 live, 1 spawned", s)
 	}
 }
 
 func TestPoolClosedGetFails(t *testing.T) {
-	p := NewPool(0, func(context.Context) (Resetter, error) { return &fake{}, nil })
+	p := NewPool(0, newSeeds(), func(context.Context) (Resetter, error) { return &fake{}, nil })
 	inst, _ := p.Get()
 	p.Put(inst)
 	p.Close()
@@ -410,16 +415,16 @@ func TestPoolClosedGetFails(t *testing.T) {
 // TestPoolSetClosedDoesNotResurrect: For after Close must hand out
 // closed pools, not silently revive the set and leak new instances.
 func TestPoolSetClosedDoesNotResurrect(t *testing.T) {
-	var s PoolSet
+	s := PoolSet{NextSeed: newSeeds()}
 	key := "module"
-	p := s.For(key, func(context.Context) (Resetter, error) { return &fake{}, nil })
+	p := s.For(key, 0, func(context.Context) (Resetter, error) { return &fake{}, nil })
 	inst, err := p.Get()
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Put(inst)
 	s.Close()
-	again := s.For(key, func(context.Context) (Resetter, error) { return &fake{}, nil })
+	again := s.For(key, 0, func(context.Context) (Resetter, error) { return &fake{}, nil })
 	if _, err := again.Get(); !errors.Is(err, ErrPoolClosed) {
 		t.Errorf("Get on resurrected pool = %v, want ErrPoolClosed", err)
 	}
@@ -517,7 +522,7 @@ func spawnHardened(t *testing.T) func(context.Context) (Resetter, error) {
 // heap), and the checkin reset must scrub all of it before the instance
 // is visible again.
 func TestPoolTrapDoesNotPoisonNextCheckout(t *testing.T) {
-	p := NewPool(1, spawnHardened(t))
+	p := NewPool(1, newSeeds(), spawnHardened(t))
 	defer p.Close()
 
 	// First lifetime: trap on a use-after-free.
@@ -554,7 +559,7 @@ func TestPoolTrapDoesNotPoisonNextCheckout(t *testing.T) {
 }
 
 func TestPoolConcurrentRealInstances(t *testing.T) {
-	p := NewPool(4, spawnHardened(t))
+	p := NewPool(4, newSeeds(), spawnHardened(t))
 	defer p.Close()
 
 	const workers = 8

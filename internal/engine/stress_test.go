@@ -120,15 +120,24 @@ func TestStressCacheMissSingleflight(t *testing.T) {
 }
 
 // stressInst is a Resetter that checks the single-owner invariant: the
-// pool must never hand one instance to two checkouts at once.
+// pool must never hand one instance to two checkouts at once. Setting
+// failReset makes its next reset fail, so the checkin discards it;
+// release, when set, runs at Close (the instance's budget comes back).
 type stressInst struct {
-	inUse  atomic.Bool
-	resets atomic.Uint64
-	closed atomic.Bool
+	inUse     atomic.Bool
+	resets    atomic.Uint64
+	closed    atomic.Bool
+	failReset atomic.Bool
+	release   func()
 }
+
+var errPoisoned = errors.New("reset failed")
 
 func (s *stressInst) Reset(seed uint64) error {
 	s.resets.Add(1)
+	if s.failReset.Load() {
+		return errPoisoned
+	}
 	return nil
 }
 
@@ -136,17 +145,20 @@ func (s *stressInst) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		panic("stressInst closed twice")
 	}
+	if s.release != nil {
+		s.release()
+	}
 	return nil
 }
 
 // TestStressPoolChurn runs 64 goroutines of checkout/compute/checkin
-// churn with random discards and random ctx-abandoned checkouts over a
-// capped pool, then checks ownership was always exclusive and the
-// final accounting balances.
+// churn with random discards (a checkin whose reset fails) and random
+// ctx-abandoned checkouts over a capped pool, then checks ownership was
+// always exclusive and the final accounting balances.
 func TestStressPoolChurn(t *testing.T) {
 	const cap = 8
 	var spawned atomic.Uint64
-	p := NewPool(cap, func(ctx context.Context) (Resetter, error) {
+	p := NewPool(cap, newSeeds(), func(ctx context.Context) (Resetter, error) {
 		spawned.Add(1)
 		return &stressInst{}, nil
 	})
@@ -188,11 +200,10 @@ func TestStressPoolChurn(t *testing.T) {
 				}
 				si.inUse.Store(false)
 				if roll < 10 {
-					p.Discard(inst)
+					si.failReset.Store(true)
 					discards.Add(1)
-				} else {
-					p.Put(inst)
 				}
+				p.Put(inst)
 			}
 		}(w)
 	}
@@ -220,23 +231,51 @@ func TestStressPoolChurn(t *testing.T) {
 	}
 }
 
-// TestStressPoolTagExhaustion models §7.4 tag contention: a pool whose
-// spawn fails once the shared budget is taken. 64 checkouts contend for
-// 4 instances; every one must either get an instance or abandon on its
-// own ctx, queued checkouts must drain roughly in order (FIFO-ish:
-// broadcast wakeups do not starve anyone), and nothing leaks.
+// TestStressPoolTagExhaustion models §7.4 tag contention: an uncapped
+// pool whose spawn takes one of 4 shared tags and, when none is free,
+// waits for one under the checkout's context the way Engine.birth
+// does — reclaim an idle instance (its Close returns the tag), else
+// sleep until a tag is released or an instance is checked in. 64
+// checkouts contend; every one must either get an instance or abandon
+// on its own ctx, the budget error never reaches a caller, and nothing
+// leaks.
 func TestStressPoolTagExhaustion(t *testing.T) {
 	const budget = 4
-	var tags atomic.Int64
-	errBudget := errors.New("tag budget exhausted")
-	p := NewPool(0 /* cap does not see the shared budget */, func(ctx context.Context) (Resetter, error) {
+	var (
+		mu   sync.Mutex
+		tags int
+		wake = make(chan struct{}) // closed at each release or checkin
+	)
+	notify := func() {
+		mu.Lock()
+		close(wake)
+		wake = make(chan struct{})
+		mu.Unlock()
+	}
+	release := func() {
+		mu.Lock()
+		tags--
+		mu.Unlock()
+		notify()
+	}
+	var p *Pool
+	p = NewPool(0 /* the cap does not see the shared budget */, newSeeds(), func(ctx context.Context) (Resetter, error) {
 		for {
-			n := tags.Load()
-			if n >= budget {
-				return nil, errBudget
+			mu.Lock()
+			if tags < budget {
+				tags++
+				mu.Unlock()
+				return &stressInst{release: release}, nil
 			}
-			if tags.CompareAndSwap(n, n+1) {
-				return &stressInst{}, nil
+			ch := wake // registered before the reclaim: no checkin is missed
+			mu.Unlock()
+			if p.ReclaimOne() {
+				continue
+			}
+			select {
+			case <-ch:
+			case <-ctx.Done():
+				return nil, ctx.Err()
 			}
 		}
 	})
@@ -256,12 +295,10 @@ func TestStressPoolTagExhaustion(t *testing.T) {
 				case err == nil:
 					time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
 					p.Put(inst)
+					notify()
 					served.Add(1)
 				case errors.Is(err, context.DeadlineExceeded):
 					abandoned.Add(1)
-				case errors.Is(err, errBudget):
-					// Legal only in the startup race: a spawn can lose the
-					// budget before any winner has registered as live.
 				default:
 					panic(fmt.Sprintf("unexpected checkout error: %v", err))
 				}
@@ -280,8 +317,11 @@ func TestStressPoolTagExhaustion(t *testing.T) {
 	if s.Live > budget {
 		t.Fatalf("Live=%d exceeds shared budget %d", s.Live, budget)
 	}
-	if got := tags.Load(); got != int64(s.Live) {
-		t.Fatalf("budget holds %d tags but pool reports %d live", got, s.Live)
+	mu.Lock()
+	held := tags
+	mu.Unlock()
+	if held != s.Live {
+		t.Fatalf("budget holds %d tags but pool reports %d live", held, s.Live)
 	}
 	t.Logf("served=%d abandoned=%d live=%d", served.Load(), abandoned.Load(), s.Live)
 }
@@ -290,7 +330,7 @@ func TestStressPoolTagExhaustion(t *testing.T) {
 // condvar queue drains without starvation: with checkins trickling in
 // one at a time, every one of 64 queued checkouts completes.
 func TestStressPoolQueueFIFOIsh(t *testing.T) {
-	p := NewPool(1, func(ctx context.Context) (Resetter, error) {
+	p := NewPool(1, newSeeds(), func(ctx context.Context) (Resetter, error) {
 		return &stressInst{}, nil
 	})
 	first, err := p.Get()

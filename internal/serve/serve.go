@@ -64,10 +64,10 @@ type Options struct {
 	// enforced even for tenants whose policy leaves MaxModuleBytes at 0
 	// (unlimited). 0 means DefaultMaxUploadBytes; negative lifts the cap.
 	MaxUploadBytes int64
-	// PoolLimit overrides the engine's per-module live-instance cap
-	// (0 keeps the config's §7.4 tag budget).
-	PoolLimit int
-	// ExtendedSandboxes lifts the 15-sandbox budget via §6.4 tag reuse.
+	// ExtendedSandboxes lifts the 15-sandbox budget via §6.4 tag reuse,
+	// and with it each module's pool cap. Without it a module's pool is
+	// capped at the config's §7.4 tag budget, and a checkout that finds
+	// every tag held queues in the engine until one is released.
 	ExtendedSandboxes bool
 }
 
@@ -100,21 +100,17 @@ type Server struct {
 
 // New builds a Server (and its engine) for the options.
 func New(opts Options) (*Server, error) {
-	tune := func(eng *cage.Engine) error {
+	newEngine := func(cfg cage.Config) (*cage.Engine, error) {
+		eng := cage.NewEngine(cfg)
 		if opts.ExtendedSandboxes {
 			if err := eng.EnableExtendedSandboxes(); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		if opts.PoolLimit > 0 {
-			if err := eng.SetPoolLimit(opts.PoolLimit); err != nil {
-				return err
-			}
-		}
-		return nil
+		return eng, nil
 	}
-	eng := cage.NewEngine(opts.Config)
-	if err := tune(eng); err != nil {
+	eng, err := newEngine(opts.Config)
+	if err != nil {
 		return nil, err
 	}
 	s := &Server{opts: opts, eng: eng, tenants: make(map[string]*tenant)}
@@ -125,8 +121,7 @@ func New(opts Options) (*Server, error) {
 	if needHardened {
 		hcfg := opts.Config
 		hcfg.SpectreHarden = true
-		s.hardEng = cage.NewEngine(hcfg)
-		if err := tune(s.hardEng); err != nil {
+		if s.hardEng, err = newEngine(hcfg); err != nil {
 			return nil, err
 		}
 	}
