@@ -1,6 +1,10 @@
 package ir
 
-import "cage/internal/wasm"
+import (
+	"fmt"
+
+	"cage/internal/wasm"
+)
 
 // A fused form is one superinstruction: its opcode, its mnemonic and
 // the lowered sequence it stands for, one slot per constituent. A slot
@@ -46,6 +50,9 @@ func inA(shift, width uint8) field { return field{shift: shift, width: width} }
 func inB(shift, width uint8) field { return field{inB: true, shift: shift, width: width} }
 
 var wholeA, wholeB, none = inA(0, 64), inB(0, 64), field{}
+
+// memALU is the ALU byte of a memory pack (PackFusedMem).
+var memALU = inB(8, 8)
 
 func (f field) word(in *Instr) *uint64 {
 	if f.inB {
@@ -490,6 +497,37 @@ func (op Op) IsStraightLine() bool {
 		}
 	}
 	return alus > 0
+}
+
+// describe renders in after its mnemonic, each slot's operand in slot
+// order where one prints: a memory access its offset, width and wasm
+// opcode (and the ALU of an any-ALU slot that claims the pack's ALU
+// byte), an i64.add|i64.sub the ±k it applies to the constant two
+// slots before it, a branch its target and, where the repair has a
+// field, keep and arity.
+func (f *Form) describe(in *Instr) string {
+	s := in.Op.String()
+	for k, sl := range f.slots {
+		switch sl.class {
+		case addSub:
+			s += fmt.Sprintf(" k=%+d", int64(IdxDelta(f.slots[k-2].f.get(in), wasm.Opcode(sl.f.get(in)))))
+		case load, store:
+			s += fmt.Sprintf(" offset=%d size=%d (%s", sl.f.get(in), FusedMemSize(in.B), FusedMemOp(in.B))
+			for _, o := range f.slots {
+				if o.class == anyALU && o.f == memALU {
+					s += fmt.Sprintf("; %s", FusedMemALU(in.B))
+				}
+			}
+			s += ")"
+		case branch:
+			s += fmt.Sprintf(" ->%d", FusedBranchTarget(in.B))
+			if sl.f != none {
+				rep := sl.f.get(in)
+				s += fmt.Sprintf(" keep=%d arity=%d", BranchKeep(rep), BranchArity(rep))
+			}
+		}
+	}
+	return s
 }
 
 // Constituents expands a fused superinstruction into the exact lowered

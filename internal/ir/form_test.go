@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -95,6 +96,40 @@ func TestFormsRoundTrip(t *testing.T) {
 	for op := OpFusedBase; op.IsFused(); op++ {
 		if rows[op] != 1 {
 			t.Errorf("%v has %d rows, want 1", op, rows[op])
+		}
+	}
+}
+
+// TestInstrStringShowsSlots: a fused instruction prints, in slot order,
+// what its row's slots carry — each memory access's offset, width and
+// wasm opcode, the k of an i64.add|i64.sub, each branch's target and a
+// repair that has a field — read back from the constituents it encodes.
+func TestInstrStringShowsSlots(t *testing.T) {
+	for _, f := range allForms() {
+		seq := formSample(f, -1)
+		in, _ := tryForm(f, seq)
+		want := f.op.String()
+		for k, s := range f.slots {
+			c := seq[k]
+			switch s.class {
+			case addSub:
+				want += fmt.Sprintf(" k=%+d", -int64(int32(seq[k-2].A)))
+			case load, store:
+				want += fmt.Sprintf(" offset=%d size=%d (%s", c.A, MemSize(c.B), MemOp(c.B))
+				switch f.op { // the rows whose any-ALU slot sits in the memory pack
+				case OpFusedLoadALU, OpFusedALULoad, OpFusedALUStore, OpFusedConstALUALULoadALU:
+					want += "; f64.reinterpret_i64" // formSample's ALU
+				}
+				want += ")"
+			case branch:
+				want += fmt.Sprintf(" ->%d", c.B)
+				if s.f != none {
+					want += fmt.Sprintf(" keep=%d arity=%d", BranchKeep(c.A), BranchArity(c.A))
+				}
+			}
+		}
+		if got := in.String(); got != want {
+			t.Errorf("%v prints %q, want %q", f.op, got, want)
 		}
 	}
 }

@@ -439,29 +439,9 @@ func (in Instr) String() string {
 		return fmt.Sprintf("%s offset=%d", in.Op, in.A)
 	case OpFence:
 		return "fence ;; speculation barrier (hardened)"
-	case OpFusedSetBr, OpFusedCmpBrIf, OpFusedCmpBrIfZ, OpFusedCmpEqzBrIf:
-		return fmt.Sprintf("%s ->%d keep=%d arity=%d",
-			in.Op, FusedBranchTarget(in.B), BranchKeep(in.A), BranchArity(in.A))
-	case OpFusedLoadALU, OpFusedALULoad, OpFusedALUStore:
-		return fmt.Sprintf("%s offset=%d size=%d (%s; %s)",
-			in.Op, in.A, FusedMemSize(in.B), FusedMemOp(in.B), FusedMemALU(in.B))
-	case OpFusedConstI64MulAddLoadF64Mul, OpFusedConstI64MulAddLoadF64Add,
-		OpFusedConstI64MulAddLoadF64Sub:
-		return fmt.Sprintf("%s offset=%d size=%d (%s)",
-			in.Op, uint32(in.A), FusedMemSize(in.B), FusedMemOp(in.B))
-	case OpFusedIdx1Load, OpFusedIdx1LoadF64Mul, OpFusedIdx2Load, OpFusedIdx2LoadF64Mul,
-		OpFusedIdx3LoadF64Mul, OpFusedIdx1LoadF64Add:
-		return fmt.Sprintf("%s offset=%d size=%d (%s)",
-			in.Op, IdxOffset(in.B), FusedMemSize(in.B), FusedMemOp(in.B))
-	case OpFusedIdx1KLoad, OpFusedIdx1KLoadF64Add:
-		return fmt.Sprintf("%s k=%+d offset=%d size=%d (%s)", in.Op, int64(IdxDelta(in.A, FusedMemALU(in.B))),
-			IdxOffset(in.B), FusedMemSize(in.B), FusedMemOp(in.B))
-	case OpFusedGetGetKI64LtSEqzBr:
-		return fmt.Sprintf("%s k=%+d ->%d", in.Op,
-			int64(IdxDelta(in.A, wasm.Opcode(FusedBranchAux(in.B)))), FusedBranchTarget(in.B))
 	}
-	if in.Op.IsFused() {
-		return in.Op.String()
+	if f := in.Op.form(); f != nil {
+		return f.describe(&in)
 	}
 	if in.Op.IsLoad() || in.Op.IsStore() {
 		return fmt.Sprintf("%s offset=%d size=%d (%s)",
