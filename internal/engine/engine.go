@@ -183,13 +183,13 @@ func (p *Pool) getSlow(ctx context.Context) (Resetter, error) {
 			p.spawning--
 			if err != nil {
 				// The cap slot this spawn reserved is free again; let
-				// queued checkouts retry.
+				// blocked waiters retry.
 				p.wakeLocked()
 				p.mu.Unlock()
-				if cerr := ctx.Err(); cerr != nil {
+				if ctx.Err() != nil {
 					// The spawn was abandoned by our own context; report
 					// that, not whatever wrapped error it surfaced as.
-					return nil, cerr
+					return nil, ctx.Err()
 				}
 				return nil, err
 			}
@@ -342,10 +342,10 @@ func (p *Pool) Stats() PoolStats {
 // PoolSet lazily manages one Pool per key (e.g. per compiled module).
 // Lookup of an existing pool is lock-free (the key→pool table is an
 // immutable map republished on insert); only pool creation takes the
-// set mutex. The zero value is ready to use.
+// set mutex. The zero value with NextSeed set is ready to use.
 type PoolSet struct {
 	// NextSeed is every created pool's seed source, so all pools of one
-	// process share one (see NewPool). Set it before the first For.
+	// process share one (see NewPool).
 	NextSeed func() uint64
 
 	// snap is the published key→pool table; mutations clone under mu

@@ -100,17 +100,14 @@ type Server struct {
 
 // New builds a Server (and its engine) for the options.
 func New(opts Options) (*Server, error) {
-	newEngine := func(cfg cage.Config) (*cage.Engine, error) {
-		eng := cage.NewEngine(cfg)
+	tune := func(eng *cage.Engine) error {
 		if opts.ExtendedSandboxes {
-			if err := eng.EnableExtendedSandboxes(); err != nil {
-				return nil, err
-			}
+			return eng.EnableExtendedSandboxes()
 		}
-		return eng, nil
+		return nil
 	}
-	eng, err := newEngine(opts.Config)
-	if err != nil {
+	eng := cage.NewEngine(opts.Config)
+	if err := tune(eng); err != nil {
 		return nil, err
 	}
 	s := &Server{opts: opts, eng: eng, tenants: make(map[string]*tenant)}
@@ -121,7 +118,8 @@ func New(opts Options) (*Server, error) {
 	if needHardened {
 		hcfg := opts.Config
 		hcfg.SpectreHarden = true
-		if s.hardEng, err = newEngine(hcfg); err != nil {
+		s.hardEng = cage.NewEngine(hcfg)
+		if err := tune(s.hardEng); err != nil {
 			return nil, err
 		}
 	}
