@@ -222,13 +222,10 @@ func BenchmarkHostCall(b *testing.B) {
 		}`
 	const calls = 1024
 	run := func(b *testing.B, register func(hm *HostModule)) {
-		eng := NewEngine(Baseline64())
-		defer eng.Close()
-		hm, err := eng.NewHostModule("env")
-		if err != nil {
-			b.Fatal(err)
-		}
+		hm := NewHostModule("env")
 		register(hm)
+		eng := engineWith(Baseline64(), hm)
+		defer eng.Close()
 		mod, err := eng.CompileSource(src)
 		if err != nil {
 			b.Fatal(err)

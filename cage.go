@@ -31,18 +31,18 @@
 //
 // # Host modules
 //
-// Embedders extend the host surface with Engine.NewHostModule (or
-// Runtime.NewHostModule) before the first call: typed adapters
-// (HostFunc1, HostVoid2, ...) lower Go functions onto wasm import
-// slots, and every host function receives a HostContext carrying the
-// call's context, a bounds-checked Memory view over guest memory,
-// ConsumeFuel debiting against WithFuel budgets, and re-entrant guest
-// Call riding the per-call meter chain. The host surface freezes at
-// first use (ErrEngineStarted), so resolved import tables are
-// snapshotted per compiled module and shared by pooled instances; the
-// built-in WASI, hardened-libc, and env surfaces register through the
-// same API. Link failures are structured LinkErrors wrapping
-// ErrUnresolvedImport / ErrImportTypeMismatch.
+// Embedders extend the host surface with modules built by NewHostModule
+// and passed in Config.HostModules: typed adapters (HostFunc1,
+// HostVoid2, ...) lower Go functions onto wasm import slots, and every
+// host function receives a HostContext carrying the call's context, a
+// bounds-checked Memory view over guest memory, ConsumeFuel debiting
+// against WithFuel budgets, and re-entrant guest Call riding the
+// per-call meter chain. NewRuntime (and so NewEngine) freezes the host
+// surface, so resolved import tables are snapshotted per compiled
+// module and shared by pooled instances; the built-in WASI,
+// hardened-libc, and env surfaces are built with the same API. Link
+// failures are structured LinkErrors wrapping ErrUnresolvedImport /
+// ErrImportTypeMismatch.
 //
 // # Execution pipeline
 //
@@ -113,7 +113,9 @@ import (
 )
 
 // Config selects the Cage components for both compilation and execution
-// (paper Table 3 configurations).
+// (paper Table 3 configurations), plus what a Runtime or Engine built
+// from it links guests against. NewRuntime and NewEngine read it once:
+// nothing about a runtime's configuration changes after construction.
 type Config struct {
 	// Wasm64 selects 64-bit linear memory (required by every Cage
 	// feature); false builds the wasm32 guard-page baseline.
@@ -136,6 +138,24 @@ type Config struct {
 	// the fuel they cost (the mitigation tax of the paper's threat-model
 	// discussion).
 	SpectreHarden bool
+	// ExtendedSandboxes lifts the per-process sandbox budget (15 tags,
+	// or 1 when MTE also carries memory safety, §7.4) by reusing tags
+	// across instances with disjoint, guard-separated memory ranges —
+	// the scaling extension the paper sketches in §6.4 — and with it
+	// each engine pool's cap.
+	ExtendedSandboxes bool
+
+	// HostModules are embedder host modules (built with NewHostModule)
+	// whose functions guests may import alongside the built-in WASI,
+	// hardened-libc and env surfaces. A module named "env" extends the
+	// built-in env surface, where MiniC extern declarations resolve; a
+	// per-function name collision with a built-in surfaces as a link
+	// error. NewRuntime freezes every module, so define its functions
+	// first; one module may serve several runtimes.
+	HostModules []*HostModule
+	// Stdout and Stderr receive the guest's WASI fd_write output (fds 1
+	// and 2) and the env print helpers' (stdout). Nil discards it.
+	Stdout, Stderr io.Writer
 }
 
 // Preset configurations (paper Table 3).
@@ -208,6 +228,7 @@ func (c Config) features() core.Features {
 		PtrAuth:       c.PointerAuth,
 		MTEMode:       mte.ModeSync,
 		SpectreHarden: c.SpectreHarden,
+		TagReuse:      c.ExtendedSandboxes,
 	}
 }
 
@@ -292,29 +313,20 @@ func (tc *Toolchain) CompileSource(src string) (*Module, error) {
 
 // Runtime instantiates modules under a shared process context: one PAC
 // process key, one sandbox-tag allocator (at most 15 sandboxes per
-// process, paper §7.4), and one host surface. Instantiate is safe to
-// call concurrently; the sandbox allocator serializes tag assignment
-// internally.
+// process, paper §7.4, unless Config.ExtendedSandboxes), and one host
+// surface, all fixed by the Config it was built from. Instantiate is
+// safe to call concurrently; the sandbox allocator serializes tag
+// assignment internally.
 type Runtime struct {
 	cfg       Config
 	key       pac.Key
 	sandboxes *core.SandboxAllocator
 	seed      atomic.Uint64
-	stdout    io.Writer
-	stderr    io.Writer
 
-	// Configuration: the host surface — the built-in modules (hardened
-	// libc, WASI, env) plus embedder modules registered via
-	// NewHostModule — and whether an engine lifted the tag budget
-	// (Engine.EnableExtendedSandboxes). started, under hostMu, is the
-	// one flag that freezes both: it is set at the first Instantiate or
-	// the engine's first pool, whichever comes first, and afterwards
-	// either call fails with ErrEngineStarted — so resolved import
-	// tables can be cached per module and shared by pooled instances,
-	// and every pool is capped as the budget it was made under.
-	hostMu   sync.Mutex
-	started  bool
-	extended bool
+	// hostMods is the host surface: the built-in modules (hardened libc,
+	// WASI, env) plus Config.HostModules, frozen at construction so
+	// resolved import tables can be cached per module and shared by
+	// pooled instances.
 	hostMods []*exec.HostModule
 
 	// programs caches lowered instruction streams per (module content
@@ -328,7 +340,8 @@ type Runtime struct {
 	imports  engine.Cache[*exec.ImportTable]
 }
 
-// NewRuntime creates a process-level runtime for the configuration.
+// NewRuntime creates a process-level runtime for the configuration,
+// freezing its host surface.
 func NewRuntime(cfg Config) *Runtime {
 	rt := &Runtime{
 		cfg:       cfg,
@@ -337,7 +350,11 @@ func NewRuntime(cfg Config) *Runtime {
 	}
 	rt.hostMods = append(rt.hostMods, alloc.HostModules()...)
 	rt.hostMods = append(rt.hostMods, wasi.HostModule())
-	rt.hostMods = append(rt.hostMods, envHostModules(rt)...)
+	rt.hostMods = append(rt.hostMods, envHostModules(cfg.Stdout)...)
+	rt.hostMods = append(rt.hostMods, cfg.HostModules...)
+	for _, hm := range rt.hostMods {
+		hm.Freeze()
+	}
 	rt.seed.Store(1)
 	return rt
 }
@@ -357,71 +374,25 @@ func (rt *Runtime) DispatchMode() (memory, fusion string) {
 	return memory, "exhaustive"
 }
 
-// NewHostModule creates an embedder host module named name and
-// registers it with the runtime: its functions become importable by
-// every module instantiated afterwards. Functions land in the guest's
-// import namespace alongside the built-ins — a module named "env"
-// extends the default env surface (MiniC extern functions resolve
-// there), and a per-function name collision with a built-in surfaces
-// as a link error at Instantiate.
-//
-// The host surface is fixed at the runtime's first Instantiate (the
-// engine's first Call or Snapshot); afterwards NewHostModule fails with
-// ErrEngineStarted, like Engine.EnableExtendedSandboxes.
-func (rt *Runtime) NewHostModule(name string) (*HostModule, error) {
-	rt.hostMu.Lock()
-	defer rt.hostMu.Unlock()
-	if rt.started {
-		return nil, ErrEngineStarted
-	}
-	hm := exec.NewHostModule(name)
-	rt.hostMods = append(rt.hostMods, hm)
-	return hm, nil
-}
-
-// freeze fixes the runtime's configuration and returns the host
-// surface and whether extended sandboxes are on.
-func (rt *Runtime) freeze() (mods []*exec.HostModule, extended bool) {
-	rt.hostMu.Lock()
-	defer rt.hostMu.Unlock()
-	if !rt.started {
-		rt.started = true
-		for _, hm := range rt.hostMods {
-			hm.Freeze()
-		}
-	}
-	return rt.hostMods, rt.extended
-}
-
 // importTable resolves (with caching) m's imports against the frozen
 // host surface. Link failures carry structured detail: errors.Is
 // ErrUnresolvedImport / ErrImportTypeMismatch, errors.As *LinkError.
 func (rt *Runtime) importTable(m *Module) (*exec.ImportTable, error) {
-	mods, _ := rt.freeze()
 	hash, err := m.contentHash()
 	if err != nil {
-		return exec.ResolveImports(m.wasm, mods...)
+		return exec.ResolveImports(m.wasm, rt.hostMods...)
 	}
 	key := engine.Key{Hash: hash, Variant: "imports"}
 	return rt.imports.GetOrBuild(key, func() (*exec.ImportTable, error) {
-		return exec.ResolveImports(m.wasm, mods...)
+		return exec.ResolveImports(m.wasm, rt.hostMods...)
 	})
 }
-
-// SetStdio routes WASI fd_write output.
-func (rt *Runtime) SetStdio(stdout, stderr io.Writer) {
-	rt.stdout, rt.stderr = stdout, stderr
-}
-
-// EnableExtendedSandboxes lifts the 15-sandbox-per-process limit by
-// reusing tags across instances with disjoint, guard-separated memory
-// ranges — the scaling extension the paper sketches in §6.4.
-func (rt *Runtime) EnableExtendedSandboxes() { rt.sandboxes.EnableTagReuse() }
 
 // Instance is a running module.
 type Instance struct {
 	inst  *exec.Instance
 	alloc *alloc.Allocator
+	wasi  *wasi.System
 }
 
 // hostState is the per-instance host-side state every host function
@@ -438,8 +409,7 @@ func (h *hostState) HeapAllocator() *alloc.Allocator { return h.alloc }
 func (h *hostState) WASISystem() *wasi.System        { return h.wasi }
 
 // Instantiate validates, links (WASI + hardened libc + env helpers +
-// registered embedder host modules), and instantiates a module. The
-// first Instantiate freezes the runtime's host surface.
+// Config.HostModules), and instantiates a module.
 func (rt *Runtime) Instantiate(m *Module) (*Instance, error) {
 	return rt.instantiate(m, nil)
 }
@@ -447,14 +417,14 @@ func (rt *Runtime) Instantiate(m *Module) (*Instance, error) {
 // instantiate is Instantiate with an optional snapshot: when snap is
 // non-nil the instance is forked from the frozen image (exec restores
 // memory/globals/table/tags, the allocator adopts the image's heap
-// bookkeeping) instead of replaying data segments, tagging memory, and
-// running the start function.
+// bookkeeping, WASI its clock and random state) instead of replaying
+// data segments, tagging memory, and running the start function.
 func (rt *Runtime) instantiate(m *Module, snap *Snapshot) (*Instance, error) {
 	table, err := rt.importTable(m)
 	if err != nil {
 		return nil, err
 	}
-	state := &hostState{wasi: wasi.New(rt.stdout, rt.stderr)}
+	state := &hostState{wasi: wasi.New(rt.cfg.Stdout, rt.cfg.Stderr)}
 	ecfg := exec.Config{
 		Features:   rt.cfg.features(),
 		Imports:    table,
@@ -465,6 +435,7 @@ func (rt *Runtime) instantiate(m *Module, snap *Snapshot) (*Instance, error) {
 	}
 	if snap != nil {
 		ecfg.Snapshot = snap.exec
+		state.wasi.Restore(snap.wasi)
 	}
 	prog, err := rt.loweredProgram(m, ecfg)
 	if err != nil {
@@ -475,7 +446,7 @@ func (rt *Runtime) instantiate(m *Module, snap *Snapshot) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Instance{inst: inst}
+	out := &Instance{inst: inst, wasi: state.wasi}
 	if heapBase, ok := inst.GlobalValue("__heap_base"); ok {
 		out.alloc, err = alloc.New(inst, heapBase)
 		if err != nil {
@@ -565,21 +536,21 @@ func (i *Instance) Close() error { return i.inst.Close() }
 // in both the wasm64 ("env") and ILP32 wasm32 ("env32") ABI variants,
 // on the typed adapters (print_str's Str parameter is the (ptr, len)
 // pair read through the bounds-checked Memory view). The print
-// functions read rt.stdout at call time, so SetStdio keeps working.
-func envHostModules(rt *Runtime) []*exec.HostModule {
+// functions write to stdout, or nowhere when it is nil.
+func envHostModules(stdout io.Writer) []*exec.HostModule {
 	build := func(hm *exec.HostModule) *exec.HostModule {
 		exec.Func1(hm, "sqrt", func(_ *exec.HostContext, x float64) (float64, error) {
 			return math.Sqrt(x), nil
 		})
 		exec.Void1(hm, "print_double", func(_ *exec.HostContext, v float64) error {
-			if rt.stdout != nil {
-				fmt.Fprintf(rt.stdout, "%g\n", v)
+			if stdout != nil {
+				fmt.Fprintf(stdout, "%g\n", v)
 			}
 			return nil
 		})
 		exec.Void1(hm, "print_str", func(_ *exec.HostContext, s exec.Str) error {
-			if rt.stdout != nil {
-				fmt.Fprintf(rt.stdout, "%s", string(s))
+			if stdout != nil {
+				fmt.Fprintf(stdout, "%s", string(s))
 			}
 			return nil
 		})
@@ -588,15 +559,15 @@ func envHostModules(rt *Runtime) []*exec.HostModule {
 	}
 	env := build(exec.NewHostModule("env"))
 	exec.Void1(env, "print_long", func(_ *exec.HostContext, v int64) error {
-		if rt.stdout != nil {
-			fmt.Fprintf(rt.stdout, "%d\n", v)
+		if stdout != nil {
+			fmt.Fprintf(stdout, "%d\n", v)
 		}
 		return nil
 	})
 	env32 := build(exec.NewHostModule("env32").Ptr32())
 	exec.Void1(env32, "print_long", func(_ *exec.HostContext, v int32) error {
-		if rt.stdout != nil {
-			fmt.Fprintf(rt.stdout, "%d\n", v)
+		if stdout != nil {
+			fmt.Fprintf(stdout, "%d\n", v)
 		}
 		return nil
 	})

@@ -125,10 +125,9 @@ func TestStdioRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := NewRuntime(cfg)
 	var out bytes.Buffer
-	rt.SetStdio(&out, &out)
-	inst, err := rt.Instantiate(mod)
+	cfg.Stdout, cfg.Stderr = &out, &out
+	inst, err := NewRuntime(cfg).Instantiate(mod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +218,8 @@ long f(long x) { return x * 2; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.ExtendedSandboxes = true
 	rt := NewRuntime(cfg)
-	rt.EnableExtendedSandboxes()
 	var insts []*Instance
 	for i := 0; i < 40; i++ {
 		inst, err := rt.Instantiate(mod)

@@ -3,7 +3,6 @@ package cage
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,80 +232,20 @@ func TestCallStackDepthOption(t *testing.T) {
 	}
 }
 
-// TestConfigurationAfterFirstCallFails: pool parameters are frozen once
-// the engine has served an invocation.
-func TestConfigurationAfterFirstCallFails(t *testing.T) {
-	eng := NewEngine(MemorySafetyOnly())
-	defer eng.Close()
-	mod := compileCallTest(t, eng)
-	if _, err := eng.Call(context.Background(), mod, "work", []uint64{10}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.NewHostModule("late"); !errors.Is(err, ErrEngineStarted) {
-		t.Errorf("NewHostModule after Call = %v, want ErrEngineStarted", err)
-	}
-	if err := eng.EnableExtendedSandboxes(); !errors.Is(err, ErrEngineStarted) {
-		t.Errorf("EnableExtendedSandboxes after Call = %v, want ErrEngineStarted", err)
-	}
-}
-
-// TestConfigurationAfterSnapshotFails: an Engine.Snapshot instantiates
-// the module, which freezes the whole configuration — the budget as
-// well as the host surface — even before any Call.
-func TestConfigurationAfterSnapshotFails(t *testing.T) {
-	eng := NewEngine(SandboxingOnly())
-	defer eng.Close()
-	mod := compileCallTest(t, eng)
-	if _, err := eng.Snapshot(context.Background(), mod); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.NewHostModule("late"); !errors.Is(err, ErrEngineStarted) {
-		t.Errorf("NewHostModule after Snapshot = %v, want ErrEngineStarted", err)
-	}
-	if err := eng.EnableExtendedSandboxes(); !errors.Is(err, ErrEngineStarted) {
-		t.Errorf("EnableExtendedSandboxes after Snapshot = %v, want ErrEngineStarted", err)
-	}
-}
-
-// TestExtendedSandboxesRacingFirstCall races EnableExtendedSandboxes
-// against the engine's first Call under SandboxingOnly (a 15-tag
-// budget). Each run must come out one way or the other: the call takes
-// effect (16 checkouts are held at once) or fails with ErrEngineStarted
-// (the pool stays capped at 15) — never success with a capped pool.
-func TestExtendedSandboxesRacingFirstCall(t *testing.T) {
+// TestExtendedSandboxesHoldSixteenCheckouts: under SandboxingOnly (a
+// 15-tag budget) an engine built with ExtendedSandboxes holds 16
+// checkouts of one module at once, and one built without it never
+// holds more than 15 (the 16th queues on the pool's cap).
+func TestExtendedSandboxesHoldSixteenCheckouts(t *testing.T) {
 	const want = 16
-	for run := 0; run < 20; run++ {
-		eng := NewEngine(SandboxingOnly())
+	for _, extended := range []bool{false, true} {
+		cfg := SandboxingOnly()
+		cfg.ExtendedSandboxes = extended
+		eng := NewEngine(cfg)
 		mod := compileCallTest(t, eng)
-		start := make(chan struct{})
-		var enableErr, callErr error
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			<-start
-			enableErr = eng.EnableExtendedSandboxes()
-		}()
-		go func() {
-			defer wg.Done()
-			<-start
-			for i := 0; i < run%4; i++ {
-				runtime.Gosched() // vary which side wins
-			}
-			_, callErr = eng.Call(context.Background(), mod, "work", []uint64{10})
-		}()
-		close(start)
-		wg.Wait()
-		if callErr != nil {
-			t.Fatalf("run %d: first Call: %v", run, callErr)
-		}
-		capped := errors.Is(enableErr, ErrEngineStarted)
-		if enableErr != nil && !capped {
-			t.Fatalf("run %d: EnableExtendedSandboxes = %v", run, enableErr)
-		}
 
 		// Hold up to 16 checkouts at once. Once 15 are in, a 16th gets
-		// 500 ms to join before every holder lets go.
+		// until the wait below to join before every holder lets go.
 		ctx, cancel := context.WithCancel(context.Background())
 		var held atomic.Int32
 		fifteen, all := make(chan struct{}), make(chan struct{})
@@ -328,16 +267,19 @@ func TestExtendedSandboxesRacingFirstCall(t *testing.T) {
 			}()
 		}
 		<-fifteen
+		wait := 300 * time.Millisecond
+		if extended {
+			wait = 10 * time.Second // the 16th must come; only a failure waits this long
+		}
 		select {
 		case <-all:
-		case <-time.After(500 * time.Millisecond):
+		case <-time.After(wait):
 		}
 		cancel()
 		holders.Wait()
 		eng.Close()
-		if got := int(held.Load()); capped && got != want-1 || !capped && got != want {
-			t.Fatalf("run %d: EnableExtendedSandboxes = %v, %d checkouts held at once; want %d",
-				run, enableErr, got, map[bool]int{true: want - 1, false: want}[capped])
+		if got, limit := int(held.Load()), map[bool]int{false: want - 1, true: want}[extended]; got != limit {
+			t.Errorf("ExtendedSandboxes=%t: %d checkouts held at once, want %d", extended, got, limit)
 		}
 	}
 }

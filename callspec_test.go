@@ -59,28 +59,41 @@ func TestCallWithZeroAlloc(t *testing.T) {
 	}
 	eng := NewEngine(SandboxingOnly())
 	defer eng.Close()
-	mod, err := eng.CompileSource(callTestSource)
+	compiled, err := eng.CompileSource(callTestSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	args := []uint64{64}
-	spec := CallSpec{Results: make([]uint64, 4)}
-
-	// Warm: spawn the instance, capture the baseline snapshot, build the
-	// pool, publish every cache map.
-	for i := 0; i < 3; i++ {
-		if _, err := eng.CallWith(ctx, mod, "work", args, spec); err != nil {
-			t.Fatal(err)
-		}
+	cases := []struct {
+		name string
+		mod  *Module
+		fn   string
+		args []uint64
+		want uint64
+	}{
+		{"minicc", compiled, "work", []uint64{64}, 2016},
+		// A WASI import: the reset also restores the clock, so every
+		// call reads the first value.
+		{"wasi clock", &Module{wasm: wasiStateModule()}, "now", nil, 1_000_001_000},
 	}
-
-	if n := testing.AllocsPerRun(200, func() {
-		res, err := eng.CallWith(ctx, mod, "work", args, spec)
-		if err != nil || res.Values[0] != 2016 {
-			panic("bad result")
-		}
-	}); n != 0 {
-		t.Fatalf("CallWith allocates %v/op steady-state, want 0", n)
+	ctx := context.Background()
+	spec := CallSpec{Results: make([]uint64, 4)}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Warm: spawn the instance, capture the baseline snapshot,
+			// build the pool, publish every cache map.
+			for i := 0; i < 3; i++ {
+				if _, err := eng.CallWith(ctx, tc.mod, tc.fn, tc.args, spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := testing.AllocsPerRun(200, func() {
+				res, err := eng.CallWith(ctx, tc.mod, tc.fn, tc.args, spec)
+				if err != nil || res.Values[0] != tc.want {
+					panic("bad result")
+				}
+			}); n != 0 {
+				t.Fatalf("CallWith allocates %v/op steady-state, want 0", n)
+			}
+		})
 	}
 }

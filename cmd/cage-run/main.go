@@ -69,9 +69,9 @@ func main() {
 		args = append(args, uint64(v))
 	}
 
+	cfg.Stdout, cfg.Stderr = os.Stdout, os.Stderr
 	eng := cage.NewEngine(cfg)
 	defer eng.Close()
-	eng.Runtime().SetStdio(os.Stdout, os.Stderr)
 	mod, err := eng.DecodeModule(bin)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cage-run: %v\n", err)

@@ -82,6 +82,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cage-serve: %v\n", err)
 		os.Exit(2)
 	}
+	cfg.ExtendedSandboxes = *extended
 	quota := serve.QuotaPolicy{
 		Fuel:           *fuel,
 		Timeout:        *timeout,
@@ -107,13 +108,12 @@ func main() {
 		}
 	}
 	srv, err := serve.New(serve.Options{
-		Config:            cfg,
-		ConfigName:        *cfgName,
-		DefaultQuota:      quota,
-		Tenants:           tenants,
-		MaxTenants:        *maxTenants,
-		MaxUploadBytes:    *maxUploadBytes,
-		ExtendedSandboxes: *extended,
+		Config:         cfg,
+		ConfigName:     *cfgName,
+		DefaultQuota:   quota,
+		Tenants:        tenants,
+		MaxTenants:     *maxTenants,
+		MaxUploadBytes: *maxUploadBytes,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cage-serve: %v\n", err)

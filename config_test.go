@@ -1,6 +1,7 @@
 package cage
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,7 +29,7 @@ func TestConfigByName(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ConfigByName(%q): %v", tc.name, err)
 			}
-			if got != tc.want {
+			if !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("ConfigByName(%q) = %+v, want %+v", tc.name, got, tc.want)
 			}
 		})
@@ -58,7 +59,7 @@ func TestConfigByName(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ConfigByName(%q): %v", name, err)
 			}
-			if got != want {
+			if !reflect.DeepEqual(got, want) {
 				t.Errorf("ConfigByName(%q) = %+v, want the %s constructor's %+v", name, got, name, want)
 			}
 		}

@@ -29,7 +29,7 @@ import (
 // another module the checkout queues until a tag is released or an
 // instance is checked in — Call never surfaces
 // core.ErrSandboxesExhausted under a plain budget.
-// EnableExtendedSandboxes lifts the budget entirely.
+// Config.ExtendedSandboxes lifts the budget entirely.
 //
 //	eng := cage.NewEngine(cage.FullHardening())
 //	mod, err := eng.CompileSource(src)
@@ -83,59 +83,9 @@ func poolBudget(cfg Config) int {
 	return 0 // not tag-limited
 }
 
-// poolCap freezes the engine's configuration and returns the cap of a
-// pool made now: none once extended sandboxes are on, the tag budget
-// otherwise. Frozen first, so the cap can no longer change under it.
-func (e *Engine) poolCap() int {
-	if _, extended := e.rt.freeze(); extended {
-		return 0
-	}
-	return poolBudget(e.cfg)
-}
-
 // Runtime exposes the engine's process-level runtime (PAC key, sandbox
-// allocator, stdio routing).
+// allocator, host surface).
 func (e *Engine) Runtime() *Runtime { return e.rt }
-
-// NewHostModule creates an embedder host module named name and
-// registers it with the engine: every module instantiated by this
-// engine can import its functions. Define functions with the typed
-// adapters (HostFunc1, HostVoid2, ...) or the raw Func slot; a module
-// named "env" extends the built-in env surface, which is where MiniC
-// extern declarations resolve.
-//
-// Like EnableExtendedSandboxes, it must be called before the engine's
-// first Call or Snapshot; afterwards it fails with ErrEngineStarted
-// (the host surface is frozen so resolved import tables can be shared
-// by pooled instances).
-func (e *Engine) NewHostModule(name string) (*HostModule, error) {
-	return e.rt.NewHostModule(name)
-}
-
-// ErrEngineStarted is returned by configuration methods called after
-// the engine has started: its first instantiation (a Call, a Snapshot)
-// or its first pool freezes the host surface and the pool cap, so late
-// mutation would race with (and be silently ignored by) in-flight
-// checkouts. The check and the freeze share one lock, so a
-// configuration call racing the first Call either takes effect or
-// fails — never silently neither.
-var ErrEngineStarted = errors.New("cage: engine already started; configure it before the first Call or Snapshot")
-
-// EnableExtendedSandboxes lifts the 15-sandbox limit via §6.4 tag reuse
-// and removes the pool cap it implies. It must be called before the
-// engine's first Call or Snapshot; afterwards it fails with
-// ErrEngineStarted.
-func (e *Engine) EnableExtendedSandboxes() error {
-	rt := e.rt
-	rt.hostMu.Lock()
-	defer rt.hostMu.Unlock()
-	if rt.started {
-		return ErrEngineStarted
-	}
-	rt.extended = true
-	rt.EnableExtendedSandboxes()
-	return nil
-}
 
 // cacheVariant encodes everything besides the source that influences
 // compilation, so distinct configurations never share a cache entry.
@@ -243,7 +193,7 @@ func (e *Engine) pool(m *Module) *engine.Pool {
 	if p, ok := e.pools.Lookup(m); ok {
 		return p
 	}
-	return e.pools.For(m, e.poolCap(), func(ctx context.Context) (engine.Resetter, error) {
+	return e.pools.For(m, poolBudget(e.cfg), func(ctx context.Context) (engine.Resetter, error) {
 		inst, err := e.birth(ctx, m, true)
 		if err != nil {
 			return nil, err

@@ -115,18 +115,12 @@ func ExampleEngine() {
 	// compiles: 1, instances spawned: 1, recycled: 3
 }
 
-// ExampleEngine_NewHostModule registers an embedder host module before
-// the engine's first call: the typed adapter derives the wasm import
+// ExampleNewHostModule builds an embedder host module and passes it to
+// the engine in its Config: the typed adapter derives the wasm import
 // signature from the Go function, and the MiniC extern resolves
 // against it.
-func ExampleEngine_NewHostModule() {
-	eng := cage.NewEngine(cage.FullHardening())
-	defer eng.Close()
-
-	hm, err := eng.NewHostModule("env")
-	if err != nil {
-		panic(err)
-	}
+func ExampleNewHostModule() {
+	hm := cage.NewHostModule("env")
 	cage.HostFunc2(hm, "powi", func(_ *cage.HostContext, base, exp int64) (int64, error) {
 		r := int64(1)
 		for ; exp > 0; exp-- {
@@ -134,6 +128,10 @@ func ExampleEngine_NewHostModule() {
 		}
 		return r, nil
 	})
+	cfg := cage.FullHardening()
+	cfg.HostModules = []*cage.HostModule{hm}
+	eng := cage.NewEngine(cfg)
+	defer eng.Close()
 
 	mod, err := eng.CompileSource(`
 		extern long powi(long base, long exp);

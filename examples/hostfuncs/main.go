@@ -40,15 +40,9 @@ long blocked(long x) {
 `
 
 func main() {
-	eng := cage.NewEngine(cage.FullHardening())
-	defer eng.Close()
-
-	// Host modules must be registered before the engine's first Call
-	// (afterwards NewHostModule fails with ErrEngineStarted).
-	hm, err := eng.NewHostModule("env")
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Host modules are part of the engine's configuration: define their
+	// functions, then build the engine (which freezes them).
+	hm := cage.NewHostModule("env")
 
 	// A typed host function: long kv_get(long) — the signature is
 	// derived from the Go types. ConsumeFuel charges the lookup against
@@ -77,6 +71,11 @@ func main() {
 			return 0, hc.Context().Err()
 		}
 	})
+
+	cfg := cage.FullHardening()
+	cfg.HostModules = []*cage.HostModule{hm}
+	eng := cage.NewEngine(cfg)
+	defer eng.Close()
 
 	mod, err := eng.CompileSource(guest)
 	if err != nil {

@@ -47,8 +47,8 @@ func main() {
 	}
 	fmt.Printf("compiled %d bytes of hardened wasm64\n", len(bin))
 
+	cfg.Stdout, cfg.Stderr = os.Stdout, os.Stderr
 	rt := cage.NewRuntime(cfg)
-	rt.SetStdio(os.Stdout, os.Stderr)
 	inst, err := rt.Instantiate(mod)
 	if err != nil {
 		log.Fatalf("instantiate: %v", err)

@@ -32,13 +32,12 @@ long drop(long x) { free((char*)p); return 0; }
 // nothing observable: neither ordinary writes nor MTE tag transitions
 // (a free in one fork retags only that fork's memory) leak across.
 func TestForkIsolation(t *testing.T) {
-	eng := NewEngine(FullHardening())
-	defer eng.Close()
 	// Combined mode budgets one sandbox tag; §6.4 tag reuse lets the two
 	// forks live side by side.
-	if err := eng.EnableExtendedSandboxes(); err != nil {
-		t.Fatal(err)
-	}
+	cfg := FullHardening()
+	cfg.ExtendedSandboxes = true
+	eng := NewEngine(cfg)
+	defer eng.Close()
 	mod, err := eng.CompileSource(forkGuest)
 	if err != nil {
 		t.Fatal(err)

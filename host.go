@@ -10,21 +10,29 @@ import (
 )
 
 // HostModule is a named module of host functions guests import
-// ("env.log", "mymod.get_config", ...). Obtain one from
-// Engine.NewHostModule (or Runtime.NewHostModule) before the engine's
-// first Call, then define functions with the typed adapters
-// (HostFunc0..HostFunc4, HostVoid0..HostVoid4) or the raw Func slot:
+// ("env.log", "mymod.get_config", ...). Build one with NewHostModule,
+// define functions with the typed adapters (HostFunc0..HostFunc4,
+// HostVoid0..HostVoid4) or the raw Func slot, and pass it in
+// Config.HostModules:
 //
-//	hm, err := eng.NewHostModule("env")
+//	hm := cage.NewHostModule("env")
 //	cage.HostFunc2(hm, "add", func(hc *cage.HostContext, a, b int64) (int64, error) {
 //	    return a + b, nil
 //	})
+//	cfg := cage.FullHardening()
+//	cfg.HostModules = []*cage.HostModule{hm}
+//	eng := cage.NewEngine(cfg)
 //
-// The module freezes at the engine's first use (ErrEngineStarted
-// semantics): the host surface is fixed before the first call, so
+// NewRuntime (and so NewEngine) freezes the module — a later definition
+// panics — so the host surface is fixed for the runtime's life and
 // resolved import tables are snapshotted per compiled module and
 // shared by every pooled instance.
 type HostModule = exec.HostModule
+
+// NewHostModule creates an empty embedder host module named name, using
+// the wasm64 pointer ABI (call Ptr32 before defining functions for an
+// ILP32 module).
+func NewHostModule(name string) *HostModule { return exec.NewHostModule(name) }
 
 // HostContext is passed to every host function: the in-flight call's
 // context (Context), a bounds-checked view of guest memory (Memory),

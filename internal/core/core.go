@@ -31,6 +31,13 @@ type Features struct {
 	// event/fuel accounting differs — so it does not participate in tag
 	// policy derivation (NewPolicy ignores it).
 	SpectreHarden bool
+	// TagReuse is the paper's §6.4 future-work extension: sandbox tags
+	// may be reused across instances whose linear memories occupy
+	// disjoint, guard-separated address ranges, which lifts the
+	// per-process sandbox limit (NewPolicy raises MaxSandboxes). It holds
+	// in this runtime because every instance owns a private
+	// linear-memory mapping.
+	TagReuse bool
 }
 
 // CageAll returns the full Cage configuration (all features, sync MTE).
@@ -61,7 +68,8 @@ type Policy struct {
 	// allowed to contribute (Fig. 13: tag bits owned by the runtime are
 	// cleared from the index before adding the heap base).
 	IndexMask uint64
-	// MaxSandboxes is how many instances can coexist in one process.
+	// MaxSandboxes is how many instances can coexist in one process:
+	// the tag budget, or unbounded under TagReuse.
 	MaxSandboxes int
 	// SandboxBit is the tag bit carrying sandbox identity in combined
 	// mode (0 when unused).
@@ -86,6 +94,9 @@ func NewPolicy(f Features) Policy {
 	case f.MemSafety:
 		p.IRGExclude = 1 << RuntimeTag // zero tag reserved for guards
 		p.MaxSandboxes = 1 << 30       // sandboxing not tag-limited
+	}
+	if f.TagReuse {
+		p.MaxSandboxes = 1 << 30
 	}
 	return p
 }
@@ -127,31 +138,15 @@ func (p Policy) MaskIndex(index uint64) uint64 { return index & p.IndexMask }
 // and retires instances from many goroutines shares one allocator per
 // process, so Acquire/Release serialize on an internal mutex.
 type SandboxAllocator struct {
-	mu    sync.Mutex
-	pol   Policy
-	refs  [mte.NumTags]int // live instances per tag (tag reuse may stack)
-	count int
-	// reuse implements the paper's §6.4 future-work extension: tags may
-	// be reused across sandboxes whose linear memories occupy disjoint,
-	// guard-separated address ranges, lifting the 15-per-process limit.
-	reuse   bool
+	mu      sync.Mutex
+	pol     Policy
+	refs    [mte.NumTags]int // live instances per tag (tag reuse may stack)
+	count   int
 	nextRot uint8
 	// freed broadcasts tag releases to waiters: it is closed (and
 	// replaced lazily) on every Release that frees budget, the
 	// channel-shaped condition variable Released hands out.
 	freed chan struct{}
-}
-
-// EnableTagReuse lifts the sandbox limit by cycling tags across
-// instances. Safe only when each instance's reachable address range is
-// disjoint from every other instance with the same tag and separated by
-// guard pages — which holds in this runtime because every instance owns
-// a private linear-memory mapping (the combination of guard pages and
-// memory tagging the paper's §6.4 suggests).
-func (a *SandboxAllocator) EnableTagReuse() {
-	a.mu.Lock()
-	a.reuse = true
-	a.mu.Unlock()
 }
 
 // ErrSandboxesExhausted is returned when all sandbox tags are taken
@@ -188,33 +183,27 @@ func (a *SandboxAllocator) acquireLocked() (uint8, error) {
 	if !a.pol.Features.Sandbox {
 		return RuntimeTag, nil
 	}
+	if a.count >= a.pol.MaxSandboxes {
+		return 0, ErrSandboxesExhausted
+	}
+	a.count++
 	if a.pol.SandboxBit != 0 {
-		// Combined mode: the single sandbox is the odd-tag half.
-		if a.refs[a.pol.SandboxBit] >= 1 && !a.reuse {
-			return 0, ErrSandboxesExhausted
-		}
+		// Combined mode: every sandbox is the odd-tag half.
 		a.refs[a.pol.SandboxBit]++
-		a.count++
 		return a.pol.SandboxBit, nil
 	}
-	if a.count < a.pol.MaxSandboxes {
-		for t := uint8(1); t < mte.NumTags; t++ {
-			if a.refs[t] == 0 {
-				a.refs[t]++
-				a.count++
-				return t, nil
-			}
+	for t := uint8(1); t < mte.NumTags; t++ {
+		if a.refs[t] == 0 {
+			a.refs[t]++
+			return t, nil
 		}
 	}
-	if a.reuse {
-		// Extended mode: rotate through the guest tags; address-range
-		// disjointness keeps same-tag sandboxes apart.
-		a.nextRot = a.nextRot%(mte.NumTags-1) + 1
-		a.refs[a.nextRot]++
-		a.count++
-		return a.nextRot, nil
-	}
-	return 0, ErrSandboxesExhausted
+	// Every tag is live, which only tag reuse's budget admits: rotate
+	// through the guest tags; address-range disjointness keeps same-tag
+	// sandboxes apart.
+	a.nextRot = a.nextRot%(mte.NumTags-1) + 1
+	a.refs[a.nextRot]++
+	return a.nextRot, nil
 }
 
 // Release returns a sandbox tag to the pool, making it available to a

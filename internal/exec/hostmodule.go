@@ -14,11 +14,10 @@ import (
 // which derive the wasm signature from the Go signature and marshal
 // arguments and results.
 //
-// A HostModule is mutable until it is frozen: linking it into an
-// instance (ResolveImports — and therefore the first use of any engine
-// it is registered with) freezes it, after which further definitions
-// panic. This mirrors the facade's ErrEngineStarted
-// contract: the host surface is fixed before the first call, so
+// A HostModule is mutable until it is frozen: building a runtime with
+// it (the facade's NewRuntime / NewEngine) or linking it into an
+// instance (ResolveImports) freezes it, after which further definitions
+// panic. The host surface is thus fixed before the first call, so
 // resolved import tables can be snapshotted and shared by every pooled
 // instance without locking.
 type HostModule struct {
@@ -67,7 +66,7 @@ func (hm *HostModule) Func(name string, typ wasm.FuncType, fn HostFn) *HostModul
 	hm.mu.Lock()
 	defer hm.mu.Unlock()
 	if hm.frozen {
-		panic(fmt.Sprintf("exec: host module %q is frozen (already linked); define %s before first use", hm.name, name))
+		panic(fmt.Sprintf("exec: host module %q is frozen; define %s before building a runtime with it", hm.name, name))
 	}
 	if _, dup := hm.funcs[name]; dup {
 		panic(fmt.Sprintf("exec: host module %q: duplicate function %q", hm.name, name))

@@ -73,12 +73,15 @@
 // started with (MTE sandboxing, software bounds, or guard pages — the
 // Table 3 presets). The daemon itself adds no host functions beyond
 // the runtime's built-in surface (hardened libc, WASI stdio, env
-// helpers), so an uploaded module's reach is: its own linear memory,
-// its own hardened heap, and stdout/stderr of the daemon process.
+// helpers), so an uploaded module's reach is its own linear memory and
+// its own hardened heap; its WASI and env output goes to
+// Options.Config's Stdout/Stderr, which cage-serve leaves nil
+// (discarded).
 // Cross-tenant isolation rests on three mechanisms, from innermost
 // out: the sandbox (a guest cannot address another instance's
 // memory), the pool reset protocol (an instance is restored to its
-// module's image — bytes, tags and re-seeded randomness — before any
+// module's image — bytes, tags, WASI clock and random_get state, with
+// tag and PAC randomness re-seeded — before any
 // reuse, or discarded, so no tenant observes another's heap through
 // recycling), and per-tenant metrics/quota
 // namespaces (a tenant cannot read — or exhaust — another's

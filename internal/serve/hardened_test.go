@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"context"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cage"
 )
@@ -106,5 +110,56 @@ long bump(long d) { *cell = *cell + d; return *cell; }
 	entry.snapMu.Unlock()
 	if built != 2 {
 		t.Errorf("post-init snapshots built on %d engines, want 2 (base + hardened)", built)
+	}
+}
+
+// TestHardenedEngineInheritsExtendedSandboxes: the Spectre-hardened
+// sibling engine is built from a copy of Options.Config, so
+// ExtendedSandboxes lifts its §7.4 budget too — it holds more than the
+// 15 checkouts SandboxingOnly's tag budget allows at once.
+func TestHardenedEngineInheritsExtendedSandboxes(t *testing.T) {
+	const want = 16
+	cfg := cage.SandboxingOnly()
+	cfg.ExtendedSandboxes = true
+	ts, srv := newTestServer(t, Options{
+		Config:     cfg,
+		ConfigName: "sandbox",
+		Tenants:    map[string]QuotaPolicy{"spectre": {SpectreHardened: true}},
+	})
+	up := uploadSource(t, ts, "spectre", guestSource)
+	req := InvokeRequest{Module: up.Module, Function: "add", Args: []uint64{20, 22}}
+	if resp, ok, _ := invoke(t, ts, "spectre", req); resp.StatusCode != http.StatusOK || ok.Values[0] != 42 {
+		t.Fatalf("hardened invoke: status %d, values %v", resp.StatusCode, ok.Values)
+	}
+	entry, found := srv.reg.lookup(up.Module)
+	if !found {
+		t.Fatal("module vanished from the registry")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var held atomic.Int32
+	all := make(chan struct{})
+	var holders sync.WaitGroup
+	for i := 0; i < want; i++ {
+		holders.Add(1)
+		go func() {
+			defer holders.Done()
+			srv.hardEng.WithInstanceContext(ctx, entry.mod, func(*cage.Instance) error {
+				if held.Add(1) == want {
+					close(all)
+				}
+				<-ctx.Done()
+				return nil
+			})
+		}()
+	}
+	select {
+	case <-all:
+	case <-time.After(10 * time.Second):
+	}
+	cancel()
+	holders.Wait()
+	if got := held.Load(); got != want {
+		t.Errorf("hardened engine held %d checkouts at once, want %d", got, want)
 	}
 }

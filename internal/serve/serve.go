@@ -41,7 +41,11 @@ const maxInvokeBody = 1 << 20
 // Options configures a Server.
 type Options struct {
 	// Config is the sandbox preset every module is compiled and executed
-	// under (the server's one engine).
+	// under (the server's one engine), with the engine's host modules,
+	// stdio and sandbox budget (Config.ExtendedSandboxes lifts the §7.4
+	// budget and each module's pool cap; without it a checkout that finds
+	// every tag held queues in the engine until one is released). The
+	// Spectre-hardened sibling engine gets a copy with SpectreHarden set.
 	Config cage.Config
 	// ConfigName labels Config in /v1/stats (e.g. the cage.ConfigByName
 	// preset the CLI resolved).
@@ -64,11 +68,6 @@ type Options struct {
 	// enforced even for tenants whose policy leaves MaxModuleBytes at 0
 	// (unlimited). 0 means DefaultMaxUploadBytes; negative lifts the cap.
 	MaxUploadBytes int64
-	// ExtendedSandboxes lifts the 15-sandbox budget via §6.4 tag reuse,
-	// and with it each module's pool cap. Without it a module's pool is
-	// capped at the config's §7.4 tag budget, and a checkout that finds
-	// every tag held queues in the engine until one is released.
-	ExtendedSandboxes bool
 }
 
 // Server is the multi-tenant execution daemon: one engine (plus a
@@ -100,17 +99,7 @@ type Server struct {
 
 // New builds a Server (and its engine) for the options.
 func New(opts Options) (*Server, error) {
-	tune := func(eng *cage.Engine) error {
-		if opts.ExtendedSandboxes {
-			return eng.EnableExtendedSandboxes()
-		}
-		return nil
-	}
-	eng := cage.NewEngine(opts.Config)
-	if err := tune(eng); err != nil {
-		return nil, err
-	}
-	s := &Server{opts: opts, eng: eng, tenants: make(map[string]*tenant)}
+	s := &Server{opts: opts, eng: cage.NewEngine(opts.Config), tenants: make(map[string]*tenant)}
 	needHardened := opts.DefaultQuota.SpectreHardened
 	for _, p := range opts.Tenants {
 		needHardened = needHardened || p.SpectreHardened
@@ -119,9 +108,6 @@ func New(opts Options) (*Server, error) {
 		hcfg := opts.Config
 		hcfg.SpectreHarden = true
 		s.hardEng = cage.NewEngine(hcfg)
-		if err := tune(s.hardEng); err != nil {
-			return nil, err
-		}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/modules", s.handleUpload)

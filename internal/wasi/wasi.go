@@ -47,6 +47,14 @@ type System struct {
 	Stderr io.Writer
 	Args   []string
 	Env    []string
+	state  State
+}
+
+// State is the part of a System that guest calls advance. It is image
+// state: a snapshot captures it and every fork and pooled reset
+// restores it, so no call observes what an earlier call on the same
+// instance read.
+type State struct {
 	// clock is virtual time in nanoseconds, advanced per query so
 	// repeated reads are monotone yet deterministic.
 	clock uint64
@@ -62,15 +70,21 @@ func New(stdout, stderr io.Writer) *System {
 	if stderr == nil {
 		stderr = io.Discard
 	}
-	return &System{Stdout: stdout, Stderr: stderr, clock: 1_000_000_000, rng: 0x853C49E6748FEA9B}
+	return &System{Stdout: stdout, Stderr: stderr, state: State{clock: 1_000_000_000, rng: 0x853C49E6748FEA9B}}
 }
 
+// State returns the system's current clock and random state.
+func (s *System) State() State { return s.state }
+
+// Restore rewinds the clock and random state to st.
+func (s *System) Restore(st State) { s.state = st }
+
 func (s *System) next() uint64 {
-	x := s.rng
+	x := s.state.rng
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	s.rng = x
+	s.state.rng = x
 	return x
 }
 
@@ -153,8 +167,8 @@ func HostModule() *exec.HostModule {
 		if err != nil {
 			return 0, err
 		}
-		s.clock += 1000 // deterministic 1 µs per query
-		if err := hc.Memory().WriteU64(uint64(out), s.clock); err != nil {
+		s.state.clock += 1000 // deterministic 1 µs per query
+		if err := hc.Memory().WriteU64(uint64(out), s.state.clock); err != nil {
 			return ErrnoFault, nil
 		}
 		return ErrnoSuccess, nil

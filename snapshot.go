@@ -7,12 +7,13 @@ import (
 	"cage/internal/alloc"
 	"cage/internal/engine"
 	"cage/internal/exec"
+	"cage/internal/wasi"
 )
 
 // Snapshot is a frozen post-initialization image of a module under this
 // engine's configuration: the instance state (memory, globals, table,
 // MTE tags, PAC keys) paired with the hardened allocator's heap
-// bookkeeping, captured after the module's start function — and
+// bookkeeping and the WASI clock and random state, captured after the module's start function — and
 // optionally a named init function (Wizer-style pre-initialization) —
 // ran once under the normal meter chain. Instances forked from a
 // snapshot (pool checkouts, NewFromSnapshot) start in that state
@@ -23,6 +24,7 @@ type Snapshot struct {
 	mod      *Module
 	exec     *exec.Snapshot
 	heap     alloc.HeapState // zero for a module without an allocator
+	wasi     wasi.State
 	initFn   string
 	initFuel uint64
 }
@@ -128,14 +130,14 @@ func (e *Engine) buildSnapshot(ctx context.Context, m *Module, st snapshotSettin
 	return snapshotOf(m, inst, st.initFn, fuel)
 }
 
-// snapshotOf freezes inst (instance state + heap bookkeeping) into a
-// Snapshot for m.
+// snapshotOf freezes inst (instance state, heap bookkeeping, WASI
+// state) into a Snapshot for m.
 func snapshotOf(m *Module, inst *Instance, initFn string, initFuel uint64) (*Snapshot, error) {
 	es, err := inst.inst.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{mod: m, exec: es, initFn: initFn, initFuel: initFuel}
+	s := &Snapshot{mod: m, exec: es, wasi: inst.wasi.State(), initFn: initFn, initFuel: initFuel}
 	if inst.alloc != nil {
 		s.heap = inst.alloc.Snapshot()
 	}
@@ -162,11 +164,12 @@ func (e *Engine) NewFromSnapshot(s *Snapshot) (*Instance, error) {
 
 // restoreFrom rewinds a live instance to the snapshot: the pooled reset
 // (the exec layer's RestoreFromSnapshot plus the allocator's
-// bookkeeping).
+// bookkeeping and the WASI state).
 func (i *Instance) restoreFrom(s *Snapshot, seed uint64) error {
 	if err := i.inst.RestoreFromSnapshot(s.exec, seed); err != nil {
 		return err
 	}
+	i.wasi.Restore(s.wasi)
 	if i.alloc != nil {
 		i.alloc.Restore(s.heap)
 	}
