@@ -96,6 +96,39 @@ func BenchmarkEngineInstancing(b *testing.B) {
 	})
 }
 
+// BenchmarkEngineRotate prices a birth from an image: four
+// single-function modules called round-robin through CallWith under
+// FullHardening, whose §7.4 budget is one tag. No checkout is an idle
+// hit — each reclaims the sibling instance holding the tag and spawns
+// one for its own module from the registered snapshot — so the loop is
+// close + fork + call + checkin. It is the in-process twin of the
+// rotate-full benchmark workload.
+func BenchmarkEngineRotate(b *testing.B) {
+	eng := NewEngine(FullHardening())
+	defer eng.Close()
+	mods := rotateModules(b, eng)
+	ctx := context.Background()
+	args := []uint64{3, 4}
+	spec := CallSpec{Results: make([]uint64, 1)}
+	for _, m := range mods { // build every pool and capture every image
+		if _, err := eng.CallWith(ctx, m, "add", args, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(mods)
+		res, err := eng.CallWith(ctx, mods[k], "add", args, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Values[0] != uint64(3+4+k+1) {
+			b.Fatalf("module %d: add = %d", k, res.Values[0])
+		}
+	}
+}
+
 // BenchmarkEngineCompileCached measures the module cache: the first
 // CompileSource pays the full toolchain, every later one is a hash
 // lookup.

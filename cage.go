@@ -329,13 +329,13 @@ type Runtime struct {
 	// pooled instances.
 	hostMods []*exec.HostModule
 
-	// programs caches lowered instruction streams per (module content
-	// hash, lowering config): every instance of one module under this
-	// runtime shares a single ir.Program, so the lowering pass runs
-	// once per process instead of once per instantiation. imports is
-	// the same idea for resolved import tables (keyed on the content
-	// hash alone: the host surface is frozen and configuration does not
-	// influence linking).
+	// programs caches lowered instruction streams per module content
+	// hash: every instance of one module under this runtime shares a
+	// single ir.Program, so the lowering pass runs once per process
+	// instead of once per instantiation. imports is the same idea for
+	// resolved import tables. The hash alone is the identity of both:
+	// the host surface is frozen, and the lowering config is a function
+	// of the module and of the runtime's Config, fixed at construction.
 	programs engine.Cache[*ir.Program]
 	imports  engine.Cache[*exec.ImportTable]
 }
@@ -374,6 +374,30 @@ func (rt *Runtime) DispatchMode() (memory, fusion string) {
 	return memory, "exhaustive"
 }
 
+// prepared is what every instance of one module under a runtime
+// shares: the resolved import table and the lowered, fused program.
+// Both depend only on the module and the runtime's Config, so an engine
+// pool resolves them once (Runtime.prepare) and every spawn reuses them.
+type prepared struct {
+	imports *exec.ImportTable
+	prog    *ir.Program
+}
+
+// prepare resolves m's shared birth inputs through the runtime's caches:
+// the program first, because building it validates the module, then the
+// import table.
+func (rt *Runtime) prepare(m *Module) (prepared, error) {
+	prog, err := rt.loweredProgram(m)
+	if err != nil {
+		return prepared{}, err
+	}
+	table, err := rt.importTable(m)
+	if err != nil {
+		return prepared{}, err
+	}
+	return prepared{imports: table, prog: prog}, nil
+}
+
 // importTable resolves (with caching) m's imports against the frozen
 // host surface. Link failures carry structured detail: errors.Is
 // ErrUnresolvedImport / ErrImportTypeMismatch, errors.As *LinkError.
@@ -409,39 +433,61 @@ func (h *hostState) HeapAllocator() *alloc.Allocator { return h.alloc }
 func (h *hostState) WASISystem() *wasi.System        { return h.wasi }
 
 // Instantiate validates, links (WASI + hardened libc + env helpers +
-// Config.HostModules), and instantiates a module.
+// Config.HostModules), and instantiates a module. Validation, linking
+// and lowering happen once per module and runtime; later instances of
+// the module share their results.
 func (rt *Runtime) Instantiate(m *Module) (*Instance, error) {
-	return rt.instantiate(m, nil)
+	return rt.newInstance(m, nil)
 }
 
-// instantiate is Instantiate with an optional snapshot: when snap is
-// non-nil the instance is forked from the frozen image (exec restores
-// memory/globals/table/tags, the allocator adopts the image's heap
-// bookkeeping, WASI its clock and random state) instead of replaying
-// data segments, tagging memory, and running the start function.
-func (rt *Runtime) instantiate(m *Module, snap *Snapshot) (*Instance, error) {
-	table, err := rt.importTable(m)
+// newInstance prepares m and instantiates it, from snap when it is not
+// nil, on a sandbox tag of its own.
+func (rt *Runtime) newInstance(m *Module, snap *Snapshot) (*Instance, error) {
+	in, err := rt.prepare(m)
 	if err != nil {
 		return nil, err
 	}
+	tag, err := rt.acquireTag()
+	if err != nil {
+		return nil, err
+	}
+	return rt.instantiate(m, in, snap, tag)
+}
+
+// acquireTag takes a sandbox tag for one instance from the runtime's
+// §7.4 budget (core.RuntimeTag, and no budget, without sandboxing). It
+// is the whole cost of a birth attempt on an exhausted budget:
+// core.ErrSandboxesExhausted, with nothing built.
+func (rt *Runtime) acquireTag() (uint8, error) {
+	if !rt.cfg.Sandboxing {
+		return core.RuntimeTag, nil
+	}
+	return rt.sandboxes.Acquire()
+}
+
+// instantiate builds an instance of m from its prepared inputs on tag
+// (acquireTag's), which it owns from here: a failure returns it to the
+// budget. With snap non-nil the instance is forked from the frozen image
+// (exec restores memory/globals/table/tags, the allocator adopts the
+// image's heap bookkeeping, WASI its clock and random state) instead of
+// replaying data segments, tagging memory, and running the start
+// function.
+func (rt *Runtime) instantiate(m *Module, in prepared, snap *Snapshot, tag uint8) (*Instance, error) {
 	state := &hostState{wasi: wasi.New(rt.cfg.Stdout, rt.cfg.Stderr)}
 	ecfg := exec.Config{
 		Features:   rt.cfg.features(),
-		Imports:    table,
+		Imports:    in.imports,
+		Program:    in.prog,
 		HostData:   state,
 		ProcessKey: rt.key,
 		Seed:       rt.seed.Add(1),
 		Sandboxes:  rt.sandboxes,
+		SandboxTag: tag,
 	}
 	if snap != nil {
 		ecfg.Snapshot = snap.exec
 		state.wasi.Restore(snap.wasi)
 	}
-	prog, err := rt.loweredProgram(m, ecfg)
-	if err != nil {
-		return nil, err
-	}
-	ecfg.Program = prog
 	inst, err := exec.NewInstance(m.wasm, ecfg)
 	if err != nil {
 		return nil, err
@@ -462,16 +508,14 @@ func (rt *Runtime) instantiate(m *Module, snap *Snapshot) (*Instance, error) {
 }
 
 // loweredProgram returns the shared lowered and fused program for m
-// under the runtime's configuration, building it on first use. The
-// cache is keyed by
-// the module's content hash plus the derived lowering config — exactly
-// the compiled-module cache's identity — with singleflight semantics.
-// A module whose binary encoding fails (never produced by this
-// toolchain) is lowered privately instead of cached.
-func (rt *Runtime) loweredProgram(m *Module, ecfg exec.Config) (*ir.Program, error) {
-	lcfg := exec.LowerConfig(m.wasm, ecfg)
+// under the runtime's configuration, building it on first use with
+// singleflight semantics. The build validates the module
+// (exec.LowerModule), so every instance that adopts the program skips
+// validation. A module whose binary encoding fails (never produced by
+// this toolchain) is lowered privately instead of cached.
+func (rt *Runtime) loweredProgram(m *Module) (*ir.Program, error) {
 	build := func() (*ir.Program, error) {
-		p, err := ir.Lower(m.wasm, lcfg)
+		p, err := exec.LowerModule(m.wasm, exec.Config{Features: rt.cfg.features()})
 		if err != nil {
 			return nil, err
 		}
@@ -481,8 +525,7 @@ func (rt *Runtime) loweredProgram(m *Module, ecfg exec.Config) (*ir.Program, err
 	if err != nil {
 		return build()
 	}
-	key := engine.Key{Hash: hash, Variant: fmt.Sprintf("ir|%+v", lcfg)}
-	return rt.programs.GetOrBuild(key, build)
+	return rt.programs.GetOrBuild(engine.Key{Hash: hash, Variant: "ir"}, build)
 }
 
 // ProgramCacheStats snapshots the lowered-program cache counters.

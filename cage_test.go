@@ -3,7 +3,6 @@ package cage
 import (
 	"bytes"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -240,10 +239,10 @@ long f(long x) { return x * 2; }`)
 	}
 }
 
-// TestLoweredProgramCacheHitAllocs: every instance birth asks for the
-// module's lowered program, and on a hit that must cost what spelling
-// the cache key costs — the variant string of the lowering config —
-// and nothing else.
+// TestLoweredProgramCacheHitAllocs: Runtime.Instantiate asks for the
+// module's lowered program at every birth, and on a hit that costs
+// nothing: the key is the module's memoized content hash plus a variant
+// spelled once, as a constant.
 func TestLoweredProgramCacheHitAllocs(t *testing.T) {
 	if raceTestEnabled {
 		t.Skip("race detector instruments allocations; the gate runs in the non-race suite")
@@ -254,22 +253,17 @@ func TestLoweredProgramCacheHitAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := NewRuntime(cfg)
-	ecfg := exec.Config{Features: cfg.features()}
-	first, err := rt.loweredProgram(mod, ecfg)
+	first, err := rt.loweredProgram(mod)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const hits = 1000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < hits; i++ {
-		if p, err := rt.loweredProgram(mod, ecfg); err != nil || p != first {
-			t.Fatalf("hit %d: program %p, %v; want the cached %p", i, p, err, first)
+	if n := testing.AllocsPerRun(hits, func() {
+		if p, err := rt.loweredProgram(mod); err != nil || p != first {
+			panic("program-cache hit missed the cached program")
 		}
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / hits; per >= 512 {
-		t.Errorf("a program-cache hit allocates %d bytes, want < 512", per)
+	}); n != 0 {
+		t.Errorf("a program-cache hit allocates %v times, want 0", n)
 	}
 	if st := rt.ProgramCacheStats(); st.Misses != 1 || st.Hits < hits {
 		t.Errorf("program cache: %d misses, %d hits; want 1 and at least %d", st.Misses, st.Hits, hits)

@@ -63,6 +63,7 @@ func TestCallWithZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wasiMod := &Module{wasm: wasiStateModule()}
 	cases := []struct {
 		name string
 		mod  *Module
@@ -73,7 +74,11 @@ func TestCallWithZeroAlloc(t *testing.T) {
 		{"minicc", compiled, "work", []uint64{64}, 2016},
 		// A WASI import: the reset also restores the clock, so every
 		// call reads the first value.
-		{"wasi clock", &Module{wasm: wasiStateModule()}, "now", nil, 1_000_001_000},
+		{"wasi clock", wasiMod, "now", nil, 1_000_001_000},
+		// random_get generates into the WASI system's scratch buffer,
+		// and the reset restores the generator: every call reads the
+		// first eight bytes of the xorshift stream.
+		{"wasi random_get", wasiMod, "rand", nil, 0x0ae969fee345698e},
 	}
 	ctx := context.Background()
 	spec := CallSpec{Results: make([]uint64, 4)}

@@ -15,9 +15,9 @@ import (
 // process-wide compiled-module cache plus one recycled-instance pool
 // per module, behind a concurrency-safe invocation API.
 //
-// Where Toolchain and Runtime pay compilation, validation, lowering,
-// and whole-memory tagging (§7.2) on every CompileSource/Instantiate,
-// an Engine pays them once per (source, Config) pair and then serves
+// Where a Toolchain pays compilation on every CompileSource and a
+// Runtime whole-memory tagging (§7.2) on every Instantiate, an Engine
+// pays them once per (source, Config) pair and then serves
 // invocations from pooled instances that are restored to the module's
 // image — the pages a call wrote rewritten, MTE tag randomness
 // re-seeded, PAC modifier rotated — between checkouts; all instances of
@@ -185,7 +185,9 @@ func (e *Engine) idleWait() <-chan struct{} {
 
 // pool returns (creating on first use) the instance pool for m. A spawn
 // is a birth under the tag budget that forks from the module's
-// registered image; the first, fresh one captures that image.
+// registered image; the first, fresh one captures that image. The
+// module's import table and program are resolved here, once per pool,
+// so a spawn neither hashes nor looks anything up in a cache.
 func (e *Engine) pool(m *Module) *engine.Pool {
 	// Steady state: the pool exists and Lookup finds it lock-free, so
 	// the per-call cost is a map read — no mutex, no spawn-closure
@@ -193,8 +195,12 @@ func (e *Engine) pool(m *Module) *engine.Pool {
 	if p, ok := e.pools.Lookup(m); ok {
 		return p
 	}
+	in, prepErr := e.rt.prepare(m)
 	return e.pools.For(m, poolBudget(e.cfg), func(ctx context.Context) (engine.Resetter, error) {
-		inst, err := e.birth(ctx, m, true)
+		if prepErr != nil {
+			return nil, prepErr
+		}
+		inst, err := e.birth(ctx, m, in, true)
 		if err != nil {
 			return nil, err
 		}
@@ -203,13 +209,20 @@ func (e *Engine) pool(m *Module) *engine.Pool {
 	})
 }
 
-// birth instantiates m under the §7.4 tag budget: with fork set, from
-// the module's registered image when there is one (looked up afresh on
-// every attempt, so an Engine.Snapshot that lands while the birth
-// queues is the image it forks) — no data-segment replay, no
-// whole-memory tagging, no start/init execution — and fresh otherwise.
-// It is the one loop over core.ErrSandboxesExhausted; the pool spawn
-// and the snapshot build both go through it.
+// birth instantiates m from its prepared inputs under the §7.4 tag
+// budget: with fork set, from the module's registered image when there
+// is one (looked up afresh on every attempt, so an Engine.Snapshot that
+// lands while the birth queues is the image it forks) — no data-segment
+// replay, no whole-memory tagging, no start/init execution — and fresh
+// otherwise. It is the one loop over core.ErrSandboxesExhausted; the
+// pool spawn and the snapshot build both go through it.
+//
+// An attempt takes the tag before anything else, so one that meets an
+// exhausted budget costs an allocator lock: nothing is allocated, hashed
+// or looked up. A birth that gets its tag then pays for the instance
+// alone: its Go objects, storage recycled from a retired instance, and
+// the image's spans. Validation, linking and lowering were paid once per
+// module (Runtime.prepare), never per spawn.
 //
 // When pools of several modules compete for one tag budget, another
 // module's idle instances may pin every tag. Rather than failing, the
@@ -221,17 +234,21 @@ func (e *Engine) pool(m *Module) *engine.Pool {
 // across modules on §7.4 exhaustion instead of surfacing
 // core.ErrSandboxesExhausted. The queued wait honors ctx, so a caller
 // with a deadline abandons the queue cleanly without holding any tag.
-func (e *Engine) birth(ctx context.Context, m *Module, fork bool) (*Instance, error) {
+func (e *Engine) birth(ctx context.Context, m *Module, in prepared, fork bool) (*Instance, error) {
 	// released and idle are the wake-ups of a queued birth, nil until it
 	// has registered for them.
 	var released, idle <-chan struct{}
 	for {
-		var snap *Snapshot
-		if fork {
-			snap = e.activeSnapshot(m)
-		}
-		inst, err := e.rt.instantiate(m, snap)
+		tag, err := e.rt.acquireTag()
 		if err == nil {
+			var snap *Snapshot
+			if fork {
+				snap = e.activeSnapshot(m)
+			}
+			inst, err := e.rt.instantiate(m, in, snap, tag)
+			if err != nil {
+				return nil, err
+			}
 			if snap != nil {
 				e.snapshots.NoteRestore(inst.inst.RestoredPages())
 			}

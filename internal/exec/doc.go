@@ -8,8 +8,9 @@
 // # The frame machine
 //
 // Execution runs over the lowered form of internal/ir: NewInstance
-// lowers the module's functions once (or adopts a cached ir.Program via
-// Config.Program), and invocation drives a frame machine (frame.go) —
+// validates and lowers the module's functions (or adopts a cached
+// ir.Program via Config.Program, whose LowerModule build validated the
+// module), and invocation drives a frame machine (frame.go) —
 // one flat dispatch loop over a single reusable per-instance value
 // arena. Each lowered function carries a FrameSize computed at lower
 // time, and one activation occupies exactly that many contiguous
@@ -316,6 +317,18 @@
 // once, snapshot, and fork every subsequent instance from the frozen
 // image. Restores are safe concurrently against one shared snapshot.
 //
+// What a birth pays. Everything that depends only on the module is
+// resolved once and shared: validation (LowerModule, or wherever the
+// module was made), the import table (ResolveImports, Config.Imports)
+// and the lowered program (Config.Program). A birth given all three
+// pays for the instance alone, in this order: its sandbox tag — first,
+// so an attempt on an exhausted §7.4 budget fails with
+// core.ErrSandboxesExhausted before anything is allocated, and a later
+// failure returns the tag through Close — then its Go objects (the
+// Instance, counter, MTE state, visit counts), its storage (a retired
+// instance's, scrubbed; see "Storage" below) and its image (the data
+// segments and start function, or a snapshot's spans).
+//
 // # The dirty page set and the two restore legs
 //
 // Every instance keeps one dirty page set (dirty.go): one bit per 4 KiB
@@ -433,9 +446,10 @@
 //
 // Paper map:
 //
-//   - NewInstance      — instantiation: linking, lowering, sandbox-tag
-//     assignment and whole-memory tagging (Fig. 12b, the §7.2 startup
-//     cost: charged to the model, laid by the storage's tag layout)
+//   - NewInstance      — instantiation: sandbox-tag assignment first,
+//     then linking and lowering (or the shared table and program) and
+//     whole-memory tagging (Fig. 12b, the §7.2 startup cost: charged to
+//     the model, laid by the storage's tag layout)
 //   - Instance.Invoke  — execution with the Fig. 7/10/11 instruction
 //     extension (segment.*, i64.pointer_sign / i64.pointer_auth);
 //     InvokeWith adds context interruption and per-call fuel, stack,

@@ -44,6 +44,12 @@ type Config struct {
 	// Sandboxes shares sandbox-tag allocation across instances of one
 	// process; nil allocates a private allocator.
 	Sandboxes *core.SandboxAllocator
+	// SandboxTag, when not core.RuntimeTag, is a tag the caller already
+	// acquired from Sandboxes for this instance (with Features.Sandbox):
+	// NewInstance adopts it instead of acquiring one, and Close returns
+	// it, on a failed instantiation too. An engine's birth loop acquires
+	// first so that an attempt on an exhausted §7.4 budget builds nothing.
+	SandboxTag uint8
 	// MaxCallDepth bounds recursion; 0 means the default (1024). The
 	// bound is exact: it counts live activations (guest frames plus
 	// in-flight host crossings), and exceeding it traps with
@@ -63,7 +69,9 @@ type Config struct {
 	// module, typically shared from an engine cache so pooled instances
 	// skip the lowering pass. It must have been produced by
 	// LowerModule (or ir.Lower with LowerConfig) for the same module
-	// and an equivalent configuration; nil lowers privately.
+	// and an equivalent configuration, from a module already validated:
+	// NewInstance does not validate a module whose program it adopts.
+	// Nil validates and lowers privately.
 	Program *ir.Program
 	// Snapshot, when non-nil, instantiates by restoring this frozen
 	// image (Instance.Snapshot) instead of replaying data segments,
@@ -117,10 +125,14 @@ func LowerConfig(m *wasm.Module, cfg Config) ir.Config {
 	}
 }
 
-// LowerModule lowers m exactly as NewInstance would under cfg, for
-// embedders that cache lowered programs and pass them back via
-// Config.Program.
+// LowerModule validates m and lowers it exactly as NewInstance would
+// under cfg, for embedders that cache lowered programs and pass them
+// back via Config.Program. Validation happens here, once per program,
+// because an instance that adopts the program does not repeat it.
 func LowerModule(m *wasm.Module, cfg Config) (*ir.Program, error) {
+	if err := wasm.Validate(m); err != nil {
+		return nil, err
+	}
 	return ir.Lower(m, LowerConfig(m, cfg))
 }
 
@@ -245,21 +257,45 @@ type Instance struct {
 // demonstrations.
 const hostReserveSize = 4096
 
-// NewInstance validates, links, and instantiates a module.
+// NewInstance links and instantiates a module. A birth pays for what
+// is specific to the instance: its sandbox tag, taken before anything is
+// built (on an exhausted §7.4 budget it returns
+// core.ErrSandboxesExhausted and builds nothing), its storage, and its
+// image — data segments and the start function on pristine storage, or
+// a snapshot's spans (Config.Snapshot). What depends only on the module
+// is the caller's to share: given Config.Program and Config.Imports (an
+// engine resolves both once per module) a birth neither validates, nor
+// links, nor lowers; without a program NewInstance validates the module
+// and lowers it privately.
 func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
-	if err := wasm.Validate(m); err != nil {
-		return nil, err
+	// The sandbox tag (Fig. 12b) first. From the deferred Close below
+	// on, a failure returns it.
+	policy := core.NewPolicy(cfg.Features)
+	sandboxes, tag := cfg.Sandboxes, cfg.SandboxTag
+	if cfg.Features.Sandbox && tag == core.RuntimeTag {
+		if sandboxes == nil {
+			sandboxes = core.NewSandboxAllocator(policy)
+		}
+		var err error
+		if tag, err = sandboxes.Acquire(); err != nil {
+			return nil, err
+		}
 	}
 	inst := &Instance{
 		module:       m,
 		features:     cfg.Features,
-		policy:       core.NewPolicy(cfg.Features),
+		policy:       policy,
 		counter:      cfg.Counter,
 		maxCallDepth: cfg.MaxCallDepth,
 		skipBounds:   cfg.SkipBoundsChecks,
 		hostData:     cfg.HostData,
 	}
 	inst.hostCtx.inst = inst
+	if cfg.Features.Sandbox {
+		inst.sandboxes = sandboxes
+		inst.sandbox = tag
+		inst.heapBase = ptrlayout.WithTag(0, tag)
+	}
 	if inst.counter == nil {
 		inst.counter = &arch.Counter{}
 	}
@@ -281,6 +317,15 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 			_ = inst.Close() // the instantiation error is the one to report
 		}
 	}()
+
+	// A module that arrives without its program is validated here, once,
+	// before linking or lowering reads it; an adopted program vouches for
+	// its module (LowerModule validated it).
+	if cfg.Program == nil {
+		if err := wasm.Validate(m); err != nil {
+			return nil, err
+		}
+	}
 
 	// Resolve imports: adopt the shared pre-resolved snapshot when the
 	// embedder cached one, otherwise link now (structured LinkErrors).
@@ -331,23 +376,6 @@ func NewInstance(m *wasm.Module, cfg Config) (*Instance, error) {
 			return nil, err
 		}
 		inst.prog = prog
-	}
-
-	// Sandbox tag assignment (Fig. 12b), before anything is allocated: on
-	// an exhausted budget a pool reclaims an idle instance and retries,
-	// and the first attempt should not have built a memory to fail with.
-	if cfg.Features.Sandbox {
-		alloc := cfg.Sandboxes
-		if alloc == nil {
-			alloc = core.NewSandboxAllocator(inst.policy)
-		}
-		tag, err := alloc.Acquire()
-		if err != nil {
-			return nil, err
-		}
-		inst.sandboxes = alloc
-		inst.sandbox = tag
-		inst.heapBase = ptrlayout.WithTag(0, tag)
 	}
 	inst.sizeVisits()
 

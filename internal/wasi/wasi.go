@@ -48,6 +48,10 @@ type System struct {
 	Args   []string
 	Env    []string
 	state  State
+	// scratch holds the bytes random_get generates before they are
+	// written to guest memory; it keeps its capacity, so a call
+	// allocates only when it asks for more bytes than any before it.
+	scratch []byte
 }
 
 // State is the part of a System that guest calls advance. It is image
@@ -185,7 +189,10 @@ func HostModule() *exec.HostModule {
 		if n > hc.Memory().Size() {
 			return ErrnoFault, nil
 		}
-		b := make([]byte, n)
+		if uint64(cap(s.scratch)) < n {
+			s.scratch = make([]byte, n)
+		}
+		b := s.scratch[:n]
 		for i := range b {
 			b[i] = byte(s.next())
 		}

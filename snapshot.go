@@ -114,7 +114,11 @@ func (e *Engine) Snapshot(ctx context.Context, m *Module, opts ...SnapshotOption
 // like a pool spawn's (Engine.birth), and is closed afterwards,
 // returning its sandbox tag.
 func (e *Engine) buildSnapshot(ctx context.Context, m *Module, st snapshotSettings) (*Snapshot, error) {
-	inst, err := e.birth(ctx, m, false)
+	in, err := e.rt.prepare(m)
+	if err != nil {
+		return nil, err
+	}
+	inst, err := e.birth(ctx, m, in, false)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +158,7 @@ func (e *Engine) NewFromSnapshot(s *Snapshot) (*Instance, error) {
 	if s == nil {
 		return nil, fmt.Errorf("cage: NewFromSnapshot of nil snapshot")
 	}
-	inst, err := e.rt.instantiate(s.mod, s)
+	inst, err := e.rt.newInstance(s.mod, s)
 	if err != nil {
 		return nil, err
 	}
