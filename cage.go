@@ -53,8 +53,8 @@
 // branch targets become absolute PCs, immediates are decoded once, and
 // each memory access is compiled to the configuration's sandboxing
 // mode (guard pages, software bounds checks, or MTE). A Runtime caches
-// one lowered program per (module content hash, configuration) and
-// every instance shares it; an Engine adds the compiled-module cache
+// one lowered program and import table per module content hash and
+// every instance shares them; an Engine adds the compiled-module cache
 // and the recycled-instance pool on top, so steady-state invocations
 // touch neither the compiler nor the lowerer nor the §7.2
 // instantiation costs.
@@ -329,15 +329,14 @@ type Runtime struct {
 	// pooled instances.
 	hostMods []*exec.HostModule
 
-	// programs caches lowered instruction streams per module content
-	// hash: every instance of one module under this runtime shares a
-	// single ir.Program, so the lowering pass runs once per process
-	// instead of once per instantiation. imports is the same idea for
-	// resolved import tables. The hash alone is the identity of both:
-	// the host surface is frozen, and the lowering config is a function
-	// of the module and of the runtime's Config, fixed at construction.
-	programs engine.Cache[*ir.Program]
-	imports  engine.Cache[*exec.ImportTable]
+	// programs caches, per module content hash, what every instance of
+	// the module shares: the lowered, fused program and the resolved
+	// import table (prepared). The lowering pass and the link run once per
+	// process instead of once per instantiation. The hash alone is the
+	// identity: the host surface is frozen, and the lowering config is a
+	// function of the module and of the runtime's Config, fixed at
+	// construction.
+	programs engine.Cache[prepared]
 }
 
 // NewRuntime creates a process-level runtime for the configuration,
@@ -377,40 +376,44 @@ func (rt *Runtime) DispatchMode() (memory, fusion string) {
 // prepared is what every instance of one module under a runtime
 // shares: the resolved import table and the lowered, fused program.
 // Both depend only on the module and the runtime's Config, so an engine
-// pool resolves them once (Runtime.prepare) and every spawn reuses them.
+// resolves them once per module (Runtime.prepare) and every spawn reuses
+// them.
 type prepared struct {
 	imports *exec.ImportTable
 	prog    *ir.Program
 }
 
-// prepare resolves m's shared birth inputs through the runtime's caches:
-// the program first, because building it validates the module, then the
-// import table.
+// prepare returns m's shared birth inputs from the runtime's program
+// cache, building them on first use with singleflight semantics: the
+// program first, because building it validates the module
+// (exec.LowerModule), so every instance that adopts it skips validation;
+// then the import table. Link failures carry structured detail:
+// errors.Is ErrUnresolvedImport / ErrImportTypeMismatch, errors.As
+// *LinkError. A module whose binary encoding fails (never produced by
+// this toolchain) is prepared privately instead of cached.
 func (rt *Runtime) prepare(m *Module) (prepared, error) {
-	prog, err := rt.loweredProgram(m)
-	if err != nil {
-		return prepared{}, err
+	build := func() (prepared, error) {
+		p, err := exec.LowerModule(m.wasm, exec.Config{Features: rt.cfg.features()})
+		if err != nil {
+			return prepared{}, err
+		}
+		table, err := exec.ResolveImports(m.wasm, rt.hostMods...)
+		if err != nil {
+			return prepared{}, err
+		}
+		return prepared{imports: table, prog: fuse.Fuse(p, nil)}, nil
 	}
-	table, err := rt.importTable(m)
-	if err != nil {
-		return prepared{}, err
-	}
-	return prepared{imports: table, prog: prog}, nil
-}
-
-// importTable resolves (with caching) m's imports against the frozen
-// host surface. Link failures carry structured detail: errors.Is
-// ErrUnresolvedImport / ErrImportTypeMismatch, errors.As *LinkError.
-func (rt *Runtime) importTable(m *Module) (*exec.ImportTable, error) {
 	hash, err := m.contentHash()
 	if err != nil {
-		return exec.ResolveImports(m.wasm, rt.hostMods...)
+		return build()
 	}
-	key := engine.Key{Hash: hash, Variant: "imports"}
-	return rt.imports.GetOrBuild(key, func() (*exec.ImportTable, error) {
-		return exec.ResolveImports(m.wasm, rt.hostMods...)
-	})
+	return rt.programs.GetOrBuild(engine.Key{Hash: hash, Variant: "prepared"}, build)
 }
+
+// nextSeed draws a fresh seed from the runtime's instantiation counter.
+// Births and pooled resets share it, so every instance lifetime in the
+// process gets a PAC modifier of its own (§6.3).
+func (rt *Runtime) nextSeed() uint64 { return rt.seed.Add(1) }
 
 // Instance is a running module.
 type Instance struct {
@@ -480,7 +483,7 @@ func (rt *Runtime) instantiate(m *Module, in prepared, snap *Snapshot, tag uint8
 		Program:    in.prog,
 		HostData:   state,
 		ProcessKey: rt.key,
-		Seed:       rt.seed.Add(1),
+		Seed:       rt.nextSeed(),
 		Sandboxes:  rt.sandboxes,
 		SandboxTag: tag,
 	}
@@ -507,28 +510,8 @@ func (rt *Runtime) instantiate(m *Module, in prepared, snap *Snapshot, tag uint8
 	return out, nil
 }
 
-// loweredProgram returns the shared lowered and fused program for m
-// under the runtime's configuration, building it on first use with
-// singleflight semantics. The build validates the module
-// (exec.LowerModule), so every instance that adopts the program skips
-// validation. A module whose binary encoding fails (never produced by
-// this toolchain) is lowered privately instead of cached.
-func (rt *Runtime) loweredProgram(m *Module) (*ir.Program, error) {
-	build := func() (*ir.Program, error) {
-		p, err := exec.LowerModule(m.wasm, exec.Config{Features: rt.cfg.features()})
-		if err != nil {
-			return nil, err
-		}
-		return fuse.Fuse(p, nil), nil
-	}
-	hash, err := m.contentHash()
-	if err != nil {
-		return build()
-	}
-	return rt.programs.GetOrBuild(engine.Key{Hash: hash, Variant: "ir"}, build)
-}
-
-// ProgramCacheStats snapshots the lowered-program cache counters.
+// ProgramCacheStats snapshots the program cache counters: one miss per
+// module content the runtime has prepared.
 func (rt *Runtime) ProgramCacheStats() engine.CacheStats { return rt.programs.Stats() }
 
 // Invoke calls an exported function with raw 64-bit argument bits.

@@ -240,9 +240,9 @@ long f(long x) { return x * 2; }`)
 }
 
 // TestLoweredProgramCacheHitAllocs: Runtime.Instantiate asks for the
-// module's lowered program at every birth, and on a hit that costs
-// nothing: the key is the module's memoized content hash plus a variant
-// spelled once, as a constant.
+// module's lowered program and import table (Runtime.prepare) at every
+// birth, and on a hit that costs nothing: the key is the module's
+// memoized content hash plus a variant spelled once, as a constant.
 func TestLoweredProgramCacheHitAllocs(t *testing.T) {
 	if raceTestEnabled {
 		t.Skip("race detector instruments allocations; the gate runs in the non-race suite")
@@ -253,13 +253,13 @@ func TestLoweredProgramCacheHitAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := NewRuntime(cfg)
-	first, err := rt.loweredProgram(mod)
+	first, err := rt.prepare(mod)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const hits = 1000
 	if n := testing.AllocsPerRun(hits, func() {
-		if p, err := rt.loweredProgram(mod); err != nil || p != first {
+		if in, err := rt.prepare(mod); err != nil || in != first {
 			panic("program-cache hit missed the cached program")
 		}
 	}); n != 0 {

@@ -3,7 +3,6 @@ package cage
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -12,16 +11,16 @@ import (
 )
 
 // Engine is the scalable front end to the toolchain and runtime: one
-// process-wide compiled-module cache plus one recycled-instance pool
-// per module, behind a concurrency-safe invocation API.
+// process-wide compiled-module cache plus one record per module, behind
+// a concurrency-safe invocation API.
 //
 // Where a Toolchain pays compilation on every CompileSource and a
 // Runtime whole-memory tagging (§7.2) on every Instantiate, an Engine
-// pays them once per (source, Config) pair and then serves
-// invocations from pooled instances that are restored to the module's
-// image — the pages a call wrote rewritten, MTE tag randomness
-// re-seeded, PAC modifier rotated — between checkouts; all instances of
-// a module share one cached lowered program. Live
+// pays them once per source and then serves invocations from pooled
+// instances that are restored to the module's image — the pages a call
+// wrote rewritten, MTE tag randomness re-seeded, PAC modifier rotated —
+// between checkouts; all instances of a module share one cached lowered
+// program. Live
 // instances are bounded by the §7.4 sandbox-tag budget: per-module
 // invocation bursts queue instead of exhausting tags, when several
 // modules compete for the budget spawning reclaims idle sibling
@@ -40,18 +39,19 @@ type Engine struct {
 	rt  *Runtime
 
 	modules engine.Cache[*Module]
-	pools   engine.PoolSet
 
-	// Snapshot subsystem (snapshot.go): snapshots memoizes frozen
-	// post-initialization images keyed by (module hash, config, init
-	// spec); active maps each module to the image its pool currently
-	// forks from — the automatic post-start baseline until an explicit
-	// Engine.Snapshot replaces it. The map is immutable and republished
-	// under snapMu on change, so the per-reset read (every pool checkin
-	// forks from it) is a lock-free pointer load.
-	snapshots engine.SnapshotCache[*Snapshot]
-	snapMu    sync.Mutex
-	active    atomic.Pointer[map[*Module]*Snapshot]
+	// recs maps each module the engine has pooled to its record (pool,
+	// birth inputs, fork image). The map is immutable and republished
+	// under mu when a record is added, so the per-call lookup is a
+	// lock-free pointer load; closed, also under mu, keeps Close from
+	// racing a new record.
+	recs   atomic.Pointer[map[*Module]*modulePool]
+	mu     sync.Mutex
+	closed bool
+
+	// Restore accounting for SnapshotStats: forks served from an image,
+	// the pages in-place restores rewrote, and whole-image installs.
+	restores, restoredPages, fullInstalls atomic.Uint64
 
 	// idle broadcasts instance checkins to spawns queued on the shared
 	// tag budget (a Release alone never fires for a tag that moved to a
@@ -61,17 +61,31 @@ type Engine struct {
 	idleCh atomic.Pointer[chan struct{}]
 }
 
+// modulePool is everything an engine keeps for one *Module: the pool of
+// its instances, the inputs every birth shares (resolved once, when the
+// record is made), the image resets and spawns fork from, and the images
+// Engine.Snapshot memoizes per init spec. Keying all of it by the module
+// pointer means an image only ever reaches instances of the module it
+// was captured from.
+type modulePool struct {
+	eng     *Engine
+	pool    *engine.Pool
+	in      prepared
+	prepErr error
+
+	// image is what the pool forks from: the automatic post-start
+	// baseline until an explicit Engine.Snapshot replaces it; nil while
+	// there is none. images memoizes every captured image by init spec.
+	image  atomic.Pointer[Snapshot]
+	images engine.Cache[*Snapshot]
+}
+
 // NewEngine creates an engine for the configuration. Each module's pool
 // is capped at the configuration's sandbox-tag budget (15 for
 // sandboxing alone, 1 when MTE also carries memory safety, unlimited
 // without sandboxing or with extended sandboxes, paper §6.4).
 func NewEngine(cfg Config) *Engine {
-	e := &Engine{cfg: cfg, tc: NewToolchain(cfg), rt: NewRuntime(cfg)}
-	// All pools draw reset seeds from the runtime's instantiation
-	// counter: every instance lifetime in the process — fresh or
-	// recycled, any module — gets a unique PAC modifier (§6.3).
-	e.pools.NextSeed = func() uint64 { return e.rt.seed.Add(1) }
-	return e
+	return &Engine{cfg: cfg, tc: NewToolchain(cfg), rt: NewRuntime(cfg)}
 }
 
 // poolBudget maps a configuration to the per-module live-instance cap.
@@ -87,19 +101,12 @@ func poolBudget(cfg Config) int {
 // allocator, host surface).
 func (e *Engine) Runtime() *Runtime { return e.rt }
 
-// cacheVariant encodes everything besides the source that influences
-// compilation, so distinct configurations never share a cache entry.
-func (c Config) cacheVariant() string {
-	return fmt.Sprintf("w64=%t ms=%t sb=%t pa=%t sh=%t",
-		c.Wasm64, c.MemorySafety, c.Sandboxing, c.PointerAuth, c.SpectreHarden)
-}
-
 // CompileSource compiles a MiniC translation unit, memoizing on the
-// source hash and configuration: recompiling identical source is O(1),
-// and concurrent first compilations collapse into one (singleflight).
+// source hash (the engine's Config is fixed, so it is the whole key):
+// recompiling identical source is O(1), and concurrent first
+// compilations collapse into one (singleflight).
 func (e *Engine) CompileSource(src string) (*Module, error) {
-	key := engine.KeyOfString(src, "minicc|"+e.cfg.cacheVariant())
-	return e.modules.GetOrBuild(key, func() (*Module, error) {
+	return e.modules.GetOrBuild(engine.KeyOfString(src, "minicc"), func() (*Module, error) {
 		return e.tc.CompileSource(src)
 	})
 }
@@ -107,26 +114,22 @@ func (e *Engine) CompileSource(src string) (*Module, error) {
 // DecodeModule parses and validates a binary module image, memoized on
 // the image hash (decoding is configuration-independent).
 func (e *Engine) DecodeModule(bin []byte) (*Module, error) {
-	key := engine.KeyOf(bin, "decode")
-	return e.modules.GetOrBuild(key, func() (*Module, error) {
+	return e.modules.GetOrBuild(engine.KeyOf(bin, "decode"), func() (*Module, error) {
 		return DecodeModule(bin)
 	})
 }
 
 // pooledInstance adapts a linked Instance (interpreter instance plus
-// hardened allocator) to the pool's Resetter protocol. It carries the
-// engine and module so a reset can fork from the module's currently
-// registered snapshot — including one registered after this instance
-// spawned (an Engine.Snapshot with an init function upgrades in-flight
-// instances at their next checkin). pool is the pool it was last
-// checked out of (set by Engine.checkout): checkin goes straight back
-// to it, so an Engine.Close that unpublishes the pool table mid-call
-// still gets the instance closed and its tag released by Pool.Put.
+// hardened allocator) to the pool's Resetter protocol. rec, set at
+// spawn, is its module's record: a reset forks from the record's image
+// as it is at that moment — including one registered after this
+// instance spawned (an Engine.Snapshot with an init function upgrades
+// in-flight instances at their next checkin) — and checkin goes
+// straight back to the record's pool, so an Engine.Close mid-call still
+// gets the instance closed and its tag released by Pool.Put.
 type pooledInstance struct {
-	i    *Instance
-	eng  *Engine
-	mod  *Module
-	pool *engine.Pool
+	i   *Instance
+	rec *modulePool
 }
 
 // errNoImage fails the reset of an instance whose module has no
@@ -139,25 +142,25 @@ var errNoImage = errors.New("cage: no image to reset the instance to")
 // kernel refused to recommit a guard reservation), it returns the error
 // and the pool closes the instance instead of recycling it.
 func (p *pooledInstance) Reset(seed uint64) error {
-	s := p.eng.activeSnapshot(p.mod)
+	s := p.rec.image.Load()
 	if s == nil {
 		return errNoImage
 	}
 	if err := p.i.restoreFrom(s, seed); err != nil {
 		return err
 	}
-	p.eng.snapshots.NoteRestore(p.i.inst.RestoredPages())
+	p.rec.eng.noteRestore(p.i.inst.RestoredPages())
 	return nil
 }
 
 func (p *pooledInstance) Close() error { return p.i.inst.Close() }
 
-// checkin returns the instance to the pool it was checked out of and
-// signals spawns queued on the tag budget. It allocates nothing: the
-// no-waiter notify is one atomic load.
+// checkin returns the instance to its pool and signals spawns queued on
+// the tag budget. It allocates nothing: the no-waiter notify is one
+// atomic load.
 func (p *pooledInstance) checkin() {
-	p.pool.Put(p)
-	p.eng.notifyIdle()
+	p.rec.pool.Put(p)
+	p.rec.eng.notifyIdle()
 }
 
 // notifyIdle wakes spawns queued on the tag budget after a checkin.
@@ -183,36 +186,68 @@ func (e *Engine) idleWait() <-chan struct{} {
 	}
 }
 
-// pool returns (creating on first use) the instance pool for m. A spawn
-// is a birth under the tag budget that forks from the module's
-// registered image; the first, fresh one captures that image. The
-// module's import table and program are resolved here, once per pool,
-// so a spawn neither hashes nor looks anything up in a cache.
-func (e *Engine) pool(m *Module) *engine.Pool {
-	// Steady state: the pool exists and Lookup finds it lock-free, so
-	// the per-call cost is a map read — no mutex, no spawn-closure
-	// allocation.
-	if p, ok := e.pools.Lookup(m); ok {
-		return p
+// records returns the published module → record table (nil before the
+// first record).
+func (e *Engine) records() map[*Module]*modulePool {
+	if recs := e.recs.Load(); recs != nil {
+		return *recs
+	}
+	return nil
+}
+
+// record returns m's record, making it on first use: the module's
+// import table and program are resolved here, once, so a spawn neither
+// hashes nor looks anything up in a cache. A spawn is a birth under the
+// tag budget that forks from the record's image; the first, fresh one
+// captures that image. On a closed engine the record is not kept and its
+// pool fails every checkout with engine.ErrPoolClosed.
+func (e *Engine) record(m *Module) *modulePool {
+	// Steady state: the record exists and the lookup is a lock-free map
+	// read — no mutex, no allocation.
+	if rec := e.records()[m]; rec != nil {
+		return rec
 	}
 	in, prepErr := e.rt.prepare(m)
-	return e.pools.For(m, poolBudget(e.cfg), func(ctx context.Context) (engine.Resetter, error) {
-		if prepErr != nil {
-			return nil, prepErr
-		}
-		inst, err := e.birth(ctx, m, in, true)
-		if err != nil {
-			return nil, err
-		}
-		e.captureBaseline(m, inst)
-		return &pooledInstance{i: inst, eng: e, mod: m}, nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if rec := e.records()[m]; rec != nil {
+		return rec
+	}
+	rec := &modulePool{eng: e, in: in, prepErr: prepErr}
+	rec.pool = engine.NewPool(poolBudget(e.cfg), e.rt.nextSeed, func(ctx context.Context) (engine.Resetter, error) {
+		return rec.spawn(ctx, m)
 	})
+	if e.closed {
+		rec.pool.Close()
+		return rec
+	}
+	next := make(map[*Module]*modulePool, len(e.records())+1)
+	for k, v := range e.records() {
+		next[k] = v
+	}
+	next[m] = rec
+	e.recs.Store(&next)
+	return rec
+}
+
+// spawn gives birth to an instance of m for the record's pool, forking
+// the record's image when there is one and capturing it otherwise.
+func (rec *modulePool) spawn(ctx context.Context, m *Module) (engine.Resetter, error) {
+	if rec.prepErr != nil {
+		return nil, rec.prepErr
+	}
+	inst, err := rec.eng.birth(ctx, m, rec.in, true)
+	if err != nil {
+		return nil, err
+	}
+	rec.captureBaseline(m, inst)
+	return &pooledInstance{i: inst, rec: rec}, nil
 }
 
 // birth instantiates m from its prepared inputs under the §7.4 tag
-// budget: with fork set, from the module's registered image when there
-// is one (looked up afresh on every attempt, so an Engine.Snapshot that
-// lands while the birth queues is the image it forks) — no data-segment
+// budget: with fork set, from the image of m's record when there is one
+// (read once the attempt holds its tag, so an Engine.Snapshot that lands
+// while the birth queues is the image it forks) — no data-segment
 // replay, no whole-memory tagging, no start/init execution — and fresh
 // otherwise. It is the one loop over core.ErrSandboxesExhausted; the
 // pool spawn and the snapshot build both go through it.
@@ -242,22 +277,22 @@ func (e *Engine) birth(ctx context.Context, m *Module, in prepared, fork bool) (
 		tag, err := e.rt.acquireTag()
 		if err == nil {
 			var snap *Snapshot
-			if fork {
-				snap = e.activeSnapshot(m)
+			if rec := e.records()[m]; fork && rec != nil {
+				snap = rec.image.Load()
 			}
 			inst, err := e.rt.instantiate(m, in, snap, tag)
 			if err != nil {
 				return nil, err
 			}
 			if snap != nil {
-				e.snapshots.NoteRestore(inst.inst.RestoredPages())
+				e.noteRestore(inst.inst.RestoredPages())
 			}
 			return inst, nil
 		}
 		if !errors.Is(err, core.ErrSandboxesExhausted) {
 			return nil, err
 		}
-		if e.pools.ReclaimOne() {
+		if e.reclaimOne() {
 			continue
 		}
 		if released == nil {
@@ -278,18 +313,25 @@ func (e *Engine) birth(ctx context.Context, m *Module, in prepared, fork bool) (
 	}
 }
 
-// checkout takes an instance of m out of its pool (spawning or queueing
-// under ctx as the pool dictates) and records the pool on it for
-// checkin.
+// checkout takes an instance of m out of its pool, spawning or queueing
+// under ctx as the pool dictates.
 func (e *Engine) checkout(ctx context.Context, m *Module) (*pooledInstance, error) {
-	p := e.pool(m)
-	r, err := p.GetContext(ctx)
+	r, err := e.record(m).pool.GetContext(ctx)
 	if err != nil {
 		return nil, err
 	}
-	pi := r.(*pooledInstance)
-	pi.pool = p
-	return pi, nil
+	return r.(*pooledInstance), nil
+}
+
+// reclaimOne closes one idle instance of any module, freeing its
+// sandbox tag, and reports whether there was one. It allocates nothing.
+func (e *Engine) reclaimOne() bool {
+	for _, rec := range e.records() {
+		if rec.pool.ReclaimOne() {
+			return true
+		}
+	}
+	return false
 }
 
 // WithInstance checks an instance of m out of the pool, runs f, and
@@ -324,14 +366,22 @@ type EngineStats struct {
 }
 
 // Stats snapshots the module cache, the lowered-program cache, the
-// snapshot cache, and the (summed) per-module pools.
+// snapshot images, and the (summed) per-module pools.
 func (e *Engine) Stats() EngineStats {
-	return EngineStats{
+	st := EngineStats{
 		Cache:     e.modules.Stats(),
 		Programs:  e.rt.ProgramCacheStats(),
 		Snapshots: e.SnapshotStats(),
-		Pools:     e.pools.Stats(),
 	}
+	for _, rec := range e.records() {
+		ps := rec.pool.Stats()
+		st.Pools.Spawned += ps.Spawned
+		st.Pools.Recycled += ps.Recycled
+		st.Pools.Discarded += ps.Discarded
+		st.Pools.Idle += ps.Idle
+		st.Pools.Live += ps.Live
+	}
+	return st
 }
 
 // DispatchMode reports the runtime's execution tier; see
@@ -343,10 +393,21 @@ func (e *Engine) DispatchMode() (memory, fusion string) { return e.rt.DispatchMo
 // pool; a multi-module embedder (the serve daemon) uses this to report
 // occupancy per module.
 func (e *Engine) PoolStatsFor(m *Module) engine.PoolStats {
-	stats, _ := e.pools.StatsFor(m)
-	return stats
+	if rec := e.records()[m]; rec != nil {
+		return rec.pool.Stats()
+	}
+	return engine.PoolStats{}
 }
 
-// Close retires every pooled instance, returning their sandbox tags.
-// The engine must not be used afterwards.
-func (e *Engine) Close() { e.pools.Close() }
+// Close retires every pooled instance, returning their sandbox tags;
+// instances checked out are closed as they come back, and a later
+// checkout fails with engine.ErrPoolClosed. The engine must not be used
+// afterwards.
+func (e *Engine) Close() {
+	e.mu.Lock()
+	e.closed = true
+	e.mu.Unlock()
+	for _, rec := range e.records() {
+		rec.pool.Close()
+	}
+}

@@ -10,10 +10,10 @@ import (
 )
 
 // TestEngineCloseDuringCall closes the engine while a checkout is in
-// flight, through both entry points. Close unpublishes the pool table,
-// so the checkin must not look its pool up again: the call still
-// returns, and its instance is closed — live count back to 0, sandbox
-// tag back in the budget — when it is checked in to the closed pool.
+// flight, through both entry points. The checkin goes back to the pool
+// the instance was spawned for, now closed: the call still returns, and
+// its instance is closed — live count back to 0, sandbox tag back in the
+// budget — when it is checked in.
 func TestEngineCloseDuringCall(t *testing.T) {
 	const n = 1_000_000
 	const want = uint64(n) * (n - 1) / 2
@@ -48,9 +48,9 @@ func TestEngineCloseDuringCall(t *testing.T) {
 			// Wait for the checkout: one live instance, none idle.
 			var pool *engine.Pool
 			for deadline := time.Now().Add(10 * time.Second); pool == nil; time.Sleep(100 * time.Microsecond) {
-				if p, ok := eng.pools.Lookup(mod); ok {
-					if s := p.Stats(); s.Live == 1 && s.Idle == 0 {
-						pool = p
+				if rec := eng.records()[mod]; rec != nil {
+					if s := rec.pool.Stats(); s.Live == 1 && s.Idle == 0 {
+						pool = rec.pool
 					}
 				}
 				if time.Now().After(deadline) {

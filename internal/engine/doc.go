@@ -9,9 +9,9 @@
 // if it naively re-instantiates. This package lets an embedder pay them
 // once per process instead:
 //
-//   - Cache deduplicates compilation: identical (content hash, config)
-//     pairs share one validated module, with singleflight semantics so
-//     concurrent first requests compile once.
+//   - Cache deduplicates builds: identical keys (a content hash plus a
+//     variant naming the kind of build) share one value, with
+//     singleflight semantics so concurrent first requests build once.
 //   - Pool recycles instances: a checkout/checkin protocol over
 //     resettable instances replaces full re-instantiation with a reset
 //     (in the cage facade, a restore of the module's image: the pages
@@ -19,15 +19,14 @@
 //     live instances to the §7.4 sandbox-tag budget, queueing excess
 //     checkouts until an instance is returned or the checkout's context
 //     ends.
-//   - SnapshotCache memoizes frozen post-initialization images per
-//     (module hash, config, init), so start/init execution and
-//     whole-memory tagging run once and every later instance is a
-//     fork (restore) of the image rather than a rebuild.
 //
-// The package is deliberately ignorant of wasm: Cache is generic over
-// the cached value and Pool works against the small Resetter interface,
-// so the cage facade can pool fully-linked instances (interpreter
-// instance + hardened allocator) while tests can pool anything.
+// The package is deliberately ignorant of wasm, modules and images:
+// Cache is generic over the cached value and Pool works against the
+// small Resetter interface, so the cage facade can pool fully-linked
+// instances (interpreter instance + hardened allocator) while tests can
+// pool anything. The facade keeps one record per module — its Pool, its
+// fork image, and a Cache of its images per init spec — and reports the
+// images in a SnapshotCacheStats.
 //
 // # Concurrency model
 //
@@ -72,6 +71,6 @@
 // the checkin sees the waiter and wakes it.
 //
 // Counters (hits, misses, spawns, recycles, discards, live, idle) are
-// plain atomics throughout, so Stats and StatsFor never touch a
-// hot-path mutex — a metrics scraper cannot stall a checkout.
+// plain atomics throughout, so Stats never touches a hot-path mutex —
+// a metrics scraper cannot stall a checkout.
 package engine

@@ -338,130 +338,3 @@ func (p *Pool) Stats() PoolStats {
 		Live:      int(p.liveN.Load()),
 	}
 }
-
-// PoolSet lazily manages one Pool per key (e.g. per compiled module).
-// Lookup of an existing pool is lock-free (the key→pool table is an
-// immutable map republished on insert); only pool creation takes the
-// set mutex. The zero value with NextSeed set is ready to use.
-type PoolSet struct {
-	// NextSeed is every created pool's seed source, so all pools of one
-	// process share one (see NewPool).
-	NextSeed func() uint64
-
-	// snap is the published key→pool table; mutations clone under mu
-	// and republish.
-	snap atomic.Pointer[map[any]*Pool]
-
-	mu     sync.Mutex
-	closed bool
-}
-
-// Lookup returns the pool for key if one has been created, without
-// locking. Callers on the hot path use it to skip For's spawn-closure
-// setup entirely once the pool exists.
-func (s *PoolSet) Lookup(key any) (*Pool, bool) {
-	if m := s.snap.Load(); m != nil {
-		p, ok := (*m)[key]
-		return p, ok
-	}
-	return nil, false
-}
-
-// For returns the pool for key, creating it with live-instance cap max
-// and spawn on first use.
-func (s *PoolSet) For(key any, max int, spawn func(ctx context.Context) (Resetter, error)) *Pool {
-	if p, ok := s.Lookup(key); ok {
-		return p
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m := s.snap.Load(); m != nil {
-		if p, ok := (*m)[key]; ok {
-			return p
-		}
-	}
-	p := NewPool(max, s.NextSeed, spawn)
-	if s.closed {
-		// A closed set must not resurrect: hand out a pool whose
-		// Get fails with ErrPoolClosed instead of silently leaking
-		// fresh instances past the one Close that already ran.
-		p.closed = true
-		p.closedHint.Store(true)
-	}
-	old := s.snap.Load()
-	n := 1
-	if old != nil {
-		n += len(*old)
-	}
-	next := make(map[any]*Pool, n)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[key] = p
-	s.snap.Store(&next)
-	return p
-}
-
-// ReclaimOne closes one idle instance from any of the set's pools and
-// reports whether there was one. See Pool.ReclaimOne.
-func (s *PoolSet) ReclaimOne() bool {
-	m := s.snap.Load()
-	if m == nil {
-		return false
-	}
-	for _, p := range *m {
-		if p.ReclaimOne() {
-			return true
-		}
-	}
-	return false
-}
-
-// StatsFor snapshots the pool for key alone; ok is false when no pool
-// has been created for it yet (no checkout has happened). Services
-// exporting per-module occupancy (cage-serve's /stats) use this to
-// attribute live instances, recycles, and discards to one module
-// instead of the set-wide sum. Lock-free, like Pool.Stats.
-func (s *PoolSet) StatsFor(key any) (stats PoolStats, ok bool) {
-	p, ok := s.Lookup(key)
-	if !ok {
-		return PoolStats{}, false
-	}
-	return p.Stats(), true
-}
-
-// Stats sums the counters of every pool in the set without locking.
-func (s *PoolSet) Stats() PoolStats {
-	m := s.snap.Load()
-	if m == nil {
-		return PoolStats{}
-	}
-	var sum PoolStats
-	for _, p := range *m {
-		ps := p.Stats()
-		sum.Spawned += ps.Spawned
-		sum.Recycled += ps.Recycled
-		sum.Discarded += ps.Discarded
-		sum.Idle += ps.Idle
-		sum.Live += ps.Live
-	}
-	return sum
-}
-
-// Close closes every pool in the set; later For calls yield pools that
-// fail checkout with ErrPoolClosed.
-func (s *PoolSet) Close() {
-	s.mu.Lock()
-	m := s.snap.Load()
-	s.snap.Store(nil)
-	s.closed = true
-	s.mu.Unlock()
-	if m == nil {
-		return
-	}
-	for _, p := range *m {
-		p.Close()
-	}
-}

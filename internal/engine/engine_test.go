@@ -412,24 +412,6 @@ func TestPoolClosedGetFails(t *testing.T) {
 	}
 }
 
-// TestPoolSetClosedDoesNotResurrect: For after Close must hand out
-// closed pools, not silently revive the set and leak new instances.
-func TestPoolSetClosedDoesNotResurrect(t *testing.T) {
-	s := PoolSet{NextSeed: newSeeds()}
-	key := "module"
-	p := s.For(key, 0, func(context.Context) (Resetter, error) { return &fake{}, nil })
-	inst, err := p.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Put(inst)
-	s.Close()
-	again := s.For(key, 0, func(context.Context) (Resetter, error) { return &fake{}, nil })
-	if _, err := again.Get(); !errors.Is(err, ErrPoolClosed) {
-		t.Errorf("Get on resurrected pool = %v, want ErrPoolClosed", err)
-	}
-}
-
 // --- Pool over real hardened instances ---
 
 const poolSource = `

@@ -105,9 +105,9 @@ long bump(long d) { *cell = *cell + d; return *cell; }
 	if !found {
 		t.Fatal("module vanished from the registry")
 	}
-	entry.snapMu.Lock()
+	entry.initMu.Lock()
 	built := len(entry.snapDone)
-	entry.snapMu.Unlock()
+	entry.initMu.Unlock()
 	if built != 2 {
 		t.Errorf("post-init snapshots built on %d engines, want 2 (base + hardened)", built)
 	}

@@ -44,13 +44,13 @@ type moduleEntry struct {
 	// it once under Engine.Snapshot; every later checkout forks from the
 	// frozen post-init image.
 	initFn string
-	// snapMu serializes the one-time snapshot build; snapDone latches
+	// initMu serializes the one-time snapshot build; snapDone latches
 	// success per engine — the base and Spectre-hardened engines keep
 	// separate pools, so each needs its own post-init image. Failures do
 	// not latch, so a transient build error (e.g. the triggering client
 	// disconnecting mid-init) is retried by the next invocation instead
 	// of bricking the module.
-	snapMu   sync.Mutex
+	initMu   sync.Mutex
 	snapDone map[*cage.Engine]bool
 }
 

@@ -480,8 +480,8 @@ func (s *Server) ensureSnapshot(ctx context.Context, tn *tenant, entry *moduleEn
 	if entry.initFn == "" {
 		return nil
 	}
-	entry.snapMu.Lock()
-	defer entry.snapMu.Unlock()
+	entry.initMu.Lock()
+	defer entry.initMu.Unlock()
 	if entry.snapDone[eng] {
 		return nil
 	}

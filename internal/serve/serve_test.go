@@ -445,8 +445,9 @@ func TestServerCloseDuringInvoke(t *testing.T) {
 	if a.status != http.StatusUnprocessableEntity || a.body.Error.Code != "guest_trap" || a.body.Error.Trap != "fuel exhausted" {
 		t.Errorf("invoke across Close = %d %+v, want the 422 fuel-exhausted trap", a.status, a.body.Error)
 	}
-	// A closed engine publishes no pools, so this only says nothing was
-	// re-pooled; the tag check below is what catches a leaked instance.
+	// A closed engine still counts its closed pools, so this says the
+	// instance in flight was closed at its checkin; the tag check below
+	// catches a leaked one too.
 	if s := srv.Engine().Stats().Pools; s.Live != 0 || s.Idle != 0 {
 		t.Errorf("after Close: Live=%d Idle=%d, want 0/0", s.Live, s.Idle)
 	}

@@ -2,6 +2,7 @@ package cage
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 
 	"cage/internal/alloc"
@@ -69,24 +70,25 @@ func WithInitOptions(opts ...CallOption) SnapshotOption {
 	return func(s *snapshotSettings) { s.callOpts = append(s.callOpts, opts...) }
 }
 
-// snapKey derives the snapshot cache key: module content hash plus the
-// configuration and init spec.
-func (e *Engine) snapKey(m *Module, st snapshotSettings) (engine.Key, error) {
-	hash, err := m.contentHash()
-	if err != nil {
-		return engine.Key{}, err
+// key is the image-cache key of the init spec within one module's
+// record: the init function's name, length-prefixed, then its
+// arguments' bytes. The empty spec is the post-start image's key.
+func (st snapshotSettings) key() engine.Key {
+	v := binary.LittleEndian.AppendUint64(nil, uint64(len(st.initFn)))
+	v = append(v, st.initFn...)
+	for _, a := range st.initArgs {
+		v = binary.LittleEndian.AppendUint64(v, a)
 	}
-	variant := fmt.Sprintf("snap|%s|init=%s|args=%x", e.cfg.cacheVariant(), st.initFn, st.initArgs)
-	return engine.Key{Hash: hash, Variant: variant}, nil
+	return engine.Key{Variant: string(v)}
 }
 
-// Snapshot captures (memoized on module hash, configuration, and init
-// spec) a post-initialization image of m: it instantiates the module
-// once — running its start function and, with WithInit, the named init
-// function under the normal meter chain — freezes the result in the
-// engine's snapshot cache, and registers it as the image the module's
-// instance pool forks from. Subsequent calls with the same arguments
-// return the cached image without executing anything.
+// Snapshot captures (memoized per module and init spec) a
+// post-initialization image of m: it instantiates the module once —
+// running its start function and, with WithInit, the named init
+// function under the normal meter chain — freezes the result in m's
+// record, and registers it as the image the module's instance pool forks
+// from. Subsequent calls with the same arguments return the cached image
+// without executing anything, and register it again.
 //
 // ctx bounds the one-time build (the instantiation may queue on the
 // §7.4 tag budget, and the init call honors it like any Call).
@@ -95,30 +97,27 @@ func (e *Engine) Snapshot(ctx context.Context, m *Module, opts ...SnapshotOption
 	for _, o := range opts {
 		o(&st)
 	}
-	key, err := e.snapKey(m, st)
-	if err != nil {
-		return nil, err
-	}
-	s, err := e.snapshots.GetOrBuild(key, func() (*Snapshot, error) {
-		return e.buildSnapshot(ctx, m, st)
+	rec := e.record(m)
+	s, err := rec.images.GetOrBuild(st.key(), func() (*Snapshot, error) {
+		return rec.buildSnapshot(ctx, m, st)
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.setActiveSnapshot(m, s)
+	rec.image.Store(s)
 	return s, nil
 }
 
-// buildSnapshot instantiates m, runs the optional init, and captures
-// the image. The builder instance is a fresh birth under the tag budget
-// like a pool spawn's (Engine.birth), and is closed afterwards,
-// returning its sandbox tag.
-func (e *Engine) buildSnapshot(ctx context.Context, m *Module, st snapshotSettings) (*Snapshot, error) {
-	in, err := e.rt.prepare(m)
-	if err != nil {
-		return nil, err
+// buildSnapshot instantiates m from the record's inputs, runs the
+// optional init, captures the image and registers it. The builder
+// instance is a fresh birth under the tag budget like a pool spawn's
+// (Engine.birth), and is closed only after the image is registered, so
+// a spawn queued on the tag it returns forks the new image.
+func (rec *modulePool) buildSnapshot(ctx context.Context, m *Module, st snapshotSettings) (*Snapshot, error) {
+	if rec.prepErr != nil {
+		return nil, rec.prepErr
 	}
-	inst, err := e.birth(ctx, m, in, false)
+	inst, err := rec.eng.birth(ctx, m, rec.in, false)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +130,12 @@ func (e *Engine) buildSnapshot(ctx context.Context, m *Module, st snapshotSettin
 		}
 		fuel = res.Fuel
 	}
-	return snapshotOf(m, inst, st.initFn, fuel)
+	s, err := snapshotOf(m, inst, st.initFn, fuel)
+	if err != nil {
+		return nil, err
+	}
+	rec.image.Store(s)
+	return s, nil
 }
 
 // snapshotOf freezes inst (instance state, heap bookkeeping, WASI
@@ -162,7 +166,7 @@ func (e *Engine) NewFromSnapshot(s *Snapshot) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.snapshots.NoteRestore(inst.inst.RestoredPages())
+	e.noteRestore(inst.inst.RestoredPages())
 	return inst, nil
 }
 
@@ -180,83 +184,60 @@ func (i *Instance) restoreFrom(s *Snapshot, seed uint64) error {
 	return nil
 }
 
-// activeSnapshot returns the image the module's pool currently forks
-// from (nil when none is registered yet). It runs on every pool reset,
-// so it is a lock-free read of the published map.
-func (e *Engine) activeSnapshot(m *Module) *Snapshot {
-	if mp := e.active.Load(); mp != nil {
-		return (*mp)[m]
-	}
-	return nil
-}
-
-// publishActiveLocked clones the active map, applies one binding, and
-// republishes; replace false preserves an existing binding (the
-// first-spawn baseline must not displace an explicit Snapshot that
-// landed while the baseline was being captured). Caller holds snapMu.
-func (e *Engine) publishActiveLocked(m *Module, s *Snapshot, replace bool) {
-	old := e.active.Load()
-	n := 1
-	if old != nil {
-		n += len(*old)
-	}
-	next := make(map[*Module]*Snapshot, n)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	if _, ok := next[m]; ok && !replace {
-		return
-	}
-	next[m] = s
-	e.active.Store(&next)
-}
-
-// setActiveSnapshot registers s as the image m's pool forks from,
-// replacing the automatic post-start baseline (or an earlier init
-// image). Instances already checked out pick it up at their next reset.
-func (e *Engine) setActiveSnapshot(m *Module, s *Snapshot) {
-	e.snapMu.Lock()
-	e.publishActiveLocked(m, s, true)
-	e.snapMu.Unlock()
-}
-
 // captureBaseline freezes a just-instantiated (pristine, post-start)
 // instance as the module's automatic fork image, so even modules that
-// never see an explicit Engine.Snapshot get dirty-page pool resets; it
-// does nothing once the module has an image. It registers no image
-// whose start function signed a pointer: every fork of that image would
-// share its PAC modifier (§6.3), which only an explicit Engine.Snapshot
-// opts into. Without an image — that case, or a failed capture — each
-// checkin discards the instance and the next checkout is a fresh birth.
-func (e *Engine) captureBaseline(m *Module, inst *Instance) {
-	if e.activeSnapshot(m) != nil {
+// never see an explicit Engine.Snapshot get dirty-page pool resets. It
+// registers the image only while the record has none, so it never
+// displaces an explicit Engine.Snapshot that landed first. It registers
+// no image whose start function signed a pointer: every fork of that
+// image would share its PAC modifier (§6.3), which only an explicit
+// Engine.Snapshot opts into. Without an image — that case, or a failed
+// capture — each checkin discards the instance and the next checkout is
+// a fresh birth.
+func (rec *modulePool) captureBaseline(m *Module, inst *Instance) {
+	if rec.image.Load() != nil {
 		return
 	}
-	key, err := e.snapKey(m, snapshotSettings{})
-	if err != nil {
-		return
-	}
-	s, err := e.snapshots.GetOrBuild(key, func() (*Snapshot, error) {
+	s, err := rec.images.GetOrBuild(snapshotSettings{}.key(), func() (*Snapshot, error) {
 		return snapshotOf(m, inst, "", 0)
 	})
 	if err != nil || s.exec.SignedPointers() {
 		return
 	}
-	e.snapMu.Lock()
-	e.publishActiveLocked(m, s, false)
-	e.snapMu.Unlock()
+	rec.image.CompareAndSwap(nil, s)
 }
 
-// SnapshotStats snapshots the engine's snapshot-cache counters: cache
-// hits/misses/entries plus the number of forks served from cached
-// images, how many of them installed a whole image, how many pages the
-// others rewrote in place, and — process-wide, not per engine — how many
-// instance births ran on a retired instance's storage and how many on
-// newly made storage.
+// noteRestore records one fork served from an image: pages is the
+// number of pages an in-place restore rewrote, or negative for a
+// whole-image install.
+func (e *Engine) noteRestore(pages int) {
+	e.restores.Add(1)
+	switch {
+	case pages < 0:
+		e.fullInstalls.Add(1)
+	case pages > 0:
+		e.restoredPages.Add(uint64(pages))
+	}
+}
+
+// SnapshotStats snapshots the engine's image counters: image-cache
+// hits/misses/entries summed over its modules, plus the number of forks
+// served from images, how many of them installed a whole image, how many
+// pages the others rewrote in place, and — process-wide, not per engine
+// — how many instance births ran on a retired instance's storage and how
+// many on newly made storage.
 func (e *Engine) SnapshotStats() engine.SnapshotCacheStats {
-	st := e.snapshots.Stats()
+	st := engine.SnapshotCacheStats{
+		Restores:      e.restores.Load(),
+		RestoredPages: e.restoredPages.Load(),
+		FullInstalls:  e.fullInstalls.Load(),
+	}
+	for _, rec := range e.records() {
+		cs := rec.images.Stats()
+		st.Hits += cs.Hits
+		st.Misses += cs.Misses
+		st.Entries += cs.Entries
+	}
 	st.BirthsRecycled, st.BirthsFresh = exec.BirthStats()
 	return st
 }
